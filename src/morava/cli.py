@@ -62,6 +62,10 @@ LARGE_RANK = 16
 # Only the measured case ships; anything else in that regime is skipped.
 HEAVY_ENUM_OK = {(3, 2, (2, 1))}
 
+# Guard digits above the requested precision past which a precision retry
+# gives up instead of rebuilding the law again.
+GUARD_LIMIT = 512
+
 
 class ConfigError(Exception):
     pass
@@ -209,11 +213,24 @@ class Builder:
                     f = build_fgl(p, n, N=cur, D=D, M=M)
                 break
             except PrecisionError as e:
-                if cur - want > 512:
+                if cur - want > GUARD_LIMIT:
                     raise
                 cur += max(e.needed_extra, 1) + 7
         self._memo[key] = f
         return f
+
+    def settle(self, p, n, D, M, compute):
+        """compute(law), rebuilding the law with guard digits while it
+        raises PrecisionError, up to GUARD_LIMIT digits over the request."""
+        N = None
+        while True:
+            f = self.fgl(p, n, D, M, N=N)
+            try:
+                return compute(f)
+            except PrecisionError as e:
+                N = f.ctx.N + max(e.needed_extra, 1) + 7
+                if N - self.N_req > GUARD_LIMIT:
+                    raise
 
     def run(self, p, n, D, M, make, tries=8):
         # The guard pad doubles on every starved attempt: stacked
@@ -616,18 +633,23 @@ def shard_records(cfg, bld, p, n):
     return recs
 
 
-def paper_suite(cfg, bld):
+def paper_suite(cfg):
+    """Every shard with its own Builder: laws are never shared across
+    (p, n), so each shard's laws and their caches go when it ends."""
     ps = [cfg.p] if cfg.p else [2, 3]
     ns = [cfg.n] if cfg.n else [1, 2]
     shards = [(p, n) for p in ps for n in ns]
     if cfg.large and cfg.n is None and 2 in ps:
         shards.append((2, 3))
+
+    def run_shard(pn):
+        return shard_records(cfg, Builder(cfg), *pn)
+
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            parts = list(ex.map(lambda pn: shard_records(cfg, bld, *pn),
-                                shards))
+            parts = list(ex.map(run_shard, shards))
     else:
-        parts = [shard_records(cfg, bld, p, n) for p, n in shards]
+        parts = [run_shard(pn) for pn in shards]
     return [rec for part in parts for rec in part]
 
 
@@ -665,7 +687,7 @@ def cmd_verify(cfg, args):
     bld = Builder(cfg)
     t0 = time.time()
     if suite == "paper-suite":
-        records = paper_suite(cfg, bld)
+        records = paper_suite(cfg)
     elif suite == "lemma-2.4":
         records = grid_over(cfg, bld, rank_freeness_records)
     elif suite == "lemma-2.6":
@@ -711,16 +733,13 @@ def cmd_pseries(cfg, args):
              "term; raised to %d" % (M, lead, least))
         M = least
     D = cfg.D if cfg.D is not None else rich_vdeg(n)
-    bld = Builder(cfg)
-    N = None
-    while True:
-        f = bld.fgl(p, n, D, M, N=N)
-        try:
-            s = f.pk_series(0) if k == 0 else f.m_series(p ** k)
-            ok, wit = (True, None) if k == 0 else check_pk_congruence(f, s, k)
-            break
-        except PrecisionError as e:
-            N = f.ctx.N + max(e.needed_extra, 1) + 7
+
+    def compute(f):
+        s = f.pk_series(0) if k == 0 else f.m_series(p ** k)
+        return s, ((True, None) if k == 0
+                   else check_pk_congruence(f, s, k))
+
+    s, (ok, wit) = Builder(cfg).settle(p, n, D, M, compute)
     for line in series_lines(s):
         print(line)
     code = 0
@@ -759,17 +778,12 @@ def cmd_euler(cfg, args):
         if cfg.M < max(floor_caps):
             _log("warning: y-degree cap raised to %d to hold the "
                  "relation degree" % max(caps))
-    bld = Builder(cfg)
-    N = None
-    while True:
-        f = bld.fgl(p, n, D, max(caps), N=N)
-        try:
-            ring = build_cohring(group, f, caps=caps)
-            total = total_euler(ring)
-            red, _ = reduced_euler(ring)
-            break
-        except PrecisionError as e:
-            N = f.ctx.N + max(e.needed_extra, 1) + 7
+
+    def compute(f):
+        ring = build_cohring(group, f, caps=caps)
+        return total_euler(ring), reduced_euler(ring)[0]
+
+    total, red = Builder(cfg).settle(p, n, D, max(caps), compute)
     both = not (args.total or args.reduced)
     if args.total or both:
         print("total Euler class (group %s, p=%d, n=%d):"
@@ -844,6 +858,10 @@ def main(argv=None):
     except ConfigError as e:
         _log("error: %s" % e)
         return 2
+    except PrecisionError as e:
+        _log("error: precision did not stabilize within %d guard digits: %s"
+             % (GUARD_LIMIT, e))
+        return 1
 
 
 if __name__ == "__main__":

@@ -37,8 +37,15 @@ def log_depth(p, M):
 
 
 class FormalGroupLaw:
+    """The truncated law with its derived series memoized.
+
+    _m_cache holds m-series by m, _f_cache two-variable laws by their caps,
+    and _r_cache the prepared cyclic relations by (k, cap), which
+    groupcoh fills; every cached value is shared read-only.
+    """
+
     __slots__ = ("p", "n", "M", "ctx", "log_elems", "log", "exp",
-                 "_m_cache", "_f_cache")
+                 "_m_cache", "_f_cache", "_r_cache")
 
     def __init__(self, p, n, M, ctx, log_elems, log, exp):
         self.p = p
@@ -50,6 +57,7 @@ class FormalGroupLaw:
         self.exp = exp
         self._m_cache = {}
         self._f_cache = {}
+        self._r_cache = {}
 
     # the group law at chosen degree caps
 

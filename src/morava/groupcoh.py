@@ -239,11 +239,43 @@ class CohRing:
             self.group.descriptor(), self.fgl.p, self.fgl.n, self.rank)
 
 
+def _relation(fgl, k, cap):
+    """Prepared relation of a C_{p^k} factor at y-degree cap, memoized on
+    the law: (red, trunc), where red maps a < p^{nk} to the coefficient of
+    y^a in the reduction of y^{p^{nk}}.  Nothing is stored when the build
+    raises."""
+    key = (k, cap)
+    got = fgl._r_cache.get(key)
+    if got is not None:
+        return got
+    ctx = fgl.ctx
+    d = fgl.p ** (fgl.n * k)
+    s = fgl.pk_series(k)
+    if cap < fgl.M:
+        s = ser_truncate(s, cap)
+    if weierstrass_degree(s) != d:
+        raise ArithmeticError(
+            "relation of the order-%d factor has degree %d, expected %d"
+            % (fgl.p ** k, weierstrass_degree(s), d))
+    _, g = weierstrass_prepare(s)
+    red = {}
+    for a in range(d):
+        c = g.c[a]
+        if c.t or c.trunc:
+            red[a] = ctx.neg(c)
+    got = (red, s.trunc or g.trunc)
+    fgl._r_cache[key] = got
+    return got
+
+
 def build_cohring(group, fgl, caps=None):
-    """Prepare the relation of each cyclic factor and seed its table.
+    """Assemble the law's prepared relation of each cyclic factor with a
+    fresh reduction table.
 
     Per-factor caps default to twice the relation degree plus one, so the
     product of two basis monomials stays representable before reduction.
+    Relations are prepared once per law and cap, and rings built from the
+    same law share them read-only.
     """
     p, n = fgl.p, fgl.n
     if group.p != p:
@@ -268,22 +300,10 @@ def build_cohring(group, fgl, caps=None):
             raise ValueError(
                 "cap %d exceeds the law's truncation order %d"
                 % (caps[i], fgl.M))
-        s = fgl.pk_series(k)
-        if caps[i] < fgl.M:
-            s = ser_truncate(s, caps[i])
-        if weierstrass_degree(s) != d:
-            raise ArithmeticError(
-                "relation of the order-%d factor has degree %d, expected %d"
-                % (p ** k, weierstrass_degree(s), d))
-        _, g = weierstrass_prepare(s)
-        red = {}
-        for a in range(d):
-            c = g.c[a]
-            if c.t or c.trunc:
-                red[a] = ctx.neg(c)
+        red, rtrunc = _relation(fgl, k, caps[i])
         relred.append(red)
         tables.append([{a: ctx.one()} for a in range(d)])
-        trunc = trunc or s.trunc or g.trunc
+        trunc = trunc or rtrunc
     return CohRing(group, fgl, caps, wdegs, relred, tables, trunc)
 
 

@@ -46,6 +46,8 @@ def build_adaptive(p, n, N, D, M):
         try:
             return build_fgl(p, n, N=cur, D=D, M=M)
         except PrecisionError as e:
+            if cur - N > cli.GUARD_LIMIT:
+                raise
             cur += max(e.needed_extra, 1) + 7
 
 

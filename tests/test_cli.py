@@ -10,6 +10,8 @@ import os
 import pytest
 
 from morava import cli
+from morava.fgl import FormalGroupLaw
+from morava.padic import PrecisionError
 from morava.report import make_check
 from morava.series import golden_load
 
@@ -79,6 +81,18 @@ def test_pseries_low_ydeg_raised_with_warning(capsys):
     captured = capsys.readouterr()
     assert "raised to 3" in captured.err
     assert "y^2" in captured.out
+
+
+def test_pseries_gives_up_when_precision_never_stabilizes(monkeypatch,
+                                                         capsys):
+    def starved(self, m):
+        raise PrecisionError("starved")
+
+    monkeypatch.setattr(FormalGroupLaw, "m_series", starved)
+    assert run_cli(["pseries", "--p", "2", "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: precision did not stabilize" in captured.err
+    assert captured.out == ""
 
 
 def test_pseries_golden_roundtrip(tmp_path, capsys):
@@ -225,3 +239,16 @@ def test_paper_suite_p2_shape(tmp_path, capsys):
     # config echo carries no filesystem paths, so reports stay comparable
     assert "report" not in doc["meta"]["config"]
     assert "cache" not in doc["meta"]["config"]
+
+
+def test_paper_suite_same_checks_across_jobs(tmp_path, monkeypatch, capsys):
+    docs = []
+    for jobs in ("1", "2"):
+        run_dir = tmp_path / ("jobs" + jobs)
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert run_cli(["verify", "paper-suite", "--n", "1",
+                        "--jobs", jobs]) == 0
+        docs.append(json.loads((run_dir / "morava-report.json").read_text()))
+    assert docs[0]["checks"] == docs[1]["checks"]
+    assert docs[0]["summary"] == docs[1]["summary"]

@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from morava import groupcoh
+from morava.euler import reduced_euler, total_euler
 from morava.fgl import build_fgl
 from morava.groupcoh import (AbelianPGroup, CohRing, GroupHom, RingElem,
                              aligned_quotient_shape, build_cohring, elem_add,
@@ -17,6 +19,7 @@ from morava.groupcoh import (AbelianPGroup, CohRing, GroupHom, RingElem,
                              elem_mul, elem_scale, elem_sub, normal_form,
                              point_class_ms, pullback, series_in_elem,
                              verify_free_over_subring, verify_rank)
+from morava.padic import PrecisionError
 from morava.series import ms_mul, ms_new, ms_set
 
 
@@ -306,3 +309,94 @@ def test_trivial_group_ring(fgl21):
     ms_set(A, (), triv.ctx.from_int(5))
     nf = normal_form(triv, A)
     assert elem_eq_to(nf, elem_int_mul(5, one), 16)
+
+
+# Relation memo: each law prepares the relation of a (k, cap) factor once.
+
+C4xC2 = AbelianPGroup(2, (2, 1))
+
+
+def law21():
+    return build_fgl(2, 1, N=40, D=1, M=9)
+
+
+@pytest.fixture
+def prepares(monkeypatch):
+    """Degree caps of the series handed to Weierstrass preparation, one
+    entry per call."""
+    calls = []
+    real = groupcoh.weierstrass_prepare
+
+    def counted(s):
+        calls.append(s.M)
+        return real(s)
+
+    monkeypatch.setattr(groupcoh, "weierstrass_prepare", counted)
+    return calls
+
+
+def test_relation_prepared_once_per_law_and_cap(prepares):
+    law = law21()
+    first = build_cohring(C4xC2, law)
+    again = build_cohring(C4xC2, law)
+    assert sorted(prepares) == [5, 9]
+    assert all(a is b for a, b in zip(first.relred, again.relred))
+    assert all(a is not b for a, b in zip(first.tables, again.tables))
+    fresh = build_cohring(C4xC2, law21())
+    assert len(prepares) == 4
+    for ring in (first, again):
+        assert ring.relred == fresh.relred
+        assert ring.trunc == fresh.trunc
+
+
+def test_relation_prepared_again_for_new_cap_or_law(prepares):
+    law = law21()
+    build_cohring(C4xC2, law, caps=(9, 5))
+    assert len(prepares) == 2
+    build_cohring(C4xC2, law, caps=(8, 5))
+    assert prepares[2:] == [8]
+    build_cohring(C4xC2, law21(), caps=(8, 5))
+    assert len(prepares) == 5
+
+
+@pytest.mark.parametrize("exc", [PrecisionError, ArithmeticError])
+def test_failed_preparation_is_not_cached(monkeypatch, exc):
+    calls = []
+    real = groupcoh.weierstrass_prepare
+
+    def flaky(s):
+        calls.append(s.M)
+        if len(calls) == 1:
+            raise exc("starved")
+        return real(s)
+
+    monkeypatch.setattr(groupcoh, "weierstrass_prepare", flaky)
+    law = law21()
+    group = AbelianPGroup(2, (1,))
+    with pytest.raises(exc):
+        build_cohring(group, law)
+    ring = build_cohring(group, law)
+    assert len(calls) == 2
+    assert build_cohring(group, law).relred[0] is ring.relred[0]
+    assert len(calls) == 2
+    assert ring.relred == build_cohring(group, law21()).relred
+
+
+def test_cached_relation_gives_same_classes():
+    def monomials(ring):
+        A = ms_new(ring.ctx, 2, ring.caps)
+        for exps, m in (((7, 0), 3), ((5, 4), 1), ((2, 3), -5), ((8, 5), 2)):
+            ms_set(A, exps, ring.ctx.from_int(m))
+        return A
+
+    law = law21()
+    used = build_cohring(C4xC2, law)
+    total_euler(used)
+    normal_form(used, monomials(used))
+    cached = build_cohring(C4xC2, law)
+    plain = build_cohring(C4xC2, law21())
+    for a, b in ((total_euler(cached), total_euler(plain)),
+                 (reduced_euler(cached)[0], reduced_euler(plain)[0]),
+                 (normal_form(cached, monomials(cached)),
+                  normal_form(plain, monomials(plain)))):
+        assert a.coord and a.coord == b.coord and a.trunc == b.trunc
