@@ -30,7 +30,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .euler import (reduced_euler, total_euler, verify_restriction_vanishing,
@@ -158,7 +157,6 @@ class RunConfig:
         self.group = parse_orders(args.group) if args.group else None
         self.T = args.t
         self.r = getattr(args, "r", None)
-        self.jobs = args.jobs
         self.large = args.large
         self.report_path = args.report or "morava-report.json"
         self.cache_dir = args.cache or os.environ.get("MORAVA_CACHE_DIR",
@@ -175,8 +173,6 @@ class RunConfig:
             raise ConfigError("y-degree cap must be at least 1")
         if self.T is not None and self.T < 0:
             raise ConfigError("t bound must be nonnegative")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         if self.group is not None:
             p = self.p if self.p is not None else infer_p(self.group)
             group_exps(self.group, p)
@@ -641,16 +637,8 @@ def paper_suite(cfg):
     shards = [(p, n) for p in ps for n in ns]
     if cfg.large and cfg.n is None and 2 in ps:
         shards.append((2, 3))
-
-    def run_shard(pn):
-        return shard_records(cfg, Builder(cfg), *pn)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            parts = list(ex.map(run_shard, shards))
-    else:
-        parts = [run_shard(pn) for pn in shards]
-    return [rec for part in parts for rec in part]
+    return [rec for pn in shards
+            for rec in shard_records(cfg, Builder(cfg), *pn)]
 
 
 def grid_over(cfg, bld, fn):
@@ -674,7 +662,7 @@ def report_meta(cfg, suite):
             "p": cfg.p, "n": cfg.n, "precision": cfg.N_req,
             "vdeg": cfg.D, "ydeg": cfg.M,
             "group": ",".join(map(str, cfg.group)) if cfg.group else None,
-            "t": cfg.T, "r": cfg.r, "jobs": cfg.jobs, "large": cfg.large,
+            "t": cfg.T, "r": cfg.r, "large": cfg.large,
         },
     }
 
@@ -815,8 +803,6 @@ def build_parser():
         sp.add_argument("--group",
                         help="cyclic orders, comma-separated, e.g. 4,2")
         sp.add_argument("--t", type=int, help="saturation / power bound")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel shards for paper-suite")
         sp.add_argument("--report", help="report path "
                                          "(default morava-report.json)")
         sp.add_argument("--cache", help="cache directory "

@@ -130,6 +130,16 @@ def _v_elem(ctx, j):
     return ctx.zero()
 
 
+def _iterated_p_power(ctx, v, i):
+    """v^{p^i} by repeated p-th power, which keeps intermediate sizes down."""
+    for _ in range(i):
+        vq = v
+        for _ in range(ctx.p - 1):
+            vq = ctx.mul(vq, v)
+        v = vq
+    return v
+
+
 def _log_elems(ctx, K):
     p = ctx.p
     ls = [ctx.one()]
@@ -139,14 +149,7 @@ def _log_elems(ctx, K):
             v = _v_elem(ctx, k - i)
             if v.is_zero() and not v.trunc:
                 continue
-            vp = v
-            for _ in range(i):
-                # v^{p^i} by repeated p-th power keeps intermediate sizes down
-                vq = vp
-                for _ in range(p - 1):
-                    vq = ctx.mul(vq, vp)
-                vp = vq
-            acc = ctx.add(acc, ctx.mul(ls[i], vp))
+            acc = ctx.add(acc, ctx.mul(ls[i], _iterated_p_power(ctx, v, i)))
         scale = ctx.padic.from_fraction(1, p - p ** (p ** k))
         ls.append(ctx.scalar_mul(scale, acc))
     return ls
@@ -163,13 +166,7 @@ def _check_log_recursion(ctx, ls):
             v = _v_elem(ctx, k - i)
             if v.is_zero() and not v.trunc:
                 continue
-            vp = v
-            for _ in range(i):
-                vq = vp
-                for _ in range(p - 1):
-                    vq = ctx.mul(vq, vp)
-                vp = vq
-            rhs = ctx.add(rhs, ctx.mul(ls[i], vp))
+            rhs = ctx.add(rhs, ctx.mul(ls[i], _iterated_p_power(ctx, v, i)))
         diff = ctx.sub_raw(lhs, rhs)
         depth = max(1, ctx.N - len(ls) - 1)
         if not ctx.is_zero_to(diff, depth):
@@ -248,6 +245,16 @@ def _m_series(fgl, m):
     return solve_log(ctx, fgl.log_elems, S)
 
 
+def _series_power(cache, base, e):
+    """base^e by repeated multiplication, memoized in cache, which must
+    hold the exponent-0 entry."""
+    if e in cache:
+        return cache[e]
+    cur = ser_mul(_series_power(cache, base, e - 1), base)
+    cache[e] = cur
+    return cur
+
+
 def _build_two_var(fgl, Mx, My, tcap=None):
     """F(x, y) = sum_j G_j(x) (log y)^j with
     G_j = sum_{i >= j} binom(i, j) e_i (log x)^{i-j}.
@@ -268,14 +275,6 @@ def _build_two_var(fgl, Mx, My, tcap=None):
     xpow = {0: ser_from_terms(ctx, Mx, {0: ctx.one()})}
     ypow = {0: ser_from_terms(ctx, My, {0: ctx.one()})}
 
-    def pw(cache, base, e_):
-        if e_ in cache:
-            return cache[e_]
-        prev = pw(cache, base, e_ - 1)
-        cur = ser_mul(prev, base)
-        cache[e_] = cur
-        return cur
-
     for j in range(min(My, teff) + 1):
         # G_j as a series in x
         G = ser_new(ctx, Mx)
@@ -289,11 +288,11 @@ def _build_two_var(fgl, Mx, My, tcap=None):
             c = ctx.int_mul(math.comb(i, j), ei)
             if c.is_zero():
                 continue
-            G = ser_add(G, ser_scale(c, pw(xpow, logx, i - j)))
+            G = ser_add(G, ser_scale(c, _series_power(xpow, logx, i - j)))
             any_term = True
         if not any_term:
             continue
-        P = pw(ypow, logy, j) if j else None
+        P = _series_power(ypow, logy, j) if j else None
         for dx, cx in enumerate(G.c):
             if cx.is_zero():
                 continue
@@ -320,21 +319,13 @@ def eval_pair(F, f, g):
     fpow = {0: ser_from_terms(ctx, M, {0: ctx.one()})}
     gpow = {0: ser_from_terms(ctx, M, {0: ctx.one()})}
 
-    def pw(cache, base, e_):
-        if e_ in cache:
-            return cache[e_]
-        prev = pw(cache, base, e_ - 1)
-        cur = ser_mul(prev, base)
-        cache[e_] = cur
-        return cur
-
     for (i, j) in sorted(F.t):
         c = F.t[(i, j)]
         term = None
         if i:
-            term = pw(fpow, f, i)
+            term = _series_power(fpow, f, i)
         if j:
-            gj = pw(gpow, g, j)
+            gj = _series_power(gpow, g, j)
             term = gj if term is None else ser_mul(term, gj)
         if term is None:
             raise ValueError("group law with a constant term")

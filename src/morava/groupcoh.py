@@ -6,7 +6,9 @@ relation as a monic polynomial of degree p^{nk} whose lower coefficients
 lie in the maximal ideal, so the ring is a free module over the
 coefficients with the monomial basis below that degree.  Product groups
 tensor the cyclic presentations together; the normal form reduces each
-variable independently through lazily grown reduction tables.
+variable independently through lazily grown reduction tables.  The same
+ring type, built by cohring_from_relation, also serves a single generator
+modulo any explicit monic relation.
 
 Group homomorphisms act contravariantly.  The generator class of the i-th
 target factor pulls back to the formal sum over source factors of m-series
@@ -163,20 +165,22 @@ class CohRing:
 
     relred[i] maps exponents a < d_i to the coefficient of y_i^a in the
     reduction of y_i^{d_i}; tables[i][j] holds the normal-form coordinates
-    of y_i^j and grows on demand.
+    of y_i^j and grows on demand.  group is None for a ring built from an
+    explicit relation.
     """
 
     __slots__ = ("group", "fgl", "ctx", "caps", "wdegs", "relred", "tables",
                  "trunc")
 
-    def __init__(self, group, fgl, caps, wdegs, relred, tables, trunc):
+    def __init__(self, group, fgl, caps, wdegs, relred, trunc):
+        ctx = fgl.ctx
         self.group = group
         self.fgl = fgl
-        self.ctx = fgl.ctx
+        self.ctx = ctx
         self.caps = caps
         self.wdegs = wdegs
         self.relred = relred
-        self.tables = tables
+        self.tables = [[{a: ctx.one()} for a in range(d)] for d in wdegs]
         self.trunc = trunc
 
     @property
@@ -195,15 +199,19 @@ class CohRing:
     def const(self, e):
         if not (e.t or e.trunc):
             return RingElem(self, {}, False)
-        return RingElem(self, {(0,) * self.group.rank: e}, False)
+        return RingElem(self, {(0,) * len(self.wdegs): e}, False)
 
     def one(self):
         return self.const(self.ctx.one())
 
     def gen(self, i):
-        exps = [0] * self.group.rank
+        """Normal form of y_i: the monomial itself unless its relation has
+        degree one."""
+        exps = [0] * len(self.wdegs)
         exps[i] = 1
-        return RingElem(self, {tuple(exps): self.ctx.one()}, False)
+        out = {}
+        _nf_accumulate(self, out, tuple(exps), self.ctx.one())
+        return RingElem(self, out, False)
 
     def table_row(self, i, j):
         rows = self.tables[i]
@@ -236,7 +244,20 @@ class CohRing:
 
     def __repr__(self):
         return "CohRing(%s, p=%d, n=%d, rank=%d)" % (
-            self.group.descriptor(), self.fgl.p, self.fgl.n, self.rank)
+            self.group.descriptor() if self.group else "relation",
+            self.fgl.p, self.fgl.n, self.rank)
+
+
+def _reduction(g, d):
+    """Reduction table of a polynomial monic at degree d: a < d maps to the
+    coefficient of y^a in y^d, the negated lower coefficient."""
+    ctx = g.ctx
+    red = {}
+    for a in range(d):
+        c = g.c[a]
+        if c.t or c.trunc:
+            red[a] = ctx.neg(c)
+    return red
 
 
 def _relation(fgl, k, cap):
@@ -248,7 +269,6 @@ def _relation(fgl, k, cap):
     got = fgl._r_cache.get(key)
     if got is not None:
         return got
-    ctx = fgl.ctx
     d = fgl.p ** (fgl.n * k)
     s = fgl.pk_series(k)
     if cap < fgl.M:
@@ -258,12 +278,7 @@ def _relation(fgl, k, cap):
             "relation of the order-%d factor has degree %d, expected %d"
             % (fgl.p ** k, weierstrass_degree(s), d))
     _, g = weierstrass_prepare(s)
-    red = {}
-    for a in range(d):
-        c = g.c[a]
-        if c.t or c.trunc:
-            red[a] = ctx.neg(c)
-    got = (red, s.trunc or g.trunc)
+    got = (_reduction(g, d), s.trunc or g.trunc)
     fgl._r_cache[key] = got
     return got
 
@@ -280,7 +295,6 @@ def build_cohring(group, fgl, caps=None):
     p, n = fgl.p, fgl.n
     if group.p != p:
         raise ValueError("group prime differs from the law's")
-    ctx = fgl.ctx
     wdegs = tuple(p ** (n * k) for k in group.exps)
     if caps is None:
         caps = tuple(min(2 * d + 1, fgl.M) for d in wdegs)
@@ -289,7 +303,6 @@ def build_cohring(group, fgl, caps=None):
         if len(caps) != group.rank:
             raise ValueError("need one cap per factor")
     relred = []
-    tables = []
     trunc = False
     for i, k in enumerate(group.exps):
         d = wdegs[i]
@@ -302,9 +315,24 @@ def build_cohring(group, fgl, caps=None):
                 % (caps[i], fgl.M))
         red, rtrunc = _relation(fgl, k, caps[i])
         relred.append(red)
-        tables.append([{a: ctx.one()} for a in range(d)])
         trunc = trunc or rtrunc
-    return CohRing(group, fgl, caps, wdegs, relred, tables, trunc)
+    return CohRing(group, fgl, caps, wdegs, relred, trunc)
+
+
+def cohring_from_relation(fgl, g, d):
+    """Rank-d ring with one generator y modulo a polynomial g that is monic
+    at degree d and vanishes above it; the basis is 1, y, ..., y^{d-1}."""
+    ctx = fgl.ctx
+    if g.ctx is not ctx:
+        raise ValueError("relation context differs from the law's")
+    if d < 1 or d > g.M:
+        raise ValueError("degree out of range")
+    if not ctx.eq_to(g.c[d], ctx.one(), 1):
+        raise ValueError("polynomial is not monic at the stated degree")
+    for i in range(d + 1, g.M + 1):
+        if g.c[i].t and not ctx.is_zero_to(g.c[i], 1):
+            raise ValueError("nonzero coefficient above the degree")
+    return CohRing(None, fgl, (g.M,), (d,), [_reduction(g, d)], g.trunc)
 
 
 class RingElem:
@@ -399,7 +427,7 @@ def normal_form(ring, A):
     """Reduce a multiseries to basis coordinates."""
     if A.ctx is not ring.ctx:
         raise ValueError("series context differs from the ring's")
-    if A.r != ring.group.rank:
+    if A.r != len(ring.wdegs):
         raise ValueError("variable count differs from the ring's")
     out = {}
     for exps in sorted(A.t):

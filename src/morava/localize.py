@@ -15,9 +15,9 @@ indeterminate, never as failure.
 from .euler import (Character, all_nontrivial_characters, euler_of_char,
                     total_euler)
 from .fgl import formal_sum
-from .groupcoh import (AbelianPGroup, build_cohring, elem_add, elem_eq_to,
-                       elem_is_zero_to, elem_mul, pullback, series_in_elem,
-                       verify_free_over_subring)
+from .groupcoh import (AbelianPGroup, build_cohring, cohring_from_relation,
+                       elem_add, elem_eq_to, elem_is_zero_to, elem_mul,
+                       pullback, series_in_elem, verify_free_over_subring)
 from .padic import PrecisionError
 from .report import make_check, precision_note
 from .series import (ser_compose, ser_from_terms, ser_invert_unit,
@@ -26,27 +26,23 @@ from .series import (ser_compose, ser_from_terms, ser_invert_unit,
 
 
 class Localization:
-    """The fraction layer over a fixed inverted class.
+    """The fraction layer over a fixed inverted class e of a ring, with
+    saturation bound T.  eq_to(a, b, depth) decides equality of
+    numerators; callers working modulo an ideal pass their congruence."""
 
-    Carries the ring operations as hooks so the same machinery serves the
-    cohomology rings and the standalone quotient models below."""
+    __slots__ = ("e", "eq_to", "T", "_epows")
 
-    __slots__ = ("e", "add", "mul", "eq_to", "one", "T", "_epows")
-
-    def __init__(self, e, add, mul, eq_to, one, T):
+    def __init__(self, e, T, eq_to=elem_eq_to):
         if T < 0:
             raise ValueError("saturation bound must be nonnegative")
         self.e = e
-        self.add = add
-        self.mul = mul
         self.eq_to = eq_to
-        self.one = one
         self.T = T
-        self._epows = [one]
+        self._epows = [e.ring.one()]
 
     def epow(self, t):
         while len(self._epows) <= t:
-            self._epows.append(self.mul(self._epows[-1], self.e))
+            self._epows.append(elem_mul(self._epows[-1], self.e))
         return self._epows[t]
 
     def frac(self, num, t=0):
@@ -67,12 +63,6 @@ class Fraction:
         return "Fraction(t=%d)" % self.t
 
 
-def loc_over_cohring(ring, e, T=None):
-    if T is None:
-        T = ring.rank
-    return Localization(e, elem_add, elem_mul, elem_eq_to, ring.one(), T)
-
-
 def _check_loc(a, b):
     if a.loc is not b.loc:
         raise ValueError("fractions live over different localizations")
@@ -82,14 +72,14 @@ def frac_add(a, b):
     _check_loc(a, b)
     loc = a.loc
     t = max(a.t, b.t)
-    na = loc.mul(a.num, loc.epow(t - a.t)) if t > a.t else a.num
-    nb = loc.mul(b.num, loc.epow(t - b.t)) if t > b.t else b.num
-    return Fraction(loc, loc.add(na, nb), t)
+    na = elem_mul(a.num, loc.epow(t - a.t)) if t > a.t else a.num
+    nb = elem_mul(b.num, loc.epow(t - b.t)) if t > b.t else b.num
+    return Fraction(loc, elem_add(na, nb), t)
 
 
 def frac_mul(a, b):
     _check_loc(a, b)
-    return Fraction(a.loc, a.loc.mul(a.num, b.num), a.t + b.t)
+    return Fraction(a.loc, elem_mul(a.num, b.num), a.t + b.t)
 
 
 def frac_equal(a, b, depth):
@@ -99,13 +89,13 @@ def frac_equal(a, b, depth):
     the latter to be reported as INDETERMINATE rather than failure."""
     _check_loc(a, b)
     loc = a.loc
-    lhs = loc.mul(a.num, loc.epow(b.t))
-    rhs = loc.mul(b.num, loc.epow(a.t))
+    lhs = elem_mul(a.num, loc.epow(b.t))
+    rhs = elem_mul(b.num, loc.epow(a.t))
     for m in range(loc.T + 1):
         if loc.eq_to(lhs, rhs, depth):
             return True, m
-        lhs = loc.mul(lhs, loc.e)
-        rhs = loc.mul(rhs, loc.e)
+        lhs = elem_mul(lhs, loc.e)
+        rhs = elem_mul(rhs, loc.e)
     return None, None
 
 
@@ -144,159 +134,9 @@ def elem_congruent_mod_ideal(a, b, keep_from, depth=1):
     return True
 
 
-# Univariate quotient model: basis 1..y^{d-1} modulo a monic polynomial.
-
-class QuotientModel:
-    """Quotient of coefficient-ring series by a monic degree-d polynomial
-    with lower coefficients in the maximal ideal.  Elements are coordinate
-    lists on the basis 1, y, ..., y^{d-1}; the reduction rule replaces y^d
-    by the negated lower coefficients."""
-
-    __slots__ = ("ctx", "deg", "red")
-
-    def __init__(self, g, d):
-        ctx = g.ctx
-        if d < 1 or d > g.M:
-            raise ValueError("degree out of range")
-        if not ctx.eq_to(g.c[d], ctx.one(), 1):
-            raise ValueError("polynomial is not monic at the stated degree")
-        for i in range(d + 1, g.M + 1):
-            if g.c[i].t and not ctx.is_zero_to(g.c[i], 1):
-                raise ValueError("nonzero coefficient above the degree")
-        self.ctx = ctx
-        self.deg = d
-        self.red = [ctx.neg(g.c[i]) for i in range(d)]
-
-    def zero(self):
-        return [self.ctx.zero() for _ in range(self.deg)]
-
-    def const(self, e):
-        out = self.zero()
-        out[0] = e
-        return out
-
-    def one(self):
-        return self.const(self.ctx.one())
-
-    def gen(self):
-        if self.deg == 1:
-            return [self.red[0]]
-        out = self.zero()
-        out[1] = self.ctx.one()
-        return out
-
-
-def mq_add(model, a, b):
-    ctx = model.ctx
-    return [ctx.add_raw(x, z) for x, z in zip(a, b)]
-
-
-def mq_scale(model, e, a):
-    ctx = model.ctx
-    return [ctx.mul(e, x) for x in a]
-
-
-def mq_shift(model, a):
-    """Multiply by the generator class."""
-    ctx = model.ctx
-    d = model.deg
-    out = [ctx.zero()] + list(a[:d - 1])
-    top = a[d - 1]
-    if top.t or top.trunc:
-        for j, rc in enumerate(model.red):
-            out[j] = ctx.add_raw(out[j], ctx.mul(top, rc))
-    return out
-
-
-def mq_mul(model, a, b):
-    ctx = model.ctx
-    d = model.deg
-    full = [ctx.zero() for _ in range(2 * d - 1)]
-    for i, x in enumerate(a):
-        if not (x.t or x.trunc):
-            continue
-        for j, z in enumerate(b):
-            if not (z.t or z.trunc):
-                continue
-            full[i + j] = ctx.add_raw(full[i + j], ctx.mul(x, z))
-    for i in range(2 * d - 2, d - 1, -1):
-        c = full[i]
-        if not (c.t or c.trunc):
-            continue
-        for j, rc in enumerate(model.red):
-            full[i - d + j] = ctx.add_raw(full[i - d + j], ctx.mul(c, rc))
-    return full[:d]
-
-
-def mq_from_series(model, f):
-    out = model.zero()
-    for i in range(f.M, -1, -1):
-        out = mq_shift(model, out)
-        out[0] = model.ctx.add_raw(out[0], f.c[i])
-    return out
-
-
-def mq_eq_to(model, a, b, depth):
-    ctx = model.ctx
-    return all(ctx.eq_to(x, z, depth) for x, z in zip(a, b))
-
-
-def mq_is_zero_to(model, a, depth):
-    ctx = model.ctx
-    return all(ctx.is_zero_to(x, depth) for x in a)
-
-
-def loc_over_model(model, T=None):
-    if T is None:
-        T = model.deg
-    return Localization(
-        model.gen(),
-        lambda a, b: mq_add(model, a, b),
-        lambda a, b: mq_mul(model, a, b),
-        lambda a, b, depth: mq_eq_to(model, a, b, depth),
-        model.one(), T)
-
-
-def mult_matrix(model, a):
-    """Matrix of multiplication by a on the basis, columns a*y^j."""
-    cols = []
-    v = list(a)
-    for _ in range(model.deg):
-        cols.append(v)
-        v = mq_shift(model, v)
-    return [[cols[j][i] for j in range(model.deg)]
-            for i in range(model.deg)]
-
-
-def matrix_det(ctx, rows):
-    """Laplace expansion with column-subset memoization; fine for the
-    small quotient models this file builds."""
-    n = len(rows)
-    memo = {(): ctx.one()}
-
-    def rec(cols):
-        if cols in memo:
-            return memo[cols]
-        i = n - len(cols)
-        acc = ctx.zero()
-        for pos, c in enumerate(cols):
-            entry = rows[i][c]
-            if not (entry.t or entry.trunc):
-                continue
-            sub = rec(cols[:pos] + cols[pos + 1:])
-            term = ctx.mul(entry, sub)
-            if pos % 2:
-                term = ctx.neg(term)
-            acc = ctx.add_raw(acc, term)
-        memo[cols] = acc
-        return acc
-
-    return rec(tuple(range(n)))
-
-
 def min_stored_prec(ctx, elems):
     """Least relative precision among the stored nonzero scalars."""
-    best = ctx.padic.N if hasattr(ctx, "padic") else ctx.N
+    best = ctx.N
     for e in elems:
         for c in e.t.values():
             if c.unit != 0 and c.prec < best:
@@ -355,10 +195,6 @@ def verify_mutual_euler_divisibility(ring, depth=4):
                        extra={"depth": depth}))
 
 
-def _u_power(ctx, k):
-    return ctx.u_mono(k)
-
-
 def sound_mod_ideal_cap(fgl):
     """Smallest basis cap at which reduction junk provably lands in the
     ideal: every chain from the cap down past the relation degree either
@@ -388,7 +224,7 @@ def verify_height_drop_unit(fgl, ring=None, T=None, sat_depth=1):
         if T is None:
             T = ring.rank
         vlow = ctx.v_gen(n - 1)
-        vtop = _u_power(ctx, p ** n - 1)
+        vtop = ctx.u_mono(p ** n - 1)
         two_term = formal_sum(fgl, [
             ser_from_terms(ctx, fgl.M, {p ** (n - 1): vlow}),
             ser_from_terms(ctx, fgl.M, {p ** n: vtop}),
@@ -407,9 +243,8 @@ def verify_height_drop_unit(fgl, ring=None, T=None, sat_depth=1):
             ring, ser_scale(ctx.neg(ctx.invert(vtop)), ser_invert_unit(eps)),
             ring.gen(0))
         loc = Localization(
-            ring.gen(0), elem_add, elem_mul,
-            lambda a, b, d: elem_congruent_mod_ideal(a, b, keep, d),
-            ring.one(), T)
+            ring.gen(0), T,
+            lambda a, b, d: elem_congruent_mod_ideal(a, b, keep, d))
         prod = frac_mul(loc.frac(ring.const(vlow)), loc.frac(num, texp))
         equal, cert = frac_equal(prod, loc.frac(ring.one()), sat_depth)
     except PrecisionError as e:
@@ -453,7 +288,7 @@ def verify_inverted_prime_model(fgl, T=None, depth=16):
         raise ValueError("this check is the height-1 case")
     params = {"p": p, "n": 1}
     try:
-        v1 = _u_power(ctx, p - 1)
+        v1 = ctx.u_mono(p - 1)
         two_term = formal_sum(fgl, [
             ser_from_terms(ctx, fgl.M, {1: ctx.from_int(p)}),
             ser_from_terms(ctx, fgl.M, {p: v1}),
@@ -469,23 +304,26 @@ def verify_inverted_prime_model(fgl, T=None, depth=16):
         phi1 = ser_rshift(phi, 1)
         wdeg = weierstrass_degree(phi1)
         unit, g = weierstrass_prepare(phi1)
-        model = QuotientModel(g, wdeg)
+        ring = cohring_from_relation(fgl, g, wdeg)
         if T is None:
-            T = model.deg
+            T = ring.rank
 
         eps = ser_scale(ctx.neg(ctx.invert(v1)), ser_rshift(inv_img, p))
         c2 = ctx.eq_to(eps.c[0], ctx.one(), 8)
-        num = mq_from_series(
-            model, ser_scale(ctx.neg(ctx.invert(v1)), ser_invert_unit(eps)))
-        loc = loc_over_model(model, T)
-        prod = frac_mul(loc.frac(model.const(ctx.from_int(p))),
+        y = ring.gen(0)
+        num = series_in_elem(
+            ring, ser_scale(ctx.neg(ctx.invert(v1)), ser_invert_unit(eps)), y)
+        loc = Localization(y, T)
+        prod = frac_mul(loc.frac(ring.const(ctx.from_int(p))),
                         loc.frac(num, p - 1))
-        equal, cert = frac_equal(prod, loc.frac(model.one()), depth)
+        equal, cert = frac_equal(prod, loc.frac(ring.one()), depth)
 
-        det = matrix_det(ctx, mult_matrix(model, model.gen()))
+        # multiplication by y has determinant (-1)^(d-1) times the reduced
+        # constant term of the monic relation
+        det = ring.relred[0].get(0, ctx.zero())
         det_val = min((c.val for c in det.t.values() if c.unit != 0),
                       default=None)
-        prec = min_stored_prec(ctx, prod.num + [det])
+        prec = min_stored_prec(ctx, list(prod.num.coord.values()) + [det])
     except PrecisionError as e:
         return make_check(
             "inverted-prime-model", "prop-3.2", params, "INDETERMINATE",
@@ -495,8 +333,8 @@ def verify_inverted_prime_model(fgl, T=None, depth=16):
         "two_term_identity": c1,
         "unit_series_constant_term_one": c2,
         "relation_degree": wdeg,
-        "rank": model.deg,
-        "basis": ["y^%d" % i if i else "1" for i in range(model.deg)],
+        "rank": ring.rank,
+        "basis": ["y^%d" % i if i else "1" for i in range(ring.rank)],
         "inverse_denominator_exponent": p - 1,
         "saturation_certificate": cert,
         "generator_det_valuation": det_val,

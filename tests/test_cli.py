@@ -4,6 +4,7 @@ Everything here uses a per-test working directory so default report and
 cache paths never leak between tests.
 """
 
+import hashlib
 import json
 import os
 
@@ -241,14 +242,35 @@ def test_paper_suite_p2_shape(tmp_path, capsys):
     assert "cache" not in doc["meta"]["config"]
 
 
-def test_paper_suite_same_checks_across_jobs(tmp_path, monkeypatch, capsys):
+def _checks_digest(path):
+    checks = json.loads(path.read_text())["checks"]
+    return hashlib.sha256(
+        json.dumps(checks, sort_keys=True).encode()).hexdigest()
+
+
+def test_inverted_prime_records_frozen(tmp_path, monkeypatch):
+    # checks of `verify prop-3.2-n1` on a fresh law cache, pinned to the
+    # digest they had when the height-1 model was its own ring type
+    monkeypatch.delenv("MORAVA_CACHE_DIR", raising=False)
+    assert run_cli(["verify", "prop-3.2-n1"]) == 0
+    assert _checks_digest(tmp_path / "morava-report.json") == \
+        "856a3648f4afea4e18de535b256c12f444128b1e5c89f4c3bbd1ac902e1467c2"
+
+
+def test_law_cache_changes_no_verdict_or_witness(tmp_path, monkeypatch):
+    # the cache may move the reported working precision N, nothing else
     docs = []
-    for jobs in ("1", "2"):
-        run_dir = tmp_path / ("jobs" + jobs)
-        run_dir.mkdir()
-        monkeypatch.chdir(run_dir)
-        assert run_cli(["verify", "paper-suite", "--n", "1",
-                        "--jobs", jobs]) == 0
-        docs.append(json.loads((run_dir / "morava-report.json").read_text()))
-    assert docs[0]["checks"] == docs[1]["checks"]
-    assert docs[0]["summary"] == docs[1]["summary"]
+    for cache in (str(tmp_path / "cache"), ""):
+        monkeypatch.setenv("MORAVA_CACHE_DIR", cache)
+        report = tmp_path / ("cached.json" if cache else "uncached.json")
+        assert run_cli(["verify", "lemma-2.4", "--p", "3", "--n", "1",
+                        "--report", str(report)]) == 0
+        docs.append(json.loads(report.read_text()))
+    cached, uncached = docs
+    assert list((tmp_path / "cache").glob("fgl-p3-n1-*.txt"))
+    assert cached["summary"] == uncached["summary"]
+    assert len(cached["checks"]) == len(uncached["checks"]) == 6
+    for a, b in zip(cached["checks"], uncached["checks"]):
+        a.pop("precision_loss")
+        b.pop("precision_loss")
+        assert a == b

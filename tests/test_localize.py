@@ -1,6 +1,6 @@
 """Localization layer: fraction arithmetic with saturated equality,
-univariate quotient models, and the four verification drivers built on
-them.
+rank-one rings modulo an explicit relation, and the four verification
+drivers built on them.
 
 Depths follow the usual junk budget.  The mod-ideal congruence checks at
 height >= 2 additionally need basis caps at or above the junk-safe
@@ -13,19 +13,19 @@ from hypothesis import strategies as st
 
 from morava.euler import Character, euler_of_char, total_euler
 from morava.fgl import build_fgl
-from morava.groupcoh import (AbelianPGroup, build_cohring, elem_add,
-                             elem_eq_to, elem_int_mul, elem_is_zero_to,
+from morava.groupcoh import (AbelianPGroup, RingElem, build_cohring,
+                             cohring_from_relation, elem_add, elem_eq_to,
+                             elem_int_mul, elem_is_zero_to, elem_mul,
                              series_in_elem)
-from morava.localize import (QuotientModel, frac_add, frac_equal, frac_mul,
-                             loc_over_cohring, matrix_det, mq_eq_to,
-                             mq_from_series, mq_is_zero_to, mq_mul, mq_shift,
-                             mult_matrix, sound_mod_ideal_cap,
+from morava.localize import (Localization, frac_add, frac_equal, frac_mul,
+                             sound_mod_ideal_cap,
                              verify_elementary_quotient_transfer,
                              verify_height_drop_unit,
                              verify_inverted_prime_model,
                              verify_localized_nonvanishing,
                              verify_mutual_euler_divisibility)
-from morava.series import ser_rshift, weierstrass_degree, weierstrass_prepare
+from morava.series import (ser_add, ser_monomial, ser_rshift,
+                           weierstrass_degree, weierstrass_prepare)
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +70,34 @@ def gen_class(ring2):
 
 @pytest.fixture(scope="module")
 def loc2(ring2, gen_class):
-    return loc_over_cohring(ring2, gen_class)
+    return Localization(gen_class, ring2.rank)
 
 
-def _pk_model(fgl, k):
+def _prepared(fgl, k):
     shifted = ser_rshift(fgl.pk_series(k), 1)
     d = weierstrass_degree(shifted)
     _, g = weierstrass_prepare(shifted)
-    return QuotientModel(g, d)
+    return g, d
+
+
+def _pk_model(fgl, k):
+    return cohring_from_relation(fgl, *_prepared(fgl, k))
+
+
+def _mono(ring, a, c):
+    return RingElem(ring, {(a,): c})
+
+
+def _det(ctx, rows):
+    """Laplace expansion along the first row, independent of the ring."""
+    if not rows:
+        return ctx.one()
+    acc = ctx.zero()
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = ctx.mul(entry, _det(ctx, minor))
+        acc = ctx.add_raw(acc, ctx.neg(term) if j % 2 else term)
+    return acc
 
 
 # Frozen junk-safe thresholds for the shapes the drivers run at.
@@ -98,7 +118,7 @@ def test_fraction_reflexive(loc2, gen_class):
 def test_fraction_cancel_common_factor(loc2, ring2, gen_class):
     e = gen_class
     num = elem_add(ring2.one(), e)
-    lhs = loc2.frac(loc2.mul(e, num), 1)
+    lhs = loc2.frac(elem_mul(e, num), 1)
     assert frac_equal(lhs, loc2.frac(num), 8) == (True, 0)
 
 
@@ -139,7 +159,7 @@ def test_zero_divisor_needs_one_saturation_step(loc2, ring2, fgl21,
 
 
 def test_exhausted_bound_is_indeterminate(ring2, fgl21, gen_class):
-    loc0 = loc_over_cohring(ring2, gen_class, T=0)
+    loc0 = Localization(gen_class, 0)
     bracket = series_in_elem(ring2, ser_rshift(fgl21.m_series(2), 1),
                              gen_class)
     assert frac_equal(loc0.frac(bracket), loc0.frac(ring2.zero()), 4) == \
@@ -148,59 +168,69 @@ def test_exhausted_bound_is_indeterminate(ring2, fgl21, gen_class):
 
 def test_fraction_validation(ring2, gen_class, loc2):
     with pytest.raises(ValueError):
-        loc_over_cohring(ring2, gen_class, T=-1)
+        Localization(gen_class, -1)
     with pytest.raises(ValueError):
         loc2.frac(ring2.one(), -1)
-    other = loc_over_cohring(ring2, gen_class)
+    other = Localization(gen_class, ring2.rank)
     with pytest.raises(ValueError):
         frac_equal(loc2.frac(ring2.one()), other.frac(ring2.one()), 2)
 
 
-# Quotient models of the shifted p^k-series.
+# Rank-one rings modulo the prepared shifted p^k-series.
 
 def test_model_relation_maps_to_zero(fgl21, fgl31):
     for fgl, k in ((fgl21, 1), (fgl21, 2), (fgl31, 1)):
-        shifted = ser_rshift(fgl.pk_series(k), 1)
-        d = weierstrass_degree(shifted)
-        _, g = weierstrass_prepare(shifted)
-        model = QuotientModel(g, d)
-        assert mq_is_zero_to(model, mq_from_series(model, g), 8)
+        g, d = _prepared(fgl, k)
+        ring = cohring_from_relation(fgl, g, d)
+        assert elem_is_zero_to(series_in_elem(ring, g, ring.gen(0)), 8)
 
 
 def test_model_identity_and_shift(fgl21):
-    model = _pk_model(fgl21, 2)
-    assert model.deg == 3
-    x = model.zero()
-    x[0] = model.ctx.from_int(3)
-    x[2] = model.ctx.one()
-    assert mq_eq_to(model, mq_mul(model, model.one(), x), x, 8)
-    assert mq_eq_to(model, mq_mul(model, model.gen(), x),
-                    mq_shift(model, x), 8)
+    ring = _pk_model(fgl21, 2)
+    ctx = ring.ctx
+    assert ring.rank == 3
+    y = ring.gen(0)
+    x = elem_add(ring.const(ctx.from_int(3)), _mono(ring, 2, ctx.one()))
+    assert elem_eq_to(elem_mul(ring.one(), x), x, 8)
+    # y * (3 + y^2) = 3y + y^3, and y^3 reduces through the relation
+    shifted = elem_add(_mono(ring, 1, ctx.from_int(3)),
+                       RingElem(ring, {(a,): c
+                                       for a, c in ring.relred[0].items()}))
+    assert elem_eq_to(elem_mul(y, x), shifted, 8)
 
 
 def test_model_mul_commutes_and_associates(fgl21):
-    model = _pk_model(fgl21, 2)
-    ctx = model.ctx
-    a = model.gen()
-    b = model.const(ctx.from_int(2))
-    b[1] = ctx.one()
-    c = model.zero()
-    c[2] = ctx.from_int(3)
-    assert mq_eq_to(model, mq_mul(model, a, b), mq_mul(model, b, a), 6)
-    assert mq_eq_to(model, mq_mul(model, mq_mul(model, a, b), c),
-                    mq_mul(model, a, mq_mul(model, b, c)), 6)
+    ring = _pk_model(fgl21, 2)
+    ctx = ring.ctx
+    a = ring.gen(0)
+    b = elem_add(ring.const(ctx.from_int(2)), _mono(ring, 1, ctx.one()))
+    c = _mono(ring, 2, ctx.from_int(3))
+    assert elem_eq_to(elem_mul(a, b), elem_mul(b, a), 6)
+    assert elem_eq_to(elem_mul(elem_mul(a, b), c),
+                      elem_mul(a, elem_mul(b, c)), 6)
 
 
-def test_model_rejects_bad_polynomials(fgl21):
-    ctx = fgl21.ctx
+def test_model_rejects_bad_polynomials(fgl21, fgl31):
     f = ser_rshift(fgl21.pk_series(1), 1)
     # not monic at the stated degree
-    with pytest.raises(ValueError):
-        QuotientModel(f, 1)
-    d = weierstrass_degree(f)
-    _, g = weierstrass_prepare(f)
-    with pytest.raises(ValueError):
-        QuotientModel(g, 0)
+    with pytest.raises(ValueError, match="monic"):
+        cohring_from_relation(fgl21, f, 1)
+    g, d = _prepared(fgl21, 1)
+    with pytest.raises(ValueError, match="degree out of range"):
+        cohring_from_relation(fgl21, g, 0)
+    with pytest.raises(ValueError, match="above the degree"):
+        cohring_from_relation(fgl21, ser_add(g, ser_monomial(
+            fgl21.ctx, g.M, d + 1)), d)
+    with pytest.raises(ValueError, match="context"):
+        cohring_from_relation(fgl31, g, d)
+
+
+def test_degree_one_generator_is_normal_form(fgl21):
+    ring = _pk_model(fgl21, 1)
+    assert ring.wdegs == (1,)
+    y = ring.gen(0)
+    assert set(y.coord) == {(0,)}
+    assert elem_eq_to(y, ring.const(ring.relred[0][0]), 8)
 
 
 def test_generator_determinant_frozen(fgl21, fgl31):
@@ -212,12 +242,18 @@ def test_generator_determinant_frozen(fgl21, fgl31):
         (fgl31, 1, 2, 1, -1),
     )
     for fgl, k, deg, val, sign in expected:
-        model = _pk_model(fgl, k)
-        assert model.deg == deg
-        det = matrix_det(fgl.ctx, mult_matrix(model, model.gen()))
+        ring = _pk_model(fgl, k)
+        ctx = fgl.ctx
+        assert ring.rank == deg
+        y = ring.gen(0)
+        cols = [elem_mul(y, _mono(ring, j, ctx.one())) for j in range(deg)]
+        rows = [[col.coord.get((i,), ctx.zero()) for col in cols]
+                for i in range(deg)]
+        det = _det(ctx, rows)
         assert min(c.val for c in det.t.values() if c.unit != 0) == val
-        ref = model.red[0] if sign > 0 else fgl.ctx.neg(model.red[0])
-        assert fgl.ctx.eq_to(det, ref, 6)
+        red0 = ring.relred[0][0]
+        ref = red0 if sign > 0 else ctx.neg(red0)
+        assert ctx.eq_to(det, ref, 6)
 
 
 # Mutual divisibility of orbit-mates.
