@@ -4,15 +4,18 @@ suites.
 Three verbs.  `pseries` prints a p^k-series and can assert its defining
 congruence or write a golden vector.  `euler` prints the total and reduced
 Euler products of a group.  `verify` runs one named suite, or the whole
-battery, and writes a deterministic JSON report.
+battery, and writes a deterministic JSON report.  Each suite is one record
+maker in `SUITE_MAKERS` over an instance table that `--p`, `--n`, `--group`
+and `--r` filter; `paper-suite` runs every maker per (p, n) shard.
 
 Two policies keep the records sound without hand-tuning:
 
 * Precision is adaptive.  Every computation starts from the requested
   p-adic precision; when cancellation would drop a stored scalar under the
-  trust floor, the build is retried with guard digits.  A record therefore
-  never rests on fewer trusted digits than its stated depth, and reports
-  state the precision actually used.
+  trust floor, `Builder.run` reruns it on a law with a doubling pad of
+  guard digits, for every verb, until GUARD_LIMIT digits over the request.
+  A record therefore never rests on fewer trusted digits than its stated
+  depth, and reports state the precision actually used.
 
 * Degree caps come from the junk budget.  Reduction against a degree-d
   relation feeds the cap overflow back into low degrees at valuation
@@ -47,9 +50,6 @@ from .padic import PrecisionError
 from .report import make_check, make_report, precision_note, render_json
 from .series import golden_dump
 
-SUITES = ("lemma-2.4", "lemma-2.6", "prop-3.2", "prop-3.2-n1", "prop-3.3",
-          "cor-3.4", "paper-suite")
-
 GRID_EXPS = ((1,), (2,), (1, 1), (2, 1))
 
 # Modules of this rank and above only enter basis-walking checks under
@@ -74,17 +74,6 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _is_prime(m):
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def parse_orders(text):
     try:
         orders = tuple(int(tok) for tok in text.split(","))
@@ -97,6 +86,7 @@ def parse_orders(text):
 
 
 def infer_p(orders):
+    """The least prime factor of the first order."""
     q = orders[0]
     d = 2
     while d * d <= q:
@@ -113,14 +103,10 @@ def group_exps(orders, p):
         raise ConfigError(str(e))
 
 
-def lam_den(p, n, k):
-    return p ** (n * (k - 1)) * (p ** n - 1)
-
-
 def sound_basis_cap(p, n, k, D, depth):
     """Per-factor cap for a depth-digit probe on a C_{p^k} factor."""
     d = p ** (n * k)
-    cap = d + depth * lam_den(p, n, k)
+    cap = d + depth * p ** (n * (k - 1)) * (p ** n - 1)
     if n >= 2:
         cap = max(cap, d + (D + 1) * (d - 1) + 1)
     return cap
@@ -134,7 +120,7 @@ def probe_depth_default(n):
     return 4 if n == 1 else 2
 
 
-def suite_vdeg(cfg, n):
+def suite_vdeg(cfg):
     if cfg.D is not None:
         return cfg.D
     return 1
@@ -161,7 +147,8 @@ class RunConfig:
         self.report_path = args.report or "morava-report.json"
         self.cache_dir = args.cache or os.environ.get("MORAVA_CACHE_DIR",
                                                       ".cache")
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is not None and (self.p < 2
+                                   or infer_p((self.p,)) != self.p):
             raise ConfigError("p must be prime, got %r" % (self.p,))
         if self.n is not None and self.n < 1:
             raise ConfigError("n must be at least 1")
@@ -178,12 +165,26 @@ class RunConfig:
             group_exps(self.group, p)
 
 
-class Builder:
-    """Builds laws at adaptive precision and reruns starved records.
+def _starved(rec):
+    """Digits a check record left INDETERMINATE for a precision reason
+    asks for (at least 1); None for any other result."""
+    if not isinstance(rec, dict) or rec["verdict"] != "INDETERMINATE":
+        return None
+    wit = rec.get("witness") or {}
+    extra = wit.get("needed_extra")
+    reason = str(wit.get("reason", "")).lower()
+    if extra is None and "digit" not in reason and "precision" not in reason:
+        return None
+    return max(extra or 1, 1)
 
-    Guard digits are added whenever a build or a record raises
-    PrecisionError, or returns INDETERMINATE for a precision reason; the
-    requested precision stays the baseline every fresh record starts from.
+
+class Builder:
+    """Builds laws at adaptive precision and reruns starved computations.
+
+    Guard digits are added whenever a build or a computation raises
+    PrecisionError, or a record comes back INDETERMINATE for a precision
+    reason; the requested precision stays the baseline every fresh
+    computation starts from.
     """
 
     def __init__(self, cfg):
@@ -215,46 +216,33 @@ class Builder:
         self._memo[key] = f
         return f
 
-    def settle(self, p, n, D, M, compute):
-        """compute(law), rebuilding the law with guard digits while it
-        raises PrecisionError, up to GUARD_LIMIT digits over the request."""
-        N = None
-        while True:
-            f = self.fgl(p, n, D, M, N=N)
-            try:
-                return compute(f)
-            except PrecisionError as e:
-                N = f.ctx.N + max(e.needed_extra, 1) + 7
-                if N - self.N_req > GUARD_LIMIT:
-                    raise
-
-    def run(self, p, n, D, M, make, tries=8):
+    def run(self, p, n, D, M, make):
+        """make(law), rerun on a law with more guard digits while it raises
+        PrecisionError or returns a starved record.  Past GUARD_LIMIT
+        digits over the request a starved record is returned as it is and
+        a PrecisionError is raised again."""
         # The guard pad doubles on every starved attempt: stacked
         # cancellations reveal their depth a few digits at a time, and a
-        # linear pad can burn every try approaching the fixed point.
-        rec = None
+        # linear pad can burn many attempts approaching the fixed point.
         N = None
         pad = 8
-        for _ in range(tries):
+        while True:
             f = self.fgl(p, n, D, M, N=N)
-            built = f.ctx.N
+            N = f.ctx.N - 1 + pad
+            pad *= 2
             try:
                 rec = make(f)
             except PrecisionError as e:
-                N = built + max(e.needed_extra, 1) - 1 + pad
-                pad *= 2
+                N += max(e.needed_extra, 1)
+                if N - self.N_req > GUARD_LIMIT:
+                    raise
                 continue
-            if rec["verdict"] != "INDETERMINATE":
+            extra = _starved(rec)
+            if extra is None:
                 return rec
-            wit = rec.get("witness") or {}
-            extra = wit.get("needed_extra")
-            reason = str(wit.get("reason", "")).lower()
-            if extra is None and "digit" not in reason \
-                    and "precision" not in reason:
+            N += extra
+            if N - self.N_req > GUARD_LIMIT:
                 return rec
-            N = built + max(extra or 1, 1) - 1 + pad
-            pad *= 2
-        return rec
 
 
 # ---------------------------------------------------------------------------
@@ -360,34 +348,56 @@ def print_records(records):
 # ---------------------------------------------------------------------------
 # suite record makers
 
-def module_rank(p, exps, n):
-    return (p ** sum(exps)) ** n
-
-
 def enum_included(cfg, p, n, exps, caps):
-    if module_rank(p, exps, n) >= LARGE_RANK and not cfg.large:
+    if (p ** sum(exps)) ** n >= LARGE_RANK and not cfg.large:
         return False
     if len(exps) >= 2 and max(caps) > 150:
         return cfg.large and (p, n, exps) in HEAVY_ENUM_OK
     return True
 
 
+def grid_shards(p, n):
+    """The (p, n) points of the default grid, primes 2 and 3 at heights 1
+    and 2, at prime p and height n where given."""
+    return [(ip, im) for ip in ([p] if p else [2, 3])
+            for im in ([n] if n else [1, 2])]
+
+
+def instances(cfg, table, p, n):
+    """The rows (p, n, factor exponents, ...) of an instance table at prime
+    p and height n (any where None) whose group has rank --r and is
+    --group, at the prime that --group infers."""
+    group = None
+    if cfg.group:
+        gp = infer_p(cfg.group)
+        group = (gp, group_exps(cfg.group, gp))
+    return [row for row in table
+            if p in (None, row[0]) and n in (None, row[1])
+            and cfg.r in (None, len(row[2]))
+            and group in (None, (row[0], row[2]))]
+
+
+def grid_instances(cfg, p, n):
+    return instances(cfg, [(ip, im, exps) for ip, im in grid_shards(p, n)
+                           for exps in GRID_EXPS], p, n)
+
+
 def rank_freeness_records(cfg, bld, p, n):
     recs = []
-    D = suite_vdeg(cfg, n)
-    for exps in GRID_EXPS:
-        group = AbelianPGroup(p, exps)
-        caps = caps_for(p, n, exps, D, 1)
+    D = suite_vdeg(cfg)
+    for ip, im, exps in grid_instances(cfg, p, n):
+        group = AbelianPGroup(ip, exps)
+        caps = caps_for(ip, im, exps, D, 1)
         M = max(caps)
 
         def mk_rank(f, group=group, caps=caps):
             return verify_rank(build_cohring(group, f, caps=caps))
 
-        recs.append(bld.run(p, n, D, M, mk_rank))
+        recs.append(bld.run(ip, im, D, M, mk_rank))
         target, q = group.elementary_quotient()
         if target.exps == group.exps:
             continue
-        scaps = caps_for(p, n, target.exps, D, 1)
+        scaps = caps_for(ip, im, target.exps, D, 1)
 
         def mk_free(f, group=group, caps=caps, target=target, q=q,
                     scaps=scaps):
@@ -395,37 +405,34 @@ def rank_freeness_records(cfg, bld, p, n):
             small = build_cohring(target, f, caps=scaps)
             return verify_free_over_subring(q, big, small)
 
-        recs.append(bld.run(p, n, D, M, mk_free))
+        recs.append(bld.run(ip, im, D, M, mk_free))
     return recs
 
 
 def euler_vanishing_records(cfg, bld, p, n):
     recs = []
-    D = suite_vdeg(cfg, n)
-    depth = probe_depth_default(n)
-    probe = 2 if n == 1 else 1
-    if cfg.group:
-        groups = [group_exps(cfg.group, p)]
-    else:
-        groups = list(GRID_EXPS)
-    for exps in groups:
-        caps = caps_for(p, n, exps, D, probe)
-        if not cfg.group and not enum_included(cfg, p, n, exps, caps):
+    D = suite_vdeg(cfg)
+    for ip, im, exps in grid_instances(cfg, p, n):
+        depth = probe_depth_default(im)
+        probe = 2 if im == 1 else 1
+        caps = caps_for(ip, im, exps, D, probe)
+        if not enum_included(cfg, ip, im, exps, caps):
             continue
-        group = AbelianPGroup(p, exps)
+        group = AbelianPGroup(ip, exps)
 
-        def mk_restrict(f, group=group, caps=caps, probe=probe, D=D):
+        def mk_restrict(f, ip=ip, im=im, group=group, caps=caps,
+                        probe=probe):
             ring = build_cohring(group, f, caps=caps)
 
             def factory(sub, f=f):
-                sc = caps_for(p, n, sub.exps, D, probe)
+                sc = caps_for(ip, im, sub.exps, D, probe)
                 return build_cohring(sub, f, caps=sc if sc else None)
 
             return verify_restriction_vanishing(ring, ring_factory=factory,
                                                 probe_depth=probe)
 
-        recs.append(bld.run(p, n, D, max(caps), mk_restrict))
-        dcaps = caps_for(p, n, exps, D, depth)
+        recs.append(bld.run(ip, im, D, max(caps), mk_restrict))
+        dcaps = caps_for(ip, im, exps, D, depth)
         if max(dcaps) > 150:
             # The certificate search walks every character orbit; at these
             # caps that costs minutes per record, and the restriction
@@ -436,58 +443,47 @@ def euler_vanishing_records(cfg, bld, p, n):
             ring = build_cohring(group, f, caps=dcaps)
             return verify_mutual_euler_divisibility(ring, depth=depth)
 
-        recs.append(bld.run(p, n, D, max(dcaps), mk_div))
+        recs.append(bld.run(ip, im, D, max(dcaps), mk_div))
         if exps != (1,):
             continue
-        for m in range(1, p):
+        for m in range(1, ip):
 
-            def mk_unit(f, m=m, dcaps=dcaps, depth=depth):
-                ring = build_cohring(AbelianPGroup(p, (1,)), f, caps=dcaps)
+            def mk_unit(f, m=m, group=group, dcaps=dcaps, depth=depth):
+                ring = build_cohring(group, f, caps=dcaps)
                 return verify_unit_divisibility(ring, m, depth=depth)
 
-            recs.append(bld.run(p, n, D, max(dcaps), mk_unit))
+            recs.append(bld.run(ip, im, D, max(dcaps), mk_unit))
     return recs
 
 
-# (p, n, v-degree cap, y-degree cap); caps chosen so the localized model's
-# saturation probes stay junk-sound at the recorded depth.
-HEIGHT_DROP_INSTANCES = ((2, 2, 6, 26), (3, 2, 6, 66))
-HEIGHT_DROP_LARGE = ((2, 3, 4, 44),)
+# (p, n, factor exponents, v-degree cap, y-degree cap) for the cyclic group
+# C_p; caps chosen so the localized model's saturation probes stay
+# junk-sound at the recorded depth.
+HEIGHT_DROP_INSTANCES = ((2, 2, (1,), 6, 26), (3, 2, (1,), 6, 66))
+HEIGHT_DROP_LARGE = ((2, 3, (1,), 4, 44),)
 
 
-def height_drop_records(cfg, bld, p=None, n=None):
-    recs = []
-    instances = list(HEIGHT_DROP_INSTANCES)
-    if cfg.large:
-        instances += list(HEIGHT_DROP_LARGE)
-    for ip, im, iD, iM in instances:
-        if p is not None and ip != p:
-            continue
-        if n is not None and im != n:
-            continue
+def height_drop_records(cfg, bld, p, n):
+    table = HEIGHT_DROP_INSTANCES + (HEIGHT_DROP_LARGE if cfg.large else ())
 
-        def mk(f):
-            return verify_height_drop_unit(f, T=cfg.T)
+    def mk(f):
+        return verify_height_drop_unit(f, T=cfg.T)
 
-        recs.append(bld.run(ip, im, iD, iM, mk))
-    return recs
+    return [bld.run(ip, im, iD, iM, mk)
+            for ip, im, _, iD, iM in instances(cfg, table, p, n)]
 
 
-def inverted_prime_records(cfg, bld, p=None):
-    if p is not None:
-        ps = [p]
-    elif cfg.p is not None:
-        ps = [cfg.p]
-    else:
-        ps = [2, 3, 5]
-    recs = []
-    for ip in ps:
+# (p, n, factor exponents) of the cyclic group C_p whose inverted-prime
+# model is checked at height 1.
+INVERTED_PRIME_INSTANCES = ((2, 1, (1,)), (3, 1, (1,)), (5, 1, (1,)))
 
-        def mk(f):
-            return verify_inverted_prime_model(f, T=cfg.T)
 
-        recs.append(bld.run(ip, 1, 1, 24, mk))
-    return recs
+def inverted_prime_records(cfg, bld, p, n):
+    def mk(f):
+        return verify_inverted_prime_model(f, T=cfg.T)
+
+    return [bld.run(ip, 1, 1, 24, mk)
+            for ip, _, _ in instances(cfg, INVERTED_PRIME_INSTANCES, p, n)]
 
 
 # (p, n, factor exponents, v-degree cap, per-factor caps, probe depth).
@@ -501,20 +497,13 @@ NONVANISHING_INSTANCES = (
 )
 
 
-def nonvanishing_records(cfg, bld, p=None, n=None):
+def nonvanishing_records(cfg, bld, p, n):
+    T = cfg.T if cfg.T is not None else 8
     recs = []
-    for ip, im, exps, iD, caps, depth in NONVANISHING_INSTANCES:
-        if p is not None and ip != p:
-            continue
-        if n is not None and im != n:
-            continue
-        if cfg.r is not None and len(exps) != cfg.r:
-            continue
-        if cfg.group and group_exps(cfg.group, ip) != exps:
-            continue
-        T = cfg.T if cfg.T is not None else 8
+    for ip, im, exps, iD, caps, depth in instances(
+            cfg, NONVANISHING_INSTANCES, p, n):
 
-        def mk(f, ip=ip, exps=exps, caps=caps, depth=depth, T=T):
+        def mk(f, ip=ip, exps=exps, caps=caps, depth=depth):
             ring = build_cohring(AbelianPGroup(ip, exps), f, caps=caps)
             return verify_localized_nonvanishing(ring, T=T, depth=depth)
 
@@ -532,16 +521,10 @@ QUOTIENT_TRANSFER_INSTANCES = (
 )
 
 
-def quotient_transfer_records(cfg, bld, p=None, n=None):
+def quotient_transfer_records(cfg, bld, p, n):
     recs = []
-    for (ip, im, exps, caps, scaps, depth,
-            strong) in QUOTIENT_TRANSFER_INSTANCES:
-        if p is not None and ip != p:
-            continue
-        if n is not None and im != n:
-            continue
-        if cfg.group and group_exps(cfg.group, ip) != exps:
-            continue
+    for ip, im, exps, caps, scaps, depth, strong in instances(
+            cfg, QUOTIENT_TRANSFER_INSTANCES, p, n):
         M = max(caps) if caps else (2 * ip ** (im * max(exps)) + 1)
 
         def mk(f, ip=ip, exps=exps, caps=caps, scaps=scaps, depth=depth,
@@ -612,43 +595,39 @@ def integrity_records(cfg, bld, p, n):
     return [bld.run(p, n, D, M, mk)]
 
 
-def shard_records(cfg, bld, p, n):
-    t0 = time.time()
-    recs = []
-    recs += congruence_records(cfg, bld, p, n)
-    recs += integrity_records(cfg, bld, p, n)
-    recs += rank_freeness_records(cfg, bld, p, n)
-    recs += euler_vanishing_records(cfg, bld, p, n)
-    if n == 1 and p in (2, 3, 5):
-        recs += inverted_prime_records(cfg, bld, p=p)
-    recs += height_drop_records(cfg, bld, p=p, n=n)
-    recs += nonvanishing_records(cfg, bld, p=p, n=n)
-    recs += quotient_transfer_records(cfg, bld, p=p, n=n)
-    _log("shard (p=%d, n=%d): %d records in %.1fs"
-         % (p, n, len(recs), time.time() - t0))
-    return recs
+# Each suite's record maker, in paper-suite shard order.  A maker takes
+# (cfg, bld, p, n) and makes the records of every instance at prime p and
+# height n, any prime or height where None.
+SUITE_MAKERS = {
+    "lemma-2.4": rank_freeness_records,
+    "lemma-2.6": euler_vanishing_records,
+    "prop-3.2-n1": inverted_prime_records,
+    "prop-3.2": height_drop_records,
+    "prop-3.3": nonvanishing_records,
+    "cor-3.4": quotient_transfer_records,
+}
+SUITES = tuple(SUITE_MAKERS) + ("paper-suite",)
 
 
-def paper_suite(cfg):
-    """Every shard with its own Builder: laws are never shared across
-    (p, n), so each shard's laws and their caches go when it ends."""
-    ps = [cfg.p] if cfg.p else [2, 3]
-    ns = [cfg.n] if cfg.n else [1, 2]
-    shards = [(p, n) for p in ps for n in ns]
-    if cfg.large and cfg.n is None and 2 in ps:
+def suite_records(cfg, suite):
+    """The records of one suite.  paper-suite runs the law checks and then
+    every suite per (p, n) shard, each shard on a Builder of its own, so a
+    shard's laws and their caches go when it ends."""
+    if suite != "paper-suite":
+        return SUITE_MAKERS[suite](cfg, Builder(cfg), cfg.p, cfg.n)
+    makers = [congruence_records, integrity_records, *SUITE_MAKERS.values()]
+    shards = grid_shards(cfg.p, cfg.n)
+    if cfg.large and cfg.n is None and cfg.p in (None, 2):
         shards.append((2, 3))
-    return [rec for pn in shards
-            for rec in shard_records(cfg, Builder(cfg), *pn)]
-
-
-def grid_over(cfg, bld, fn):
-    if cfg.group:
-        p = cfg.p if cfg.p is not None else infer_p(cfg.group)
-        ns = [cfg.n] if cfg.n else [1]
-        return [rec for n in ns for rec in fn(cfg, bld, p, n)]
-    ps = [cfg.p] if cfg.p else [2, 3]
-    ns = [cfg.n] if cfg.n else [1, 2]
-    return [rec for p in ps for n in ns for rec in fn(cfg, bld, p, n)]
+    recs = []
+    for p, n in shards:
+        t0 = time.time()
+        bld = Builder(cfg)
+        got = [rec for make in makers for rec in make(cfg, bld, p, n)]
+        _log("shard (p=%d, n=%d): %d records in %.1fs"
+             % (p, n, len(got), time.time() - t0))
+        recs += got
+    return recs
 
 
 # ---------------------------------------------------------------------------
@@ -672,22 +651,8 @@ def cmd_verify(cfg, args):
     if suite == "prop-3.2" and cfg.n == 1:
         raise ConfigError("prop-3.2 covers heights 2 and up; "
                           "run prop-3.2-n1 for the height-1 variant")
-    bld = Builder(cfg)
     t0 = time.time()
-    if suite == "paper-suite":
-        records = paper_suite(cfg)
-    elif suite == "lemma-2.4":
-        records = grid_over(cfg, bld, rank_freeness_records)
-    elif suite == "lemma-2.6":
-        records = grid_over(cfg, bld, euler_vanishing_records)
-    elif suite == "prop-3.2":
-        records = height_drop_records(cfg, bld, p=cfg.p, n=cfg.n)
-    elif suite == "prop-3.2-n1":
-        records = inverted_prime_records(cfg, bld)
-    elif suite == "prop-3.3":
-        records = nonvanishing_records(cfg, bld, p=cfg.p, n=cfg.n)
-    else:
-        records = quotient_transfer_records(cfg, bld, p=cfg.p, n=cfg.n)
+    records = suite_records(cfg, suite)
     _log("suite %s: %d records in %.1fs"
          % (suite, len(records), time.time() - t0))
     if not records:
@@ -727,7 +692,7 @@ def cmd_pseries(cfg, args):
         return s, ((True, None) if k == 0
                    else check_pk_congruence(f, s, k))
 
-    s, (ok, wit) = Builder(cfg).settle(p, n, D, M, compute)
+    s, (ok, wit) = Builder(cfg).run(p, n, D, M, compute)
     for line in series_lines(s):
         print(line)
     code = 0
@@ -758,7 +723,7 @@ def cmd_euler(cfg, args):
     n = cfg.n if cfg.n is not None else 1
     exps = group_exps(cfg.group, p)
     group = AbelianPGroup(p, exps)
-    D = suite_vdeg(cfg, n)
+    D = suite_vdeg(cfg)
     caps = caps_for(p, n, exps, D, probe_depth_default(n))
     if cfg.M is not None:
         floor_caps = tuple(p ** (n * kk) + 1 for kk in exps)
@@ -771,7 +736,7 @@ def cmd_euler(cfg, args):
         ring = build_cohring(group, f, caps=caps)
         return total_euler(ring), reduced_euler(ring)[0]
 
-    total, red = Builder(cfg).settle(p, n, D, max(caps), compute)
+    total, red = Builder(cfg).run(p, n, D, max(caps), compute)
     both = not (args.total or args.reduced)
     if args.total or both:
         print("total Euler class (group %s, p=%d, n=%d):"
@@ -828,7 +793,7 @@ def build_parser():
     sp.add_argument("suite", choices=SUITES)
     add_common(sp)
     sp.add_argument("--r", type=int,
-                    help="restrict prop-3.3 to rank-r groups")
+                    help="restrict to instances of rank-r groups")
     return ap
 
 

@@ -132,9 +132,6 @@ class CoeffContext:
 
     # helpers
 
-    def _keep(self, c):
-        return c.val < self.prune_horizon
-
     def prune(self, t):
         horizon = self.prune_horizon
         drop = [k for k, c in t.items() if c.val >= horizon]

@@ -96,7 +96,7 @@ class FormalGroupLaw:
         return s
 
 
-def build_fgl(p, n, N=16, D=8, M=33, floor=None):
+def build_fgl(p, n, N=16, D=8, M=33):
     """Construct the truncated formal group law; fails fast when N cannot
     absorb the negative valuations of the logarithm coefficients."""
     if n < 1 or M < 1:
@@ -107,7 +107,7 @@ def build_fgl(p, n, N=16, D=8, M=33, floor=None):
             "logarithm coefficients reach valuation -%d; minimal sufficient "
             "precision is N=%d (got N=%d)" % (K, K + 1, N),
             needed_extra=K + 1 - N)
-    ctx = CoeffContext(p, n, N=N, D=D, floor=floor)
+    ctx = CoeffContext(p, n, N=N, D=D)
     ls = _log_elems(ctx, K)
     _check_log_recursion(ctx, ls)
     log = ser_new(ctx, M, any(l.trunc for l in ls))
@@ -449,18 +449,17 @@ def check_associativity(fgl, cap=None, depth=8):
 # stored (the dominant rebuild cost); the logarithm data is cheap enough
 # to recompute and fixes the value of every derived series.
 
-def fgl_cache_name(p, n, N, D, M, floor=None):
-    tag = "" if floor is None else "-f%d" % floor
-    return "fgl-p%d-n%d-N%d-D%d-M%d%s.txt" % (p, n, N, D, M, tag)
+def fgl_cache_name(p, n, N, D, M):
+    return "fgl-p%d-n%d-N%d-D%d-M%d.txt" % (p, n, N, D, M)
 
 
-def fgl_cache_save(fgl, cache_dir, floor=None):
+def fgl_cache_save(fgl, cache_dir):
     """Write the fully-capped two-variable law in the golden-vector
     format; returns the path written."""
     os.makedirs(cache_dir, exist_ok=True)
     ctx = fgl.ctx
     path = os.path.join(cache_dir, fgl_cache_name(
-        ctx.p, ctx.n, ctx.N, ctx.D, fgl.M, floor))
+        ctx.p, ctx.n, ctx.N, ctx.D, fgl.M))
     # Forcing the law can raise; render before touching the file, and land
     # it with a rename so no reader ever sees a partial write.
     text = golden_dump(fgl.F, kind="multiseries")
@@ -471,14 +470,14 @@ def fgl_cache_save(fgl, cache_dir, floor=None):
     return path
 
 
-def build_fgl_cached(p, n, N=16, D=8, M=33, floor=None, cache_dir=None):
+def build_fgl_cached(p, n, N=16, D=8, M=33, cache_dir=None):
     """build_fgl, seeding the two-variable law from the cache directory
     when a matching file exists and writing one when it does not.  The
     cache directory defaults to MORAVA_CACHE_DIR, then .cache."""
     if cache_dir is None:
         cache_dir = os.environ.get("MORAVA_CACHE_DIR", ".cache")
-    fgl = build_fgl(p, n, N=N, D=D, M=M, floor=floor)
-    path = os.path.join(cache_dir, fgl_cache_name(p, n, N, D, M, floor))
+    fgl = build_fgl(p, n, N=N, D=D, M=M)
+    path = os.path.join(cache_dir, fgl_cache_name(p, n, N, D, M))
     A = None
     if os.path.exists(path):
         with open(path) as fh:
@@ -496,5 +495,5 @@ def build_fgl_cached(p, n, N=16, D=8, M=33, floor=None, cache_dir=None):
         A.tcap = M
         fgl._f_cache[(M, M, M)] = A
     else:
-        fgl_cache_save(fgl, cache_dir, floor)
+        fgl_cache_save(fgl, cache_dir)
     return fgl

@@ -166,9 +166,6 @@ class PadicContext:
         k = a.prec if a.prec < b.prec else b.prec
         return PadicScaled(a.val + b.val, (a.unit * b.unit) % self.ppow(k), k)
 
-    def mul_int(self, a, m):
-        return self.mul(a, self.from_int(m))
-
     def invert(self, a):
         if a.unit == 0:
             if a.val >= EXACT:

@@ -347,16 +347,6 @@ def ms_add(A, B):
     return MultiSeries(ctx, A.r, A.caps, t, A.trunc or B.trunc, A.tcap)
 
 
-def ms_neg(A):
-    ctx = A.ctx
-    return MultiSeries(ctx, A.r, A.caps,
-                       {k: ctx.neg(e) for k, e in A.t.items()}, A.trunc, A.tcap)
-
-
-def ms_sub(A, B):
-    return ms_add(A, ms_neg(B))
-
-
 def ms_scale(e, A):
     ctx = A.ctx
     t = {}

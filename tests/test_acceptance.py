@@ -24,11 +24,10 @@ import pytest
 from morava import cli
 from morava.cli import Builder, caps_for
 from morava.euler import verify_restriction_vanishing
-from morava.fgl import (build_fgl, check_associativity, check_commutativity,
+from morava.fgl import (check_associativity, check_commutativity,
                         check_integrality, check_pk_congruence,
                         check_unitality)
 from morava.groupcoh import AbelianPGroup, build_cohring
-from morava.padic import PrecisionError
 
 
 def criterion(num, desc, ok):
@@ -38,17 +37,6 @@ def criterion(num, desc, ok):
 
 def fresh_builder(N=16):
     return Builder(SimpleNamespace(cache_dir=None, N_req=N))
-
-
-def build_adaptive(p, n, N, D, M):
-    cur = N
-    while True:
-        try:
-            return build_fgl(p, n, N=cur, D=D, M=M)
-        except PrecisionError as e:
-            if cur - N > cli.GUARD_LIMIT:
-                raise
-            cur += max(e.needed_extra, 1) + 7
 
 
 # Shapes for the axiom battery: y-cap, v-cap, and the measured precision
@@ -68,7 +56,7 @@ def axiom_laws():
     laws = {}
     for p, n, D, M, N in AXIOM_SHAPES:
         t0 = time.monotonic()
-        fgl = build_adaptive(p, n, N, D, M)
+        fgl = fresh_builder(N).fgl(p, n, D, M)
         laws[(p, n)] = (fgl, time.monotonic() - t0)
     return laws
 
@@ -107,7 +95,7 @@ def test_criterion_2_pk_congruence(axiom_laws):
 
 @pytest.mark.large
 def test_criterion_2_pk_congruence_large():
-    fgl = build_adaptive(2, 2, 33, 6, 17)
+    fgl = fresh_builder(33).fgl(2, 2, 6, 17)
     got, wit = check_pk_congruence(fgl, fgl.m_series(4), 2)
     criterion(2, "p^k-series congruence at (2, 2, 2) [large]", got)
 

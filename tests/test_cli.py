@@ -7,6 +7,7 @@ cache paths never leak between tests.
 import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -132,7 +133,8 @@ def test_verify_height_drop_unit_rejects_height_one(capsys):
     assert "prop-3.2-n1" in capsys.readouterr().err
 
 
-def test_verify_restriction_group_example(tmp_path, capsys):
+def test_verify_restriction_group_example(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MORAVA_CACHE_DIR", raising=False)
     report = tmp_path / "r.json"
     code = run_cli(["verify", "lemma-2.6", "--group", "2,2",
                     "--report", str(report)])
@@ -145,20 +147,67 @@ def test_verify_restriction_group_example(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["schema"] == "report_v1"
     assert doc["summary"]["overall"] == "PASS"
+    assert _checks_digest(report) == \
+        "888641b372c6cc2e103654dbdadb8504cc3dcf844a49a18d5af068787aa7c457"
 
 
-def test_verify_writes_default_report(capsys):
+def test_verify_writes_default_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MORAVA_CACHE_DIR", raising=False)
     assert run_cli(["verify", "cor-3.4", "--p", "3"]) == 0
     assert os.path.exists("morava-report.json")
     doc = json.loads(open("morava-report.json").read())
     assert doc["meta"]["config"]["suite"] == "cor-3.4"
     assert [c["check_id"] for c in doc["checks"]] == \
         ["elementary-quotient-transfer"]
+    assert _checks_digest(tmp_path / "morava-report.json") == \
+        "ff17b80941374172de7323b027ed13a0831b6b8d734176295a656ac5df019306"
+
+
+@pytest.mark.parametrize("suite,group", [("prop-3.3", "2"),
+                                         ("cor-3.4", "4,2")])
+def test_verify_group_selects_one_instance(suite, group, capsys):
+    # --group infers its prime, so rows of other primes are skipped
+    assert run_cli(["verify", suite, "--group", group]) == 0
+    doc = json.loads(open("morava-report.json").read())
+    assert [c["params"]["p"] for c in doc["checks"]] == [2]
 
 
 def test_verify_no_matching_instance_exits_2(capsys):
     assert run_cli(["verify", "cor-3.4", "--p", "7"]) == 2
     assert "no cor-3.4 instance" in capsys.readouterr().err
+
+
+def test_verify_height_one_suite_rejects_other_heights(capsys):
+    assert run_cli(["verify", "prop-3.2-n1", "--n", "2"]) == 2
+    assert "no prop-3.2-n1 instance matches" in capsys.readouterr().err
+
+
+def test_run_returns_starved_record_at_guard_limit():
+    # the guard pad doubles until N would pass GUARD_LIMIT over the request
+    bld = cli.Builder(SimpleNamespace(cache_dir=None, N_req=16))
+    built = []
+
+    def starved(f):
+        built.append(f.ctx.N)
+        return make_check("x", "sec-2.1", {}, "INDETERMINATE",
+                          {"needed_extra": 1})
+
+    rec = bld.run(2, 1, 1, 3, starved)
+    assert rec["verdict"] == "INDETERMINATE"
+    assert built == [16, 24, 40, 72, 136, 264, 520]
+
+
+def test_verify_gives_up_when_precision_never_stabilizes(monkeypatch,
+                                                        capsys):
+    def starved(*args, **kwargs):
+        raise PrecisionError("starved")
+
+    monkeypatch.setattr(cli, "verify_elementary_quotient_transfer", starved)
+    assert run_cli(["verify", "cor-3.4", "--p", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "error: precision did not stabilize" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_report_byte_identical_across_runs(tmp_path, capsys):
@@ -202,10 +251,10 @@ def test_exit_code_one_on_failing_record(monkeypatch, capsys):
     bad = make_check("elementary-quotient-transfer", "cor-3.4",
                      {"p": 2, "n": 1}, "FAIL", {"why": "forced"})
 
-    def fake(cfg, bld, p=None, n=None):
+    def fake(cfg, bld, p, n):
         return [bad]
 
-    monkeypatch.setattr(cli, "quotient_transfer_records", fake)
+    monkeypatch.setitem(cli.SUITE_MAKERS, "cor-3.4", fake)
     assert run_cli(["verify", "cor-3.4"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
@@ -215,14 +264,15 @@ def test_exit_code_one_on_failing_record(monkeypatch, capsys):
 def test_indeterminate_flagged_but_passes(monkeypatch, capsys):
     rec = make_check("elementary-quotient-transfer", "cor-3.4",
                      {"p": 2, "n": 1}, "INDETERMINATE", {"reason": "capped"})
-    monkeypatch.setattr(cli, "quotient_transfer_records",
-                        lambda cfg, bld, p=None, n=None: [rec])
+    monkeypatch.setitem(cli.SUITE_MAKERS, "cor-3.4",
+                        lambda cfg, bld, p, n: [rec])
     assert run_cli(["verify", "cor-3.4"]) == 0
     out = capsys.readouterr().out
     assert "flagged: 1 INDETERMINATE" in out
 
 
-def test_paper_suite_p2_shape(tmp_path, capsys):
+def test_paper_suite_p2_shape(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MORAVA_CACHE_DIR", raising=False)
     report = tmp_path / "ps.json"
     code = run_cli(["verify", "paper-suite", "--p", "2",
                     "--report", str(report)])
@@ -240,6 +290,8 @@ def test_paper_suite_p2_shape(tmp_path, capsys):
     # config echo carries no filesystem paths, so reports stay comparable
     assert "report" not in doc["meta"]["config"]
     assert "cache" not in doc["meta"]["config"]
+    assert _checks_digest(report) == \
+        "e58210dde5cec7fc93ad4cd700b07a7dc4722ebad27644bbb8d980908ace284f"
 
 
 def _checks_digest(path):
