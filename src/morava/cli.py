@@ -248,19 +248,23 @@ class Builder:
 # ---------------------------------------------------------------------------
 # rendering
 
-def scalar_text(ctx, c):
+def scalar_text(ctx, c, digits):
+    """The scalar with its unit cut to the reporting precision: the least
+    of its trusted digits and ``digits`` (the requested `--precision`), so
+    the text does not depend on the working precision a retry ended at."""
     if c.unit == 0:
         return "0"
     p = ctx.p
-    m = c.unit % p ** c.prec
-    if m > p ** c.prec // 2:
-        m -= p ** c.prec
+    q = p ** min(c.prec, digits)
+    m = c.unit % q
+    if m > q // 2:
+        m -= q
     if c.val >= 0:
         return str(m * p ** c.val)
     return "%d/%d" % (m, p ** (-c.val))
 
 
-def coeff_text(ctx, e):
+def coeff_text(ctx, e, digits):
     parts = []
     for (ue, vc), c in ctx.iter_terms_sorted(e):
         factors = []
@@ -273,7 +277,7 @@ def coeff_text(ctx, e):
                 factors.append("v_%d" % i)
             elif ve:
                 factors.append("v_%d^%d" % (i, ve))
-        s = scalar_text(ctx, c)
+        s = scalar_text(ctx, c, digits)
         if not factors:
             parts.append(s)
         elif s == "1":
@@ -290,14 +294,14 @@ def coeff_text(ctx, e):
     return out
 
 
-def series_lines(s):
+def series_lines(s, digits):
     ctx = s.ctx
     lines = []
     for d in range(s.M + 1):
         e = s.c[d]
         if not e.t:
             continue
-        cs = coeff_text(ctx, e)
+        cs = coeff_text(ctx, e, digits)
         ytag = "y" if d == 1 else "y^%d" % d
         if d == 0:
             lines.append(cs)
@@ -312,13 +316,14 @@ def series_lines(s):
     return lines or ["0"]
 
 
-def elem_lines(x):
+def elem_lines(x, digits):
     ctx = x.ring.ctx
     lines = []
     for exps in sorted(x.coord):
         mono = "*".join(("y%d" % (i + 1)) + ("" if e == 1 else "^%d" % e)
                         for i, e in enumerate(exps) if e) or "1"
-        lines.append("  %s: %s" % (mono, coeff_text(ctx, x.coord[exps])))
+        lines.append("  %s: %s"
+                     % (mono, coeff_text(ctx, x.coord[exps], digits)))
     return lines or ["  0"]
 
 
@@ -693,7 +698,7 @@ def cmd_pseries(cfg, args):
                    else check_pk_congruence(f, s, k))
 
     s, (ok, wit) = Builder(cfg).run(p, n, D, M, compute)
-    for line in series_lines(s):
+    for line in series_lines(s, cfg.N_req):
         print(line)
     code = 0
     if k >= 1:
@@ -741,12 +746,12 @@ def cmd_euler(cfg, args):
     if args.total or both:
         print("total Euler class (group %s, p=%d, n=%d):"
               % (group.descriptor(), p, n))
-        for line in elem_lines(total):
+        for line in elem_lines(total, cfg.N_req):
             print(line)
     if args.reduced or both:
         print("reduced Euler class (group %s, p=%d, n=%d):"
               % (group.descriptor(), p, n))
-        for line in elem_lines(red):
+        for line in elem_lines(red, cfg.N_req):
             print(line)
     return 0
 

@@ -424,7 +424,9 @@ def check_commutativity(fgl, cap=None, depth=8):
 
 def check_associativity(fgl, cap=None, depth=8):
     """F(F(x, y), z) = F(x, F(y, z)) on three formal variables, total degree
-    capped.  The dominant cost of the integrity battery; roughly degree^6."""
+    capped.  The dominant cost of the integrity battery.  Its products meet
+    849,640 pairs of terms at p=2, n=1, cap 16 (23,379,984 at cap 32), of
+    which 13 % (11.5 %) fit under the cap; ms_mul visits only those."""
     ctx = fgl.ctx
     cap = fgl.M if cap is None else cap
     F = fgl.two_var(cap, cap, tcap=cap)

@@ -7,11 +7,20 @@ cap).  Dropping a term at a cap sets the sticky ``trunc`` flag, never an
 error: the algebra downstream reasons explicitly about what lives beyond the
 caps.
 
+No stored term passes a cap, and the multiseries product relies on it: it
+packs exponents into ints with a guard bit per variable and, under a total
+cap, pairs each term only with the terms of low enough degree.  The pairs
+it keeps are visited in the order a loop over all pairs would visit them,
+so coefficients accumulate in the same sequence, with the same p-adic
+precision, as in that loop.
+
 Weierstrass preparation follows the classical successive-approximation
 division over a complete local ring; the iteration budget is a function of
 the working precision and the v-degree cap, and nontermination inside that
 budget signals a non-prepared input.
 """
+
+from operator import add
 
 from .coeff import CoeffContext, CoeffElem
 from .padic import EXACT, PadicScaled, PrecisionError
@@ -358,27 +367,69 @@ def ms_scale(e, A):
 
 
 def ms_mul(A, B):
+    """Product of two series of one shape, visiting only the pairs of terms
+    whose product fits under the caps.
+
+    Each B term is packed once: its exponents go into one int with a field
+    per variable, topped by a guard bit.  A's exponents are packed with a
+    bias of guard - 1 - cap per field, so the sum of two packed ints sets a
+    guard bit exactly when that variable's exponent passes its cap.  Under
+    a total cap, an A term of degree d sees only the B terms of degree at
+    most tcap - d; that row is filtered once per distinct bound.
+
+    Surviving pairs come in A's stored order, then B's, as in a loop over
+    all pairs, so every key accumulates the same products in the same
+    sequence and the result keeps the same insertion order.  ``trunc`` is
+    set exactly when some pair is dropped."""
     _ms_check(A, B)
     ctx = A.ctx
     caps = A.caps
     tcap = A.tcap
     t = {}
     trunc = A.trunc or B.trunc
+    if not A.t or not B.t:
+        return MultiSeries(ctx, A.r, caps, t, trunc, tcap)
+    # Field i holds 2**w > cap_i below its guard bit.  Stored exponents
+    # never pass their caps, so a biased sum stays below 2**(w+1) and never
+    # carries into the next field.
+    shifts, bias, guard, off = [], 0, 0, 0
+    for c in caps:
+        width = c.bit_length()
+        shifts.append(off)
+        bias |= ((1 << width) - 1 - c) << off
+        guard |= 1 << (off + width)
+        off += width + 1
+    full = []
+    degs = []
+    for kb, eb in B.t.items():
+        full.append((sum(x << s for x, s in zip(kb, shifts)), kb, eb))
+        degs.append(sum(kb))
+    top = max(degs)
+    rows = {}
     eadd, emul = ctx.add, ctx.mul
     for ka, ea in A.t.items():
-        for kb, eb in B.t.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            if any(x > c for x, c in zip(k, caps)) or (
-                    tcap is not None and sum(k) > tcap):
+        row = full
+        if tcap is not None:
+            bound = tcap - sum(ka)
+            if bound < top:
+                trunc = True
+                row = rows.get(bound)
+                if row is None:
+                    row = rows[bound] = [
+                        b for b, d in zip(full, degs) if d <= bound]
+        pa = bias + sum(x << s for x, s in zip(ka, shifts))
+        for pb, kb, eb in row:
+            if (pa + pb) & guard:
                 trunc = True
                 continue
+            k = tuple(map(add, ka, kb))
             cur = t.get(k)
             s = emul(ea, eb) if cur is None else eadd(cur, emul(ea, eb))
             if s.is_zero():
                 t.pop(k, None)
             else:
                 t[k] = s
-    return MultiSeries(ctx, A.r, A.caps, t, trunc, tcap)
+    return MultiSeries(ctx, A.r, caps, t, trunc, tcap)
 
 
 def ms_one(ctx, r, caps, tcap=None):

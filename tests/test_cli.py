@@ -12,7 +12,9 @@ from types import SimpleNamespace
 import pytest
 
 from morava import cli
-from morava.fgl import FormalGroupLaw
+from morava.euler import total_euler
+from morava.fgl import FormalGroupLaw, build_fgl
+from morava.groupcoh import AbelianPGroup, build_cohring
 from morava.padic import PrecisionError
 from morava.report import make_check
 from morava.series import golden_load
@@ -126,6 +128,22 @@ def test_euler_total_only(capsys):
 def test_euler_needs_group(capsys):
     assert run_cli(["euler"]) == 2
     assert "--group" in capsys.readouterr().err
+
+
+def test_euler_prints_reporting_precision_only():
+    # `euler --group 4,2 --ydeg 3` retries onto a law at N=37 or N=45
+    # depending on the retry schedule; both must print the same digits.
+    group = AbelianPGroup(2, (2, 1))
+    every, shown = {}, {}
+    for N in (37, 45):
+        ring = build_cohring(group, build_fgl(2, 1, N=N, D=1, M=5),
+                             caps=(5, 3))
+        total = total_euler(ring)
+        every[N] = cli.elem_lines(total, N)
+        shown[N] = cli.elem_lines(total, 16)
+    assert every[37] != every[45]
+    assert shown[37] == shown[45]
+    assert "  y1*y2: 395376*u^-1" in shown[37]
 
 
 def test_verify_height_drop_unit_rejects_height_one(capsys):

@@ -8,8 +8,10 @@ import pytest
 
 import oracles
 from helpers import oc_series_to_yseries, oc_to_elem
-from morava.fgl import (araki_formal_sum, build_fgl, check_integrality,
-                        check_pk_congruence, eval_pair, formal_sum, log_depth)
+from morava.coeff import CoeffContext
+from morava.fgl import (araki_formal_sum, build_fgl, check_associativity,
+                        check_integrality, check_pk_congruence, eval_pair,
+                        formal_sum, log_depth)
 from morava.padic import PrecisionError
 from morava.series import (ms_eval, ms_new, ms_set, ser_compose, ser_monomial,
                            ser_new)
@@ -125,6 +127,24 @@ def test_f_associative_height_one(f21, f31):
 
 def test_f_associative_height_two(f22):
     _assoc_check(f22, 5, 8)
+
+
+def test_associativity_coefficient_work_pinned(monkeypatch):
+    # ms_mul skips only the pairs of terms that fall off the caps, which
+    # never reach the coefficient ring: the number of coefficient products
+    # is that of a loop over every pair (18422, with 285 terms compared).
+    law = build_fgl(2, 2, N=33, D=6, M=10)
+    mul = CoeffContext.mul
+    calls = []
+
+    def counted(self, A, B):
+        calls.append(None)
+        return mul(self, A, B)
+
+    monkeypatch.setattr(CoeffContext, "mul", counted)
+    ok, wit = check_associativity(law, cap=10)
+    assert ok and wit["terms"] == 285
+    assert len(calls) == 18422
 
 
 def test_integrality(f21, f22):

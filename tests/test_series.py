@@ -227,6 +227,112 @@ def test_multiseries_total_cap(ctx):
     assert D.trunc and not D.t
 
 
+def all_pairs_product(A, B):
+    """The product as a loop over every pair of terms, testing each sum
+    against the caps: the reference for ms_mul."""
+    ctx = A.ctx
+    t = {}
+    trunc = A.trunc or B.trunc
+    for ka, ea in A.t.items():
+        for kb, eb in B.t.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            if any(x > c for x, c in zip(k, A.caps)) or (
+                    A.tcap is not None and sum(k) > A.tcap):
+                trunc = True
+                continue
+            prod = ctx.mul(ea, eb)
+            s = prod if k not in t else ctx.add(t[k], prod)
+            if s.is_zero():
+                t.pop(k, None)
+            else:
+                t[k] = s
+    return MultiSeries(ctx, A.r, A.caps, t, trunc, A.tcap)
+
+
+def assert_same_product(A, B):
+    got, want = ms_mul(A, B), all_pairs_product(A, B)
+    assert list(got.t) == list(want.t)
+    for k, e in want.t.items():
+        assert list(got.t[k].t.items()) == list(e.t.items())
+        assert got.t[k].trunc == e.trunc
+    assert got.trunc == want.trunc
+    return got
+
+
+def random_coeff(rng, ctx):
+    e = ctx.zero()
+    for _ in range(rng.randint(1, 3)):
+        c = ctx.padic.from_int(rng.choice([-1, 1]) * rng.randint(1, 3 ** 8))
+        vc = ctx.vcode((rng.randint(0, ctx.D),))
+        e = ctx.add(e, ctx.from_scalar(c, rng.randint(-2, 2), vc))
+    return e
+
+
+def random_ms(rng, ctx, caps, tcap, nterms):
+    A = ms_new(ctx, len(caps), caps, tcap)
+    top = sum(caps) if tcap is None else tcap
+    for _ in range(nterms):
+        exps = [0] * len(caps)
+        for _ in range(rng.randint(0, top)):
+            i = rng.randrange(len(caps))
+            if exps[i] < caps[i]:
+                exps[i] += 1
+        ms_set(A, exps, random_coeff(rng, ctx))
+    return A
+
+
+# (caps, tcap) in the three shapes the package multiplies: the
+# associativity check, two_var(Mx, My, tcap), and point_class_ms
+MS_SHAPES = [((6, 6, 6), 6), ((7, 4), 8), ((9, 5), None), ((5, 3, 4), None)]
+
+
+@pytest.mark.parametrize("caps,tcap", MS_SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_ms_mul_matches_all_pairs(caps, tcap, seed):
+    rng = random.Random(seed)
+    ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
+    A = random_ms(rng, ctx, caps, tcap, rng.randint(5, 40))
+    B = random_ms(rng, ctx, caps, tcap, rng.randint(5, 40))
+    B.trunc = seed == 3
+    assert_same_product(A, B)
+    assert_same_product(B, A)
+    assert_same_product(A, A)
+
+
+def test_ms_mul_empty_operand(ctx):
+    A = ms_new(ctx, 2, (3, 3), tcap=4)
+    ms_set(A, (1, 2), ctx.one())
+    Z = ms_new(ctx, 2, (3, 3), tcap=4)
+    for P in (ms_mul(A, Z), ms_mul(Z, A), ms_mul(Z, Z)):
+        assert not P.t and not P.trunc
+    Z.trunc = True
+    assert assert_same_product(A, Z).trunc
+
+
+def ms_terms(ctx, caps, tcap, keys):
+    A = ms_new(ctx, len(caps), caps, tcap)
+    for k in keys:
+        ms_set(A, k, ctx.one())
+    return A
+
+
+def test_ms_mul_only_variable_cap_drops(ctx):
+    A = ms_terms(ctx, (2, 5), None, [(2, 0), (0, 1)])
+    B = ms_terms(ctx, (2, 5), None, [(1, 0), (0, 1)])
+    P = assert_same_product(A, B)  # x^2 * x passes the cap of x
+    assert P.trunc and set(P.t) == {(2, 1), (1, 1), (0, 2)}
+    assert not assert_same_product(B, B).trunc
+
+
+def test_ms_mul_only_total_cap_drops(ctx):
+    A = ms_terms(ctx, (4, 4), 4, [(2, 1)])
+    B = ms_terms(ctx, (4, 4), 4, [(1, 0), (0, 2)])
+    P = assert_same_product(A, B)  # x^2 y * y^2 has total degree 5
+    assert P.trunc and list(P.t) == [(3, 1)]
+    C = ms_terms(ctx, (4, 4), 4, [(1, 0), (0, 1)])
+    assert not assert_same_product(C, B).trunc
+
+
 def test_ms_eval_substitution(ctx):
     # F(x, y) = x + y + x*y evaluated at (t^2, t^3)
     F = ms_new(ctx, 2, (3, 3))
