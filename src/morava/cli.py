@@ -57,8 +57,11 @@ GRID_EXPS = ((1,), (2,), (1, 1), (2, 1))
 LARGE_RANK = 16
 
 # A basis-walking check on a rank >= 2 group needs the two-variable law up
-# to the largest per-factor cap, which past ~150 costs minutes per record.
-# Only the measured case ships; anything else in that regime is skipped.
+# to the largest per-factor cap, and its classes fill a basis of rank p^{nk}
+# per factor.  Past a cap of ~150 a record costs tens of seconds: the
+# restriction record of C9 x C3 at p=3, n=2, caps (242, 26), about 35-45 s
+# on a 2-core VM.  Only the measured case ships; anything else in that
+# regime is skipped.
 HEAVY_ENUM_OK = {(3, 2, (2, 1))}
 
 # Guard digits above the requested precision past which a precision retry
@@ -439,9 +442,12 @@ def euler_vanishing_records(cfg, bld, p, n):
         recs.append(bld.run(ip, im, D, max(caps), mk_restrict))
         dcaps = caps_for(ip, im, exps, D, depth)
         if max(dcaps) > 150:
-            # The certificate search walks every character orbit; at these
-            # caps that costs minutes per record, and the restriction
-            # record above already covers the vanishing claim.
+            # The certificate search walks every character orbit and
+            # evaluates a degree max(dcaps) - 1 series on each class by
+            # Horner's rule.  On C9 x C3 at p=3, n=2 that is about 14
+            # minutes per record (820 s CPU at N=80 on a 2-core VM), and
+            # the restriction record above already covers the vanishing
+            # claim.
             continue
 
         def mk_div(f, group=group, dcaps=dcaps, depth=depth):

@@ -406,10 +406,10 @@ def _nf_accumulate(ring, out, exps, c):
         if e < ring.wdegs[i]:
             parts = [(key + (e,), val) for key, val in parts]
             continue
-        row = ring.table_row(i, e)
+        row = sorted(ring.table_row(i, e).items())
         nxt = []
         for key, val in parts:
-            for a, t in sorted(row.items()):
+            for a, t in row:
                 prod = ctx.mul(val, t)
                 if prod.t or prod.trunc:
                     nxt.append((key + (a,), prod))
@@ -436,17 +436,34 @@ def normal_form(ring, A):
 
 
 def elem_mul(a, b):
+    """Product of two normal-form elements.
+
+    The raw coefficient products are summed per exponent tuple first, in
+    the order of the pairs of basis monomials (a's sorted keys, then b's),
+    with the floor-checked add.  Reduction is linear, so each distinct
+    tuple then goes through its reduction tables once, in sorted order,
+    instead of once per pair that lands on it.
+    """
     _check_ring(a, b)
     ring = a.ring
     ctx = ring.ctx
-    out = {}
-    for A in sorted(a.coord):
-        ca = a.coord[A]
-        for B in sorted(b.coord):
-            c = ctx.mul(ca, b.coord[B])
+    raw = {}
+    bterms = sorted(b.coord.items())
+    for A, ca in sorted(a.coord.items()):
+        for B, cb in bterms:
+            c = ctx.mul(ca, cb)
             if not (c.t or c.trunc):
                 continue
-            _nf_accumulate(ring, out, tuple(x + y for x, y in zip(A, B)), c)
+            key = tuple(x + y for x, y in zip(A, B))
+            cur = raw.get(key)
+            s = c if cur is None else ctx.add(cur, c)
+            if s.t or s.trunc:
+                raw[key] = s
+            elif cur is not None:
+                del raw[key]
+    out = {}
+    for key in sorted(raw):
+        _nf_accumulate(ring, out, key, raw[key])
     return RingElem(ring, out, a.trunc or b.trunc)
 
 
@@ -542,17 +559,39 @@ class RingMap:
         return cache[e]
 
     def apply(self, x):
+        """Image of a domain element.  Coordinates are grouped by the
+        exponent e of the last generator: each group's sum of c times the
+        image of the other generators' monomial is formed first, and then
+        multiplied once by the e-th power of the last generator's image,
+        so a full ring product is paid per distinct e, not per
+        coordinate."""
         if x.ring is not self.dom:
             raise ValueError("element not in the map's domain ring")
-        out = self.cod.zero()
+        cod = self.cod
+        last = len(x.ring.wdegs) - 1
+        groups = {}
         for exps in sorted(x.coord):
-            term = self.cod.const(x.coord[exps])
-            for i, e in enumerate(exps):
-                if e:
+            term = None
+            for i, e in enumerate(exps[:last]):
+                if not e:
+                    continue
+                if term is None:
+                    term = elem_scale(x.coord[exps], self.power(i, e))
+                else:
                     term = elem_mul(term, self.power(i, e))
-            out = elem_add(out, term)
+            if term is None:
+                term = cod.const(x.coord[exps])
+            e = exps[last] if exps else 0
+            cur = groups.get(e)
+            groups[e] = term if cur is None else elem_add(cur, term)
+        out = cod.zero()
+        for e in sorted(groups):
+            part = groups[e]
+            if e:
+                part = elem_mul(part, self.power(last, e))
+            out = elem_add(out, part)
         if x.trunc and not out.trunc:
-            out = RingElem(self.cod, out.coord, True)
+            out = RingElem(cod, out.coord, True)
         return out
 
 

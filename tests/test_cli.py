@@ -327,6 +327,24 @@ def test_inverted_prime_records_frozen(tmp_path, monkeypatch):
         "856a3648f4afea4e18de535b256c12f444128b1e5c89f4c3bbd1ac902e1467c2"
 
 
+def test_lemma_2_6_large_p3_records_frozen(tmp_path, monkeypatch):
+    # checks of `verify lemma-2.6 --p 3 --n 1 --group 9,3 --large` on a
+    # fresh law cache.  Ring products sum raw products before reducing, so
+    # the divisibility record meets a partial sum below the precision
+    # floor at N=33 and settles at N=41 (33 when each pair was reduced on
+    # its own); both verdicts and witnesses are unchanged.
+    monkeypatch.delenv("MORAVA_CACHE_DIR", raising=False)
+    assert run_cli(["verify", "lemma-2.6", "--p", "3", "--n", "1",
+                    "--group", "9,3", "--large"]) == 0
+    report = tmp_path / "morava-report.json"
+    checks = json.loads(report.read_text())["checks"]
+    assert [(c["check_id"], c["verdict"], c["precision_loss"]["N"])
+            for c in checks] == [("restriction-vanishing", "PASS", 24),
+                                 ("mutual-euler-divisibility", "PASS", 41)]
+    assert _checks_digest(report) == \
+        "28dd4390bb3a72d7723ca1ac1c52b15bef44ecd7adf8c068d47a6cb6a7db6700"
+
+
 def test_law_cache_changes_no_verdict_or_witness(tmp_path, monkeypatch):
     # the cache may move the reported working precision N, nothing else
     docs = []

@@ -7,11 +7,15 @@ reach.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from morava import groupcoh
-from morava.euler import reduced_euler, total_euler
+from morava.cli import Builder
+from morava.coeff import CoeffContext
+from morava.euler import (all_nontrivial_characters, euler_of_char,
+                          reduced_euler, total_euler)
 from morava.fgl import build_fgl
 from morava.groupcoh import (AbelianPGroup, CohRing, GroupHom, RingElem,
                              aligned_quotient_shape, build_cohring, elem_add,
@@ -215,32 +219,38 @@ CORPUS = [
 ]
 
 
-def test_pullback_functoriality_corpus(fgl21):
+@pytest.fixture(scope="module")
+def corpus_rings(fgl21):
+    return {exps: build_cohring(AbelianPGroup(2, exps), fgl21, caps=caps)
+            for exps, caps, _ in CORPUS}
+
+
+def rand_hom(rng, src, dst):
+    """A random homomorphism: each entry a random multiple of the least
+    power of p that respects the generator orders."""
+    p = src.p
+    mat = []
+    for ki in dst.exps:
+        row = []
+        for kj in src.exps:
+            step = p ** max(0, ki - kj)
+            row.append(step * rng.randrange(0, p ** kj))
+        mat.append(row)
+    return GroupHom(src, dst, mat)
+
+
+def test_pullback_functoriality_corpus(corpus_rings):
     rng = random.Random(2026)
-    rings = {}
-    for exps, caps, _ in CORPUS:
-        rings[exps] = build_cohring(AbelianPGroup(2, exps), fgl21, caps=caps)
+    rings = corpus_rings
     depth_of = {exps: depth for exps, _, depth in CORPUS}
-
-    def rand_hom(src, dst):
-        p = 2
-        mat = []
-        for ki in dst.exps:
-            row = []
-            for kj in src.exps:
-                step = p ** max(0, ki - kj)
-                row.append(step * rng.randrange(0, p ** kj))
-            mat.append(row)
-        return GroupHom(src, dst, mat)
-
     checked = 0
     while checked < 12:
         ea = rng.choice(CORPUS)[0]
         eb = rng.choice(CORPUS)[0]
         ec = rng.choice(CORPUS)[0]
         A, B, C = (AbelianPGroup(2, e) for e in (ea, eb, ec))
-        g = rand_hom(A, B)
-        f = rand_hom(B, C)
+        g = rand_hom(rng, A, B)
+        f = rand_hom(rng, B, C)
         pf = pullback(f, rings[ec], rings[eb])
         pg = pullback(g, rings[eb], rings[ea])
         pfg = pullback(f.compose(g), rings[ec], rings[ea])
@@ -249,6 +259,191 @@ def test_pullback_functoriality_corpus(fgl21):
             assert elem_eq_to(pfg.gen_images[i], pg.apply(pf.gen_images[i]),
                               depth), (ea, eb, ec, f.mat, g.mat, i)
         checked += 1
+
+
+# Ring products sum the raw products per exponent tuple and reduce each
+# tuple once; pullbacks group coordinates by the last exponent.  The
+# references are the per-pair product and the per-coordinate pullback
+# loop these replaced.
+
+def per_pair_mul(a, b):
+    """Each pair of basis monomials reduced on its own."""
+    ring = a.ring
+    ctx = ring.ctx
+    out = {}
+    for A in sorted(a.coord):
+        for B in sorted(b.coord):
+            c = ctx.mul(a.coord[A], b.coord[B])
+            if not (c.t or c.trunc):
+                continue
+            groupcoh._nf_accumulate(
+                ring, out, tuple(x + y for x, y in zip(A, B)), c)
+    return RingElem(ring, out, a.trunc or b.trunc)
+
+
+def per_coordinate_apply(rmap, x):
+    """One full product per coordinate and nonzero exponent, with powers of
+    the generator images taken by per-pair products."""
+    cod = rmap.cod
+    pows = {}
+
+    def power(i, e):
+        if (i, e) not in pows:
+            pows[i, e] = (rmap.gen_images[i] if e == 1 else
+                          per_pair_mul(power(i, e - 1), rmap.gen_images[i]))
+        return pows[i, e]
+
+    out = cod.zero()
+    for exps in sorted(x.coord):
+        term = cod.const(x.coord[exps])
+        for i, e in enumerate(exps):
+            if e:
+                term = per_pair_mul(term, power(i, e))
+        out = elem_add(out, term)
+    if x.trunc and not out.trunc:
+        out = RingElem(cod, out.coord, True)
+    return out
+
+
+def rand_nf(rng, ring, size):
+    """Random normal-form element on `size` basis monomials; coefficients
+    mix u-powers, v-monomials and p-divisible scalars."""
+    ctx = ring.ctx
+    coord = {}
+    for exps in rng.sample(list(ring.basis()), min(size, ring.rank)):
+        c = ctx.zero()
+        for _ in range(rng.randrange(1, 3)):
+            vc = rng.randrange(ctx.ncodes)
+            if ctx.vtotal[vc] > ctx.D:
+                continue
+            m = rng.randrange(1, 10 ** 6) * ctx.p ** rng.randrange(3)
+            c = ctx.add(c, ctx.from_scalar(ctx.padic.from_int(m),
+                                           rng.randrange(-3, 4), vc))
+        coord[exps] = c
+    return RingElem(ring, coord, rng.random() < 0.2)
+
+
+def assert_same_as_reference(got, ref):
+    """Same coordinates, terms, valuations and truncation flags; every
+    scalar agrees with the reference to the reference's trusted digits and
+    keeps at least as many.  Summing before multiplying can only keep
+    more: a product's relative precision is the lesser of its factors',
+    and the sum of two scalars is pinned to the lesser absolute one."""
+    padic = ref.ring.ctx.padic
+    assert got.trunc == ref.trunc
+    assert set(got.coord) == set(ref.coord)
+    for key, rc in ref.coord.items():
+        gc = got.coord[key]
+        assert gc.trunc == rc.trunc and set(gc.t) == set(rc.t), key
+        for term, r in rc.t.items():
+            g = gc.t[term]
+            if r.unit == 0:
+                assert g.unit == 0 and g.val >= r.val, (key, term)
+                continue
+            assert g.val == r.val and g.prec >= r.prec, (key, term)
+            assert (g.unit - r.unit) % padic.ppow(r.prec) == 0, (key, term)
+
+
+def test_elem_mul_matches_per_pair_product(fgl21, fgl22, monkeypatch):
+    rings = [build_cohring(AbelianPGroup(2, (1,)), fgl21, caps=(17,)),
+             build_cohring(AbelianPGroup(2, (2, 1)), fgl22, caps=(17, 9)),
+             build_cohring(AbelianPGroup(2, (2, 1, 1)), fgl21,
+                           caps=(9, 5, 5))]
+    reduced = []
+    real = groupcoh._nf_accumulate
+
+    def recorded(ring, out, exps, c):
+        reduced.append(exps)
+        real(ring, out, exps, c)
+
+    rng = random.Random(606)
+    exact = 0
+    for ring in rings:
+        for _ in range(8):
+            a, b = rand_nf(rng, ring, 10), rand_nf(rng, ring, 10)
+            ref = per_pair_mul(a, b)
+            monkeypatch.setattr(groupcoh, "_nf_accumulate", recorded)
+            del reduced[:]
+            got = elem_mul(a, b)
+            monkeypatch.undo()
+            assert_same_as_reference(got, ref)
+            exact += got.coord == ref.coord
+            # one reduction per distinct exponent tuple, in sorted order
+            assert reduced == sorted(set(reduced))
+            assert set(reduced) <= {tuple(x + y for x, y in zip(A, B))
+                                    for A in a.coord for B in b.coord}
+    # on these seeds 2 of the 24 products keep more digits somewhere
+    assert exact == 22
+
+
+def test_ring_map_apply_matches_per_coordinate_loop(corpus_rings,
+                                                    monkeypatch):
+    rng = random.Random(2026)
+    rings = corpus_rings
+    products = []
+    real = groupcoh.elem_mul
+
+    def counted(a, b):
+        products.append(None)
+        return real(a, b)
+
+    for _ in range(16):
+        ea = rng.choice(CORPUS)[0]
+        eb = rng.choice(CORPUS)[0]
+        ec = rng.choice(CORPUS)[0]
+        A, B, C = (AbelianPGroup(2, e) for e in (ea, eb, ec))
+        pf = pullback(rand_hom(rng, B, C), rings[ec], rings[eb])
+        pg = pullback(rand_hom(rng, A, B), rings[eb], rings[ea])
+        probes = list(pf.gen_images) + [rand_nf(rng, rings[eb], 8)]
+        for x in probes:
+            ref = per_coordinate_apply(pg, x)
+            last = len(eb) - 1
+            for exps in x.coord:
+                for i, e in enumerate(exps):
+                    pg.power(i, e)
+            monkeypatch.setattr(groupcoh, "elem_mul", counted)
+            del products[:]
+            got = pg.apply(x)
+            monkeypatch.undo()
+            assert got.coord == ref.coord and got.trunc == ref.trunc
+            # one product per distinct nonzero last exponent, plus one per
+            # further nonzero exponent past the first among the others
+            lasts = {exps[last] for exps in x.coord} - {0}
+            rest = sum(max(0, sum(1 for e in exps[:last] if e) - 1)
+                       for exps in x.coord)
+            assert len(products) == len(lasts) + rest
+
+
+def test_total_euler_coefficient_work_pinned(monkeypatch):
+    # total class of C4 x C2 at p=2, n=2, D=4, default caps (33, 9), on the
+    # law the retry loop settles at (N=33); reducing per pair took 121000
+    # coefficient products for the same coordinates
+    group = AbelianPGroup(2, (2, 1))
+
+    def settle(f):
+        total_euler(build_cohring(group, f))
+        return f
+
+    law = Builder(SimpleNamespace(cache_dir=None, N_req=16)).run(
+        2, 2, 4, 33, settle)
+    ring = build_cohring(group, law)
+    assert ring.caps == (33, 9) and law.ctx.N == 33
+    mul = CoeffContext.mul
+    calls = []
+
+    def counted(self, A, B):
+        calls.append(None)
+        return mul(self, A, B)
+
+    monkeypatch.setattr(CoeffContext, "mul", counted)
+    total = total_euler(ring)
+    assert len(total.coord) == 45 and total.trunc
+    assert len(calls) == 68350
+    monkeypatch.undo()
+    ref = ring.one()
+    for ch in all_nontrivial_characters(group):
+        ref = per_pair_mul(ref, euler_of_char(ring, ch))
+    assert total.coord == ref.coord and total.trunc == ref.trunc
 
 
 def test_aligned_shape_detection():
