@@ -14,11 +14,32 @@ their absence would silently upgrade a bounded-depth zero to an exact one.
 
 The ``trunc`` flag records that some product fell off the v-degree cap, and
 it is sticky under arithmetic.
+
+Stored scalars keep the PadicScaled invariant of ``padic.py`` (0 <= prec <=
+N, a nonzero unit prime to p and below p**prec, a zero with unit 0 and prec
+0).  ``mul``, ``_merge`` (behind ``add``, ``add_raw``, ``sub`` and
+``sub_raw``) and ``scalar_mul`` read each scalar's fields into locals and
+form products from the context's power table, as PadicContext.mul would.
+When a term lands on a stored key and both units are nonzero, ``_store``
+adds it by PadicContext._add's rule for two nonzero units, then applies the
+prune horizon and the floor as ``_acc`` does.  Every other collision (a zero
+marker on either side, or a sum reaching past N) goes through ``_acc`` and
+PadicContext.add_raw, which stay the definition of the rule.  Terms are
+visited in the same order either way, so every stored scalar and every
+raised PrecisionError is the one the per-pair calls give.
 """
 
 from .padic import EXACT, PadicContext, PadicScaled, PrecisionError
 
 PRUNE_PAD = 12
+
+
+def _floor_error(prec, floor):
+    return PrecisionError(
+        "stored coefficient would keep only %d trusted digits (floor %d)"
+        % (prec, floor),
+        needed_extra=floor - prec,
+    )
 
 
 class CoeffElem:
@@ -161,26 +182,71 @@ class CoeffContext:
         if s.val >= self.prune_horizon:
             return None
         if not raw and s.unit != 0 and s.prec < self.padic.floor:
-            raise PrecisionError(
-                "stored coefficient would keep only %d trusted digits (floor %d)"
-                % (s.prec, self.padic.floor),
-                needed_extra=self.padic.floor - s.prec,
-            )
+            raise _floor_error(s.prec, self.padic.floor)
         return s
+
+    def _store(self, t, k, cur, bv, bu, bp, raw):
+        """Add the scalar (bv, bu, bp) to the stored nonzero-unit scalar
+        ``cur`` at key k of t, as ``_acc`` would, and store or delete the
+        result.  This is PadicContext._add's branch for two nonzero units
+        with the sum read off the power table; a caller whose sum reaches
+        past the working precision gets False back and goes through
+        ``_acc`` instead."""
+        padic = self.padic
+        pows = padic._pows
+        cu, cv, cp = cur.unit, cur.val, cur.prec
+        if cv <= bv:
+            top = cv + cp
+            if bv + bp < top:
+                top = bv + bp
+            v, kk, gap = cv, top - cv, bv - cv
+            if kk > padic.N:
+                return False
+            s = (cu + bu * pows[gap] if gap < kk else cu) % pows[kk]
+        else:
+            top = bv + bp
+            if cv + cp < top:
+                top = cv + cp
+            v, kk, gap = bv, top - bv, cv - bv
+            if kk > padic.N:
+                return False
+            s = (cu * pows[gap] + bu if gap < kk else bu) % pows[kk]
+        if not s:
+            if top >= self.prune_horizon:
+                del t[k]
+            else:
+                t[k] = PadicScaled(top, 0, 0)
+            return True
+        p = padic.p
+        while not s % p:
+            s //= p
+            v += 1
+            kk -= 1
+        if v >= self.prune_horizon:
+            del t[k]
+        elif not raw and kk < padic.floor:
+            raise _floor_error(kk, padic.floor)
+        else:
+            t[k] = PadicScaled(v, s, kk)
+        return True
 
     def _merge(self, A, B, raw):
         t = dict(A.t)
+        horizon = self.prune_horizon
         for k, c in B.t.items():
             cur = t.get(k)
             if cur is None:
-                if c.val < self.prune_horizon:
+                if c.val < horizon:
                     t[k] = c
+                continue
+            if cur.unit and c.unit and self._store(t, k, cur, c.val, c.unit,
+                                                   c.prec, raw):
+                continue
+            s = self._acc(cur, c, raw)
+            if s is not None:
+                t[k] = s
             else:
-                s = self._acc(cur, c, raw)
-                if s is not None:
-                    t[k] = s
-                else:
-                    del t[k]
+                del t[k]
         return CoeffElem(self, t, A.trunc or B.trunc)
 
     def add(self, A, B):
@@ -207,40 +273,71 @@ class CoeffContext:
             ta, tb = tb, ta
         trunc = A.trunc or B.trunc
         acc = {}
+        get = acc.get
         vtot = self.vtotal
         D = self.D
-        pmul = self.padic.mul
+        padic = self.padic
+        pows = padic._pows
         horizon = self.prune_horizon
         for (ua, va), ca in ta.items():
-            da = vtot[va]
+            room = D - vtot[va]
+            av, au, ap = ca.val, ca.unit, ca.prec
+            if ap >= len(pows):
+                padic.ppow(ap)
             for (ub, vb), cb in tb.items():
-                if da + vtot[vb] > D:
+                if vtot[vb] > room:
                     trunc = True
                     continue
                 k = (ua + ub, va + vb)
-                prod = pmul(ca, cb)
-                cur = acc.get(k)
-                if cur is None:
-                    if prod.val < horizon:
-                        acc[k] = prod
+                # PadicContext.mul, with the power table read directly
+                pv = av + cb.val
+                bu = cb.unit
+                if au and bu:
+                    pk = cb.prec
+                    if ap < pk:
+                        pk = ap
+                    pu = au * bu % pows[pk]
                 else:
-                    s = self._acc(cur, prod, False)
-                    if s is not None:
-                        acc[k] = s
-                    else:
-                        del acc[k]
+                    if pv > EXACT:
+                        pv = EXACT
+                    pu = pk = 0
+                cur = get(k)
+                if cur is None:
+                    if pv < horizon:
+                        acc[k] = PadicScaled(pv, pu, pk)
+                    continue
+                if pu and cur.unit and self._store(acc, k, cur, pv, pu, pk,
+                                                   False):
+                    continue
+                s = self._acc(cur, PadicScaled(pv, pu, pk), False)
+                if s is not None:
+                    acc[k] = s
+                else:
+                    del acc[k]
         return CoeffElem(self, acc, trunc)
 
     def scalar_mul(self, c, A):
         if c.unit == 0 and c.val >= EXACT:
             return CoeffElem(self, {}, A.trunc)
-        pmul = self.padic.mul
+        cv, cu, cp = c.val, c.unit, c.prec
+        padic = self.padic
+        pows = padic._pows
+        if cp >= len(pows):
+            padic.ppow(cp)
         t = {}
         horizon = self.prune_horizon
         for k, a in A.t.items():
-            s = pmul(c, a)
-            if s.val < horizon:
-                t[k] = s
+            # PadicContext.mul, with the power table read directly
+            v = cv + a.val
+            if v >= horizon:
+                continue
+            au = a.unit
+            if cu and au:
+                ap = a.prec
+                kk = cp if cp < ap else ap
+                t[k] = PadicScaled(v, cu * au % pows[kk], kk)
+            else:
+                t[k] = PadicScaled(v, 0, 0)
         return CoeffElem(self, t, A.trunc)
 
     def int_mul(self, m, A):

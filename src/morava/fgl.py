@@ -488,11 +488,11 @@ def build_fgl_cached(p, n, N=16, D=8, M=33, cache_dir=None):
             A = golden_load(text)
         except (IndexError, KeyError, ValueError):
             A = None
+    # a file whose header names other parameters is stale: rebuild it
+    if A is not None and (A.ctx.p, A.ctx.n, A.ctx.N, A.ctx.D,
+                          max(A.caps)) != (p, n, N, D, M):
+        A = None
     if A is not None:
-        if (A.ctx.p, A.ctx.n, A.ctx.N, A.ctx.D, max(A.caps)) != \
-                (p, n, N, D, M):
-            raise ValueError("cache file %s does not match the requested "
-                             "parameters" % path)
         A.ctx = fgl.ctx
         A.tcap = M
         fgl._f_cache[(M, M, M)] = A

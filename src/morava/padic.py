@@ -7,11 +7,22 @@ valuation itself is always exact.  A zero keeps ``unit == 0`` and records in
 ``val`` the depth to which the vanishing is certain; a true zero uses the
 EXACT sentinel.
 
+The stored-scalar invariant: 0 <= prec <= N; a nonzero unit is prime to p
+and lies in 1 .. p**prec - 1; a zero has unit 0 and prec 0.  PadicContext
+keeps it for every scalar it makes from scalars that keep it.  Scalars read
+from outside must meet it too (``series.golden_load`` checks them), since
+the kernels index the power table ``_pows`` by ``prec``.
+
 Addition is the only lossy operation: cancellation of leading digits lowers
 prec.  A result that would retain fewer than ``floor`` trusted digits raises
 PrecisionError instead of flowing onward, and the exception says how many
 extra working digits would have been enough, so callers can rerun with a
 larger N.
+
+``_add`` is the one definition of the sum rule.  The coefficient kernel in
+``coeff.py`` carries its own copy of ``mul`` and of ``_add``'s branch for two
+nonzero units, reading ``_pows`` directly; zero markers and sums that reach
+past N still come here.
 """
 
 EXACT = 10 ** 9

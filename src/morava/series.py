@@ -524,6 +524,22 @@ def golden_dump(f, kind="yseries"):
     return "\n".join(lines) + "\n"
 
 
+def _checked_scalar(ctx, val, unit, prec):
+    """The PadicScaled with these fields, or ValueError when they break its
+    invariants: 0 <= prec <= N, a nonzero unit prime to p and below
+    p**prec, a zero with unit 0 and prec 0."""
+    p = ctx.p
+    if not 0 <= prec <= ctx.N:
+        raise ValueError("scalar precision %d outside 0..%d" % (prec, ctx.N))
+    if unit == 0:
+        if prec != 0:
+            raise ValueError("zero scalar with precision %d" % prec)
+    elif not (0 < unit < ctx.padic.ppow(prec) and unit % p):
+        raise ValueError("scalar unit %d is not a unit below p^%d"
+                         % (unit, prec))
+    return PadicScaled(val, unit, prec)
+
+
 def golden_load(text):
     """Parse the line format back into a YSeries (single y-exponent field)
     or MultiSeries (comma-separated exponents).  The result is marked
@@ -542,7 +558,7 @@ def golden_load(text):
         key = tuple(int(x) for x in ytag.split(",")) if multi else int(ytag)
         vexps = () if vtag == "-" else tuple(int(x) for x in vtag.split(","))
         vc = ctx.vcode(vexps) if vexps else 0
-        c = PadicScaled(int(val), int(unit) % ctx.padic.pN, int(prec))
+        c = _checked_scalar(ctx, int(val), int(unit), int(prec))
         cur = terms.setdefault(key, ctx.zero())
         terms[key] = ctx.add(cur, ctx.from_scalar(c, int(ue), vc))
     if multi:

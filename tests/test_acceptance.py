@@ -15,6 +15,7 @@ measured fixed points of the adaptive retry (any higher value gives the
 same verdicts; lower ones only cost extra retries).
 """
 
+import hashlib
 import json
 import time
 from types import SimpleNamespace
@@ -28,6 +29,11 @@ from morava.fgl import (check_associativity, check_commutativity,
                         check_integrality, check_pk_congruence,
                         check_unitality)
 from morava.groupcoh import AbelianPGroup, build_cohring
+
+
+# sha256 of the `verify paper-suite` report
+REPORT_SHA256 = \
+    "d1125b271627d7bac716623f8cf06e80ac3144349b833f9978ffeb6f48eff825"
 
 
 def criterion(num, desc, ok):
@@ -272,8 +278,10 @@ def test_criterion_9_deterministic_reports(tmp_path):
     cb = cli.main(["verify", "paper-suite", "--cache",
                    str(tmp_path / "cache"), "--report", str(b)])
     same = a.read_bytes() == b.read_bytes()
+    # the pinned digest catches a change that moves every run's bytes alike
+    pinned = hashlib.sha256(a.read_bytes()).hexdigest() == REPORT_SHA256
     doc = json.loads(a.read_text())
-    ok = (ca == 0 and cb == 0 and same
+    ok = (ca == 0 and cb == 0 and same and pinned
           and doc["summary"]["counts"]["FAIL"] == 0
           and doc["summary"]["counts"]["PASS"] >= 12)
     criterion(9, "two paper-suite runs produce byte-identical reports", ok)

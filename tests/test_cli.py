@@ -362,3 +362,31 @@ def test_law_cache_changes_no_verdict_or_witness(tmp_path, monkeypatch):
         a.pop("precision_loss")
         b.pop("precision_loss")
         assert a == b
+
+
+def _lemma_2_4_checks(cache, report):
+    assert run_cli(["verify", "lemma-2.4", "--p", "3", "--n", "1",
+                    "--cache", str(cache), "--report", str(report)]) == 0
+    return json.loads(report.read_text())["checks"]
+
+
+@pytest.mark.parametrize("edit", ["header", "scalar"])
+def test_damaged_cache_file_is_rebuilt(tmp_path, edit):
+    # a cache file naming other parameters, or holding a scalar outside the
+    # PadicScaled invariants (here prec = N + 40), is a miss: the run
+    # rebuilds and rewrites it and gives the checks of a fresh cache
+    cache = tmp_path / "cache"
+    fresh = _lemma_2_4_checks(cache, tmp_path / "fresh.json")
+    path = cache / "fgl-p3-n1-N16-D1-M5.txt"
+    good = path.read_text()
+    lines = good.split("\n")
+    if edit == "header":
+        lines[0] = lines[0].replace("N=16", "N=17")
+    else:
+        fields = lines[1].split("|")
+        assert fields[-1] == "16"
+        fields[-1] = "56"
+        lines[1] = "|".join(fields)
+    path.write_text("\n".join(lines))
+    assert _lemma_2_4_checks(cache, tmp_path / "again.json") == fresh
+    assert path.read_text() == good

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from morava.coeff import CoeffContext
-from morava.padic import PrecisionError
+import oracles
+from helpers import oc_to_elem
+from morava.coeff import CoeffContext, CoeffElem
+from morava.padic import EXACT, PadicScaled, PrecisionError
 
 
 @pytest.fixture
@@ -170,3 +173,190 @@ def test_height_one_has_no_v():
     # 2u^{-1} + 35 reduces to the monomial 2u^{-1} mod 5, hence is a unit
     x = ctx.add(ctx.u_mono(-1, 2), ctx.from_int(35))
     assert ctx.eq_to(ctx.mul(x, ctx.invert(x)), ctx.one(), 10)
+
+
+# The coefficient kernel reads scalars into locals and applies the p-adic
+# product and sum rules inline.  The per-pair reference below is the
+# definition it must reproduce: PadicContext.mul for each product, then
+# PadicContext.add_raw, the prune horizon and the floor check for each
+# stored key, in the same pair order.
+
+def _ref_store(ctx, t, k, c, raw):
+    cur = t.get(k)
+    if cur is None:
+        if c.val < ctx.prune_horizon:
+            t[k] = c
+        return
+    s = ctx.padic.add_raw(cur, c)
+    if s.val >= ctx.prune_horizon:
+        del t[k]
+        return
+    floor = ctx.padic.floor
+    if not raw and s.unit != 0 and s.prec < floor:
+        raise PrecisionError(
+            "stored coefficient would keep only %d trusted digits (floor %d)"
+            % (s.prec, floor), needed_extra=floor - s.prec)
+    t[k] = s
+
+
+def _ref_mul(ctx, A, B):
+    ta, tb = A.t, B.t
+    trunc = A.trunc or B.trunc
+    if not ta or not tb:
+        return CoeffElem(ctx, {}, trunc)
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    acc = {}
+    for (ua, va), ca in ta.items():
+        for (ub, vb), cb in tb.items():
+            if ctx.vtotal[va] + ctx.vtotal[vb] > ctx.D:
+                trunc = True
+                continue
+            _ref_store(ctx, acc, (ua + ub, va + vb), ctx.padic.mul(ca, cb),
+                       False)
+    return CoeffElem(ctx, acc, trunc)
+
+
+def _ref_merge(ctx, A, B, raw):
+    t = dict(A.t)
+    for k, c in B.t.items():
+        _ref_store(ctx, t, k, c, raw)
+    return CoeffElem(ctx, t, A.trunc or B.trunc)
+
+
+def _ref_scalar_mul(ctx, c, A):
+    if c.unit == 0 and c.val >= EXACT:
+        return CoeffElem(ctx, {}, A.trunc)
+    t = {}
+    for k, a in A.t.items():
+        s = ctx.padic.mul(c, a)
+        if s.val < ctx.prune_horizon:
+            t[k] = s
+    return CoeffElem(ctx, t, A.trunc)
+
+
+def _outcome(fn, *args):
+    try:
+        R = fn(*args)
+    except PrecisionError as e:
+        return ("error", str(e), e.needed_extra)
+    return ("ok", list(R.t.items()), R.trunc)
+
+
+def _rand_scalar(rng, ctx):
+    """A scalar obeying the PadicScaled invariants, drawn to hit exact and
+    shallow zero markers, negative and p-divisible valuations, short
+    precisions, valuations near the prune horizon and gaps past the power
+    table."""
+    p, N = ctx.p, ctx.N
+    kind = rng.random()
+    if kind < 0.04:
+        return PadicScaled(EXACT, 0, 0)
+    if kind < 0.12:
+        return PadicScaled(rng.randint(0, ctx.prune_horizon + 1), 0, 0)
+    if kind < 0.3:
+        val = rng.randint(ctx.prune_horizon - N - 2, ctx.prune_horizon + 1)
+    else:
+        val = rng.choice((-3, -1, 0, 0, 0, 1, 2))
+    prec = N if rng.random() < 0.6 else rng.randint(1, N)
+    unit = rng.randrange(1, p ** prec)
+    while unit % p == 0:
+        unit = rng.randrange(1, p ** prec)
+    return PadicScaled(val, unit, prec)
+
+
+def _rand_elem(rng, ctx, like=None):
+    """A random element; given `like`, reuse its keys with negated or
+    partially cancelling scalars so that sums cancel fully or in part."""
+    padic = ctx.padic
+    t = {}
+    if like is not None:
+        for k, c in like.t.items():
+            if c.unit == 0 or rng.random() < 0.3:
+                continue
+            s = padic.neg(c)
+            if rng.random() < 0.7:
+                j = rng.randint(0, c.prec)
+                s = padic.add_raw(s, PadicScaled(c.val + j, 1, padic.N))
+            t[k] = s
+    base = ctx.D + 1
+    for _ in range(rng.randint(0, 7)):
+        exps = [0] * (ctx.n - 1)
+        for _ in range(rng.randint(0, ctx.D) if exps else 0):
+            exps[rng.randrange(len(exps))] += 1
+        code = 0
+        for b in reversed(exps):
+            code = code * base + b
+        t[(rng.randint(-1, 1), code)] = _rand_scalar(rng, ctx)
+    return CoeffElem(ctx, t, rng.random() < 0.1)
+
+
+KERNEL_CONTEXTS = [
+    (2, 1, 8, 4, None),
+    (2, 2, 6, 3, 2),
+    (3, 2, 5, 3, 5),
+    (3, 3, 4, 2, 1),
+    (5, 1, 4, 6, 3),
+    (5, 3, 3, 2, None),
+    (2, 3, 16, 3, None),
+]
+
+
+@pytest.mark.parametrize("p,n,N,D,floor", KERNEL_CONTEXTS)
+def test_kernel_matches_per_pair_reference(p, n, N, D, floor):
+    ctx = CoeffContext(p, n, N=N, D=D, floor=floor)
+    rng = random.Random(1000 * p + 100 * n + N)
+    results = {"ok": 0, "error": 0}
+    for _ in range(250):
+        A = _rand_elem(rng, ctx)
+        B = _rand_elem(rng, ctx, like=A if rng.random() < 0.5 else None)
+        c = _rand_scalar(rng, ctx)
+        pairs = [
+            (_outcome(ctx.mul, A, B), _outcome(_ref_mul, ctx, A, B)),
+            (_outcome(ctx.add, A, B), _outcome(_ref_merge, ctx, A, B, False)),
+            (_outcome(ctx.add_raw, A, B),
+             _outcome(_ref_merge, ctx, A, B, True)),
+            (_outcome(ctx.sub, A, B),
+             _outcome(_ref_merge, ctx, A, ctx.neg(B), False)),
+            (_outcome(ctx.sub_raw, A, B),
+             _outcome(_ref_merge, ctx, A, ctx.neg(B), True)),
+            (_outcome(ctx.scalar_mul, c, A),
+             _outcome(_ref_scalar_mul, ctx, c, A)),
+        ]
+        for got, want in pairs:
+            assert got == want
+            results[got[0]] += 1
+    # the draws reach the stored results and, above floor 1, the floor error
+    assert results["ok"] and (results["error"] or ctx.padic.floor == 1)
+
+
+def test_kernel_off_table_precision_falls_back():
+    # precisions past N (outside the PadicScaled invariant) take the
+    # reference path and still agree with it
+    ctx = CoeffContext(3, 2, N=4, D=2, floor=1)
+    big = PadicScaled(0, 3 ** 7 - 1, 7)
+    A = CoeffElem(ctx, {(0, 0): big, (1, 0): ctx.padic.one()})
+    B = CoeffElem(ctx, {(0, 0): PadicScaled(0, 2, 6), (-1, 0): big})
+    assert _outcome(ctx.mul, A, B) == _outcome(_ref_mul, ctx, A, B)
+    assert _outcome(ctx.add, A, B) == _outcome(_ref_merge, ctx, A, B, False)
+    assert _outcome(ctx.scalar_mul, big, B) == \
+        _outcome(_ref_scalar_mul, ctx, big, B)
+
+
+def test_kernel_products_match_rational_oracle():
+    rng = random.Random(5)
+    for p, n, N, D in [(2, 1, 12, 3), (3, 2, 10, 3), (5, 3, 8, 2)]:
+        ctx = CoeffContext(p, n, N=N, D=D, floor=1)
+        for _ in range(20):
+            ops = []
+            for _ in range(2):
+                oc = {}
+                for _ in range(rng.randint(1, 4)):
+                    vt = tuple(rng.randint(0, 1) for _ in range(n - 1))
+                    q = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 7)))
+                    if q:
+                        oc[(rng.randint(-1, 1), vt)] = q
+                ops.append(oc)
+            a, b = ops
+            got = ctx.mul(oc_to_elem(ctx, a), oc_to_elem(ctx, b))
+            assert ctx.eq_to(got, oc_to_elem(ctx, oracles.qc_mul(a, b)), N - 2)

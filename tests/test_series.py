@@ -362,6 +362,21 @@ def test_golden_roundtrip():
     assert golden_dump(g) == text
 
 
+@pytest.mark.parametrize("fields", [
+    "0|1|11",     # prec past N
+    "0|1|-1",     # negative prec
+    "0|10|10",    # unit divisible by p
+    "0|3125|5",   # unit not below p^prec
+    "0|-1|10",    # negative unit
+    "4|0|3",      # zero with nonzero prec
+])
+def test_golden_load_rejects_scalars_outside_invariants(fields):
+    head = "FGLV1 p=5 n=1 N=10 D=2 M=3"
+    assert golden_load(head + "\n1|0|-|0|1|10\n")
+    with pytest.raises(ValueError):
+        golden_load(head + "\n1|0|-|%s\n" % fields)
+
+
 def _port(ctx, e):
     out = ctx.zero()
     for (ue, vc), c in e.t.items():
