@@ -5,27 +5,31 @@ The logarithm comes from the recursion
     p * l_k = sum_{0 <= i <= k} l_i * v_{k-i}^{p^i},   l_0 = 1, v_0 = p,
 
 with v_n specialized to u^{p^n - 1} and higher v's to zero.  Everything else
-is derived from the l_k: the exponential and every m-series solve
+is derived from the l_k: the exponential, every m-series and every formal
+sum of one-variable series solve
 
     T + sum_{k >= 1} l_k T^{p^k} = S
 
-degree by degree for the appropriate right side, which keeps each
-coefficient a single short linear combination instead of a tower of
-compositions.  The two-variable group law is assembled from the binomial
-expansion of exp(log x + log y) at independent degree caps in x and y.
+degree by degree for the appropriate right side (S = m log y for [m](y),
+S = sum_i log f_i for a formal sum), which keeps each coefficient a single
+short linear combination instead of a tower of compositions.  The
+two-variable group law, assembled from the binomial expansion of
+exp(log x + log y) at independent degree caps in x and y, serves
+groupcoh.point_class_ms and the axiom checks.
 
 Scalars of valuation -k appear in the l_k; the builder refuses to run when
 the working precision cannot absorb the worst of them.
 """
 
+import functools
 import math
 import os
 
 from .coeff import CoeffContext
 from .padic import PrecisionError
 from .series import (YSeries, golden_dump, golden_load, ms_eval, ms_new,
-                     ms_set, ser_add, ser_from_terms, ser_monomial, ser_mul,
-                     ser_new, ser_scale)
+                     ms_set, ser_add, ser_compose, ser_from_terms,
+                     ser_monomial, ser_mul, ser_new, ser_scale)
 
 
 def log_depth(p, M):
@@ -188,19 +192,23 @@ def solve_log(ctx, log_elems, S):
         needed.append(q)
         q *= p
     T = [ctx.zero() for _ in range(M + 1)]
-    # chains: (A, B, out, minA, minB); A and B are earlier outs or T
+    T_nz = []
+    # chains: (A, nzA, B, minB, out, nz); A and B are earlier outs or T, and
+    # each nz lists, ascending, the degrees of its array filled so far with a
+    # nonzero entry (an array's nonzero degrees start at its min)
     chains = []
-    by_power = {1: (T, 1)}
+    by_power = {1: (T, T_nz, 1)}
 
     def ensure_power(e):
         if e in by_power:
             return by_power[e]
         h, r = divmod(e, 2)
-        A, minA = ensure_power(h)
-        B, minB = ensure_power(h + r)
+        A, nzA, minA = ensure_power(h)
+        B, _, minB = ensure_power(h + r)
         out = [ctx.zero() for _ in range(M + 1)]
-        chains.append((A, B, out, minA, minB))
-        by_power[e] = (out, minA + minB)
+        nz = []
+        chains.append((A, nzA, B, minB, out, nz))
+        by_power[e] = (out, nz, minA + minB)
         return by_power[e]
 
     for q in needed:
@@ -208,20 +216,21 @@ def solve_log(ctx, log_elems, S):
     emul, eadd = ctx.mul, ctx.add
     trunc = S.trunc or any(l.trunc for l in log_elems)
     for m in range(1, M + 1):
-        for A, B, out, minA, minB in chains:
+        for A, nzA, B, minB, out, nz in chains:
             hi = m - minB
             acc = None
-            for a in range(minA, hi + 1):
-                ea = A[a]
-                if ea.is_zero():
-                    continue
+            for a in nzA:
+                if a > hi:
+                    break
                 eb = B[m - a]
                 if eb.is_zero():
                     continue
-                prod = emul(ea, eb)
+                prod = emul(A[a], eb)
                 acc = prod if acc is None else eadd(acc, prod)
             if acc is not None:
                 out[m] = acc
+                if not acc.is_zero():
+                    nz.append(m)
         acc = S.c[m]
         for k, q in enumerate(needed, start=1):
             if q > m:
@@ -234,6 +243,8 @@ def solve_log(ctx, log_elems, S):
                 continue
             acc = ctx.sub(acc, ctx.mul(l, b))
         T[m] = acc
+        if not acc.is_zero():
+            T_nz.append(m)
     return YSeries(ctx, T, trunc)
 
 
@@ -307,61 +318,19 @@ def _build_two_var(fgl, Mx, My, tcap=None):
     return F
 
 
-def eval_pair(F, f, g):
-    """F(f, g) for one-variable series f, g with zero constant terms."""
-    if not f.c[0].is_zero() or not g.c[0].is_zero():
-        raise ValueError("formal sum needs zero constant terms")
-    ctx = F.ctx
-    M = f.M
-    if g.M != M:
-        raise ValueError("series caps differ")
-    out = ser_new(ctx, M, F.trunc or f.trunc or g.trunc)
-    fpow = {0: ser_from_terms(ctx, M, {0: ctx.one()})}
-    gpow = {0: ser_from_terms(ctx, M, {0: ctx.one()})}
-
-    for (i, j) in sorted(F.t):
-        c = F.t[(i, j)]
-        term = None
-        if i:
-            term = _series_power(fpow, f, i)
-        if j:
-            gj = _series_power(gpow, g, j)
-            term = gj if term is None else ser_mul(term, gj)
-        if term is None:
-            raise ValueError("group law with a constant term")
-        out = ser_add(out, ser_scale(c, term))
-    return out
-
-
 def formal_sum(fgl, terms):
-    """Left-associated iterated group sum of one-variable series."""
-    ctx = fgl.ctx
-    if not terms:
-        return ser_new(ctx, fgl.M)
-    acc = terms[0]
-    if not acc.c[0].is_zero():
-        raise ValueError("formal sum needs zero constant terms")
-    for t in terms[1:]:
-        if t.is_zero():
-            continue
-        if acc.is_zero():
-            acc = t
-            continue
-        acc = eval_pair(fgl.two_var(acc.M, acc.M, tcap=acc.M), acc, t)
-    return acc
+    """Group sum of one-variable series at the law's cap, solved through the
+    logarithm: T with log T = sum_i log f_i.
 
-
-def araki_formal_sum(fgl):
-    """The iterated group sum of v_i y^{p^i}, i = 0..n: the defining shape
-    of the p-series."""
-    ctx = fgl.ctx
-    parts = []
-    for i in range(fgl.n + 1):
-        d = fgl.p ** i
-        if d > fgl.M:
-            break
-        parts.append(ser_from_terms(ctx, fgl.M, {d: _v_elem(ctx, i)}))
-    return formal_sum(fgl, parts)
+    Each term needs a zero constant term and the cap fgl.M; ser_compose
+    raises ValueError otherwise.  With fewer than two nonzero terms the
+    sum is that term, or zero, as given: a round trip through log and exp
+    would only add zero markers."""
+    logs = [ser_compose(fgl.log, t) for t in terms]
+    nonzero = [t for t in terms if not t.is_zero()]
+    if len(nonzero) < 2:
+        return nonzero[0] if nonzero else ser_new(fgl.ctx, fgl.M)
+    return solve_log(fgl.ctx, fgl.log_elems, functools.reduce(ser_add, logs))
 
 
 def check_pk_congruence(fgl, s, k):

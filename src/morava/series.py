@@ -92,18 +92,21 @@ def _check_match(f, g):
         raise ValueError("series caps differ: %d vs %d" % (f.M, g.M))
 
 
-def ser_add(f, g):
+def _zip_with(op, f, g):
+    """Coefficientwise op.  A pair of zeros gives back, without a call, the
+    one that op would return: no terms, truncated if either is."""
     _check_match(f, g)
-    ctx = f.ctx
-    return YSeries(ctx, [ctx.add(a, b) for a, b in zip(f.c, g.c)],
+    return YSeries(f.ctx, [op(a, b) if a.t or b.t else (b if b.trunc else a)
+                           for a, b in zip(f.c, g.c)],
                    f.trunc or g.trunc)
+
+
+def ser_add(f, g):
+    return _zip_with(f.ctx.add, f, g)
 
 
 def ser_sub(f, g):
-    _check_match(f, g)
-    ctx = f.ctx
-    return YSeries(ctx, [ctx.sub(a, b) for a, b in zip(f.c, g.c)],
-                   f.trunc or g.trunc)
+    return _zip_with(f.ctx.sub, f, g)
 
 
 def ser_neg(f):

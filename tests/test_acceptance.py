@@ -33,7 +33,7 @@ from morava.groupcoh import AbelianPGroup, build_cohring
 
 # sha256 of the `verify paper-suite` report
 REPORT_SHA256 = \
-    "d1125b271627d7bac716623f8cf06e80ac3144349b833f9978ffeb6f48eff825"
+    "5a051041dfb1432ea48de5a005327b5bec1020bbc148f5edf91251aeefdffa7f"
 
 
 def criterion(num, desc, ok):

@@ -345,6 +345,18 @@ def test_lemma_2_6_large_p3_records_frozen(tmp_path, monkeypatch):
         "28dd4390bb3a72d7723ca1ac1c52b15bef44ecd7adf8c068d47a6cb6a7db6700"
 
 
+def test_height_drop_p3_settles_at_n25(tmp_path, monkeypatch):
+    # `verify prop-3.2 --p 3` on a fresh law cache: the two-term group sum
+    # is solved through the logarithm and needs no two-variable law at the
+    # full cap, so the record settles at N=25
+    monkeypatch.delenv("MORAVA_CACHE_DIR", raising=False)
+    assert run_cli(["verify", "prop-3.2", "--p", "3"]) == 0
+    checks = json.loads((tmp_path / "morava-report.json").read_text())["checks"]
+    assert [(c["check_id"], c["params"], c["verdict"],
+             c["precision_loss"]["N"]) for c in checks] == \
+        [("height-drop-unit", {"n": 2, "p": 3}, "PASS", 25)]
+
+
 def test_law_cache_changes_no_verdict_or_witness(tmp_path, monkeypatch):
     # the cache may move the reported working precision N, nothing else
     docs = []

@@ -4,17 +4,19 @@ Fixed-value cases pin down hand-derived coefficients; the series-level
 cross-checks compare against the exact-rational reference in oracles.py.
 """
 
+from fractions import Fraction
+
 import pytest
 
 import oracles
 from helpers import oc_series_to_yseries, oc_to_elem
 from morava.coeff import CoeffContext
-from morava.fgl import (araki_formal_sum, build_fgl, check_associativity,
-                        check_integrality, check_pk_congruence, eval_pair,
-                        formal_sum, log_depth)
+from morava.fgl import (build_fgl, check_associativity, check_integrality,
+                        check_pk_congruence, formal_sum, log_depth, solve_log)
 from morava.padic import PrecisionError
-from morava.series import (ms_eval, ms_new, ms_set, ser_compose, ser_monomial,
-                           ser_new)
+from morava.series import (YSeries, ms_eval, ms_from_yseries, ms_new, ms_set,
+                           ser_compose, ser_from_terms, ser_monomial, ser_new,
+                           ser_scale)
 
 
 @pytest.fixture(scope="module")
@@ -202,10 +204,19 @@ def test_minus_one_series_frozen(f21):
     assert ctx.eq_to(s.c[2], ctx.u_mono(1), 16)
 
 
+def eval_law(fgl, f, g):
+    """F(f, g) for one-variable series at the law's cap, substituted into
+    the two-variable law itself (not through the logarithm)."""
+    def one_var(s):
+        return ms_from_yseries(s, 1, (fgl.M,), 0)
+    out = ms_eval(fgl.F, [one_var(f), one_var(g)])
+    return YSeries(fgl.ctx, [out.coeff((d,)) for d in range(fgl.M + 1)])
+
+
 def test_inverse_axiom(f21):
     ctx = f21.ctx
     for m in (1, 2, 3):
-        s = eval_pair(f21.F, f21.m_series(m), f21.m_series(-m))
+        s = eval_law(f21, f21.m_series(m), f21.m_series(-m))
         assert all(ctx.is_zero_to(c, 12) for c in s.c)
 
 
@@ -213,7 +224,7 @@ def test_doubling_recursion(f21):
     ctx = f21.ctx
     y = ser_monomial(ctx, 12, 1)
     for m in (2, 3, 4, 5):
-        via_f = eval_pair(f21.F, y, f21.m_series(m - 1))
+        via_f = eval_law(f21, y, f21.m_series(m - 1))
         assert first_mismatch(ctx, f21.m_series(m), via_f, 12) is None
 
 
@@ -231,9 +242,16 @@ def test_compose_multiplicativity(f21, f31):
 
 
 def test_p_series_equals_araki_sum(f21, f31, f22):
+    # the iterated group sum of v_i y^{p^i}, i = 0..n: the defining shape of
+    # the p-series
     for fgl, depth in ((f21, 12), (f31, 10), (f22, 10)):
+        ctx, p, n = fgl.ctx, fgl.p, fgl.n
+        vs = ([ctx.from_int(p)] + [ctx.v_gen(i) for i in range(1, n)]
+              + [ctx.u_mono(p ** n - 1)])
+        parts = [ser_from_terms(ctx, fgl.M, {p ** i: v})
+                 for i, v in enumerate(vs) if p ** i <= fgl.M]
         ps = fgl.m_series(fgl.p)
-        assert first_mismatch(fgl.ctx, ps, araki_formal_sum(fgl), depth) is None
+        assert first_mismatch(ctx, ps, formal_sum(fgl, parts), depth) is None
 
 
 def test_pk_congruence(f21):
@@ -285,6 +303,77 @@ def test_formal_sum_two_series(f21):
     vterm = ser_monomial(ctx, 12, 2, ctx.u_mono(1))
     s = formal_sum(f21, [doubled, vterm])
     assert first_mismatch(ctx, s, f21.m_series(2), 12) is None
+
+
+@pytest.mark.parametrize("p, n, M", [(2, 1, 12), (3, 1, 10), (2, 2, 8)])
+def test_formal_sum_reference(p, n, M):
+    # F(f, g) substituted into the exact-rational two-variable law, against
+    # the logarithm route; c mixes u with v_1 where the height allows
+    fgl = build_fgl(p, n, N=40, D=4, M=M)
+    ctx = fgl.ctx
+    one = oracles.qc_const(1, n)
+    c = {(1, (0,) * (n - 1)): Fraction(1)}
+    if n > 1:
+        c = oracles.qc_add(c, oracles.v_generator(p, n, 1))
+    f = oracles.ser_zero(M)
+    f[1], f[3] = oracles.qc_scale(2, one), one
+    g = oracles.ser_zero(M)
+    g[p] = c
+    ref = oc_series_to_yseries(ctx, oracles.formal_sum(p, n, f, g, M))
+    s = formal_sum(fgl, [oc_series_to_yseries(ctx, f),
+                         oc_series_to_yseries(ctx, g)])
+    assert first_mismatch(ctx, s, ref, 10) is None
+
+
+def solve_log_every_index(ctx, log_elems, S):
+    """solve_log with a convolution that walks every index from the chain's
+    minimum and skips the zero entries it meets: the reference for the
+    walk over nonzero indices only, which must store the same values."""
+    p, M = ctx.p, S.M
+    needed = [p ** k for k in range(1, M) if p ** k <= M]
+    T = [ctx.zero() for _ in range(M + 1)]
+    chains, by_power = [], {1: (T, 1)}
+
+    def ensure_power(e):
+        if e not in by_power:
+            h, r = divmod(e, 2)
+            A, minA = ensure_power(h)
+            B, minB = ensure_power(h + r)
+            out = [ctx.zero() for _ in range(M + 1)]
+            chains.append((A, B, out, minA, minB))
+            by_power[e] = (out, minA + minB)
+        return by_power[e]
+
+    for q in needed:
+        ensure_power(q)
+    for m in range(1, M + 1):
+        for A, B, out, minA, minB in chains:
+            acc = None
+            for a in range(minA, m - minB + 1):
+                if A[a].is_zero() or B[m - a].is_zero():
+                    continue
+                prod = ctx.mul(A[a], B[m - a])
+                acc = prod if acc is None else ctx.add(acc, prod)
+            if acc is not None:
+                out[m] = acc
+        acc = S.c[m]
+        for k, q in enumerate(needed, start=1):
+            b = by_power[q][0][m]
+            if q <= m and not log_elems[k].is_zero() and not b.is_zero():
+                acc = ctx.sub(acc, ctx.mul(log_elems[k], b))
+        T[m] = acc
+    return YSeries(ctx, T, S.trunc or any(l.trunc for l in log_elems))
+
+
+def test_solve_log_matches_every_index_walk(f21, f31, f22):
+    for fgl in (f21, f31, f22):
+        ctx = fgl.ctx
+        sums = [ser_monomial(ctx, fgl.M, 1)]
+        sums += [ser_scale(ctx.from_int(m), fgl.log) for m in (2, 3, -1)]
+        sums.append(ser_compose(fgl.log, fgl.m_series(2)))
+        for S in sums:
+            assert solve_log(ctx, fgl.log_elems, S) == \
+                solve_log_every_index(ctx, fgl.log_elems, S)
 
 
 def test_m_series_reference(f31, f22):

@@ -5,7 +5,7 @@ import pytest
 import oracles as O
 from helpers import oc_series_to_yseries
 
-from morava.coeff import CoeffContext
+from morava.coeff import CoeffContext, CoeffElem
 from morava.series import (MultiSeries, YSeries, golden_dump, golden_load,
                            ms_add, ms_eval, ms_from_yseries, ms_mul, ms_new,
                            ms_one, ms_set, ser_add, ser_compose, ser_from_terms,
@@ -38,6 +38,20 @@ def test_mul_by_zero(ctx):
     f = ser_from_terms(ctx, 5, {1: ctx.one(), 3: ctx.u_mono(2)})
     z = ser_new(ctx, 5)
     assert ser_mul(f, z).is_zero()
+
+
+def test_add_sub_match_coefficientwise(ctx):
+    # zeros with and without trunc on either side take the shortcut; the
+    # result must be what the coefficient op gives, trunc flag included
+    tz = CoeffElem(ctx, {}, True)
+    a = [ctx.zero(), tz, ctx.zero(), tz, ctx.one(), tz, ctx.u_mono(1)]
+    b = [ctx.zero(), ctx.zero(), tz, tz, tz, ctx.from_int(3), ctx.zero()]
+    f, g = YSeries(ctx, a), YSeries(ctx, b, True)
+    for op, eop in ((ser_add, ctx.add), (ser_sub, ctx.sub)):
+        for x, y in ((f, g), (g, f)):
+            got = op(x, y)
+            assert got.c == [eop(s, t) for s, t in zip(x.c, y.c)]
+            assert got.trunc
 
 
 def test_cap_overflow_sets_trunc(ctx):
