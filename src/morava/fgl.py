@@ -14,8 +14,10 @@ degree by degree for the appropriate right side (S = m log y for [m](y),
 S = sum_i log f_i for a formal sum), which keeps each coefficient a single
 short linear combination instead of a tower of compositions.  The
 two-variable group law, assembled from the binomial expansion of
-exp(log x + log y) at independent degree caps in x and y, serves
-groupcoh.point_class_ms and the axiom checks.
+exp(log x + log y) at independent degree caps in x and y, serves the axiom
+checks (through ms_eval, one product per term) and
+groupcoh.point_class_ms (by rows: one product per power of the first
+argument).
 
 Scalars of valuation -k appear in the l_k; the builder refuses to run when
 the working precision cannot absorb the worst of them.

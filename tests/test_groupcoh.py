@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import oracles
+from helpers import oc_to_elem
 from morava import groupcoh
 from morava.cli import Builder
 from morava.coeff import CoeffContext
@@ -24,7 +26,8 @@ from morava.groupcoh import (AbelianPGroup, CohRing, GroupHom, RingElem,
                              point_class_ms, pullback, series_in_elem,
                              verify_free_over_subring, verify_rank)
 from morava.padic import PrecisionError
-from morava.series import ms_mul, ms_new, ms_set
+from morava.series import (ms_eval, ms_from_yseries, ms_mul, ms_new,
+                           ms_set)
 
 
 @pytest.fixture(scope="module")
@@ -323,25 +326,31 @@ def rand_nf(rng, ring, size):
     return RingElem(ring, coord, rng.random() < 0.2)
 
 
+def assert_coeff_same_as_reference(gc, rc, key):
+    """Same terms, valuations and truncation flag; every unit agrees with
+    the reference to the reference's trusted digits and keeps at least as
+    many, and every zero marker is at least as deep."""
+    padic = rc.ctx.padic
+    assert gc.trunc == rc.trunc and set(gc.t) == set(rc.t), key
+    for term, r in rc.t.items():
+        g = gc.t[term]
+        if r.unit == 0:
+            assert g.unit == 0 and g.val >= r.val, (key, term)
+            continue
+        assert g.val == r.val and g.prec >= r.prec, (key, term)
+        assert (g.unit - r.unit) % padic.ppow(r.prec) == 0, (key, term)
+
+
 def assert_same_as_reference(got, ref):
-    """Same coordinates, terms, valuations and truncation flags; every
-    scalar agrees with the reference to the reference's trusted digits and
-    keeps at least as many.  Summing before multiplying can only keep
-    more: a product's relative precision is the lesser of its factors',
-    and the sum of two scalars is pinned to the lesser absolute one."""
-    padic = ref.ring.ctx.padic
+    """Same coordinates and truncation flag, each coordinate as in
+    assert_coeff_same_as_reference.  Summing before multiplying can only
+    keep more digits: a product's relative precision is the lesser of its
+    factors', and the sum of two scalars is pinned to the lesser absolute
+    one."""
     assert got.trunc == ref.trunc
     assert set(got.coord) == set(ref.coord)
     for key, rc in ref.coord.items():
-        gc = got.coord[key]
-        assert gc.trunc == rc.trunc and set(gc.t) == set(rc.t), key
-        for term, r in rc.t.items():
-            g = gc.t[term]
-            if r.unit == 0:
-                assert g.unit == 0 and g.val >= r.val, (key, term)
-                continue
-            assert g.val == r.val and g.prec >= r.prec, (key, term)
-            assert (g.unit - r.unit) % padic.ppow(r.prec) == 0, (key, term)
+        assert_coeff_same_as_reference(got.coord[key], rc, key)
 
 
 def test_elem_mul_matches_per_pair_product(fgl21, fgl22, monkeypatch):
@@ -414,10 +423,186 @@ def test_ring_map_apply_matches_per_coordinate_loop(corpus_rings,
             assert len(products) == len(lasts) + rest
 
 
+# Character classes fold each further factor s = [t_j](y_j) in by rows of F:
+# sum_i acc^i * (sum_j F_ij s^j).  The reference is the per-term chain this
+# replaced, ms_eval(F, [acc, s]), with one product acc^i * s^j per term.
+
+def per_term_class(ring, tvals):
+    fgl = ring.fgl
+    r = ring.group.rank
+    terms = []
+    for j, t in enumerate(tvals):
+        t %= fgl.p ** ring.group.exps[j]
+        if t:
+            terms.append(ms_from_yseries(fgl.m_series(t), r, ring.caps, j))
+    if not terms:
+        return ms_new(ring.ctx, r, ring.caps)
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = ms_eval(fgl.F, [acc, term])
+    return acc
+
+
+def assert_class_same_as_reference(got, ref):
+    assert got.caps == ref.caps and got.trunc == ref.trunc
+    assert set(got.t) == set(ref.t)
+    for key, rc in ref.t.items():
+        assert_coeff_same_as_reference(got.t[key], rc, key)
+
+
+# Every class of two or more nonzero factors that `verify paper-suite`
+# forms, by law (p, n, D, N, M), group exponents, caps and t-vectors.
+SUITE_CLASSES = (
+    ((2, 1, 1, 16, 4), (1, 1), (4, 4), ((1, 1),)),
+    ((2, 1, 1, 24, 4), (1, 1), (4, 4), ((1, 1),)),
+    ((2, 1, 1, 24, 12), (2, 1), (12, 6), ((2, 1),)),
+    ((2, 1, 1, 25, 6), (1, 1), (6, 6), ((1, 1),)),
+    ((2, 1, 1, 26, 8), (2, 1), (8, 4), ((2, 1),)),
+    ((2, 1, 1, 26, 9), (1, 1), (5, 5), ((1, 1),)),
+    ((2, 1, 1, 26, 9), (1, 1), (9, 9), ((1, 1),)),
+    ((2, 1, 1, 26, 9), (2, 1), (9, 5), ((2, 1),)),
+    ((2, 2, 12, 35, 28), (1, 1), (28, 28), ((1, 1),)),
+    ((3, 1, 1, 16, 7), (1, 1), (7, 7), ((1, 1), (1, 2), (2, 1))),
+    ((3, 1, 1, 24, 7), (1, 1), (7, 7), ((1, 1), (1, 2), (2, 1), (2, 2))),
+    ((3, 1, 1, 24, 11), (1, 1), (11, 11), ((1, 1), (1, 2), (2, 1), (2, 2))),
+    # `euler --group 2,2,2`; the suite forms no three-factor class
+    ((2, 1, 1, 41, 6), (1, 1, 1), (6, 6, 6),
+     ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))),
+)
+
+# The further classes of `verify paper-suite --large`, less those on the
+# C9 x C3 ring at p=3, n=2, caps (242, 26), where the reference alone
+# takes minutes.
+LARGE_CLASSES = (
+    ((2, 2, 1, 24, 11), (1, 1), (11, 11), ((1, 1),)),
+    ((2, 2, 1, 33, 47), (2, 1), (47, 11), ((2, 1),)),
+    ((2, 3, 1, 24, 23), (1, 1), (23, 23), ((1, 1),)),
+    ((2, 3, 1, 32, 23), (1, 1), (23, 23), ((1, 1),)),
+    ((3, 1, 1, 24, 21), (2, 1), (21, 7), ((3, 1), (3, 2), (6, 1), (6, 2))),
+    ((3, 1, 1, 33, 33), (2, 1), (33, 11), ((3, 1), (3, 2), (6, 1), (6, 2))),
+    ((3, 1, 1, 41, 33), (2, 1), (33, 11), ((3, 1), (3, 2), (6, 1), (6, 2))),
+    ((3, 2, 1, 26, 26), (1, 1), (26, 26), ((1, 1), (1, 2), (2, 1), (2, 2))),
+)
+
+
+def classes_against_per_term_chain(table):
+    """(byte-equal, total) over the classes of a shape table, after
+    checking each against the per-term chain."""
+    laws = {}
+    exact = total = 0
+    for law, exps, caps, tvecs in table:
+        if law not in laws:
+            p, n, D, N, M = law
+            laws[law] = build_fgl(p, n, N=N, D=D, M=M)
+        ring = build_cohring(AbelianPGroup(law[0], exps), laws[law],
+                             caps=caps)
+        for tvals in tvecs:
+            got = point_class_ms(ring, tvals)
+            ref = per_term_class(ring, tvals)
+            assert_class_same_as_reference(got, ref)
+            exact += got == ref
+            total += 1
+    return exact, total
+
+
+def test_point_class_matches_per_term_chain_on_suite_classes():
+    # the five that differ are the p=3 classes whose second factor is
+    # [2](y_2): on one or two scalars each, the row sums keep one more digit
+    # or put a zero marker one valuation deeper
+    assert classes_against_per_term_chain(SUITE_CLASSES) == (19, 24)
+
+
+def test_point_class_matches_per_term_chain_on_large_classes():
+    assert classes_against_per_term_chain(LARGE_CLASSES) == (19, 20)
+
+
+# byte-equal classes out of each law's eight
+EXACT_RANDOM_CLASSES = {(2, 1): (8, 8), (2, 2): (8, 8), (3, 1): (5, 8),
+                        (3, 2): (8, 8)}
+
+
+@pytest.mark.parametrize("p, n, D", [(2, 1, 1), (2, 2, 4), (3, 1, 1),
+                                     (3, 2, 2)])
+def test_point_class_matches_per_term_chain_on_random_classes(p, n, D):
+    # factors whose relation has degree at most 9, caps up to 3 above it
+    law = build_fgl(p, n, N=40, D=D, M=12)
+    ks = [k for k in (1, 2, 3) if p ** (n * k) <= 9]
+    rng = random.Random(1978 + 10 * p + n)
+    exact = total = 0
+    for rank in (2, 2, 2, 2, 3, 3, 3, 3):
+        exps = tuple(rng.choice(ks) for _ in range(rank))
+        caps = tuple(p ** (n * k) + rng.randrange(4) for k in exps)
+        ring = build_cohring(AbelianPGroup(p, exps), law, caps=caps)
+        tvals = tuple(rng.randrange(1, p ** k) for k in exps)
+        got = point_class_ms(ring, tvals)
+        ref = per_term_class(ring, tvals)
+        assert_class_same_as_reference(got, ref)
+        exact += got == ref
+        total += 1
+    assert (exact, total) == EXACT_RANDOM_CLASSES[p, n]
+
+
+def test_point_class_matches_exact_rationals():
+    # F([3](y_1), [1](y_2)) on C4 x C2 at p=2, n=1, summed in Q from the
+    # exact two-variable law; caps 4 + 4 stay within M = 8, so no term of F
+    # that reaches the caps was cut by its total-degree cap
+    law = build_fgl(2, 1, N=32, D=1, M=8)
+    ctx = law.ctx
+    ring = build_cohring(AbelianPGroup(2, (2, 1)), law, caps=(4, 4))
+    got = point_class_ms(ring, (3, 1))
+    F = oracles.fgl_2var(2, 1, 4, 4)
+    x = oracles.m_series(2, 1, 3, 4)
+    y = oracles.m_series(2, 1, 1, 4)
+    ref = {}
+    xi = [oracles.qc_const(1, 1)] + oracles.ser_zero(3)
+    for i in range(5):
+        yj = [oracles.qc_const(1, 1)] + oracles.ser_zero(3)
+        for j in range(5):
+            for a, ca in enumerate(xi):
+                for b, cb in enumerate(yj):
+                    c = oracles.qc_mul(F[i][j], oracles.qc_mul(ca, cb))
+                    ref[a, b] = oracles.qc_add(ref.get((a, b), {}), c)
+            yj = oracles.ser_mul(yj, y)
+        xi = oracles.ser_mul(xi, x)
+    depth = min(c.val + c.prec for e in got.t.values() for c in e.t.values())
+    assert depth >= 24
+    for key in set(ref) | set(got.t):
+        want = oc_to_elem(ctx, ref.get(key, {}))
+        assert ctx.eq_to(got.coeff(key), want, depth), key
+
+
+def count_coeff_muls(monkeypatch, fn, *args):
+    mul = CoeffContext.mul
+    calls = []
+
+    def counted(self, A, B):
+        calls.append(None)
+        return mul(self, A, B)
+
+    monkeypatch.setattr(CoeffContext, "mul", counted)
+    out = fn(*args)
+    monkeypatch.undo()
+    return out, len(calls)
+
+
+def test_point_class_coefficient_work_pinned(monkeypatch):
+    # the prop-3.3 class at p=2, n=2 on C2 x C2, caps (28, 28); the law and
+    # the m-series are built first, so only the sum is counted
+    law = build_fgl(2, 2, N=35, D=12, M=28)
+    law.F, law.m_series(1)
+    ring = build_cohring(AbelianPGroup(2, (1, 1)), law, caps=(28, 28))
+    got, calls = count_coeff_muls(monkeypatch, point_class_ms, ring, (1, 1))
+    ref, ref_calls = count_coeff_muls(monkeypatch, per_term_class, ring,
+                                      (1, 1))
+    assert got == ref
+    assert (calls, ref_calls) == (30702, 159789)
+
+
 def test_total_euler_coefficient_work_pinned(monkeypatch):
     # total class of C4 x C2 at p=2, n=2, D=4, default caps (33, 9), on the
     # law the retry loop settles at (N=33); reducing per pair took 121000
-    # coefficient products for the same coordinates
+    # coefficient products, and summing each class per term of F 68350, for
+    # the same coordinates
     group = AbelianPGroup(2, (2, 1))
 
     def settle(f):
@@ -428,21 +613,13 @@ def test_total_euler_coefficient_work_pinned(monkeypatch):
         2, 2, 4, 33, settle)
     ring = build_cohring(group, law)
     assert ring.caps == (33, 9) and law.ctx.N == 33
-    mul = CoeffContext.mul
-    calls = []
-
-    def counted(self, A, B):
-        calls.append(None)
-        return mul(self, A, B)
-
-    monkeypatch.setattr(CoeffContext, "mul", counted)
-    total = total_euler(ring)
+    total, calls = count_coeff_muls(monkeypatch, total_euler, ring)
     assert len(total.coord) == 45 and total.trunc
-    assert len(calls) == 68350
-    monkeypatch.undo()
+    assert calls == 31162
     ref = ring.one()
     for ch in all_nontrivial_characters(group):
-        ref = per_pair_mul(ref, euler_of_char(ring, ch))
+        cls = per_term_class(ring, ch.as_hom().char_exponents(0))
+        ref = per_pair_mul(ref, normal_form(ring, cls))
     assert total.coord == ref.coord and total.trunc == ref.trunc
 
 

@@ -7,8 +7,8 @@ from helpers import oc_series_to_yseries
 
 from morava.coeff import CoeffContext, CoeffElem
 from morava.series import (MultiSeries, YSeries, golden_dump, golden_load,
-                           ms_add, ms_eval, ms_from_yseries, ms_mul, ms_new,
-                           ms_one, ms_set, ser_add, ser_compose, ser_from_terms,
+                           ms_add, ms_add_into, ms_eval, ms_from_yseries,
+                           ms_mul, ms_new, ms_one, ms_set, ser_add, ser_compose, ser_from_terms,
                            ser_invert_unit, ser_monomial, ser_mul, ser_neg,
                            ser_new, ser_rshift, ser_scale, ser_shift, ser_sub,
                            weierstrass_degree, weierstrass_divide,
@@ -345,6 +345,25 @@ def test_ms_mul_only_total_cap_drops(ctx):
     assert P.trunc and list(P.t) == [(3, 1)]
     C = ms_terms(ctx, (4, 4), 4, [(1, 0), (0, 1)])
     assert not assert_same_product(C, B).trunc
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ms_add_into_matches_ms_add(seed):
+    # keys that cancel, keys shared, keys new; in place, same order and
+    # values as the copying sum, and B's truncation flag carried over
+    rng = random.Random(seed)
+    ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
+    A = random_ms(rng, ctx, (5, 3), None, 12)
+    B = random_ms(rng, ctx, (5, 3), None, 12)
+    for k in list(A.t)[:3]:
+        ms_set(B, k, ctx.neg(A.t[k]))
+    B.trunc = seed == 1
+    want = ms_add(A, B)
+    t = A.t
+    got = ms_add_into(A, B)
+    assert got is A and A.t is t
+    assert list(got.t.items()) == list(want.t.items())
+    assert got.trunc == want.trunc
 
 
 def test_ms_eval_substitution(ctx):
