@@ -143,11 +143,11 @@ class RunConfig:
         self.N_req = args.precision
         self.D = args.vdeg
         self.M = args.ydeg
-        self.group = parse_orders(args.group) if args.group else None
-        self.T = args.t
+        group = getattr(args, "group", None)
+        self.group = parse_orders(group) if group else None
+        self.T = getattr(args, "t", None)
         self.r = getattr(args, "r", None)
-        self.large = args.large
-        self.report_path = args.report or "morava-report.json"
+        self.large = getattr(args, "large", False)
         self.cache_dir = args.cache or os.environ.get("MORAVA_CACHE_DIR",
                                                       ".cache")
         if self.p is not None and (self.p < 2
@@ -670,7 +670,8 @@ def cmd_verify(cfg, args):
         raise ConfigError("no %s instance matches the given flags" % suite)
     print_records(records)
     report = make_report(records, report_meta(cfg, suite))
-    with open(cfg.report_path, "w") as fh:
+    path = args.report or "morava-report.json"
+    with open(path, "w") as fh:
         fh.write(render_json(report))
     counts = report["summary"]["counts"]
     print("%d checks: %d PASS, %d FAIL, %d INDETERMINATE, %d EVIDENCE"
@@ -679,7 +680,7 @@ def cmd_verify(cfg, args):
     if counts["INDETERMINATE"]:
         print("flagged: %d INDETERMINATE record(s); raise --precision or "
               "run with wider caps to settle them" % counts["INDETERMINATE"])
-    _log("report written to %s" % cfg.report_path)
+    _log("report written to %s" % path)
     return 1 if counts["FAIL"] else 0
 
 
@@ -776,16 +777,13 @@ def build_parser():
                         help="p-adic digits (default 16, padded as needed)")
         sp.add_argument("--vdeg", type=int, help="total v-degree cap")
         sp.add_argument("--ydeg", type=int, help="y-degree cap")
-        sp.add_argument("--group",
-                        help="cyclic orders, comma-separated, e.g. 4,2")
-        sp.add_argument("--t", type=int, help="saturation / power bound")
-        sp.add_argument("--report", help="report path "
-                                         "(default morava-report.json)")
         sp.add_argument("--cache", help="cache directory "
                                         "(default $MORAVA_CACHE_DIR or "
                                         ".cache)")
-        sp.add_argument("--large", action="store_true",
-                        help="include the long-running instances")
+
+    def add_group(sp):
+        sp.add_argument("--group",
+                        help="cyclic orders, comma-separated, e.g. 4,2")
 
     sp = sub.add_parser("pseries", help="print a p^k-series")
     add_common(sp)
@@ -797,12 +795,19 @@ def build_parser():
 
     sp = sub.add_parser("euler", help="print Euler classes of a group")
     add_common(sp)
+    add_group(sp)
     sp.add_argument("--total", action="store_true")
     sp.add_argument("--reduced", action="store_true")
 
     sp = sub.add_parser("verify", help="run a check suite")
     sp.add_argument("suite", choices=SUITES)
     add_common(sp)
+    add_group(sp)
+    sp.add_argument("--t", type=int, help="saturation / power bound")
+    sp.add_argument("--report", help="report path "
+                                     "(default morava-report.json)")
+    sp.add_argument("--large", action="store_true",
+                    help="include the long-running instances")
     sp.add_argument("--r", type=int,
                     help="restrict to instances of rank-r groups")
     return ap

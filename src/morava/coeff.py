@@ -160,17 +160,8 @@ class CoeffContext:
             del t[k]
         return t
 
-    def coeff_at(self, A, uexp, vcode=0):
-        return A.t.get((uexp, vcode)) or self.padic.zero()
-
     def iter_terms_sorted(self, A):
         return sorted(A.t.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-
-    def shift_u(self, A, k):
-        """Multiply by u**k."""
-        if k == 0 or not A.t:
-            return CoeffElem(self, dict(A.t), A.trunc)
-        return CoeffElem(self, {(ue + k, vc): c for (ue, vc), c in A.t.items()}, A.trunc)
 
     # ring operations
 

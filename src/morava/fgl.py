@@ -200,21 +200,8 @@ def solve_log(ctx, log_elems, S):
     # nonzero entry (an array's nonzero degrees start at its min)
     chains = []
     by_power = {1: (T, T_nz, 1)}
-
-    def ensure_power(e):
-        if e in by_power:
-            return by_power[e]
-        h, r = divmod(e, 2)
-        A, nzA, minA = ensure_power(h)
-        B, _, minB = ensure_power(h + r)
-        out = [ctx.zero() for _ in range(M + 1)]
-        nz = []
-        chains.append((A, nzA, B, minB, out, nz))
-        by_power[e] = (out, nz, minA + minB)
-        return by_power[e]
-
     for q in needed:
-        ensure_power(q)
+        _chain_power(ctx, M, by_power, chains, q)
     emul, eadd = ctx.mul, ctx.add
     trunc = S.trunc or any(l.trunc for l in log_elems)
     for m in range(1, M + 1):
@@ -248,6 +235,23 @@ def solve_log(ctx, log_elems, S):
         if not acc.is_zero():
             T_nz.append(m)
     return YSeries(ctx, T, trunc)
+
+
+def _chain_power(ctx, M, by_power, chains, e):
+    """Register the chain for T^e, and first those of T^h and T^(e-h) with
+    h = e // 2; by_power maps each exponent to (array, nz, min degree).
+    Not a closure in solve_log: one that calls itself is a reference cycle,
+    which keeps every chain allocated until the cycle collector runs."""
+    if e in by_power:
+        return by_power[e]
+    h, r = divmod(e, 2)
+    A, nzA, minA = _chain_power(ctx, M, by_power, chains, h)
+    B, _, minB = _chain_power(ctx, M, by_power, chains, h + r)
+    out = [ctx.zero() for _ in range(M + 1)]
+    nz = []
+    chains.append((A, nzA, B, minB, out, nz))
+    by_power[e] = (out, nz, minA + minB)
+    return by_power[e]
 
 
 def _m_series(fgl, m):
@@ -443,12 +447,9 @@ def fgl_cache_save(fgl, cache_dir):
     return path
 
 
-def build_fgl_cached(p, n, N=16, D=8, M=33, cache_dir=None):
+def build_fgl_cached(p, n, cache_dir, N=16, D=8, M=33):
     """build_fgl, seeding the two-variable law from the cache directory
-    when a matching file exists and writing one when it does not.  The
-    cache directory defaults to MORAVA_CACHE_DIR, then .cache."""
-    if cache_dir is None:
-        cache_dir = os.environ.get("MORAVA_CACHE_DIR", ".cache")
+    when a matching file exists and writing one when it does not."""
     fgl = build_fgl(p, n, N=N, D=D, M=M)
     path = os.path.join(cache_dir, fgl_cache_name(p, n, N, D, M))
     A = None

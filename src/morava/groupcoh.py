@@ -20,8 +20,8 @@ import itertools
 
 from .padic import PrecisionError
 from .report import make_check, precision_note
-from .series import (ms_add_into, ms_from_yseries, ms_mul, ms_new, ms_one,
-                     ms_scale, ser_truncate, weierstrass_degree,
+from .series import (ms_add_into, ms_from_yseries, ms_mul, ms_new,
+                     ms_powers, ms_scale, ser_truncate, weierstrass_degree,
                      weierstrass_prepare)
 
 
@@ -374,16 +374,6 @@ def elem_add(a, b):
     return RingElem(a.ring, coord, a.trunc or b.trunc)
 
 
-def elem_neg(a):
-    ctx = a.ring.ctx
-    return RingElem(a.ring, {k: ctx.neg(c) for k, c in a.coord.items()},
-                    a.trunc)
-
-
-def elem_sub(a, b):
-    return elem_add(a, elem_neg(b))
-
-
 def elem_scale(e, a):
     ctx = a.ring.ctx
     coord = {}
@@ -520,25 +510,6 @@ def series_in_elem(ring, s, x):
     return out
 
 
-def _ms_powers(A):
-    """A^e by the binary powering of ms_eval, each power made once.  The
-    chain of halvings is walked without recursion, so the powers are freed
-    with the returned function, not left to the cycle collector."""
-    cache = {0: ms_one(A.ctx, A.r, A.caps, A.tcap)}
-
-    def power(e):
-        chain = []
-        while e not in cache:
-            chain.append(e)
-            e //= 2
-        for e in reversed(chain):
-            half = cache[e // 2]
-            res = ms_mul(half, half)
-            cache[e] = ms_mul(res, A) if e % 2 else res
-        return cache[e]
-    return power
-
-
 def _formal_sum_rows(F, acc, s):
     """F(acc, s) for multiseries of one shape in disjoint variables, summed
     one row of F at a time: sum_i acc^i * R_i with R_i = sum_j F_ij s^j.
@@ -550,7 +521,7 @@ def _formal_sum_rows(F, acc, s):
     zero = (0,) * acc.r
     if zero in acc.t or zero in s.t:
         raise ValueError("substitution needs zero constant terms")
-    apow, spow = _ms_powers(acc), _ms_powers(s)
+    apow, spow = ms_powers(acc), ms_powers(s)
     out = ms_new(acc.ctx, acc.r, acc.caps, acc.tcap)
     out.trunc = F.trunc or acc.trunc or s.trunc
     for i, keys in itertools.groupby(sorted(F.t), lambda k: k[0]):

@@ -1,23 +1,22 @@
-"""Localization by an Euler class, modeled as fractions with a saturated
-equality relation, plus the verification drivers built on it: mutual
-divisibility of orbit-mates, the height-drop rewriting of the p-series and
-the resulting unit, nonvanishing evidence for localized rings, and passage
-through the maximal elementary abelian quotient.
+"""Localization by an Euler class, checked by saturation, plus the
+verification drivers built on it: mutual divisibility of orbit-mates, the
+height-drop rewriting of the p-series and the resulting unit, nonvanishing
+evidence for localized rings, and passage through the maximal elementary
+abelian quotient.
 
-Fractions never construct the localized ring abstractly.  A fraction is a
-numerator over a power of the fixed class e; two fractions are equal when
-some extra power of e, at most the saturation bound, makes the cross
-products agree.  A positive verdict is exact at the working truncation and
-carries the certifying exponent; exhausting the bound is reported as
-indeterminate, never as failure.
+The localized ring is never constructed.  A class x/e^t is 1 after
+inverting e when some extra power of e, at most the saturation bound,
+makes e^m x and e^{m+t} agree.  A positive verdict is exact at the working
+truncation and carries the certifying exponent m; exhausting the bound is
+reported as indeterminate, never as failure.
 """
 
 from .euler import (Character, all_nontrivial_characters, euler_of_char,
                     total_euler)
 from .fgl import formal_sum
 from .groupcoh import (AbelianPGroup, build_cohring, cohring_from_relation,
-                       elem_add, elem_eq_to, elem_is_zero_to, elem_mul,
-                       pullback, series_in_elem, verify_free_over_subring)
+                       elem_eq_to, elem_is_zero_to, elem_mul, pullback,
+                       series_in_elem, verify_free_over_subring)
 from .padic import PrecisionError
 from .report import make_check, precision_note
 from .series import (ser_compose, ser_from_terms, ser_invert_unit,
@@ -25,77 +24,22 @@ from .series import (ser_compose, ser_from_terms, ser_invert_unit,
                      weierstrass_prepare)
 
 
-class Localization:
-    """The fraction layer over a fixed inverted class e of a ring, with
-    saturation bound T.  eq_to(a, b, depth) decides equality of
-    numerators; callers working modulo an ideal pass their congruence."""
-
-    __slots__ = ("e", "eq_to", "T", "_epows")
-
-    def __init__(self, e, T, eq_to=elem_eq_to):
-        if T < 0:
-            raise ValueError("saturation bound must be nonnegative")
-        self.e = e
-        self.eq_to = eq_to
-        self.T = T
-        self._epows = [e.ring.one()]
-
-    def epow(self, t):
-        while len(self._epows) <= t:
-            self._epows.append(elem_mul(self._epows[-1], self.e))
-        return self._epows[t]
-
-    def frac(self, num, t=0):
-        if t < 0:
-            raise ValueError("denominator exponent must be nonnegative")
-        return Fraction(self, num, t)
-
-
-class Fraction:
-    __slots__ = ("loc", "num", "t")
-
-    def __init__(self, loc, num, t):
-        self.loc = loc
-        self.num = num
-        self.t = t
-
-    def __repr__(self):
-        return "Fraction(t=%d)" % self.t
-
-
-def _check_loc(a, b):
-    if a.loc is not b.loc:
-        raise ValueError("fractions live over different localizations")
-
-
-def frac_add(a, b):
-    _check_loc(a, b)
-    loc = a.loc
-    t = max(a.t, b.t)
-    na = elem_mul(a.num, loc.epow(t - a.t)) if t > a.t else a.num
-    nb = elem_mul(b.num, loc.epow(t - b.t)) if t > b.t else b.num
-    return Fraction(loc, elem_add(na, nb), t)
-
-
-def frac_mul(a, b):
-    _check_loc(a, b)
-    return Fraction(a.loc, elem_mul(a.num, b.num), a.t + b.t)
-
-
-def frac_equal(a, b, depth):
-    """Saturated equality: some m <= T makes e^{m+t}x = e^{m+s}z.
+def saturation_certificate(x, e, t, T, eq_to, depth):
+    """Whether x/e^t becomes 1 once e is inverted: the least m <= T with
+    eq_to(e^m x, e^{m+t}, depth).
 
     Returns (True, m) on success and (None, None) when the bound runs out,
     the latter to be reported as INDETERMINATE rather than failure."""
-    _check_loc(a, b)
-    loc = a.loc
-    lhs = elem_mul(a.num, loc.epow(b.t))
-    rhs = elem_mul(b.num, loc.epow(a.t))
-    for m in range(loc.T + 1):
-        if loc.eq_to(lhs, rhs, depth):
+    if T < 0:
+        raise ValueError("saturation bound must be nonnegative")
+    rhs = e if t else e.ring.one()
+    for _ in range(t - 1):
+        rhs = elem_mul(rhs, e)
+    for m in range(T + 1):
+        if eq_to(x, rhs, depth):
             return True, m
-        lhs = elem_mul(lhs, loc.e)
-        rhs = elem_mul(rhs, loc.e)
+        x = elem_mul(x, e)
+        rhs = elem_mul(rhs, e)
     return None, None
 
 
@@ -242,11 +186,10 @@ def verify_height_drop_unit(fgl, ring=None, T=None, sat_depth=1):
         num = series_in_elem(
             ring, ser_scale(ctx.neg(ctx.invert(vtop)), ser_invert_unit(eps)),
             ring.gen(0))
-        loc = Localization(
-            ring.gen(0), T,
-            lambda a, b, d: elem_congruent_mod_ideal(a, b, keep, d))
-        prod = frac_mul(loc.frac(ring.const(vlow)), loc.frac(num, texp))
-        equal, cert = frac_equal(prod, loc.frac(ring.one()), sat_depth)
+        equal, cert = saturation_certificate(
+            elem_mul(ring.const(vlow), num), ring.gen(0), texp, T,
+            lambda a, b, d: elem_congruent_mod_ideal(a, b, keep, d),
+            sat_depth)
     except PrecisionError as e:
         return make_check(
             "height-drop-unit", "prop-3.2", params, "INDETERMINATE",
@@ -313,17 +256,16 @@ def verify_inverted_prime_model(fgl, T=None, depth=16):
         y = ring.gen(0)
         num = series_in_elem(
             ring, ser_scale(ctx.neg(ctx.invert(v1)), ser_invert_unit(eps)), y)
-        loc = Localization(y, T)
-        prod = frac_mul(loc.frac(ring.const(ctx.from_int(p))),
-                        loc.frac(num, p - 1))
-        equal, cert = frac_equal(prod, loc.frac(ring.one()), depth)
+        pnum = elem_mul(ring.const(ctx.from_int(p)), num)
+        equal, cert = saturation_certificate(pnum, y, p - 1, T, elem_eq_to,
+                                             depth)
 
         # multiplication by y has determinant (-1)^(d-1) times the reduced
         # constant term of the monic relation
         det = ring.relred[0].get(0, ctx.zero())
         det_val = min((c.val for c in det.t.values() if c.unit != 0),
                       default=None)
-        prec = min_stored_prec(ctx, list(prod.num.coord.values()) + [det])
+        prec = min_stored_prec(ctx, list(pnum.coord.values()) + [det])
     except PrecisionError as e:
         return make_check(
             "inverted-prime-model", "prop-3.2", params, "INDETERMINATE",

@@ -186,12 +186,6 @@ class PadicContext:
             )
         return PadicScaled(-a.val, pow(a.unit, -1, self.ppow(a.prec)), a.prec)
 
-    def scale(self, a, k):
-        """Multiply by p**k (k may be negative)."""
-        if a.unit == 0:
-            return PadicScaled(min(a.val + k, EXACT), 0, 0)
-        return PadicScaled(a.val + k, a.unit, a.prec)
-
     # verdicts
 
     def is_zero_to(self, a, depth):

@@ -22,7 +22,7 @@ budget signals a non-prepared input.
 
 from operator import add
 
-from .coeff import CoeffContext, CoeffElem
+from .coeff import CoeffContext
 from .padic import EXACT, PadicScaled, PrecisionError
 
 
@@ -109,10 +109,6 @@ def ser_sub(f, g):
     return _zip_with(f.ctx.sub, f, g)
 
 
-def ser_neg(f):
-    return YSeries(f.ctx, [f.ctx.neg(a) for a in f.c], f.trunc)
-
-
 def ser_scale(e, f):
     ctx = f.ctx
     return YSeries(ctx, [ctx.mul(e, a) for a in f.c], f.trunc)
@@ -134,22 +130,6 @@ def ser_mul(f, g):
                 trunc = True
                 continue
             out[d] = eadd(out[d], emul(a, b))
-    return YSeries(ctx, out, trunc)
-
-
-def ser_shift(f, d):
-    """Multiply by y**d (d >= 0)."""
-    ctx = f.ctx
-    M = f.M
-    out = [ctx.zero() for _ in range(M + 1)]
-    trunc = f.trunc
-    for i, a in enumerate(f.c):
-        if a.is_zero():
-            continue
-        if i + d > M:
-            trunc = True
-        else:
-            out[i + d] = a
     return YSeries(ctx, out, trunc)
 
 
@@ -464,6 +444,26 @@ def ms_from_yseries(f, r, caps, var, tcap=None):
     return A
 
 
+def ms_powers(A):
+    """A function e -> A^e by binary powering, each power made once and A^1
+    being A itself.  The chain of halvings is walked without recursion, so
+    the powers are freed with the returned function, not left to the cycle
+    collector."""
+    cache = {0: ms_one(A.ctx, A.r, A.caps, A.tcap), 1: A}
+
+    def power(e):
+        chain = []
+        while e not in cache:
+            chain.append(e)
+            e //= 2
+        for e in reversed(chain):
+            half = cache[e // 2]
+            res = ms_mul(half, half)
+            cache[e] = ms_mul(res, A) if e % 2 else res
+        return cache[e]
+    return power
+
+
 def ms_eval(F, args):
     """Substitute multiseries (zero constant term) for the variables of F.
 
@@ -484,27 +484,14 @@ def ms_eval(F, args):
     shape = args[0]
     out = ms_new(ctx, shape.r, shape.caps, shape.tcap)
     out.trunc = F.trunc or any(A.trunc for A in args)
-    # group F-terms by exponent, building argument powers incrementally
-    pows = [{0: ms_one(ctx, shape.r, shape.caps, shape.tcap)} for _ in args]
-
-    def power(i, e):
-        cache = pows[i]
-        if e in cache:
-            return cache[e]
-        half = power(i, e // 2)
-        res = ms_mul(half, half)
-        if e % 2:
-            res = ms_mul(res, args[i])
-        cache[e] = res
-        return res
-
+    powers = [ms_powers(A) for A in args]
     for exps in sorted(F.t):
         e = F.t[exps]
         term = None
         for i, x in enumerate(exps):
             if x == 0:
                 continue
-            px = power(i, x)
+            px = powers[i](x)
             term = px if term is None else ms_mul(term, px)
         if term is None:
             term = ms_one(ctx, shape.r, shape.caps, shape.tcap)

@@ -222,14 +222,21 @@ def test_criterion_6_height_drop(tmp_path):
 
 
 @pytest.mark.large
-def test_criterion_6_height_drop_large(tmp_path):
+def test_criterion_6_height_drop_large(tmp_path, monkeypatch):
+    # the checks are pinned to their digest on a fresh law cache
+    monkeypatch.delenv("MORAVA_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
     report = tmp_path / "p32L.json"
     code = cli.main(["verify", "prop-3.2", "--large", "--p", "2", "--n",
                      "3", "--report", str(report)])
     doc = json.loads(report.read_text())
+    digest = hashlib.sha256(json.dumps(doc["checks"], sort_keys=True)
+                            .encode()).hexdigest()
     ok = (code == 0 and len(doc["checks"]) == 1
           and doc["checks"][0]["verdict"] == "PASS"
-          and _digits_ok(doc["checks"]))
+          and _digits_ok(doc["checks"])
+          and digest == "0dde0f66b7aa897d967da5f5104be0384ae2c1db69d3ad02"
+                        "6a07021210e4c9c6")
     criterion(6, "height-drop unit at (2, 3) [large]", ok)
 
 

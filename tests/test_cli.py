@@ -41,6 +41,19 @@ def test_unknown_suite_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["pseries", "--p", "2", "--k", "1", "--report", "x"],
+    ["pseries", "--group", "2"],
+    ["euler", "--group", "2", "--t", "3"],
+    ["euler", "--group", "2", "--large"],
+])
+def test_flags_a_verb_never_reads_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_composite_p_rejected(capsys):
     assert run_cli(["pseries", "--p", "4", "--k", "1"]) == 2
     assert "prime" in capsys.readouterr().err

@@ -134,7 +134,7 @@ def test_f_associative_height_two(f22):
 def test_associativity_coefficient_work_pinned(monkeypatch):
     # ms_mul skips only the pairs of terms that fall off the caps, which
     # never reach the coefficient ring: the number of coefficient products
-    # is that of a loop over every pair (18422, with 285 terms compared).
+    # is that of a loop over every pair (18278, with 285 terms compared).
     law = build_fgl(2, 2, N=33, D=6, M=10)
     mul = CoeffContext.mul
     calls = []
@@ -146,7 +146,7 @@ def test_associativity_coefficient_work_pinned(monkeypatch):
     monkeypatch.setattr(CoeffContext, "mul", counted)
     ok, wit = check_associativity(law, cap=10)
     assert ok and wit["terms"] == 285
-    assert len(calls) == 18422
+    assert len(calls) == 18278
 
 
 def test_integrality(f21, f22):
