@@ -17,16 +17,31 @@ it is sticky under arithmetic.
 
 Stored scalars keep the PadicScaled invariant of ``padic.py`` (0 <= prec <=
 N, a nonzero unit prime to p and below p**prec, a zero with unit 0 and prec
-0).  ``mul``, ``_merge`` (behind ``add``, ``add_raw``, ``sub`` and
-``sub_raw``) and ``scalar_mul`` read each scalar's fields into locals and
-form products from the context's power table, as PadicContext.mul would.
-When a term lands on a stored key and both units are nonzero, ``_store``
-adds it by PadicContext._add's rule for two nonzero units, then applies the
-prune horizon and the floor as ``_acc`` does.  Every other collision (a zero
-marker on either side, or a sum reaching past N) goes through ``_acc`` and
-PadicContext.add_raw, which stay the definition of the rule.  Terms are
+0).  ``mul``, ``addmul_into``, ``_merge_into`` (behind ``add``,
+``add_raw``, ``sub`` and ``sub_raw``) and ``scalar_mul`` read each scalar's
+fields into locals and form products from the context's power table, as
+PadicContext.mul would.  When a term lands on a stored key and both units
+are nonzero, ``_store`` adds it by PadicContext._add's rule for two nonzero
+units, then applies the prune horizon and the floor as ``_acc`` does.
+Every other collision (a zero marker on either side, or a sum reaching past
+N) goes through ``_acc`` and PadicContext.add_raw, which stay the
+definition of the rule.  Terms are
 visited in the same order either way, so every stored scalar and every
 raised PrecisionError is the one the per-pair calls give.
+
+Sums of products go through ``addmul_into(t, A, B)``, which leaves a dict
+``t`` that the caller owns exactly as ``t = add(CoeffElem(t), mul(A, B)).t``
+would: the same stored scalars, the same key insertion order, the same
+PrecisionError text and ``needed_extra``.  It returns the product's
+``trunc``, which the caller ors into its own flag.  An empty operand
+returns at once.  When the shorter operand has one term, the product's keys
+are distinct, so each product term goes straight into ``t`` in ``mul``'s
+order, and a term past the prune horizon is skipped as ``mul`` skips it.
+Otherwise two pairs can land on one key of the product, and their sum must
+be rounded (and floor-checked) before it meets the accumulator, so the
+product is formed in full by ``mul`` first and then merged.  ``t`` must
+never be the dict of a coefficient someone else holds: callers copy a
+shared coefficient before their first in-place write.
 """
 
 from .padic import EXACT, PadicContext, PadicScaled, PrecisionError
@@ -221,10 +236,9 @@ class CoeffContext:
             t[k] = PadicScaled(v, s, kk)
         return True
 
-    def _merge(self, A, B, raw):
-        t = dict(A.t)
+    def _merge_into(self, t, tb, raw):
         horizon = self.prune_horizon
-        for k, c in B.t.items():
+        for k, c in tb.items():
             cur = t.get(k)
             if cur is None:
                 if c.val < horizon:
@@ -238,6 +252,10 @@ class CoeffContext:
                 t[k] = s
             else:
                 del t[k]
+
+    def _merge(self, A, B, raw):
+        t = dict(A.t)
+        self._merge_into(t, B.t, raw)
         return CoeffElem(self, t, A.trunc or B.trunc)
 
     def add(self, A, B):
@@ -306,6 +324,62 @@ class CoeffContext:
                 else:
                     del acc[k]
         return CoeffElem(self, acc, trunc)
+
+    def addmul_into(self, t, A, B):
+        """Add A*B into t, a dict the caller owns, leaving it as
+        ``add(CoeffElem(t), mul(A, B)).t`` would; returns the product's
+        trunc flag.  The module docstring states the contract."""
+        ta, tb = A.t, B.t
+        trunc = A.trunc or B.trunc
+        if not ta or not tb:
+            return trunc
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        if len(ta) > 1:
+            P = self.mul(A, B)
+            self._merge_into(t, P.t, False)
+            return P.trunc
+        ((ua, va), ca), = ta.items()
+        get = t.get
+        vtot = self.vtotal
+        room = self.D - vtot[va]
+        padic = self.padic
+        pows = padic._pows
+        horizon = self.prune_horizon
+        av, au, ap = ca.val, ca.unit, ca.prec
+        if ap >= len(pows):
+            padic.ppow(ap)
+        for (ub, vb), cb in tb.items():
+            if vtot[vb] > room:
+                trunc = True
+                continue
+            # mul's product term, which mul keeps exactly when it lies
+            # inside the prune horizon: one term on the short side makes
+            # every product key distinct
+            pv = av + cb.val
+            if pv >= horizon:
+                continue
+            bu = cb.unit
+            if au and bu:
+                pk = cb.prec
+                if ap < pk:
+                    pk = ap
+                pu = au * bu % pows[pk]
+            else:
+                pu = pk = 0
+            k = (ua + ub, va + vb)
+            cur = get(k)
+            if cur is None:
+                t[k] = PadicScaled(pv, pu, pk)
+                continue
+            if pu and cur.unit and self._store(t, k, cur, pv, pu, pk, False):
+                continue
+            s = self._acc(cur, PadicScaled(pv, pu, pk), False)
+            if s is not None:
+                t[k] = s
+            else:
+                del t[k]
+        return trunc
 
     def scalar_mul(self, c, A):
         if c.unit == 0 and c.val >= EXACT:

@@ -46,12 +46,13 @@ class FormalGroupLaw:
     """The truncated law with its derived series memoized.
 
     _m_cache holds m-series by m, _f_cache two-variable laws by their caps,
-    and _r_cache the prepared cyclic relations by (k, cap), which
-    groupcoh fills; every cached value is shared read-only.
+    _r_cache the prepared cyclic relations by (k, cap) and _b_cache the
+    unit-determinant verdicts of freeness blocks by (k, l, entry); groupcoh
+    fills the last two.  Every cached value is shared read-only.
     """
 
     __slots__ = ("p", "n", "M", "ctx", "log_elems", "log", "exp",
-                 "_m_cache", "_f_cache", "_r_cache")
+                 "_m_cache", "_f_cache", "_r_cache", "_b_cache")
 
     def __init__(self, p, n, M, ctx, log_elems, log, exp):
         self.p = p
@@ -64,6 +65,7 @@ class FormalGroupLaw:
         self._m_cache = {}
         self._f_cache = {}
         self._r_cache = {}
+        self._b_cache = {}
 
     # the group law at chosen degree caps
 
@@ -202,7 +204,7 @@ def solve_log(ctx, log_elems, S):
     by_power = {1: (T, T_nz, 1)}
     for q in needed:
         _chain_power(ctx, M, by_power, chains, q)
-    emul, eadd = ctx.mul, ctx.add
+    emul, addmul = ctx.mul, ctx.addmul_into
     trunc = S.trunc or any(l.trunc for l in log_elems)
     for m in range(1, M + 1):
         for A, nzA, B, minB, out, nz in chains:
@@ -214,8 +216,10 @@ def solve_log(ctx, log_elems, S):
                 eb = B[m - a]
                 if eb.is_zero():
                     continue
-                prod = emul(A[a], eb)
-                acc = prod if acc is None else eadd(acc, prod)
+                if acc is None:
+                    acc = emul(A[a], eb)
+                elif addmul(acc.t, A[a], eb):
+                    acc.trunc = True
             if acc is not None:
                 out[m] = acc
                 if not acc.is_zero():

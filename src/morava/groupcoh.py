@@ -18,6 +18,7 @@ factors, and the induced ring map is evaluated on normal forms.
 
 import itertools
 
+from .coeff import CoeffElem
 from .padic import PrecisionError
 from .report import make_check, precision_note
 from .series import (ms_add_into, ms_from_yseries, ms_mul, ms_new,
@@ -224,14 +225,20 @@ class CohRing:
             for a, c in prev.items():
                 if a == d - 1:
                     for b, rc in self.relred[i].items():
-                        prod = ctx.mul(c, rc)
-                        if not (prod.t or prod.trunc):
-                            continue
                         cur = new.get(b)
-                        s = prod if cur is None else ctx.add(cur, prod)
+                        if cur is None:
+                            prod = ctx.mul(c, rc)
+                            if prod.t or prod.trunc:
+                                new[b] = prod
+                            continue
+                        # cur is a coefficient of prev, shifted up: the sum
+                        # goes into a copy
+                        t = dict(cur.t)
+                        s = CoeffElem(ctx, t, ctx.addmul_into(t, c, rc)
+                                      or cur.trunc)
                         if s.t or s.trunc:
                             new[b] = s
-                        elif cur is not None:
+                        else:
                             del new[b]
                 else:
                     cur = new.get(a + 1)
@@ -278,7 +285,7 @@ def _relation(fgl, k, cap):
         raise ArithmeticError(
             "relation of the order-%d factor has degree %d, expected %d"
             % (fgl.p ** k, weierstrass_degree(s), d))
-    _, g = weierstrass_prepare(s)
+    g = weierstrass_prepare(s)
     got = (_reduction(g, d), s.trunc or g.trunc)
     fgl._r_cache[key] = got
     return got
@@ -390,11 +397,32 @@ def elem_int_mul(m, a):
 
 def _nf_accumulate(ring, out, exps, c):
     """Add c times the normal form of the monomial with the given exponents
-    into a coordinate accumulator."""
+    into a coordinate accumulator, whose coefficients it owns.
+
+    The products of each reduced factor but the last are formed first, and
+    those of the last are summed into the accumulator as they are formed.
+    The PrecisionError raised is the one that forming every product before
+    the first sum raises: when a sum raises, the products left are formed,
+    and the first of them to raise wins."""
     ctx = ring.ctx
+    wdegs = ring.wdegs
+    last = max((i for i, e in enumerate(exps) if e >= wdegs[i]), default=-1)
+    if last < 0:
+        cur = out.get(exps)
+        if cur is not None:
+            s = ctx.add(cur, c)
+            if s.t or s.trunc:
+                out[exps] = s
+            else:
+                del out[exps]
+        elif c.t or c.trunc:
+            # a copy: later sums are written into it in place
+            out[exps] = CoeffElem(ctx, dict(c.t), c.trunc)
+        return
     parts = [((), c)]
-    for i, e in enumerate(exps):
-        if e < ring.wdegs[i]:
+    for i in range(last):
+        e = exps[i]
+        if e < wdegs[i]:
             parts = [(key + (e,), val) for key, val in parts]
             continue
         row = sorted(ring.table_row(i, e).items())
@@ -405,12 +433,25 @@ def _nf_accumulate(ring, out, exps, c):
                 if prod.t or prod.trunc:
                     nxt.append((key + (a,), prod))
         parts = nxt
-    for key, val in parts:
+    row = sorted(ring.table_row(last, exps[last]).items())
+    tail = tuple(exps[last + 1:])
+    pairs = [(key + (a,) + tail, val, t) for key, val in parts
+             for a, t in row]
+    for i, (key, val, t) in enumerate(pairs):
         cur = out.get(key)
-        s = val if cur is None else ctx.add(cur, val)
-        if s.t or s.trunc:
-            out[key] = s
-        elif cur is not None:
+        try:
+            if cur is None:
+                prod = ctx.mul(val, t)
+                if prod.t or prod.trunc:
+                    out[key] = prod
+                continue
+            if ctx.addmul_into(cur.t, val, t):
+                cur.trunc = True
+        except PrecisionError:
+            for _, val, t in pairs[i:]:
+                ctx.mul(val, t)
+            raise
+        if not (cur.t or cur.trunc):
             del out[key]
 
 
@@ -442,15 +483,16 @@ def elem_mul(a, b):
     bterms = sorted(b.coord.items())
     for A, ca in sorted(a.coord.items()):
         for B, cb in bterms:
-            c = ctx.mul(ca, cb)
-            if not (c.t or c.trunc):
-                continue
             key = tuple(x + y for x, y in zip(A, B))
             cur = raw.get(key)
-            s = c if cur is None else ctx.add(cur, c)
-            if s.t or s.trunc:
-                raw[key] = s
-            elif cur is not None:
+            if cur is None:
+                c = ctx.mul(ca, cb)
+                if c.t or c.trunc:
+                    raw[key] = c
+                continue
+            if ctx.addmul_into(cur.t, ca, cb):
+                cur.trunc = True
+            if not (cur.t or cur.trunc):
                 del raw[key]
     out = {}
     for key in sorted(raw):
@@ -689,7 +731,12 @@ def _factor_block_unit(fgl, k, l, entry):
     """Change-of-basis block for one cyclic factor of the module structure:
     rows are basis exponents of the order-p^k ring, columns run over
     (image-basis power, complementary exponent).  Returns whether its
-    reduction has unit determinant."""
+    reduction has unit determinant, memoized on the law; nothing is stored
+    when the build raises."""
+    memo = (k, l, entry)
+    got = fgl._b_cache.get(memo)
+    if got is not None:
+        return got
     p, n = fgl.p, fgl.n
     big = build_cohring(AbelianPGroup(p, (k,)), fgl)
     small = build_cohring(AbelianPGroup(p, (l,)), fgl)
@@ -714,7 +761,8 @@ def _factor_block_unit(fgl, k, l, entry):
                 mat[key[0]][colidx] = (res, ue)
             colidx += 1
         base = elem_mul(base, img)
-    return _unit_det_monomial(p, mat)
+    got = fgl._b_cache[memo] = _unit_det_monomial(p, mat)
+    return got
 
 
 def _mono(ring, b):

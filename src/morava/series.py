@@ -120,7 +120,7 @@ def ser_mul(f, g):
     M = f.M
     out = [ctx.zero() for _ in range(M + 1)]
     trunc = f.trunc or g.trunc
-    emul, eadd = ctx.mul, ctx.add
+    addmul = ctx.addmul_into
     fa = [(i, a) for i, a in enumerate(f.c) if not a.is_zero()]
     gb = [(j, b) for j, b in enumerate(g.c) if not b.is_zero()]
     for i, a in fa:
@@ -128,8 +128,10 @@ def ser_mul(f, g):
             d = i + j
             if d > M:
                 trunc = True
-                continue
-            out[d] = eadd(out[d], emul(a, b))
+                break
+            e = out[d]
+            if addmul(e.t, a, b):
+                e.trunc = True
     return YSeries(ctx, out, trunc)
 
 
@@ -186,7 +188,8 @@ def ser_invert_unit(f):
         for i in range(1, m + 1):
             if f.c[i].is_zero():
                 continue
-            acc = ctx.add(acc, ctx.mul(f.c[i], out[m - i]))
+            if ctx.addmul_into(acc.t, f.c[i], out[m - i]):
+                acc.trunc = True
         out[m] = ctx.neg(ctx.mul(c0i, acc))
     return YSeries(ctx, out, f.trunc)
 
@@ -254,18 +257,18 @@ def weierstrass_divide(f, a):
 
 
 def weierstrass_prepare(f):
-    """f = U * g with U a unit series and g monic of degree d, lower
-    coefficients in the maximal ideal."""
+    """The g of f = U * g with U a unit series and g monic of degree d,
+    lower coefficients in the maximal ideal.  U is the inverse of the
+    quotient q of weierstrass_divide(y^d, f); no caller needs it, so it is
+    not formed."""
     ctx = f.ctx
     d = weierstrass_degree(f)
     if d > f.M:
         raise ValueError("Weierstrass degree exceeds the cap")
     yd = ser_monomial(ctx, f.M, d)
-    q, r = weierstrass_divide(yd, f)
+    _, r = weierstrass_divide(yd, f)
     # y^d = q*f + r  =>  g := y^d - r = q*f, and q(0) is a unit
-    g = ser_sub(yd, r)
-    U = ser_invert_unit(q)
-    return U, g
+    return ser_sub(yd, r)
 
 
 # Multivariable series
@@ -370,8 +373,10 @@ def ms_mul(A, B):
 
     Surviving pairs come in A's stored order, then B's, as in a loop over
     all pairs, so every key accumulates the same products in the same
-    sequence and the result keeps the same insertion order.  ``trunc`` is
-    set exactly when some pair is dropped."""
+    sequence and the result keeps the same insertion order.  A key whose
+    sum empties is deleted, its coefficient's trunc flag with it, and a
+    later pair re-inserts it at the end.  ``trunc`` is set exactly when
+    some pair is dropped."""
     _ms_check(A, B)
     ctx = A.ctx
     caps = A.caps
@@ -397,7 +402,7 @@ def ms_mul(A, B):
         degs.append(sum(kb))
     top = max(degs)
     rows = {}
-    eadd, emul = ctx.add, ctx.mul
+    emul, addmul = ctx.mul, ctx.addmul_into
     for ka, ea in A.t.items():
         row = full
         if tcap is not None:
@@ -415,11 +420,15 @@ def ms_mul(A, B):
                 continue
             k = tuple(map(add, ka, kb))
             cur = t.get(k)
-            s = emul(ea, eb) if cur is None else eadd(cur, emul(ea, eb))
-            if s.is_zero():
-                t.pop(k, None)
-            else:
-                t[k] = s
+            if cur is None:
+                cur = emul(ea, eb)
+                if cur.t:
+                    t[k] = cur
+                continue
+            if addmul(cur.t, ea, eb):
+                cur.trunc = True
+            if not cur.t:
+                del t[k]
     return MultiSeries(ctx, A.r, caps, t, trunc, tcap)
 
 

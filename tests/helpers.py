@@ -1,4 +1,5 @@
-"""Glue between the exact-rational reference and the engine's types."""
+"""Glue between the exact-rational reference and the engine's types, and a
+counter of coefficient products."""
 
 from morava.coeff import CoeffContext
 from morava.series import ser_new
@@ -14,6 +15,33 @@ def oc_to_elem(ctx, oc):
         c = ctx.padic.from_fraction(q.numerator, q.denominator)
         out = ctx.add(out, ctx.from_scalar(c, ue, ctx.vcode(vt)))
     return out
+
+
+def count_coeff_products(monkeypatch):
+    """Count coefficient products through both entry points of the kernel,
+    CoeffContext.mul and addmul_into; the mul that addmul_into makes for a
+    product of several terms is that same product and is not counted
+    again.  Returns the list that gets one entry per product."""
+    mul, addmul = CoeffContext.mul, CoeffContext.addmul_into
+    calls = []
+    inside = []
+
+    def counted_mul(self, A, B):
+        if not inside:
+            calls.append(None)
+        return mul(self, A, B)
+
+    def counted_addmul(self, t, A, B):
+        calls.append(None)
+        inside.append(None)
+        try:
+            return addmul(self, t, A, B)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CoeffContext, "mul", counted_mul)
+    monkeypatch.setattr(CoeffContext, "addmul_into", counted_addmul)
+    return calls
 
 
 def oc_series_to_yseries(ctx, ser, M=None):

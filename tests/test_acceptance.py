@@ -108,7 +108,8 @@ def test_criterion_2_pk_congruence_large():
 
 def test_criterion_3_ranks_and_freeness(tmp_path):
     report = tmp_path / "l24.json"
-    code = cli.main(["verify", "lemma-2.4", "--report", str(report)])
+    code = cli.main(["verify", "lemma-2.4", "--cache",
+                     str(tmp_path / "cache"), "--report", str(report)])
     doc = json.loads(report.read_text())
     checks = doc["checks"]
     ranks = [c for c in checks if c["check_id"] == "module-rank"]
@@ -203,10 +204,12 @@ def _digits_ok(checks):
 
 def test_criterion_6_height_drop(tmp_path):
     r1 = tmp_path / "p32.json"
-    c1 = cli.main(["verify", "prop-3.2", "--report", str(r1)])
+    c1 = cli.main(["verify", "prop-3.2", "--cache",
+                   str(tmp_path / "cache"), "--report", str(r1)])
     d1 = json.loads(r1.read_text())
     r2 = tmp_path / "p32n1.json"
-    c2 = cli.main(["verify", "prop-3.2-n1", "--report", str(r2)])
+    c2 = cli.main(["verify", "prop-3.2-n1", "--cache",
+                   str(tmp_path / "cache"), "--report", str(r2)])
     d2 = json.loads(r2.read_text())
     ok = (c1 == 0 and c2 == 0
           and [c["params"]["p"] for c in d1["checks"]] == [2, 3]
@@ -228,7 +231,8 @@ def test_criterion_6_height_drop_large(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     report = tmp_path / "p32L.json"
     code = cli.main(["verify", "prop-3.2", "--large", "--p", "2", "--n",
-                     "3", "--report", str(report)])
+                     "3", "--cache", str(tmp_path / "cache"),
+                     "--report", str(report)])
     doc = json.loads(report.read_text())
     digest = hashlib.sha256(json.dumps(doc["checks"], sort_keys=True)
                             .encode()).hexdigest()
@@ -243,7 +247,8 @@ def test_criterion_6_height_drop_large(tmp_path, monkeypatch):
 def test_criterion_7_localized_nonvanishing(tmp_path):
     report = tmp_path / "p33.json"
     t0 = time.monotonic()
-    code = cli.main(["verify", "prop-3.3", "--report", str(report)])
+    code = cli.main(["verify", "prop-3.3", "--cache",
+                     str(tmp_path / "cache"), "--report", str(report)])
     elapsed = time.monotonic() - t0
     doc = json.loads(report.read_text())
     by_key = {(c["params"]["p"], c["params"]["n"], c["params"]["r"]): c
@@ -266,7 +271,8 @@ def test_criterion_7_localized_nonvanishing(tmp_path):
 
 def test_criterion_8_quotient_transfer(tmp_path):
     report = tmp_path / "c34.json"
-    code = cli.main(["verify", "cor-3.4", "--report", str(report)])
+    code = cli.main(["verify", "cor-3.4", "--cache",
+                     str(tmp_path / "cache"), "--report", str(report)])
     doc = json.loads(report.read_text())
     groups = [c["params"]["group"] for c in doc["checks"]]
     ok = (code == 0 and groups == ["4", "4,2", "9"]

@@ -235,6 +235,36 @@ def _ref_scalar_mul(ctx, c, A):
     return CoeffElem(ctx, t, A.trunc)
 
 
+def _addmul_into(ctx, T, A, B):
+    """addmul_into on a copy of T's dict, with the product's trunc."""
+    t = dict(T.t)
+    return CoeffElem(ctx, t, ctx.addmul_into(t, A, B))
+
+
+def _add_of_mul(ctx, T, A, B):
+    """What addmul_into must leave: add(T, mul(A, B)), with the product's
+    trunc."""
+    P = ctx.mul(A, B)
+    return CoeffElem(ctx, ctx.add(T, P).t, P.trunc)
+
+
+def _addmul_cases(ctx, T, A, B):
+    """The kernel paths and term kinds one addmul_into draw reaches."""
+    short = min(len(A.t), len(B.t))
+    horizon, vtot, D = ctx.prune_horizon, ctx.vtotal, ctx.D
+    fits = [(ca, cb) for (_, va), ca in A.t.items()
+            for (_, vb), cb in B.t.items() if vtot[va] + vtot[vb] <= D]
+    cases = {"empty" if short == 0 else "one term" if short == 1
+             else "several terms"}
+    if len(fits) < len(A.t) * len(B.t):
+        cases.add("v-cap drop")
+    if short == 1 and any(ca.val + cb.val >= horizon for ca, cb in fits):
+        cases.add("pruned")
+    if any(c.unit == 0 for E in (T, A, B) for c in E.t.values()):
+        cases.add("zero marker")
+    return cases
+
+
 def _outcome(fn, *args):
     try:
         R = fn(*args)
@@ -307,10 +337,22 @@ def test_kernel_matches_per_pair_reference(p, n, N, D, floor):
     ctx = CoeffContext(p, n, N=N, D=D, floor=floor)
     rng = random.Random(1000 * p + 100 * n + N)
     results = {"ok": 0, "error": 0}
+    fused = {"ok": 0, "error": 0}
+    cases = set()
     for _ in range(250):
         A = _rand_elem(rng, ctx)
         B = _rand_elem(rng, ctx, like=A if rng.random() < 0.5 else None)
         c = _rand_scalar(rng, ctx)
+        # an accumulator that often meets the product's keys and cancels
+        try:
+            P = ctx.mul(A, B) if rng.random() < 0.6 else None
+        except PrecisionError:
+            P = None
+        T = _rand_elem(rng, ctx, like=P)
+        got = _outcome(_addmul_into, ctx, T, A, B)
+        assert got == _outcome(_add_of_mul, ctx, T, A, B)
+        fused[got[0]] += 1
+        cases |= _addmul_cases(ctx, T, A, B)
         pairs = [
             (_outcome(ctx.mul, A, B), _outcome(_ref_mul, ctx, A, B)),
             (_outcome(ctx.add, A, B), _outcome(_ref_merge, ctx, A, B, False)),
@@ -328,6 +370,11 @@ def test_kernel_matches_per_pair_reference(p, n, N, D, floor):
             results[got[0]] += 1
     # the draws reach the stored results and, above floor 1, the floor error
     assert results["ok"] and (results["error"] or ctx.padic.floor == 1)
+    assert fused["ok"] and (fused["error"] or ctx.padic.floor == 1)
+    want = {"empty", "one term", "several terms", "pruned", "zero marker"}
+    if n > 1:
+        want.add("v-cap drop")
+    assert want <= cases
 
 
 def test_kernel_off_table_precision_falls_back():
@@ -341,6 +388,29 @@ def test_kernel_off_table_precision_falls_back():
     assert _outcome(ctx.add, A, B) == _outcome(_ref_merge, ctx, A, B, False)
     assert _outcome(ctx.scalar_mul, big, B) == \
         _outcome(_ref_scalar_mul, ctx, big, B)
+
+
+def test_addmul_chain_matches_rational_oracle():
+    rng = random.Random(11)
+    for p, n, N, D in [(2, 1, 12, 3), (3, 2, 10, 3), (5, 3, 8, 2)]:
+        ctx = CoeffContext(p, n, N=N, D=D, floor=1)
+        for _ in range(20):
+            t, want = {}, {}
+            for _ in range(rng.randint(1, 6)):
+                ops = []
+                for _ in range(2):
+                    oc = {}
+                    for _ in range(rng.randint(1, 4)):
+                        vt = tuple(rng.randint(0, 1) for _ in range(n - 1))
+                        q = Fraction(rng.randint(-40, 40),
+                                     rng.choice((1, 1, 7)))
+                        if q:
+                            oc[(rng.randint(-1, 1), vt)] = q
+                    ops.append(oc)
+                a, b = ops
+                ctx.addmul_into(t, oc_to_elem(ctx, a), oc_to_elem(ctx, b))
+                want = oracles.qc_add(want, oracles.qc_mul(a, b))
+            assert ctx.eq_to(CoeffElem(ctx, t), oc_to_elem(ctx, want), N - 2)
 
 
 def test_kernel_products_match_rational_oracle():

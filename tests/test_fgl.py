@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from helpers import oc_series_to_yseries, oc_to_elem
-from morava.coeff import CoeffContext
+from helpers import count_coeff_products, oc_series_to_yseries, oc_to_elem
 from morava.fgl import (build_fgl, check_associativity, check_integrality,
                         check_pk_congruence, formal_sum, log_depth, solve_log)
 from morava.padic import PrecisionError
@@ -136,14 +135,7 @@ def test_associativity_coefficient_work_pinned(monkeypatch):
     # never reach the coefficient ring: the number of coefficient products
     # is that of a loop over every pair (18278, with 285 terms compared).
     law = build_fgl(2, 2, N=33, D=6, M=10)
-    mul = CoeffContext.mul
-    calls = []
-
-    def counted(self, A, B):
-        calls.append(None)
-        return mul(self, A, B)
-
-    monkeypatch.setattr(CoeffContext, "mul", counted)
+    calls = count_coeff_products(monkeypatch)
     ok, wit = check_associativity(law, cap=10)
     assert ok and wit["terms"] == 285
     assert len(calls) == 18278

@@ -12,10 +12,9 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from helpers import oc_to_elem
+from helpers import count_coeff_products, oc_to_elem
 from morava import groupcoh
 from morava.cli import Builder
-from morava.coeff import CoeffContext
 from morava.euler import (all_nontrivial_characters, euler_of_char,
                           reduced_euler, total_euler)
 from morava.fgl import build_fgl
@@ -25,7 +24,8 @@ from morava.groupcoh import (AbelianPGroup, CohRing, GroupHom, RingElem,
                              elem_mul, elem_scale, normal_form,
                              point_class_ms, pullback, series_in_elem,
                              verify_free_over_subring, verify_rank)
-from morava.padic import PrecisionError
+from morava.coeff import CoeffContext, CoeffElem
+from morava.padic import PadicScaled, PrecisionError
 from morava.series import (ms_eval, ms_from_yseries, ms_mul, ms_new,
                            ms_set)
 
@@ -353,6 +353,85 @@ def assert_same_as_reference(got, ref):
         assert_coeff_same_as_reference(got.coord[key], rc, key)
 
 
+def products_first_accumulate(ring, out, exps, c):
+    """The reduction of one monomial with every product formed before the
+    first sum: the order whose results and errors _nf_accumulate keeps."""
+    ctx = ring.ctx
+    parts = [((), c)]
+    for i, e in enumerate(exps):
+        if e < ring.wdegs[i]:
+            parts = [(key + (e,), val) for key, val in parts]
+            continue
+        row = sorted(ring.table_row(i, e).items())
+        nxt = []
+        for key, val in parts:
+            for a, t in row:
+                prod = ctx.mul(val, t)
+                if prod.t or prod.trunc:
+                    nxt.append((key + (a,), prod))
+        parts = nxt
+    for key, val in parts:
+        cur = out.get(key)
+        s = val if cur is None else ctx.add(cur, val)
+        if s.t or s.trunc:
+            out[key] = s
+        elif cur is not None:
+            del out[key]
+
+
+def rand_short_coeff(rng, ctx):
+    """One to three terms on u^-1, u^0, u^1 at valuations 0-2 and nearly
+    full precision, so that sums cancel digits often enough to meet a high
+    floor, within one product as well as across products."""
+    t = {}
+    for _ in range(rng.randint(1, 3)):
+        prec = rng.randint(ctx.N - 1, ctx.N)
+        unit = rng.randrange(1, ctx.p ** prec)
+        while unit % ctx.p == 0:
+            unit = rng.randrange(1, ctx.p ** prec)
+        t[(rng.randint(-1, 1), 0)] = PadicScaled(rng.randint(0, 2), unit,
+                                                 prec)
+    return CoeffElem(ctx, t, rng.random() < 0.1)
+
+
+def test_nf_accumulate_matches_products_first_order():
+    # the same stored coefficients and, when a floor is hit, the same
+    # PrecisionError as forming every product before the first sum; the
+    # input coefficient is never written to
+    outcomes = {"ok": 0, "error": 0}
+    for p, N, floor in [(2, 7, 6), (3, 5, 4), (2, 12, 9)]:
+        ctx = CoeffContext(p, 1, N=N, D=0, floor=floor)
+        rng = random.Random(100 * p + N)
+        for _ in range(150):
+            wdegs = (rng.randint(1, 3), rng.randint(1, 3))
+            relred = [{b: rand_short_coeff(rng, ctx) for b in range(d)}
+                      for d in wdegs]
+            ring = CohRing(None, SimpleNamespace(ctx=ctx), (9, 9), wdegs,
+                           relred, False)
+            outs = [{}, {}]
+            inputs = []
+            for _ in range(4):
+                exps = tuple(rng.randint(0, 2 * d) for d in wdegs)
+                c = rand_short_coeff(rng, ctx)
+                inputs.append((c, list(c.t.items())))
+                res = []
+                for fn, out in zip((products_first_accumulate,
+                                    groupcoh._nf_accumulate), outs):
+                    try:
+                        fn(ring, out, exps, c)
+                    except PrecisionError as e:
+                        res.append(("error", str(e), e.needed_extra))
+                    else:
+                        res.append(("ok", [(k, list(v.t.items()), v.trunc)
+                                           for k, v in out.items()]))
+                assert res[0] == res[1]
+                outcomes[res[0][0]] += 1
+                if res[0][0] == "error":
+                    break
+            assert all(list(c.t.items()) == t for c, t in inputs)
+    assert min(outcomes.values()) > 100
+
+
 def test_elem_mul_matches_per_pair_product(fgl21, fgl22, monkeypatch):
     rings = [build_cohring(AbelianPGroup(2, (1,)), fgl21, caps=(17,)),
              build_cohring(AbelianPGroup(2, (2, 1)), fgl22, caps=(17, 9)),
@@ -572,14 +651,7 @@ def test_point_class_matches_exact_rationals():
 
 
 def count_coeff_muls(monkeypatch, fn, *args):
-    mul = CoeffContext.mul
-    calls = []
-
-    def counted(self, A, B):
-        calls.append(None)
-        return mul(self, A, B)
-
-    monkeypatch.setattr(CoeffContext, "mul", counted)
+    calls = count_coeff_products(monkeypatch)
     out = fn(*args)
     monkeypatch.undo()
     return out, len(calls)
@@ -752,6 +824,33 @@ def test_failed_preparation_is_not_cached(monkeypatch, exc):
     assert build_cohring(group, law).relred[0] is ring.relred[0]
     assert len(calls) == 2
     assert ring.relred == build_cohring(group, law21()).relred
+
+
+def test_factor_block_memoized_on_law(monkeypatch):
+    # the freeness checks of C4 -> C2 and C4 x C2 -> C2 x C2 share the
+    # (k=2, l=1, entry=1) block; on one law the second reads it back
+    products = []
+    real = groupcoh.elem_mul
+
+    def counted(a, b):
+        products.append(None)
+        return real(a, b)
+
+    def starved(a, b):
+        raise PrecisionError("starved")
+
+    law = law21()
+    monkeypatch.setattr(groupcoh, "elem_mul", starved)
+    with pytest.raises(PrecisionError):
+        groupcoh._factor_block_unit(law, 2, 1, 1)
+    monkeypatch.setattr(groupcoh, "elem_mul", counted)
+    assert groupcoh._factor_block_unit(law, 2, 1, 1) is True
+    assert products
+    del products[:]
+    assert groupcoh._factor_block_unit(law, 2, 1, 1) is True
+    assert not products
+    assert groupcoh._factor_block_unit(law21(), 2, 1, 1) is True
+    assert products
 
 
 def test_cached_relation_gives_same_classes():

@@ -67,7 +67,7 @@ def gen_class(ring2):
 def _prepared(fgl, k):
     shifted = ser_rshift(fgl.pk_series(k), 1)
     d = weierstrass_degree(shifted)
-    _, g = weierstrass_prepare(shifted)
+    g = weierstrass_prepare(shifted)
     return g, d
 
 

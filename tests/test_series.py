@@ -142,12 +142,20 @@ def test_invert_randomized_unit_series():
             assert ctx.is_zero_to(back.c[d], 12)
 
 
+def prepare_with_unit(f):
+    """(U, g) with f = U * g: weierstrass_prepare gives g, and U is the
+    inverse of the quotient q in y^d = q * f + r."""
+    yd = ser_monomial(f.ctx, f.M, weierstrass_degree(f))
+    q, _ = weierstrass_divide(yd, f)
+    return ser_invert_unit(q), weierstrass_prepare(f)
+
+
 def test_weierstrass_trivial_monic(ctx):
     # y + p is already monic of degree 1
     M = 5
     f = ser_from_terms(ctx, M, {0: ctx.from_int(2), 1: ctx.one()})
     assert weierstrass_degree(f) == 1
-    U, g = weierstrass_prepare(f)
+    U, g = prepare_with_unit(f)
     assert ctx.eq_to(U.c[0], ctx.one(), 16)
     assert all(U.c[d].is_zero() for d in range(1, M + 1))
     assert g == f
@@ -159,7 +167,7 @@ def test_weierstrass_p_series_height_one():
     M = 6
     f = oc_series_to_yseries(ctx, O.m_series(2, 1, 2, M))
     assert weierstrass_degree(f) == 2
-    U, g = weierstrass_prepare(f)
+    U, g = prepare_with_unit(f)
     # monic quadratic; linear and constant coefficients in (p)
     assert ctx.eq_to(g.c[2], ctx.one(), 16)
     assert g.c[0].is_zero() or not ctx.reduce_mod_pv(g.c[0])
@@ -179,7 +187,7 @@ def test_weierstrass_p_series_height_two():
     M = 9
     f = oc_series_to_yseries(ctx, O.m_series(2, 2, 2, M))
     assert weierstrass_degree(f) == 4
-    U, g = weierstrass_prepare(f)
+    U, g = prepare_with_unit(f)
     assert ctx.eq_to(g.c[4], ctx.one(), 14)
     for d in range(4):
         assert not ctx.reduce_mod_pv(g.c[d])
