@@ -328,14 +328,10 @@ def ms_set(A, exps, e):
         A.t[exps] = e
 
 
-def ms_add(A, B):
-    return ms_add_into(MultiSeries(A.ctx, A.r, A.caps, dict(A.t), A.trunc,
-                                   A.tcap), B)
-
-
 def ms_add_into(A, B):
-    """A + B stored in A, with ms_add's keys, order and values.  Each
-    replaced coefficient is freed at once, not after the whole sum."""
+    """A + B stored in A, which is returned.  A key of B not in A goes to
+    the end, a key whose sum is zero is deleted, and each replaced
+    coefficient is freed at once, not after the whole sum."""
     _ms_check(A, B)
     ctx = A.ctx
     t = A.t
@@ -455,9 +451,11 @@ def ms_from_yseries(f, r, caps, var, tcap=None):
 
 def ms_powers(A):
     """A function e -> A^e by binary powering, each power made once and A^1
-    being A itself.  The chain of halvings is walked without recursion, so
-    the powers are freed with the returned function, not left to the cycle
-    collector."""
+    being A itself.  An odd e takes A^(e-1) and multiplies by A once: that
+    power is the square binary powering needs anyway, so it is taken from
+    the cache when there and stored when not.  The chain of halvings is
+    walked without recursion, so the powers are freed with the returned
+    function, not left to the cycle collector."""
     cache = {0: ms_one(A.ctx, A.r, A.caps, A.tcap), 1: A}
 
     def power(e):
@@ -466,36 +464,67 @@ def ms_powers(A):
             chain.append(e)
             e //= 2
         for e in reversed(chain):
-            half = cache[e // 2]
-            res = ms_mul(half, half)
-            cache[e] = ms_mul(res, A) if e % 2 else res
+            sq = e - e % 2
+            if sq not in cache:
+                half = cache[e // 2]
+                cache[sq] = ms_mul(half, half)
+            if e % 2:
+                cache[e] = ms_mul(cache[sq], A)
         return cache[e]
     return power
+
+
+def ms_permuted(A, perm):
+    """A with its variables renamed: variable j of the result is variable
+    perm[j] of A.  Keys keep A's order and the coefficients are A's own,
+    shared read-only.
+
+    The renamed caps must equal A's, and then ms_mul and ms_eval commute
+    with the renaming: the guard bits of equal caps agree, the total cap
+    sees the same degrees, and pairs are visited in the same order.  So
+    the renamed product or power is the one computed on renamed inputs,
+    key order and coefficients included."""
+    caps = tuple(A.caps[i] for i in perm)
+    if sorted(perm) != list(range(A.r)) or caps != A.caps:
+        raise ValueError("renaming must permute variables of equal caps")
+    t = {tuple(k[i] for i in perm): e for k, e in A.t.items()}
+    return MultiSeries(A.ctx, A.r, A.caps, t, A.trunc, A.tcap)
 
 
 def ms_eval(F, args):
     """Substitute multiseries (zero constant term) for the variables of F.
 
-    All args must share one shape; the result has that shape.  Each term of
-    F is one product of argument powers, scaled and added in sorted order.
-    Grouping the terms by rows of F first, as groupcoh.point_class_ms does
-    for disjoint variables, reorders the sums: at p=2, n=3, D=4, cap 12,
-    N=24 (an axiom-battery shape) check_associativity then raises
-    PrecisionError, 7 trusted digits against the floor of 8."""
-    if len(args) != F.r:
+    All args must share one shape; the result has that shape.  The powers
+    of each argument come from ms_powers, and ms_eval_powers sums the
+    terms.  Renaming variables of equal caps in every argument renames
+    them in the result, nothing else changing (see ms_permuted)."""
+    return ms_eval_powers(F, [ms_powers(A) for A in args])
+
+
+def ms_eval_powers(F, powers):
+    """ms_eval of F on the arguments powers[i](1), given as their power
+    functions e -> A_i^e, so that a caller holding powers already (renamed
+    ones, say: fgl.check_associativity) passes them in.
+
+    Each term of F is one product of argument powers, scaled and added in
+    sorted order.  Grouping the terms by rows of F first, as
+    groupcoh.point_class_ms does for disjoint variables, reorders the sums:
+    at p=2, n=3, D=4, cap 12, N=24 (an axiom-battery shape)
+    check_associativity then raises PrecisionError, 7 trusted digits
+    against the floor of 8."""
+    if len(powers) != F.r:
         raise ValueError("wrong argument count")
+    args = [pw(1) for pw in powers]
+    shape = args[0]
     for A in args[1:]:
-        _ms_check(args[0], A)
+        _ms_check(shape, A)
     for A in args:
         if (0,) * A.r in A.t:
             raise ValueError("substitution needs zero constant terms")
     ctx = F.ctx
-    shape = args[0]
     out = ms_new(ctx, shape.r, shape.caps, shape.tcap)
     out.trunc = F.trunc or any(A.trunc for A in args)
-    powers = [ms_powers(A) for A in args]
     for exps in sorted(F.t):
-        e = F.t[exps]
         term = None
         for i, x in enumerate(exps):
             if x == 0:
@@ -504,7 +533,7 @@ def ms_eval(F, args):
             term = px if term is None else ms_mul(term, px)
         if term is None:
             term = ms_one(ctx, shape.r, shape.caps, shape.tcap)
-        out = ms_add(out, ms_scale(e, term))
+        ms_add_into(out, ms_scale(F.t[exps], term))
     return out
 
 

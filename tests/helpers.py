@@ -1,5 +1,5 @@
-"""Glue between the exact-rational reference and the engine's types, and a
-counter of coefficient products."""
+"""Glue between the exact-rational reference and the engine's types, a
+counter of coefficient products and an exact view of a multiseries."""
 
 from morava.coeff import CoeffContext
 from morava.series import ser_new
@@ -51,3 +51,12 @@ def oc_series_to_yseries(ctx, ser, M=None):
     for d, oc in enumerate(ser[: M + 1]):
         f.c[d] = oc_to_elem(ctx, oc)
     return f
+
+
+def ms_content(A):
+    """Everything stored in a multiseries, orders included: its shape, its
+    trunc flag, and per key in stored order the coefficient's terms in
+    stored order, with each scalar's fields, and its trunc flag."""
+    return (A.caps, A.tcap, A.trunc,
+            [(k, [(ck, c.val, c.unit, c.prec) for ck, c in e.t.items()],
+              e.trunc) for k, e in A.t.items()])

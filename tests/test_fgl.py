@@ -9,12 +9,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from helpers import count_coeff_products, oc_series_to_yseries, oc_to_elem
+from helpers import (count_coeff_products, ms_content, oc_series_to_yseries,
+                     oc_to_elem)
 from morava.fgl import (build_fgl, check_associativity, check_integrality,
                         check_pk_congruence, formal_sum, log_depth, solve_log)
 from morava.padic import PrecisionError
-from morava.series import (YSeries, ms_eval, ms_from_yseries, ms_new, ms_set,
-                           ser_compose, ser_from_terms, ser_monomial, ser_new,
+from morava.series import (YSeries, ms_eval, ms_from_yseries, ms_new,
+                           ms_permuted, ms_powers, ms_set, ser_compose, ser_from_terms, ser_monomial, ser_new,
                            ser_scale)
 
 
@@ -103,18 +104,22 @@ def test_f_commutative(f21, f22):
                 assert ctx.eq_to(F.coeff((i, j)), F.coeff((j, i)), depth)
 
 
-def _assoc_check(fgl, cap, depth):
-    ctx = fgl.ctx
-    F = fgl.two_var(cap, cap, tcap=cap)
-    caps = (cap, cap, cap)
+def _gens(ctx, cap):
+    """x, y, z at caps (cap, cap, cap) and total cap cap."""
     gens = []
     for i in range(3):
-        g = ms_new(ctx, 3, caps, tcap=cap)
+        g = ms_new(ctx, 3, (cap, cap, cap), tcap=cap)
         e = [0, 0, 0]
         e[i] = 1
         ms_set(g, tuple(e), ctx.one())
         gens.append(g)
-    x, y, z = gens
+    return gens
+
+
+def _assoc_check(fgl, cap, depth):
+    ctx = fgl.ctx
+    F = fgl.two_var(cap, cap, tcap=cap)
+    x, y, z = _gens(ctx, cap)
     left = ms_eval(F, [ms_eval(F, [x, y]), z])
     right = ms_eval(F, [x, ms_eval(F, [y, z])])
     for key in set(left.t) | set(right.t):
@@ -130,15 +135,35 @@ def test_f_associative_height_two(f22):
     _assoc_check(f22, 5, 8)
 
 
+@pytest.mark.parametrize("p,n,D,cap,N", [
+    (2, 1, 1, 16, 59), (2, 2, 6, 16, 33), (2, 3, 4, 12, 24), (3, 1, 1, 12, 24)])
+def test_inner_law_renamed_equals_direct(p, n, D, cap, N):
+    # check_associativity takes F(y, z) and its powers from F(x, y) by
+    # renaming x->y->z: exact, stored order and scalars included, because
+    # the three variables share one cap
+    law = build_fgl(p, n, N=N, D=D, M=cap)
+    F = law.two_var(cap, cap, tcap=cap)
+    x, y, z = _gens(law.ctx, cap)
+    gpow = ms_powers(ms_eval(F, [x, y]))
+    hpow = ms_powers(ms_eval(F, [y, z]))
+    for e in range(1, cap + 1):
+        assert ms_content(ms_permuted(gpow(e), (2, 0, 1))) == \
+            ms_content(hpow(e)), e
+    assert hpow(1).t and hpow(cap).t
+
+
 def test_associativity_coefficient_work_pinned(monkeypatch):
     # ms_mul skips only the pairs of terms that fall off the caps, which
-    # never reach the coefficient ring: the number of coefficient products
-    # is that of a loop over every pair (18278, with 285 terms compared).
+    # never reach the coefficient ring, so every product counted here is one
+    # a loop over every pair makes too.  F(y, z) and its powers are renamed,
+    # not recomputed, and an odd power reuses its even square: 10136
+    # products, where forming both inner laws and all their powers took
+    # 18278, with the same 285 terms compared.
     law = build_fgl(2, 2, N=33, D=6, M=10)
     calls = count_coeff_products(monkeypatch)
     ok, wit = check_associativity(law, cap=10)
     assert ok and wit["terms"] == 285
-    assert len(calls) == 18278
+    assert len(calls) == 10136
 
 
 def test_integrality(f21, f22):

@@ -3,12 +3,15 @@ import random
 import pytest
 
 import oracles as O
-from helpers import oc_series_to_yseries
+from helpers import count_coeff_products, ms_content, oc_series_to_yseries
 
+import morava.series
 from morava.coeff import CoeffContext, CoeffElem
+from morava.padic import PadicScaled
 from morava.series import (MultiSeries, YSeries, golden_dump, golden_load,
-                           ms_add, ms_add_into, ms_eval, ms_from_yseries,
-                           ms_mul, ms_new, ms_one, ms_set, ser_add, ser_compose, ser_from_terms,
+                           ms_add_into, ms_eval, ms_from_yseries,
+                           ms_mul, ms_new, ms_one, ms_permuted, ms_powers,
+                           ms_set, ser_add, ser_compose, ser_from_terms,
                            ser_invert_unit, ser_monomial, ser_mul, ser_new,
                            ser_rshift, ser_scale, ser_sub,
                            weierstrass_degree, weierstrass_divide,
@@ -355,6 +358,20 @@ def test_ms_mul_only_total_cap_drops(ctx):
     assert not assert_same_product(C, B).trunc
 
 
+def ms_add(A, B):
+    """A + B in a new series, key by key in B's order: a sum that is zero
+    drops its key, a new key goes to the end."""
+    ctx = A.ctx
+    t = dict(A.t)
+    for k, e in B.t.items():
+        s = ctx.add(t[k], e) if k in t else e
+        if s.is_zero():
+            t.pop(k, None)
+        else:
+            t[k] = s
+    return MultiSeries(ctx, A.r, A.caps, t, A.trunc or B.trunc, A.tcap)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_ms_add_into_matches_ms_add(seed):
     # keys that cancel, keys shared, keys new; in place, same order and
@@ -372,6 +389,121 @@ def test_ms_add_into_matches_ms_add(seed):
     assert got is A and A.t is t
     assert list(got.t.items()) == list(want.t.items())
     assert got.trunc == want.trunc
+
+
+def ms_powers_per_square(A):
+    """ms_powers as it was before odd powers reused the even square: an odd
+    e squares A^(e//2) again and multiplies by A.  The reference the
+    current ms_powers must agree with."""
+    cache = {0: ms_one(A.ctx, A.r, A.caps, A.tcap), 1: A}
+
+    def power(e):
+        chain = []
+        while e not in cache:
+            chain.append(e)
+            e //= 2
+        for e in reversed(chain):
+            half = cache[e // 2]
+            res = ms_mul(half, half)
+            cache[e] = ms_mul(res, A) if e % 2 else res
+        return cache[e]
+    return power
+
+
+def with_zero_markers(rng, A):
+    """A with a shallow zero marker added to about a third of its
+    coefficients, and one coefficient that is nothing but a marker."""
+    ctx = A.ctx
+    for k, e in list(A.t.items()):
+        if rng.random() < 0.35:
+            t = dict(e.t)
+            t.setdefault((rng.randint(-2, 2), ctx.vcode((rng.randint(0, ctx.D),))),
+                         PadicScaled(rng.randint(1, 6), 0, 0))
+            A.t[k] = CoeffElem(ctx, t, e.trunc)
+    k = (1,) + (0,) * (A.r - 1)
+    A.t[k] = CoeffElem(ctx, {(0, 0): PadicScaled(3, 0, 0)})
+    return A
+
+
+# small enough that twenty powers per order stay quick
+POWER_SHAPES = [((4, 4), 5), ((6, 3), None), ((4, 4, 4), 4), ((3, 2, 2), None)]
+
+
+@pytest.mark.parametrize("caps,tcap", POWER_SHAPES)
+@pytest.mark.parametrize("seed", range(2))
+def test_ms_powers_matches_per_square_reference(caps, tcap, seed):
+    # every power, asked for in ascending, descending and shuffled order,
+    # so odd exponents meet A^(e-1) both cached and not yet made
+    rng = random.Random(seed)
+    ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
+    A = with_zero_markers(rng, random_ms(rng, ctx, caps, tcap,
+                                         rng.randint(4, 8)))
+    # with a unit constant term no power dies out below e = 20
+    zero = (0,) * len(caps)
+    if seed == 0:
+        A.t[zero] = ctx.from_int(rng.randint(1, 4) * 3 + 1)
+    else:
+        A.t.pop(zero, None)
+        A.trunc = True
+    want = ms_powers_per_square(A)
+    exps = list(range(21))
+    shuffled = exps[:]
+    rng.shuffle(shuffled)
+    for order in (exps, exps[::-1], shuffled):
+        power = ms_powers(A)
+        for e in order:
+            assert ms_content(power(e)) == ms_content(want(e)), e
+    assert power(1) is A
+    assert bool(power(20).t) == (seed == 0)
+
+
+def test_ms_powers_odd_power_reuses_even_square(monkeypatch):
+    rng = random.Random(5)
+    ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
+    A = random_ms(rng, ctx, (4, 4, 4), 4, 6)
+    A.t[(0, 0, 0)] = ctx.from_int(7)
+    muls = []
+    real_mul = morava.series.ms_mul
+
+    def counted(X, Y):
+        muls.append((X, Y))
+        return real_mul(X, Y)
+
+    monkeypatch.setattr(morava.series, "ms_mul", counted)
+    power = ms_powers(A)
+    A6 = power(6)
+    del muls[:]
+    products = count_coeff_products(monkeypatch)
+    A7 = power(7)
+    # one ms_mul, A^6 * A, with the coefficient products of that one call
+    assert len(muls) == 1 and muls[0][0] is A6 and muls[0][1] is A
+    spent = len(products)
+    assert spent > 0 and A7.t
+    assert ms_content(real_mul(A6, A)) == ms_content(A7)
+    assert len(products) == 2 * spent
+    # asked first, an odd power leaves the square it made for the next call
+    power = ms_powers(A)
+    power(5)
+    del muls[:]
+    power(4)
+    assert not muls
+
+
+def test_ms_permuted_renames_and_checks_caps(ctx):
+    A = ms_new(ctx, 3, (3, 3, 3), tcap=4)
+    for k in [(1, 2, 0), (0, 0, 1), (3, 0, 0)]:
+        ms_set(A, k, ctx.from_int(sum(k) + 1))
+    R = ms_permuted(A, (2, 0, 1))
+    assert list(R.t) == [(0, 1, 2), (1, 0, 0), (0, 3, 0)]
+    assert list(R.t.values()) == list(A.t.values())
+    assert (R.caps, R.tcap, R.trunc) == (A.caps, A.tcap, A.trunc)
+    B = ms_new(ctx, 3, (3, 3, 2))
+    ms_permuted(B, (1, 0, 2))  # swaps the two variables of cap 3
+    for perm in ((2, 0, 1), (0, 2, 1)):
+        with pytest.raises(ValueError):
+            ms_permuted(B, perm)
+    with pytest.raises(ValueError):
+        ms_permuted(A, (0, 0, 1))
 
 
 def test_ms_eval_substitution(ctx):
