@@ -10,12 +10,14 @@ and `--r` filter; `paper-suite` runs every maker per (p, n) shard.
 
 Two policies keep the records sound without hand-tuning:
 
-* Precision is adaptive.  Every computation starts from the requested
-  p-adic precision; when cancellation would drop a stored scalar under the
-  trust floor, `Builder.run` reruns it on a law with a doubling pad of
-  guard digits, for every verb, until GUARD_LIMIT digits over the request.
-  A record therefore never rests on fewer trusted digits than its stated
-  depth, and reports state the precision actually used.
+* Precision is adaptive, with one retry rule.  Every computation starts
+  from the requested p-adic precision, and every precision shortfall
+  raises PrecisionError; no record maker catches it.  `Builder.run` alone
+  reruns the computation, on a law with a doubling pad of guard digits
+  plus the error's `needed_extra`, for every verb.  Past GUARD_LIMIT digits
+  over the request the error propagates and the CLI exits 1.  A record
+  therefore never rests on fewer trusted digits than its stated depth,
+  and reports state the precision actually used.
 
 * Degree caps come from the junk budget.  Reduction against a degree-d
   relation feeds the cap overflow back into low degrees at valuation
@@ -168,26 +170,14 @@ class RunConfig:
             group_exps(self.group, p)
 
 
-def _starved(rec):
-    """Digits a check record left INDETERMINATE for a precision reason
-    asks for (at least 1); None for any other result."""
-    if not isinstance(rec, dict) or rec["verdict"] != "INDETERMINATE":
-        return None
-    wit = rec.get("witness") or {}
-    extra = wit.get("needed_extra")
-    reason = str(wit.get("reason", "")).lower()
-    if extra is None and "digit" not in reason and "precision" not in reason:
-        return None
-    return max(extra or 1, 1)
-
-
 class Builder:
     """Builds laws at adaptive precision and reruns starved computations.
 
-    Guard digits are added whenever a build or a computation raises
-    PrecisionError, or a record comes back INDETERMINATE for a precision
-    reason; the requested precision stays the baseline every fresh
-    computation starts from.
+    Every precision shortfall, in a law build or in a record maker, raises
+    PrecisionError, and this is the one place that reads it: guard digits
+    are added by the error's `needed_extra`, never by its message.  The
+    requested precision stays the baseline every fresh computation starts
+    from.  Past GUARD_LIMIT the error propagates and the CLI exits 1.
     """
 
     def __init__(self, cfg):
@@ -220,10 +210,9 @@ class Builder:
         return f
 
     def run(self, p, n, D, M, make):
-        """make(law), rerun on a law with more guard digits while it raises
-        PrecisionError or returns a starved record.  Past GUARD_LIMIT
-        digits over the request a starved record is returned as it is and
-        a PrecisionError is raised again."""
+        """make(law), rerun while it raises PrecisionError on a law with
+        the guard pad plus the error's `needed_extra` digits more.  Past
+        GUARD_LIMIT digits over the request the error is raised again."""
         # The guard pad doubles on every starved attempt: stacked
         # cancellations reveal their depth a few digits at a time, and a
         # linear pad can burn many attempts approaching the fixed point.
@@ -234,18 +223,11 @@ class Builder:
             N = f.ctx.N - 1 + pad
             pad *= 2
             try:
-                rec = make(f)
+                return make(f)
             except PrecisionError as e:
                 N += max(e.needed_extra, 1)
                 if N - self.N_req > GUARD_LIMIT:
                     raise
-                continue
-            extra = _starved(rec)
-            if extra is None:
-                return rec
-            N += extra
-            if N - self.N_req > GUARD_LIMIT:
-                return rec
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +660,8 @@ def cmd_verify(cfg, args):
           % (len(records), counts["PASS"], counts["FAIL"],
              counts["INDETERMINATE"], counts["EVIDENCE"]))
     if counts["INDETERMINATE"]:
-        print("flagged: %d INDETERMINATE record(s); raise --precision or "
-              "run with wider caps to settle them" % counts["INDETERMINATE"])
+        print("flagged: %d INDETERMINATE record(s); raise --t or run with "
+              "wider caps to settle them" % counts["INDETERMINATE"])
     _log("report written to %s" % path)
     return 1 if counts["FAIL"] else 0
 

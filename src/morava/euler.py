@@ -15,7 +15,6 @@ the vanishing factor is a structural zero, not a deep one.
 from .groupcoh import (AbelianPGroup, GroupHom, build_cohring, elem_eq_to,
                        elem_is_zero_to, elem_mul, normal_form, point_class_ms,
                        pullback, series_in_elem)
-from .padic import PrecisionError
 from .report import make_check, precision_note
 from .series import ser_compose, ser_rshift
 
@@ -189,34 +188,28 @@ def verify_restriction_vanishing(ring, ring_factory=None, probe_depth=4):
     failed = None
     trunc = ring.trunc
     control_applies = fgl.n >= ring.group.rank
-    try:
-        total = total_euler(ring)
-        control_nonzero = (not elem_is_zero_to(total, probe_depth)
-                           if control_applies else None)
-        for rep in orbit_representatives(ring.group):
-            sub, inc = subgroup_of_character(rep)
-            sub_ring = ring_factory(sub)
-            trunc = trunc or sub_ring.trunc
-            rtotal, rred = restricted_euler_products(ring, sub_ring, inc)
-            entry = {
-                "kernel_of": list(rep.values),
-                "subgroup": sub.descriptor(),
-                "total_restriction_exact_zero": rtotal.coord == {},
-                "reduced_restriction_exact_zero": rred.coord == {},
-            }
-            rmap = pullback(inc, ring, sub_ring)
-            entry["pullback_probe_zero"] = elem_is_zero_to(
-                rmap.apply(total), probe_depth)
-            subgroups.append(entry)
-            if not (entry["total_restriction_exact_zero"]
-                    and entry["reduced_restriction_exact_zero"]
-                    and entry["pullback_probe_zero"]):
-                failed = entry
-    except PrecisionError as e:
-        return make_check(
-            "restriction-vanishing", "lemma-2.6", params, "INDETERMINATE",
-            {"reason": str(e)},
-            precision_note(fgl.ctx, caps=ring.caps, truncated=True))
+    total = total_euler(ring)
+    control_nonzero = (not elem_is_zero_to(total, probe_depth)
+                       if control_applies else None)
+    for rep in orbit_representatives(ring.group):
+        sub, inc = subgroup_of_character(rep)
+        sub_ring = ring_factory(sub)
+        trunc = trunc or sub_ring.trunc
+        rtotal, rred = restricted_euler_products(ring, sub_ring, inc)
+        entry = {
+            "kernel_of": list(rep.values),
+            "subgroup": sub.descriptor(),
+            "total_restriction_exact_zero": rtotal.coord == {},
+            "reduced_restriction_exact_zero": rred.coord == {},
+        }
+        rmap = pullback(inc, ring, sub_ring)
+        entry["pullback_probe_zero"] = elem_is_zero_to(
+            rmap.apply(total), probe_depth)
+        subgroups.append(entry)
+        if not (entry["total_restriction_exact_zero"]
+                and entry["reduced_restriction_exact_zero"]
+                and entry["pullback_probe_zero"]):
+            failed = entry
     witness = {"subgroups": subgroups,
                "identity_restriction_nonzero": control_nonzero}
     control_ok = control_nonzero if control_applies else True
@@ -243,26 +236,20 @@ def verify_unit_divisibility(ring, m, depth=4):
         raise ValueError("m must be a unit residue")
     s = pow(m, -1, p)
     params = {"p": p, "n": fgl.n, "m": m, "s": s}
-    try:
-        sm = ser_compose(fgl.m_series(s), fgl.m_series(m))
-        series_ok = True
-        prod = fgl.m_series(s * m)
-        for d in range(sm.M + 1):
-            if not fgl.ctx.eq_to(sm.c[d], prod.c[d], max(depth, 10)):
-                series_ok = False
-                break
-        gen = ring.gen(0)
-        em = euler_of_char(ring, Character(ring.group, (m,)))
-        back = series_in_elem(ring, fgl.m_series(s), em)
-        undo_ok = elem_eq_to(back, gen, depth)
-        h = ser_rshift(fgl.m_series(s), 1)
-        divisor = elem_mul(em, series_in_elem(ring, h, em))
-        divide_ok = elem_eq_to(divisor, gen, depth)
-    except PrecisionError as e:
-        return make_check(
-            "unit-divisibility", "lemma-2.6", params, "INDETERMINATE",
-            {"reason": str(e)},
-            precision_note(fgl.ctx, caps=ring.caps, truncated=True))
+    sm = ser_compose(fgl.m_series(s), fgl.m_series(m))
+    series_ok = True
+    prod = fgl.m_series(s * m)
+    for d in range(sm.M + 1):
+        if not fgl.ctx.eq_to(sm.c[d], prod.c[d], max(depth, 10)):
+            series_ok = False
+            break
+    gen = ring.gen(0)
+    em = euler_of_char(ring, Character(ring.group, (m,)))
+    back = series_in_elem(ring, fgl.m_series(s), em)
+    undo_ok = elem_eq_to(back, gen, depth)
+    h = ser_rshift(fgl.m_series(s), 1)
+    divisor = elem_mul(em, series_in_elem(ring, h, em))
+    divide_ok = elem_eq_to(divisor, gen, depth)
     witness = {"s": s, "series_identity": series_ok,
                "ring_undo": undo_ok, "ring_divisibility": divide_ok}
     verdict = "PASS" if series_ok and undo_ok and divide_ok else "FAIL"

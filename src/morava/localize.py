@@ -17,7 +17,6 @@ from .fgl import formal_sum
 from .groupcoh import (AbelianPGroup, build_cohring, cohring_from_relation,
                        elem_eq_to, elem_is_zero_to, elem_mul, pullback,
                        series_in_elem, verify_free_over_subring)
-from .padic import PrecisionError
 from .report import make_check, precision_note
 from .series import (ser_compose, ser_from_terms, ser_invert_unit,
                      ser_rshift, ser_scale, ser_sub, weierstrass_degree,
@@ -99,35 +98,29 @@ def verify_mutual_euler_divisibility(ring, depth=4):
     params = {"p": p, "n": fgl.n, "group": ring.group.descriptor()}
     certs = []
     ok = True
-    try:
-        classes = {}
-        for ch in all_nontrivial_characters(ring.group):
-            classes[ch.values] = euler_of_char(ring, ch)
-        for ch in all_nontrivial_characters(ring.group):
-            rep = ch.orbit_representative()
-            if ch.values == rep:
-                continue
-            m = next(c for c in range(1, p)
-                     if Character(ring.group, rep).scaled(c).values
-                     == ch.values)
-            s = pow(m, -1, p)
-            ea, eb = classes[rep], classes[ch.values]
-            gm = ser_rshift(fgl.m_series(m), 1)
-            gs = ser_rshift(fgl.m_series(s), 1)
-            fwd = elem_eq_to(eb, elem_mul(ea, series_in_elem(ring, gm, ea)),
-                             depth)
-            bwd = elem_eq_to(ea, elem_mul(eb, series_in_elem(ring, gs, eb)),
-                             depth)
-            certs.append({"character": list(ch.values),
-                          "representative": list(rep),
-                          "m": m, "s": s,
-                          "divides_forward": fwd, "divides_backward": bwd})
-            ok = ok and fwd and bwd
-    except PrecisionError as e:
-        return make_check(
-            "mutual-euler-divisibility", "lemma-2.6", params, "INDETERMINATE",
-            {"reason": str(e)},
-            precision_note(fgl.ctx, caps=ring.caps, truncated=True))
+    classes = {}
+    for ch in all_nontrivial_characters(ring.group):
+        classes[ch.values] = euler_of_char(ring, ch)
+    for ch in all_nontrivial_characters(ring.group):
+        rep = ch.orbit_representative()
+        if ch.values == rep:
+            continue
+        m = next(c for c in range(1, p)
+                 if Character(ring.group, rep).scaled(c).values
+                 == ch.values)
+        s = pow(m, -1, p)
+        ea, eb = classes[rep], classes[ch.values]
+        gm = ser_rshift(fgl.m_series(m), 1)
+        gs = ser_rshift(fgl.m_series(s), 1)
+        fwd = elem_eq_to(eb, elem_mul(ea, series_in_elem(ring, gm, ea)),
+                         depth)
+        bwd = elem_eq_to(ea, elem_mul(eb, series_in_elem(ring, gs, eb)),
+                         depth)
+        certs.append({"character": list(ch.values),
+                      "representative": list(rep),
+                      "m": m, "s": s,
+                      "divides_forward": fwd, "divides_backward": bwd})
+        ok = ok and fwd and bwd
     witness = {"certificates": certs}
     if not certs:
         witness["note"] = ("every orbit is a singleton; the two Euler "
@@ -161,39 +154,34 @@ def verify_height_drop_unit(fgl, ring=None, T=None, sat_depth=1):
                          % (p ** n + p ** (n - 1)))
     params = {"p": p, "n": n}
     keep = n - 1
-    try:
-        if ring is None:
-            ring = build_cohring(AbelianPGroup(p, (1,)), fgl,
-                                 caps=(fgl.M,))
-        if T is None:
-            T = ring.rank
-        vlow = ctx.v_gen(n - 1)
-        vtop = ctx.u_mono(p ** n - 1)
-        two_term = formal_sum(fgl, [
-            ser_from_terms(ctx, fgl.M, {p ** (n - 1): vlow}),
-            ser_from_terms(ctx, fgl.M, {p ** n: vtop}),
-        ])
-        c1 = ser_congruent_mod_ideal(fgl.pk_series(1), two_term, keep,
-                                     sat_depth)
+    if ring is None:
+        ring = build_cohring(AbelianPGroup(p, (1,)), fgl,
+                             caps=(fgl.M,))
+    if T is None:
+        T = ring.rank
+    vlow = ctx.v_gen(n - 1)
+    vtop = ctx.u_mono(p ** n - 1)
+    two_term = formal_sum(fgl, [
+        ser_from_terms(ctx, fgl.M, {p ** (n - 1): vlow}),
+        ser_from_terms(ctx, fgl.M, {p ** n: vtop}),
+    ])
+    c1 = ser_congruent_mod_ideal(fgl.pk_series(1), two_term, keep,
+                                 sat_depth)
 
-        inv_img = ser_compose(fgl.m_series(-1),
-                              ser_from_terms(ctx, fgl.M, {p ** n: vtop}))
-        eps = ser_scale(ctx.neg(ctx.invert(vtop)),
-                        ser_rshift(inv_img, p ** n))
-        c2 = ctx.eq_to(eps.c[0], ctx.one(), 8)
+    inv_img = ser_compose(fgl.m_series(-1),
+                          ser_from_terms(ctx, fgl.M, {p ** n: vtop}))
+    eps = ser_scale(ctx.neg(ctx.invert(vtop)),
+                    ser_rshift(inv_img, p ** n))
+    c2 = ctx.eq_to(eps.c[0], ctx.one(), 8)
 
-        texp = p ** n - p ** (n - 1)
-        num = series_in_elem(
-            ring, ser_scale(ctx.neg(ctx.invert(vtop)), ser_invert_unit(eps)),
-            ring.gen(0))
-        equal, cert = saturation_certificate(
-            elem_mul(ring.const(vlow), num), ring.gen(0), texp, T,
-            lambda a, b, d: elem_congruent_mod_ideal(a, b, keep, d),
-            sat_depth)
-    except PrecisionError as e:
-        return make_check(
-            "height-drop-unit", "prop-3.2", params, "INDETERMINATE",
-            {"reason": str(e)}, precision_note(ctx, truncated=True))
+    texp = p ** n - p ** (n - 1)
+    num = series_in_elem(
+        ring, ser_scale(ctx.neg(ctx.invert(vtop)), ser_invert_unit(eps)),
+        ring.gen(0))
+    equal, cert = saturation_certificate(
+        elem_mul(ring.const(vlow), num), ring.gen(0), texp, T,
+        lambda a, b, d: elem_congruent_mod_ideal(a, b, keep, d),
+        sat_depth)
     caps_sound = ring.caps[0] >= sound_mod_ideal_cap(fgl)
     witness = {
         "two_term_congruence": c1,
@@ -230,47 +218,41 @@ def verify_inverted_prime_model(fgl, T=None, depth=16):
     if n != 1:
         raise ValueError("this check is the height-1 case")
     params = {"p": p, "n": 1}
-    try:
-        v1 = ctx.u_mono(p - 1)
-        two_term = formal_sum(fgl, [
-            ser_from_terms(ctx, fgl.M, {1: ctx.from_int(p)}),
-            ser_from_terms(ctx, fgl.M, {p: v1}),
-        ])
-        ps = fgl.pk_series(1)
-        c1 = all(ctx.eq_to(ps.c[i], two_term.c[i], depth)
-                 for i in range(fgl.M + 1))
+    v1 = ctx.u_mono(p - 1)
+    two_term = formal_sum(fgl, [
+        ser_from_terms(ctx, fgl.M, {1: ctx.from_int(p)}),
+        ser_from_terms(ctx, fgl.M, {p: v1}),
+    ])
+    ps = fgl.pk_series(1)
+    c1 = all(ctx.eq_to(ps.c[i], two_term.c[i], depth)
+             for i in range(fgl.M + 1))
 
-        inv_img = ser_compose(fgl.m_series(-1),
-                              ser_from_terms(ctx, fgl.M, {p: v1}))
-        phi = ser_sub(ser_from_terms(ctx, fgl.M, {1: ctx.from_int(p)}),
-                      inv_img)
-        phi1 = ser_rshift(phi, 1)
-        wdeg = weierstrass_degree(phi1)
-        g = weierstrass_prepare(phi1)
-        ring = cohring_from_relation(fgl, g, wdeg)
-        if T is None:
-            T = ring.rank
+    inv_img = ser_compose(fgl.m_series(-1),
+                          ser_from_terms(ctx, fgl.M, {p: v1}))
+    phi = ser_sub(ser_from_terms(ctx, fgl.M, {1: ctx.from_int(p)}),
+                  inv_img)
+    phi1 = ser_rshift(phi, 1)
+    wdeg = weierstrass_degree(phi1)
+    g = weierstrass_prepare(phi1)
+    ring = cohring_from_relation(fgl, g, wdeg)
+    if T is None:
+        T = ring.rank
 
-        eps = ser_scale(ctx.neg(ctx.invert(v1)), ser_rshift(inv_img, p))
-        c2 = ctx.eq_to(eps.c[0], ctx.one(), 8)
-        y = ring.gen(0)
-        num = series_in_elem(
-            ring, ser_scale(ctx.neg(ctx.invert(v1)), ser_invert_unit(eps)), y)
-        pnum = elem_mul(ring.const(ctx.from_int(p)), num)
-        equal, cert = saturation_certificate(pnum, y, p - 1, T, elem_eq_to,
-                                             depth)
+    eps = ser_scale(ctx.neg(ctx.invert(v1)), ser_rshift(inv_img, p))
+    c2 = ctx.eq_to(eps.c[0], ctx.one(), 8)
+    y = ring.gen(0)
+    num = series_in_elem(
+        ring, ser_scale(ctx.neg(ctx.invert(v1)), ser_invert_unit(eps)), y)
+    pnum = elem_mul(ring.const(ctx.from_int(p)), num)
+    equal, cert = saturation_certificate(pnum, y, p - 1, T, elem_eq_to,
+                                         depth)
 
-        # multiplication by y has determinant (-1)^(d-1) times the reduced
-        # constant term of the monic relation
-        det = ring.relred[0].get(0, ctx.zero())
-        det_val = min((c.val for c in det.t.values() if c.unit != 0),
-                      default=None)
-        prec = min_stored_prec(ctx, list(pnum.coord.values()) + [det])
-    except PrecisionError as e:
-        return make_check(
-            "inverted-prime-model", "prop-3.2", params, "INDETERMINATE",
-            {"reason": str(e), "needed_extra": e.needed_extra},
-            precision_note(ctx, truncated=True))
+    # multiplication by y has determinant (-1)^(d-1) times the reduced
+    # constant term of the monic relation
+    det = ring.relred[0].get(0, ctx.zero())
+    det_val = min((c.val for c in det.t.values() if c.unit != 0),
+                  default=None)
+    prec = min_stored_prec(ctx, list(pnum.coord.values()) + [det])
     witness = {
         "two_term_identity": c1,
         "unit_series_constant_term_one": c2,
@@ -305,23 +287,17 @@ def verify_localized_nonvanishing(ring, T=8, depth=2):
     r = ring.group.rank
     params = {"p": fgl.p, "n": fgl.n, "r": r, "t_bound": T}
     powers = []
-    try:
-        e = total_euler(ring)
-        acc = ring.one()
-        least_zero = None
-        for t in range(1, T + 1):
-            acc = elem_mul(acc, e)
-            z = elem_is_zero_to(acc, depth)
-            powers.append({"t": t, "zero_to_depth": z})
-            if z and least_zero is None:
-                least_zero = t
-            if z and fgl.n < r:
-                break
-    except PrecisionError as exc:
-        return make_check(
-            "localized-nonvanishing", "prop-3.3", params, "INDETERMINATE",
-            {"reason": str(exc)},
-            precision_note(fgl.ctx, caps=ring.caps, truncated=True))
+    e = total_euler(ring)
+    acc = ring.one()
+    least_zero = None
+    for t in range(1, T + 1):
+        acc = elem_mul(acc, e)
+        z = elem_is_zero_to(acc, depth)
+        powers.append({"t": t, "zero_to_depth": z})
+        if z and least_zero is None:
+            least_zero = t
+        if z and fgl.n < r:
+            break
     witness = {"powers": powers}
     if fgl.n >= r:
         verdict = "EVIDENCE" if least_zero is None else "FAIL"
@@ -343,33 +319,27 @@ def verify_elementary_quotient_transfer(group, fgl, caps=None,
     free over the image of the quotient ring."""
     p = fgl.p
     params = {"p": p, "n": fgl.n, "group": group.descriptor()}
-    try:
-        ring = build_cohring(group, fgl, caps=caps)
-        target, q = group.elementary_quotient()
-        ring_t = build_cohring(target, fgl, caps=sub_caps)
+    ring = build_cohring(group, fgl, caps=caps)
+    target, q = group.elementary_quotient()
+    ring_t = build_cohring(target, fgl, caps=sub_caps)
 
-        induced = []
-        for ch in all_nontrivial_characters(target):
-            induced.append(ch.as_hom().compose(q).mat[0])
-        all_chars = {c.values for c in all_nontrivial_characters(group)}
-        bijection = (len(set(induced)) == len(induced)
-                     and set(induced) == all_chars)
+    induced = []
+    for ch in all_nontrivial_characters(target):
+        induced.append(ch.as_hom().compose(q).mat[0])
+    all_chars = {c.values for c in all_nontrivial_characters(group)}
+    bijection = (len(set(induced)) == len(induced)
+                 and set(induced) == all_chars)
 
-        total = total_euler(ring)
-        acc = ring.one()
-        for vals in sorted(induced):
-            acc = elem_mul(acc, euler_of_char(ring, Character(group, vals)))
-        factorwise = elem_eq_to(acc, total, strong_depth)
+    total = total_euler(ring)
+    acc = ring.one()
+    for vals in sorted(induced):
+        acc = elem_mul(acc, euler_of_char(ring, Character(group, vals)))
+    factorwise = elem_eq_to(acc, total, strong_depth)
 
-        image = pullback(q, ring_t, ring).apply(total_euler(ring_t))
-        pulled = elem_eq_to(image, total, depth)
+    image = pullback(q, ring_t, ring).apply(total_euler(ring_t))
+    pulled = elem_eq_to(image, total, depth)
 
-        freeness = verify_free_over_subring(q, ring, ring_t)
-    except PrecisionError as e:
-        return make_check(
-            "elementary-quotient-transfer", "cor-3.4", params,
-            "INDETERMINATE", {"reason": str(e)},
-            precision_note(fgl.ctx, truncated=True))
+    freeness = verify_free_over_subring(q, ring, ring_t)
     witness = {
         "character_bijection": bijection,
         "factorwise_total_match": factorwise,
@@ -378,9 +348,7 @@ def verify_elementary_quotient_transfer(group, fgl, caps=None,
     }
     checks = (bijection and factorwise and pulled
               and freeness["verdict"] == "PASS")
-    verdict = ("PASS" if checks else
-               "INDETERMINATE" if freeness["verdict"] == "INDETERMINATE"
-               else "FAIL")
+    verdict = "PASS" if checks else "FAIL"
     return make_check(
         "elementary-quotient-transfer", "cor-3.4", params, verdict, witness,
         precision_note(fgl.ctx, caps=ring.caps, truncated=ring.trunc,

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from morava import cli
+from morava import cli, euler, groupcoh
 from morava.euler import total_euler
 from morava.fgl import FormalGroupLaw, build_fgl
 from morava.groupcoh import AbelianPGroup, build_cohring
@@ -213,19 +213,75 @@ def test_verify_height_one_suite_rejects_other_heights(capsys):
     assert "no prop-3.2-n1 instance matches" in capsys.readouterr().err
 
 
-def test_run_returns_starved_record_at_guard_limit():
+def test_run_raises_past_guard_limit():
     # the guard pad doubles until N would pass GUARD_LIMIT over the request
     bld = cli.Builder(SimpleNamespace(cache_dir=None, N_req=16))
     built = []
 
     def starved(f):
         built.append(f.ctx.N)
-        return make_check("x", "sec-2.1", {}, "INDETERMINATE",
-                          {"needed_extra": 1})
+        raise PrecisionError("starved", needed_extra=1)
 
-    rec = bld.run(2, 1, 1, 3, starved)
-    assert rec["verdict"] == "INDETERMINATE"
+    with pytest.raises(PrecisionError):
+        bld.run(2, 1, 1, 3, starved)
     assert built == [16, 24, 40, 72, 136, 264, 520]
+
+
+def _raise_once(fn, exc):
+    """fn, except that its first call raises exc."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def _only_record(check_id):
+    doc = json.loads(open("morava-report.json").read())
+    recs = [c for c in doc["checks"] if c["check_id"] == check_id]
+    assert len(recs) == 1
+    return recs[0]
+
+
+# One message per site whose text names neither digits nor precision.
+@pytest.mark.parametrize("exc", [
+    PrecisionError("zero verdict at depth 4 exceeds tracked cancellation "
+                   "depth", needed_extra=2),
+    PrecisionError("zero known only modulo p^2, verdict needs p^4",
+                   needed_extra=2),
+    PrecisionError("cannot invert a value known only to be divisible by "
+                   "p^3"),
+    PrecisionError("Weierstrass division did not settle within the "
+                   "iteration budget"),
+], ids=["cancellation-depth", "padic-zero", "invert", "weierstrass"])
+def test_retry_reads_needed_extra_not_message(exc, monkeypatch, capsys):
+    monkeypatch.delenv("MORAVA_CACHE_DIR", raising=False)
+    monkeypatch.setattr(euler, "pullback", _raise_once(euler.pullback, exc))
+    assert run_cli(["verify", "lemma-2.6", "--p", "2", "--n", "1",
+                    "--group", "2"]) == 0
+    rec = _only_record("restriction-vanishing")
+    assert rec["verdict"] == "PASS"
+    assert rec["precision_loss"]["N"] > 16
+
+
+def test_nested_freeness_shortfall_retries_transfer(monkeypatch, capsys):
+    # a starved freeness witness inside cor-3.4 reruns the whole record
+    monkeypatch.delenv("MORAVA_CACHE_DIR", raising=False)
+    argv = ["verify", "cor-3.4", "--p", "2", "--group", "4,2"]
+    assert run_cli(argv + ["--cache", "plain"]) == 0
+    plain = _only_record("elementary-quotient-transfer")
+    monkeypatch.setattr(groupcoh, "_factor_block_unit",
+                        _raise_once(groupcoh._factor_block_unit,
+                                    PrecisionError("starved")))
+    assert run_cli(argv + ["--cache", "patched"]) == 0
+    rec = _only_record("elementary-quotient-transfer")
+    assert rec["verdict"] == "PASS"
+    assert rec["witness"]["freeness"]["verdict"] == "PASS"
+    assert rec["precision_loss"]["N"] > plain["precision_loss"]["N"]
 
 
 def test_verify_gives_up_when_precision_never_stabilizes(monkeypatch,
