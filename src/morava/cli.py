@@ -144,7 +144,7 @@ class RunConfig:
         self.n = args.n
         self.N_req = args.precision
         self.D = args.vdeg
-        self.M = args.ydeg
+        self.M = getattr(args, "ydeg", None)
         group = getattr(args, "group", None)
         self.group = parse_orders(group) if group else None
         self.T = getattr(args, "t", None)
@@ -249,10 +249,13 @@ def scalar_text(ctx, c, digits):
     return "%d/%d" % (m, p ** (-c.val))
 
 
-def coeff_text(ctx, e, digits):
+def coeff_text(ctx, e, digits, weight):
+    """The coefficient e, homogeneous of this weight, as text: each term
+    gets back the power of u that the grading gives it."""
     parts = []
-    for (ue, vc), c in ctx.iter_terms_sorted(e):
+    for vc, c in ctx.iter_terms_sorted(e):
         factors = []
+        ue = ctx.u_exponent(weight, vc)
         if ue == 1:
             factors.append("u")
         elif ue:
@@ -286,7 +289,7 @@ def series_lines(s, digits):
         e = s.c[d]
         if not e.t:
             continue
-        cs = coeff_text(ctx, e, digits)
+        cs = coeff_text(ctx, e, digits, d - 1)
         ytag = "y" if d == 1 else "y^%d" % d
         if d == 0:
             lines.append(cs)
@@ -301,14 +304,17 @@ def series_lines(s, digits):
     return lines or ["0"]
 
 
-def elem_lines(x, digits):
+def elem_lines(x, digits, factors):
+    """The ring element x, a product of this many Euler classes of
+    characters, one coordinate a line; the coefficient of y^exps has
+    weight |exps| - factors."""
     ctx = x.ring.ctx
     lines = []
     for exps in sorted(x.coord):
         mono = "*".join(("y%d" % (i + 1)) + ("" if e == 1 else "^%d" % e)
                         for i, e in enumerate(exps) if e) or "1"
-        lines.append("  %s: %s"
-                     % (mono, coeff_text(ctx, x.coord[exps], digits)))
+        text = coeff_text(ctx, x.coord[exps], digits, sum(exps) - factors)
+        lines.append("  %s: %s" % (mono, text))
     return lines or ["  0"]
 
 
@@ -731,16 +737,19 @@ def cmd_euler(cfg, args):
         return total_euler(ring), reduced_euler(ring)[0]
 
     total, red = Builder(cfg).run(p, n, D, max(caps), compute)
+    # one factor per nontrivial character of the p-torsion, and for the
+    # reduced class one per line through the origin
+    chars = p ** group.rank - 1
     both = not (args.total or args.reduced)
     if args.total or both:
         print("total Euler class (group %s, p=%d, n=%d):"
               % (group.descriptor(), p, n))
-        for line in elem_lines(total, cfg.N_req):
+        for line in elem_lines(total, cfg.N_req, chars):
             print(line)
     if args.reduced or both:
         print("reduced Euler class (group %s, p=%d, n=%d):"
               % (group.descriptor(), p, n))
-        for line in elem_lines(red, cfg.N_req):
+        for line in elem_lines(red, cfg.N_req, chars // (p - 1)):
             print(line)
     return 0
 
@@ -758,10 +767,12 @@ def build_parser():
         sp.add_argument("--precision", type=int, default=16,
                         help="p-adic digits (default 16, padded as needed)")
         sp.add_argument("--vdeg", type=int, help="total v-degree cap")
-        sp.add_argument("--ydeg", type=int, help="y-degree cap")
         sp.add_argument("--cache", help="cache directory "
                                         "(default $MORAVA_CACHE_DIR or "
                                         ".cache)")
+
+    def add_ydeg(sp):
+        sp.add_argument("--ydeg", type=int, help="y-degree cap")
 
     def add_group(sp):
         sp.add_argument("--group",
@@ -769,6 +780,7 @@ def build_parser():
 
     sp = sub.add_parser("pseries", help="print a p^k-series")
     add_common(sp)
+    add_ydeg(sp)
     sp.add_argument("--k", type=int, default=1, help="series index")
     sp.add_argument("--check-congruence", action="store_true",
                     help="assert the leading-term congruence")
@@ -777,6 +789,7 @@ def build_parser():
 
     sp = sub.add_parser("euler", help="print Euler classes of a group")
     add_common(sp)
+    add_ydeg(sp)
     add_group(sp)
     sp.add_argument("--total", action="store_true")
     sp.add_argument("--reduced", action="store_true")

@@ -1,11 +1,19 @@
 """Coefficients for height-n formal group computations.
 
-An element lives in Z_p[u, u^-1][[v_1, ..., v_{n-1}]] truncated at total
-v-degree D.  Storage is a sparse dict keyed by (u exponent, packed v
-multidegree); the v multidegree (b_1, ..., b_{n-1}) is packed in base D+1 as
-sum(b_i * (D+1)**(i-1)), so multidegrees add as plain ints whenever the
-total degrees fit under the cap.  Scalars are PadicScaled values from the
-same context.
+An element lives in E_0 = Z_p[[v_1, ..., v_{n-1}]] truncated at total
+v-degree D: the degree-0 part of the even periodic Morava E-theory E_* =
+E_0[u, u^-1], with the periodicity generator u set to 1.  Storage is a
+sparse dict keyed by the packed v multidegree (b_1, ..., b_{n-1}), packed
+in base D+1 as sum(b_i * (D+1)**(i-1)), so multidegrees add as plain ints
+whenever the total degrees fit under the cap.  Scalars are PadicScaled
+values from the same context.
+
+Setting u = 1 is sound because every stored coefficient is homogeneous:
+the coefficient of a monomial of weight w (y^d in a series has weight
+d - 1) is a sum of terms u^e v^b with e + sum (p^i - 1) b_i = w, so the
+u-exponent of each term follows from its v-code.  ``u_exponent`` restores
+it where text is written (the CLI printer and the golden-vector format);
+nothing else needs it.  v_n = u^(p^n - 1) is 1.
 
 Terms whose scalar is settled past the prune horizon (working precision plus
 a fixed pad) are dropped: nothing representable at working precision can see
@@ -80,8 +88,8 @@ class CoeffElem:
         if not self.t:
             return "CoeffElem(0)"
         bits = []
-        for (ue, vc), c in sorted(self.t.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            bits.append("u^%d v~%d: %r" % (ue, vc, c))
+        for vc, c in sorted(self.t.items()):
+            bits.append("v~%d: %r" % (vc, c))
         tag = " trunc" if self.trunc else ""
         return "CoeffElem{%s%s}" % ("; ".join(bits), tag)
 
@@ -143,20 +151,17 @@ class CoeffContext:
         return CoeffElem(self, {})
 
     def one(self):
-        return CoeffElem(self, {(0, 0): self.padic.one()})
+        return CoeffElem(self, {0: self.padic.one()})
 
-    def from_int(self, m, uexp=0):
+    def from_int(self, m):
         if m == 0:
             return CoeffElem(self, {})
-        return CoeffElem(self, {(uexp, 0): self.padic.from_int(m)})
+        return CoeffElem(self, {0: self.padic.from_int(m)})
 
-    def from_scalar(self, c, uexp=0, vcode=0):
+    def from_scalar(self, c, vcode=0):
         if c.unit == 0 and c.val >= self.prune_horizon:
             return CoeffElem(self, {})
-        return CoeffElem(self, {(uexp, vcode): c})
-
-    def u_mono(self, uexp, m=1):
-        return self.from_int(m, uexp)
+        return CoeffElem(self, {vcode: c})
 
     def v_gen(self, i):
         """The generator v_i, 1 <= i <= n-1."""
@@ -164,7 +169,7 @@ class CoeffContext:
             raise ValueError("v_%d does not exist at height %d" % (i, self.n))
         if self.D < 1:
             return CoeffElem(self, {}, trunc=True)
-        return CoeffElem(self, {(0, (self.D + 1) ** (i - 1)): self.padic.one()})
+        return CoeffElem(self, {(self.D + 1) ** (i - 1): self.padic.one()})
 
     # helpers
 
@@ -176,7 +181,7 @@ class CoeffContext:
         return t
 
     def iter_terms_sorted(self, A):
-        return sorted(A.t.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        return sorted(A.t.items())
 
     # ring operations
 
@@ -288,16 +293,16 @@ class CoeffContext:
         padic = self.padic
         pows = padic._pows
         horizon = self.prune_horizon
-        for (ua, va), ca in ta.items():
+        for va, ca in ta.items():
             room = D - vtot[va]
             av, au, ap = ca.val, ca.unit, ca.prec
             if ap >= len(pows):
                 padic.ppow(ap)
-            for (ub, vb), cb in tb.items():
+            for vb, cb in tb.items():
                 if vtot[vb] > room:
                     trunc = True
                     continue
-                k = (ua + ub, va + vb)
+                k = va + vb
                 # PadicContext.mul, with the power table read directly
                 pv = av + cb.val
                 bu = cb.unit
@@ -339,7 +344,7 @@ class CoeffContext:
             P = self.mul(A, B)
             self._merge_into(t, P.t, False)
             return P.trunc
-        ((ua, va), ca), = ta.items()
+        (va, ca), = ta.items()
         get = t.get
         vtot = self.vtotal
         room = self.D - vtot[va]
@@ -349,7 +354,7 @@ class CoeffContext:
         av, au, ap = ca.val, ca.unit, ca.prec
         if ap >= len(pows):
             padic.ppow(ap)
-        for (ub, vb), cb in tb.items():
+        for vb, cb in tb.items():
             if vtot[vb] > room:
                 trunc = True
                 continue
@@ -367,7 +372,7 @@ class CoeffContext:
                 pu = au * bu % pows[pk]
             else:
                 pu = pk = 0
-            k = (ua + ub, va + vb)
+            k = va + vb
             cur = get(k)
             if cur is None:
                 t[k] = PadicScaled(pv, pu, pk)
@@ -411,46 +416,28 @@ class CoeffContext:
     # units and inversion
 
     def reduce_mod_pv(self, A):
-        """Image in F_p[u, u^-1]: dict uexp -> nonzero residue mod p.
+        """Residue mod p of the v-free term: the image in the residue field
+        F_p, nonzero exactly when A is a unit.
 
         Raises PrecisionError if an approximate zero is too shallow to
-        settle a residue.
+        settle a residue, ValueError on a negative valuation.
         """
-        out = {}
-        res = self.padic.residue
-        for (ue, vc), c in A.t.items():
-            if vc != 0:
-                continue
-            if c.unit != 0 and c.val < 0:
-                raise ValueError("negative scalar valuation in reduction mod p")
-            r = res(c, 1)
-            if r:
-                out[ue] = (out.get(ue, 0) + r) % self.p
-                if not out[ue]:
-                    del out[ue]
-        return out
+        c = A.t.get(0)
+        return 0 if c is None else self.padic.residue(c, 1)
 
     def is_unit(self, A):
         try:
-            red = self.reduce_mod_pv(A)
+            return self.reduce_mod_pv(A) != 0
         except PrecisionError:
             return False
-        return len(red) == 1
-
-    def unit_leading_uexp(self, A):
-        red = self.reduce_mod_pv(A)
-        if len(red) != 1:
-            raise ValueError("not a unit in the truncated coefficient ring")
-        return next(iter(red))
 
     def invert(self, A):
-        """Inverse of a unit by Newton iteration seeded at the leading
-        monomial; the residual squares its (p, v)-adic depth each step."""
-        ue = self.unit_leading_uexp(A)
-        lead = A.t.get((ue, 0))
-        if lead is None or lead.unit == 0 or lead.val != 0:
+        """Inverse of a unit by Newton iteration seeded at the inverse of
+        its v-free term; the residual squares its (p, v)-adic depth each
+        step."""
+        if not self.reduce_mod_pv(A):
             raise ValueError("not a unit in the truncated coefficient ring")
-        z = self.from_scalar(self.padic.invert(lead), -ue)
+        z = self.from_scalar(self.padic.invert(A.t[0]))
         bound = self.prune_horizon + self.D + 1
         two = self.from_int(2)
         depth = 1
@@ -487,19 +474,10 @@ class CoeffContext:
 
     # grading
 
-    def term_degree(self, key):
-        ue, vc = key
-        d = -2 * ue
-        for i, b in enumerate(self.vexps(vc), start=1):
-            d -= 2 * (self.p ** i - 1) * b
-        return d
-
-    def degrees(self, A):
-        return {self.term_degree(k) for k in A.t}
-
-    def homogeneous_degree(self, A):
-        """The common degree of all stored terms, or None if mixed/empty."""
-        ds = self.degrees(A)
-        if len(ds) != 1:
-            return None
-        return next(iter(ds))
+    def u_exponent(self, weight, vcode):
+        """The exponent of u that the term at ``vcode`` of a homogeneous
+        coefficient of this weight carries: weight - sum (p^i - 1) b_i."""
+        e = weight
+        for i, b in enumerate(self.vexps(vcode), start=1):
+            e -= (self.p ** i - 1) * b
+        return e

@@ -129,14 +129,15 @@ def build_fgl(p, n, N=16, D=8, M=33):
 
 
 def _v_elem(ctx, j):
-    """v_j with the height-n specialization baked in."""
+    """v_j with the height-n specialization baked in: v_n = u^(p^n-1),
+    which is 1 in the coefficients, and v_j = 0 beyond."""
     p, n = ctx.p, ctx.n
     if j == 0:
         return ctx.from_int(p)
     if j < n:
         return ctx.v_gen(j)
     if j == n:
-        return ctx.u_mono(p ** n - 1)
+        return ctx.one()
     return ctx.zero()
 
 
@@ -355,10 +356,10 @@ def check_pk_congruence(fgl, s, k):
     lead = fgl.p ** (fgl.n * k)
     for d in range(1, min(s.M, lead) + 1):
         red = ctx.reduce_mod_pv(s.c[d])
-        if d < lead and red:
-            return False, {"degree": d, "residue": sorted(red.items())}
-        if d == lead and red != {lead - 1: 1}:
-            return False, {"degree": d, "residue": sorted(red.items())}
+        if red != (1 if d == lead else 0):
+            # the v-free term of y^d carries u^(d-1)
+            return False, {"degree": d,
+                           "residue": [(d - 1, red)] if red else []}
     return True, {"leading_degree": lead, "leading_u_exponent": lead - 1}
 
 
@@ -458,7 +459,7 @@ def fgl_cache_save(fgl, cache_dir):
         ctx.p, ctx.n, ctx.N, ctx.D, fgl.M))
     # Forcing the law can raise; render before touching the file, and land
     # it with a rename so no reader ever sees a partial write.
-    text = golden_dump(fgl.F, kind="multiseries")
+    text = golden_dump(fgl.F)
     tmp = path + ".tmp.%d" % os.getpid()
     with open(tmp, "w") as fh:
         fh.write(text)

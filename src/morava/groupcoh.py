@@ -689,13 +689,9 @@ def aligned_quotient_shape(hom):
     return sigma
 
 
-def _unit_det_monomial(p, mat):
-    """Invertibility of a matrix of u-monomials over the residue field.
-
-    Entries are (residue, u-exponent) or None.  Homogeneity keeps every
-    intermediate entry a monomial, so plain elimination applies; a degree
-    clash would mean the input was not homogeneous.
-    """
+def _invertible_mod_p(p, mat):
+    """Whether a square matrix over F_p (entries reduced mod p) is
+    invertible, by Gaussian elimination."""
     size = len(mat)
     work = [row[:] for row in mat]
     for col in range(size):
@@ -703,27 +699,12 @@ def _unit_det_monomial(p, mat):
         if piv is None:
             return False
         work[col], work[piv] = work[piv], work[col]
-        pc, pe = work[col][col]
-        inv = pow(pc, -1, p)
+        inv = pow(work[col][col], -1, p)
         for r in range(col + 1, size):
-            ent = work[r][col]
-            if ent is None:
-                continue
-            fc, fe = ent[0] * inv % p, ent[1] - pe
-            for c2 in range(col, size):
-                src = work[col][c2]
-                if src is None:
-                    continue
-                sc, se = fc * src[0] % p, fe + src[1]
-                cur = work[r][c2]
-                if cur is None:
-                    work[r][c2] = (-sc % p, se) if sc else None
-                else:
-                    if cur[1] != se:
-                        raise ArithmeticError(
-                            "inhomogeneous entry during elimination")
-                    nc = (cur[0] - sc) % p
-                    work[r][c2] = (nc, se) if nc else None
+            f = work[r][col] * inv % p
+            if f:
+                work[r] = [(a - f * b) % p
+                           for a, b in zip(work[r], work[col])]
     return True
 
 
@@ -745,23 +726,17 @@ def _factor_block_unit(fgl, k, l, entry):
     dbig = p ** (n * k)
     bound = p ** (n * (k - l))
     ctx = fgl.ctx
-    mat = [[None] * dbig for _ in range(dbig)]
+    mat = [[0] * dbig for _ in range(dbig)]
     colidx = 0
     base = big.one()
     for w in range(p ** (n * l)):
         for b in range(bound):
             col = elem_mul(base, _mono(big, b))
             for key, c in col.coord.items():
-                red = ctx.reduce_mod_pv(c)
-                if not red:
-                    continue
-                if len(red) != 1:
-                    raise ArithmeticError("inhomogeneous matrix entry")
-                (ue, res), = red.items()
-                mat[key[0]][colidx] = (res, ue)
+                mat[key[0]][colidx] = ctx.reduce_mod_pv(c)
             colidx += 1
         base = elem_mul(base, img)
-    got = fgl._b_cache[memo] = _unit_det_monomial(p, mat)
+    got = fgl._b_cache[memo] = _invertible_mod_p(p, mat)
     return got
 
 

@@ -544,24 +544,29 @@ def _fmt_scalar_fields(c):
     return "%d|%d|%d" % (c.val if c.val < EXACT else EXACT, c.unit, c.prec)
 
 
-def golden_dump(f, kind="yseries"):
+def golden_dump(f):
     """Render a series in the versioned line format.  One line per stored
     coefficient-ring term: y-exponents, u-exponent, v-multidegree, then the
-    scalar's valuation, unit, and precision."""
+    scalar's valuation, unit, and precision.  The u-exponent is restored
+    from the grading: the coefficient of a monomial of total y-degree d
+    has weight d - 1."""
     ctx = f.ctx
     head = "FGLV1 p=%d n=%d N=%d D=%d M=%d" % (
         ctx.p, ctx.n, ctx.N, ctx.D,
         f.M if isinstance(f, YSeries) else max(f.caps))
     lines = [head]
     if isinstance(f, YSeries):
-        entries = ((str(d), e) for d, e in enumerate(f.c) if not e.is_zero())
+        entries = ((str(d), d, e) for d, e in enumerate(f.c)
+                   if not e.is_zero())
     else:
-        entries = ((",".join(map(str, k)), f.t[k]) for k in sorted(f.t))
-    for ytag, e in entries:
-        for (ue, vc), c in ctx.iter_terms_sorted(e):
+        entries = ((",".join(map(str, k)), sum(k), f.t[k])
+                   for k in sorted(f.t))
+    for ytag, d, e in entries:
+        for vc, c in ctx.iter_terms_sorted(e):
             vexps = ctx.vexps(vc)
             vtag = ",".join(map(str, vexps)) if vexps else "-"
-            lines.append("%s|%d|%s|%s" % (ytag, ue, vtag, _fmt_scalar_fields(c)))
+            lines.append("%s|%d|%s|%s" % (ytag, ctx.u_exponent(d - 1, vc),
+                                          vtag, _fmt_scalar_fields(c)))
     return "\n".join(lines) + "\n"
 
 
@@ -584,7 +589,8 @@ def _checked_scalar(ctx, val, unit, prec):
 def golden_load(text):
     """Parse the line format back into a YSeries (single y-exponent field)
     or MultiSeries (comma-separated exponents).  The result is marked
-    truncated: caps were applied when the file was written."""
+    truncated: caps were applied when the file was written.  A term whose
+    u-exponent breaks the grading raises ValueError."""
     lines = [ln for ln in text.strip().split("\n") if ln]
     head = lines[0].split()
     if head[0] != "FGLV1":
@@ -599,9 +605,13 @@ def golden_load(text):
         key = tuple(int(x) for x in ytag.split(",")) if multi else int(ytag)
         vexps = () if vtag == "-" else tuple(int(x) for x in vtag.split(","))
         vc = ctx.vcode(vexps) if vexps else 0
+        want = ctx.u_exponent((sum(key) if multi else key) - 1, vc)
+        if int(ue) != want:
+            raise ValueError("term %s|%s|%s: the grading gives u-exponent "
+                             "%d" % (ytag, ue, vtag, want))
         c = _checked_scalar(ctx, int(val), int(unit), int(prec))
         cur = terms.setdefault(key, ctx.zero())
-        terms[key] = ctx.add(cur, ctx.from_scalar(c, int(ue), vc))
+        terms[key] = ctx.add(cur, ctx.from_scalar(c, vc))
     if multi:
         r = len(next(iter(terms))) if terms else 2
         A = ms_new(ctx, r, (M,) * r)

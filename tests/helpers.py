@@ -1,19 +1,21 @@
 """Glue between the exact-rational reference and the engine's types, a
 counter of coefficient products and an exact view of a multiseries."""
 
+from oracles import qc_project
 from morava.coeff import CoeffContext
 from morava.series import ser_new
 
 
-def oc_to_elem(ctx, oc):
+def oc_to_elem(ctx, oc, weight=None):
     """Oracle coefficient {(uexp, vtuple): Fraction} -> CoeffElem, applying
-    the context's v-degree truncation."""
+    the context's v-degree truncation.  The oracle coefficient must be
+    homogeneous (of this weight, when given); u is set to 1."""
     out = ctx.zero()
-    for (ue, vt), q in oc.items():
+    for vt, q in qc_project(ctx.p, oc, weight).items():
         if sum(vt) > ctx.D:
             continue
         c = ctx.padic.from_fraction(q.numerator, q.denominator)
-        out = ctx.add(out, ctx.from_scalar(c, ue, ctx.vcode(vt)))
+        out = ctx.add(out, ctx.from_scalar(c, ctx.vcode(vt)))
     return out
 
 
@@ -49,7 +51,7 @@ def oc_series_to_yseries(ctx, ser, M=None):
         M = len(ser) - 1
     f = ser_new(ctx, M)
     for d, oc in enumerate(ser[: M + 1]):
-        f.c[d] = oc_to_elem(ctx, oc)
+        f.c[d] = oc_to_elem(ctx, oc, d - 1)
     return f
 
 

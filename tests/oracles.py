@@ -53,6 +53,23 @@ def qc_mul(a, b):
     return out
 
 
+def qc_weight(p, k):
+    """The weight of the term key (uexp, vtuple): its u-exponent plus
+    sum (p^i - 1) b_i, where v_i = u^(p^i - 1) in degree terms."""
+    ue, vt = k
+    return ue + sum((p ** i - 1) * b for i, b in enumerate(vt, start=1))
+
+
+def qc_project(p, a, weight=None):
+    """Assert that a is homogeneous (of this weight, when given) and drop
+    u: {vtuple: Fraction}.  Homogeneity is what makes u = 1 lossless."""
+    weights = {qc_weight(p, k) for k in a}
+    assert len(weights) <= 1, "inhomogeneous coefficient %r" % (a,)
+    assert weight is None or weights <= {weight}, \
+        "coefficient %r is not of weight %d" % (a, weight)
+    return {vt: q for (_, vt), q in a.items()}
+
+
 def qc_pow(a, e):
     out = None
     base = a

@@ -46,6 +46,7 @@ def test_unknown_suite_exits_2():
     ["pseries", "--group", "2"],
     ["euler", "--group", "2", "--t", "3"],
     ["euler", "--group", "2", "--large"],
+    ["verify", "prop-3.3", "--p", "2", "--n", "1", "--ydeg", "3"],
 ])
 def test_flags_a_verb_never_reads_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -152,11 +153,51 @@ def test_euler_prints_reporting_precision_only():
         ring = build_cohring(group, build_fgl(2, 1, N=N, D=1, M=5),
                              caps=(5, 3))
         total = total_euler(ring)
-        every[N] = cli.elem_lines(total, N)
-        shown[N] = cli.elem_lines(total, 16)
+        every[N] = cli.elem_lines(total, N, 3)
+        shown[N] = cli.elem_lines(total, 16, 3)
     assert every[37] != every[45]
     assert shown[37] == shown[45]
     assert "  y1*y2: 395376*u^-1" in shown[37]
+
+
+# Full stdout of the README p-series and of two Euler classes whose
+# coefficients carry negative powers of u, for the total class (weight
+# |exps| - (p^r - 1)) and the reduced one (|exps| - (p^r - 1)/(p - 1)).
+PRINTED = [
+    (["pseries", "--p", "2", "--n", "2", "--k", "1"], """\
+2*y
+v_1*y^2
+2*v_1^2*y^3
+(u^3 + 4*v_1^3)*y^4
+(-9358*u^3*v_1 + 4690*v_1^4)*y^5
+leading reduced term u^3y^4 mod (2, v_1, y^5)
+"""),
+    (["euler", "--group", "4,2"], """\
+total Euler class (group 4,2, p=2, n=1):
+  y1*y2: 30284800*u^-1
+  y1^2*y2: 4739072
+  y1^3*y2: -3290880*u
+reduced Euler class (group 4,2, p=2, n=1):
+  y1*y2: 30284800*u^-1
+  y1^2*y2: 4739072
+  y1^3*y2: -3290880*u
+"""),
+    (["euler", "--group", "3,3"], """\
+total Euler class (group 3,3, p=3, n=1):
+  y1*y2: -176979418938*u^-6
+  y1^2*y2^2: 1234039482783*u^-4
+reduced Euler class (group 3,3, p=3, n=1):
+  y1*y2: 43227165996*u^-2
+  y1^2*y2^2: 2089530513
+"""),
+]
+
+
+@pytest.mark.parametrize("argv,out", PRINTED,
+                         ids=[" ".join(argv) for argv, _ in PRINTED])
+def test_printed_classes_frozen(argv, out, capsys):
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_verify_height_drop_unit_rejects_height_one(capsys):
@@ -332,6 +373,27 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path, capsys):
     assert run_cli(args) == 0
     assert capsys.readouterr().out == good
     assert files[0].read_text() != ""
+
+
+def test_cache_file_off_the_grading_is_rebuilt(tmp_path, capsys):
+    # a law file whose term carries a u-exponent the grading does not give
+    # is refused, rebuilt in place, and the report is the clean one
+    cache = tmp_path / "cache"
+    clean, again = tmp_path / "clean.json", tmp_path / "again.json"
+    args = ["verify", "prop-3.3", "--p", "2", "--n", "1", "--cache",
+            str(cache)]
+    assert run_cli(args + ["--report", str(clean)]) == 0
+    files = sorted(cache.glob("fgl-*.txt"))
+    assert files
+    good = [f.read_text() for f in files]
+    for f, text in zip(files, good):
+        head, first, rest = text.split("\n", 2)
+        y, ue, tail = first.split("|", 2)
+        assert (y, ue) == ("0,1", "0")
+        f.write_text("\n".join([head, "|".join([y, "1", tail]), rest]))
+    assert run_cli(args + ["--report", str(again)]) == 0
+    assert again.read_bytes() == clean.read_bytes()
+    assert [f.read_text() for f in files] == good
 
 
 def test_exit_code_one_on_failing_record(monkeypatch, capsys):

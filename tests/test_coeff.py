@@ -30,9 +30,9 @@ def test_vcode_addition_matches_exponent_addition():
 
 
 def test_unit_monomial(ctx22):
-    x = ctx22.u_mono(3)
+    x = ctx22.from_int(3)
     assert ctx22.is_unit(x)
-    assert ctx22.unit_leading_uexp(x) == 3
+    assert ctx22.reduce_mod_pv(x) == 1
     inv = ctx22.invert(x)
     assert ctx22.eq_to(ctx22.mul(x, inv), ctx22.one(), 16)
 
@@ -44,7 +44,7 @@ def test_p_is_not_a_unit(ctx22):
 
 
 def test_unit_plus_v_is_unit(ctx22):
-    x = ctx22.add(ctx22.u_mono(1), ctx22.v_gen(1))
+    x = ctx22.add(ctx22.from_int(3), ctx22.v_gen(1))
     assert ctx22.is_unit(x)
     inv = ctx22.invert(x)
     assert ctx22.eq_to(ctx22.mul(x, inv), ctx22.one(), 16)
@@ -55,12 +55,12 @@ def test_invert_one_plus_v_alternating(ctx22):
     inv = ctx22.invert(x)
     # 1/(1+v) = 1 - v + v^2 - ... up to the v-degree cap
     for b in range(ctx22.D + 1):
-        c = inv.t.get((0, ctx22.vcode((b,)))) or ctx22.padic.zero()
+        c = inv.t.get(ctx22.vcode((b,))) or ctx22.padic.zero()
         assert ctx22.padic.residue(c, 10) == ((-1) ** b) % 2 ** 10
 
 
 def test_sum_with_negation_is_zero(ctx22):
-    x = ctx22.add(ctx22.u_mono(2, 3), ctx22.scalar_mul(ctx22.padic.from_int(5), ctx22.v_gen(1)))
+    x = ctx22.add(ctx22.from_int(3), ctx22.scalar_mul(ctx22.padic.from_int(5), ctx22.v_gen(1)))
     z = ctx22.add(x, ctx22.neg(x))
     assert ctx22.is_zero_to(z, 16)
 
@@ -73,7 +73,7 @@ def test_mul_respects_vcap():
     assert v4.is_zero() and v4.trunc
     v3 = ctx.mul(v2, v)
     assert not v3.trunc
-    assert ctx.vexps(next(iter(v3.t))[1]) == (3,)
+    assert ctx.vexps(next(iter(v3.t))) == (3,)
 
 
 def test_trunc_flag_sticky():
@@ -94,9 +94,8 @@ def test_distributivity_randomized():
         e = ctx.zero()
         for _ in range(rng.randint(1, 4)):
             c = ctx.padic.from_int(rng.randint(-40, 40))
-            ue = rng.randint(-2, 2)
             vc = ctx.vcode((rng.randint(0, 2),))
-            e = ctx.add(e, ctx.from_scalar(c, ue, vc))
+            e = ctx.add(e, ctx.from_scalar(c, vc))
         return e
 
     for _ in range(60):
@@ -114,15 +113,14 @@ def test_invert_randomized_units():
     ctx = CoeffContext(2, 2, N=24, D=4, floor=1)
     rng = random.Random(11)
     for _ in range(1000):
-        lead_ue = rng.randint(-2, 2)
-        x = ctx.u_mono(lead_ue, 1 + 2 * rng.randint(0, 15))
+        x = ctx.from_int(1 + 2 * rng.randint(0, 15))
         for _ in range(rng.randint(0, 3)):
             c = ctx.padic.from_int(rng.randint(-30, 30))
-            term = ctx.from_scalar(c, rng.randint(-2, 2), ctx.vcode((rng.randint(1, 4),)))
+            term = ctx.from_scalar(c, ctx.vcode((rng.randint(1, 4),)))
             x = ctx.add(x, term)
         for _ in range(rng.randint(0, 2)):
             c = ctx.padic.from_int(2 * rng.randint(-15, 15))
-            x = ctx.add(x, ctx.from_scalar(c, rng.randint(-2, 2), 0))
+            x = ctx.add(x, ctx.from_scalar(c))
         if not ctx.is_unit(x):
             continue
         inv = ctx.invert(x)
@@ -130,22 +128,34 @@ def test_invert_randomized_units():
 
 
 def test_homogeneity():
-    ctx = CoeffContext(2, 2, N=8, D=4, floor=4)
-    # u has degree -2, v_1 has degree -2(p-1) = -2
-    x = ctx.add(ctx.u_mono(1), ctx.v_gen(1))
-    assert ctx.homogeneous_degree(x) == -2
-    y = ctx.add(x, ctx.one())
-    assert ctx.homogeneous_degree(y) is None
-    prod = ctx.mul(x, x)
-    assert ctx.homogeneous_degree(prod) == -4
+    # the reference law is graded: the coefficient of x^i y^j is
+    # homogeneous of weight i + j - 1, which is what lets the engine set
+    # u = 1 and restore the u-exponent from the v-code alone
+    mixed = 0
+    for p, n in [(2, 1), (2, 2), (3, 2)]:
+        ctx = CoeffContext(p, n, N=8, D=20)
+        F = oracles.fgl_2var(p, n, 4, 4)
+        for i in range(5):
+            for j in range(5):
+                oracles.qc_project(p, F[i][j], i + j - 1)
+                for ue, vt in F[i][j]:
+                    assert ctx.u_exponent(i + j - 1, ctx.vcode(vt)) == ue
+                mixed += len({ue for ue, _ in F[i][j]}) > 1
+    # some coefficients mix powers of u, e.g. 2/7 u^3 + 6/7 v_1^3 at p=2
+    assert mixed
+    with pytest.raises(AssertionError):
+        oracles.qc_project(3, {(3, (0,)): Fraction(1), (0, (1,)): Fraction(1)})
 
 
 def test_homogeneity_preserved_under_mul():
-    # at p=3: deg u^3 = -6 and deg u*v_1 = -2 - 4 = -6
+    # at p=3, u^3 and u*v_1 both have weight 3: the engine's product of the
+    # u-free images, regraded at weight 6, is the graded oracle product
     ctx = CoeffContext(3, 2, N=10, D=6)
-    h = ctx.add(ctx.u_mono(3), ctx.int_mul(3, ctx.mul(ctx.u_mono(1), ctx.v_gen(1))))
-    assert ctx.homogeneous_degree(h) == -6
-    assert ctx.homogeneous_degree(ctx.mul(h, h)) == -12
+    h = {(3, (0,)): Fraction(1), (1, (1,)): Fraction(3)}
+    hh = oracles.qc_mul(h, h)
+    got = ctx.mul(oc_to_elem(ctx, h, 3), oc_to_elem(ctx, h, 3))
+    assert ctx.eq_to(got, oc_to_elem(ctx, hh, 6), 10)
+    assert {(ctx.u_exponent(6, vc), ctx.vexps(vc)) for vc in got.t} == set(hh)
 
 
 def test_shallow_marker_blocks_deep_verdict():
@@ -160,9 +170,11 @@ def test_shallow_marker_blocks_deep_verdict():
 
 
 def test_reduce_mod_pv(ctx22):
-    x = ctx22.add(ctx22.u_mono(2, 3), ctx22.add(ctx22.from_int(2, 5), ctx22.v_gen(1)))
-    red = ctx22.reduce_mod_pv(x)
-    assert red == {2: 1}
+    x = ctx22.add(ctx22.from_int(3), ctx22.add(ctx22.from_int(10), ctx22.v_gen(1)))
+    assert ctx22.reduce_mod_pv(x) == 1
+    assert ctx22.reduce_mod_pv(ctx22.add(ctx22.from_int(10), ctx22.v_gen(1))) == 0
+    ctx = CoeffContext(5, 2, N=6, D=2)
+    assert ctx.reduce_mod_pv(ctx.add(ctx.from_int(-3), ctx.v_gen(1))) == 2
 
 
 def test_height_one_has_no_v():
@@ -170,8 +182,8 @@ def test_height_one_has_no_v():
     assert ctx.ncodes == 1
     with pytest.raises(ValueError):
         ctx.v_gen(1)
-    # 2u^{-1} + 35 reduces to the monomial 2u^{-1} mod 5, hence is a unit
-    x = ctx.add(ctx.u_mono(-1, 2), ctx.from_int(35))
+    # 2 + 35 reduces to 2 mod 5, hence is a unit
+    x = ctx.add(ctx.from_int(2), ctx.from_int(35))
     assert ctx.eq_to(ctx.mul(x, ctx.invert(x)), ctx.one(), 10)
 
 
@@ -207,13 +219,12 @@ def _ref_mul(ctx, A, B):
     if len(ta) > len(tb):
         ta, tb = tb, ta
     acc = {}
-    for (ua, va), ca in ta.items():
-        for (ub, vb), cb in tb.items():
+    for va, ca in ta.items():
+        for vb, cb in tb.items():
             if ctx.vtotal[va] + ctx.vtotal[vb] > ctx.D:
                 trunc = True
                 continue
-            _ref_store(ctx, acc, (ua + ub, va + vb), ctx.padic.mul(ca, cb),
-                       False)
+            _ref_store(ctx, acc, va + vb, ctx.padic.mul(ca, cb), False)
     return CoeffElem(ctx, acc, trunc)
 
 
@@ -252,8 +263,8 @@ def _addmul_cases(ctx, T, A, B):
     """The kernel paths and term kinds one addmul_into draw reaches."""
     short = min(len(A.t), len(B.t))
     horizon, vtot, D = ctx.prune_horizon, ctx.vtotal, ctx.D
-    fits = [(ca, cb) for (_, va), ca in A.t.items()
-            for (_, vb), cb in B.t.items() if vtot[va] + vtot[vb] <= D]
+    fits = [(ca, cb) for va, ca in A.t.items()
+            for vb, cb in B.t.items() if vtot[va] + vtot[vb] <= D]
     cases = {"empty" if short == 0 else "one term" if short == 1
              else "several terms"}
     if len(fits) < len(A.t) * len(B.t):
@@ -317,7 +328,7 @@ def _rand_elem(rng, ctx, like=None):
         code = 0
         for b in reversed(exps):
             code = code * base + b
-        t[(rng.randint(-1, 1), code)] = _rand_scalar(rng, ctx)
+        t[code] = _rand_scalar(rng, ctx)
     return CoeffElem(ctx, t, rng.random() < 0.1)
 
 
@@ -371,9 +382,10 @@ def test_kernel_matches_per_pair_reference(p, n, N, D, floor):
     # the draws reach the stored results and, above floor 1, the floor error
     assert results["ok"] and (results["error"] or ctx.padic.floor == 1)
     assert fused["ok"] and (fused["error"] or ctx.padic.floor == 1)
-    want = {"empty", "one term", "several terms", "pruned", "zero marker"}
+    # at height 1 an element has at most one term, the v-free one
+    want = {"empty", "one term", "pruned", "zero marker"}
     if n > 1:
-        want.add("v-cap drop")
+        want |= {"several terms", "v-cap drop"}
     assert want <= cases
 
 
@@ -382,12 +394,26 @@ def test_kernel_off_table_precision_falls_back():
     # reference path and still agree with it
     ctx = CoeffContext(3, 2, N=4, D=2, floor=1)
     big = PadicScaled(0, 3 ** 7 - 1, 7)
-    A = CoeffElem(ctx, {(0, 0): big, (1, 0): ctx.padic.one()})
-    B = CoeffElem(ctx, {(0, 0): PadicScaled(0, 2, 6), (-1, 0): big})
+    A = CoeffElem(ctx, {0: big, 1: ctx.padic.one()})
+    B = CoeffElem(ctx, {0: PadicScaled(0, 2, 6), 1: big})
     assert _outcome(ctx.mul, A, B) == _outcome(_ref_mul, ctx, A, B)
     assert _outcome(ctx.add, A, B) == _outcome(_ref_merge, ctx, A, B, False)
     assert _outcome(ctx.scalar_mul, big, B) == \
         _outcome(_ref_scalar_mul, ctx, big, B)
+
+
+def _rand_graded(rng, p, n, weight):
+    """A random homogeneous oracle coefficient of this weight: each term
+    u^e v^b has e = weight - sum (p^i - 1) b_i."""
+    oc = {}
+    for _ in range(rng.randint(1, 4)):
+        vt = tuple(rng.randint(0, 1) for _ in range(n - 1))
+        q = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 7)))
+        if q:
+            ue = weight - sum((p ** i - 1) * b
+                              for i, b in enumerate(vt, start=1))
+            oc[(ue, vt)] = q
+    return oc
 
 
 def test_addmul_chain_matches_rational_oracle():
@@ -397,20 +423,13 @@ def test_addmul_chain_matches_rational_oracle():
         for _ in range(20):
             t, want = {}, {}
             for _ in range(rng.randint(1, 6)):
-                ops = []
-                for _ in range(2):
-                    oc = {}
-                    for _ in range(rng.randint(1, 4)):
-                        vt = tuple(rng.randint(0, 1) for _ in range(n - 1))
-                        q = Fraction(rng.randint(-40, 40),
-                                     rng.choice((1, 1, 7)))
-                        if q:
-                            oc[(rng.randint(-1, 1), vt)] = q
-                    ops.append(oc)
-                a, b = ops
+                wa = rng.randint(-1, 1)
+                a = _rand_graded(rng, p, n, wa)
+                b = _rand_graded(rng, p, n, -wa)
                 ctx.addmul_into(t, oc_to_elem(ctx, a), oc_to_elem(ctx, b))
                 want = oracles.qc_add(want, oracles.qc_mul(a, b))
-            assert ctx.eq_to(CoeffElem(ctx, t), oc_to_elem(ctx, want), N - 2)
+            assert ctx.eq_to(CoeffElem(ctx, t), oc_to_elem(ctx, want, 0),
+                             N - 2)
 
 
 def test_kernel_products_match_rational_oracle():
@@ -418,15 +437,9 @@ def test_kernel_products_match_rational_oracle():
     for p, n, N, D in [(2, 1, 12, 3), (3, 2, 10, 3), (5, 3, 8, 2)]:
         ctx = CoeffContext(p, n, N=N, D=D, floor=1)
         for _ in range(20):
-            ops = []
-            for _ in range(2):
-                oc = {}
-                for _ in range(rng.randint(1, 4)):
-                    vt = tuple(rng.randint(0, 1) for _ in range(n - 1))
-                    q = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 7)))
-                    if q:
-                        oc[(rng.randint(-1, 1), vt)] = q
-                ops.append(oc)
-            a, b = ops
+            wa, wb = rng.randint(-1, 1), rng.randint(-1, 1)
+            a = _rand_graded(rng, p, n, wa)
+            b = _rand_graded(rng, p, n, wb)
             got = ctx.mul(oc_to_elem(ctx, a), oc_to_elem(ctx, b))
-            assert ctx.eq_to(got, oc_to_elem(ctx, oracles.qc_mul(a, b)), N - 2)
+            want = oc_to_elem(ctx, oracles.qc_mul(a, b), wa + wb)
+            assert ctx.eq_to(got, want, N - 2)

@@ -122,8 +122,8 @@ def test_euler_c2c2_diagonal_frozen(ring22):
     assert ctx.eq_to(cls.coord[(1, 0)], ctx.from_int(1), 12)
     assert ctx.eq_to(cls.coord[(0, 1)], ctx.from_int(1), 12)
     # cross terms of the law contaminate the (1,1) slot only below 2-adic
-    # depth 2, so the leading u survives mod 4
-    assert ctx.eq_to(cls.coord[(1, 1)], ctx.u_mono(1), 2)
+    # depth 2, so the leading u (which is 1) survives mod 4
+    assert ctx.eq_to(cls.coord[(1, 1)], ctx.one(), 2)
 
 
 def test_euler_linear_parts(ring42):

@@ -85,7 +85,7 @@ def test_f_frozen_coefficients(f21, f31):
     F = f21.F
     assert ctx.eq_to(F.coeff((1, 0)), ctx.one(), 16)
     assert ctx.eq_to(F.coeff((0, 1)), ctx.one(), 16)
-    assert ctx.eq_to(F.coeff((1, 1)), ctx.u_mono(1), 16)
+    assert ctx.eq_to(F.coeff((1, 1)), ctx.one(), 16)
     # F(x, 0) = x: nothing else on the axis
     for d in range(2, 13):
         assert ctx.is_zero_to(F.coeff((d, 0)), 12)
@@ -182,7 +182,8 @@ def test_f_matches_reference(f21):
     F = f21.two_var(5, 5)
     for i in range(6):
         for j in range(6):
-            assert ctx.eq_to(F.coeff((i, j)), oc_to_elem(ctx, ref[i][j]), 12)
+            want = oc_to_elem(ctx, ref[i][j], i + j - 1)
+            assert ctx.eq_to(F.coeff((i, j)), want, 12)
 
 
 def test_f_matches_reference_height_two(f22):
@@ -191,7 +192,8 @@ def test_f_matches_reference_height_two(f22):
     F = f22.two_var(4, 4)
     for i in range(5):
         for j in range(5):
-            assert ctx.eq_to(F.coeff((i, j)), oc_to_elem(ctx, ref[i][j]), 10)
+            want = oc_to_elem(ctx, ref[i][j], i + j - 1)
+            assert ctx.eq_to(F.coeff((i, j)), want, 10)
 
 
 def test_one_and_zero_series(f21):
@@ -210,15 +212,15 @@ def test_two_series_frozen(f21):
     ctx = f21.ctx
     s = f21.m_series(2)
     assert ctx.eq_to(s.c[1], ctx.from_int(2), 16)
-    assert ctx.eq_to(s.c[2], ctx.u_mono(1), 16)
-    assert ctx.eq_to(s.c[3], ctx.u_mono(2, 2), 16)
+    assert ctx.eq_to(s.c[2], ctx.one(), 16)
+    assert ctx.eq_to(s.c[3], ctx.from_int(2), 16)
 
 
 def test_minus_one_series_frozen(f21):
     ctx = f21.ctx
     s = f21.m_series(-1)
     assert ctx.eq_to(s.c[1], ctx.from_int(-1), 16)
-    assert ctx.eq_to(s.c[2], ctx.u_mono(1), 16)
+    assert ctx.eq_to(s.c[2], ctx.one(), 16)
 
 
 def eval_law(fgl, f, g):
@@ -263,8 +265,9 @@ def test_p_series_equals_araki_sum(f21, f31, f22):
     # the p-series
     for fgl, depth in ((f21, 12), (f31, 10), (f22, 10)):
         ctx, p, n = fgl.ctx, fgl.p, fgl.n
+        # v_n = u^(p^n-1) is 1 in the coefficients
         vs = ([ctx.from_int(p)] + [ctx.v_gen(i) for i in range(1, n)]
-              + [ctx.u_mono(p ** n - 1)])
+              + [ctx.one()])
         parts = [ser_from_terms(ctx, fgl.M, {p ** i: v})
                  for i, v in enumerate(vs) if p ** i <= fgl.M]
         ps = fgl.m_series(fgl.p)
@@ -276,12 +279,12 @@ def test_pk_congruence(f21):
     y = ser_monomial(ctx, 12, 1)
     assert first_mismatch(ctx, f21.pk_series(0), y, 16) is None
     s2 = f21.pk_series(1)
-    assert ctx.reduce_mod_pv(s2.c[1]) == {}
-    assert ctx.reduce_mod_pv(s2.c[2]) == {1: 1}
+    assert ctx.reduce_mod_pv(s2.c[1]) == 0
+    assert ctx.reduce_mod_pv(s2.c[2]) == 1
     s4 = f21.pk_series(2)
     for d in (1, 2, 3):
-        assert ctx.reduce_mod_pv(s4.c[d]) == {}
-    assert ctx.reduce_mod_pv(s4.c[4]) == {3: 1}
+        assert ctx.reduce_mod_pv(s4.c[d]) == 0
+    assert ctx.reduce_mod_pv(s4.c[4]) == 1
     ok, witness = check_pk_congruence(f21, f21.pk_series(3), 3)
     assert ok and witness["leading_degree"] == 8
     # a wrong series is caught with a located witness
@@ -317,7 +320,7 @@ def test_formal_sum_trivial(f21):
 def test_formal_sum_two_series(f21):
     ctx = f21.ctx
     doubled = ser_monomial(ctx, 12, 1, ctx.from_int(2))
-    vterm = ser_monomial(ctx, 12, 2, ctx.u_mono(1))
+    vterm = ser_monomial(ctx, 12, 2, ctx.one())
     s = formal_sum(f21, [doubled, vterm])
     assert first_mismatch(ctx, s, f21.m_series(2), 12) is None
 
@@ -325,15 +328,16 @@ def test_formal_sum_two_series(f21):
 @pytest.mark.parametrize("p, n, M", [(2, 1, 12), (3, 1, 10), (2, 2, 8)])
 def test_formal_sum_reference(p, n, M):
     # F(f, g) substituted into the exact-rational two-variable law, against
-    # the logarithm route; c mixes u with v_1 where the height allows
+    # the logarithm route; f and g are graded (y^d has weight d - 1), and c
+    # mixes u^(p-1) with v_1 where the height allows
     fgl = build_fgl(p, n, N=40, D=4, M=M)
     ctx = fgl.ctx
-    one = oracles.qc_const(1, n)
-    c = {(1, (0,) * (n - 1)): Fraction(1)}
+    v0 = (0,) * (n - 1)
+    c = {(p - 1, v0): Fraction(1)}
     if n > 1:
         c = oracles.qc_add(c, oracles.v_generator(p, n, 1))
     f = oracles.ser_zero(M)
-    f[1], f[3] = oracles.qc_scale(2, one), one
+    f[1], f[3] = {(0, v0): Fraction(2)}, {(2, v0): Fraction(1)}
     g = oracles.ser_zero(M)
     g[p] = c
     ref = oc_series_to_yseries(ctx, oracles.formal_sum(p, n, f, g, M))

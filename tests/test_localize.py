@@ -179,9 +179,10 @@ def test_model_mul_commutes_and_associates(fgl21):
 
 def test_model_rejects_bad_polynomials(fgl21, fgl31):
     f = ser_rshift(fgl21.pk_series(1), 1)
-    # not monic at the stated degree
+    # not monic at the stated degree: [2](y)/y = 2 + y + 2y^2 + ... has 2
+    # at degree 2, which is not 1 mod 2
     with pytest.raises(ValueError, match="monic"):
-        cohring_from_relation(fgl21, f, 1)
+        cohring_from_relation(fgl21, f, 2)
     g, d = _prepared(fgl21, 1)
     with pytest.raises(ValueError, match="degree out of range"):
         cohring_from_relation(fgl21, g, 0)

@@ -38,7 +38,7 @@ def test_one_plus_y_times_one_minus_y(ctx):
 
 
 def test_mul_by_zero(ctx):
-    f = ser_from_terms(ctx, 5, {1: ctx.one(), 3: ctx.u_mono(2)})
+    f = ser_from_terms(ctx, 5, {1: ctx.one(), 3: ctx.from_int(3)})
     z = ser_new(ctx, 5)
     assert ser_mul(f, z).is_zero()
 
@@ -47,7 +47,7 @@ def test_add_sub_match_coefficientwise(ctx):
     # zeros with and without trunc on either side take the shortcut; the
     # result must be what the coefficient op gives, trunc flag included
     tz = CoeffElem(ctx, {}, True)
-    a = [ctx.zero(), tz, ctx.zero(), tz, ctx.one(), tz, ctx.u_mono(1)]
+    a = [ctx.zero(), tz, ctx.zero(), tz, ctx.one(), tz, ctx.from_int(5)]
     b = [ctx.zero(), ctx.zero(), tz, tz, tz, ctx.from_int(3), ctx.zero()]
     f, g = YSeries(ctx, a), YSeries(ctx, b, True)
     for op, eop in ((ser_add, ctx.add), (ser_sub, ctx.sub)):
@@ -66,7 +66,7 @@ def test_cap_overflow_sets_trunc(ctx):
 
 
 def test_compose_identity(ctx):
-    f = ser_from_terms(ctx, 5, {1: ctx.one(), 2: ctx.u_mono(1), 4: ctx.from_int(-3)})
+    f = ser_from_terms(ctx, 5, {1: ctx.one(), 2: ctx.from_int(3), 4: ctx.from_int(-3)})
     ident = ser_monomial(ctx, 5, 1)
     assert ser_compose(f, ident) == f
 
@@ -111,11 +111,12 @@ def test_invert_geometric(ctx):
 
 def test_invert_u_plus_y(ctx):
     M = 5
-    f = ser_from_terms(ctx, M, {0: ctx.u_mono(1), 1: ctx.one()})
+    # the unit 3 in place of u, which is 1 in the coefficients
+    f = ser_from_terms(ctx, M, {0: ctx.from_int(3), 1: ctx.one()})
     inv = ser_invert_unit(f)
-    # u^{-1} - u^{-2} y + u^{-3} y^2 - ...
+    # 3^{-1} - 3^{-2} y + 3^{-3} y^2 - ...
     for d in range(M + 1):
-        want = ctx.u_mono(-(d + 1), (-1) ** d)
+        want = ctx.from_scalar(ctx.padic.from_fraction((-1) ** d, 3 ** (d + 1)))
         assert ctx.eq_to(inv.c[d], want, 16)
     back = ser_mul(f, inv)
     assert ctx.eq_to(back.c[0], ctx.one(), 16)
@@ -135,9 +136,9 @@ def test_invert_randomized_unit_series():
     for _ in range(40):
         M = rng.randint(3, 8)
         f = ser_new(ctx, M)
-        f.c[0] = ctx.u_mono(rng.randint(-2, 2), rng.choice([1, 2, 4, 5]))
+        f.c[0] = ctx.from_int(rng.choice([1, 2, 4, 5]))
         for d in range(1, M + 1):
-            f.c[d] = ctx.from_int(rng.randint(-9, 9), rng.randint(-2, 2))
+            f.c[d] = ctx.from_int(rng.randint(-9, 9))
         inv = ser_invert_unit(f)
         back = ser_mul(f, inv)
         assert ctx.eq_to(back.c[0], ctx.one(), 12)
@@ -176,8 +177,8 @@ def test_weierstrass_p_series_height_one():
     assert g.c[0].is_zero() or not ctx.reduce_mod_pv(g.c[0])
     assert not ctx.reduce_mod_pv(g.c[1])
     assert all(ctx.is_zero_to(g.c[d], 14) for d in range(3, M + 1))
-    # unit constant term of the shape u * (p-adic unit)
-    assert ctx.unit_leading_uexp(U.c[0]) == 1
+    # unit constant term: u times a p-adic unit, and u = 1
+    assert ctx.is_unit(U.c[0])
     # recomposition U*g = f at truncation
     back = ser_mul(U, g)
     for d in range(M + 1):
@@ -203,7 +204,7 @@ def test_weierstrass_division_identity():
     ctx = CoeffContext(3, 1, N=16, D=4)
     M = 8
     a = oc_series_to_yseries(ctx, O.m_series(3, 1, 3, M))
-    f = ser_from_terms(ctx, M, {1: ctx.u_mono(1), 5: ctx.one(), 7: ctx.from_int(5)})
+    f = ser_from_terms(ctx, M, {1: ctx.from_int(4), 5: ctx.one(), 7: ctx.from_int(5)})
     q, r = weierstrass_divide(f, a)
     d = weierstrass_degree(a)
     assert d == 3
@@ -220,12 +221,12 @@ def test_weierstrass_rejects_no_unit(ctx):
 
 
 def test_shift_and_rshift(ctx):
-    f = ser_from_terms(ctx, 5, {0: ctx.one(), 2: ctx.u_mono(1)})
+    f = ser_from_terms(ctx, 5, {0: ctx.one(), 2: ctx.from_int(3)})
     s = ser_mul(f, ser_monomial(ctx, 5, 2))
-    assert s.c[2] == ctx.one() and s.c[4] == ctx.u_mono(1)
+    assert s.c[2] == ctx.one() and s.c[4] == ctx.from_int(3)
     back = ser_rshift(s, 2)
     assert back.M == 3
-    assert back.c[0] == ctx.one() and back.c[2] == ctx.u_mono(1)
+    assert back.c[0] == ctx.one() and back.c[2] == ctx.from_int(3)
     with pytest.raises(ValueError):
         ser_rshift(f, 1)
 
@@ -289,7 +290,7 @@ def random_coeff(rng, ctx):
     for _ in range(rng.randint(1, 3)):
         c = ctx.padic.from_int(rng.choice([-1, 1]) * rng.randint(1, 3 ** 8))
         vc = ctx.vcode((rng.randint(0, ctx.D),))
-        e = ctx.add(e, ctx.from_scalar(c, rng.randint(-2, 2), vc))
+        e = ctx.add(e, ctx.from_scalar(c, vc))
     return e
 
 
@@ -417,11 +418,11 @@ def with_zero_markers(rng, A):
     for k, e in list(A.t.items()):
         if rng.random() < 0.35:
             t = dict(e.t)
-            t.setdefault((rng.randint(-2, 2), ctx.vcode((rng.randint(0, ctx.D),))),
+            t.setdefault(ctx.vcode((rng.randint(0, ctx.D),)),
                          PadicScaled(rng.randint(1, 6), 0, 0))
             A.t[k] = CoeffElem(ctx, t, e.trunc)
     k = (1,) + (0,) * (A.r - 1)
-    A.t[k] = CoeffElem(ctx, {(0, 0): PadicScaled(3, 0, 0)})
+    A.t[k] = CoeffElem(ctx, {0: PadicScaled(3, 0, 0)})
     return A
 
 
@@ -524,8 +525,8 @@ def test_ms_eval_substitution(ctx):
 def test_golden_roundtrip():
     ctx = CoeffContext(2, 2, N=12, D=5)
     f = ser_new(ctx, 4)
-    f.c[1] = ctx.add(ctx.u_mono(2, 3), ctx.v_gen(1))
-    f.c[3] = ctx.from_scalar(ctx.padic.from_fraction(7, 4), -1, ctx.vcode((2,)))
+    f.c[1] = ctx.add(ctx.from_int(3), ctx.v_gen(1))
+    f.c[3] = ctx.from_scalar(ctx.padic.from_fraction(7, 4), ctx.vcode((2,)))
     text = golden_dump(f)
     g = golden_load(text)
     assert g.M == f.M
@@ -552,15 +553,34 @@ def test_golden_load_rejects_scalars_outside_invariants(fields):
 
 def _port(ctx, e):
     out = ctx.zero()
-    for (ue, vc), c in e.t.items():
-        out = ctx.add(out, ctx.from_scalar(c, ue, vc))
+    for vc, c in e.t.items():
+        out = ctx.add(out, ctx.from_scalar(c, vc))
     return out
 
 
 def test_golden_header_and_fields():
     ctx = CoeffContext(3, 1, N=10, D=2)
-    f = ser_from_terms(ctx, 3, {2: ctx.u_mono(-1, 2)})
+    f = ser_from_terms(ctx, 3, {2: ctx.from_int(2)})
     text = golden_dump(f)
     lines = text.strip().split("\n")
     assert lines[0] == "FGLV1 p=3 n=1 N=10 D=2 M=3"
-    assert lines[1] == "2|-1|-|0|2|10"
+    # the coefficient of y^2 has weight 1: the grading gives it u^1
+    assert lines[1] == "2|1|-|0|2|10"
+
+
+def test_golden_load_rejects_u_exponent_off_the_grading():
+    # the coefficient of y^d has weight d - 1, so its v-free term carries
+    # u^(d-1) and its v_1 term u^(d-1-(p-1)); any other exponent is a file
+    # that no law wrote
+    ctx = CoeffContext(3, 2, N=10, D=2)
+    f = ser_from_terms(ctx, 3, {1: ctx.one(),
+                                3: ctx.add(ctx.from_int(2), ctx.v_gen(1))})
+    text = golden_dump(f)
+    lines = text.split("\n")
+    assert lines[1:4] == ["1|0|0|0|1|10", "3|2|0|0|2|10", "3|0|1|0|1|10"]
+    assert golden_dump(golden_load(text)) == text
+    for i, bad in ((1, "1|1|0|0|1|10"), (2, "3|1|0|0|2|10"),
+                   (3, "3|2|1|0|1|10")):
+        broken = lines[:i] + [bad] + lines[i + 1:]
+        with pytest.raises(ValueError, match="u-exponent"):
+            golden_load("\n".join(broken))
