@@ -60,10 +60,10 @@ LARGE_RANK = 16
 
 # A basis-walking check on a rank >= 2 group needs the two-variable law up
 # to the largest per-factor cap, and its classes fill a basis of rank p^{nk}
-# per factor.  Past a cap of ~150 a record costs tens of seconds: the
-# restriction record of C9 x C3 at p=3, n=2, caps (242, 26), about 35-45 s
-# on a 2-core VM.  Only the measured case ships; anything else in that
-# regime is skipped.
+# per factor.  Past a cap of ~150 a record costs many seconds: the
+# restriction record of C9 x C3 at p=3, n=2, caps (242, 26), 15-17 s of
+# CPU on a 2-core Xeon VM.  Only the measured case ships; anything else in
+# that regime is skipped.
 HEAVY_ENUM_OK = {(3, 2, (2, 1))}
 
 # Guard digits above the requested precision past which a precision retry
@@ -119,6 +119,16 @@ def sound_basis_cap(p, n, k, D, depth):
 
 def caps_for(p, n, exps, D, depth):
     return tuple(sound_basis_cap(p, n, k, D, depth) for k in exps)
+
+
+def sound_depth(p, n, exps, D, caps):
+    """Digits no truncation junk reaches at these caps, the inverse of
+    sound_basis_cap: the greatest depth whose cap every factor reaches."""
+    depth = 0
+    while all(sound_basis_cap(p, n, k, D, depth + 1) <= cap
+              for k, cap in zip(exps, caps)):
+        depth += 1
+    return depth
 
 
 def probe_depth_default(n):
@@ -237,7 +247,7 @@ def scalar_text(ctx, c, digits):
     """The scalar with its unit cut to the reporting precision: the least
     of its trusted digits and ``digits`` (the requested `--precision`), so
     the text does not depend on the working precision a retry ended at."""
-    if c.unit == 0:
+    if c.unit == 0 or digits <= 0:
         return "0"
     p = ctx.p
     q = p ** min(c.prec, digits)
@@ -249,11 +259,16 @@ def scalar_text(ctx, c, digits):
     return "%d/%d" % (m, p ** (-c.val))
 
 
-def coeff_text(ctx, e, digits, weight):
+def coeff_text(ctx, e, digits, weight, depth=None):
     """The coefficient e, homogeneous of this weight, as text: each term
-    gets back the power of u that the grading gives it."""
+    gets back the power of u that the grading gives it.  With depth given,
+    each scalar is read modulo p^depth instead of to ``digits`` digits.
+    Terms that read 0 are left out."""
     parts = []
     for vc, c in ctx.iter_terms_sorted(e):
+        s = scalar_text(ctx, c, digits if depth is None else depth - c.val)
+        if s == "0":
+            continue
         factors = []
         ue = ctx.u_exponent(weight, vc)
         if ue == 1:
@@ -265,7 +280,6 @@ def coeff_text(ctx, e, digits, weight):
                 factors.append("v_%d" % i)
             elif ve:
                 factors.append("v_%d^%d" % (i, ve))
-        s = scalar_text(ctx, c, digits)
         if not factors:
             parts.append(s)
         elif s == "1":
@@ -304,16 +318,20 @@ def series_lines(s, digits):
     return lines or ["0"]
 
 
-def elem_lines(x, digits, factors):
+def elem_lines(x, depth, factors):
     """The ring element x, a product of this many Euler classes of
-    characters, one coordinate a line; the coefficient of y^exps has
-    weight |exps| - factors."""
+    characters, one coordinate a line, each read modulo p^depth; the
+    coefficient of y^exps has weight |exps| - factors.  Coordinates that
+    vanish modulo p^depth are left out."""
     ctx = x.ring.ctx
     lines = []
     for exps in sorted(x.coord):
+        text = coeff_text(ctx, x.coord[exps], None, sum(exps) - factors,
+                          depth)
+        if text == "0":
+            continue
         mono = "*".join(("y%d" % (i + 1)) + ("" if e == 1 else "^%d" % e)
                         for i, e in enumerate(exps) if e) or "1"
-        text = coeff_text(ctx, x.coord[exps], digits, sum(exps) - factors)
         lines.append("  %s: %s" % (mono, text))
     return lines or ["  0"]
 
@@ -737,20 +755,19 @@ def cmd_euler(cfg, args):
         return total_euler(ring), reduced_euler(ring)[0]
 
     total, red = Builder(cfg).run(p, n, D, max(caps), compute)
+    # no digit below the junk-sound depth of the caps is printed
+    depth = min(cfg.N_req, sound_depth(p, n, exps, D, caps))
     # one factor per nontrivial character of the p-torsion, and for the
     # reduced class one per line through the origin
     chars = p ** group.rank - 1
     both = not (args.total or args.reduced)
-    if args.total or both:
-        print("total Euler class (group %s, p=%d, n=%d):"
-              % (group.descriptor(), p, n))
-        for line in elem_lines(total, cfg.N_req, chars):
-            print(line)
-    if args.reduced or both:
-        print("reduced Euler class (group %s, p=%d, n=%d):"
-              % (group.descriptor(), p, n))
-        for line in elem_lines(red, cfg.N_req, chars // (p - 1)):
-            print(line)
+    for kind, x, factors in (("total", total, chars),
+                             ("reduced", red, chars // (p - 1))):
+        if getattr(args, kind) or both:
+            print("%s Euler class (group %s, p=%d, n=%d) modulo %d^%d:"
+                  % (kind, group.descriptor(), p, n, p, depth))
+            for line in elem_lines(x, depth, factors):
+                print(line)
     return 0
 
 

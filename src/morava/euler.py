@@ -13,8 +13,8 @@ the vanishing factor is a structural zero, not a deep one.
 """
 
 from .groupcoh import (AbelianPGroup, GroupHom, build_cohring, elem_eq_to,
-                       elem_is_zero_to, elem_mul, normal_form, point_class_ms,
-                       pullback, series_in_elem)
+                       elem_is_zero_to, elem_mul, point_class, pullback,
+                       series_in_elem)
 from .report import make_check, precision_note
 from .series import ser_compose, ser_rshift
 
@@ -92,8 +92,7 @@ def euler_of_char(ring, chi):
         raise ValueError("character on a different group")
     if not chi.nontrivial:
         return ring.zero()
-    tvals = chi.as_hom().char_exponents(0)
-    return normal_form(ring, point_class_ms(ring, tvals))
+    return point_class(ring, chi.as_hom().char_exponents(0))
 
 
 def total_euler(ring):
@@ -156,13 +155,11 @@ def restricted_euler_products(ring, sub_ring, inclusion):
     """Restrictions of the total and reduced classes computed characterwise:
     the restriction of each factor is the class of the restricted character,
     so an orbit dying on the subgroup zeroes the product structurally."""
-    inc_hom = inclusion
     total = sub_ring.one()
     red = sub_ring.one()
     for ch in all_nontrivial_characters(ring.group):
-        restricted = ch.as_hom().compose(inc_hom)
-        tvals = restricted.char_exponents(0)
-        cls = normal_form(sub_ring, point_class_ms(sub_ring, tvals))
+        restricted = ch.as_hom().compose(inclusion)
+        cls = point_class(sub_ring, restricted.char_exponents(0))
         total = elem_mul(total, cls)
         if ch.values == ch.orbit_representative():
             red = elem_mul(red, cls)

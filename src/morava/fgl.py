@@ -16,9 +16,9 @@ short linear combination instead of a tower of compositions.  The
 two-variable group law, assembled from the binomial expansion of
 exp(log x + log y) at independent degree caps in x and y, serves the axiom
 checks (through ms_eval, one product per term, with F(y, z) and its
-powers in the associativity check renamed from those of F(x, y)) and
-groupcoh.point_class_ms (by rows: one product per power of the first
-argument).
+powers in the associativity check renamed from those of F(x, y)) and the
+character classes of groupcoh.point_class (by rows, on ring elements: one
+ring product per power of the first argument).
 
 Scalars of valuation -k appear in the l_k; the builder refuses to run when
 the working precision cannot absorb the worst of them.

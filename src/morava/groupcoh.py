@@ -21,8 +21,7 @@ import itertools
 from .coeff import CoeffElem
 from .padic import PrecisionError
 from .report import make_check, precision_note
-from .series import (ms_add_into, ms_from_yseries, ms_mul, ms_new,
-                     ms_powers, ms_scale, ser_truncate, weierstrass_degree,
+from .series import (ser_monomial, ser_truncate, weierstrass_degree,
                      weierstrass_prepare)
 
 
@@ -209,11 +208,7 @@ class CohRing:
     def gen(self, i):
         """Normal form of y_i: the monomial itself unless its relation has
         degree one."""
-        exps = [0] * len(self.wdegs)
-        exps[i] = 1
-        out = {}
-        _nf_accumulate(self, out, tuple(exps), self.ctx.one())
-        return RingElem(self, out, False)
+        return normal_form(self, ser_monomial(self.ctx, self.caps[i], 1), i)
 
     def table_row(self, i, j):
         rows = self.tables[i]
@@ -455,16 +450,20 @@ def _nf_accumulate(ring, out, exps, c):
             del out[key]
 
 
-def normal_form(ring, A):
-    """Reduce a multiseries to basis coordinates."""
-    if A.ctx is not ring.ctx:
+def normal_form(ring, s, var):
+    """Reduce a one-variable series in y_var, cut at the ring's cap for
+    y_var, to basis coordinates."""
+    if s.ctx is not ring.ctx:
         raise ValueError("series context differs from the ring's")
-    if A.r != len(ring.wdegs):
-        raise ValueError("variable count differs from the ring's")
+    cap = ring.caps[var]
+    exps = [0] * len(ring.wdegs)
     out = {}
-    for exps in sorted(A.t):
-        _nf_accumulate(ring, out, exps, A.t[exps])
-    return RingElem(ring, out, A.trunc)
+    for d, c in enumerate(s.c[:cap + 1]):
+        if not c.is_zero():
+            exps[var] = d
+            _nf_accumulate(ring, out, tuple(exps), c)
+    trunc = s.trunc or any(not c.is_zero() for c in s.c[cap + 1:])
+    return RingElem(ring, out, trunc)
 
 
 def elem_mul(a, b):
@@ -472,9 +471,10 @@ def elem_mul(a, b):
 
     The raw coefficient products are summed per exponent tuple first, in
     the order of the pairs of basis monomials (a's sorted keys, then b's),
-    with the floor-checked add.  Reduction is linear, so each distinct
-    tuple then goes through its reduction tables once, in sorted order,
-    instead of once per pair that lands on it.
+    each pair multiplied straight into its sum (addmul_into).  Reduction
+    is linear, so each distinct tuple then goes through its reduction
+    tables once, in sorted order, instead of once per pair that lands on
+    it.
     """
     _check_ring(a, b)
     ring = a.ring
@@ -552,52 +552,55 @@ def series_in_elem(ring, s, x):
     return out
 
 
-def _formal_sum_rows(F, acc, s):
-    """F(acc, s) for multiseries of one shape in disjoint variables, summed
-    one row of F at a time: sum_i acc^i * R_i with R_i = sum_j F_ij s^j.
+def elem_powers(x):
+    """A function e -> x^e, each power formed once, as x^(e-1) times x."""
+    pows = [x.ring.one(), x]
 
-    R_i is a combination of one-variable powers, so each row costs one
-    product with acc^i instead of one per term of F.  Rows go by i and
-    each row by j, both ascending, which is the order ms_eval adds the
-    terms in."""
-    zero = (0,) * acc.r
-    if zero in acc.t or zero in s.t:
-        raise ValueError("substitution needs zero constant terms")
-    apow, spow = ms_powers(acc), ms_powers(s)
-    out = ms_new(acc.ctx, acc.r, acc.caps, acc.tcap)
-    out.trunc = F.trunc or acc.trunc or s.trunc
-    for i, keys in itertools.groupby(sorted(F.t), lambda k: k[0]):
-        row = None
-        for k in keys:
-            term = ms_scale(F.t[k], spow(k[1]))
-            row = term if row is None else ms_add_into(row, term)
-        ms_add_into(out, ms_mul(apow(i), row) if i else row)
-    return out
+    def power(e):
+        while len(pows) <= e:
+            pows.append(elem_mul(pows[-1], x))
+        return pows[e]
+    return power
 
 
-def point_class_ms(ring, tvals):
-    """Formal sum over factors of the t_j-series of y_j, as a multiseries
-    at the ring's caps.  This is the cohomology class attached to a tuple
-    of character exponents; a zero tuple gives zero.
+def point_class(ring, tvals):
+    """Formal sum over factors of the t_j-series of y_j, in the ring.  This
+    is the cohomology class attached to a tuple of character exponents; a
+    zero tuple gives zero.
 
-    Each further factor s = [t_j](y_j) is folded in as F(acc, s) by rows of
-    F (_formal_sum_rows).  Not by columns, sum_j (sum_i F_ij acc^i) s^j:
-    that forms partial sums the per-term order never does, and on C4 x C2
-    at p=2, n=1 one of them trips the precision floor, which moves the
-    mutual-euler-divisibility record from N=24 to N=32."""
+    Each [t_j](y_j) enters as the normal form of a one-variable series cut
+    at its cap.  Each further factor x is folded in as F(acc, x) =
+    sum_i acc^i R_i with R_i = sum_j F_ij x^j, over the terms of F with j
+    at most x's cap and i at most the sum of acc's caps; both power
+    ladders are formed by elem_mul.
+
+    Soundness: ring products are exact, so only terms F_ij acc^i x^j are
+    lost.  Past the caps above, every monomial of such a term lies past
+    some cap of the ring.  Past F's total-degree cap M, its total y-degree
+    exceeds M, which is at least every cap, so it too lies where the junk
+    budget of the caps applies.  The class therefore agrees with
+    F([t_1](y_1), ..., [t_r](y_r)) to the junk-sound depth of the caps
+    (cli.sound_depth)."""
     fgl = ring.fgl
-    r = ring.group.rank
-    terms = []
+    xs = []
     for j, t in enumerate(tvals):
         t %= fgl.p ** ring.group.exps[j]
-        if t == 0:
-            continue
-        terms.append(ms_from_yseries(fgl.m_series(t), r, ring.caps, j))
-    if not terms:
-        return ms_new(ring.ctx, r, ring.caps)
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = _formal_sum_rows(fgl.F, acc, term)
+        if t:
+            xs.append((ring.caps[j], normal_form(ring, fgl.m_series(t), j)))
+    if not xs:
+        return ring.zero()
+    acap, acc = xs[0]
+    for xcap, x in xs[1:]:
+        F = fgl.F
+        apow, xpow = elem_powers(acc), elem_powers(x)
+        out = RingElem(ring, {}, F.trunc)
+        keys = [k for k in sorted(F.t) if k[0] <= acap and k[1] <= xcap]
+        for i, row_keys in itertools.groupby(keys, lambda k: k[0]):
+            row = ring.zero()
+            for k in row_keys:
+                row = elem_add(row, elem_scale(F.t[k], xpow(k[1])))
+            out = elem_add(out, elem_mul(apow(i), row) if i else row)
+        acap, acc = acap + xcap, out
     return acc
 
 
@@ -612,13 +615,10 @@ class RingMap:
         self.dom = dom
         self.cod = cod
         self.gen_images = gen_images
-        self._pows = [{0: cod.one(), 1: g} for g in gen_images]
+        self._pows = [elem_powers(g) for g in gen_images]
 
     def power(self, i, e):
-        cache = self._pows[i]
-        if e not in cache:
-            cache[e] = elem_mul(self.power(i, e - 1), cache[1])
-        return cache[e]
+        return self._pows[i](e)
 
     def apply(self, x):
         """Image of a domain element.  Coordinates are grouped by the
@@ -666,8 +666,7 @@ def pullback(hom, dom_ring, cod_ring):
         raise ValueError("rings were built over different laws")
     gens = []
     for i in range(hom.dst.rank):
-        ms = point_class_ms(cod_ring, hom.char_exponents(i))
-        gens.append(normal_form(cod_ring, ms))
+        gens.append(point_class(cod_ring, hom.char_exponents(i)))
     return RingMap(hom, dom_ring, cod_ring, gens)
 
 

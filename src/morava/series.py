@@ -434,21 +434,6 @@ def ms_one(ctx, r, caps, tcap=None):
     return A
 
 
-def ms_from_yseries(f, r, caps, var, tcap=None):
-    """Embed a one-variable series as a multiseries in variable ``var``."""
-    ctx = f.ctx
-    A = ms_new(ctx, r, caps, tcap)
-    trunc = f.trunc
-    for d, e in enumerate(f.c):
-        if e.is_zero():
-            continue
-        exps = [0] * r
-        exps[var] = d
-        ms_set(A, exps, e)
-    A.trunc = A.trunc or trunc
-    return A
-
-
 def ms_powers(A):
     """A function e -> A^e by binary powering, each power made once and A^1
     being A itself.  An odd e takes A^(e-1) and multiplies by A once: that
@@ -507,11 +492,10 @@ def ms_eval_powers(F, powers):
     ones, say: fgl.check_associativity) passes them in.
 
     Each term of F is one product of argument powers, scaled and added in
-    sorted order.  Grouping the terms by rows of F first, as
-    groupcoh.point_class_ms does for disjoint variables, reorders the sums:
-    at p=2, n=3, D=4, cap 12, N=24 (an axiom-battery shape)
-    check_associativity then raises PrecisionError, 7 trusted digits
-    against the floor of 8."""
+    sorted order.  Grouping the terms by rows of F first, one product per
+    power of the first argument, reorders the sums: at p=2, n=3, D=4,
+    cap 12, N=24 (an axiom-battery shape) check_associativity then raises
+    PrecisionError, 7 trusted digits against the floor of 8."""
     if len(powers) != F.r:
         raise ValueError("wrong argument count")
     args = [pw(1) for pw in powers]

@@ -1,9 +1,10 @@
 """Glue between the exact-rational reference and the engine's types, a
-counter of coefficient products and an exact view of a multiseries."""
+counter of coefficient products, a one-variable embedding and an exact
+view of a multiseries."""
 
 from oracles import qc_project
 from morava.coeff import CoeffContext
-from morava.series import ser_new
+from morava.series import ms_new, ms_set, ser_new
 
 
 def oc_to_elem(ctx, oc, weight=None):
@@ -62,3 +63,16 @@ def ms_content(A):
     return (A.caps, A.tcap, A.trunc,
             [(k, [(ck, c.val, c.unit, c.prec) for ck, c in e.t.items()],
               e.trunc) for k, e in A.t.items()])
+
+
+def ms_from_yseries(f, r, caps, var):
+    """Embed a one-variable series as a multiseries in variable ``var``;
+    terms past the caps set the trunc flag."""
+    A = ms_new(f.ctx, r, caps)
+    for d, e in enumerate(f.c):
+        if not e.is_zero():
+            exps = [0] * r
+            exps[var] = d
+            ms_set(A, exps, e)
+    A.trunc = A.trunc or f.trunc
+    return A

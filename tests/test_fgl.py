@@ -9,14 +9,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from helpers import (count_coeff_products, ms_content, oc_series_to_yseries,
-                     oc_to_elem)
+from helpers import (count_coeff_products, ms_content, ms_from_yseries,
+                     oc_series_to_yseries, oc_to_elem)
 from morava.fgl import (build_fgl, check_associativity, check_integrality,
                         check_pk_congruence, formal_sum, log_depth, solve_log)
 from morava.padic import PrecisionError
-from morava.series import (YSeries, ms_eval, ms_from_yseries, ms_new,
-                           ms_permuted, ms_powers, ms_set, ser_compose, ser_from_terms, ser_monomial, ser_new,
-                           ser_scale)
+from morava.series import (YSeries, ms_eval, ms_new, ms_permuted, ms_powers,
+                           ms_set, ser_compose, ser_from_terms, ser_monomial,
+                           ser_new, ser_scale)
 
 
 @pytest.fixture(scope="module")

@@ -3,15 +3,15 @@ import random
 import pytest
 
 import oracles as O
-from helpers import count_coeff_products, ms_content, oc_series_to_yseries
+from helpers import (count_coeff_products, ms_content, ms_from_yseries,
+                     oc_series_to_yseries)
 
 import morava.series
 from morava.coeff import CoeffContext, CoeffElem
 from morava.padic import PadicScaled
 from morava.series import (MultiSeries, YSeries, golden_dump, golden_load,
-                           ms_add_into, ms_eval, ms_from_yseries,
-                           ms_mul, ms_new, ms_one, ms_permuted, ms_powers,
-                           ms_set, ser_add, ser_compose, ser_from_terms,
+                           ms_add_into, ms_eval, ms_mul, ms_new, ms_one,
+                           ms_permuted, ms_powers, ms_set, ser_add, ser_compose, ser_from_terms,
                            ser_invert_unit, ser_monomial, ser_mul, ser_new,
                            ser_rshift, ser_scale, ser_sub,
                            weierstrass_degree, weierstrass_divide,
@@ -307,8 +307,8 @@ def random_ms(rng, ctx, caps, tcap, nterms):
     return A
 
 
-# (caps, tcap) in the three shapes the package multiplies: the
-# associativity check, two_var(Mx, My, tcap), and point_class_ms
+# (caps, tcap) in the shapes that get multiplied: the associativity check,
+# two_var(Mx, My, tcap), and the per-term class reference of the ring tests
 MS_SHAPES = [((6, 6, 6), 6), ((7, 4), 8), ((9, 5), None), ((5, 3, 4), None)]
 
 
