@@ -42,8 +42,8 @@ from .euler import (reduced_euler, total_euler, verify_restriction_vanishing,
 from .fgl import (build_fgl, build_fgl_cached, check_associativity,
                   check_commutativity, check_integrality, check_pk_congruence,
                   check_unitality)
-from .groupcoh import (AbelianPGroup, build_cohring, verify_free_over_subring,
-                       verify_rank)
+from .groupcoh import (AbelianPGroup, build_cohring, caps_for, sound_depth,
+                       verify_free_over_subring, verify_rank)
 from .localize import (verify_elementary_quotient_transfer,
                        verify_height_drop_unit, verify_inverted_prime_model,
                        verify_localized_nonvanishing,
@@ -106,29 +106,6 @@ def group_exps(orders, p):
         return AbelianPGroup.from_orders(p, orders).exps
     except ValueError as e:
         raise ConfigError(str(e))
-
-
-def sound_basis_cap(p, n, k, D, depth):
-    """Per-factor cap for a depth-digit probe on a C_{p^k} factor."""
-    d = p ** (n * k)
-    cap = d + depth * p ** (n * (k - 1)) * (p ** n - 1)
-    if n >= 2:
-        cap = max(cap, d + (D + 1) * (d - 1) + 1)
-    return cap
-
-
-def caps_for(p, n, exps, D, depth):
-    return tuple(sound_basis_cap(p, n, k, D, depth) for k in exps)
-
-
-def sound_depth(p, n, exps, D, caps):
-    """Digits no truncation junk reaches at these caps, the inverse of
-    sound_basis_cap: the greatest depth whose cap every factor reaches."""
-    depth = 0
-    while all(sound_basis_cap(p, n, k, D, depth + 1) <= cap
-              for k, cap in zip(exps, caps)):
-        depth += 1
-    return depth
 
 
 def probe_depth_default(n):
@@ -449,11 +426,11 @@ def euler_vanishing_records(cfg, bld, p, n):
         dcaps = caps_for(ip, im, exps, D, depth)
         if max(dcaps) > 150:
             # The certificate search walks every character orbit and
-            # evaluates a degree max(dcaps) - 1 series on each class by
-            # Horner's rule.  On C9 x C3 at p=3, n=2 that is about 14
-            # minutes per record (820 s CPU at N=80 on a 2-core VM), and
-            # the restriction record above already covers the vanishing
-            # claim.
+            # evaluates a degree max(dcaps) - 1 series on each class.  At
+            # p=3, n=2 the C9 record takes 1.5-2.1 s of CPU (N=48) and the
+            # C9 x C3 record 98 s (N=81, 75 s of it with the law given) on
+            # a 2-core VM, and the restriction record above already covers
+            # the vanishing claim.
             continue
 
         def mk_div(f, group=group, dcaps=dcaps, depth=depth):

@@ -17,8 +17,8 @@ two-variable group law, assembled from the binomial expansion of
 exp(log x + log y) at independent degree caps in x and y, serves the axiom
 checks (through ms_eval, one product per term, with F(y, z) and its
 powers in the associativity check renamed from those of F(x, y)) and the
-character classes of groupcoh.point_class (by rows, on ring elements: one
-ring product per power of the first argument).
+character classes of groupcoh.point_class (through groupcoh.elem_poly, on
+ring elements: one ring product per power of the first argument).
 
 Scalars of valuation -k appear in the l_k; the builder refuses to run when
 the working precision cannot absorb the worst of them.

@@ -14,9 +14,15 @@ Group homomorphisms act contravariantly.  The generator class of the i-th
 target factor pulls back to the formal sum over source factors of m-series
 of their generators, with exponents scaled by the order ratio of the two
 factors, and the induced ring map is evaluated on normal forms.
+
+One routine, elem_poly, evaluates polynomials on ring elements over the
+power ladders of elem_powers: a ring map on an element, the formal group
+law on the classes of a character, and a one-variable series on a class
+(split after Paterson and Stockmeyer).
 """
 
 import itertools
+import math
 
 from .coeff import CoeffElem
 from .padic import PrecisionError
@@ -338,6 +344,30 @@ def cohring_from_relation(fgl, g, d):
     return CohRing(None, fgl, (g.M,), (d,), [_reduction(g, d)], g.trunc)
 
 
+def sound_basis_cap(p, n, k, D, depth):
+    """Per-factor cap for a depth-digit probe on a C_{p^k} factor (the junk
+    budget of the cli module docstring)."""
+    d = p ** (n * k)
+    cap = d + depth * p ** (n * (k - 1)) * (p ** n - 1)
+    if n >= 2:
+        cap = max(cap, d + (D + 1) * (d - 1) + 1)
+    return cap
+
+
+def caps_for(p, n, exps, D, depth):
+    return tuple(sound_basis_cap(p, n, k, D, depth) for k in exps)
+
+
+def sound_depth(p, n, exps, D, caps):
+    """Digits no truncation junk reaches at these caps, the inverse of
+    sound_basis_cap: the greatest depth whose cap every factor reaches."""
+    depth = 0
+    while all(sound_basis_cap(p, n, k, D, depth + 1) <= cap
+              for k, cap in zip(exps, caps)):
+        depth += 1
+    return depth
+
+
 class RingElem:
     """Normal-form element: coordinates over the monomial basis."""
 
@@ -384,10 +414,6 @@ def elem_scale(e, a):
         if prod.t or prod.trunc:
             coord[k] = prod
     return RingElem(a.ring, coord, a.trunc)
-
-
-def elem_int_mul(m, a):
-    return elem_scale(a.ring.ctx.from_int(m), a)
 
 
 def _nf_accumulate(ring, out, exps, c):
@@ -538,20 +564,6 @@ def elem_eq_to(a, b, depth):
     return True
 
 
-def series_in_elem(ring, s, x):
-    """Evaluate a one-variable series on a ring element (Horner)."""
-    if s.ctx is not ring.ctx:
-        raise ValueError("series context differs from the ring's")
-    if x.ring is not ring:
-        raise ValueError("element of a different ring")
-    out = ring.const(s.c[s.M])
-    for d in range(s.M - 1, -1, -1):
-        out = elem_add(elem_mul(out, x), ring.const(s.c[d]))
-    if s.trunc and not out.trunc:
-        out = RingElem(ring, out.coord, True)
-    return out
-
-
 def elem_powers(x):
     """A function e -> x^e, each power formed once, as x^(e-1) times x."""
     pows = [x.ring.one(), x]
@@ -563,6 +575,58 @@ def elem_powers(x):
     return power
 
 
+def elem_poly(ring, terms, pows, trunc):
+    """The sum of c * prod_i pows[i](e_i) over a map terms: exps -> c, each
+    pows[i] an elem_powers ladder; trunc marks the result truncated.
+
+    Terms are grouped by their last exponent e.  Each term is c times the
+    power of its first nonzero exponent (elem_scale), or the constant c,
+    times one ring product per further nonzero exponent but the last; each
+    group's sum then takes one product with the e-th power of the last
+    ladder, so a full product is paid per distinct e, not per term."""
+    last = len(pows) - 1
+    groups = {}
+    for exps in sorted(terms):
+        c = terms[exps]
+        term = None
+        for i, e in enumerate(exps[:last]):
+            if not e:
+                continue
+            if term is None:
+                term = elem_scale(c, pows[i](e))
+            else:
+                term = elem_mul(term, pows[i](e))
+        if term is None:
+            term = ring.const(c)
+        e = exps[last] if exps else 0
+        cur = groups.get(e)
+        groups[e] = term if cur is None else elem_add(cur, term)
+    out = ring.zero()
+    for e in sorted(groups):
+        part = groups[e]
+        if e:
+            part = elem_mul(part, pows[last](e))
+        out = elem_add(out, part)
+    if trunc and not out.trunc:
+        out = RingElem(ring, out.coord, True)
+    return out
+
+
+def series_in_elem(ring, s, x):
+    """Evaluate a one-variable series on a ring element, split after
+    Paterson and Stockmeyer: degree d = i*k + j with k = isqrt(M + 1) and
+    j < k, so elem_poly over the ladders of x and x^k takes about
+    3*sqrt(M) ring products, against M for Horner's rule."""
+    if s.ctx is not ring.ctx:
+        raise ValueError("series context differs from the ring's")
+    if x.ring is not ring:
+        raise ValueError("element of a different ring")
+    k = math.isqrt(s.M + 1)
+    xpow = elem_powers(x)
+    terms = {(d % k, d // k): c for d, c in enumerate(s.c) if c.t or c.trunc}
+    return elem_poly(ring, terms, [xpow, elem_powers(xpow(k))], s.trunc)
+
+
 def point_class(ring, tvals):
     """Formal sum over factors of the t_j-series of y_j, in the ring.  This
     is the cohomology class attached to a tuple of character exponents; a
@@ -571,8 +635,8 @@ def point_class(ring, tvals):
     Each [t_j](y_j) enters as the normal form of a one-variable series cut
     at its cap.  Each further factor x is folded in as F(acc, x) =
     sum_i acc^i R_i with R_i = sum_j F_ij x^j, over the terms of F with j
-    at most x's cap and i at most the sum of acc's caps; both power
-    ladders are formed by elem_mul.
+    at most x's cap and i at most the sum of acc's caps: elem_poly over
+    F's terms keyed (j, i), on the ladders of x and acc.
 
     Soundness: ring products are exact, so only terms F_ij acc^i x^j are
     lost.  Past the caps above, every monomial of such a term lies past
@@ -580,7 +644,7 @@ def point_class(ring, tvals):
     exceeds M, which is at least every cap, so it too lies where the junk
     budget of the caps applies.  The class therefore agrees with
     F([t_1](y_1), ..., [t_r](y_r)) to the junk-sound depth of the caps
-    (cli.sound_depth)."""
+    (sound_depth)."""
     fgl = ring.fgl
     xs = []
     for j, t in enumerate(tvals):
@@ -592,15 +656,11 @@ def point_class(ring, tvals):
     acap, acc = xs[0]
     for xcap, x in xs[1:]:
         F = fgl.F
-        apow, xpow = elem_powers(acc), elem_powers(x)
-        out = RingElem(ring, {}, F.trunc)
-        keys = [k for k in sorted(F.t) if k[0] <= acap and k[1] <= xcap]
-        for i, row_keys in itertools.groupby(keys, lambda k: k[0]):
-            row = ring.zero()
-            for k in row_keys:
-                row = elem_add(row, elem_scale(F.t[k], xpow(k[1])))
-            out = elem_add(out, elem_mul(apow(i), row) if i else row)
-        acap, acc = acap + xcap, out
+        terms = {(j, i): c for (i, j), c in F.t.items()
+                 if i <= acap and j <= xcap}
+        acc = elem_poly(ring, terms, [elem_powers(x), elem_powers(acc)],
+                        F.trunc)
+        acap += xcap
     return acc
 
 
@@ -621,40 +681,11 @@ class RingMap:
         return self._pows[i](e)
 
     def apply(self, x):
-        """Image of a domain element.  Coordinates are grouped by the
-        exponent e of the last generator: each group's sum of c times the
-        image of the other generators' monomial is formed first, and then
-        multiplied once by the e-th power of the last generator's image,
-        so a full ring product is paid per distinct e, not per
-        coordinate."""
+        """Image of a domain element: elem_poly over its coordinates on
+        the ladders of the generator images."""
         if x.ring is not self.dom:
             raise ValueError("element not in the map's domain ring")
-        cod = self.cod
-        last = len(x.ring.wdegs) - 1
-        groups = {}
-        for exps in sorted(x.coord):
-            term = None
-            for i, e in enumerate(exps[:last]):
-                if not e:
-                    continue
-                if term is None:
-                    term = elem_scale(x.coord[exps], self.power(i, e))
-                else:
-                    term = elem_mul(term, self.power(i, e))
-            if term is None:
-                term = cod.const(x.coord[exps])
-            e = exps[last] if exps else 0
-            cur = groups.get(e)
-            groups[e] = term if cur is None else elem_add(cur, term)
-        out = cod.zero()
-        for e in sorted(groups):
-            part = groups[e]
-            if e:
-                part = elem_mul(part, self.power(last, e))
-            out = elem_add(out, part)
-        if x.trunc and not out.trunc:
-            out = RingElem(cod, out.coord, True)
-        return out
+        return elem_poly(self.cod, x.coord, self._pows, x.trunc)
 
 
 def pullback(hom, dom_ring, cod_ring):
@@ -727,14 +758,13 @@ def _factor_block_unit(fgl, k, l, entry):
     ctx = fgl.ctx
     mat = [[0] * dbig for _ in range(dbig)]
     colidx = 0
-    base = big.one()
+    power = elem_powers(img)
     for w in range(p ** (n * l)):
         for b in range(bound):
-            col = elem_mul(base, _mono(big, b))
+            col = elem_mul(power(w), _mono(big, b))
             for key, c in col.coord.items():
                 mat[key[0]][colidx] = ctx.reduce_mod_pv(c)
             colidx += 1
-        base = elem_mul(base, img)
     got = fgl._b_cache[memo] = _invertible_mod_p(p, mat)
     return got
 

@@ -15,8 +15,9 @@ from .euler import (Character, all_nontrivial_characters, euler_of_char,
                     total_euler)
 from .fgl import formal_sum
 from .groupcoh import (AbelianPGroup, build_cohring, cohring_from_relation,
-                       elem_eq_to, elem_is_zero_to, elem_mul, pullback,
-                       series_in_elem, verify_free_over_subring)
+                       elem_eq_to, elem_is_zero_to, elem_mul, elem_powers,
+                       pullback, series_in_elem, sound_basis_cap,
+                       verify_free_over_subring)
 from .report import make_check, precision_note
 from .series import (ser_compose, ser_from_terms, ser_invert_unit,
                      ser_rshift, ser_scale, ser_sub, weierstrass_degree,
@@ -31,14 +32,11 @@ def saturation_certificate(x, e, t, T, eq_to, depth):
     the latter to be reported as INDETERMINATE rather than failure."""
     if T < 0:
         raise ValueError("saturation bound must be nonnegative")
-    rhs = e if t else e.ring.one()
-    for _ in range(t - 1):
-        rhs = elem_mul(rhs, e)
+    power = elem_powers(e)
     for m in range(T + 1):
-        if eq_to(x, rhs, depth):
+        if eq_to(x, power(m + t), depth):
             return True, m
         x = elem_mul(x, e)
-        rhs = elem_mul(rhs, e)
     return None, None
 
 
@@ -132,14 +130,6 @@ def verify_mutual_euler_divisibility(ring, depth=4):
                        extra={"depth": depth}))
 
 
-def sound_mod_ideal_cap(fgl):
-    """Smallest basis cap at which reduction junk provably lands in the
-    ideal: every chain from the cap down past the relation degree either
-    gains a p-digit or exceeds the v-degree cap."""
-    d = fgl.p ** fgl.n
-    return d + (fgl.ctx.D + 1) * (d - 1) + 1
-
-
 def verify_height_drop_unit(fgl, ring=None, T=None, sat_depth=1):
     """Height at least 2: the p-series collapses mod the lower ideal to a
     two-term group sum, the unit series factor has constant term one, and
@@ -182,7 +172,8 @@ def verify_height_drop_unit(fgl, ring=None, T=None, sat_depth=1):
         elem_mul(ring.const(vlow), num), ring.gen(0), texp, T,
         lambda a, b, d: elem_congruent_mod_ideal(a, b, keep, d),
         sat_depth)
-    caps_sound = ring.caps[0] >= sound_mod_ideal_cap(fgl)
+    sound_cap = sound_basis_cap(p, n, 1, ctx.D, 0)
+    caps_sound = ring.caps[0] >= sound_cap
     witness = {
         "two_term_congruence": c1,
         "unit_series_constant_term_one": c2,
@@ -198,7 +189,7 @@ def verify_height_drop_unit(fgl, ring=None, T=None, sat_depth=1):
     elif not caps_sound:
         verdict = "INDETERMINATE"
         witness["reason"] = ("caps below the junk-safe threshold %d"
-                             % sound_mod_ideal_cap(fgl))
+                             % sound_cap)
     elif equal is None:
         verdict = "INDETERMINATE"
     else:
@@ -288,12 +279,10 @@ def verify_localized_nonvanishing(ring, T=8, depth=2):
     r = ring.group.rank
     params = {"p": fgl.p, "n": fgl.n, "r": r, "t_bound": T}
     powers = []
-    e = total_euler(ring)
-    acc = ring.one()
+    power = elem_powers(total_euler(ring))
     least_zero = None
     for t in range(1, T + 1):
-        acc = elem_mul(acc, e)
-        z = elem_is_zero_to(acc, depth)
+        z = elem_is_zero_to(power(t), depth)
         powers.append({"t": t, "zero_to_depth": z})
         if z and least_zero is None:
             least_zero = t

@@ -23,12 +23,12 @@ from types import SimpleNamespace
 import pytest
 
 from morava import cli
-from morava.cli import Builder, caps_for
+from morava.cli import Builder
 from morava.euler import verify_restriction_vanishing
 from morava.fgl import (check_associativity, check_commutativity,
                         check_integrality, check_pk_congruence,
                         check_unitality)
-from morava.groupcoh import AbelianPGroup, build_cohring
+from morava.groupcoh import AbelianPGroup, build_cohring, caps_for
 
 
 # sha256 of the `verify paper-suite` report

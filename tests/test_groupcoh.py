@@ -6,6 +6,7 @@ j / (p^{n(k-1)}(p^n - 1)), so caps control how deep a zero verdict can
 reach.
 """
 
+import math
 import random
 from types import SimpleNamespace
 
@@ -14,15 +15,15 @@ import pytest
 import oracles
 from helpers import count_coeff_products, ms_from_yseries, oc_to_elem
 from morava import groupcoh
-from morava.cli import Builder, sound_basis_cap, sound_depth
+from morava.cli import Builder
 from morava.euler import (all_nontrivial_characters, euler_of_char,
                           reduced_euler, total_euler)
 from morava.fgl import build_fgl
 from morava.groupcoh import (AbelianPGroup, CohRing, GroupHom, RingElem,
                              aligned_quotient_shape, build_cohring, elem_add,
-                             elem_eq_to, elem_int_mul, elem_is_zero_to,
-                             elem_mul, elem_scale, normal_form, point_class,
-                             pullback, series_in_elem,
+                             elem_eq_to, elem_is_zero_to, elem_mul,
+                             elem_scale, normal_form, point_class, pullback,
+                             series_in_elem, sound_basis_cap, sound_depth,
                              verify_free_over_subring, verify_rank)
 from morava.coeff import CoeffContext, CoeffElem
 from morava.padic import PadicScaled, PrecisionError
@@ -127,6 +128,42 @@ def test_defining_relation_zero(fgl21, fgl22, ring2, ring4):
     assert elem_is_zero_to(rel, 3)
 
 
+def horner_in_elem(ring, s, x):
+    """Horner's rule: one ring product per degree."""
+    out = ring.const(s.c[s.M])
+    for d in range(s.M - 1, -1, -1):
+        out = elem_add(elem_mul(out, x), ring.const(s.c[d]))
+    return out
+
+
+def test_series_in_elem_matches_horner_in_few_products(fgl21, ring4,
+                                                       monkeypatch):
+    # the Paterson-Stockmeyer split takes at most 3 * ceil(sqrt(M + 1))
+    # ring products, its power ladders included, where Horner takes M
+    products = []
+    real = groupcoh.elem_mul
+
+    def counted(a, b):
+        products.append(None)
+        return real(a, b)
+
+    y = ring4.gen(0)
+    ctx = ring4.ctx
+    xs = [y, elem_add(ring4.one(), elem_scale(ctx.from_int(3), y)),
+          elem_mul(y, y)]
+    for s in (fgl21.pk_series(1), fgl21.pk_series(2), fgl21.m_series(3)):
+        bound = 3 * (math.isqrt(s.M) + 1)  # 3 * ceil(sqrt(M + 1))
+        assert bound < s.M
+        for x in xs:
+            ref = horner_in_elem(ring4, s, x)
+            monkeypatch.setattr(groupcoh, "elem_mul", counted)
+            del products[:]
+            got = series_in_elem(ring4, s, x)
+            monkeypatch.undo()
+            assert elem_eq_to(got, ref, 16)
+            assert len(products) <= bound
+
+
 def test_elem_arithmetic(ring4):
     ctx = ring4.ctx
     rng = random.Random(7)
@@ -148,8 +185,9 @@ def test_elem_arithmetic(ring4):
         lhs = elem_mul(a, elem_add(b, c))
         rhs = elem_add(elem_mul(a, b), elem_mul(a, c))
         assert elem_eq_to(lhs, rhs, 12)
-        assert elem_is_zero_to(elem_add(a, elem_int_mul(-1, a)), 16)
-        assert elem_eq_to(elem_int_mul(3, a),
+        assert elem_is_zero_to(elem_add(a, elem_scale(ctx.from_int(-1), a)),
+                               16)
+        assert elem_eq_to(elem_scale(ctx.from_int(3), a),
                           elem_add(a, elem_add(a, a)), 16)
         assert elem_eq_to(elem_scale(ctx.from_int(3), a),
                           elem_mul(ring4.const(ctx.from_int(3)), a), 16)
@@ -208,7 +246,8 @@ def test_pullback_frozen_maps(fgl21, ring2, ring4):
     ident = GroupHom.identity(AbelianPGroup(2, (2,)))
     pid = pullback(ident, ring4, ring4)
     assert elem_eq_to(pid.gen_images[0], ring4.gen(0), 16)
-    probe = elem_add(ring4.one(), elem_int_mul(3, ring4.gen(0)))
+    probe = elem_add(ring4.one(),
+                     elem_scale(ring4.ctx.from_int(3), ring4.gen(0)))
     assert elem_eq_to(pid.apply(probe), probe, 16)
 
 
@@ -687,7 +726,7 @@ def test_point_class_coefficient_work_pinned(monkeypatch):
     ref, ref_calls = count_coeff_muls(monkeypatch, per_term_class, ring,
                                       (1, 1))
     assert elem_eq_to(got, ms_normal_form(ring, ref), 26)
-    assert (calls, ref_calls) == (2845, 155883)
+    assert (calls, ref_calls) == (2817, 155883)
 
 
 def test_total_euler_coefficient_work_pinned(monkeypatch):
@@ -707,7 +746,7 @@ def test_total_euler_coefficient_work_pinned(monkeypatch):
     assert ring.caps == (33, 9) and law.ctx.N == 33
     total, calls = count_coeff_muls(monkeypatch, total_euler, ring)
     assert len(total.coord) == 45 and total.trunc
-    assert calls == 24552
+    assert calls == 24519
     ref = ring.one()
     for ch in all_nontrivial_characters(group):
         cls = point_class(ring, ch.as_hom().char_exponents(0))
@@ -772,7 +811,7 @@ def test_trivial_group_ring(fgl21):
     A = ms_new(triv.ctx, 0, ())
     ms_set(A, (), triv.ctx.from_int(5))
     nf = ms_normal_form(triv, A)
-    assert elem_eq_to(nf, elem_int_mul(5, one), 16)
+    assert elem_eq_to(nf, elem_scale(triv.ctx.from_int(5), one), 16)
 
 
 # Relation memo: each law prepares the relation of a (k, cap) factor once.

@@ -13,8 +13,9 @@ from morava.euler import Character, euler_of_char, total_euler
 from morava.fgl import build_fgl
 from morava.groupcoh import (AbelianPGroup, RingElem, build_cohring,
                              cohring_from_relation, elem_add, elem_eq_to,
-                             elem_is_zero_to, elem_mul, series_in_elem)
-from morava.localize import (saturation_certificate, sound_mod_ideal_cap,
+                             elem_is_zero_to, elem_mul, series_in_elem,
+                             sound_basis_cap)
+from morava.localize import (saturation_certificate,
                              verify_elementary_quotient_transfer,
                              verify_height_drop_unit,
                              verify_inverted_prime_model,
@@ -93,10 +94,11 @@ def _det(ctx, rows):
 
 # Frozen junk-safe thresholds for the shapes the drivers run at.
 
-def test_sound_cap_frozen(fgl22):
-    assert sound_mod_ideal_cap(fgl22) == 26
-    assert sound_mod_ideal_cap(build_fgl(3, 2, N=8, D=6, M=2)) == 66
-    assert sound_mod_ideal_cap(build_fgl(2, 3, N=8, D=4, M=2)) == 44
+def test_sound_cap_frozen():
+    # a probe of depth 0: only the window of the v-degree tails counts
+    assert sound_basis_cap(2, 2, 1, 6, 0) == 26
+    assert sound_basis_cap(3, 2, 1, 6, 0) == 66
+    assert sound_basis_cap(2, 3, 1, 4, 0) == 44
 
 
 # Saturation: x/e^t becomes 1 once e is inverted.
