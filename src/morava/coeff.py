@@ -28,14 +28,15 @@ N, a nonzero unit prime to p and below p**prec, a zero with unit 0 and prec
 0).  ``mul``, ``addmul_into``, ``_merge_into`` (behind ``add``,
 ``add_raw``, ``sub`` and ``sub_raw``) and ``scalar_mul`` read each scalar's
 fields into locals and form products from the context's power table, as
-PadicContext.mul would.  When a term lands on a stored key and both units
-are nonzero, ``_store`` adds it by PadicContext._add's rule for two nonzero
-units, then applies the prune horizon and the floor as ``_acc`` does.
-Every other collision (a zero marker on either side, or a sum reaching past
-N) goes through ``_acc`` and PadicContext.add_raw, which stay the
-definition of the rule.  Terms are
-visited in the same order either way, so every stored scalar and every
-raised PrecisionError is the one the per-pair calls give.
+PadicContext.mul would.  When a term lands on a stored key, ``_store``
+adds the two scalars by PadicContext._add's rule, inline, whether they are
+two nonzero units, a unit and a zero marker, or two zero markers, then
+applies the prune horizon and the floor as ``_acc`` does.  Only a sum
+reaching past N, which just scalars outside the invariant can make, goes
+through ``_acc`` and PadicContext.add_raw, which stay the definition of
+the rule.  Terms are visited in the same order either way, so every stored
+scalar and every raised PrecisionError is the one the per-pair calls
+give.
 
 Sums of products go through ``addmul_into(t, A, B)``, which leaves a dict
 ``t`` that the caller owns exactly as ``t = add(CoeffElem(t), mul(A, B)).t``
@@ -186,9 +187,10 @@ class CoeffContext:
     # ring operations
 
     def _acc(self, cur, c, raw):
-        """Combine an incoming term with a stored one.  Junk settled past the
-        prune horizon is discarded before the floor applies: it cannot reach
-        a verdict.  Returns None when nothing should stay stored."""
+        """Combine an incoming term with a stored one by add_raw, the rule
+        ``_store`` reproduces.  Junk settled past the prune horizon is
+        discarded before the floor applies: it cannot reach a verdict.
+        Returns None when nothing should stay stored."""
         s = self.padic.add_raw(cur, c)
         if s.val >= self.prune_horizon:
             return None
@@ -197,37 +199,50 @@ class CoeffContext:
         return s
 
     def _store(self, t, k, cur, bv, bu, bp, raw):
-        """Add the scalar (bv, bu, bp) to the stored nonzero-unit scalar
-        ``cur`` at key k of t, as ``_acc`` would, and store or delete the
-        result.  This is PadicContext._add's branch for two nonzero units
-        with the sum read off the power table; a caller whose sum reaches
-        past the working precision gets False back and goes through
-        ``_acc`` instead."""
+        """Add the scalar (bv, bu, bp) to the scalar ``cur`` stored at key
+        k of t, and store the sum or delete the key, as ``_acc`` would.
+        This is PadicContext._add with the power table read directly, for
+        scalars that keep the PadicScaled invariant: the sum is pinned to
+        the lesser absolute precision (a zero marker's is its depth), and
+        a unit meeting a zero marker keeps its digits below that depth.
+        Only a sum reaching past the working precision, which scalars
+        outside the invariant can make, goes through ``_acc``."""
         padic = self.padic
-        pows = padic._pows
         cu, cv, cp = cur.unit, cur.val, cur.prec
-        if cv <= bv:
-            top = cv + cp
-            if bv + bp < top:
-                top = bv + bp
-            v, kk, gap = cv, top - cv, bv - cv
-            if kk > padic.N:
-                return False
-            s = (cu + bu * pows[gap] if gap < kk else cu) % pows[kk]
-        else:
+        top = cv + cp
+        if bv + bp < top:
             top = bv + bp
-            if cv + cp < top:
-                top = cv + cp
-            v, kk, gap = bv, top - bv, cv - bv
-            if kk > padic.N:
-                return False
-            s = (cu * pows[gap] + bu if gap < kk else bu) % pows[kk]
+        if cu and bu:
+            if cv <= bv:
+                v, lo, hi, gap = cv, cu, bu, bv - cv
+            else:
+                v, lo, hi, gap = bv, bu, cu, cv - bv
+        elif cu:
+            v, lo, hi, gap = cv, cu, 0, 0
+        elif bu:
+            v, lo, hi, gap = bv, bu, 0, 0
+        else:
+            # two zero markers: the sum is the shallower one
+            v = top
+        kk = top - v
+        if kk > padic.N:
+            s = self._acc(cur, PadicScaled(bv, bu, bp), raw)
+            if s is None:
+                del t[k]
+            else:
+                t[k] = s
+            return
+        if kk > 0:
+            pows = padic._pows
+            s = (lo + hi * pows[gap] if gap < kk else lo) % pows[kk]
+        else:
+            s = 0
         if not s:
             if top >= self.prune_horizon:
                 del t[k]
             else:
                 t[k] = PadicScaled(top, 0, 0)
-            return True
+            return
         p = padic.p
         while not s % p:
             s //= p
@@ -239,7 +254,6 @@ class CoeffContext:
             raise _floor_error(kk, padic.floor)
         else:
             t[k] = PadicScaled(v, s, kk)
-        return True
 
     def _merge_into(self, t, tb, raw):
         horizon = self.prune_horizon
@@ -248,15 +262,8 @@ class CoeffContext:
             if cur is None:
                 if c.val < horizon:
                     t[k] = c
-                continue
-            if cur.unit and c.unit and self._store(t, k, cur, c.val, c.unit,
-                                                   c.prec, raw):
-                continue
-            s = self._acc(cur, c, raw)
-            if s is not None:
-                t[k] = s
             else:
-                del t[k]
+                self._store(t, k, cur, c.val, c.unit, c.prec, raw)
 
     def _merge(self, A, B, raw):
         t = dict(A.t)
@@ -319,15 +326,8 @@ class CoeffContext:
                 if cur is None:
                     if pv < horizon:
                         acc[k] = PadicScaled(pv, pu, pk)
-                    continue
-                if pu and cur.unit and self._store(acc, k, cur, pv, pu, pk,
-                                                   False):
-                    continue
-                s = self._acc(cur, PadicScaled(pv, pu, pk), False)
-                if s is not None:
-                    acc[k] = s
                 else:
-                    del acc[k]
+                    self._store(acc, k, cur, pv, pu, pk, False)
         return CoeffElem(self, acc, trunc)
 
     def addmul_into(self, t, A, B):
@@ -376,14 +376,8 @@ class CoeffContext:
             cur = get(k)
             if cur is None:
                 t[k] = PadicScaled(pv, pu, pk)
-                continue
-            if pu and cur.unit and self._store(t, k, cur, pv, pu, pk, False):
-                continue
-            s = self._acc(cur, PadicScaled(pv, pu, pk), False)
-            if s is not None:
-                t[k] = s
             else:
-                del t[k]
+                self._store(t, k, cur, pv, pu, pk, False)
         return trunc
 
     def scalar_mul(self, c, A):

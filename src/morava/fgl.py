@@ -15,8 +15,9 @@ S = sum_i log f_i for a formal sum), which keeps each coefficient a single
 short linear combination instead of a tower of compositions.  The
 two-variable group law, assembled from the binomial expansion of
 exp(log x + log y) at independent degree caps in x and y, serves the axiom
-checks (through ms_eval, one product per term, with F(y, z) and its
-powers in the associativity check renamed from those of F(x, y)) and the
+checks (through ms_eval, one product per term, where a power of a variable
+only shifts keys, with F(y, z) and its powers in the associativity check
+renamed from those of F(x, y)) and the
 character classes of groupcoh.point_class (through groupcoh.elem_poly, on
 ring elements: one ring product per power of the first argument).
 
@@ -412,7 +413,10 @@ def check_associativity(fgl, cap=None, depth=8):
     x->y->z (ms_permuted: the three caps are equal), so only the powers of
     F(x, y) are multiplied out.  At p=2, n=1, N=59 the products then meet
     300,200 pairs of terms at cap 16 (7,911,348 at cap 32), of which
-    14.5 % (12.5 %) fit under the cap; ms_mul visits only those."""
+    14.5 % (12.5 %) fit under the cap; ms_mul visits only those.  The
+    terms G^i·z^j and x^i·H^j of the two sides, like x^i·y^j inside
+    F(x, y), multiply by nothing: ms_eval_powers shifts the keys of G^i or
+    H^j and scales them by F's coefficient straight into the sum."""
     ctx = fgl.ctx
     cap = fgl.M if cap is None else cap
     F = fgl.two_var(cap, cap, tcap=cap)

@@ -23,6 +23,7 @@ law on the classes of a character, and a one-variable series on a class
 
 import itertools
 import math
+from operator import add
 
 from .coeff import CoeffElem
 from .padic import PrecisionError
@@ -509,7 +510,7 @@ def elem_mul(a, b):
     bterms = sorted(b.coord.items())
     for A, ca in sorted(a.coord.items()):
         for B, cb in bterms:
-            key = tuple(x + y for x, y in zip(A, B))
+            key = tuple(map(add, A, B))
             cur = raw.get(key)
             if cur is None:
                 c = ctx.mul(ca, cb)

@@ -20,9 +20,9 @@ extra working digits would have been enough, so callers can rerun with a
 larger N.
 
 ``_add`` is the one definition of the sum rule.  The coefficient kernel in
-``coeff.py`` carries its own copy of ``mul`` and of ``_add``'s branch for two
-nonzero units, reading ``_pows`` directly; zero markers and sums that reach
-past N still come here.
+``coeff.py`` carries its own copy of ``mul`` and of ``_add``, reading
+``_pows`` directly; only sums that reach past N, from scalars outside the
+invariant, still come here from it.
 """
 
 EXACT = 10 ** 9

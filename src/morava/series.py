@@ -20,7 +20,7 @@ the working precision and the v-degree cap, and nontermination inside that
 budget signals a non-prepared input.
 """
 
-from operator import add
+from operator import add, gt
 
 from .coeff import CoeffContext
 from .padic import EXACT, PadicScaled, PrecisionError
@@ -328,34 +328,6 @@ def ms_set(A, exps, e):
         A.t[exps] = e
 
 
-def ms_add_into(A, B):
-    """A + B stored in A, which is returned.  A key of B not in A goes to
-    the end, a key whose sum is zero is deleted, and each replaced
-    coefficient is freed at once, not after the whole sum."""
-    _ms_check(A, B)
-    ctx = A.ctx
-    t = A.t
-    for k, e in B.t.items():
-        cur = t.get(k)
-        s = ctx.add(cur, e) if cur is not None else e
-        if s.is_zero():
-            t.pop(k, None)
-        else:
-            t[k] = s
-    A.trunc = A.trunc or B.trunc
-    return A
-
-
-def ms_scale(e, A):
-    ctx = A.ctx
-    t = {}
-    for k, a in A.t.items():
-        s = ctx.mul(e, a)
-        if not s.is_zero():
-            t[k] = s
-    return MultiSeries(ctx, A.r, A.caps, t, A.trunc, A.tcap)
-
-
 def ms_mul(A, B):
     """Product of two series of one shape, visiting only the pairs of terms
     whose product fits under the caps.
@@ -486,16 +458,76 @@ def ms_eval(F, args):
     return ms_eval_powers(F, [ms_powers(A) for A in args])
 
 
+def _unit_monomial(A, one):
+    """The key of A's one term when A is x^k with coefficient one (``one``
+    the dict of ctx.one(), trunc unset), else None."""
+    if len(A.t) == 1:
+        (k, e), = A.t.items()
+        if e.t == one and not e.trunc:
+            return k
+    return None
+
+
+def _ms_times(A, B, one):
+    """ms_mul(A, B), by a key shift when either factor is x^s with
+    coefficient one."""
+    s = _unit_monomial(B, one)
+    if s is not None:
+        return _ms_shift(A, s, B.trunc)
+    s = _unit_monomial(A, one)
+    if s is not None:
+        return _ms_shift(B, s, A.trunc)
+    return ms_mul(A, B)
+
+
+def _ms_shift(A, s, trunc):
+    """ms_mul of A and x^s with coefficient one, whose trunc flag is
+    ``trunc``: A's keys moved by s, in A's stored order, with A's own
+    coefficients, shared read-only.  Each product of a coefficient by one
+    is that coefficient (no stored scalar lies past the prune horizon), so
+    only the keys change.  A key moved past a per-variable cap or past the
+    total cap is dropped and sets trunc, as ms_mul drops its pair."""
+    room = lims = None
+    if A.tcap is not None:
+        room = A.tcap - sum(s)
+    if A.tcap is None or A.tcap > min(A.caps):
+        # otherwise a key under the total cap is under every cap
+        lims = tuple(c - x for c, x in zip(A.caps, s))
+    t = {}
+    trunc = trunc or A.trunc
+    for k, e in A.t.items():
+        if (room is not None and sum(k) > room or
+                lims is not None and any(map(gt, k, lims))):
+            trunc = True
+        else:
+            t[tuple(map(add, k, s))] = e
+    return MultiSeries(A.ctx, A.r, A.caps, t, trunc, A.tcap)
+
+
 def ms_eval_powers(F, powers):
     """ms_eval of F on the arguments powers[i](1), given as their power
     functions e -> A_i^e, so that a caller holding powers already (renamed
     ones, say: fgl.check_associativity) passes them in.
 
-    Each term of F is one product of argument powers, scaled and added in
-    sorted order.  Grouping the terms by rows of F first, one product per
-    power of the first argument, reorders the sums: at p=2, n=3, D=4,
-    cap 12, N=24 (an axiom-battery shape) check_associativity then raises
-    PrecisionError, 7 trusted digits against the floor of 8."""
+    Each term of F is one product of argument powers, left to right.  A
+    factor that is one term with coefficient one (x^j, or x^i·y^j when
+    the arguments are variables) shifts the other factor's keys instead
+    of multiplying (_ms_times).  The term is then scaled by F's
+    coefficient straight into the sum, in sorted order of F's terms and
+    each term's stored order: ctx.mul for a new key, ctx.addmul_into for
+    a stored one, whose coefficient ctx.mul made in this call and nothing
+    else holds.  Scalars, key order and trunc flags are those of scaling
+    each term into a series of its own and merging that into the sum (the
+    reference route in tests/helpers.py): a product with no terms leaves
+    its key alone, trunc flag included.  Only the choice of error differs:
+    a term's products are no longer all formed before its sums, so when a
+    product and an earlier sum of one term both fail the floor, the sum's
+    PrecisionError is the one raised.
+
+    Grouping the terms by rows of F first, one product per power of the
+    first argument, reorders the sums: at p=2, n=3, D=4, cap 12, N=24 (an
+    axiom-battery shape) check_associativity then raises PrecisionError, 7
+    trusted digits against the floor of 8."""
     if len(powers) != F.r:
         raise ValueError("wrong argument count")
     args = [pw(1) for pw in powers]
@@ -506,19 +538,36 @@ def ms_eval_powers(F, powers):
         if (0,) * A.r in A.t:
             raise ValueError("substitution needs zero constant terms")
     ctx = F.ctx
-    out = ms_new(ctx, shape.r, shape.caps, shape.tcap)
-    out.trunc = F.trunc or any(A.trunc for A in args)
+    one = ctx.one().t
+    emul, addmul = ctx.mul, ctx.addmul_into
+    t = {}
+    trunc = F.trunc or any(A.trunc for A in args)
     for exps in sorted(F.t):
         term = None
         for i, x in enumerate(exps):
             if x == 0:
                 continue
             px = powers[i](x)
-            term = px if term is None else ms_mul(term, px)
+            term = px if term is None else _ms_times(term, px, one)
         if term is None:
             term = ms_one(ctx, shape.r, shape.caps, shape.tcap)
-        ms_add_into(out, ms_scale(F.t[exps], term))
-    return out
+        trunc = trunc or term.trunc
+        c = F.t[exps]
+        for k, e in term.t.items():
+            cur = t.get(k)
+            if cur is None:
+                cur = emul(c, e)
+                if cur.t:
+                    t[k] = cur
+            elif addmul(cur.t, c, e):
+                if not cur.t:
+                    del t[k]
+                elif not cur.trunc and emul(c, e).t:
+                    # only a product with terms brings its flag along
+                    cur.trunc = True
+            elif not cur.t:
+                del t[k]
+    return MultiSeries(ctx, shape.r, shape.caps, t, trunc, shape.tcap)
 
 
 # golden-vector text format

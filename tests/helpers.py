@@ -1,10 +1,12 @@
 """Glue between the exact-rational reference and the engine's types, a
-counter of coefficient products, a one-variable embedding and an exact
-view of a multiseries."""
+counter of coefficient products, a one-variable embedding, an exact view
+of a multiseries, and the scale-then-merge route of ms_eval_powers that
+its fused sum must reproduce."""
 
 from oracles import qc_project
 from morava.coeff import CoeffContext
-from morava.series import ms_new, ms_set, ser_new
+from morava.series import (MultiSeries, ms_mul, ms_new, ms_one, ms_set,
+                           ser_new)
 
 
 def oc_to_elem(ctx, oc, weight=None):
@@ -76,3 +78,55 @@ def ms_from_yseries(f, r, caps, var):
             ms_set(A, exps, e)
     A.trunc = A.trunc or f.trunc
     return A
+
+
+def ms_add_into(A, B):
+    """A + B stored in A, which is returned.  A key of B not in A goes to
+    the end, a key whose sum is zero is deleted, and each replaced
+    coefficient is freed at once, not after the whole sum."""
+    if A.ctx is not B.ctx or (A.r, A.caps, A.tcap) != (B.r, B.caps, B.tcap):
+        raise ValueError("multiseries shape mismatch")
+    ctx = A.ctx
+    t = A.t
+    for k, e in B.t.items():
+        cur = t.get(k)
+        s = ctx.add(cur, e) if cur is not None else e
+        if s.is_zero():
+            t.pop(k, None)
+        else:
+            t[k] = s
+    A.trunc = A.trunc or B.trunc
+    return A
+
+
+def ms_scale(e, A):
+    """e times A in a new series; a product with no terms is dropped, its
+    trunc flag with it."""
+    ctx = A.ctx
+    t = {}
+    for k, a in A.t.items():
+        s = ctx.mul(e, a)
+        if not s.is_zero():
+            t[k] = s
+    return MultiSeries(ctx, A.r, A.caps, t, A.trunc, A.tcap)
+
+
+def ms_eval_by_products(F, powers):
+    """ms_eval_powers as it was before key shifts and the fused sum: each
+    term of F, in sorted order, is the ms_mul of its argument powers, left
+    to right, scaled into a new series and merged into the sum."""
+    args = [pw(1) for pw in powers]
+    shape = args[0]
+    ctx = F.ctx
+    out = ms_new(ctx, shape.r, shape.caps, shape.tcap)
+    out.trunc = F.trunc or any(A.trunc for A in args)
+    for exps in sorted(F.t):
+        term = None
+        for i, x in enumerate(exps):
+            if x:
+                px = powers[i](x)
+                term = px if term is None else ms_mul(term, px)
+        if term is None:
+            term = ms_one(ctx, shape.r, shape.caps, shape.tcap)
+        ms_add_into(out, ms_scale(F.t[exps], term))
+    return out

@@ -402,6 +402,62 @@ def test_kernel_off_table_precision_falls_back():
         _outcome(_ref_scalar_mul, ctx, big, B)
 
 
+def _collision(store, ctx, cur, c, raw):
+    """What one collision leaves at key 0, or the PrecisionError it
+    raises."""
+    t = {0: cur}
+    try:
+        store(t, c, raw)
+    except PrecisionError as e:
+        return ("error", str(e), e.needed_extra)
+    return ("ok", list(t.items()))
+
+
+@pytest.mark.parametrize("p,n,N,D,floor", KERNEL_CONTEXTS)
+def test_kernel_collision_matches_add_raw(monkeypatch, p, n, N, D, floor):
+    # every collision of two stored scalars, a zero marker on either side
+    # or both, is PadicContext.add_raw, then the prune horizon, then the
+    # floor, without leaving the kernel: _acc is only for sums past N
+    ctx = CoeffContext(p, n, N=N, D=D, floor=floor)
+    rng = random.Random(7000 + 100 * p + 10 * n + N)
+
+    def kernel(t, c, raw):
+        ctx._store(t, 0, t[0], c.val, c.unit, c.prec, raw)
+
+    def reference(t, c, raw):
+        _ref_store(ctx, t, 0, c, raw)
+
+    def no_acc(self, cur, c, raw):
+        raise AssertionError("a collision of scalars within N left the kernel")
+    monkeypatch.setattr(CoeffContext, "_acc", no_acc)
+    horizon = ctx.prune_horizon
+    seen = set()
+    for _ in range(3000):
+        pair = [_rand_scalar(rng, ctx), _rand_scalar(rng, ctx)]
+        if rng.random() < 0.6:
+            # a zero marker: shallow, anywhere, or near the prune horizon
+            pair[rng.randrange(2)] = PadicScaled(rng.choice((
+                rng.randint(0, 4), rng.randint(0, horizon + 1),
+                rng.randint(horizon - 2, horizon + 1))), 0, 0)
+        cur, c = pair
+        for raw in (False, True):
+            got = _collision(kernel, ctx, cur, c, raw)
+            assert got == _collision(reference, ctx, cur, c, raw)
+            markers = (cur.unit == 0) + (c.unit == 0)
+            if got[0] == "error":
+                outcome = "error"
+            elif not got[1]:
+                outcome = "pruned"
+            else:
+                outcome = "marker" if got[1][0][1].unit == 0 else "unit"
+            seen.add((markers, outcome))
+    want = {(2, "marker"), (2, "pruned"), (1, "marker"), (1, "unit"),
+            (1, "pruned"), (0, "marker"), (0, "unit")}
+    if ctx.padic.floor > 1:
+        want |= {(1, "error"), (0, "error")}
+    assert want <= seen
+
+
 def _rand_graded(rng, p, n, weight):
     """A random homogeneous oracle coefficient of this weight: each term
     u^e v^b has e = weight - sum (p^i - 1) b_i."""

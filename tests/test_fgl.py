@@ -9,14 +9,15 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from helpers import (count_coeff_products, ms_content, ms_from_yseries,
-                     oc_series_to_yseries, oc_to_elem)
+from helpers import (count_coeff_products, ms_content, ms_eval_by_products,
+                     ms_from_yseries, oc_series_to_yseries, oc_to_elem)
+from morava.coeff import CoeffContext
 from morava.fgl import (build_fgl, check_associativity, check_integrality,
                         check_pk_congruence, formal_sum, log_depth, solve_log)
-from morava.padic import PrecisionError
-from morava.series import (YSeries, ms_eval, ms_new, ms_permuted, ms_powers,
-                           ms_set, ser_compose, ser_from_terms, ser_monomial,
-                           ser_new, ser_scale)
+from morava.padic import PadicContext, PrecisionError
+from morava.series import (YSeries, ms_eval, ms_eval_powers, ms_new,
+                           ms_permuted, ms_powers, ms_set, ser_compose,
+                           ser_from_terms, ser_monomial, ser_new, ser_scale)
 
 
 @pytest.fixture(scope="module")
@@ -152,18 +153,63 @@ def test_inner_law_renamed_equals_direct(p, n, D, cap, N):
     assert hpow(1).t and hpow(cap).t
 
 
+@pytest.mark.parametrize("p,n,D,cap,N", [
+    (2, 1, 1, 16, 59), (2, 2, 6, 16, 33), (2, 3, 4, 12, 24), (3, 2, 1, 12, 24)])
+def test_eval_powers_matches_product_route(monkeypatch, p, n, D, cap, N):
+    # the three fgl-axioms shapes, and p=3, n=2, D=1, where more products
+    # vanish under the v-degree cap: key shifts and the fused sum leave
+    # every key, key order, scalar and trunc flag of ms_mul + ms_scale +
+    # ms_add_into.  Every shape meets products with no terms (under D or
+    # past the prune horizon) and keys shifted past the total cap.
+    law = build_fgl(p, n, N=N, D=D, M=cap)
+    F = law.two_var(cap, cap, tcap=cap)
+    x, y, z = _gens(law.ctx, cap)
+    inner = ms_eval(F, [x, y])
+    assert ms_content(inner) == ms_content(
+        ms_eval_by_products(F, [ms_powers(x), ms_powers(y)]))
+    gpow = ms_powers(inner)
+
+    def hpow(e):
+        return ms_permuted(gpow(e), (2, 0, 1))
+    vanished = []
+    mul = CoeffContext.mul
+
+    def watched(self, A, B):
+        P = mul(self, A, B)
+        if A.t and B.t and not P.t:
+            vanished.append(None)
+        return P
+    monkeypatch.setattr(CoeffContext, "mul", watched)
+    for powers in ([gpow, ms_powers(z)], [ms_powers(x), hpow]):
+        got = ms_eval_powers(F, powers)
+        assert got.t and got.trunc
+        assert ms_content(got) == ms_content(ms_eval_by_products(F, powers))
+    assert vanished
+
+
 def test_associativity_coefficient_work_pinned(monkeypatch):
     # ms_mul skips only the pairs of terms that fall off the caps, which
     # never reach the coefficient ring, so every product counted here is one
     # a loop over every pair makes too.  F(y, z) and its powers are renamed,
-    # not recomputed, and an odd power reuses its even square: 10136
-    # products, where forming both inner laws and all their powers took
-    # 18278, with the same 285 terms compared.
+    # not recomputed, an odd power reuses its even square, and a factor
+    # x^i or z^j with coefficient one moves keys instead of multiplying:
+    # 8111 products, where multiplying by those factors took 10136 and
+    # forming both inner laws and all their powers 18278, with the same
+    # 285 terms compared.  Every collision of stored scalars, zero markers
+    # included, stays in the coefficient kernel: no PadicContext.add_raw.
     law = build_fgl(2, 2, N=33, D=6, M=10)
     calls = count_coeff_products(monkeypatch)
+    raw = []
+    add_raw = PadicContext.add_raw
+
+    def counted_add_raw(self, a, b):
+        raw.append(None)
+        return add_raw(self, a, b)
+    monkeypatch.setattr(PadicContext, "add_raw", counted_add_raw)
     ok, wit = check_associativity(law, cap=10)
     assert ok and wit["terms"] == 285
-    assert len(calls) == 10136
+    assert len(calls) == 8111
+    assert not raw
 
 
 def test_integrality(f21, f22):

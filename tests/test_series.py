@@ -3,14 +3,15 @@ import random
 import pytest
 
 import oracles as O
-from helpers import (count_coeff_products, ms_content, ms_from_yseries,
+from helpers import (count_coeff_products, ms_add_into, ms_content,
+                     ms_eval_by_products, ms_from_yseries,
                      oc_series_to_yseries)
 
 import morava.series
 from morava.coeff import CoeffContext, CoeffElem
 from morava.padic import PadicScaled
 from morava.series import (MultiSeries, YSeries, golden_dump, golden_load,
-                           ms_add_into, ms_eval, ms_mul, ms_new, ms_one,
+                           ms_eval, ms_mul, ms_new, ms_one,
                            ms_permuted, ms_powers, ms_set, ser_add, ser_compose, ser_from_terms,
                            ser_invert_unit, ser_monomial, ser_mul, ser_new,
                            ser_rshift, ser_scale, ser_sub,
@@ -520,6 +521,66 @@ def test_ms_eval_substitution(ctx):
     assert ctx.eq_to(out.coeff((3,)), ctx.one(), 16)
     assert ctx.eq_to(out.coeff((5,)), ctx.one(), 16)
     assert len(out.t) == 3
+
+
+def _unit_gen(ctx, caps, tcap, i, trunc=False, one_trunc=False):
+    """Variable i, with the series' and its coefficient's trunc flags."""
+    g = ms_new(ctx, len(caps), caps, tcap)
+    e = [0] * len(caps)
+    e[i] = 1
+    one = ctx.one()
+    one.trunc = one_trunc
+    ms_set(g, e, one)
+    g.trunc = trunc
+    return g
+
+
+@pytest.mark.parametrize("caps,tcap", MS_SHAPES)
+@pytest.mark.parametrize("kinds", ["sv", "vs", "vv"])
+@pytest.mark.parametrize("seed", range(2))
+def test_ms_eval_matches_product_route(caps, tcap, kinds, seed):
+    # arguments are random series (s) or variables (v) with coefficient
+    # one, whose powers become key shifts unless that coefficient is
+    # flagged trunc; F's terms then meet per-variable caps, the total cap
+    # and products that vanish under D
+    rng = random.Random(seed)
+    ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
+    r = len(caps)
+    F = random_ms(rng, ctx, (4, 4), None, 10)
+    ms_set(F, (0, 0), ctx.zero())
+    args = []
+    for kind in kinds:
+        if kind == "v":
+            args.append(_unit_gen(ctx, caps, tcap, rng.randrange(r),
+                                  rng.random() < 0.3, rng.random() < 0.2))
+        else:
+            A = random_ms(rng, ctx, caps, tcap, 5)
+            ms_set(A, (0,) * r, ctx.zero())
+            args.append(A)
+    want = ms_eval_by_products(F, [ms_powers(A) for A in args])
+    assert ms_content(ms_eval(F, args)) == ms_content(want)
+
+
+def test_ms_eval_empty_product_keeps_flag():
+    # F = v_1*X + Y on (v_1*x, x) at D=1: Y puts 1 on x, then the product
+    # v_1*v_1 vanishes under the cap and leaves that key alone, trunc
+    # flag included; with (1 + v_1)*x for X's argument it lands, flag set
+    ctx = CoeffContext(3, 2, N=12, D=1)
+    v = ctx.v_gen(1)
+    F = ms_new(ctx, 2, (2, 2))
+    ms_set(F, (1, 0), v)
+    ms_set(F, (0, 1), ctx.one())
+    x = _unit_gen(ctx, (3,), None, 0)
+    for c, terms, trunc in ((v, {0: ctx.padic.one()}, False),
+                            (ctx.add(ctx.one(), v),
+                             {0: ctx.padic.one(), 1: ctx.padic.one()}, True)):
+        A = ms_new(ctx, 1, (3,))
+        ms_set(A, (1,), c)
+        out = ms_eval(F, [A, x])
+        assert ms_content(out) == ms_content(
+            ms_eval_by_products(F, [ms_powers(A), ms_powers(x)]))
+        assert list(out.t) == [(1,)] and out.t[(1,)].t == terms
+        assert out.t[(1,)].trunc == trunc and not out.trunc
 
 
 def test_golden_roundtrip():
