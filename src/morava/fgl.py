@@ -19,7 +19,13 @@ checks (through ms_eval, one product per term, where a power of a variable
 only shifts keys, with F(y, z) and its powers in the associativity check
 renamed from those of F(x, y)) and the
 character classes of groupcoh.point_class (through groupcoh.elem_poly, on
-ring elements: one ring product per power of the first argument).
+ring elements: one ring product per power of the first argument).  It is
+formed only under its caps: row j of the expansion to x-degree
+min(Mx, teff - j) and each of its coefficients of x^dx against y-degrees
+j..min(My, teff - dx), teff the effective total cap.  Its trunc flag is
+set when the logarithm's or exponential's is, or when some term past the
+caps would be nonzero, which a few products past the total cap usually
+settle (_build_two_var).
 
 Scalars of valuation -k appear in the l_k; the builder refuses to run when
 the working precision cannot absorb the worst of them.
@@ -282,7 +288,30 @@ def _series_power(cache, base, e):
 
 def _build_two_var(fgl, Mx, My, tcap=None):
     """F(x, y) = sum_j G_j(x) (log y)^j with
-    G_j = sum_{i >= j} binom(i, j) e_i (log x)^{i-j}.
+    G_j = sum_{i >= j} binom(i, j) e_i (log x)^{i-j}, formed only under the
+    caps.
+
+    Cap rule: with teff the effective total cap (tcap, at most Mx + My),
+    row G_j is formed to x-degree min(Mx, teff - j) (_row), and its
+    coefficient of x^dx meets (log y)^j only at y-degrees
+    j..min(My, teff - dx); every other term lies past a cap.  A key of F
+    takes ctx.mul when new and is kept if nonempty, and takes
+    ctx.addmul_into when stored and is deleted when it empties, as in
+    ms_mul.  Terms and degrees come in ascending order, so every
+    coefficient is the sum, in the same order, that forming every term and
+    dropping those past the caps gives, and F's keys come in that order.
+
+    Trunc rule: F.trunc is set when the logarithm or the exponential is,
+    or when some term past the caps would be nonzero.  While it is unset,
+    each row's formed coefficients are multiplied by the (log y)^j
+    coefficients they meet past the total cap; after the last row, if no
+    such product had a term, the rows' coefficients past teff - j are
+    formed and tested the same way (_meets_past_cap).  So a product or
+    coefficient past the caps is formed, and can raise PrecisionError,
+    only while no dropped term has set the flag.  A row forms its products
+    and sums degree by degree, so when two of them fall short of the
+    floor, the one raised can differ from forming each term's products
+    before its sums.
 
     The exponential only enters through degrees up to the effective total
     cap, so the law must have been built at least that deep."""
@@ -297,39 +326,102 @@ def _build_two_var(fgl, Mx, My, tcap=None):
     logy = YSeries(ctx, list(fgl.log.c[: My + 1]), fgl.log.trunc)
     F = ms_new(ctx, 2, (Mx, My), tcap=tcap)
     F.trunc = fgl.log.trunc or fgl.exp.trunc
+    t = F.t
+    emul, addmul = ctx.mul, ctx.addmul_into
     xpow = {0: ser_from_terms(ctx, Mx, {0: ctx.one()})}
     ypow = {0: ser_from_terms(ctx, My, {0: ctx.one()})}
-
+    xpower = functools.partial(_series_power, xpow, logx)
+    pending = []
     for j in range(min(My, teff) + 1):
-        # G_j as a series in x
-        G = ser_new(ctx, Mx)
-        any_term = False
-        for i in range(j, teff + 1):
-            ei = e[i] if i < len(e) else None
-            if ei is None or ei.is_zero():
-                continue
-            if i - j > Mx:
-                continue
-            c = ctx.int_mul(math.comb(i, j), ei)
-            if c.is_zero():
-                continue
-            G = ser_add(G, ser_scale(c, _series_power(xpow, logx, i - j)))
-            any_term = True
-        if not any_term:
+        terms = []
+        for i in range(j, min(teff, Mx + j) + 1):
+            if e[i].t:
+                c = ctx.int_mul(math.comb(i, j), e[i])
+                if c.t:
+                    terms.append((c, i - j))
+        if not terms:
             continue
-        P = _series_power(ypow, logy, j) if j else None
-        for dx, cx in enumerate(G.c):
-            if cx.is_zero():
+        hx = min(Mx, teff - j)
+        G = _row(ctx, terms, xpower, 0, hx)
+        P = _series_power(ypow, logy, j).c if j else None
+        for dx, cx in enumerate(G):
+            if cx is None or not cx.t:
                 continue
-            if j == 0:
-                ms_set(F, (dx, 0), ctx.add(F.coeff((dx, 0)), cx))
+            if not j:
+                t[(dx, 0)] = cx
                 continue
-            for dy, cy in enumerate(P.c):
-                if cy.is_zero():
+            for dy in range(j, min(My, teff - dx) + 1):
+                cy = P[dy]
+                if not cy.t:
                     continue
-                cur = F.coeff((dx, dy))
-                ms_set(F, (dx, dy), ctx.add(cur, ctx.mul(cx, cy)))
+                k = (dx, dy)
+                cur = t.get(k)
+                if cur is None:
+                    cur = emul(cx, cy)
+                    if cur.t:
+                        t[k] = cur
+                    continue
+                if addmul(cur.t, cx, cy):
+                    cur.trunc = True
+                if not cur.t:
+                    del t[k]
+        if not F.trunc:
+            if j:
+                F.trunc = _meets_past_cap(ctx, enumerate(G), P, j, teff, My)
+            if hx < Mx:
+                pending.append((j, terms, hx, P))
+    for j, terms, hx, P in pending:
+        if F.trunc:
+            break
+        G = _row(ctx, terms, xpower, hx + 1, Mx)
+        F.trunc = _meets_past_cap(ctx, enumerate(G, hx + 1), P, j, teff, My)
     return F
+
+
+def _row(ctx, terms, power, lo, hi):
+    """Entries lo..hi of the row sum of c * power(k) over terms (c, k),
+    None where no term lands.  An entry is formed by ctx.mul and kept even
+    when it empties, each later product going in by ctx.addmul_into, so its
+    trunc flag gathers every term's, as a sum of dense series does.  A
+    coefficient of power(k) with no terms and no flag is skipped; a flagged
+    c still flags every formed entry, as its product with such a
+    coefficient would.  Each power is formed when its term comes up, as
+    the sum of dense series forms it."""
+    emul, addmul = ctx.mul, ctx.addmul_into
+    row = [None] * (hi - lo + 1)
+    flagged = False
+    for c, k in terms:
+        flagged = flagged or c.trunc
+        pw = power(k).c
+        for dx in range(lo, hi + 1):
+            a = pw[dx]
+            if not (a.t or a.trunc):
+                continue
+            g = row[dx - lo]
+            if g is None:
+                row[dx - lo] = emul(c, a)
+            elif addmul(g.t, c, a):
+                g.trunc = True
+    if flagged:
+        for g in row:
+            if g is not None:
+                g.trunc = True
+    return row
+
+
+def _meets_past_cap(ctx, entries, P, j, teff, My):
+    """Whether a row coefficient (dx, cx) in entries has a term past the
+    total cap: itself when j = 0, else a product with a (log y)^j
+    coefficient P[dy], dy > teff - dx, that has a term."""
+    for dx, cx in entries:
+        if cx is None or not cx.t:
+            continue
+        if not j:
+            return True
+        for dy in range(max(j, teff - dx + 1), My + 1):
+            if P[dy].t and ctx.mul(cx, P[dy]).t:
+                return True
+    return False
 
 
 def formal_sum(fgl, terms):

@@ -173,12 +173,13 @@ class CohRing:
 
     relred[i] maps exponents a < d_i to the coefficient of y_i^a in the
     reduction of y_i^{d_i}; tables[i][j] holds the normal-form coordinates
-    of y_i^j and grows on demand.  group is None for a ring built from an
-    explicit relation.
+    of y_i^j and grows on demand.  _classes holds, by (t, j), the class of
+    [t](y_j) with its power ladder (_factor_class), shared read-only.  group
+    is None for a ring built from an explicit relation.
     """
 
     __slots__ = ("group", "fgl", "ctx", "caps", "wdegs", "relred", "tables",
-                 "trunc")
+                 "trunc", "_classes")
 
     def __init__(self, group, fgl, caps, wdegs, relred, trunc):
         ctx = fgl.ctx
@@ -190,6 +191,7 @@ class CohRing:
         self.relred = relred
         self.tables = [[{a: ctx.one()} for a in range(d)] for d in wdegs]
         self.trunc = trunc
+        self._classes = {}
 
     @property
     def rank(self):
@@ -651,18 +653,29 @@ def point_class(ring, tvals):
     for j, t in enumerate(tvals):
         t %= fgl.p ** ring.group.exps[j]
         if t:
-            xs.append((ring.caps[j], normal_form(ring, fgl.m_series(t), j)))
+            xs.append((ring.caps[j],) + _factor_class(ring, t, j))
     if not xs:
         return ring.zero()
-    acap, acc = xs[0]
-    for xcap, x in xs[1:]:
+    acap, acc, apow = xs[0]
+    for xcap, x, xpow in xs[1:]:
         F = fgl.F
         terms = {(j, i): c for (i, j), c in F.t.items()
                  if i <= acap and j <= xcap}
-        acc = elem_poly(ring, terms, [elem_powers(x), elem_powers(acc)],
-                        F.trunc)
+        acc = elem_poly(ring, terms, [xpow, apow], F.trunc)
+        apow = elem_powers(acc)
         acap += xcap
     return acc
+
+
+def _factor_class(ring, t, j):
+    """(x, elem_powers(x)) for x = [t](y_j) in normal form, memoized on the
+    ring by (t, j), so the characters of one ring share each factor class
+    and the powers of it that any of them formed."""
+    got = ring._classes.get((t, j))
+    if got is None:
+        x = normal_form(ring, ring.fgl.m_series(t), j)
+        got = ring._classes[(t, j)] = (x, elem_powers(x))
+    return got
 
 
 class RingMap:

@@ -1,12 +1,17 @@
 """Glue between the exact-rational reference and the engine's types, a
 counter of coefficient products, a one-variable embedding, an exact view
-of a multiseries, and the scale-then-merge route of ms_eval_powers that
-its fused sum must reproduce."""
+of a multiseries, the scale-then-merge route of ms_eval_powers that its
+fused sum must reproduce, and the two-variable law formed in full that
+fgl._build_two_var must reproduce under its caps."""
+
+import math
 
 from oracles import qc_project
 from morava.coeff import CoeffContext
-from morava.series import (MultiSeries, ms_mul, ms_new, ms_one, ms_set,
-                           ser_new)
+from morava.fgl import _series_power
+from morava.series import (MultiSeries, YSeries, ms_mul, ms_new, ms_one,
+                           ms_set, ser_add, ser_from_terms, ser_new,
+                           ser_scale)
 
 
 def oc_to_elem(ctx, oc, weight=None):
@@ -130,3 +135,54 @@ def ms_eval_by_products(F, powers):
             term = ms_one(ctx, shape.r, shape.caps, shape.tcap)
         ms_add_into(out, ms_scale(F.t[exps], term))
     return out
+
+
+def two_var_reference(fgl, Mx, My, tcap=None):
+    """fgl._build_two_var as it was before the cap rule: every row G_j to
+    x-degree Mx and every pair G_j[dx] * (log y)^j[dy] formed, through a
+    fresh ser_scale, ser_add and ctx.add each, with ms_set dropping each
+    term past the total cap (and setting trunc when it is nonempty)."""
+    ctx = fgl.ctx
+    teff = Mx + My if tcap is None else min(tcap, Mx + My)
+    if teff > fgl.M:
+        raise ValueError(
+            "two-variable caps reach total degree %d; the law was built to "
+            "degree %d" % (teff, fgl.M))
+    e = fgl.exp.c
+    logx = YSeries(ctx, list(fgl.log.c[: Mx + 1]), fgl.log.trunc)
+    logy = YSeries(ctx, list(fgl.log.c[: My + 1]), fgl.log.trunc)
+    F = ms_new(ctx, 2, (Mx, My), tcap=tcap)
+    F.trunc = fgl.log.trunc or fgl.exp.trunc
+    xpow = {0: ser_from_terms(ctx, Mx, {0: ctx.one()})}
+    ypow = {0: ser_from_terms(ctx, My, {0: ctx.one()})}
+
+    for j in range(min(My, teff) + 1):
+        # G_j as a series in x
+        G = ser_new(ctx, Mx)
+        any_term = False
+        for i in range(j, teff + 1):
+            ei = e[i] if i < len(e) else None
+            if ei is None or ei.is_zero():
+                continue
+            if i - j > Mx:
+                continue
+            c = ctx.int_mul(math.comb(i, j), ei)
+            if c.is_zero():
+                continue
+            G = ser_add(G, ser_scale(c, _series_power(xpow, logx, i - j)))
+            any_term = True
+        if not any_term:
+            continue
+        P = _series_power(ypow, logy, j) if j else None
+        for dx, cx in enumerate(G.c):
+            if cx.is_zero():
+                continue
+            if j == 0:
+                ms_set(F, (dx, 0), ctx.add(F.coeff((dx, 0)), cx))
+                continue
+            for dy, cy in enumerate(P.c):
+                if cy.is_zero():
+                    continue
+                cur = F.coeff((dx, dy))
+                ms_set(F, (dx, dy), ctx.add(cur, ctx.mul(cx, cy)))
+    return F

@@ -521,6 +521,20 @@ def test_height_drop_p3_settles_at_n25(tmp_path, monkeypatch):
         [("height-drop-unit", {"n": 2, "p": 3}, "PASS", 25)]
 
 
+def test_nonvanishing_p2_n2_settles_at_n34_cache_off(tmp_path, monkeypatch):
+    # `verify prop-3.3 --p 2 --n 2` with the cache off: the class needs the
+    # law at caps (28, 28, 28), whose coefficients past the total cap are
+    # not formed, so a shortfall among them no longer retries the law (the
+    # full build raised and settled at N=50)
+    monkeypatch.setenv("MORAVA_CACHE_DIR", "")
+    assert run_cli(["verify", "prop-3.3", "--p", "2", "--n", "2"]) == 0
+    checks = json.loads((tmp_path / "morava-report.json").read_text())["checks"]
+    assert [(c["check_id"], c["verdict"], c["precision_loss"]["N"],
+             c["precision_loss"]["caps"]) for c in checks] == \
+        [("localized-nonvanishing", "EVIDENCE", 34, [28, 28])]
+    assert not (tmp_path / ".cache").exists()
+
+
 def test_law_cache_changes_no_verdict_or_witness(tmp_path, monkeypatch):
     # the cache may move the reported working precision N, nothing else
     docs = []

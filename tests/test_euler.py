@@ -7,6 +7,7 @@ Verdict depths follow the reduction-junk budget (caps - degree) scaled by
 
 import pytest
 
+from morava import groupcoh
 from morava.euler import (Character, all_nontrivial_characters, euler_of_char,
                           orbit_representatives, reduced_euler,
                           subgroup_of_character, total_euler,
@@ -155,6 +156,30 @@ def test_total_and_reduced_p3(ring3):
     assert not elem_is_zero_to(red, 4)
     e1 = euler_of_char(ring3, Character(ring3.group, (1,)))
     assert elem_eq_to(red, e1, 14)
+
+
+def test_total_euler_one_normal_form_per_factor_class(fgl31, monkeypatch):
+    # the eight characters of C3 x C3 meet four factor classes [t](y_j),
+    # t in {1, 2} and j in {0, 1}: each is reduced once, with its power
+    # ladder kept on the ring, and a second total reduces none.  Clearing
+    # the memo before each character gives the same class.
+    ring = build_cohring(AbelianPGroup(3, (1, 1)), fgl31)
+    calls = []
+    normal_form = groupcoh.normal_form
+
+    def counted(ring, s, var):
+        calls.append(var)
+        return normal_form(ring, s, var)
+    monkeypatch.setattr(groupcoh, "normal_form", counted)
+    total = total_euler(ring)
+    assert sorted(calls) == [0, 0, 1, 1]
+    assert sorted(ring._classes) == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert total_euler(ring) == total and len(calls) == 4
+    ref = ring.one()
+    for ch in all_nontrivial_characters(ring.group):
+        ring._classes.clear()
+        ref = elem_mul(ref, euler_of_char(ring, ch))
+    assert ref == total and total.coord
 
 
 def test_orbit_relation(ring3, fgl31):

@@ -10,9 +10,11 @@ import pytest
 
 import oracles
 from helpers import (count_coeff_products, ms_content, ms_eval_by_products,
-                     ms_from_yseries, oc_series_to_yseries, oc_to_elem)
+                     ms_from_yseries, oc_series_to_yseries, oc_to_elem,
+                     two_var_reference)
 from morava.coeff import CoeffContext
-from morava.fgl import (build_fgl, check_associativity, check_integrality,
+from morava.fgl import (_build_two_var, _row, build_fgl,
+                        check_associativity, check_integrality,
                         check_pk_congruence, formal_sum, log_depth, solve_log)
 from morava.padic import PadicContext, PrecisionError
 from morava.series import (YSeries, ms_eval, ms_eval_powers, ms_new,
@@ -192,11 +194,14 @@ def test_associativity_coefficient_work_pinned(monkeypatch):
     # never reach the coefficient ring, so every product counted here is one
     # a loop over every pair makes too.  F(y, z) and its powers are renamed,
     # not recomputed, an odd power reuses its even square, and a factor
-    # x^i or z^j with coefficient one moves keys instead of multiplying:
-    # 8111 products, where multiplying by those factors took 10136 and
-    # forming both inner laws and all their powers 18278, with the same
-    # 285 terms compared.  Every collision of stored scalars, zero markers
-    # included, stays in the coefficient kernel: no PadicContext.add_raw.
+    # x^i or z^j with coefficient one moves keys instead of multiplying,
+    # and the law F(x, y) is formed only under its caps: 7283 products,
+    # where forming the whole law took 8111 (828 more inside _build_two_var:
+    # 389 with an empty factor, 439 past the total cap), multiplying by
+    # those factors 10136 and forming both inner laws and all their powers
+    # 18278, with the same 285 terms compared.  Every collision of stored
+    # scalars, zero markers included, stays in the coefficient kernel: no
+    # PadicContext.add_raw.
     law = build_fgl(2, 2, N=33, D=6, M=10)
     calls = count_coeff_products(monkeypatch)
     raw = []
@@ -208,8 +213,92 @@ def test_associativity_coefficient_work_pinned(monkeypatch):
     monkeypatch.setattr(PadicContext, "add_raw", counted_add_raw)
     ok, wit = check_associativity(law, cap=10)
     assert ok and wit["terms"] == 285
-    assert len(calls) == 8111
+    assert len(calls) == 7283
     assert not raw
+
+
+TWO_VAR_LAWS = [(2, 1, 24, 1, 10), (2, 2, 33, 6, 16), (3, 1, 24, 1, 15),
+                (2, 3, 24, 4, 9), (3, 2, 16, 1, 26)]
+
+
+def _two_var_caps(M):
+    # the full law; two caps summing to M with no total cap, and two
+    # smaller ones; a total cap under both caps, and under it a y-cap of 1,
+    # where no probe of a formed coefficient meets a term past the total
+    # cap and the trunc flag comes from the j = 0 row formed past it
+    return [(M, M, M), (M // 2, M - M // 2, None), (M // 2, M // 3, None),
+            (M, M, M // 2), (M, 1, M // 2)]
+
+
+def _outcome(build, law, caps):
+    try:
+        return ms_content(build(law, *caps))
+    except PrecisionError as e:
+        return str(e), e.needed_extra
+
+
+@pytest.mark.parametrize("p,n,N,D,M", TWO_VAR_LAWS)
+def test_two_var_matches_full_build(p, n, N, D, M):
+    # the law formed under its caps is the law formed in full with the
+    # excess dropped: keys in order, scalars and every trunc flag, F.trunc
+    # included
+    law = build_fgl(p, n, N=N, D=D, M=M)
+    for caps in _two_var_caps(M):
+        F = _build_two_var(law, *caps)
+        assert ms_content(F) == ms_content(two_var_reference(law, *caps))
+        assert F.t and F.trunc == (n > 1 or caps[2] is not None), caps
+
+
+@pytest.mark.parametrize("p,n,N,D,M,caps", [
+    (2, 1, 13, 1, 10, [(10, 10, 10), (5, 5, None), (5, 3, None),
+                       (10, 1, 5)]),
+    (2, 3, 14, 4, 9, _two_var_caps(9))])
+def test_two_var_shortfall_matches_full_build(p, n, N, D, M, caps):
+    # a coefficient under the caps falls short of the floor (the last
+    # (2, 3) cap excepted): both builds raise the same text and
+    # needed_extra, so the retry that follows is the same.  At (10, 10, 10)
+    # the (2, 1) law raises only if each power of log x is formed when its
+    # term comes up, as the full build forms it.
+    law = build_fgl(p, n, N=N, D=D, M=M)
+    outcomes = [_outcome(_build_two_var, law, c) for c in caps]
+    assert outcomes == [_outcome(two_var_reference, law, c) for c in caps]
+    assert all(isinstance(o[0], str) for o in outcomes[:-1])
+
+
+def test_two_var_forms_past_cap_rows_only_when_probes_miss(monkeypatch):
+    # at height 1 the law and exponential carry no trunc flag, so F.trunc
+    # comes from the terms past the total cap.  Under caps (10, 10, 5) a
+    # product of a formed row-1 coefficient past the cap sets it, and no
+    # row is formed past teff - j.  Under (10, 1, 5) no such product
+    # exists, and only row 0 is formed past the cap, from x-degree 6.
+    law = build_fgl(2, 1, N=24, D=1, M=10)
+    starts = []
+
+    def watched(ctx, terms, power, lo, hi):
+        starts.append(lo)
+        return _row(ctx, terms, power, lo, hi)
+    monkeypatch.setattr("morava.fgl._row", watched)
+    assert law.two_var(10, 10, 5).trunc
+    assert starts == [0] * 6
+    del starts[:]
+    assert law.two_var(10, 1, 5).trunc
+    assert starts == [0, 0, 6]
+
+
+def test_two_var_past_cap_shortfall_not_raised():
+    # at N=16 the full (2, 3) law at cap 9 falls short of the floor only
+    # past the total cap: the full build raises on it, the build under the
+    # caps never forms it
+    law = build_fgl(2, 3, N=16, D=4, M=9)
+    with pytest.raises(PrecisionError) as e:
+        two_var_reference(law, 9, 9, 9)
+    assert e.value.needed_extra == 1
+    assert "7 trusted digits (floor 8)" in str(e.value)
+    F = law.F
+    assert F.trunc and F.t
+    for caps in _two_var_caps(9)[1:]:
+        assert _outcome(_build_two_var, law, caps) == \
+            _outcome(two_var_reference, law, caps), caps
 
 
 def test_integrality(f21, f22):

@@ -732,8 +732,9 @@ def test_point_class_coefficient_work_pinned(monkeypatch):
 def test_total_euler_coefficient_work_pinned(monkeypatch):
     # total class of C4 x C2 at p=2, n=2, D=4, default caps (33, 9), on the
     # law the retry loop settles at (N=33); reducing per pair took 121000
-    # coefficient products, and summing each class per term of F 68350, for
-    # the same coordinates
+    # coefficient products, summing each class per term of F 68350, and
+    # reducing [2](y_1) and [1](y_2) again for the character (1, 1), not
+    # taking them from the ring's memo, 24519, for the same coordinates
     group = AbelianPGroup(2, (2, 1))
 
     def settle(f):
@@ -746,7 +747,7 @@ def test_total_euler_coefficient_work_pinned(monkeypatch):
     assert ring.caps == (33, 9) and law.ctx.N == 33
     total, calls = count_coeff_muls(monkeypatch, total_euler, ring)
     assert len(total.coord) == 45 and total.trunc
-    assert calls == 24519
+    assert calls == 24231
     ref = ring.one()
     for ch in all_nontrivial_characters(group):
         cls = point_class(ring, ch.as_hom().char_exponents(0))
