@@ -4,7 +4,7 @@ localization, and a verification CLI."""
 
 __version__ = "0.1.0"
 
-from .padic import PadicContext, PadicScaled, PrecisionError, EXACT
+from .padic import PadicContext, PrecisionError, EXACT
 from .coeff import CoeffContext, CoeffElem
 from .series import (YSeries, MultiSeries, ser_new, ser_from_terms,
                      ser_monomial, ms_new, ms_eval, golden_dump, golden_load)
@@ -24,7 +24,6 @@ from .report import make_check, make_report, render_json, summarize
 
 __all__ = [
     "PadicContext",
-    "PadicScaled",
     "PrecisionError",
     "EXACT",
     "CoeffContext",

@@ -224,16 +224,17 @@ def scalar_text(ctx, c, digits):
     """The scalar with its unit cut to the reporting precision: the least
     of its trusted digits and ``digits`` (the requested `--precision`), so
     the text does not depend on the working precision a retry ended at."""
-    if c.unit == 0 or digits <= 0:
+    v, u, k = c
+    if u == 0 or digits <= 0:
         return "0"
     p = ctx.p
-    q = p ** min(c.prec, digits)
-    m = c.unit % q
+    q = p ** min(k, digits)
+    m = u % q
     if m > q // 2:
         m -= q
-    if c.val >= 0:
-        return str(m * p ** c.val)
-    return "%d/%d" % (m, p ** (-c.val))
+    if v >= 0:
+        return str(m * p ** v)
+    return "%d/%d" % (m, p ** (-v))
 
 
 def coeff_text(ctx, e, digits, weight, depth=None):
@@ -243,7 +244,7 @@ def coeff_text(ctx, e, digits, weight, depth=None):
     Terms that read 0 are left out."""
     parts = []
     for vc, c in ctx.iter_terms_sorted(e):
-        s = scalar_text(ctx, c, digits if depth is None else depth - c.val)
+        s = scalar_text(ctx, c, digits if depth is None else depth - c[0])
         if s == "0":
             continue
         factors = []

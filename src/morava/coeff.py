@@ -5,8 +5,8 @@ v-degree D: the degree-0 part of the even periodic Morava E-theory E_* =
 E_0[u, u^-1], with the periodicity generator u set to 1.  Storage is a
 sparse dict keyed by the packed v multidegree (b_1, ..., b_{n-1}), packed
 in base D+1 as sum(b_i * (D+1)**(i-1)), so multidegrees add as plain ints
-whenever the total degrees fit under the cap.  Scalars are PadicScaled
-values from the same context.
+whenever the total degrees fit under the cap.  Scalars are the plain
+tuples ``(val, unit, prec)`` of ``padic.py``, from the same context.
 
 Setting u = 1 is sound because every stored coefficient is homogeneous:
 the coefficient of a monomial of weight w (y^d in a series has weight
@@ -23,15 +23,16 @@ their absence would silently upgrade a bounded-depth zero to an exact one.
 The ``trunc`` flag records that some product fell off the v-degree cap, and
 it is sticky under arithmetic.
 
-Stored scalars keep the PadicScaled invariant of ``padic.py`` (0 <= prec <=
-N, a nonzero unit prime to p and below p**prec, a zero with unit 0 and prec
-0).  ``mul``, ``addmul_into``, ``_merge_into`` (behind ``add``,
-``add_raw``, ``sub`` and ``sub_raw``) and ``scalar_mul`` read each scalar's
-fields into locals and form products from the context's power table, as
-PadicContext.mul would.  When a term lands on a stored key, ``_store``
-adds the two scalars by PadicContext._add's rule, inline, whether they are
-two nonzero units, a unit and a zero marker, or two zero markers, then
-applies the prune horizon and the floor as ``_acc`` does.  Only a sum
+Stored scalars keep the invariant of ``padic.py`` (0 <= prec <= N, a
+nonzero unit prime to p and below p**prec, a zero with unit 0 and prec 0).
+``mul``, ``addmul_into``, ``_merge_into`` (behind ``add``, ``add_raw``,
+``sub`` and ``sub_raw``) and ``scalar_mul`` unpack each scalar tuple into
+locals, form products from the context's power table, as PadicContext.mul
+would, and build each result as a tuple literal.  When a term lands on a
+stored key, ``_store`` adds the two scalars by PadicContext._add's rule,
+inline, whether they are two nonzero units, a unit and a zero marker, or
+two zero markers, then applies the prune horizon and the floor as ``_acc``
+does.  Only a sum
 reaching past N, which just scalars outside the invariant can make, goes
 through ``_acc`` and PadicContext.add_raw, which stay the definition of
 the rule.  Terms are visited in the same order either way, so every stored
@@ -53,7 +54,7 @@ never be the dict of a coefficient someone else holds: callers copy a
 shared coefficient before their first in-place write.
 """
 
-from .padic import EXACT, PadicContext, PadicScaled, PrecisionError
+from .padic import EXACT, PadicContext, PrecisionError, scalar_repr
 
 PRUNE_PAD = 12
 
@@ -90,7 +91,7 @@ class CoeffElem:
             return "CoeffElem(0)"
         bits = []
         for vc, c in sorted(self.t.items()):
-            bits.append("v~%d: %r" % (vc, c))
+            bits.append("v~%d: %s" % (vc, scalar_repr(c)))
         tag = " trunc" if self.trunc else ""
         return "CoeffElem{%s%s}" % ("; ".join(bits), tag)
 
@@ -160,7 +161,7 @@ class CoeffContext:
         return CoeffElem(self, {0: self.padic.from_int(m)})
 
     def from_scalar(self, c, vcode=0):
-        if c.unit == 0 and c.val >= self.prune_horizon:
+        if c[1] == 0 and c[0] >= self.prune_horizon:
             return CoeffElem(self, {})
         return CoeffElem(self, {vcode: c})
 
@@ -176,7 +177,7 @@ class CoeffContext:
 
     def prune(self, t):
         horizon = self.prune_horizon
-        drop = [k for k, c in t.items() if c.val >= horizon]
+        drop = [k for k, c in t.items() if c[0] >= horizon]
         for k in drop:
             del t[k]
         return t
@@ -192,23 +193,24 @@ class CoeffContext:
         discarded before the floor applies: it cannot reach a verdict.
         Returns None when nothing should stay stored."""
         s = self.padic.add_raw(cur, c)
-        if s.val >= self.prune_horizon:
+        sv, su, sk = s
+        if sv >= self.prune_horizon:
             return None
-        if not raw and s.unit != 0 and s.prec < self.padic.floor:
-            raise _floor_error(s.prec, self.padic.floor)
+        if not raw and su != 0 and sk < self.padic.floor:
+            raise _floor_error(sk, self.padic.floor)
         return s
 
     def _store(self, t, k, cur, bv, bu, bp, raw):
         """Add the scalar (bv, bu, bp) to the scalar ``cur`` stored at key
         k of t, and store the sum or delete the key, as ``_acc`` would.
         This is PadicContext._add with the power table read directly, for
-        scalars that keep the PadicScaled invariant: the sum is pinned to
+        scalars that keep the invariant of ``padic.py``: the sum is pinned to
         the lesser absolute precision (a zero marker's is its depth), and
         a unit meeting a zero marker keeps its digits below that depth.
         Only a sum reaching past the working precision, which scalars
         outside the invariant can make, goes through ``_acc``."""
         padic = self.padic
-        cu, cv, cp = cur.unit, cur.val, cur.prec
+        cv, cu, cp = cur
         top = cv + cp
         if bv + bp < top:
             top = bv + bp
@@ -226,7 +228,7 @@ class CoeffContext:
             v = top
         kk = top - v
         if kk > padic.N:
-            s = self._acc(cur, PadicScaled(bv, bu, bp), raw)
+            s = self._acc(cur, (bv, bu, bp), raw)
             if s is None:
                 del t[k]
             else:
@@ -241,7 +243,7 @@ class CoeffContext:
             if top >= self.prune_horizon:
                 del t[k]
             else:
-                t[k] = PadicScaled(top, 0, 0)
+                t[k] = (top, 0, 0)
             return
         p = padic.p
         while not s % p:
@@ -253,17 +255,18 @@ class CoeffContext:
         elif not raw and kk < padic.floor:
             raise _floor_error(kk, padic.floor)
         else:
-            t[k] = PadicScaled(v, s, kk)
+            t[k] = (v, s, kk)
 
     def _merge_into(self, t, tb, raw):
         horizon = self.prune_horizon
         for k, c in tb.items():
             cur = t.get(k)
             if cur is None:
-                if c.val < horizon:
+                if c[0] < horizon:
                     t[k] = c
             else:
-                self._store(t, k, cur, c.val, c.unit, c.prec, raw)
+                bv, bu, bk = c
+                self._store(t, k, cur, bv, bu, bk, raw)
 
     def _merge(self, A, B, raw):
         t = dict(A.t)
@@ -300,9 +303,8 @@ class CoeffContext:
         padic = self.padic
         pows = padic._pows
         horizon = self.prune_horizon
-        for va, ca in ta.items():
+        for va, (av, au, ap) in ta.items():
             room = D - vtot[va]
-            av, au, ap = ca.val, ca.unit, ca.prec
             if ap >= len(pows):
                 padic.ppow(ap)
             for vb, cb in tb.items():
@@ -311,10 +313,9 @@ class CoeffContext:
                     continue
                 k = va + vb
                 # PadicContext.mul, with the power table read directly
-                pv = av + cb.val
-                bu = cb.unit
+                bv, bu, pk = cb
+                pv = av + bv
                 if au and bu:
-                    pk = cb.prec
                     if ap < pk:
                         pk = ap
                     pu = au * bu % pows[pk]
@@ -325,7 +326,7 @@ class CoeffContext:
                 cur = get(k)
                 if cur is None:
                     if pv < horizon:
-                        acc[k] = PadicScaled(pv, pu, pk)
+                        acc[k] = (pv, pu, pk)
                 else:
                     self._store(acc, k, cur, pv, pu, pk, False)
         return CoeffElem(self, acc, trunc)
@@ -351,7 +352,7 @@ class CoeffContext:
         padic = self.padic
         pows = padic._pows
         horizon = self.prune_horizon
-        av, au, ap = ca.val, ca.unit, ca.prec
+        av, au, ap = ca
         if ap >= len(pows):
             padic.ppow(ap)
         for vb, cb in tb.items():
@@ -361,12 +362,11 @@ class CoeffContext:
             # mul's product term, which mul keeps exactly when it lies
             # inside the prune horizon: one term on the short side makes
             # every product key distinct
-            pv = av + cb.val
+            bv, bu, pk = cb
+            pv = av + bv
             if pv >= horizon:
                 continue
-            bu = cb.unit
             if au and bu:
-                pk = cb.prec
                 if ap < pk:
                     pk = ap
                 pu = au * bu % pows[pk]
@@ -375,33 +375,31 @@ class CoeffContext:
             k = va + vb
             cur = get(k)
             if cur is None:
-                t[k] = PadicScaled(pv, pu, pk)
+                t[k] = (pv, pu, pk)
             else:
                 self._store(t, k, cur, pv, pu, pk, False)
         return trunc
 
     def scalar_mul(self, c, A):
-        if c.unit == 0 and c.val >= EXACT:
+        cv, cu, cp = c
+        if cu == 0 and cv >= EXACT:
             return CoeffElem(self, {}, A.trunc)
-        cv, cu, cp = c.val, c.unit, c.prec
         padic = self.padic
         pows = padic._pows
         if cp >= len(pows):
             padic.ppow(cp)
         t = {}
         horizon = self.prune_horizon
-        for k, a in A.t.items():
+        for k, (av, au, ap) in A.t.items():
             # PadicContext.mul, with the power table read directly
-            v = cv + a.val
+            v = cv + av
             if v >= horizon:
                 continue
-            au = a.unit
             if cu and au:
-                ap = a.prec
                 kk = cp if cp < ap else ap
-                t[k] = PadicScaled(v, cu * au % pows[kk], kk)
+                t[k] = (v, cu * au % pows[kk], kk)
             else:
-                t[k] = PadicScaled(v, 0, 0)
+                t[k] = (v, 0, 0)
         return CoeffElem(self, t, A.trunc)
 
     def int_mul(self, m, A):
@@ -449,12 +447,12 @@ class CoeffContext:
         # a definitely-nonzero monomial settles the verdict even when some
         # other coordinate only carries a shallow zero marker
         shallow = 0
-        for c in A.t.values():
-            if c.unit != 0:
-                if c.val < depth:
+        for v, u, _ in A.t.values():
+            if u != 0:
+                if v < depth:
                     return False
-            elif c.val < depth:
-                shallow = max(shallow, depth - c.val)
+            elif v < depth:
+                shallow = max(shallow, depth - v)
         if shallow:
             raise PrecisionError(
                 "zero verdict at depth %d exceeds tracked cancellation depth"

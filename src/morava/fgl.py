@@ -461,8 +461,8 @@ def check_integrality(s):
     multivariable series."""
     coeffs = s.t.values() if hasattr(s, "t") else s.c
     for e in coeffs:
-        for c in e.t.values():
-            if c.unit != 0 and c.val < 0:
+        for v, u, _ in e.t.values():
+            if u != 0 and v < 0:
                 return False
     return True
 

@@ -46,10 +46,10 @@ def saturation_certificate(x, e, t, T, eq_to, depth):
 def _coeff_in_ideal(ctx, e, keep_from, depth=1):
     """Every stored term is a multiple of p^depth or of some v_i with
     i < keep_from.  Cancellation markers must certify at least depth."""
-    for vcode, c in e.t.items():
+    for vcode, (v, _, _) in e.t.items():
         if any(ctx.vexps(vcode)[:keep_from - 1]):
             continue
-        if c.val < depth:
+        if v < depth:
             return False
     return True
 
@@ -79,9 +79,9 @@ def min_stored_prec(ctx, elems):
     """Least relative precision among the stored nonzero scalars."""
     best = ctx.N
     for e in elems:
-        for c in e.t.values():
-            if c.unit != 0 and c.prec < best:
-                best = c.prec
+        for _, u, k in e.t.values():
+            if u != 0 and k < best:
+                best = k
     return best
 
 
@@ -242,8 +242,7 @@ def verify_inverted_prime_model(fgl, T=None, depth=16):
     # multiplication by y has determinant (-1)^(d-1) times the reduced
     # constant term of the monic relation
     det = ring.relred[0].get(0, ctx.zero())
-    det_val = min((c.val for c in det.t.values() if c.unit != 0),
-                  default=None)
+    det_val = min((v for v, u, _ in det.t.values() if u != 0), default=None)
     prec = min_stored_prec(ctx, list(pnum.coord.values()) + [det])
     witness = {
         "two_term_identity": c1,

@@ -1,11 +1,14 @@
 """Floating-precision p-adic scalars.
 
-A nonzero scalar is p**val * unit with p coprime to unit.  ``prec`` counts
-the trusted base-p digits of the unit, and the unit is stored reduced modulo
-p**prec, so the scalar is pinned exactly modulo p**(val + prec).  The
-valuation itself is always exact.  A zero keeps ``unit == 0`` and records in
-``val`` the depth to which the vanishing is certain; a true zero uses the
-EXACT sentinel.
+A scalar is the plain tuple ``(val, unit, prec)``.  A nonzero one is
+p**val * unit with p coprime to unit.  ``prec`` counts the trusted base-p
+digits of the unit, and the unit is stored reduced modulo p**prec, so the
+scalar is pinned exactly modulo p**(val + prec).  The valuation itself is
+always exact.  A zero keeps ``unit == 0`` and records in ``val`` the depth
+to which the vanishing is certain: the zero marker ``(depth, 0, 0)``; a
+true zero uses the EXACT sentinel.  Kernels read a scalar by unpacking it
+(``v, u, k = c``) and build one as a tuple literal; ``scalar_repr`` gives
+its text.
 
 The stored-scalar invariant: 0 <= prec <= N; a nonzero unit is prime to p
 and lies in 1 .. p**prec - 1; a zero has unit 0 and prec 0.  PadicContext
@@ -36,35 +39,18 @@ class PrecisionError(ArithmeticError):
         self.needed_extra = needed_extra
 
 
-class PadicScaled:
-    __slots__ = ("val", "unit", "prec")
-
-    def __init__(self, val, unit, prec):
-        self.val = val
-        self.unit = unit
-        self.prec = prec
-
-    def is_zero(self):
-        return self.unit == 0
-
-    def __repr__(self):
-        if self.unit == 0:
-            if self.val >= EXACT:
-                return "0"
-            return "0(mod^%d)" % self.val
-        return "p^%d*%d(%d)" % (self.val, self.unit, self.prec)
-
-    def __eq__(self, other):
-        if not isinstance(other, PadicScaled):
-            return NotImplemented
-        return (self.val, self.unit, self.prec) == (other.val, other.unit, other.prec)
-
-    def __hash__(self):
-        return hash((self.val, self.unit, self.prec))
+def scalar_repr(c):
+    """The text of a scalar: ``0`` for the exact zero, ``0(mod^d)`` for a
+    zero marker of depth d, ``p^val*unit(prec)`` otherwise."""
+    v, u, k = c
+    if u == 0:
+        return "0" if v >= EXACT else "0(mod^%d)" % v
+    return "p^%d*%d(%d)" % (v, u, k)
 
 
 class PadicContext:
-    """Arithmetic on PadicScaled values at working precision N digits."""
+    """Arithmetic on (val, unit, prec) scalars at working precision N
+    digits."""
 
     __slots__ = ("p", "N", "floor", "pN", "_pows")
 
@@ -92,29 +78,29 @@ class PadicContext:
     # constructors
 
     def zero(self):
-        return PadicScaled(EXACT, 0, 0)
+        return (EXACT, 0, 0)
 
     def zero_known_to(self, absprec):
-        return PadicScaled(min(absprec, EXACT), 0, 0)
+        return (min(absprec, EXACT), 0, 0)
 
     def one(self):
-        return PadicScaled(0, 1, self.N)
+        return (0, 1, self.N)
 
     def from_int(self, m):
         if m == 0:
-            return PadicScaled(EXACT, 0, 0)
+            return (EXACT, 0, 0)
         v = 0
         p = self.p
         while m % p == 0:
             m //= p
             v += 1
-        return PadicScaled(v, m % self.pN, self.N)
+        return (v, m % self.pN, self.N)
 
     def from_fraction(self, num, den=1):
         if den == 0:
             raise ZeroDivisionError("denominator is zero")
         if num == 0:
-            return PadicScaled(EXACT, 0, 0)
+            return (EXACT, 0, 0)
         return self.mul(self.from_int(num), self.invert(self.from_int(den)))
 
     # arithmetic
@@ -129,25 +115,27 @@ class PadicContext:
                 % (prec, self.floor),
                 needed_extra=self.floor - prec,
             )
-        return PadicScaled(val, unit, prec)
+        return (val, unit, prec)
 
     def _add(self, a, b, check):
-        if a.unit == 0:
-            if b.unit == 0:
-                return PadicScaled(min(a.val, b.val), 0, 0)
-            absprec = min(a.val, b.val + b.prec)
-            if b.val >= absprec:
-                return PadicScaled(absprec, 0, 0)
-            k = absprec - b.val
-            return self._trim(b.val, b.unit % self.ppow(k), k, check)
-        if b.unit == 0:
+        av, au, ak = a
+        bv, bu, bk = b
+        if au == 0:
+            if bu == 0:
+                return (min(av, bv), 0, 0)
+            absprec = min(av, bv + bk)
+            if bv >= absprec:
+                return (absprec, 0, 0)
+            k = absprec - bv
+            return self._trim(bv, bu % self.ppow(k), k, check)
+        if bu == 0:
             return self._add(b, a, check)
-        v = a.val if a.val < b.val else b.val
-        absprec = min(a.val + a.prec, b.val + b.prec)
+        v = av if av < bv else bv
+        absprec = min(av + ak, bv + bk)
         k = absprec - v
-        s = (a.unit * self.ppow(a.val - v) + b.unit * self.ppow(b.val - v)) % self.ppow(k)
+        s = (au * self.ppow(av - v) + bu * self.ppow(bv - v)) % self.ppow(k)
         if s == 0:
-            return PadicScaled(absprec, 0, 0)
+            return (absprec, 0, 0)
         p = self.p
         w = 0
         while s % p == 0:
@@ -164,60 +152,66 @@ class PadicContext:
         return self._add(a, b, False)
 
     def neg(self, a):
-        if a.unit == 0:
+        v, u, k = a
+        if u == 0:
             return a
-        return PadicScaled(a.val, self.ppow(a.prec) - a.unit, a.prec)
+        return (v, self.ppow(k) - u, k)
 
     def sub(self, a, b):
         return self._add(a, self.neg(b), True)
 
     def mul(self, a, b):
-        if a.unit == 0 or b.unit == 0:
-            return PadicScaled(min(a.val + b.val, EXACT), 0, 0)
-        k = a.prec if a.prec < b.prec else b.prec
-        return PadicScaled(a.val + b.val, (a.unit * b.unit) % self.ppow(k), k)
+        av, au, ak = a
+        bv, bu, bk = b
+        if au == 0 or bu == 0:
+            return (min(av + bv, EXACT), 0, 0)
+        k = ak if ak < bk else bk
+        return (av + bv, (au * bu) % self.ppow(k), k)
 
     def invert(self, a):
-        if a.unit == 0:
-            if a.val >= EXACT:
+        v, u, k = a
+        if u == 0:
+            if v >= EXACT:
                 raise ZeroDivisionError("inversion of zero")
             raise PrecisionError(
-                "cannot invert a value known only to be divisible by p^%d" % a.val
+                "cannot invert a value known only to be divisible by p^%d" % v
             )
-        return PadicScaled(-a.val, pow(a.unit, -1, self.ppow(a.prec)), a.prec)
+        return (-v, pow(u, -1, self.ppow(k)), k)
 
     # verdicts
 
     def is_zero_to(self, a, depth):
         """Whether a is 0 modulo p**depth.  Exact: valuations are exact and
         a nonzero unit has a genuinely nonzero leading digit."""
-        if a.unit == 0:
-            if a.val >= depth:
+        v, u, _ = a
+        if u == 0:
+            if v >= depth:
                 return True
             raise PrecisionError(
-                "zero known only modulo p^%d, verdict needs p^%d" % (a.val, depth),
-                needed_extra=depth - a.val,
+                "zero known only modulo p^%d, verdict needs p^%d" % (v, depth),
+                needed_extra=depth - v,
             )
-        return a.val >= depth
+        return v >= depth
 
     def eq_to(self, a, b, depth):
         return self.is_zero_to(self.add_raw(a, self.neg(b)), depth)
 
     def residue(self, a, depth=1):
         """Integer representative modulo p**depth (requires val >= 0)."""
-        if a.unit == 0:
-            if a.val >= depth:
+        v, u, k = a
+        if u == 0:
+            if v >= depth:
                 return 0
             raise PrecisionError(
-                "zero known only modulo p^%d" % a.val, needed_extra=depth - a.val
+                "zero known only modulo p^%d" % v, needed_extra=depth - v
             )
-        if a.val < 0:
+        if v < 0:
             raise ValueError("negative valuation has no residue")
-        if a.val >= depth:
+        if v >= depth:
             return 0
-        if a.val + a.prec < depth:
+        if v + k < depth:
             raise PrecisionError(
-                "value pinned only modulo p^%d" % (a.val + a.prec),
-                needed_extra=depth - a.val - a.prec,
+                "value pinned only modulo p^%d" % (v + k),
+                needed_extra=depth - v - k,
             )
-        return (a.unit * self.ppow(a.val)) % self.ppow(depth)
+        return (u * self.ppow(v)) % self.ppow(depth)

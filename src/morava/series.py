@@ -23,7 +23,7 @@ budget signals a non-prepared input.
 from operator import add, gt
 
 from .coeff import CoeffContext
-from .padic import EXACT, PadicScaled, PrecisionError
+from .padic import EXACT, PrecisionError
 
 
 class YSeries:
@@ -236,7 +236,7 @@ def weierstrass_divide(f, a):
 
     def settled(e):
         # empty, or nothing left but bounded-depth zero markers
-        return all(c.unit == 0 for c in e.t.values())
+        return all(u == 0 for _, u, _ in e.t.values())
 
     for _ in range(maxit):
         if all(settled(e) for e in rem.c[d:]):
@@ -574,7 +574,8 @@ def ms_eval_powers(F, powers):
 
 
 def _fmt_scalar_fields(c):
-    return "%d|%d|%d" % (c.val if c.val < EXACT else EXACT, c.unit, c.prec)
+    v, u, k = c
+    return "%d|%d|%d" % (v if v < EXACT else EXACT, u, k)
 
 
 def golden_dump(f):
@@ -604,8 +605,8 @@ def golden_dump(f):
 
 
 def _checked_scalar(ctx, val, unit, prec):
-    """The PadicScaled with these fields, or ValueError when they break its
-    invariants: 0 <= prec <= N, a nonzero unit prime to p and below
+    """The scalar (val, unit, prec), or ValueError when it breaks the
+    invariant: 0 <= prec <= N, a nonzero unit prime to p and below
     p**prec, a zero with unit 0 and prec 0."""
     p = ctx.p
     if not 0 <= prec <= ctx.N:
@@ -616,7 +617,7 @@ def _checked_scalar(ctx, val, unit, prec):
     elif not (0 < unit < ctx.padic.ppow(prec) and unit % p):
         raise ValueError("scalar unit %d is not a unit below p^%d"
                          % (unit, prec))
-    return PadicScaled(val, unit, prec)
+    return (val, unit, prec)
 
 
 def golden_load(text):

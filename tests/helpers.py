@@ -68,7 +68,7 @@ def ms_content(A):
     trunc flag, and per key in stored order the coefficient's terms in
     stored order, with each scalar's fields, and its trunc flag."""
     return (A.caps, A.tcap, A.trunc,
-            [(k, [(ck, c.val, c.unit, c.prec) for ck, c in e.t.items()],
+            [(k, [(ck, v, u, k) for ck, (v, u, k) in e.t.items()],
               e.trunc) for k, e in A.t.items()])
 
 

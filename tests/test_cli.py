@@ -563,7 +563,7 @@ def _lemma_2_4_checks(cache, report):
 @pytest.mark.parametrize("edit", ["header", "scalar"])
 def test_damaged_cache_file_is_rebuilt(tmp_path, edit):
     # a cache file naming other parameters, or holding a scalar outside the
-    # PadicScaled invariants (here prec = N + 40), is a miss: the run
+    # scalar invariants (here prec = N + 40), is a miss: the run
     # rebuilds and rewrites it and gives the checks of a fresh cache
     cache = tmp_path / "cache"
     fresh = _lemma_2_4_checks(cache, tmp_path / "fresh.json")

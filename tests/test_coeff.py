@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from helpers import oc_to_elem
 from morava.coeff import CoeffContext, CoeffElem
-from morava.padic import EXACT, PadicScaled, PrecisionError
+from morava.padic import EXACT, PrecisionError
 
 
 @pytest.fixture
@@ -196,18 +197,19 @@ def test_height_one_has_no_v():
 def _ref_store(ctx, t, k, c, raw):
     cur = t.get(k)
     if cur is None:
-        if c.val < ctx.prune_horizon:
+        if c[0] < ctx.prune_horizon:
             t[k] = c
         return
     s = ctx.padic.add_raw(cur, c)
-    if s.val >= ctx.prune_horizon:
+    sv, su, sk = s
+    if sv >= ctx.prune_horizon:
         del t[k]
         return
     floor = ctx.padic.floor
-    if not raw and s.unit != 0 and s.prec < floor:
+    if not raw and su != 0 and sk < floor:
         raise PrecisionError(
             "stored coefficient would keep only %d trusted digits (floor %d)"
-            % (s.prec, floor), needed_extra=floor - s.prec)
+            % (sk, floor), needed_extra=floor - sk)
     t[k] = s
 
 
@@ -236,12 +238,12 @@ def _ref_merge(ctx, A, B, raw):
 
 
 def _ref_scalar_mul(ctx, c, A):
-    if c.unit == 0 and c.val >= EXACT:
+    if c[1] == 0 and c[0] >= EXACT:
         return CoeffElem(ctx, {}, A.trunc)
     t = {}
     for k, a in A.t.items():
         s = ctx.padic.mul(c, a)
-        if s.val < ctx.prune_horizon:
+        if s[0] < ctx.prune_horizon:
             t[k] = s
     return CoeffElem(ctx, t, A.trunc)
 
@@ -269,9 +271,9 @@ def _addmul_cases(ctx, T, A, B):
              else "several terms"}
     if len(fits) < len(A.t) * len(B.t):
         cases.add("v-cap drop")
-    if short == 1 and any(ca.val + cb.val >= horizon for ca, cb in fits):
+    if short == 1 and any(ca[0] + cb[0] >= horizon for ca, cb in fits):
         cases.add("pruned")
-    if any(c.unit == 0 for E in (T, A, B) for c in E.t.values()):
+    if any(c[1] == 0 for E in (T, A, B) for c in E.t.values()):
         cases.add("zero marker")
     return cases
 
@@ -285,16 +287,16 @@ def _outcome(fn, *args):
 
 
 def _rand_scalar(rng, ctx):
-    """A scalar obeying the PadicScaled invariants, drawn to hit exact and
+    """A scalar obeying the scalar invariants, drawn to hit exact and
     shallow zero markers, negative and p-divisible valuations, short
     precisions, valuations near the prune horizon and gaps past the power
     table."""
     p, N = ctx.p, ctx.N
     kind = rng.random()
     if kind < 0.04:
-        return PadicScaled(EXACT, 0, 0)
+        return (EXACT, 0, 0)
     if kind < 0.12:
-        return PadicScaled(rng.randint(0, ctx.prune_horizon + 1), 0, 0)
+        return (rng.randint(0, ctx.prune_horizon + 1), 0, 0)
     if kind < 0.3:
         val = rng.randint(ctx.prune_horizon - N - 2, ctx.prune_horizon + 1)
     else:
@@ -303,7 +305,7 @@ def _rand_scalar(rng, ctx):
     unit = rng.randrange(1, p ** prec)
     while unit % p == 0:
         unit = rng.randrange(1, p ** prec)
-    return PadicScaled(val, unit, prec)
+    return (val, unit, prec)
 
 
 def _rand_elem(rng, ctx, like=None):
@@ -313,12 +315,13 @@ def _rand_elem(rng, ctx, like=None):
     t = {}
     if like is not None:
         for k, c in like.t.items():
-            if c.unit == 0 or rng.random() < 0.3:
+            cv, cu, ck = c
+            if cu == 0 or rng.random() < 0.3:
                 continue
             s = padic.neg(c)
             if rng.random() < 0.7:
-                j = rng.randint(0, c.prec)
-                s = padic.add_raw(s, PadicScaled(c.val + j, 1, padic.N))
+                j = rng.randint(0, ck)
+                s = padic.add_raw(s, (cv + j, 1, padic.N))
             t[k] = s
     base = ctx.D + 1
     for _ in range(rng.randint(0, 7)):
@@ -390,12 +393,12 @@ def test_kernel_matches_per_pair_reference(p, n, N, D, floor):
 
 
 def test_kernel_off_table_precision_falls_back():
-    # precisions past N (outside the PadicScaled invariant) take the
+    # precisions past N (outside the scalar invariant) take the
     # reference path and still agree with it
     ctx = CoeffContext(3, 2, N=4, D=2, floor=1)
-    big = PadicScaled(0, 3 ** 7 - 1, 7)
+    big = (0, 3 ** 7 - 1, 7)
     A = CoeffElem(ctx, {0: big, 1: ctx.padic.one()})
-    B = CoeffElem(ctx, {0: PadicScaled(0, 2, 6), 1: big})
+    B = CoeffElem(ctx, {0: (0, 2, 6), 1: big})
     assert _outcome(ctx.mul, A, B) == _outcome(_ref_mul, ctx, A, B)
     assert _outcome(ctx.add, A, B) == _outcome(_ref_merge, ctx, A, B, False)
     assert _outcome(ctx.scalar_mul, big, B) == \
@@ -422,7 +425,8 @@ def test_kernel_collision_matches_add_raw(monkeypatch, p, n, N, D, floor):
     rng = random.Random(7000 + 100 * p + 10 * n + N)
 
     def kernel(t, c, raw):
-        ctx._store(t, 0, t[0], c.val, c.unit, c.prec, raw)
+        cv, cu, ck = c
+        ctx._store(t, 0, t[0], cv, cu, ck, raw)
 
     def reference(t, c, raw):
         _ref_store(ctx, t, 0, c, raw)
@@ -436,20 +440,20 @@ def test_kernel_collision_matches_add_raw(monkeypatch, p, n, N, D, floor):
         pair = [_rand_scalar(rng, ctx), _rand_scalar(rng, ctx)]
         if rng.random() < 0.6:
             # a zero marker: shallow, anywhere, or near the prune horizon
-            pair[rng.randrange(2)] = PadicScaled(rng.choice((
+            pair[rng.randrange(2)] = (rng.choice((
                 rng.randint(0, 4), rng.randint(0, horizon + 1),
                 rng.randint(horizon - 2, horizon + 1))), 0, 0)
         cur, c = pair
         for raw in (False, True):
             got = _collision(kernel, ctx, cur, c, raw)
             assert got == _collision(reference, ctx, cur, c, raw)
-            markers = (cur.unit == 0) + (c.unit == 0)
+            markers = (cur[1] == 0) + (c[1] == 0)
             if got[0] == "error":
                 outcome = "error"
             elif not got[1]:
                 outcome = "pruned"
             else:
-                outcome = "marker" if got[1][0][1].unit == 0 else "unit"
+                outcome = "marker" if got[1][0][1][1] == 0 else "unit"
             seen.add((markers, outcome))
     want = {(2, "marker"), (2, "pruned"), (1, "marker"), (1, "unit"),
             (1, "pruned"), (0, "marker"), (0, "unit")}
@@ -499,3 +503,153 @@ def test_kernel_products_match_rational_oracle():
             got = ctx.mul(oc_to_elem(ctx, a), oc_to_elem(ctx, b))
             want = oc_to_elem(ctx, oracles.qc_mul(a, b), wa + wb)
             assert ctx.eq_to(got, want, N - 2)
+
+
+# The tuple kernel against exact rationals, on drawn elements.  A scalar
+# (val, unit, prec) stands for every rational unit * p**val plus a multiple
+# of p**(val + prec) (a zero marker for every multiple of p**val), and each
+# operand is read as one drawn lift of that kind.  Every stored result must
+# agree with the rational result on those lifts modulo its own
+# p**(val + prec), or its marker depth, below the prune horizon, where the
+# kernel drops what is settled by design.  A key left empty must be 0 to
+# the horizon.  A result that claims digits its operands do not pin fails
+# for most lifts.
+
+ORACLE_CONTEXTS = [(2, 2, 8, 6), (3, 3, 4, 2)]
+
+
+def _qval(p, q):
+    """The p-adic valuation of a Fraction, None for 0."""
+    if q == 0:
+        return None
+    v, a, b = 0, q.numerator, q.denominator
+    while a % p == 0:
+        a //= p
+        v += 1
+    while b % p == 0:
+        b //= p
+        v -= 1
+    return v
+
+
+def _scalar_q(p, c, lift=0):
+    """The rational unit * p**val + lift * p**(val + prec) that the scalar
+    c stands for; 0 for the exact zero."""
+    v, u, k = c
+    if v >= EXACT:
+        return Fraction(0)
+    return (u + lift * p ** k) * Fraction(p) ** v
+
+
+def _elem_q(data, ctx, t):
+    """An oracle coefficient for t, every scalar read as a drawn lift."""
+    p = ctx.p
+    out = {}
+    for k, c in t.items():
+        q = _scalar_q(p, c, data.draw(st.integers(-p * p, p * p)))
+        if q:
+            out[(0, ctx.vexps(k))] = q
+    return out
+
+
+@st.composite
+def _unit(draw, ctx, vals):
+    """A unit scalar: any precision from 1 to N, its unit prime to p."""
+    p = ctx.p
+    k = draw(st.integers(1, ctx.N))
+    u = p * draw(st.integers(0, p ** (k - 1) - 1))
+    return (draw(vals), u + draw(st.integers(1, p - 1)), k)
+
+
+def _scalars(ctx):
+    """Units at negative, small and near-horizon valuations, and zero
+    markers of every depth under the prune horizon."""
+    horizon = ctx.prune_horizon
+    vals = st.one_of(st.integers(-3, 3),
+                     st.integers(horizon - ctx.N - 2, horizon - 1))
+    markers = st.integers(0, horizon - 1).map(lambda d: (d, 0, 0))
+    return st.one_of(_unit(ctx, vals), markers)
+
+
+@st.composite
+def _elems(draw, ctx, min_size=0, max_size=6):
+    codes = [k for k in range(ctx.ncodes) if ctx.vtotal[k] <= ctx.D]
+    t = draw(st.dictionaries(st.sampled_from(codes), _scalars(ctx),
+                             min_size=min_size, max_size=max_size))
+    return CoeffElem(ctx, t, draw(st.booleans()))
+
+
+@st.composite
+def _near(draw, ctx, A):
+    """Two fresh terms, then some of A's scalars with their units moved by
+    p**j (not at all when j >= prec), so that a difference cancels in full
+    or in part."""
+    p = ctx.p
+    t = dict(draw(_elems(ctx, 2, 2)).t)
+    for k, (v, u, kk) in A.t.items():
+        if draw(st.booleans()):
+            j = draw(st.integers(1, ctx.N))
+            t[k] = (v, (u + p ** j) % p ** kk if j < kk else u, kk)
+    return CoeffElem(ctx, t, draw(st.booleans()))
+
+
+def _assert_agrees(ctx, t, want):
+    """Every stored scalar keeps the invariant, lies under the prune
+    horizon and agrees with the rational result ``want``."""
+    p, horizon = ctx.p, ctx.prune_horizon
+    for k, c in t.items():
+        assert type(c) is tuple and len(c) == 3, c
+        assert all(type(x) is int for x in c), c
+        v, u, kk = c
+        assert ctx.vtotal[k] <= ctx.D and 0 <= kk <= ctx.N and v < horizon, c
+        if u:
+            assert 0 < u < p ** kk and u % p, c
+        else:
+            assert kk == 0, c
+    for k in range(ctx.ncodes):
+        if ctx.vtotal[k] > ctx.D:
+            continue
+        exact = want.get((0, ctx.vexps(k)), Fraction(0))
+        c = t.get(k)
+        if c is None:
+            bound, stored = horizon, 0
+        else:
+            bound, stored = min(c[0] + c[2], horizon), _scalar_q(p, c)
+        w = _qval(p, exact - stored)
+        assert w is None or w >= bound, (k, c, exact)
+
+
+def _product_trunc(ctx, A, B):
+    return A.trunc or B.trunc or any(
+        ctx.vtotal[a] + ctx.vtotal[b] > ctx.D for a in A.t for b in B.t)
+
+
+@pytest.mark.parametrize("p,n,N,D", ORACLE_CONTEXTS)
+@pytest.mark.parametrize("short", ["one term", "several terms"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tuple_kernel_matches_rational_oracle(p, n, N, D, short, data):
+    ctx = CoeffContext(p, n, N=N, D=D, floor=1)
+    if short == "one term":
+        A = data.draw(_elems(ctx, 1, 1))
+        B = data.draw(_elems(ctx, 1))
+    else:
+        A = data.draw(_elems(ctx, 2))
+        B = data.draw(st.one_of(_elems(ctx, 2), _near(ctx, A)))
+    T = data.draw(_elems(ctx))
+    c = data.draw(st.one_of(_scalars(ctx), st.just((EXACT, 0, 0))))
+    qa, qb, qt = (_elem_q(data, ctx, E.t) for E in (A, B, T))
+    qc = _scalar_q(p, c, data.draw(st.integers(-p * p, p * p)))
+    ab = oracles.qc_mul(qa, qb)
+
+    P = ctx.mul(A, B)
+    _assert_agrees(ctx, P.t, ab)
+    assert P.trunc == _product_trunc(ctx, A, B)
+    t = dict(T.t)
+    assert ctx.addmul_into(t, A, B) == P.trunc
+    _assert_agrees(ctx, t, oracles.qc_add(qt, ab))
+    _assert_agrees(ctx, ctx.add(A, B).t, oracles.qc_add(qa, qb))
+    _assert_agrees(ctx, ctx.sub(A, B).t,
+                   oracles.qc_add(qa, oracles.qc_scale(-1, qb)))
+    _assert_agrees(ctx, ctx.scalar_mul(c, A).t,
+                   oracles.qc_scale(qc, qa))

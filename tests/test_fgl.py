@@ -64,7 +64,7 @@ def test_build_rejects_shallow_precision():
 
 def test_log_coefficient_valuations(f21):
     for k in (1, 2, 3):
-        vals = [c.val for c in f21.log.c[2 ** k].t.values() if c.unit != 0]
+        vals = [v for v, u, _ in f21.log.c[2 ** k].t.values() if u != 0]
         assert min(vals) == -k
 
 

@@ -26,7 +26,7 @@ from morava.groupcoh import (AbelianPGroup, CohRing, GroupHom, RingElem,
                              series_in_elem, sound_basis_cap, sound_depth,
                              verify_free_over_subring, verify_rank)
 from morava.coeff import CoeffContext, CoeffElem
-from morava.padic import PadicScaled, PrecisionError
+from morava.padic import PrecisionError
 from morava.series import ms_eval, ms_new, ms_set, ser_mul, ser_new
 
 
@@ -386,12 +386,13 @@ def assert_coeff_same_as_reference(gc, rc, key):
     padic = rc.ctx.padic
     assert gc.trunc == rc.trunc and set(gc.t) == set(rc.t), key
     for term, r in rc.t.items():
-        g = gc.t[term]
-        if r.unit == 0:
-            assert g.unit == 0 and g.val >= r.val, (key, term)
+        gv, gu, gk = gc.t[term]
+        rv, ru, rk = r
+        if ru == 0:
+            assert gu == 0 and gv >= rv, (key, term)
             continue
-        assert g.val == r.val and g.prec >= r.prec, (key, term)
-        assert (g.unit - r.unit) % padic.ppow(r.prec) == 0, (key, term)
+        assert gv == rv and gk >= rk, (key, term)
+        assert (gu - ru) % padic.ppow(rk) == 0, (key, term)
 
 
 def assert_same_as_reference(got, ref):
@@ -442,8 +443,7 @@ def rand_short_coeff(rng, ctx):
         unit = rng.randrange(1, ctx.p ** prec)
         while unit % ctx.p == 0:
             unit = rng.randrange(1, ctx.p ** prec)
-        t[rng.randrange(ctx.ncodes)] = PadicScaled(rng.randint(0, 2), unit,
-                                                   prec)
+        t[rng.randrange(ctx.ncodes)] = (rng.randint(0, 2), unit, prec)
     return CoeffElem(ctx, t, rng.random() < 0.1)
 
 
@@ -699,8 +699,8 @@ def test_point_class_matches_exact_rationals():
     for key, oc in ref.items():
         ms_set(A, key, oc_to_elem(ctx, oc, sum(key) - 1))
     want = ms_normal_form(ring, A)
-    depth = min(c.val + c.prec for e in got.coord.values()
-                for c in e.t.values())
+    depth = min(v + k for e in got.coord.values()
+                for v, _, k in e.t.values())
     assert depth >= 24
     assert elem_eq_to(got, want, depth)
 

@@ -220,7 +220,7 @@ def test_generator_determinant_frozen(fgl21, fgl31):
         rows = [[col.coord.get((i,), ctx.zero()) for col in cols]
                 for i in range(deg)]
         det = _det(ctx, rows)
-        assert min(c.val for c in det.t.values() if c.unit != 0) == val
+        assert min(v for v, u, _ in det.t.values() if u != 0) == val
         red0 = ring.relred[0][0]
         ref = red0 if sign > 0 else ctx.neg(red0)
         assert ctx.eq_to(det, ref, 6)

@@ -9,7 +9,6 @@ from helpers import (count_coeff_products, ms_add_into, ms_content,
 
 import morava.series
 from morava.coeff import CoeffContext, CoeffElem
-from morava.padic import PadicScaled
 from morava.series import (MultiSeries, YSeries, golden_dump, golden_load,
                            ms_eval, ms_mul, ms_new, ms_one,
                            ms_permuted, ms_powers, ms_set, ser_add, ser_compose, ser_from_terms,
@@ -420,10 +419,10 @@ def with_zero_markers(rng, A):
         if rng.random() < 0.35:
             t = dict(e.t)
             t.setdefault(ctx.vcode((rng.randint(0, ctx.D),)),
-                         PadicScaled(rng.randint(1, 6), 0, 0))
+                         (rng.randint(1, 6), 0, 0))
             A.t[k] = CoeffElem(ctx, t, e.trunc)
     k = (1,) + (0,) * (A.r - 1)
-    A.t[k] = CoeffElem(ctx, {0: PadicScaled(3, 0, 0)})
+    A.t[k] = CoeffElem(ctx, {0: (3, 0, 0)})
     return A
 
 
