@@ -184,8 +184,10 @@ def test_euler_text_same_with_cache_on_and_off(argv, tmp_path, monkeypatch,
     assert outs[0] == outs[1] == outs[2]
 
 
-# Full stdout of the README p-series and of three Euler classes, each
-# coordinate read modulo p^depth for the junk-sound depth of the caps.  At
+# Full stdout of the README p-series, of the [9]- and [25]-series at p = 3
+# and 5 (T^9 and T^25 from the base-p power chains of fgl.solve_log) and of
+# three Euler classes, each coordinate read modulo p^depth for the
+# junk-sound depth of the caps.  At
 # height 1 the rank-2 classes vanish to every such digit; at height 2 the
 # coordinates carry v_1 and powers of u, with the total class's weights
 # |exps| - (p^r - 1) and the reduced one's |exps| - (p^r - 1)/(p - 1).
@@ -197,6 +199,60 @@ v_1*y^2
 (u^3 + 4*v_1^3)*y^4
 (-9358*u^3*v_1 + 4690*v_1^4)*y^5
 leading reduced term u^3y^4 mod (2, v_1, y^5)
+"""),
+    (["pseries", "--p", "3", "--n", "2", "--k", "2"], """\
+9*y
+30*v_1*y^3
+-2615087997*v_1^2*y^5
+-1634426100*v_1^3*y^7
+(19686*u^8 + 8301610*v_1^4)*y^9
+(3971259333*u^8*v_1 - 1361296773*v_1^5)*y^11
+(322161705*u^8*v_1^2 - 159283881*v_1^6)*y^13
+32014737*u^8*v_1^3*y^15
+(-5084119077147*u^16 - 14837732118*u^8*v_1^4)*y^17
+(-1178271117*u^16*v_1 - 531802395*u^8*v_1^5)*y^19
+(439654284*u^16*v_1^2 + 104301576*u^8*v_1^6)*y^21
+-17918692425*u^16*v_1^3*y^23
+(-10167979873968*u^24 + 4249967211*u^16*v_1^4)*y^25
+(-16120376*u^24*v_1 - 182905461*u^16*v_1^5)*y^27
+(-615881880*u^24*v_1^2 + 3064250169*u^16*v_1^6)*y^29
+504318987*u^24*v_1^3*y^31
+(-10544437798020*u^32 + 15245325*u^24*v_1^4)*y^33
+(-64013903515773*u^32*v_1 - 13930097958*u^24*v_1^5)*y^35
+(-420931701*u^32*v_1^2 + 98847117*u^24*v_1^6)*y^37
+-36757737*u^32*v_1^3*y^39
+(-6590223402588*u^40 + 14539197141*u^32*v_1^4)*y^41
+(23522416742457*u^40*v_1 + 4161179142*u^32*v_1^5)*y^43
+(6192765*u^40*v_1^2 + 13514223*u^32*v_1^6)*y^45
+-1857720177*u^40*v_1^3*y^47
+(-2636075968722*u^48 + 49087701*u^40*v_1^4)*y^49
+(21752882427726*u^48*v_1 - 476160849*u^40*v_1^5)*y^51
+(22068660418398*u^48*v_1^2 - 66810643317*u^40*v_1^6)*y^53
+-87378759*u^48*v_1^3*y^55
+(-683424622944*u^56 - 22567710*u^48*v_1^4)*y^57
+(8868843651654*u^56*v_1 + 826793406*u^48*v_1^5)*y^59
+(925035593391*u^56*v_1^2 + 1034325693*u^48*v_1^6)*y^61
+-47456634*u^56*v_1^3*y^63
+(-111579226596*u^64 + 4382105265*u^56*v_1^4)*y^65
+(983950965504*u^64*v_1 + 664945848*u^56*v_1^5)*y^67
+(132081452739*u^64*v_1^2 - 422471025*u^56*v_1^6)*y^69
+-2941461630639*u^64*v_1^3*y^71
+(-10460530350*u^72 + 807503904*u^64*v_1^4)*y^73
+(-629928236610*u^72*v_1 + 569635767*u^64*v_1^5)*y^75
+(-8557421351418*u^72*v_1^2 - 37831672971*u^64*v_1^6)*y^77
+-365645579760*u^72*v_1^3*y^79
+(u^80 - 1428866892*u^72*v_1^4)*y^81
+leading reduced term u^80y^81 mod (3, v_1, y^82)
+"""),
+    (["pseries", "--p", "5", "--n", "1", "--k", "2"], """\
+25*y
+3130*u^4*y^5
+-955202638671875*u^8*y^9
+667112792187500*u^12*y^13
+1984130468593750*u^16*y^17
+-915106250015625*u^20*y^21
+-3664062499*u^24*y^25
+leading reduced term u^24y^25 mod (5, y^26)
 """),
     (["euler", "--group", "4,2"], """\
 total Euler class (group 4,2, p=2, n=1) modulo 2^4:

@@ -13,7 +13,7 @@ from helpers import (count_coeff_products, ms_content, ms_eval_by_products,
                      ms_from_yseries, oc_series_to_yseries, oc_to_elem,
                      two_var_reference)
 from morava.coeff import CoeffContext
-from morava.fgl import (_build_two_var, _row, build_fgl,
+from morava.fgl import (_build_two_var, _chain_power, _row, build_fgl,
                         check_associativity, check_integrality,
                         check_pk_congruence, formal_sum, log_depth, solve_log)
 from morava.padic import PadicContext, PrecisionError
@@ -481,10 +481,26 @@ def test_formal_sum_reference(p, n, M):
     assert first_mismatch(ctx, s, ref, 10) is None
 
 
-def solve_log_every_index(ctx, log_elems, S):
+def p_split(p, e):
+    """fgl._chain_power's split of e: h = floor(e / (2q)) * q, q the
+    largest power of p that divides e and is below e."""
+    q = 1
+    while e % (q * p) == 0 and q * p < e:
+        q *= p
+    return e // q // 2 * q
+
+
+def halving_split(p, e):
+    """The split of e before the base-p rule, h = e // 2: the reference
+    that the base-p chains are cross-checked against."""
+    return e // 2
+
+
+def solve_log_every_index(ctx, log_elems, S, split=p_split):
     """solve_log with a convolution that walks every index from the chain's
     minimum and skips the zero entries it meets: the reference for the
-    walk over nonzero indices only, which must store the same values."""
+    walk over nonzero indices only, which must store the same values.
+    T^e is the product of T^h and T^(e-h) with h = split(p, e)."""
     p, M = ctx.p, S.M
     needed = [p ** k for k in range(1, M) if p ** k <= M]
     T = [ctx.zero() for _ in range(M + 1)]
@@ -492,9 +508,9 @@ def solve_log_every_index(ctx, log_elems, S):
 
     def ensure_power(e):
         if e not in by_power:
-            h, r = divmod(e, 2)
+            h = split(p, e)
             A, minA = ensure_power(h)
-            B, minB = ensure_power(h + r)
+            B, minB = ensure_power(e - h)
             out = [ctx.zero() for _ in range(M + 1)]
             chains.append((A, B, out, minA, minB))
             by_power[e] = (out, minA + minB)
@@ -522,7 +538,11 @@ def solve_log_every_index(ctx, log_elems, S):
 
 
 def test_solve_log_matches_every_index_walk(f21, f31, f22):
-    for fgl in (f21, f31, f22):
+    # the last two laws reach T^25 and T^27, where the base-p chains and
+    # the halving ones part ways past degree 9
+    laws = (f21, f31, f22, build_fgl(3, 2, N=24, D=1, M=30),
+            build_fgl(5, 1, N=24, D=1, M=30))
+    for fgl in laws:
         ctx = fgl.ctx
         sums = [ser_monomial(ctx, fgl.M, 1)]
         sums += [ser_scale(ctx.from_int(m), fgl.log) for m in (2, 3, -1)]
@@ -530,6 +550,81 @@ def test_solve_log_matches_every_index_walk(f21, f31, f22):
         for S in sums:
             assert solve_log(ctx, fgl.log_elems, S) == \
                 solve_log_every_index(ctx, fgl.log_elems, S)
+
+
+@pytest.mark.parametrize("p, M, chain", [
+    (2, 47, [2, 4, 8, 16, 32]),
+    (3, 242, [2, 3, 6, 9, 18, 27, 54, 81]),
+    (5, 125, [2, 3, 5, 10, 15, 25, 50, 75, 125]),
+])
+def test_chain_power_registers_base_p_splits(p, M, chain):
+    ctx = CoeffContext(p, 1, N=8, D=0)
+    by_power, chains = {1: ([ctx.zero()] * (M + 1), [], 1)}, []
+    q = p
+    while q <= M:
+        _chain_power(ctx, M, by_power, chains, q)
+        q *= p
+    assert list(by_power)[1:] == chain
+    assert len(chains) == len(chain)
+
+
+def _agree_below(p, a, b, top):
+    """Whether scalars a and b agree modulo p^top (below valuation top)."""
+    (va, ua, _), (vb, ub, _) = a, b
+    lo = min(va, vb)
+    if top <= lo:
+        return True
+    return (ua * p ** (va - lo) - ub * p ** (vb - lo)) % p ** (top - lo) == 0
+
+
+def test_base_p_chains_against_halving_chains():
+    """Where both chains solve without a PrecisionError, the base-p chains
+    store the same keys, in the same order, with the same trunc flags, and
+    every scalar agrees with the halving chains' modulo p to the least of
+    the two tops (val + prec) and the prune horizon less K, keeping at
+    least as many digits below the horizon (past it, a top counts nothing:
+    at (3, 2, 20, 1, 81) the base-p chains' [81](y) stores tops 48 where
+    the halving ones store 50, horizon 32).  K = log_depth(p, M) bounds the negative
+    valuations of the l_k, which carry a term dropped at the horizon inside
+    a chain product down to valuation horizon - K in T: at (3, 1, 24, 1,
+    81) both chains' [81](y) claim digits there that a solve at N = 60
+    refutes, and they agree to 34 = horizon - 2."""
+    compared = moved = deeper = 0
+    for p, n, N, D, M in [(3, 1, 16, 1, 30), (3, 1, 24, 1, 81),
+                          (3, 2, 16, 2, 30), (3, 2, 24, 1, 28),
+                          (3, 2, 14, 1, 36), (3, 2, 20, 2, 81),
+                          (5, 1, 16, 1, 30), (5, 1, 24, 1, 125),
+                          (5, 2, 16, 1, 25), (5, 2, 24, 2, 26)]:
+        try:
+            fgl = build_fgl(p, n, N=N, D=D, M=M)
+        except PrecisionError:
+            continue
+        ctx, horizon = fgl.ctx, fgl.ctx.prune_horizon
+        sums = [ser_monomial(ctx, M, 1)]
+        sums += [ser_scale(ctx.from_int(p ** k), fgl.log)
+                 for k in range(1, log_depth(p, M) + 1)]
+        for S in sums:
+            try:
+                new = solve_log(ctx, fgl.log_elems, S)
+                old = solve_log_every_index(ctx, fgl.log_elems, S,
+                                            split=halving_split)
+            except PrecisionError:
+                continue
+            compared += 1
+            assert new.trunc == old.trunc
+            for a, b in zip(new.c, old.c):
+                assert list(a.t) == list(b.t) and a.trunc == b.trunc
+                for key, c in a.t.items():
+                    d = b.t[key]
+                    moved += c != d
+                    deeper += c[0] + c[2] > d[0] + d[2]
+                    assert min(c[0] + c[2], horizon) >= \
+                        min(d[0] + d[2], horizon), (p, n, N, D, M, key)
+                    top = min(c[0] + c[2], d[0] + d[2],
+                              horizon - log_depth(p, M))
+                    assert _agree_below(p, c, d, top), (p, n, N, D, M, key)
+    # the grid reaches scalars the two chains store differently
+    assert compared >= 20 and moved >= 20 and deeper >= 5
 
 
 def test_m_series_reference(f31, f22):
