@@ -12,10 +12,9 @@ sum of one-variable series solve
 
 degree by degree for the appropriate right side (S = m log y for [m](y),
 S = sum_i log f_i for a formal sum), which keeps each coefficient a single
-short linear combination instead of a tower of compositions.  The powers
-T^(p^k) come from chains of products split along the base-p digits of
-the exponent (T^(p^k) from T^(p^(k-1)) and lower multiples of it), which
-at p = 2 are the chains of squares.  The
+short linear combination instead of a tower of compositions.  Each power
+T^e of T comes from T^h * T^(e-h), h = floor(e / 2q) * q for q the largest
+power of p dividing e below e; at p = 2, h = e / 2: squares only.  The
 two-variable group law, assembled from the binomial expansion of
 exp(log x + log y) at independent degree caps in x and y, serves the axiom
 checks (through ms_eval, one product per term, where a power of a variable
@@ -200,18 +199,13 @@ def solve_log(ctx, log_elems, S):
 
     Power chains for T^{p^k} are maintained in lockstep: entries at degree m
     only ever consume entries of strictly smaller degree, so each chain is
-    topped up once per degree before T[m] is read off.  Each chain is one
-    product T^e = T^h * T^(e-h), split along the base-p structure of e
-    (_chain_power): with q the largest power of p dividing e below e,
-    h = floor(e / (2q)) * q.  At p = 2 that is h = e / 2, squares only; at
-    p = 3 and M = 242 it registers 8 chains where halving e registers 17."""
+    topped up once per degree before T[m] is read off.  A chain is
+    T^e = T^h * T^(e-h) with h = floor(e / 2q) * q, q the largest power of
+    p dividing e below e (_chain_power).  At p = 2 that is h = e / 2, the
+    squares; at p = 3, M = 242 it makes 8 chains where halving e makes 17."""
     p = ctx.p
     M = S.M
-    needed = []
-    q = p
-    while q <= M:
-        needed.append(q)
-        q *= p
+    needed = [p ** k for k in range(1, log_depth(p, M) + 1)]
     T = [ctx.zero() for _ in range(M + 1)]
     T_nz = []
     # chains: (A, nzA, B, minB, out, nz); A and B are earlier outs or T, and
@@ -259,22 +253,16 @@ def solve_log(ctx, log_elems, S):
 
 
 def _chain_power(ctx, M, by_power, chains, e):
-    """Register the chain for T^e, and first those of T^h and T^(e-h);
-    by_power maps each exponent to (array, nz, min degree).
-
-    Split rule: with q the largest power of p that divides e and is below
-    e, h = floor(e / (2q)) * q.  So T^(p^k) is built from T^(p^(k-1)) and
-    the chain below it, and at p = 3 the registered exponents are 2, 3, 6,
-    9, 18, 27, ... where halving e would register many more.  At p = 2
-    every needed exponent is a power of two, q = e / 2 and h = e / 2, which
-    is halving.  Not a closure in solve_log: one that calls itself is a
-    reference cycle, which keeps every chain allocated until the cycle
-    collector runs."""
+    """Register the chain for T^e, and first those of T^h and T^(e-h)
+    with h = floor(e / (2q)) * q, q the largest power of p dividing e below
+    e: at p = 3 the exponents 2, 3, 6, 9, 18, 27, ...  At p = 2 every
+    exponent is a power of two, so h = e / 2: T^e is a square.  by_power
+    maps each exponent to (array, nz, min degree).  Not a closure in
+    solve_log: one that calls itself is a reference cycle, which keeps
+    every chain allocated until the cycle collector runs."""
     if e in by_power:
         return by_power[e]
-    p, q = ctx.p, 1
-    while e % (q * p) == 0 and q * p < e:
-        q *= p
+    q = math.gcd(e, ctx.p ** log_depth(ctx.p, e - 1))
     h = e // q // 2 * q
     A, nzA, minA = _chain_power(ctx, M, by_power, chains, h)
     B, _, minB = _chain_power(ctx, M, by_power, chains, e - h)

@@ -15,9 +15,10 @@ so coefficients accumulate in the same sequence, with the same p-adic
 precision, as in that loop.
 
 Weierstrass preparation follows the classical successive-approximation
-division over a complete local ring; the iteration budget is a function of
-the working precision and the v-degree cap, and nontermination inside that
-budget signals a non-prepared input.
+division over a complete local ring, forming only the remainder (the
+quotient, and so the unit U of f = U * g, is never needed); the iteration
+budget is a function of the working precision and the v-degree cap, and
+nontermination inside that budget signals a non-prepared input.
 """
 
 from operator import add, gt
@@ -215,9 +216,17 @@ def weierstrass_degree(f):
     return d
 
 
+def _split(f, d):
+    """(low, high) with f = low + y^d * high, both at f's cap."""
+    ctx, M = f.ctx, f.M
+    return (YSeries(ctx, f.c[:d] + [ctx.zero() for _ in range(M + 1 - d)], f.trunc),
+            YSeries(ctx, f.c[d:] + [ctx.zero() for _ in range(d)], f.trunc))
+
+
 def weierstrass_divide(f, a):
-    """Quotient and remainder of f by a, where a has Weierstrass degree d:
-    f = q*a + r with r a polynomial of degree < d.
+    """The remainder r of f by a, where a has Weierstrass degree d:
+    f = q*a + r with r a polynomial of degree < d.  The quotient q is not
+    formed; no caller reads it.
 
     Successive approximation: split the running remainder at y^d, push the
     high part through the inverse of the degree->unit part of a, and iterate
@@ -225,48 +234,32 @@ def weierstrass_divide(f, a):
     ctx = f.ctx
     _check_match(f, a)
     d = weierstrass_degree(a)
-    M = f.M
     # a = low + y^d * high, with high a unit series
-    high = YSeries(ctx, list(a.c[d:]) + [ctx.zero() for _ in range(d)], a.trunc)
+    low, high = _split(a, d)
     hinv = ser_invert_unit(high)
-    low = YSeries(ctx, list(a.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)], a.trunc)
-    q = ser_new(ctx, M, f.trunc or a.trunc)
     rem = f
-    maxit = ctx.N + ctx.prune_horizon + ctx.D + 4
-
-    def settled(e):
-        # empty, or nothing left but bounded-depth zero markers
-        return all(u == 0 for _, u, _ in e.t.values())
-
-    for _ in range(maxit):
-        if all(settled(e) for e in rem.c[d:]):
-            break
-        hi = YSeries(ctx, list(rem.c[d:]) + [ctx.zero() for _ in range(d)], rem.trunc)
-        qi = ser_mul(hi, hinv)
-        q = ser_add(q, qi)
+    for _ in range(ctx.N + ctx.prune_horizon + ctx.D + 4):
+        # settled: nothing left above y^d but bounded-depth zero markers
+        if all(u == 0 for e in rem.c[d:] for _, u, _ in e.t.values()):
+            return _split(rem, d)[0]
         # new remainder: rem - qi*(low + y^d high) = low part - qi*low
-        lowpart = YSeries(ctx, list(rem.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)],
-                          rem.trunc)
-        rem = ser_sub(lowpart, ser_mul(qi, low))
-    else:
-        raise PrecisionError("Weierstrass division did not settle within the "
-                             "iteration budget")
-    r = YSeries(ctx, list(rem.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)],
-                rem.trunc)
-    return q, r
+        lowpart, hi = _split(rem, d)
+        rem = ser_sub(lowpart, ser_mul(ser_mul(hi, hinv), low))
+    raise PrecisionError("Weierstrass division did not settle within the "
+                         "iteration budget")
 
 
 def weierstrass_prepare(f):
     """The g of f = U * g with U a unit series and g monic of degree d,
     lower coefficients in the maximal ideal.  U is the inverse of the
-    quotient q of weierstrass_divide(y^d, f); no caller needs it, so it is
-    not formed."""
+    quotient q in y^d = q*f + r, which weierstrass_divide does not form:
+    g = y^d - r is all a caller needs."""
     ctx = f.ctx
     d = weierstrass_degree(f)
     if d > f.M:
         raise ValueError("Weierstrass degree exceeds the cap")
     yd = ser_monomial(ctx, f.M, d)
-    _, r = weierstrass_divide(yd, f)
+    r = weierstrass_divide(yd, f)
     # y^d = q*f + r  =>  g := y^d - r = q*f, and q(0) is a unit
     return ser_sub(yd, r)
 

@@ -2,16 +2,19 @@
 counter of coefficient products, a one-variable embedding, an exact view
 of a multiseries, the scale-then-merge route of ms_eval_powers that its
 fused sum must reproduce, and the two-variable law formed in full that
-fgl._build_two_var must reproduce under its caps."""
+fgl._build_two_var must reproduce under its caps, and the Weierstrass
+division that also forms the quotient."""
 
 import math
 
 from oracles import qc_project
 from morava.coeff import CoeffContext
 from morava.fgl import _series_power
-from morava.series import (MultiSeries, YSeries, ms_mul, ms_new, ms_one,
-                           ms_set, ser_add, ser_from_terms, ser_new,
-                           ser_scale)
+from morava.padic import PrecisionError
+from morava.series import (MultiSeries, YSeries, _check_match, ms_mul,
+                           ms_new, ms_one, ms_set, ser_add, ser_from_terms,
+                           ser_invert_unit, ser_mul, ser_new, ser_scale,
+                           ser_sub, weierstrass_degree)
 
 
 def oc_to_elem(ctx, oc, weight=None):
@@ -186,3 +189,40 @@ def two_var_reference(fgl, Mx, My, tcap=None):
                 cur = F.coeff((dx, dy))
                 ms_set(F, (dx, dy), ctx.add(cur, ctx.mul(cx, cy)))
     return F
+
+
+def weierstrass_divide_reference(f, a):
+    """(q, r) with f = q*a + r and r of degree below the Weierstrass degree
+    d of a: series.weierstrass_divide as it was when it also formed the
+    quotient, each step's part of q summed by a floor-checked ser_add.
+    Its remainder is series.weierstrass_divide's wherever that sum does
+    not raise."""
+    ctx = f.ctx
+    _check_match(f, a)
+    d = weierstrass_degree(a)
+    M = f.M
+    high = YSeries(ctx, list(a.c[d:]) + [ctx.zero() for _ in range(d)], a.trunc)
+    hinv = ser_invert_unit(high)
+    low = YSeries(ctx, list(a.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)], a.trunc)
+    q = ser_new(ctx, M, f.trunc or a.trunc)
+    rem = f
+    maxit = ctx.N + ctx.prune_horizon + ctx.D + 4
+
+    def settled(e):
+        return all(u == 0 for _, u, _ in e.t.values())
+
+    for _ in range(maxit):
+        if all(settled(e) for e in rem.c[d:]):
+            break
+        hi = YSeries(ctx, list(rem.c[d:]) + [ctx.zero() for _ in range(d)], rem.trunc)
+        qi = ser_mul(hi, hinv)
+        q = ser_add(q, qi)
+        lowpart = YSeries(ctx, list(rem.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)],
+                          rem.trunc)
+        rem = ser_sub(lowpart, ser_mul(qi, low))
+    else:
+        raise PrecisionError("Weierstrass division did not settle within the "
+                             "iteration budget")
+    r = YSeries(ctx, list(rem.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)],
+                rem.trunc)
+    return q, r

@@ -5,10 +5,12 @@ import pytest
 import oracles as O
 from helpers import (count_coeff_products, ms_add_into, ms_content,
                      ms_eval_by_products, ms_from_yseries,
-                     oc_series_to_yseries)
+                     oc_series_to_yseries, weierstrass_divide_reference)
 
 import morava.series
 from morava.coeff import CoeffContext, CoeffElem
+from morava.fgl import build_fgl
+from morava.padic import PrecisionError
 from morava.series import (MultiSeries, YSeries, golden_dump, golden_load,
                            ms_eval, ms_mul, ms_new, ms_one,
                            ms_permuted, ms_powers, ms_set, ser_add, ser_compose, ser_from_terms,
@@ -148,9 +150,10 @@ def test_invert_randomized_unit_series():
 
 def prepare_with_unit(f):
     """(U, g) with f = U * g: weierstrass_prepare gives g, and U is the
-    inverse of the quotient q in y^d = q * f + r."""
+    inverse of the quotient q in y^d = q * f + r, from the reference
+    division that forms q."""
     yd = ser_monomial(f.ctx, f.M, weierstrass_degree(f))
-    q, _ = weierstrass_divide(yd, f)
+    q, _ = weierstrass_divide_reference(yd, f)
     return ser_invert_unit(q), weierstrass_prepare(f)
 
 
@@ -205,13 +208,50 @@ def test_weierstrass_division_identity():
     M = 8
     a = oc_series_to_yseries(ctx, O.m_series(3, 1, 3, M))
     f = ser_from_terms(ctx, M, {1: ctx.from_int(4), 5: ctx.one(), 7: ctx.from_int(5)})
-    q, r = weierstrass_divide(f, a)
+    q, r = weierstrass_divide_reference(f, a)
+    assert weierstrass_divide(f, a) == r
     d = weierstrass_degree(a)
     assert d == 3
     assert all(r.c[i].is_zero() for i in range(d, M + 1))
     back = ser_add(ser_mul(q, a), r)
     for i in range(M + 1):
         assert ctx.eq_to(back.c[i], f.c[i], 12)
+
+
+def test_weierstrass_remainder_matches_quotient_forming_reference():
+    """weierstrass_divide forms only the remainder; wherever the reference
+    that also sums the quotient does not raise, the remainders are equal,
+    trunc flags included.  At (3, 2, N=16, D=1) the reference's unread
+    quotient sum falls short of the floor on [3](y) at cap 26, while the
+    remainder alone agrees with the one at N=24."""
+    compared = 0
+    for p, n, N, D, M in [(2, 1, 24, 1, 12), (2, 2, 24, 1, 11),
+                          (2, 2, 33, 6, 26), (3, 1, 16, 1, 15),
+                          (3, 1, 24, 1, 19), (3, 2, 24, 1, 26)]:
+        fgl = build_fgl(p, n, N=N, D=D, M=M)
+        ctx = fgl.ctx
+        for k in range(1, 3):
+            if p ** (n * k) > M:
+                break
+            a = fgl.pk_series(k)
+            yd = ser_monomial(ctx, M, weierstrass_degree(a))
+            r = weierstrass_divide(yd, a)
+            try:
+                _, ref = weierstrass_divide_reference(yd, a)
+            except PrecisionError:
+                continue
+            assert r == ref, (p, n, N, D, M, k)
+            compared += 1
+    assert compared == 10
+    low = build_fgl(3, 2, N=16, D=1, M=26)
+    a = low.pk_series(1)
+    yd = ser_monomial(low.ctx, 26, 9)
+    with pytest.raises(PrecisionError):
+        weierstrass_divide_reference(yd, a)
+    r = weierstrass_divide(yd, a)
+    high = build_fgl(3, 2, N=24, D=1, M=26)
+    ref = weierstrass_divide(ser_monomial(high.ctx, 26, 9), high.pk_series(1))
+    assert all(low.ctx.eq_to(x, y, 12) for x, y in zip(r.c, ref.c))
 
 
 def test_weierstrass_rejects_no_unit(ctx):
