@@ -4,20 +4,24 @@ suites.
 Three verbs.  `pseries` prints a p^k-series and can assert its defining
 congruence or write a golden vector.  `euler` prints the total and reduced
 Euler products of a group.  `verify` runs one named suite, or the whole
-battery, and writes a deterministic JSON report.  Each suite is one record
-maker in `SUITE_MAKERS` over an instance table that `--p`, `--n`, `--group`
-and `--r` filter; `paper-suite` runs every maker per (p, n) shard.
+battery, and writes a deterministic JSON report.  Each suite is a list of
+rows, one per record: the law's (p, n, D, M), the group, the check, and
+whether the row is large.  `run_rows` alone applies `--p`, `--n`, `--group`,
+`--r` and `--large` and runs each row's check through `Builder.run`;
+`paper-suite` runs the law checks and every suite per (p, n) shard.
 
 Two policies keep the records sound without hand-tuning:
 
 * Precision is adaptive, with one retry rule.  Every computation starts
   from the requested p-adic precision, and every precision shortfall
-  raises PrecisionError; no record maker catches it.  `Builder.run` alone
+  raises PrecisionError; no check catches it.  `Builder.run` alone
   reruns the computation, on a law with a doubling pad of guard digits
   plus the error's `needed_extra`, for every verb.  Past GUARD_LIMIT digits
   over the request the error propagates and the CLI exits 1.  A record
   therefore never rests on fewer trusted digits than its stated depth,
-  and reports state the precision actually used.
+  and reports state the precision actually used.  `pseries` and `euler`
+  render their text inside the computation, so a printed digit that a
+  scalar does not trust is a shortfall like any other.
 
 * Degree caps come from the junk budget.  Reduction against a degree-d
   relation feeds the cap overflow back into low degrees at valuation
@@ -35,6 +39,8 @@ import argparse
 import os
 import sys
 import time
+from collections import namedtuple
+from functools import partial
 
 from . import __version__
 from .euler import (reduced_euler, total_euler, verify_restriction_vanishing,
@@ -54,16 +60,16 @@ from .series import golden_dump
 
 GRID_EXPS = ((1,), (2,), (1, 1), (2, 1))
 
-# Modules of this rank and above only enter basis-walking checks under
-# --large; rank and freeness records never walk the basis and stay in.
+# Basis-walking rows of modules of this rank and above are large; rank
+# and freeness records never walk the basis and are never large.
 LARGE_RANK = 16
 
 # A basis-walking check on a rank >= 2 group needs the two-variable law up
 # to the largest per-factor cap, and its classes fill a basis of rank p^{nk}
 # per factor.  Past a cap of ~150 a record costs many seconds: the
 # restriction record of C9 x C3 at p=3, n=2, caps (242, 26), 15-17 s of
-# CPU on a 2-core Xeon VM.  Only the measured case ships; anything else in
-# that regime is skipped.
+# CPU on a 2-core Xeon VM.  Only the measured case ships, as a large row;
+# anything else in that regime has no row.
 HEAVY_ENUM_OK = {(3, 2, (2, 1))}
 
 # Guard digits above the requested precision past which a precision retry
@@ -101,9 +107,14 @@ def infer_p(orders):
     return q
 
 
-def group_exps(orders, p):
+def group_key(cfg):
+    """(p, factor exponents) of --group at --p or the prime it infers, or
+    None without --group."""
+    if cfg.group is None:
+        return None
+    p = cfg.p if cfg.p is not None else infer_p(cfg.group)
     try:
-        return AbelianPGroup.from_orders(p, orders).exps
+        return p, AbelianPGroup.from_orders(p, cfg.group).exps
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -152,15 +163,13 @@ class RunConfig:
             raise ConfigError("y-degree cap must be at least 1")
         if self.T is not None and self.T < 0:
             raise ConfigError("t bound must be nonnegative")
-        if self.group is not None:
-            p = self.p if self.p is not None else infer_p(self.group)
-            group_exps(self.group, p)
+        group_key(self)
 
 
 class Builder:
     """Builds laws at adaptive precision and reruns starved computations.
 
-    Every precision shortfall, in a law build or in a record maker, raises
+    Every precision shortfall, in a law build or in a check, raises
     PrecisionError, and this is the one place that reads it: guard digits
     are added by the error's `needed_extra`, never by its message.  The
     requested precision stays the baseline every fresh computation starts
@@ -221,14 +230,18 @@ class Builder:
 # rendering
 
 def scalar_text(ctx, c, digits):
-    """The scalar with its unit cut to the reporting precision: the least
-    of its trusted digits and ``digits`` (the requested `--precision`), so
-    the text does not depend on the working precision a retry ended at."""
+    """The scalar with its unit read to ``digits`` p-adic digits, so the
+    text does not depend on the working precision a retry ended at.  A
+    nonzero scalar that trusts fewer digits raises PrecisionError for the
+    shortfall, and `Builder.run` supplies it."""
     v, u, k = c
     if u == 0 or digits <= 0:
         return "0"
+    if k < digits:
+        raise PrecisionError("printed scalar trusts %d of %d digits"
+                             % (k, digits), needed_extra=digits - k)
     p = ctx.p
-    q = p ** min(k, digits)
+    q = p ** digits
     m = u % q
     if m > q // 2:
         m -= q
@@ -338,14 +351,12 @@ def print_records(records):
 
 
 # ---------------------------------------------------------------------------
-# suite record makers
+# suite rows
 
-def enum_included(cfg, p, n, exps, caps):
-    if (p ** sum(exps)) ** n >= LARGE_RANK and not cfg.large:
-        return False
-    if len(exps) >= 2 and max(caps) > 150:
-        return cfg.large and (p, n, exps) in HEAVY_ENUM_OK
-    return True
+# One record of a suite: the prime, height, v-degree cap D and y-degree cap
+# M of its law, the factor exponents of its group (None for a check of the
+# law alone), its check make(law), and whether it runs only under --large.
+Row = namedtuple("Row", "p n exps D M make large")
 
 
 def grid_shards(p, n):
@@ -355,75 +366,78 @@ def grid_shards(p, n):
             for im in ([n] if n else [1, 2])]
 
 
-def instances(cfg, table, p, n):
-    """The rows (p, n, factor exponents, ...) of an instance table at prime
-    p and height n (any where None) whose group has rank --r and is
-    --group, at the prime that --group infers."""
-    group = None
-    if cfg.group:
-        gp = infer_p(cfg.group)
-        group = (gp, group_exps(cfg.group, gp))
-    return [row for row in table
-            if p in (None, row[0]) and n in (None, row[1])
-            and cfg.r in (None, len(row[2]))
-            and group in (None, (row[0], row[2]))]
+def grid(p, n):
+    """(p, n, factor exponents) of each GRID_EXPS group at each grid point."""
+    return [(ip, im, exps) for ip, im in grid_shards(p, n)
+            for exps in GRID_EXPS]
 
 
-def grid_instances(cfg, p, n):
-    return instances(cfg, [(ip, im, exps) for ip, im in grid_shards(p, n)
-                           for exps in GRID_EXPS], p, n)
+def run_rows(cfg, bld, rows, p, n):
+    """The records of the rows at prime p and height n (any where None)
+    whose group has rank --r and is --group (a check of the law alone
+    stays), the rows marked large only under --large, in row order."""
+    group = group_key(cfg)
+    return [bld.run(r.p, r.n, r.D, r.M, r.make) for r in rows
+            if p in (None, r.p) and n in (None, r.n)
+            and (r.exps is None or cfg.r in (None, len(r.exps))
+                 and group in (None, (r.p, r.exps)))
+            and (cfg.large or not r.large)]
 
 
-def rank_freeness_records(cfg, bld, p, n):
-    recs = []
+def ring_check(verify, group, caps, f, **kw):
+    """verify(ring, **kw) on the ring of the group over the law f."""
+    return verify(build_cohring(group, f, caps=caps), **kw)
+
+
+def freeness_check(group, caps, target, q, scaps, f):
+    big = build_cohring(group, f, caps=caps)
+    small = build_cohring(target, f, caps=scaps)
+    return verify_free_over_subring(q, big, small)
+
+
+def rank_freeness_rows(cfg, p, n):
     D = suite_vdeg(cfg)
-    for ip, im, exps in grid_instances(cfg, p, n):
+    rows = []
+    for ip, im, exps in grid(p, n):
         group = AbelianPGroup(ip, exps)
         caps = caps_for(ip, im, exps, D, 1)
-        M = max(caps)
-
-        def mk_rank(f, group=group, caps=caps):
-            return verify_rank(build_cohring(group, f, caps=caps))
-
-        recs.append(bld.run(ip, im, D, M, mk_rank))
+        rows.append(Row(ip, im, exps, D, max(caps),
+                        partial(ring_check, verify_rank, group, caps), False))
         target, q = group.elementary_quotient()
-        if target.exps == group.exps:
-            continue
-        scaps = caps_for(ip, im, target.exps, D, 1)
-
-        def mk_free(f, group=group, caps=caps, target=target, q=q,
-                    scaps=scaps):
-            big = build_cohring(group, f, caps=caps)
-            small = build_cohring(target, f, caps=scaps)
-            return verify_free_over_subring(q, big, small)
-
-        recs.append(bld.run(ip, im, D, M, mk_free))
-    return recs
+        if target.exps != exps:
+            scaps = caps_for(ip, im, target.exps, D, 1)
+            rows.append(Row(ip, im, exps, D, max(caps),
+                            partial(freeness_check, group, caps, target, q,
+                                    scaps), False))
+    return rows
 
 
-def euler_vanishing_records(cfg, bld, p, n):
-    recs = []
+def restriction_check(group, caps, D, probe, f):
+    ring = build_cohring(group, f, caps=caps)
+
+    def factory(sub):
+        sc = caps_for(f.p, f.n, sub.exps, D, probe)
+        return build_cohring(sub, f, caps=sc if sc else None)
+
+    return verify_restriction_vanishing(ring, ring_factory=factory,
+                                        probe_depth=probe)
+
+
+def euler_vanishing_rows(cfg, p, n):
     D = suite_vdeg(cfg)
-    for ip, im, exps in grid_instances(cfg, p, n):
-        depth = probe_depth_default(im)
+    rows = []
+    for ip, im, exps in grid(p, n):
         probe = 2 if im == 1 else 1
         caps = caps_for(ip, im, exps, D, probe)
-        if not enum_included(cfg, ip, im, exps, caps):
+        if (len(exps) >= 2 and max(caps) > 150
+                and (ip, im, exps) not in HEAVY_ENUM_OK):
             continue
+        large = (ip ** sum(exps)) ** im >= LARGE_RANK
         group = AbelianPGroup(ip, exps)
-
-        def mk_restrict(f, ip=ip, im=im, group=group, caps=caps,
-                        probe=probe):
-            ring = build_cohring(group, f, caps=caps)
-
-            def factory(sub, f=f):
-                sc = caps_for(ip, im, sub.exps, D, probe)
-                return build_cohring(sub, f, caps=sc if sc else None)
-
-            return verify_restriction_vanishing(ring, ring_factory=factory,
-                                                probe_depth=probe)
-
-        recs.append(bld.run(ip, im, D, max(caps), mk_restrict))
+        rows.append(Row(ip, im, exps, D, max(caps),
+                        partial(restriction_check, group, caps, D, probe),
+                        large))
+        depth = probe_depth_default(im)
         dcaps = caps_for(ip, im, exps, D, depth)
         if max(dcaps) > 150:
             # The certificate search walks every character orbit and
@@ -433,58 +447,45 @@ def euler_vanishing_records(cfg, bld, p, n):
             # a 2-core VM, and the restriction record above already covers
             # the vanishing claim.
             continue
-
-        def mk_div(f, group=group, dcaps=dcaps, depth=depth):
-            ring = build_cohring(group, f, caps=dcaps)
-            return verify_mutual_euler_divisibility(ring, depth=depth)
-
-        recs.append(bld.run(ip, im, D, max(dcaps), mk_div))
-        if exps != (1,):
-            continue
-        for m in range(1, ip):
-
-            def mk_unit(f, m=m, group=group, dcaps=dcaps, depth=depth):
-                ring = build_cohring(group, f, caps=dcaps)
-                return verify_unit_divisibility(ring, m, depth=depth)
-
-            recs.append(bld.run(ip, im, D, max(dcaps), mk_unit))
-    return recs
+        rows.append(Row(ip, im, exps, D, max(dcaps),
+                        partial(ring_check, verify_mutual_euler_divisibility,
+                                group, dcaps, depth=depth), large))
+        if exps == (1,):
+            rows += [Row(ip, im, exps, D, max(dcaps),
+                         partial(ring_check, verify_unit_divisibility, group,
+                                 dcaps, m=m, depth=depth), large)
+                     for m in range(1, ip)]
+    return rows
 
 
-# (p, n, factor exponents, v-degree cap, y-degree cap) for the cyclic group
-# C_p; caps chosen so the localized model's saturation probes stay
+# (p, n, factor exponents, v-degree cap, y-degree cap, large) for the cyclic
+# group C_p; caps chosen so the localized model's saturation probes stay
 # junk-sound at the recorded depth.
-HEIGHT_DROP_INSTANCES = ((2, 2, (1,), 6, 26), (3, 2, (1,), 6, 66))
-HEIGHT_DROP_LARGE = ((2, 3, (1,), 4, 44),)
+HEIGHT_DROP_ROWS = ((2, 2, (1,), 6, 26, False), (3, 2, (1,), 6, 66, False),
+                    (2, 3, (1,), 4, 44, True))
 
 
-def height_drop_records(cfg, bld, p, n):
-    table = HEIGHT_DROP_INSTANCES + (HEIGHT_DROP_LARGE if cfg.large else ())
-
-    def mk(f):
-        return verify_height_drop_unit(f, T=cfg.T)
-
-    return [bld.run(ip, im, iD, iM, mk)
-            for ip, im, _, iD, iM in instances(cfg, table, p, n)]
+def height_drop_rows(cfg, p, n):
+    check = partial(verify_height_drop_unit, T=cfg.T)
+    return [Row(ip, im, exps, iD, iM, check, large)
+            for ip, im, exps, iD, iM, large in HEIGHT_DROP_ROWS]
 
 
-# (p, n, factor exponents) of the cyclic group C_p whose inverted-prime
-# model is checked at height 1.
-INVERTED_PRIME_INSTANCES = ((2, 1, (1,)), (3, 1, (1,)), (5, 1, (1,)))
+# (p, n, factor exponents, v-degree cap, y-degree cap) of the cyclic group
+# C_p whose inverted-prime model is checked at height 1.
+INVERTED_PRIME_ROWS = ((2, 1, (1,), 1, 24), (3, 1, (1,), 1, 24),
+                       (5, 1, (1,), 1, 24))
 
 
-def inverted_prime_records(cfg, bld, p, n):
-    def mk(f):
-        return verify_inverted_prime_model(f, T=cfg.T)
-
-    return [bld.run(ip, 1, 1, 24, mk)
-            for ip, _, _ in instances(cfg, INVERTED_PRIME_INSTANCES, p, n)]
+def inverted_prime_rows(cfg, p, n):
+    check = partial(verify_inverted_prime_model, T=cfg.T)
+    return [Row(*row, check, False) for row in INVERTED_PRIME_ROWS]
 
 
 # (p, n, factor exponents, v-degree cap, per-factor caps, probe depth).
 # The first three probe nonvanishing within the height; the last runs the
 # rank-above-height control expected to die at a finite power.
-NONVANISHING_INSTANCES = (
+NONVANISHING_ROWS = (
     (2, 1, (1,), 1, (10,), 8),
     (3, 1, (1,), 1, (19,), 8),
     (2, 2, (1, 1), 12, (28, 28), 8),
@@ -492,72 +493,68 @@ NONVANISHING_INSTANCES = (
 )
 
 
-def nonvanishing_records(cfg, bld, p, n):
+def nonvanishing_rows(cfg, p, n):
     T = cfg.T if cfg.T is not None else 8
-    recs = []
-    for ip, im, exps, iD, caps, depth in instances(
-            cfg, NONVANISHING_INSTANCES, p, n):
-
-        def mk(f, ip=ip, exps=exps, caps=caps, depth=depth):
-            ring = build_cohring(AbelianPGroup(ip, exps), f, caps=caps)
-            return verify_localized_nonvanishing(ring, T=T, depth=depth)
-
-        recs.append(bld.run(ip, im, iD, max(caps), mk))
-    return recs
+    return [Row(ip, im, exps, iD, max(caps),
+                partial(ring_check, verify_localized_nonvanishing,
+                        AbelianPGroup(ip, exps), caps, T=T, depth=depth),
+                False)
+            for ip, im, exps, iD, caps, depth in NONVANISHING_ROWS]
 
 
-# (p, n, factor exponents, ring caps, subring caps, depth, strong depth);
-# the order-9 case runs at raised caps with matching shallow probes, since
-# default caps leave under two junk-safe digits at rank nine.
-QUOTIENT_TRANSFER_INSTANCES = (
-    (2, 1, (2,), None, None, 4, 16),
-    (2, 1, (2, 1), None, None, 4, 16),
-    (3, 1, (2,), (23,), None, 2, 2),
+# (p, n, factor exponents, y-degree cap, ring caps, subring caps, depth,
+# strong depth); the y-degree cap is 2 p^{nk} + 1 for the largest factor
+# C_{p^k} where the ring caps are the default ones.  The order-9 case runs
+# at raised caps with matching shallow probes, since default caps leave
+# under two junk-safe digits at rank nine.
+QUOTIENT_TRANSFER_ROWS = (
+    (2, 1, (2,), 9, None, None, 4, 16),
+    (2, 1, (2, 1), 9, None, None, 4, 16),
+    (3, 1, (2,), 23, (23,), None, 2, 2),
 )
 
 
-def quotient_transfer_records(cfg, bld, p, n):
-    recs = []
-    for ip, im, exps, caps, scaps, depth, strong in instances(
-            cfg, QUOTIENT_TRANSFER_INSTANCES, p, n):
-        M = max(caps) if caps else (2 * ip ** (im * max(exps)) + 1)
-
-        def mk(f, ip=ip, exps=exps, caps=caps, scaps=scaps, depth=depth,
-               strong=strong):
-            return verify_elementary_quotient_transfer(
-                AbelianPGroup(ip, exps), f, caps=caps,
-                sub_caps=scaps, depth=depth, strong_depth=strong)
-
-        recs.append(bld.run(ip, im, 1, M, mk))
-    return recs
+def quotient_transfer_rows(cfg, p, n):
+    return [Row(ip, im, exps, 1, iM,
+                partial(verify_elementary_quotient_transfer,
+                        AbelianPGroup(ip, exps), caps=caps, sub_caps=scaps,
+                        depth=depth, strong_depth=strong), False)
+            for ip, im, exps, iM, caps, scaps, depth, strong
+            in QUOTIENT_TRANSFER_ROWS]
 
 
-def congruence_records(cfg, bld, p, n):
-    ks = [1]
-    if (p, n) == (2, 1):
-        ks.append(2)
-    if (p, n) == (2, 2) and cfg.large:
-        ks.append(2)
-    D = rich_vdeg(n)
-    recs = []
-    for k in ks:
-        M = p ** (n * k) + 1
+def congruence_check(k, f):
+    s = f.m_series(f.p ** k)
+    ok, wit = check_pk_congruence(f, s, k)
+    intact = check_integrality(s)
+    wit = dict(wit)
+    wit["integral"] = intact
+    verdict = "PASS" if ok and intact else "FAIL"
+    return make_check("pk-series-congruence", "sec-2.1",
+                      {"p": f.p, "n": f.n, "k": k}, verdict, wit,
+                      precision_note(f.ctx, caps=[f.M], truncated=True))
 
-        def mk(f, k=k, p=p, n=n):
-            s = f.m_series(p ** k)
-            ok, wit = check_pk_congruence(f, s, k)
-            intact = check_integrality(s)
-            wit = dict(wit)
-            wit["integral"] = intact
-            verdict = "PASS" if ok and intact else "FAIL"
-            return make_check("pk-series-congruence", "sec-2.1",
-                              {"p": p, "n": n, "k": k}, verdict, wit,
-                              precision_note(f.ctx, caps=[f.M],
-                                             truncated=True))
 
-        recs.append(bld.run(p, n, D, M, mk))
-    return recs
+def integrity_check(acap, f):
+    u_ok, uw = check_unitality(f, depth=8)
+    c_ok, cw = check_commutativity(f, depth=8)
+    a_ok, aw = check_associativity(f, cap=acap, depth=8)
+    i_ok = check_integrality(f.F)
+    verdict = "PASS" if u_ok and c_ok and a_ok and i_ok else "FAIL"
+    wit = {"unitality": u_ok, "commutativity": c_ok,
+           "associativity": a_ok, "integrality": i_ok,
+           "law_cap": f.M, "associativity_cap": acap}
+    if not (u_ok and c_ok and a_ok):
+        wit["first_failure"] = uw if not u_ok else (cw if not c_ok else aw)
+    return make_check("fgl-integrity", "sec-2.1", {"p": f.p, "n": f.n},
+                      verdict, wit,
+                      precision_note(f.ctx, caps=[f.M], truncated=True))
 
+
+# (k, large) of the [p^k]-series congruence checks per (p, n), k = 1 alone
+# elsewhere.
+CONGRUENCE_KS = {(2, 1): ((1, False), (2, False)),
+                 (2, 2): ((1, False), (2, True))}
 
 # (v-degree cap, law cap, associativity cap) per (p, n) for the axiom
 # battery run inside paper-suite; acceptance runs the same checks at the
@@ -568,59 +565,54 @@ INTEGRITY_SHAPES = {
 }
 
 
-def integrity_records(cfg, bld, p, n):
-    D, M, acap = INTEGRITY_SHAPES.get((p, n), (1, 9, 9))
-
-    def mk(f, acap=acap):
-        u_ok, uw = check_unitality(f, depth=8)
-        c_ok, cw = check_commutativity(f, depth=8)
-        a_ok, aw = check_associativity(f, cap=acap, depth=8)
-        i_ok = check_integrality(f.F)
-        verdict = "PASS" if u_ok and c_ok and a_ok and i_ok else "FAIL"
-        wit = {"unitality": u_ok, "commutativity": c_ok,
-               "associativity": a_ok, "integrality": i_ok,
-               "law_cap": f.M, "associativity_cap": acap}
-        if not (u_ok and c_ok and a_ok):
-            wit["first_failure"] = uw if not u_ok else (cw if not c_ok
-                                                       else aw)
-        return make_check("fgl-integrity", "sec-2.1", {"p": p, "n": n},
-                          verdict, wit,
-                          precision_note(f.ctx, caps=[f.M], truncated=True))
-
-    return [bld.run(p, n, D, M, mk)]
+def law_rows(p, n):
+    """The sec-2.1 checks of the law at prime p and height n: its
+    [p^k]-series congruences, then its axiom battery."""
+    D = rich_vdeg(n)
+    rows = [Row(p, n, None, D, p ** (n * k) + 1,
+                partial(congruence_check, k), large)
+            for k, large in CONGRUENCE_KS.get((p, n), ((1, False),))]
+    iD, iM, acap = INTEGRITY_SHAPES.get((p, n), (1, 9, 9))
+    return rows + [Row(p, n, None, iD, iM, partial(integrity_check, acap),
+                       False)]
 
 
-# Each suite's record maker, in paper-suite shard order.  A maker takes
-# (cfg, bld, p, n) and makes the records of every instance at prime p and
-# height n, any prime or height where None.
-SUITE_MAKERS = {
-    "lemma-2.4": rank_freeness_records,
-    "lemma-2.6": euler_vanishing_records,
-    "prop-3.2-n1": inverted_prime_records,
-    "prop-3.2": height_drop_records,
-    "prop-3.3": nonvanishing_records,
-    "cor-3.4": quotient_transfer_records,
+# Each suite's rows, in paper-suite shard order.  A row maker takes
+# (cfg, p, n) and lists the rows at prime p and height n, any prime or
+# height where None, or more: `run_rows` keeps those at p and n.
+SUITE_ROWS = {
+    "lemma-2.4": rank_freeness_rows,
+    "lemma-2.6": euler_vanishing_rows,
+    "prop-3.2-n1": inverted_prime_rows,
+    "prop-3.2": height_drop_rows,
+    "prop-3.3": nonvanishing_rows,
+    "cor-3.4": quotient_transfer_rows,
 }
-SUITES = tuple(SUITE_MAKERS) + ("paper-suite",)
+SUITES = tuple(SUITE_ROWS) + ("paper-suite",)
 
 
 def suite_records(cfg, suite):
     """The records of one suite.  paper-suite runs the law checks and then
     every suite per (p, n) shard, each shard on a Builder of its own, so a
-    shard's laws and their caches go when it ends."""
+    shard's laws and their caches go when it ends.  Height 3 joins the
+    default grid as a shard whose rows are all large."""
     if suite != "paper-suite":
-        return SUITE_MAKERS[suite](cfg, Builder(cfg), cfg.p, cfg.n)
-    makers = [congruence_records, integrity_records, *SUITE_MAKERS.values()]
-    shards = grid_shards(cfg.p, cfg.n)
-    if cfg.large and cfg.n is None and cfg.p in (None, 2):
-        shards.append((2, 3))
+        rows = SUITE_ROWS[suite](cfg, cfg.p, cfg.n)
+        return run_rows(cfg, Builder(cfg), rows, cfg.p, cfg.n)
+    shards = [(p, n, False) for p, n in grid_shards(cfg.p, cfg.n)]
+    if cfg.n is None and cfg.p in (None, 2):
+        shards.append((2, 3, True))
     recs = []
-    for p, n in shards:
+    for p, n, large in shards:
         t0 = time.time()
-        bld = Builder(cfg)
-        got = [rec for make in makers for rec in make(cfg, bld, p, n)]
-        _log("shard (p=%d, n=%d): %d records in %.1fs"
-             % (p, n, len(got), time.time() - t0))
+        rows = law_rows(p, n) + [row for rows_of in SUITE_ROWS.values()
+                                      for row in rows_of(cfg, p, n)]
+        if large:
+            rows = [row._replace(large=True) for row in rows]
+        got = run_rows(cfg, Builder(cfg), rows, p, n)
+        if got:
+            _log("shard (p=%d, n=%d): %d records in %.1fs"
+                 % (p, n, len(got), time.time() - t0))
         recs += got
     return recs
 
@@ -685,11 +677,11 @@ def cmd_pseries(cfg, args):
 
     def compute(f):
         s = f.pk_series(0) if k == 0 else f.m_series(p ** k)
-        return s, ((True, None) if k == 0
-                   else check_pk_congruence(f, s, k))
+        checked = (True, None) if k == 0 else check_pk_congruence(f, s, k)
+        return s, checked, series_lines(s, cfg.N_req)
 
-    s, (ok, wit) = Builder(cfg).run(p, n, D, M, compute)
-    for line in series_lines(s, cfg.N_req):
+    s, (ok, wit), lines = Builder(cfg).run(p, n, D, M, compute)
+    for line in lines:
         print(line)
     code = 0
     if k >= 1:
@@ -715,9 +707,8 @@ def cmd_pseries(cfg, args):
 def cmd_euler(cfg, args):
     if cfg.group is None:
         raise ConfigError("euler needs --group")
-    p = cfg.p if cfg.p is not None else infer_p(cfg.group)
+    p, exps = group_key(cfg)
     n = cfg.n if cfg.n is not None else 1
-    exps = group_exps(cfg.group, p)
     group = AbelianPGroup(p, exps)
     D = suite_vdeg(cfg)
     caps = caps_for(p, n, exps, D, probe_depth_default(n))
@@ -728,24 +719,28 @@ def cmd_euler(cfg, args):
             _log("warning: y-degree cap raised to %d to hold the "
                  "relation degree" % max(caps))
 
-    def compute(f):
-        ring = build_cohring(group, f, caps=caps)
-        return total_euler(ring), reduced_euler(ring)[0]
-
-    total, red = Builder(cfg).run(p, n, D, max(caps), compute)
     # no digit below the junk-sound depth of the caps is printed
     depth = min(cfg.N_req, sound_depth(p, n, exps, D, caps))
     # one factor per nontrivial character of the p-torsion, and for the
     # reduced class one per line through the origin
     chars = p ** group.rank - 1
     both = not (args.total or args.reduced)
-    for kind, x, factors in (("total", total, chars),
-                             ("reduced", red, chars // (p - 1))):
-        if getattr(args, kind) or both:
-            print("%s Euler class (group %s, p=%d, n=%d) modulo %d^%d:"
-                  % (kind, group.descriptor(), p, n, p, depth))
-            for line in elem_lines(x, depth, factors):
-                print(line)
+
+    def compute(f):
+        ring = build_cohring(group, f, caps=caps)
+        lines = []
+        for kind, x, factors in (("total", total_euler(ring), chars),
+                                 ("reduced", reduced_euler(ring)[0],
+                                  chars // (p - 1))):
+            if getattr(args, kind) or both:
+                lines.append("%s Euler class (group %s, p=%d, n=%d) modulo "
+                             "%d^%d:" % (kind, group.descriptor(), p, n, p,
+                                         depth))
+                lines += elem_lines(x, depth, factors)
+        return lines
+
+    for line in Builder(cfg).run(p, n, D, max(caps), compute):
+        print(line)
     return 0
 
 

@@ -176,6 +176,22 @@ def test_coeff_text_reads_modulo_depth():
                                   ["euler", "--group", "2,2", "--n", "2"]])
 def test_euler_text_same_with_cache_on_and_off(argv, tmp_path, monkeypatch,
                                                capsys):
+    _same_text_cache_cold_warm_off(argv, tmp_path, monkeypatch, capsys)
+
+
+# With the cache off these laws are built at N=16, where some printed
+# scalars trust fewer than 16 digits; printing raises for the shortfall
+# and the retry supplies it.
+@pytest.mark.parametrize("argv", [["pseries", "--p", "5", "--n", "1",
+                                   "--k", "2"],
+                                  ["pseries", "--p", "2", "--n", "1",
+                                   "--k", "3"]])
+def test_pseries_text_same_with_cache_on_and_off(argv, tmp_path,
+                                                 monkeypatch, capsys):
+    _same_text_cache_cold_warm_off(argv, tmp_path, monkeypatch, capsys)
+
+
+def _same_text_cache_cold_warm_off(argv, tmp_path, monkeypatch, capsys):
     outs = []
     for cache in (str(tmp_path / "cache"), str(tmp_path / "cache"), ""):
         monkeypatch.setenv("MORAVA_CACHE_DIR", cache)
@@ -197,7 +213,7 @@ PRINTED = [
 v_1*y^2
 2*v_1^2*y^3
 (u^3 + 4*v_1^3)*y^4
-(-9358*u^3*v_1 + 4690*v_1^4)*y^5
+(56178*u^3*v_1 + 37458*v_1^4)*y^5
 leading reduced term u^3y^4 mod (2, v_1, y^5)
 """),
     (["pseries", "--p", "3", "--n", "2", "--k", "2"], """\
@@ -288,8 +304,8 @@ reduced Euler class (group 3,3, p=3, n=2) modulo 3^2:
 @pytest.mark.parametrize("argv,out", PRINTED,
                          ids=[" ".join(argv) for argv, _ in PRINTED])
 def test_printed_classes_frozen(argv, out, capsys, monkeypatch):
-    # the default law cache, fresh in the test's directory: with the cache
-    # off, the p = 5 series keeps fewer digits at y^17 and y^21
+    # the default law cache, fresh in the test's directory; the p = 5
+    # text is checked with the cache off above
     monkeypatch.delenv("MORAVA_CACHE_DIR", raising=False)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == out
@@ -491,14 +507,16 @@ def test_cache_file_off_the_grading_is_rebuilt(tmp_path, capsys):
     assert [f.read_text() for f in files] == good
 
 
+def _one_row_suite(monkeypatch, rec):
+    """cor-3.4 as one row on a small law whose check returns rec."""
+    row = cli.Row(2, 1, (2,), 1, 3, lambda f: rec, False)
+    monkeypatch.setitem(cli.SUITE_ROWS, "cor-3.4", lambda cfg, p, n: [row])
+
+
 def test_exit_code_one_on_failing_record(monkeypatch, capsys):
-    bad = make_check("elementary-quotient-transfer", "cor-3.4",
-                     {"p": 2, "n": 1}, "FAIL", {"why": "forced"})
-
-    def fake(cfg, bld, p, n):
-        return [bad]
-
-    monkeypatch.setitem(cli.SUITE_MAKERS, "cor-3.4", fake)
+    _one_row_suite(monkeypatch, make_check(
+        "elementary-quotient-transfer", "cor-3.4", {"p": 2, "n": 1}, "FAIL",
+        {"why": "forced"}))
     assert run_cli(["verify", "cor-3.4"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
@@ -506,13 +524,118 @@ def test_exit_code_one_on_failing_record(monkeypatch, capsys):
 
 
 def test_indeterminate_flagged_but_passes(monkeypatch, capsys):
-    rec = make_check("elementary-quotient-transfer", "cor-3.4",
-                     {"p": 2, "n": 1}, "INDETERMINATE", {"reason": "capped"})
-    monkeypatch.setitem(cli.SUITE_MAKERS, "cor-3.4",
-                        lambda cfg, bld, p, n: [rec])
+    _one_row_suite(monkeypatch, make_check(
+        "elementary-quotient-transfer", "cor-3.4", {"p": 2, "n": 1},
+        "INDETERMINATE", {"reason": "capped"}))
     assert run_cli(["verify", "cor-3.4"]) == 0
     out = capsys.readouterr().out
     assert "flagged: 1 INDETERMINATE" in out
+
+
+def _verify_cfg(suite, *flags):
+    return cli.RunConfig(cli.build_parser().parse_args(["verify", suite,
+                                                        *flags]))
+
+
+def _row_text(row):
+    """p/n, the group's orders (- for a check of the law alone), D, M and
+    whether the row is large."""
+    group = ",".join(str(row.p ** k) for k in row.exps) if row.exps else "-"
+    return "%d/%d %s D%d M%d%s" % (row.p, row.n, group, row.D, row.M,
+                                   " large" if row.large else "")
+
+
+class _ListingBuilder:
+    """A Builder that builds no law and runs no check: a row's record is
+    the (p, n, D, M) of its law and its check."""
+
+    def __init__(self, cfg):
+        pass
+
+    def run(self, p, n, D, M, make):
+        return (p, n, D, M, make)
+
+
+# Every row of each suite at the default flags, in run order.
+ROWS = {
+    "lemma-2.4": [
+        "2/1 2 D1 M3", "2/1 4 D1 M6", "2/1 4 D1 M6", "2/1 2,2 D1 M3",
+        "2/1 4,2 D1 M6", "2/1 4,2 D1 M6",
+        "2/2 2 D1 M11", "2/2 4 D1 M47", "2/2 4 D1 M47", "2/2 2,2 D1 M11",
+        "2/2 4,2 D1 M47", "2/2 4,2 D1 M47",
+        "3/1 3 D1 M5", "3/1 9 D1 M15", "3/1 9 D1 M15", "3/1 3,3 D1 M5",
+        "3/1 9,3 D1 M15", "3/1 9,3 D1 M15",
+        "3/2 3 D1 M26", "3/2 9 D1 M242", "3/2 9 D1 M242", "3/2 3,3 D1 M26",
+        "3/2 9,3 D1 M242", "3/2 9,3 D1 M242"],
+    "lemma-2.6": [
+        "2/1 2 D1 M4", "2/1 2 D1 M6", "2/1 2 D1 M6", "2/1 4 D1 M8",
+        "2/1 4 D1 M12", "2/1 2,2 D1 M4", "2/1 2,2 D1 M6", "2/1 4,2 D1 M8",
+        "2/1 4,2 D1 M12",
+        "2/2 2 D1 M11", "2/2 2 D1 M11", "2/2 2 D1 M11",
+        "2/2 4 D1 M47 large", "2/2 4 D1 M47 large",
+        "2/2 2,2 D1 M11 large", "2/2 2,2 D1 M11 large",
+        "2/2 4,2 D1 M47 large", "2/2 4,2 D1 M47 large",
+        "3/1 3 D1 M7", "3/1 3 D1 M11", "3/1 3 D1 M11", "3/1 3 D1 M11",
+        "3/1 9 D1 M21", "3/1 9 D1 M33", "3/1 3,3 D1 M7", "3/1 3,3 D1 M11",
+        "3/1 9,3 D1 M21 large", "3/1 9,3 D1 M33 large",
+        "3/2 3 D1 M26", "3/2 3 D1 M26", "3/2 3 D1 M26", "3/2 3 D1 M26",
+        "3/2 9 D1 M242 large", "3/2 3,3 D1 M26 large",
+        "3/2 3,3 D1 M26 large", "3/2 9,3 D1 M242 large"],
+    "prop-3.2-n1": ["2/1 2 D1 M24", "3/1 3 D1 M24", "5/1 5 D1 M24"],
+    "prop-3.2": ["2/2 2 D6 M26", "3/2 3 D6 M66", "2/3 2 D4 M44 large"],
+    "prop-3.3": ["2/1 2 D1 M10", "3/1 3 D1 M19", "2/2 2,2 D12 M28",
+                 "2/1 2,2 D1 M9"],
+    "cor-3.4": ["2/1 4 D1 M9", "2/1 4,2 D1 M9", "3/1 9 D1 M23"],
+}
+
+# The law checks of each paper-suite shard: [p^k]-series congruences, then
+# the axiom battery.
+LAW_ROWS = {
+    (2, 1): ["2/1 - D1 M3", "2/1 - D1 M5", "2/1 - D1 M17"],
+    (2, 2): ["2/2 - D6 M5", "2/2 - D6 M17 large", "2/2 - D6 M9"],
+    (3, 1): ["3/1 - D1 M4", "3/1 - D1 M17"],
+    (3, 2): ["3/2 - D6 M10", "3/2 - D6 M9"],
+    (2, 3): ["2/3 - D4 M9", "2/3 - D4 M9"],
+}
+
+
+def test_suite_rows_listed_without_a_law():
+    cfg = _verify_cfg("paper-suite")
+    assert {suite: [_row_text(r) for r in rows_of(cfg, None, None)]
+            for suite, rows_of in cli.SUITE_ROWS.items()} == ROWS
+    assert {pn: [_row_text(r) for r in cli.law_rows(*pn)]
+            for pn in LAW_ROWS} == LAW_ROWS
+
+
+@pytest.mark.parametrize("large", [False, True])
+def test_large_rows_run_only_under_large(large):
+    cfg = _verify_cfg("paper-suite", *(["--large"] if large else []))
+    for rows_of in cli.SUITE_ROWS.values():
+        rows = rows_of(cfg, None, None)
+        got = cli.run_rows(cfg, _ListingBuilder(cfg), rows, None, None)
+        assert got == [(r.p, r.n, r.D, r.M, r.make) for r in rows
+                       if large or not r.large]
+
+
+@pytest.mark.parametrize("flags,count", [
+    ((), 68), (("--large",), 96), (("--r", "2"), 30), (("--group", "4"), 16),
+])
+def test_filters_keep_the_law_checks(flags, count, monkeypatch):
+    # counts of the paper-suite reports; the law checks have no group, so
+    # --r and --group keep them, and only --large adds the height-3 shard
+    monkeypatch.setattr(cli, "Builder", _ListingBuilder)
+    got = cli.suite_records(_verify_cfg("paper-suite", *flags),
+                            "paper-suite")
+    assert len(got) == count
+    law = [rec[:4] for rec in got
+           if rec[4].func in (cli.congruence_check, cli.integrity_check)]
+    want = [(2, 1, 1, 3), (2, 1, 1, 5), (2, 1, 1, 17), (2, 2, 6, 5),
+            (2, 2, 6, 9), (3, 1, 1, 4), (3, 1, 1, 17), (3, 2, 6, 10),
+            (3, 2, 6, 9)]
+    if "--large" in flags:
+        want[4:4] = [(2, 2, 6, 17)]
+        want += [(2, 3, 4, 9), (2, 3, 4, 9)]
+    assert law == want
 
 
 def test_paper_suite_p2_shape(tmp_path, monkeypatch, capsys):
