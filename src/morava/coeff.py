@@ -42,7 +42,8 @@ give.
 Sums of products go through ``addmul_into(t, A, B)``, which leaves a dict
 ``t`` that the caller owns exactly as ``t = add(CoeffElem(t), mul(A, B)).t``
 would: the same stored scalars, the same key insertion order, the same
-PrecisionError text and ``needed_extra``.  It returns the product's
+PrecisionError text and ``needed_extra``; with ``raw`` set, as
+``add_raw`` would, unchecked against the floor.  It returns the product's
 ``trunc``, which the caller ors into its own flag.  An empty operand
 returns at once.  When the shorter operand has one term, the product's keys
 are distinct, so each product term goes straight into ``t`` in ``mul``'s
@@ -331,9 +332,10 @@ class CoeffContext:
                     self._store(acc, k, cur, pv, pu, pk, False)
         return CoeffElem(self, acc, trunc)
 
-    def addmul_into(self, t, A, B):
+    def addmul_into(self, t, A, B, raw=False):
         """Add A*B into t, a dict the caller owns, leaving it as
-        ``add(CoeffElem(t), mul(A, B)).t`` would; returns the product's
+        ``add(CoeffElem(t), mul(A, B)).t`` would, or with ``raw`` as
+        ``add_raw(CoeffElem(t), mul(A, B)).t``; returns the product's
         trunc flag.  The module docstring states the contract."""
         ta, tb = A.t, B.t
         trunc = A.trunc or B.trunc
@@ -343,7 +345,7 @@ class CoeffContext:
             ta, tb = tb, ta
         if len(ta) > 1:
             P = self.mul(A, B)
-            self._merge_into(t, P.t, False)
+            self._merge_into(t, P.t, raw)
             return P.trunc
         (va, ca), = ta.items()
         get = t.get
@@ -377,7 +379,7 @@ class CoeffContext:
             if cur is None:
                 t[k] = (pv, pu, pk)
             else:
-                self._store(t, k, cur, pv, pu, pk, False)
+                self._store(t, k, cur, pv, pu, pk, raw)
         return trunc
 
     def scalar_mul(self, c, A):

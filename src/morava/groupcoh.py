@@ -285,11 +285,12 @@ def _relation(fgl, k, cap):
     s = fgl.pk_series(k)
     if cap < fgl.M:
         s = ser_truncate(s, cap)
-    if weierstrass_degree(s) != d:
+    wd = weierstrass_degree(s)
+    if wd != d:
         raise ArithmeticError(
             "relation of the order-%d factor has degree %d, expected %d"
-            % (fgl.p ** k, weierstrass_degree(s), d))
-    g = weierstrass_prepare(s)
+            % (fgl.p ** k, wd, d))
+    g = weierstrass_prepare(s, d)
     got = (_reduction(g, d), s.trunc or g.trunc)
     fgl._r_cache[key] = got
     return got

@@ -225,7 +225,7 @@ def verify_inverted_prime_model(fgl, T=None, depth=16):
                   inv_img)
     phi1 = ser_rshift(phi, 1)
     wdeg = weierstrass_degree(phi1)
-    g = weierstrass_prepare(phi1)
+    g = weierstrass_prepare(phi1, wdeg)
     ring = cohring_from_relation(fgl, g, wdeg)
     if T is None:
         T = ring.rank

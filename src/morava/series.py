@@ -14,16 +14,20 @@ it keeps are visited in the order a loop over all pairs would visit them,
 so coefficients accumulate in the same sequence, with the same p-adic
 precision, as in that loop.
 
-Weierstrass preparation follows the classical successive-approximation
-division over a complete local ring, forming only the remainder (the
-quotient, and so the unit U of f = U * g, is never needed); the iteration
-budget is a function of the working precision and the v-degree cap, and
-nontermination inside that budget signals a non-prepared input.
+Weierstrass preparation lifts along the v-adic filtration of E_0/(v^{D+1})
+(Lang, Algebra, IV 9; von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 9).  Only the v-free part f_0 of f goes through the classical
+successive-approximation division, whose iteration budget is a function of
+the working precision and the v-degree cap (nontermination inside it
+signals a non-prepared input); each v-monomial then costs one long
+division by the monic y^d - r_0, over Z_p.  The unit U of f = U * g is
+never formed.  A series with no v-terms, as at height one, goes through
+the successive-approximation division alone.
 """
 
 from operator import add, gt
 
-from .coeff import CoeffContext
+from .coeff import CoeffContext, CoeffElem, _floor_error
 from .padic import EXACT, PrecisionError
 
 
@@ -115,7 +119,8 @@ def ser_scale(e, f):
     return YSeries(ctx, [ctx.mul(e, a) for a in f.c], f.trunc)
 
 
-def ser_mul(f, g):
+def ser_mul(f, g, raw=False):
+    """f*g; with ``raw`` the coefficient sums are unchecked (add_raw)."""
     _check_match(f, g)
     ctx = f.ctx
     M = f.M
@@ -131,7 +136,7 @@ def ser_mul(f, g):
                 trunc = True
                 break
             e = out[d]
-            if addmul(e.t, a, b):
+            if addmul(e.t, a, b, raw):
                 e.trunc = True
     return YSeries(ctx, out, trunc)
 
@@ -223,45 +228,163 @@ def _split(f, d):
             YSeries(ctx, f.c[d:] + [ctx.zero() for _ in range(d)], f.trunc))
 
 
-def weierstrass_divide(f, a):
-    """The remainder r of f by a, where a has Weierstrass degree d:
-    f = q*a + r with r a polynomial of degree < d.  The quotient q is not
-    formed; no caller reads it.
-
-    Successive approximation: split the running remainder at y^d, push the
-    high part through the inverse of the degree->unit part of a, and iterate
-    until the remainder dies out within the (p, v)-adic budget."""
+def _divide(f, a, d, want_q):
+    """(q, r) with f = q*a + r and r of degree below d, the Weierstrass
+    degree of a; q is None unless want_q.  Successive approximation: split
+    the running remainder at y^d, push the high part through the inverse
+    of the degree->unit part of a, and iterate until the remainder dies
+    out within the (p, v)-adic budget.  The quotient's sums, inside each
+    step's part and across steps, are unchecked (add_raw): q is an
+    intermediate, and only the remainder is stored."""
     ctx = f.ctx
-    _check_match(f, a)
-    d = weierstrass_degree(a)
     # a = low + y^d * high, with high a unit series
     low, high = _split(a, d)
     hinv = ser_invert_unit(high)
     rem = f
+    q = ser_new(ctx, f.M, f.trunc or a.trunc) if want_q else None
     for _ in range(ctx.N + ctx.prune_horizon + ctx.D + 4):
         # settled: nothing left above y^d but bounded-depth zero markers
         if all(u == 0 for e in rem.c[d:] for _, u, _ in e.t.values()):
-            return _split(rem, d)[0]
+            return q, _split(rem, d)[0]
         # new remainder: rem - qi*(low + y^d high) = low part - qi*low
         lowpart, hi = _split(rem, d)
-        rem = ser_sub(lowpart, ser_mul(ser_mul(hi, hinv), low))
+        qi = ser_mul(hi, hinv, want_q)
+        if want_q:
+            q = _zip_with(ctx.add_raw, q, qi)
+        rem = ser_sub(lowpart, ser_mul(qi, low))
     raise PrecisionError("Weierstrass division did not settle within the "
                          "iteration budget")
 
 
-def weierstrass_prepare(f):
-    """The g of f = U * g with U a unit series and g monic of degree d,
-    lower coefficients in the maximal ideal.  U is the inverse of the
-    quotient q in y^d = q*f + r, which weierstrass_divide does not form:
-    g = y^d - r is all a caller needs."""
-    ctx = f.ctx
-    d = weierstrass_degree(f)
-    if d > f.M:
-        raise ValueError("Weierstrass degree exceeds the cap")
-    yd = ser_monomial(ctx, f.M, d)
-    r = weierstrass_divide(yd, f)
-    # y^d = q*f + r  =>  g := y^d - r = q*f, and q(0) is a unit
-    return ser_sub(yd, r)
+def weierstrass_divide(f, a):
+    """The remainder r of f = q*a + r, a polynomial of degree below the
+    Weierstrass degree of a, by the successive approximation of _divide
+    over the whole coefficient ring.  The quotient is not formed."""
+    _check_match(f, a)
+    return _divide(f, a, weierstrass_degree(a), False)[1]
+
+
+def _v_parts(f):
+    """{b: f_b} with f = sum of v^b * f_b over the v-codes b of f's terms:
+    each f_b a series over Z_p (coefficients keyed 0 alone), carrying the
+    trunc flags of f's coefficients."""
+    ctx, M = f.ctx, f.M
+    parts = {}
+    for i, e in enumerate(f.c):
+        for vc, c in e.t.items():
+            part = parts.get(vc)
+            if part is None:
+                part = parts[vc] = [ctx.zero() for _ in range(M + 1)]
+            part[i] = CoeffElem(ctx, {0: c}, e.trunc)
+    return {vc: YSeries(ctx, c, f.trunc) for vc, c in parts.items()}
+
+
+def _v_join(ctx, M, parts):
+    """sum of v^b * parts[b], the inverse of _v_parts: each coefficient keys
+    its terms in the order of parts and is flagged when a part's is."""
+    out = ser_new(ctx, M, any(s.trunc for s in parts.values()))
+    for i in range(M + 1):
+        es = [(b, s.c[i]) for b, s in parts.items()]
+        out.c[i] = CoeffElem(ctx, {b: e.t[0] for b, e in es if e.t},
+                             any(e.trunc for _, e in es))
+    return out
+
+
+def _long_divide(s, r0, d):
+    """(Q, r) with s = Q*(y^d - r0) + r and r of degree below d, r0 being of
+    degree below d: long division by a monic divisor, from the top degree
+    down, with unchecked sums (add_raw)."""
+    ctx, M = s.ctx, s.M
+    add_raw, mul = ctx.add_raw, ctx.mul
+    rem = list(s.c)
+    Q = [ctx.zero() for _ in range(M + 1)]
+    low = [(i, e) for i, e in enumerate(r0.c[:d]) if e.t]
+    for j in range(M, d - 1, -1):
+        c = rem[j]
+        if not c.t:
+            continue
+        Q[j - d] = c
+        # subtract c*y^(j-d)*(y^d - r0): add c*r0 below y^j
+        for i, e in low:
+            k = j - d + i
+            rem[k] = add_raw(rem[k], mul(c, e))
+    return (YSeries(ctx, Q, s.trunc),
+            YSeries(ctx, rem[:d] + [ctx.zero() for _ in range(M + 1 - d)],
+                    s.trunc))
+
+
+def _prepare(f, d, full_q=False):
+    """(q, g) with y^d = q*f + r modulo y^(M+1) and v^(D+1), r of degree
+    below d and g = y^d - r, solved along the v-degree; q is None unless
+    full_q.
+
+    Write f = sum v^b f_b over v-multidegrees b, each f_b over Z_p (the
+    v-free part f_0 has the Weierstrass degree d of f).  The base
+    y^d = q_0 f_0 + r_0 is _divide on f_0, whose products are of one-term
+    coefficients, and g_0 = y^d - r_0 = q_0 f_0 is monic.  For b != 0 the
+    v^b part of the system is
+
+        q_b f_0 + r_b = RHS_b = -sum over c + e = b, c != b of q_c f_e,
+
+    and long division gives RHS_b = Q' g_0 + r_b, so q_b = Q' q_0.  The
+    b go up by packed code: c <= b digit by digit packs to a code no
+    greater, so every q_c that RHS_b reads is there.  A q_b is formed only
+    when a later b reads it (or full_q asks), and q_0 only when f has
+    v-terms: with none, this is _divide on f itself.
+
+    The quotient's sums and the long division's are unchecked; RHS_b is
+    summed with checks, as products are.  Each stored scalar of r is
+    checked against the floor once, by y-degree and then by code, a
+    shortfall raising PrecisionError with needed_extra = floor - prec.
+    r's coefficients carry the trunc flags of the coefficients of f they
+    are built from; pairs past the v-degree cap are not formed."""
+    ctx, M = f.ctx, f.M
+    yd = ser_monomial(ctx, M, d)
+    parts = _v_parts(f)
+    f0 = parts.pop(0)
+    if not parts:
+        q, r = _divide(yd, f, d, full_q)
+        return q, ser_sub(yd, r)
+    q0, r0 = _divide(yd, f0, d, True)
+    vtot, D = ctx.vtotal, ctx.D
+    lowest = min(vtot[b] for b in parts)
+    q = {0: q0}
+    rs = {0: r0}
+    for b in range(1, ctx.ncodes):
+        if vtot[b] > D:
+            continue
+        rhs = None
+        for c, qc in q.items():
+            e = b - c
+            fe = parts.get(e)
+            # c + e = b digit by digit: the packed subtraction never borrows
+            if fe is None or vtot[e] != vtot[b] - vtot[c]:
+                continue
+            rhs = ser_sub(rhs or ser_new(ctx, M), ser_mul(qc, fe))
+        if rhs is None:
+            continue
+        Qb, rs[b] = _long_divide(rhs, r0, d)
+        if full_q or vtot[b] + lowest <= D:
+            q[b] = ser_mul(Qb, q0, True)
+    floor = ctx.padic.floor
+    for i in range(d):
+        for rb in rs.values():
+            for _, u, k in rb.c[i].t.values():
+                if u and k < floor:
+                    raise _floor_error(k, floor)
+    return (_v_join(ctx, M, q) if full_q else None,
+            ser_sub(yd, _v_join(ctx, M, rs)))
+
+
+def weierstrass_prepare(f, d=None):
+    """The g of f = U * g with U a unit series and g monic of degree d, the
+    Weierstrass degree of f (found when not given), lower coefficients in
+    the maximal ideal: g = y^d - r with y^d = q*f + r, solved along the
+    v-degree by _prepare.  U is the inverse of q, which is not formed:
+    g = q*f is all a caller needs."""
+    if d is None:
+        d = weierstrass_degree(f)
+    return _prepare(f, d)[1]
 
 
 # Multivariable series

@@ -3,7 +3,9 @@ counter of coefficient products, a one-variable embedding, an exact view
 of a multiseries, the scale-then-merge route of ms_eval_powers that its
 fused sum must reproduce, and the two-variable law formed in full that
 fgl._build_two_var must reproduce under its caps, and the Weierstrass
-division that also forms the quotient."""
+division and preparation by successive approximation over the whole
+coefficient ring, which series.weierstrass_prepare's lift along the
+v-degree is checked against."""
 
 import math
 
@@ -13,8 +15,8 @@ from morava.fgl import _series_power
 from morava.padic import PrecisionError
 from morava.series import (MultiSeries, YSeries, _check_match, ms_mul,
                            ms_new, ms_one, ms_set, ser_add, ser_from_terms,
-                           ser_invert_unit, ser_mul, ser_new, ser_scale,
-                           ser_sub, weierstrass_degree)
+                           ser_invert_unit, ser_monomial, ser_mul, ser_new,
+                           ser_scale, ser_sub, weierstrass_degree)
 
 
 def oc_to_elem(ctx, oc, weight=None):
@@ -44,11 +46,11 @@ def count_coeff_products(monkeypatch):
             calls.append(None)
         return mul(self, A, B)
 
-    def counted_addmul(self, t, A, B):
+    def counted_addmul(self, t, A, B, raw=False):
         calls.append(None)
         inside.append(None)
         try:
-            return addmul(self, t, A, B)
+            return addmul(self, t, A, B, raw)
         finally:
             inside.pop()
 
@@ -191,12 +193,13 @@ def two_var_reference(fgl, Mx, My, tcap=None):
     return F
 
 
-def weierstrass_divide_reference(f, a):
+def weierstrass_divide_reference(f, a, form_q=True):
     """(q, r) with f = q*a + r and r of degree below the Weierstrass degree
     d of a: series.weierstrass_divide as it was when it also formed the
     quotient, each step's part of q summed by a floor-checked ser_add.
     Its remainder is series.weierstrass_divide's wherever that sum does
-    not raise."""
+    not raise.  With form_q false, q is None and no sum of it is made:
+    the loop is then series.weierstrass_divide's, step for step."""
     ctx = f.ctx
     _check_match(f, a)
     d = weierstrass_degree(a)
@@ -204,7 +207,7 @@ def weierstrass_divide_reference(f, a):
     high = YSeries(ctx, list(a.c[d:]) + [ctx.zero() for _ in range(d)], a.trunc)
     hinv = ser_invert_unit(high)
     low = YSeries(ctx, list(a.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)], a.trunc)
-    q = ser_new(ctx, M, f.trunc or a.trunc)
+    q = ser_new(ctx, M, f.trunc or a.trunc) if form_q else None
     rem = f
     maxit = ctx.N + ctx.prune_horizon + ctx.D + 4
 
@@ -216,7 +219,8 @@ def weierstrass_divide_reference(f, a):
             break
         hi = YSeries(ctx, list(rem.c[d:]) + [ctx.zero() for _ in range(d)], rem.trunc)
         qi = ser_mul(hi, hinv)
-        q = ser_add(q, qi)
+        if form_q:
+            q = ser_add(q, qi)
         lowpart = YSeries(ctx, list(rem.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)],
                           rem.trunc)
         rem = ser_sub(lowpart, ser_mul(qi, low))
@@ -226,3 +230,13 @@ def weierstrass_divide_reference(f, a):
     r = YSeries(ctx, list(rem.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)],
                 rem.trunc)
     return q, r
+
+
+def weierstrass_prepare_reference(f):
+    """series.weierstrass_prepare as it was before the lift along the
+    v-degree: g = y^d - r, with r the remainder of y^d by f from the
+    successive-approximation loop over the whole coefficient ring, which
+    forms no quotient."""
+    d = weierstrass_degree(f)
+    yd = ser_monomial(f.ctx, f.M, d)
+    return ser_sub(yd, weierstrass_divide_reference(yd, f, form_q=False)[1])

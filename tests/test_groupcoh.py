@@ -831,9 +831,9 @@ def prepares(monkeypatch):
     calls = []
     real = groupcoh.weierstrass_prepare
 
-    def counted(s):
+    def counted(s, d):
         calls.append(s.M)
-        return real(s)
+        return real(s, d)
 
     monkeypatch.setattr(groupcoh, "weierstrass_prepare", counted)
     return calls
@@ -868,11 +868,11 @@ def test_failed_preparation_is_not_cached(monkeypatch, exc):
     calls = []
     real = groupcoh.weierstrass_prepare
 
-    def flaky(s):
+    def flaky(s, d):
         calls.append(s.M)
         if len(calls) == 1:
             raise exc("starved")
-        return real(s)
+        return real(s, d)
 
     monkeypatch.setattr(groupcoh, "weierstrass_prepare", flaky)
     law = law21()

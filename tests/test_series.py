@@ -5,17 +5,20 @@ import pytest
 import oracles as O
 from helpers import (count_coeff_products, ms_add_into, ms_content,
                      ms_eval_by_products, ms_from_yseries,
-                     oc_series_to_yseries, weierstrass_divide_reference)
+                     oc_series_to_yseries, weierstrass_divide_reference,
+                     weierstrass_prepare_reference)
 
 import morava.series
 from morava.coeff import CoeffContext, CoeffElem
 from morava.fgl import build_fgl
-from morava.padic import PrecisionError
-from morava.series import (MultiSeries, YSeries, golden_dump, golden_load,
+from morava.groupcoh import sound_depth
+from morava.padic import EXACT, PrecisionError
+from morava.series import (MultiSeries, YSeries, _prepare, golden_dump,
+                           golden_load,
                            ms_eval, ms_mul, ms_new, ms_one,
                            ms_permuted, ms_powers, ms_set, ser_add, ser_compose, ser_from_terms,
                            ser_invert_unit, ser_monomial, ser_mul, ser_new,
-                           ser_rshift, ser_scale, ser_sub,
+                           ser_rshift, ser_scale, ser_sub, ser_truncate,
                            weierstrass_degree, weierstrass_divide,
                            weierstrass_prepare)
 
@@ -149,12 +152,16 @@ def test_invert_randomized_unit_series():
 
 
 def prepare_with_unit(f):
-    """(U, g) with f = U * g: weierstrass_prepare gives g, and U is the
-    inverse of the quotient q in y^d = q * f + r, from the reference
-    division that forms q."""
-    yd = ser_monomial(f.ctx, f.M, weierstrass_degree(f))
-    q, _ = weierstrass_divide_reference(yd, f)
-    return ser_invert_unit(q), weierstrass_prepare(f)
+    """(U, g) with f = U * g: g is weierstrass_prepare's, and U is the
+    inverse of the quotient q of y^d = q * f + r that the same route
+    solves, which series._prepare forms on request.  The truncated system
+    leaves some top coefficients of q free when f has no constant term,
+    so only the route's own q gives back f; the reference loop's does not
+    at height two."""
+    d = weierstrass_degree(f)
+    q, g = _prepare(f, d, full_q=True)
+    assert g == weierstrass_prepare(f)
+    return ser_invert_unit(q), g
 
 
 def test_weierstrass_trivial_monic(ctx):
@@ -189,7 +196,10 @@ def test_weierstrass_p_series_height_one():
 
 
 def test_weierstrass_p_series_height_two():
-    # wider working window: division at height 2 cancels past the floor at N=16
+    # wider working window: division at height 2 cancels past the floor at
+    # N=16.  U comes from the lifted route's own quotient: the reference
+    # loop's quotient picks other free top coefficients, and U*g then
+    # misses f in the v^3 and v^6 terms at depth 12.
     ctx = CoeffContext(2, 2, N=24, D=6)
     M = 9
     f = oc_series_to_yseries(ctx, O.m_series(2, 2, 2, M))
@@ -252,6 +262,127 @@ def test_weierstrass_remainder_matches_quotient_forming_reference():
     high = build_fgl(3, 2, N=24, D=1, M=26)
     ref = weierstrass_divide(ser_monomial(high.ctx, 26, 9), high.pk_series(1))
     assert all(low.ctx.eq_to(x, y, 12) for x, y in zip(r.c, ref.c))
+
+
+def prepare_or_error(prepare, f):
+    """prepare(f), or the (text, needed_extra) of its PrecisionError."""
+    try:
+        return prepare(f)
+    except PrecisionError as e:
+        return (str(e), e.needed_extra)
+
+
+def test_lifted_prepare_is_the_loop_at_height_one():
+    """At n=1 f has no v-terms, and the route is the reference loop's:
+    equal relations, trunc flags included, and the same PrecisionError
+    with the same needed_extra wherever either one raises."""
+    raised = compared = 0
+    for p, N, M in [(2, 16, 6), (2, 24, 6), (2, 16, 9), (2, 25, 12),
+                    (3, 16, 11), (3, 24, 11), (3, 16, 21), (3, 24, 33),
+                    (5, 16, 24), (5, 24, 30)]:
+        fgl = build_fgl(p, 1, N=N, D=1, M=M)
+        for k in (1, 2):
+            if p ** k > M:
+                break
+            f = fgl.pk_series(k)
+            got = prepare_or_error(weierstrass_prepare, f)
+            assert got == prepare_or_error(weierstrass_prepare_reference, f), \
+                (p, N, M, k)
+            raised += isinstance(got, tuple)
+            compared += 1
+    assert (compared, raised) == (19, 6)
+
+
+def m_adic_order(g, h):
+    """Least val + total v-degree over the terms of g - h, two series at one
+    p, n and D but maybe different N, each scalar compared modulo the
+    lesser of the two absolute precisions."""
+    ctx = g.ctx
+    p = ctx.p
+
+    def value(c):
+        v, u, k = c
+        return (u * p ** v, v + k) if u else (0, v)
+
+    order = None
+    for a, b in zip(g.c, h.c):
+        for vc in set(a.t) | set(b.t):
+            xa, ta = value(a.t.get(vc, (EXACT, 0, 0)))
+            xb, tb = value(b.t.get(vc, (EXACT, 0, 0)))
+            top = min(ta, tb)
+            diff = (xa - xb) % p ** top
+            v = 0
+            while diff and v < top and not diff % p:
+                diff //= p
+                v += 1
+            o = (top if not diff else v) + ctx.vtotal[vc]
+            order = o if order is None else min(order, o)
+    return order
+
+
+@pytest.mark.parametrize("p,n,N,D,M", [
+    (2, 2, 24, 1, 20), (2, 2, 33, 6, 26), (2, 2, 40, 12, 44),
+    (3, 2, 24, 1, 30), (3, 2, 24, 6, 66), (3, 2, 30, 12, 30),
+    (2, 3, 24, 1, 23), (2, 3, 33, 1, 70), (2, 3, 30, 6, 58),
+    (2, 3, 24, 12, 12),
+])
+def test_lifted_prepare_agrees_with_loop_to_sound_depth(p, n, N, D, M):
+    """[p](y) and [p^2](y) (where the cap reaches its degree) at n=2 and
+    n=3: key by key, the lifted relation agrees with the reference loop's
+    to the junk-sound depth of the cap, at a precision where the loop
+    does not raise.  The tightest margin is at (3, 2, 24, 6, 66), 8
+    digits against 7."""
+    fgl = build_fgl(p, n, N=N, D=D, M=M)
+    ctx = fgl.ctx
+    for k in (1, 2):
+        d = p ** (n * k)
+        if d > M:
+            break
+        f = fgl.pk_series(k)
+        g = weierstrass_prepare(f)
+        ref = weierstrass_prepare_reference(f)
+        depth = sound_depth(p, n, (k,), D, (M,))
+        assert all(ctx.eq_to(a, b, depth) for a, b in zip(g.c, ref.c))
+        assert g.c[d] == ctx.one() and all(e.is_zero() for e in g.c[d + 1:])
+        assert g.trunc == ref.trunc
+
+
+def test_lifted_prepare_against_a_high_cap_relation():
+    """[2](y) at p=2, n=2, D=6: the relation at cap 48 and N=60 stands for
+    the true one.  Cut from a law at N=33, cap 48, the lifted route agrees
+    with it to m-adic orders 5, 6, 10, 11 at caps 9, 12, 17, 24; the loop
+    to 5, 6, 9, 11.  On a law built at cap 33 and N=24 the loop raises at
+    the floor, while the lifted route reaches order 16."""
+    high = weierstrass_prepare(build_fgl(2, 2, N=60, D=6, M=48).pk_series(1))
+    s48 = build_fgl(2, 2, N=33, D=6, M=48).pk_series(1)
+    got, ref = [], []
+    for cap in (9, 12, 17, 24):
+        s = ser_truncate(s48, cap)
+        got.append(m_adic_order(weierstrass_prepare(s), high))
+        ref.append(m_adic_order(weierstrass_prepare_reference(s), high))
+    assert all(a >= b for a, b in zip(got, ref))
+    assert (got, ref) == ([5, 6, 10, 11], [5, 6, 9, 11])
+    s = build_fgl(2, 2, N=24, D=6, M=33).pk_series(1)
+    with pytest.raises(PrecisionError):
+        weierstrass_prepare_reference(s)
+    assert m_adic_order(weierstrass_prepare(s), high) == 16
+
+
+def test_lifted_prepare_solves_the_truncated_system_at_height_three():
+    """At n=3 the v-multidegrees are pairs, and q_c f_e feeds the v^b part
+    only when c + e = b digit by digit: (1, 0) + (D, 0) packs to the code
+    of (0, 1), which must not count.  The route's own q and g satisfy
+    q*f = g to the working precision, on every key, and g's low
+    coefficients lie in the maximal ideal."""
+    fgl = build_fgl(2, 3, N=24, D=4, M=20)
+    ctx = fgl.ctx
+    f = fgl.pk_series(1)
+    q, g = _prepare(f, 8, full_q=True)
+    assert {ctx.vexps(vc) for e in g.c for vc in e.t} >= {(1, 1), (0, 2)}
+    back = ser_mul(q, f, True)
+    assert all(ctx.eq_to(a, b, 16) for a, b in zip(back.c, g.c))
+    assert all(not ctx.reduce_mod_pv(g.c[i]) for i in range(8))
+    assert g == weierstrass_prepare(f)
 
 
 def test_weierstrass_rejects_no_unit(ctx):
