@@ -29,10 +29,12 @@ nonzero unit prime to p and below p**prec, a zero with unit 0 and prec 0).
 ``sub`` and ``sub_raw``) and ``scalar_mul`` unpack each scalar tuple into
 locals, form products from the context's power table, as PadicContext.mul
 would, and build each result as a tuple literal.  When a term lands on a
-stored key, ``_store`` adds the two scalars by PadicContext._add's rule,
-inline, whether they are two nonzero units, a unit and a zero marker, or
-two zero markers, then applies the prune horizon and the floor as ``_acc``
-does.  Only a sum
+stored key, ``_sum``, the one definition of the sum, adds the two scalars
+by PadicContext._add's rule, inline, whether they are two nonzero units, a
+unit and a zero marker, or two zero markers, then applies the prune
+horizon and the floor as ``_acc`` does; it returns the scalar to store, or
+None, and the caller stores it or deletes the key.  The preparation over
+Z_p in ``series.py`` sums its lists of scalars with it too.  Only a sum
 reaching past N, which just scalars outside the invariant can make, goes
 through ``_acc`` and PadicContext.add_raw, which stay the definition of
 the rule.  Terms are visited in the same order either way, so every stored
@@ -44,15 +46,19 @@ Sums of products go through ``addmul_into(t, A, B)``, which leaves a dict
 would: the same stored scalars, the same key insertion order, the same
 PrecisionError text and ``needed_extra``; with ``raw`` set, as
 ``add_raw`` would, unchecked against the floor.  It returns the product's
-``trunc``, which the caller ors into its own flag.  An empty operand
-returns at once.  When the shorter operand has one term, the product's keys
-are distinct, so each product term goes straight into ``t`` in ``mul``'s
+``trunc``, which the caller ors into its own flag.  ``addmul_into(t,
+pairs)`` adds the products of a sequence of pairs (A, B) in turn, as one
+call per pair would, and returns the or of their flags: a sum of products
+is one call.  A pair with an empty operand brings only its flags.  When
+the shorter operand of a pair has one term, the product's keys are
+distinct, so each product term goes straight into ``t`` in ``mul``'s
 order, and a term past the prune horizon is skipped as ``mul`` skips it.
-Otherwise two pairs can land on one key of the product, and their sum must
-be rounded (and floor-checked) before it meets the accumulator, so the
-product is formed in full by ``mul`` first and then merged.  ``t`` must
-never be the dict of a coefficient someone else holds: callers copy a
-shared coefficient before their first in-place write.
+Otherwise two pairs of terms can land on one key of the product, and
+their sum must be rounded (and floor-checked) before it meets the
+accumulator, so the product is formed in full by ``mul`` first and then
+merged.  Into an empty ``t``, a first pair leaves what ``mul`` gives.
+``t`` must never be the dict of a coefficient someone else holds: callers
+copy a shared coefficient before their first in-place write.
 """
 
 from .padic import EXACT, PadicContext, PrecisionError, scalar_repr
@@ -190,7 +196,7 @@ class CoeffContext:
 
     def _acc(self, cur, c, raw):
         """Combine an incoming term with a stored one by add_raw, the rule
-        ``_store`` reproduces.  Junk settled past the prune horizon is
+        ``_sum`` reproduces.  Junk settled past the prune horizon is
         discarded before the floor applies: it cannot reach a verdict.
         Returns None when nothing should stay stored."""
         s = self.padic.add_raw(cur, c)
@@ -201,9 +207,9 @@ class CoeffContext:
             raise _floor_error(sk, self.padic.floor)
         return s
 
-    def _store(self, t, k, cur, bv, bu, bp, raw):
-        """Add the scalar (bv, bu, bp) to the scalar ``cur`` stored at key
-        k of t, and store the sum or delete the key, as ``_acc`` would.
+    def _sum(self, cur, bv, bu, bp, raw):
+        """The sum of the stored scalar ``cur`` and the scalar (bv, bu, bp),
+        or None when nothing should stay stored, as ``_acc`` gives it.
         This is PadicContext._add with the power table read directly, for
         scalars that keep the invariant of ``padic.py``: the sum is pinned to
         the lesser absolute precision (a zero marker's is its depth), and
@@ -229,34 +235,24 @@ class CoeffContext:
             v = top
         kk = top - v
         if kk > padic.N:
-            s = self._acc(cur, (bv, bu, bp), raw)
-            if s is None:
-                del t[k]
-            else:
-                t[k] = s
-            return
+            return self._acc(cur, (bv, bu, bp), raw)
         if kk > 0:
             pows = padic._pows
             s = (lo + hi * pows[gap] if gap < kk else lo) % pows[kk]
         else:
             s = 0
         if not s:
-            if top >= self.prune_horizon:
-                del t[k]
-            else:
-                t[k] = (top, 0, 0)
-            return
+            return None if top >= self.prune_horizon else (top, 0, 0)
         p = padic.p
         while not s % p:
             s //= p
             v += 1
             kk -= 1
         if v >= self.prune_horizon:
-            del t[k]
-        elif not raw and kk < padic.floor:
+            return None
+        if not raw and kk < padic.floor:
             raise _floor_error(kk, padic.floor)
-        else:
-            t[k] = (v, s, kk)
+        return (v, s, kk)
 
     def _merge_into(self, t, tb, raw):
         horizon = self.prune_horizon
@@ -267,7 +263,11 @@ class CoeffContext:
                     t[k] = c
             else:
                 bv, bu, bk = c
-                self._store(t, k, cur, bv, bu, bk, raw)
+                s = self._sum(cur, bv, bu, bk, raw)
+                if s is None:
+                    del t[k]
+                else:
+                    t[k] = s
 
     def _merge(self, A, B, raw):
         t = dict(A.t)
@@ -328,58 +328,75 @@ class CoeffContext:
                 if cur is None:
                     if pv < horizon:
                         acc[k] = (pv, pu, pk)
+                    continue
+                s = self._sum(cur, pv, pu, pk, False)
+                if s is None:
+                    del acc[k]
                 else:
-                    self._store(acc, k, cur, pv, pu, pk, False)
+                    acc[k] = s
         return CoeffElem(self, acc, trunc)
 
-    def addmul_into(self, t, A, B, raw=False):
+    def addmul_into(self, t, A, B=None, raw=False):
         """Add A*B into t, a dict the caller owns, leaving it as
         ``add(CoeffElem(t), mul(A, B)).t`` would, or with ``raw`` as
         ``add_raw(CoeffElem(t), mul(A, B)).t``; returns the product's
-        trunc flag.  The module docstring states the contract."""
-        ta, tb = A.t, B.t
-        trunc = A.trunc or B.trunc
-        if not ta or not tb:
-            return trunc
-        if len(ta) > len(tb):
-            ta, tb = tb, ta
-        if len(ta) > 1:
-            P = self.mul(A, B)
-            self._merge_into(t, P.t, raw)
-            return P.trunc
-        (va, ca), = ta.items()
-        get = t.get
-        vtot = self.vtotal
-        room = self.D - vtot[va]
-        padic = self.padic
-        pows = padic._pows
-        horizon = self.prune_horizon
-        av, au, ap = ca
-        if ap >= len(pows):
-            padic.ppow(ap)
-        for vb, cb in tb.items():
-            if vtot[vb] > room:
+        trunc flag.  With B None, A is a sequence of pairs (A, B), whose
+        products go in in turn, and the flags returned are or-ed.  The
+        module docstring states the contract."""
+        # one pair costs no iterator: calls with one pair are the most
+        # frequent, from ms_mul and the ring products
+        rest = None
+        if B is None:
+            rest = iter(A)
+            A, B = next(rest, (None, None))
+        trunc = False
+        while A is not None:
+            ta, tb = A.t, B.t
+            if A.trunc or B.trunc:
                 trunc = True
-                continue
-            # mul's product term, which mul keeps exactly when it lies
-            # inside the prune horizon: one term on the short side makes
-            # every product key distinct
-            bv, bu, pk = cb
-            pv = av + bv
-            if pv >= horizon:
-                continue
-            if au and bu:
-                if ap < pk:
-                    pk = ap
-                pu = au * bu % pows[pk]
-            else:
-                pu = pk = 0
-            k = va + vb
-            cur = get(k)
-            if cur is None:
-                t[k] = (pv, pu, pk)
-            else:
-                self._store(t, k, cur, pv, pu, pk, raw)
+            if ta and tb:
+                if len(ta) > len(tb):
+                    ta, tb = tb, ta
+                if len(ta) > 1:
+                    P = self.mul(A, B)
+                    self._merge_into(t, P.t, raw)
+                    trunc = trunc or P.trunc
+                else:
+                    (va, (av, au, ap)), = ta.items()
+                    vtot = self.vtotal
+                    room = self.D - vtot[va]
+                    pows = self.padic._pows
+                    if ap >= len(pows):
+                        self.padic.ppow(ap)
+                    for vb, (bv, bu, pk) in tb.items():
+                        if vtot[vb] > room:
+                            trunc = True
+                            continue
+                        # mul's product term, which mul keeps exactly when
+                        # it lies inside the prune horizon: one term on the
+                        # short side makes every product key distinct
+                        pv = av + bv
+                        if pv >= self.prune_horizon:
+                            continue
+                        if au and bu:
+                            if ap < pk:
+                                pk = ap
+                            pu = au * bu % pows[pk]
+                        else:
+                            pu = pk = 0
+                        k = va + vb
+                        cur = t.get(k)
+                        if cur is None:
+                            t[k] = (pv, pu, pk)
+                            continue
+                        s = self._sum(cur, pv, pu, pk, raw)
+                        if s is None:
+                            del t[k]
+                        else:
+                            t[k] = s
+            if rest is None:
+                break
+            A, B = next(rest, (None, None))
         return trunc
 
     def scalar_mul(self, c, A):

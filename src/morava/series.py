@@ -20,12 +20,17 @@ ch. 9).  Only the v-free part f_0 of f goes through the classical
 successive-approximation division, whose iteration budget is a function of
 the working precision and the v-degree cap (nontermination inside it
 signals a non-prepared input); each v-monomial then costs one long
-division by the monic y^d - r_0, over Z_p.  The unit U of f = U * g is
-never formed.  A series with no v-terms, as at height one, goes through
-the successive-approximation division alone.
+division by the monic y^d - r_0.  Every series in between lies over Z_p,
+so it is held as a list of scalars, not of coefficients: a product of two
+one-term coefficients is then a few integer operations, with no method
+call, dict or object, and only the result is joined back into
+coefficients.  The sums use the coefficient kernel's one sum rule
+(CoeffContext._sum).  The unit U of f = U * g is never formed.  A series
+with no v-terms, as at height one, goes through the
+successive-approximation division alone.
 """
 
-from operator import add, gt
+from operator import add, gt, or_
 
 from .coeff import CoeffContext, CoeffElem, _floor_error
 from .padic import EXACT, PrecisionError
@@ -221,108 +226,199 @@ def weierstrass_degree(f):
     return d
 
 
-def _split(f, d):
-    """(low, high) with f = low + y^d * high, both at f's cap."""
-    ctx, M = f.ctx, f.M
-    return (YSeries(ctx, f.c[:d] + [ctx.zero() for _ in range(M + 1 - d)], f.trunc),
-            YSeries(ctx, f.c[d:] + [ctx.zero() for _ in range(d)], f.trunc))
+# Preparation over Z_p.  A series over Z_p, one v-part of a series over
+# E_0, is the triple (c, tr, trunc): c[i] the scalar of y^i, None where
+# that coefficient is empty, tr[i] its trunc flag and trunc the series
+# flag.  Each function leaves the scalars, flags and PrecisionError that
+# its YSeries namesake leaves on coefficients keyed 0 alone.  The scalars
+# must keep the invariant of padic.py: products index the power table by
+# precision.
 
 
-def _divide(f, a, d, want_q):
-    """(q, r) with f = q*a + r and r of degree below d, the Weierstrass
-    degree of a; q is None unless want_q.  Successive approximation: split
+def _zp_new(M, trunc=False):
+    return [None] * (M + 1), [False] * (M + 1), trunc
+
+
+def _split(S, d):
+    """(low, high) with S = low + y^d * high, both at S's cap."""
+    c, tr, trunc = S
+    n = len(c) - d
+    return ((c[:d] + [None] * n, tr[:d] + [False] * n, trunc),
+            (c[d:] + [None] * d, tr[d:] + [False] * d, trunc))
+
+
+def _zp_add(ctx, F, G, neg=False, raw=False):
+    """F + G, or F - G with ``neg``, as ser_add or ser_sub; with ``raw``
+    the sums are unchecked (add_raw)."""
+    fc, ftr, ftrunc = F
+    gc, gtr, gtrunc = G
+    out = list(fc)
+    horizon, pneg, _sum = ctx.prune_horizon, ctx.padic.neg, ctx._sum
+    for i, b in enumerate(gc):
+        if b is None:
+            continue
+        if neg:
+            b = pneg(b)
+        a = out[i]
+        if a is not None:
+            out[i] = _sum(a, *b, raw)
+        elif b[0] < horizon:
+            out[i] = b
+    return out, list(map(or_, ftr, gtr)), ftrunc or gtrunc
+
+
+def _zp_mul(ctx, F, G, raw=False):
+    """F*G, as ser_mul: the same pairs in the same order, each product
+    formed and summed as CoeffContext.addmul_into forms and sums one of
+    one-term coefficients."""
+    fc, ftr, ftrunc = F
+    gc, gtr, gtrunc = G
+    M = len(fc) - 1
+    out, otr, trunc = _zp_new(M, ftrunc or gtrunc)
+    pows, horizon, _sum = ctx.padic._pows, ctx.prune_horizon, ctx._sum
+    gb = [(j, b, gtr[j]) for j, b in enumerate(gc) if b is not None]
+    for i, a in enumerate(fc):
+        if a is None:
+            continue
+        av, au, ap = a
+        ta = ftr[i]
+        for j, (bv, bu, pk), tb in gb:
+            d = i + j
+            if d > M:
+                trunc = True
+                break
+            if ta or tb:
+                otr[d] = True
+            pv = av + bv
+            if pv >= horizon:
+                continue
+            if au and bu:
+                if ap < pk:
+                    pk = ap
+                pu = au * bu % pows[pk]
+            else:
+                pu = pk = 0
+            cur = out[d]
+            out[d] = (pv, pu, pk) if cur is None else _sum(cur, pv, pu, pk,
+                                                           raw)
+    return out, otr, trunc
+
+
+def _zp_invert(ctx, H):
+    """ser_invert_unit: the inverse of a series with unit constant term,
+    degree by degree."""
+    hc, htr, trunc = H
+    c0 = CoeffElem(ctx, {} if hc[0] is None else {0: hc[0]}, htr[0])
+    if not ctx.is_unit(c0):
+        raise ValueError("constant term is not a unit")
+    c0 = ctx.invert(c0)
+    out, otr = [c0.t[0]], [c0.trunc]
+    horizon, mul, _sum = ctx.prune_horizon, ctx.padic.mul, ctx._sum
+    for m in range(1, len(hc)):
+        # f * out must vanish in degree m
+        acc, flag = None, c0.trunc
+        for i in range(1, m + 1):
+            if hc[i] is None:
+                continue
+            flag = flag or htr[i] or otr[m - i]
+            if out[m - i] is not None:
+                c = mul(hc[i], out[m - i])
+                if c[0] < horizon:
+                    acc = c if acc is None else _sum(acc, *c, False)
+        c = acc and mul(out[0], acc)
+        out.append(ctx.padic.neg(c) if c and c[0] < horizon else None)
+        otr.append(flag)
+    return out, otr, trunc
+
+
+def _divide(ctx, F, A, d, want_q):
+    """(q, r) with F = q*A + r and r of degree below d, the Weierstrass
+    degree of A; q is None unless want_q.  Successive approximation: split
     the running remainder at y^d, push the high part through the inverse
-    of the degree->unit part of a, and iterate until the remainder dies
+    of the degree->unit part of A, and iterate until the remainder dies
     out within the (p, v)-adic budget.  The quotient's sums, inside each
     step's part and across steps, are unchecked (add_raw): q is an
     intermediate, and only the remainder is stored."""
-    ctx = f.ctx
-    # a = low + y^d * high, with high a unit series
-    low, high = _split(a, d)
-    hinv = ser_invert_unit(high)
-    rem = f
-    q = ser_new(ctx, f.M, f.trunc or a.trunc) if want_q else None
+    low, high = _split(A, d)
+    hinv = _zp_invert(ctx, high)
+    rem = F
+    q = _zp_new(len(F[0]) - 1, F[2] or A[2]) if want_q else None
     for _ in range(ctx.N + ctx.prune_horizon + ctx.D + 4):
-        # settled: nothing left above y^d but bounded-depth zero markers
-        if all(u == 0 for e in rem.c[d:] for _, u, _ in e.t.values()):
-            return q, _split(rem, d)[0]
-        # new remainder: rem - qi*(low + y^d high) = low part - qi*low
         lowpart, hi = _split(rem, d)
-        qi = ser_mul(hi, hinv, want_q)
+        # settled: nothing left above y^d but bounded-depth zero markers
+        if not any(c and c[1] for c in hi[0]):
+            return q, lowpart
+        # new remainder: rem - qi*(low + y^d high) = low part - qi*low
+        qi = _zp_mul(ctx, hi, hinv, want_q)
         if want_q:
-            q = _zip_with(ctx.add_raw, q, qi)
-        rem = ser_sub(lowpart, ser_mul(qi, low))
+            q = _zp_add(ctx, q, qi, raw=True)
+        rem = _zp_add(ctx, lowpart, _zp_mul(ctx, qi, low), neg=True)
     raise PrecisionError("Weierstrass division did not settle within the "
                          "iteration budget")
 
 
-def weierstrass_divide(f, a):
-    """The remainder r of f = q*a + r, a polynomial of degree below the
-    Weierstrass degree of a, by the successive approximation of _divide
-    over the whole coefficient ring.  The quotient is not formed."""
-    _check_match(f, a)
-    return _divide(f, a, weierstrass_degree(a), False)[1]
-
-
 def _v_parts(f):
     """{b: f_b} with f = sum of v^b * f_b over the v-codes b of f's terms:
-    each f_b a series over Z_p (coefficients keyed 0 alone), carrying the
-    trunc flags of f's coefficients."""
-    ctx, M = f.ctx, f.M
+    each f_b a series over Z_p carrying the trunc flags of f's
+    coefficients."""
+    M = f.M
     parts = {}
     for i, e in enumerate(f.c):
         for vc, c in e.t.items():
             part = parts.get(vc)
             if part is None:
-                part = parts[vc] = [ctx.zero() for _ in range(M + 1)]
-            part[i] = CoeffElem(ctx, {0: c}, e.trunc)
-    return {vc: YSeries(ctx, c, f.trunc) for vc, c in parts.items()}
+                part = parts[vc] = _zp_new(M, f.trunc)
+            part[0][i] = c
+            part[1][i] = e.trunc
+    return parts
 
 
 def _v_join(ctx, M, parts):
-    """sum of v^b * parts[b], the inverse of _v_parts: each coefficient keys
-    its terms in the order of parts and is flagged when a part's is."""
-    out = ser_new(ctx, M, any(s.trunc for s in parts.values()))
-    for i in range(M + 1):
-        es = [(b, s.c[i]) for b, s in parts.items()]
-        out.c[i] = CoeffElem(ctx, {b: e.t[0] for b, e in es if e.t},
-                             any(e.trunc for _, e in es))
-    return out
+    """sum of v^b * parts[b] as a YSeries, the inverse of _v_parts: each
+    coefficient keys its terms in the order of parts and is flagged when a
+    part's is."""
+    ps = list(parts.items())
+    return YSeries(ctx, [
+        CoeffElem(ctx, {b: c[i] for b, (c, _, _) in ps if c[i] is not None},
+                  any(tr[i] for _, (_, tr, _) in ps))
+        for i in range(M + 1)], any(trunc for _, (_, _, trunc) in ps))
 
 
-def _long_divide(s, r0, d):
-    """(Q, r) with s = Q*(y^d - r0) + r and r of degree below d, r0 being of
+def _long_divide(ctx, S, r0, d):
+    """(Q, r) with S = Q*(y^d - r0) + r and r of degree below d, r0 being of
     degree below d: long division by a monic divisor, from the top degree
     down, with unchecked sums (add_raw)."""
-    ctx, M = s.ctx, s.M
-    add_raw, mul = ctx.add_raw, ctx.mul
-    rem = list(s.c)
-    Q = [ctx.zero() for _ in range(M + 1)]
-    low = [(i, e) for i, e in enumerate(r0.c[:d]) if e.t]
+    c, tr, trunc = S
+    M = len(c) - 1
+    rem, rtr = list(c), list(tr)
+    Q, Qtr, _ = _zp_new(M)
+    low = [(i, e, r0[1][i]) for i, e in enumerate(r0[0][:d]) if e is not None]
+    horizon, mul, _sum = ctx.prune_horizon, ctx.padic.mul, ctx._sum
     for j in range(M, d - 1, -1):
-        c = rem[j]
-        if not c.t:
+        a = rem[j]
+        if a is None:
             continue
-        Q[j - d] = c
-        # subtract c*y^(j-d)*(y^d - r0): add c*r0 below y^j
-        for i, e in low:
+        Q[j - d], Qtr[j - d] = a, rtr[j]
+        # subtract a*y^(j-d)*(y^d - r0): add a*r0 below y^j
+        for i, e, te in low:
             k = j - d + i
-            rem[k] = add_raw(rem[k], mul(c, e))
-    return (YSeries(ctx, Q, s.trunc),
-            YSeries(ctx, rem[:d] + [ctx.zero() for _ in range(M + 1 - d)],
-                    s.trunc))
+            rtr[k] = rtr[k] or rtr[j] or te
+            p = mul(a, e)
+            if p[0] < horizon:
+                rem[k] = p if rem[k] is None else _sum(rem[k], *p, True)
+    return (Q, Qtr, trunc), _split((rem, rtr, trunc), d)[0]
 
 
 def _prepare(f, d, full_q=False):
     """(q, g) with y^d = q*f + r modulo y^(M+1) and v^(D+1), r of degree
-    below d and g = y^d - r, solved along the v-degree; q is None unless
-    full_q.
+    below d and g = y^d - r, solved along the v-degree over Z_p; q is None
+    unless full_q.
 
     Write f = sum v^b f_b over v-multidegrees b, each f_b over Z_p (the
-    v-free part f_0 has the Weierstrass degree d of f).  The base
-    y^d = q_0 f_0 + r_0 is _divide on f_0, whose products are of one-term
-    coefficients, and g_0 = y^d - r_0 = q_0 f_0 is monic.  For b != 0 the
-    v^b part of the system is
+    v-free part f_0 has the Weierstrass degree d of f; f_0 is f at height
+    one).  The base y^d = q_0 f_0 + r_0 is _divide on f_0, and
+    g_0 = y^d - r_0 = q_0 f_0 is monic.  For b != 0 the v^b part of the
+    system is
 
         q_b f_0 + r_b = RHS_b = -sum over c + e = b, c != b of q_c f_e,
 
@@ -330,24 +426,25 @@ def _prepare(f, d, full_q=False):
     b go up by packed code: c <= b digit by digit packs to a code no
     greater, so every q_c that RHS_b reads is there.  A q_b is formed only
     when a later b reads it (or full_q asks), and q_0 only when f has
-    v-terms: with none, this is _divide on f itself.
+    v-terms or full_q asks.
 
-    The quotient's sums and the long division's are unchecked; RHS_b is
-    summed with checks, as products are.  Each stored scalar of r is
-    checked against the floor once, by y-degree and then by code, a
-    shortfall raising PrecisionError with needed_extra = floor - prec.
-    r's coefficients carry the trunc flags of the coefficients of f they
-    are built from; pairs past the v-degree cap are not formed."""
+    Every series in between is a list of scalars (the triples above):
+    only the joins of the r_b, and of the q_b when full_q, are CoeffElem
+    series.  The quotient's sums and the long division's are unchecked;
+    RHS_b is summed with checks, as products are.  When f has v-terms,
+    each stored scalar of r is checked against the floor once, by y-degree
+    and then by code, a shortfall raising PrecisionError with
+    needed_extra = floor - prec.  r's coefficients carry the trunc flags
+    of the coefficients of f they are built from; pairs past the v-degree
+    cap are not formed."""
     ctx, M = f.ctx, f.M
-    yd = ser_monomial(ctx, M, d)
     parts = _v_parts(f)
     f0 = parts.pop(0)
-    if not parts:
-        q, r = _divide(yd, f, d, full_q)
-        return q, ser_sub(yd, r)
-    q0, r0 = _divide(yd, f0, d, True)
+    yd = _zp_new(M)
+    yd[0][d] = ctx.padic.one()
+    q0, r0 = _divide(ctx, yd, f0, d, full_q or bool(parts))
     vtot, D = ctx.vtotal, ctx.D
-    lowest = min(vtot[b] for b in parts)
+    lowest = min((vtot[b] for b in parts), default=0)
     q = {0: q0}
     rs = {0: r0}
     for b in range(1, ctx.ncodes):
@@ -360,20 +457,21 @@ def _prepare(f, d, full_q=False):
             # c + e = b digit by digit: the packed subtraction never borrows
             if fe is None or vtot[e] != vtot[b] - vtot[c]:
                 continue
-            rhs = ser_sub(rhs or ser_new(ctx, M), ser_mul(qc, fe))
+            rhs = _zp_add(ctx, rhs or _zp_new(M), _zp_mul(ctx, qc, fe),
+                          neg=True)
         if rhs is None:
             continue
-        Qb, rs[b] = _long_divide(rhs, r0, d)
+        Qb, rs[b] = _long_divide(ctx, rhs, r0, d)
         if full_q or vtot[b] + lowest <= D:
-            q[b] = ser_mul(Qb, q0, True)
-    floor = ctx.padic.floor
-    for i in range(d):
-        for rb in rs.values():
-            for _, u, k in rb.c[i].t.values():
-                if u and k < floor:
-                    raise _floor_error(k, floor)
+            q[b] = _zp_mul(ctx, Qb, q0, True)
+    if parts:
+        floor = ctx.padic.floor
+        for i in range(d):
+            for c, _, _ in rs.values():
+                if c[i] and c[i][1] and c[i][2] < floor:
+                    raise _floor_error(c[i][2], floor)
     return (_v_join(ctx, M, q) if full_q else None,
-            ser_sub(yd, _v_join(ctx, M, rs)))
+            ser_sub(ser_monomial(ctx, M, d), _v_join(ctx, M, rs)))
 
 
 def weierstrass_prepare(f, d=None):

@@ -2,10 +2,11 @@
 counter of coefficient products, a one-variable embedding, an exact view
 of a multiseries, the scale-then-merge route of ms_eval_powers that its
 fused sum must reproduce, and the two-variable law formed in full that
-fgl._build_two_var must reproduce under its caps, and the Weierstrass
+fgl._build_two_var must reproduce under its caps, the Weierstrass
 division and preparation by successive approximation over the whole
 coefficient ring, which series.weierstrass_prepare's lift along the
-v-degree is checked against."""
+v-degree is checked against, and the long division on YSeries that the
+lift's division over Z_p must reproduce."""
 
 import math
 
@@ -34,9 +35,10 @@ def oc_to_elem(ctx, oc, weight=None):
 
 def count_coeff_products(monkeypatch):
     """Count coefficient products through both entry points of the kernel,
-    CoeffContext.mul and addmul_into; the mul that addmul_into makes for a
-    product of several terms is that same product and is not counted
-    again.  Returns the list that gets one entry per product."""
+    CoeffContext.mul and addmul_into, one per pair that addmul_into takes;
+    the mul that addmul_into makes for a pair of several terms each is
+    that same product and is not counted again.  Returns the list that
+    gets one entry per product."""
     mul, addmul = CoeffContext.mul, CoeffContext.addmul_into
     calls = []
     inside = []
@@ -46,8 +48,12 @@ def count_coeff_products(monkeypatch):
             calls.append(None)
         return mul(self, A, B)
 
-    def counted_addmul(self, t, A, B, raw=False):
-        calls.append(None)
+    def counted_addmul(self, t, A, B=None, raw=False):
+        if B is None:
+            A = list(A)
+            calls.extend([None] * len(A))
+        else:
+            calls.append(None)
         inside.append(None)
         try:
             return addmul(self, t, A, B, raw)
@@ -195,11 +201,12 @@ def two_var_reference(fgl, Mx, My, tcap=None):
 
 def weierstrass_divide_reference(f, a, form_q=True):
     """(q, r) with f = q*a + r and r of degree below the Weierstrass degree
-    d of a: series.weierstrass_divide as it was when it also formed the
-    quotient, each step's part of q summed by a floor-checked ser_add.
-    Its remainder is series.weierstrass_divide's wherever that sum does
-    not raise.  With form_q false, q is None and no sum of it is made:
-    the loop is then series.weierstrass_divide's, step for step."""
+    d of a: the division over the whole coefficient ring, as it was when
+    it also formed the quotient, each step's part of q summed by a
+    floor-checked ser_add.  Its remainder is the one the loop forms
+    without q wherever that sum does not raise.  With form_q false, q is
+    None and no sum of it is made: the loop is then the remainder-only
+    one, step for step, which series._divide runs over Z_p."""
     ctx = f.ctx
     _check_match(f, a)
     d = weierstrass_degree(a)
@@ -240,3 +247,24 @@ def weierstrass_prepare_reference(f):
     d = weierstrass_degree(f)
     yd = ser_monomial(f.ctx, f.M, d)
     return ser_sub(yd, weierstrass_divide_reference(yd, f, form_q=False)[1])
+
+
+def long_divide_reference(s, r0, d):
+    """(Q, r) with s = Q*(y^d - r0) + r and r of degree below d, r0 being of
+    degree below d: series._long_divide on YSeries, as it was before the
+    division over Z_p, with unchecked sums (add_raw)."""
+    ctx, M = s.ctx, s.M
+    rem = list(s.c)
+    Q = [ctx.zero() for _ in range(M + 1)]
+    low = [(i, e) for i, e in enumerate(r0.c[:d]) if e.t]
+    for j in range(M, d - 1, -1):
+        c = rem[j]
+        if not c.t:
+            continue
+        Q[j - d] = c
+        for i, e in low:
+            k = j - d + i
+            rem[k] = ctx.add_raw(rem[k], ctx.mul(c, e))
+    return (YSeries(ctx, Q, s.trunc),
+            YSeries(ctx, rem[:d] + [ctx.zero() for _ in range(M + 1 - d)],
+                    s.trunc))

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as O
-from helpers import (count_coeff_products, ms_add_into, ms_content,
-                     ms_eval_by_products, ms_from_yseries,
-                     oc_series_to_yseries, weierstrass_divide_reference,
+from helpers import (count_coeff_products, long_divide_reference,
+                     ms_add_into, ms_content, ms_eval_by_products,
+                     ms_from_yseries, oc_series_to_yseries,
+                     weierstrass_divide_reference,
                      weierstrass_prepare_reference)
 
 import morava.series
@@ -13,14 +16,14 @@ from morava.coeff import CoeffContext, CoeffElem
 from morava.fgl import build_fgl
 from morava.groupcoh import sound_depth
 from morava.padic import EXACT, PrecisionError
-from morava.series import (MultiSeries, YSeries, _prepare, golden_dump,
-                           golden_load,
+from morava.series import (MultiSeries, YSeries, _divide, _long_divide,
+                           _prepare, _v_join, _v_parts, _zip_with, _zp_add,
+                           _zp_invert, _zp_mul, golden_dump, golden_load,
                            ms_eval, ms_mul, ms_new, ms_one,
                            ms_permuted, ms_powers, ms_set, ser_add, ser_compose, ser_from_terms,
                            ser_invert_unit, ser_monomial, ser_mul, ser_new,
                            ser_rshift, ser_scale, ser_sub, ser_truncate,
-                           weierstrass_degree, weierstrass_divide,
-                           weierstrass_prepare)
+                           weierstrass_degree, weierstrass_prepare)
 
 
 @pytest.fixture
@@ -213,13 +216,28 @@ def test_weierstrass_p_series_height_two():
         assert ctx.eq_to(back.c[d], f.c[d], 12)
 
 
+def zp_divide(f, a, want_q=True):
+    """(q, r) of the division over Z_p (series._divide) of the v-free part
+    of f by that of a, which is all of each at height one, each joined
+    back into a YSeries; q is None unless want_q."""
+    ctx, M = f.ctx, f.M
+    q, r = _divide(ctx, _v_parts(f)[0], _v_parts(a)[0],
+                   weierstrass_degree(a), want_q)
+    return tuple(s and _v_join(ctx, M, {0: s}) for s in (q, r))
+
+
+def v_free(f):
+    """The v-free part f_0 of f as a YSeries."""
+    return _v_join(f.ctx, f.M, {0: _v_parts(f)[0]})
+
+
 def test_weierstrass_division_identity():
     ctx = CoeffContext(3, 1, N=16, D=4)
     M = 8
     a = oc_series_to_yseries(ctx, O.m_series(3, 1, 3, M))
     f = ser_from_terms(ctx, M, {1: ctx.from_int(4), 5: ctx.one(), 7: ctx.from_int(5)})
     q, r = weierstrass_divide_reference(f, a)
-    assert weierstrass_divide(f, a) == r
+    assert zp_divide(f, a) == (q, r)
     d = weierstrass_degree(a)
     assert d == 3
     assert all(r.c[i].is_zero() for i in range(d, M + 1))
@@ -229,11 +247,14 @@ def test_weierstrass_division_identity():
 
 
 def test_weierstrass_remainder_matches_quotient_forming_reference():
-    """weierstrass_divide forms only the remainder; wherever the reference
-    that also sums the quotient does not raise, the remainders are equal,
-    trunc flags included.  At (3, 2, N=16, D=1) the reference's unread
-    quotient sum falls short of the floor on [3](y) at cap 26, while the
-    remainder alone agrees with the one at N=24."""
+    """The division over Z_p, forming only the remainder, against the
+    reference loop that also sums the quotient: directly at height one,
+    and on the v-free part f_0 of [p^k](y) at height two.  Wherever the
+    reference does not raise, the remainders are equal, trunc flags
+    included.  At (3, 2, N=16, D=1) the reference's unread quotient sum
+    over the whole coefficient ring falls short of the floor on [3](y) at
+    cap 26, while the remainder alone agrees with the one at N=24, and so
+    does the remainder of f_0 over Z_p."""
     compared = 0
     for p, n, N, D, M in [(2, 1, 24, 1, 12), (2, 2, 24, 1, 11),
                           (2, 2, 33, 6, 26), (3, 1, 16, 1, 15),
@@ -244,8 +265,10 @@ def test_weierstrass_remainder_matches_quotient_forming_reference():
             if p ** (n * k) > M:
                 break
             a = fgl.pk_series(k)
+            if n > 1:
+                a = v_free(a)
             yd = ser_monomial(ctx, M, weierstrass_degree(a))
-            r = weierstrass_divide(yd, a)
+            _, r = zp_divide(yd, a, want_q=False)
             try:
                 _, ref = weierstrass_divide_reference(yd, a)
             except PrecisionError:
@@ -258,10 +281,15 @@ def test_weierstrass_remainder_matches_quotient_forming_reference():
     yd = ser_monomial(low.ctx, 26, 9)
     with pytest.raises(PrecisionError):
         weierstrass_divide_reference(yd, a)
-    r = weierstrass_divide(yd, a)
     high = build_fgl(3, 2, N=24, D=1, M=26)
-    ref = weierstrass_divide(ser_monomial(high.ctx, 26, 9), high.pk_series(1))
-    assert all(low.ctx.eq_to(x, y, 12) for x, y in zip(r.c, ref.c))
+    b = high.pk_series(1)
+    hd = ser_monomial(high.ctx, 26, 9)
+    for got, ref in [
+            (weierstrass_divide_reference(yd, a, form_q=False)[1],
+             weierstrass_divide_reference(hd, b, form_q=False)[1]),
+            (zp_divide(yd, a, want_q=False)[1],
+             zp_divide(hd, b, want_q=False)[1])]:
+        assert all(low.ctx.eq_to(x, y, 12) for x, y in zip(got.c, ref.c))
 
 
 def prepare_or_error(prepare, f):
@@ -383,6 +411,139 @@ def test_lifted_prepare_solves_the_truncated_system_at_height_three():
     assert all(ctx.eq_to(a, b, 16) for a, b in zip(back.c, g.c))
     assert all(not ctx.reduce_mod_pv(g.c[i]) for i in range(8))
     assert g == weierstrass_prepare(f)
+
+
+# Preparation runs over Z_p on lists of scalars (series._zp_*), each
+# function leaving what its YSeries namesake leaves on coefficients keyed 0
+# alone: the same scalars, trunc flags, PrecisionError and needed_extra.
+
+ZP_CONTEXTS = [(2, 1, 6, 1, 3), (3, 2, 4, 2, 2), (5, 1, 3, 0, None)]
+
+
+def zp_join(ctx, S):
+    """A Z_p list as the YSeries of one-key coefficients it stands for."""
+    return _v_join(ctx, len(S[0]) - 1, {0: S})
+
+
+def ys_outcome(fn, *args):
+    """Every stored scalar and flag of the YSeries fn returns (or of each
+    one in the tuple it returns), or the text and needed_extra of its
+    PrecisionError."""
+    try:
+        out = fn(*args)
+    except PrecisionError as e:
+        return ("error", str(e), e.needed_extra)
+    return [([(list(e.t.items()), e.trunc) for e in f.c], f.trunc)
+            for f in (out if isinstance(out, tuple) else (out,))]
+
+
+@st.composite
+def zp_scalars(draw, ctx):
+    """Units of every precision at small and near-horizon valuations, and
+    zero markers of every depth under the prune horizon."""
+    p, N, horizon = ctx.p, ctx.N, ctx.prune_horizon
+    if draw(st.integers(0, 3)) == 0:
+        return (draw(st.integers(0, horizon - 1)), 0, 0)
+    k = draw(st.integers(1, N))
+    u = p * draw(st.integers(0, p ** (k - 1) - 1)) + draw(st.integers(1, p - 1))
+    v = draw(st.one_of(st.integers(-2, 3),
+                       st.integers(horizon - N - 2, horizon - 1)))
+    return (v, u, k)
+
+
+@st.composite
+def zp_series(draw, ctx, M, below=None):
+    """(c, tr, trunc) with entries only below y^below, when given."""
+    top = M + 1 if below is None else below
+    c = [draw(st.one_of(st.none(), zp_scalars(ctx))) for _ in range(top)]
+    tr = draw(st.lists(st.booleans(), min_size=M + 1, max_size=M + 1))
+    return c + [None] * (M + 1 - top), tr, draw(st.booleans())
+
+
+@pytest.mark.parametrize("p,n,N,D,floor", ZP_CONTEXTS)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_zp_lists_match_one_key_series(p, n, N, D, floor, data):
+    ctx = CoeffContext(p, n, N=N, D=D, floor=floor)
+    M = data.draw(st.integers(1, 6))
+    F, G = data.draw(zp_series(ctx, M)), data.draw(zp_series(ctx, M))
+    f, g = zp_join(ctx, F), zp_join(ctx, G)
+    raw = data.draw(st.booleans())
+    assert ys_outcome(lambda: zp_join(ctx, _zp_mul(ctx, F, G, raw))) == \
+        ys_outcome(ser_mul, f, g, raw)
+    assert ys_outcome(lambda: zp_join(ctx, _zp_add(ctx, F, G, neg=True))) \
+        == ys_outcome(ser_sub, f, g)
+    assert ys_outcome(lambda: zp_join(ctx, _zp_add(ctx, F, G, raw=True))) \
+        == ys_outcome(_zip_with, ctx.add_raw, f, g)
+    d = data.draw(st.integers(1, M))
+    R = data.draw(zp_series(ctx, M, below=d))
+    assert ys_outcome(lambda: tuple(zp_join(ctx, S) for S in
+                                    _long_divide(ctx, F, R, d))) == \
+        ys_outcome(long_divide_reference, f, zp_join(ctx, R), d)
+    u = data.draw(st.integers(1, p ** N - 1).filter(lambda x: x % p))
+    H = ([(0, u, N)] + F[0][1:], F[1], F[2])
+    assert ys_outcome(lambda: zp_join(ctx, _zp_invert(ctx, H))) == \
+        ys_outcome(ser_invert_unit, zp_join(ctx, H))
+
+
+def test_zp_lists_reach_markers_pruning_and_the_floor():
+    """The cases the drawn series above must reach, each made once: a zero
+    marker times a unit, a pair pruned at the horizon, and a sum falling
+    short of the floor (1 + 15 = 2^4 at 6 digits keeps 2, floor 3)."""
+    ctx = CoeffContext(2, 1, N=6, D=1, floor=3)
+    one = (0, 1, 6)
+    cases = {
+        "marker": ([(2, 0, 0), one], [(0, 3, 6), None]),
+        "pruned": ([(10, 1, 6), None], [(9, 1, 6), None]),
+        "floor": ([one, one], [one, (0, 15, 6)]),
+    }
+    got = {}
+    for name, (fc, gc) in cases.items():
+        F, G = (fc, [False, False], False), (gc, [False, False], False)
+        out = ys_outcome(lambda: zp_join(ctx, _zp_mul(ctx, F, G)))
+        assert out == ys_outcome(ser_mul, zp_join(ctx, F), zp_join(ctx, G))
+        got[name] = out
+    assert got["marker"][0][0][0] == ([(0, (2, 0, 0))], False)
+    assert got["pruned"][0][0][0] == ([], False)
+    assert got["floor"] == ("error", "stored coefficient would keep only 2 "
+                            "trusted digits (floor 3)", 1)
+
+
+def _lift(p, c, lift):
+    """The rational unit * p**val + lift * p**(val + prec) that the scalar
+    c stands for (lift * p**val for a zero marker)."""
+    v, u, k = c
+    return (u + lift * p ** k) * Fraction(p) ** v
+
+
+@pytest.mark.parametrize("p,N", [(2, 8), (3, 5)])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_zp_product_matches_rational_oracle(p, N, data):
+    """Each scalar read as a drawn lift: every stored product scalar agrees
+    with the rational product modulo its own p**(val + prec), below the
+    prune horizon, and an empty coefficient is 0 to the horizon."""
+    ctx = CoeffContext(p, 1, N=N, D=1, floor=1)
+    horizon = ctx.prune_horizon
+    M = data.draw(st.integers(1, 6))
+    F, G = data.draw(zp_series(ctx, M)), data.draw(zp_series(ctx, M))
+    lifts = st.integers(-p * p, p * p)
+    qf, qg = ([O.qc_const(_lift(p, c, data.draw(lifts)), 1) if c else {}
+               for c in S[0]] for S in (F, G))
+    want = O.ser_mul(qf, qg)
+    for c, q in zip(_zp_mul(ctx, F, G)[0], want):
+        exact = q.get((0, ()), Fraction(0))
+        bound, stored = horizon, Fraction(0)
+        if c is not None:
+            bound, stored = min(c[0] + c[2], horizon), _lift(p, c, 0)
+        diff = exact - stored
+        if diff:
+            v, a, b = 0, diff.numerator, diff.denominator
+            while a % p == 0:
+                a, v = a // p, v + 1
+            while b % p == 0:
+                b, v = b // p, v - 1
+            assert v >= bound, (c, exact)
 
 
 def test_weierstrass_rejects_no_unit(ctx):
