@@ -44,21 +44,16 @@ give.
 Sums of products go through ``addmul_into(t, A, B)``, which leaves a dict
 ``t`` that the caller owns exactly as ``t = add(CoeffElem(t), mul(A, B)).t``
 would: the same stored scalars, the same key insertion order, the same
-PrecisionError text and ``needed_extra``; with ``raw`` set, as
-``add_raw`` would, unchecked against the floor.  It returns the product's
-``trunc``, which the caller ors into its own flag.  ``addmul_into(t,
-pairs)`` adds the products of a sequence of pairs (A, B) in turn, as one
-call per pair would, and returns the or of their flags: a sum of products
-is one call.  A pair with an empty operand brings only its flags.  When
-the shorter operand of a pair has one term, the product's keys are
-distinct, so each product term goes straight into ``t`` in ``mul``'s
+PrecisionError text and ``needed_extra``.  It returns the product's
+``trunc``, which the caller ors into its own flag.  An empty operand
+returns at once.  When the shorter operand has one term, the product's keys
+are distinct, so each product term goes straight into ``t`` in ``mul``'s
 order, and a term past the prune horizon is skipped as ``mul`` skips it.
-Otherwise two pairs of terms can land on one key of the product, and
-their sum must be rounded (and floor-checked) before it meets the
-accumulator, so the product is formed in full by ``mul`` first and then
-merged.  Into an empty ``t``, a first pair leaves what ``mul`` gives.
-``t`` must never be the dict of a coefficient someone else holds: callers
-copy a shared coefficient before their first in-place write.
+Otherwise two pairs can land on one key of the product, and their sum must
+be rounded (and floor-checked) before it meets the accumulator, so the
+product is formed in full by ``mul`` first and then merged.  ``t`` must
+never be the dict of a coefficient someone else holds: callers copy a
+shared coefficient before their first in-place write.
 """
 
 from .padic import EXACT, PadicContext, PrecisionError, scalar_repr
@@ -336,67 +331,57 @@ class CoeffContext:
                     acc[k] = s
         return CoeffElem(self, acc, trunc)
 
-    def addmul_into(self, t, A, B=None, raw=False):
+    def addmul_into(self, t, A, B):
         """Add A*B into t, a dict the caller owns, leaving it as
-        ``add(CoeffElem(t), mul(A, B)).t`` would, or with ``raw`` as
-        ``add_raw(CoeffElem(t), mul(A, B)).t``; returns the product's
-        trunc flag.  With B None, A is a sequence of pairs (A, B), whose
-        products go in in turn, and the flags returned are or-ed.  The
-        module docstring states the contract."""
-        # one pair costs no iterator: calls with one pair are the most
-        # frequent, from ms_mul and the ring products
-        rest = None
-        if B is None:
-            rest = iter(A)
-            A, B = next(rest, (None, None))
-        trunc = False
-        while A is not None:
-            ta, tb = A.t, B.t
-            if A.trunc or B.trunc:
+        ``add(CoeffElem(t), mul(A, B)).t`` would; returns the product's
+        trunc flag.  The module docstring states the contract."""
+        ta, tb = A.t, B.t
+        trunc = A.trunc or B.trunc
+        if not ta or not tb:
+            return trunc
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        if len(ta) > 1:
+            P = self.mul(A, B)
+            self._merge_into(t, P.t, False)
+            return P.trunc
+        (va, ca), = ta.items()
+        get = t.get
+        vtot = self.vtotal
+        room = self.D - vtot[va]
+        padic = self.padic
+        pows = padic._pows
+        horizon = self.prune_horizon
+        av, au, ap = ca
+        if ap >= len(pows):
+            padic.ppow(ap)
+        for vb, cb in tb.items():
+            if vtot[vb] > room:
                 trunc = True
-            if ta and tb:
-                if len(ta) > len(tb):
-                    ta, tb = tb, ta
-                if len(ta) > 1:
-                    P = self.mul(A, B)
-                    self._merge_into(t, P.t, raw)
-                    trunc = trunc or P.trunc
-                else:
-                    (va, (av, au, ap)), = ta.items()
-                    vtot = self.vtotal
-                    room = self.D - vtot[va]
-                    pows = self.padic._pows
-                    if ap >= len(pows):
-                        self.padic.ppow(ap)
-                    for vb, (bv, bu, pk) in tb.items():
-                        if vtot[vb] > room:
-                            trunc = True
-                            continue
-                        # mul's product term, which mul keeps exactly when
-                        # it lies inside the prune horizon: one term on the
-                        # short side makes every product key distinct
-                        pv = av + bv
-                        if pv >= self.prune_horizon:
-                            continue
-                        if au and bu:
-                            if ap < pk:
-                                pk = ap
-                            pu = au * bu % pows[pk]
-                        else:
-                            pu = pk = 0
-                        k = va + vb
-                        cur = t.get(k)
-                        if cur is None:
-                            t[k] = (pv, pu, pk)
-                            continue
-                        s = self._sum(cur, pv, pu, pk, raw)
-                        if s is None:
-                            del t[k]
-                        else:
-                            t[k] = s
-            if rest is None:
-                break
-            A, B = next(rest, (None, None))
+                continue
+            # mul's product term, which mul keeps exactly when it lies
+            # inside the prune horizon: one term on the short side makes
+            # every product key distinct
+            bv, bu, pk = cb
+            pv = av + bv
+            if pv >= horizon:
+                continue
+            if au and bu:
+                if ap < pk:
+                    pk = ap
+                pu = au * bu % pows[pk]
+            else:
+                pu = pk = 0
+            k = va + vb
+            cur = get(k)
+            if cur is None:
+                t[k] = (pv, pu, pk)
+                continue
+            s = self._sum(cur, pv, pu, pk, False)
+            if s is None:
+                del t[k]
+            else:
+                t[k] = s
         return trunc
 
     def scalar_mul(self, c, A):

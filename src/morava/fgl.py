@@ -36,9 +36,8 @@ the working precision cannot absorb the worst of them.
 import functools
 import math
 import os
-from bisect import bisect_right
 
-from .coeff import CoeffContext, CoeffElem
+from .coeff import CoeffContext
 from .padic import PrecisionError
 from .series import (YSeries, golden_dump, golden_load, ms_eval,
                      ms_eval_powers, ms_new, ms_permuted, ms_powers,
@@ -203,10 +202,7 @@ def solve_log(ctx, log_elems, S):
     topped up once per degree before T[m] is read off.  A chain is
     T^e = T^h * T^(e-h) with h = floor(e / 2q) * q, q the largest power of
     p dividing e below e (_chain_power).  At p = 2 that is h = e / 2, the
-    squares; at p = 3, M = 242 it makes 8 chains where halving e makes 17.
-    Each chain entry, the sum over a of A[a] * B[m - a], is one
-    ctx.addmul_into call over its pairs in ascending a, and so is each
-    T[m] past S[m]."""
+    squares; at p = 3, M = 242 it makes 8 chains where halving e makes 17."""
     p = ctx.p
     M = S.M
     needed = [p ** k for k in range(1, log_depth(p, M) + 1)]
@@ -219,25 +215,37 @@ def solve_log(ctx, log_elems, S):
     by_power = {1: (T, T_nz, 1)}
     for q in needed:
         _chain_power(ctx, M, by_power, chains, q)
-    addmul = ctx.addmul_into
-    # S[m] - l_k * T^q[m] is S[m] + (-l_k) * T^q[m], term for term
-    negl = [(ctx.neg(log_elems[k]), q, by_power[q][0])
-            for k, q in enumerate(needed, start=1) if log_elems[k].t]
+    emul, addmul = ctx.mul, ctx.addmul_into
     trunc = S.trunc or any(l.trunc for l in log_elems)
     for m in range(1, M + 1):
         for A, nzA, B, minB, out, nz in chains:
-            pairs = [(A[a], B[m - a])
-                     for a in nzA[:bisect_right(nzA, m - minB)] if B[m - a].t]
-            if pairs:
-                t = {}
-                out[m] = CoeffElem(ctx, t, addmul(t, pairs))
-                if t:
+            hi = m - minB
+            acc = None
+            for a in nzA:
+                if a > hi:
+                    break
+                eb = B[m - a]
+                if eb.is_zero():
+                    continue
+                if acc is None:
+                    acc = emul(A[a], eb)
+                elif addmul(acc.t, A[a], eb):
+                    acc.trunc = True
+            if acc is not None:
+                out[m] = acc
+                if not acc.is_zero():
                     nz.append(m)
         acc = S.c[m]
-        pairs = [(l, P[m]) for l, q, P in negl if q <= m and P[m].t]
-        if pairs:
-            t = dict(acc.t)
-            acc = CoeffElem(ctx, t, addmul(t, pairs) or acc.trunc)
+        for k, q in enumerate(needed, start=1):
+            if q > m:
+                break
+            l = log_elems[k]
+            if l.is_zero():
+                continue
+            b = by_power[q][0][m]
+            if b.is_zero():
+                continue
+            acc = ctx.sub(acc, ctx.mul(l, b))
         T[m] = acc
         if not acc.is_zero():
             T_nz.append(m)

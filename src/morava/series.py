@@ -22,8 +22,8 @@ the working precision and the v-degree cap (nontermination inside it
 signals a non-prepared input); each v-monomial then costs one long
 division by the monic y^d - r_0.  Every series in between lies over Z_p,
 so it is held as a list of scalars, not of coefficients: a product of two
-one-term coefficients is then a few integer operations, with no method
-call, dict or object, and only the result is joined back into
+one-term coefficients is then one PadicContext.mul, with no dict or
+coefficient object, and only the result is joined back into
 coefficients.  The sums use the coefficient kernel's one sum rule
 (CoeffContext._sum).  The unit U of f = U * g is never formed.  A series
 with no v-terms, as at height one, goes through the
@@ -124,8 +124,7 @@ def ser_scale(e, f):
     return YSeries(ctx, [ctx.mul(e, a) for a in f.c], f.trunc)
 
 
-def ser_mul(f, g, raw=False):
-    """f*g; with ``raw`` the coefficient sums are unchecked (add_raw)."""
+def ser_mul(f, g):
     _check_match(f, g)
     ctx = f.ctx
     M = f.M
@@ -141,7 +140,7 @@ def ser_mul(f, g, raw=False):
                 trunc = True
                 break
             e = out[d]
-            if addmul(e.t, a, b, raw):
+            if addmul(e.t, a, b):
                 e.trunc = True
     return YSeries(ctx, out, trunc)
 
@@ -268,39 +267,31 @@ def _zp_add(ctx, F, G, neg=False, raw=False):
 
 
 def _zp_mul(ctx, F, G, raw=False):
-    """F*G, as ser_mul: the same pairs in the same order, each product
-    formed and summed as CoeffContext.addmul_into forms and sums one of
-    one-term coefficients."""
+    """F*G, as ser_mul: the same pairs in the same order, each product a
+    PadicContext.mul kept inside the prune horizon, as mul keeps it, and
+    summed as CoeffContext.addmul_into sums it; with ``raw`` the sums are
+    unchecked (add_raw)."""
     fc, ftr, ftrunc = F
     gc, gtr, gtrunc = G
     M = len(fc) - 1
     out, otr, trunc = _zp_new(M, ftrunc or gtrunc)
-    pows, horizon, _sum = ctx.padic._pows, ctx.prune_horizon, ctx._sum
+    horizon, mul, _sum = ctx.prune_horizon, ctx.padic.mul, ctx._sum
     gb = [(j, b, gtr[j]) for j, b in enumerate(gc) if b is not None]
     for i, a in enumerate(fc):
         if a is None:
             continue
-        av, au, ap = a
         ta = ftr[i]
-        for j, (bv, bu, pk), tb in gb:
+        for j, b, tb in gb:
             d = i + j
             if d > M:
                 trunc = True
                 break
             if ta or tb:
                 otr[d] = True
-            pv = av + bv
-            if pv >= horizon:
-                continue
-            if au and bu:
-                if ap < pk:
-                    pk = ap
-                pu = au * bu % pows[pk]
-            else:
-                pu = pk = 0
-            cur = out[d]
-            out[d] = (pv, pu, pk) if cur is None else _sum(cur, pv, pu, pk,
-                                                           raw)
+            c = mul(a, b)
+            if c[0] < horizon:
+                cur = out[d]
+                out[d] = c if cur is None else _sum(cur, *c, raw)
     return out, otr, trunc
 
 

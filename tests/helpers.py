@@ -5,8 +5,8 @@ fused sum must reproduce, and the two-variable law formed in full that
 fgl._build_two_var must reproduce under its caps, the Weierstrass
 division and preparation by successive approximation over the whole
 coefficient ring, which series.weierstrass_prepare's lift along the
-v-degree is checked against, and the long division on YSeries that the
-lift's division over Z_p must reproduce."""
+v-degree is checked against, and the product with unchecked sums and the
+long division on YSeries that the lift's lists over Z_p must reproduce."""
 
 import math
 
@@ -35,10 +35,9 @@ def oc_to_elem(ctx, oc, weight=None):
 
 def count_coeff_products(monkeypatch):
     """Count coefficient products through both entry points of the kernel,
-    CoeffContext.mul and addmul_into, one per pair that addmul_into takes;
-    the mul that addmul_into makes for a pair of several terms each is
-    that same product and is not counted again.  Returns the list that
-    gets one entry per product."""
+    CoeffContext.mul and addmul_into; the mul that addmul_into makes for a
+    product of several terms is that same product and is not counted
+    again.  Returns the list that gets one entry per product."""
     mul, addmul = CoeffContext.mul, CoeffContext.addmul_into
     calls = []
     inside = []
@@ -48,15 +47,11 @@ def count_coeff_products(monkeypatch):
             calls.append(None)
         return mul(self, A, B)
 
-    def counted_addmul(self, t, A, B=None, raw=False):
-        if B is None:
-            A = list(A)
-            calls.extend([None] * len(A))
-        else:
-            calls.append(None)
+    def counted_addmul(self, t, A, B):
+        calls.append(None)
         inside.append(None)
         try:
-            return addmul(self, t, A, B, raw)
+            return addmul(self, t, A, B)
         finally:
             inside.pop()
 
@@ -247,6 +242,26 @@ def weierstrass_prepare_reference(f):
     d = weierstrass_degree(f)
     yd = ser_monomial(f.ctx, f.M, d)
     return ser_sub(yd, weierstrass_divide_reference(yd, f, form_q=False)[1])
+
+
+def ser_mul_raw(f, g):
+    """f*g with unchecked coefficient sums (add_raw): ser_mul's pairs in
+    ser_mul's order, each product summed by CoeffContext.add_raw.  The
+    YSeries product that series._zp_mul with ``raw`` must reproduce."""
+    _check_match(f, g)
+    ctx, M = f.ctx, f.M
+    out = [ctx.zero() for _ in range(M + 1)]
+    trunc = f.trunc or g.trunc
+    gb = [(j, b) for j, b in enumerate(g.c) if not b.is_zero()]
+    for i, a in enumerate(f.c):
+        if a.is_zero():
+            continue
+        for j, b in gb:
+            if i + j > M:
+                trunc = True
+                break
+            out[i + j] = ctx.add_raw(out[i + j], ctx.mul(a, b))
+    return YSeries(ctx, out, trunc)
 
 
 def long_divide_reference(s, r0, d):

@@ -657,43 +657,3 @@ def test_tuple_kernel_matches_rational_oracle(p, n, N, D, short, data):
                    oracles.qc_add(qa, oracles.qc_scale(-1, qb)))
     _assert_agrees(ctx, ctx.scalar_mul(c, A).t,
                    oracles.qc_scale(qc, qa))
-
-
-# addmul_into over a list of pairs forms a sum of products in one call, as
-# fgl.solve_log forms each entry of a power chain.  It must leave what mul
-# of the first pair followed by addmul_into of each later one leaves (the
-# route it replaces), and what addmul_into pair by pair leaves in any
-# accumulator.
-
-@pytest.mark.parametrize("p,n,N,D,floor", [(2, 2, 6, 3, 2), (3, 2, 5, 3, 5),
-                                           (2, 3, 16, 3, None)])
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(data=st.data())
-def test_addmul_over_pairs_matches_pair_by_pair(p, n, N, D, floor, data):
-    ctx = CoeffContext(p, n, N=N, D=D, floor=floor)
-    pairs = data.draw(st.lists(st.tuples(_elems(ctx), _elems(ctx, 0, 2)),
-                               min_size=1, max_size=6))
-    T = data.draw(_elems(ctx))
-    raw = data.draw(st.booleans())
-
-    def fused(t):
-        t = dict(t)
-        return CoeffElem(ctx, t, ctx.addmul_into(t, pairs, raw=raw))
-
-    def by_pair(t):
-        t = dict(t)
-        trunc = False
-        for A, B in pairs:
-            trunc = ctx.addmul_into(t, A, B, raw) or trunc
-        return CoeffElem(ctx, t, trunc)
-
-    def chain():
-        acc = ctx.mul(*pairs[0])
-        for A, B in pairs[1:]:
-            if ctx.addmul_into(acc.t, A, B):
-                acc.trunc = True
-        return acc
-
-    assert _outcome(fused, T.t) == _outcome(by_pair, T.t)
-    if not raw:
-        assert _outcome(fused, {}) == _outcome(chain)

@@ -12,15 +12,14 @@ import oracles
 from helpers import (count_coeff_products, ms_content, ms_eval_by_products,
                      ms_from_yseries, oc_series_to_yseries, oc_to_elem,
                      two_var_reference)
-from morava.coeff import CoeffContext, CoeffElem
+from morava.coeff import CoeffContext
 from morava.fgl import (_build_two_var, _chain_power, _row, build_fgl,
                         check_associativity, check_integrality,
                         check_pk_congruence, formal_sum, log_depth, solve_log)
 from morava.padic import PadicContext, PrecisionError
 from morava.series import (YSeries, ms_eval, ms_eval_powers, ms_new,
                            ms_permuted, ms_powers, ms_set, ser_compose,
-                           ser_from_terms, ser_monomial, ser_mul, ser_new,
-                           ser_scale)
+                           ser_from_terms, ser_monomial, ser_new, ser_scale)
 
 
 @pytest.fixture(scope="module")
@@ -222,31 +221,13 @@ def test_associativity_coefficient_work_pinned(monkeypatch):
 
 def test_solve_log_coefficient_work_pinned(monkeypatch):
     # the exponential and the 9-series of a law at p=3 and cap 242, where
-    # the base-p chains make 8 power chains: each chain entry, and each
-    # degree of T, is one addmul_into call over its pairs, and they
-    # make the 23553 products that forming a chain entry by mul of its
-    # first pair and addmul_into of each later one, and T by ctx.sub of
-    # each ctx.mul, made
+    # the base-p chains make 8 power chains: each chain entry is mul of its
+    # first pair and addmul_into of each later one, and each degree of T
+    # is ctx.sub of a ctx.mul per p-power, 23553 products in all
     calls = count_coeff_products(monkeypatch)
     law = build_fgl(3, 2, N=24, D=1, M=242)
     law.m_series(9)
     assert len(calls) == 23553
-
-
-def test_solve_log_keeps_the_flags_of_the_right_side():
-    # T[3] = S[3] - l_1 * T^2[3] with T^2[3] = 2 T[1] T[2] nonzero: the
-    # products go into a copy of S[3], whose trunc flag stays, as the
-    # difference ctx.sub(S[3], ctx.mul(l_1, T^2[3])) keeps it
-    law = build_fgl(2, 1, N=16, D=1, M=8)
-    ctx = law.ctx
-    S = ser_monomial(ctx, 8, 1)
-    S.c[3] = CoeffElem(ctx, {0: ctx.padic.one()})
-    assert not solve_log(ctx, law.log_elems, S).c[3].trunc
-    S.c[3] = CoeffElem(ctx, {0: ctx.padic.one()}, True)
-    T = solve_log(ctx, law.log_elems, S)
-    want = ctx.sub(S.c[3], ctx.mul(law.log_elems[1],
-                                   ser_mul(T, T).c[3]))
-    assert T.c[3] == want and want.trunc
 
 
 TWO_VAR_LAWS = [(2, 1, 24, 1, 10), (2, 2, 33, 6, 16), (3, 1, 24, 1, 15),
