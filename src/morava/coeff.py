@@ -20,8 +20,12 @@ a fixed pad) are dropped: nothing representable at working precision can see
 them.  Approximate-zero markers shallower than the horizon are kept, since
 their absence would silently upgrade a bounded-depth zero to an exact one.
 
-The ``trunc`` flag records that some product fell off the v-degree cap, and
-it is sticky under arithmetic.
+The ``trunc`` flag records that some product formed on the way to a value
+fell off the v-degree cap, and it is sticky under arithmetic.  A product
+left unformed sets no flag, even where its terms would have fallen off the
+cap: Weierstrass preparation lifts along the v-degree and never forms the
+products past it (``series._prepare``), so a prepared relation carries only
+the flags of the series it was prepared from.
 
 Stored scalars keep the invariant of ``padic.py`` (0 <= prec <= N, a
 nonzero unit prime to p and below p**prec, a zero with unit 0 and prec 0).

@@ -56,27 +56,35 @@ def log_depth(p, M):
 class FormalGroupLaw:
     """The truncated law with its derived series memoized.
 
-    _m_cache holds m-series by m, _f_cache two-variable laws by their caps,
-    _r_cache the prepared cyclic relations by (k, cap) and _b_cache the
-    unit-determinant verdicts of freeness blocks by (k, l, entry); groupcoh
-    fills the last two.  Every cached value is shared read-only.
+    The exponential is solved on first read of exp.  _m_cache holds
+    m-series by m, _f_cache two-variable laws by their caps, _r_cache the
+    prepared cyclic relations by (k, cap) and _b_cache the unit-determinant
+    verdicts of freeness blocks by (k, l, entry); groupcoh fills the last
+    two.  Every cached value is shared read-only.
     """
 
-    __slots__ = ("p", "n", "M", "ctx", "log_elems", "log", "exp",
+    __slots__ = ("p", "n", "M", "ctx", "log_elems", "log", "_exp",
                  "_m_cache", "_f_cache", "_r_cache", "_b_cache")
 
-    def __init__(self, p, n, M, ctx, log_elems, log, exp):
+    def __init__(self, p, n, M, ctx, log_elems, log):
         self.p = p
         self.n = n
         self.M = M
         self.ctx = ctx
         self.log_elems = log_elems
         self.log = log
-        self.exp = exp
+        self._exp = None
         self._m_cache = {}
         self._f_cache = {}
         self._r_cache = {}
         self._b_cache = {}
+
+    @property
+    def exp(self):
+        if self._exp is None:
+            self._exp = solve_log(self.ctx, self.log_elems,
+                                  ser_monomial(self.ctx, self.M, 1))
+        return self._exp
 
     # the group law at chosen degree caps
 
@@ -117,7 +125,17 @@ class FormalGroupLaw:
 
 def build_fgl(p, n, N=16, D=8, M=33):
     """Construct the truncated formal group law; fails fast when N cannot
-    absorb the negative valuations of the logarithm coefficients."""
+    absorb the negative valuations of the logarithm coefficients.  The
+    exponential is solved here, so a PrecisionError it raises comes from
+    the build."""
+    fgl = _build_log(p, n, N, D, M)
+    fgl.exp
+    return fgl
+
+
+def _build_log(p, n, N, D, M):
+    """The law with its logarithm built and its exponential not yet
+    solved."""
     if n < 1 or M < 1:
         raise ValueError("height and truncation order must be positive")
     K = log_depth(p, M)
@@ -133,8 +151,7 @@ def build_fgl(p, n, N=16, D=8, M=33):
     for k, l in enumerate(ls):
         if p ** k <= M:
             log.c[p ** k] = l
-    exp = solve_log(ctx, ls, ser_monomial(ctx, M, 1))
-    return FormalGroupLaw(p, n, M, ctx, ls, log, exp)
+    return FormalGroupLaw(p, n, M, ctx, ls, log)
 
 
 def _v_elem(ctx, j):
@@ -549,50 +566,95 @@ def check_associativity(fgl, cap=None, depth=8):
 
 # Read-through cache for built laws.  Only the two-variable series is
 # stored (the dominant rebuild cost); the logarithm data is cheap enough
-# to recompute and fixes the value of every derived series.
+# to recompute and fixes the value of every derived series.  A key whose
+# build raised PrecisionError gets a .raises file instead, which replays
+# the error without building.
 
-def fgl_cache_name(p, n, N, D, M):
-    return "fgl-p%d-n%d-N%d-D%d-M%d.txt" % (p, n, N, D, M)
+def _cache_stem(cache_dir, key):
+    """The path of the key's cache files but for their suffix: .txt for
+    a law file, .raises for a recorded PrecisionError."""
+    return os.path.join(cache_dir, "fgl-p%d-n%d-N%d-D%d-M%d" % key)
+
+
+def _write_atomic(path, text):
+    """Land text at path with a rename, so no reader sees a partial
+    write."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp.%d" % os.getpid()
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def fgl_cache_save(fgl, cache_dir):
     """Write the fully-capped two-variable law in the golden-vector
     format; returns the path written."""
-    os.makedirs(cache_dir, exist_ok=True)
     ctx = fgl.ctx
-    path = os.path.join(cache_dir, fgl_cache_name(
-        ctx.p, ctx.n, ctx.N, ctx.D, fgl.M))
-    # Forcing the law can raise; render before touching the file, and land
-    # it with a rename so no reader ever sees a partial write.
-    text = golden_dump(fgl.F)
-    tmp = path + ".tmp.%d" % os.getpid()
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    path = _cache_stem(cache_dir, (ctx.p, ctx.n, ctx.N, ctx.D, fgl.M)) \
+        + ".txt"
+    # Forcing the law can raise; render before touching the file.
+    _write_atomic(path, golden_dump(fgl.F))
     return path
 
 
-def build_fgl_cached(p, n, cache_dir, N=16, D=8, M=33):
-    """build_fgl, seeding the two-variable law from the cache directory
-    when a matching file exists and writing one when it does not."""
-    fgl = build_fgl(p, n, N=N, D=D, M=M)
-    path = os.path.join(cache_dir, fgl_cache_name(p, n, N, D, M))
-    A = None
-    if os.path.exists(path):
+def _load_law(path, key):
+    """The cached two-variable law at path, or None when the file is
+    missing, cannot be parsed or names other parameters (stale)."""
+    try:
         with open(path) as fh:
-            text = fh.read()
-        try:
-            A = golden_load(text)
-        except (IndexError, KeyError, ValueError):
-            A = None
-    # a file whose header names other parameters is stale: rebuild it
-    if A is not None and (A.ctx.p, A.ctx.n, A.ctx.N, A.ctx.D,
-                          max(A.caps)) != (p, n, N, D, M):
-        A = None
+            A = golden_load(fh.read())
+    except (OSError, IndexError, KeyError, ValueError):
+        return None
+    if (A.ctx.p, A.ctx.n, A.ctx.N, A.ctx.D, max(A.caps)) != key:
+        return None
+    return A
+
+
+def _raises_head(key):
+    return "PrecisionError p=%d n=%d N=%d D=%d M=%d" % key
+
+
+def _load_raises(path, key):
+    """The PrecisionError recorded at path, or None when the file is
+    missing, cannot be parsed or names other parameters.  The file holds
+    a header naming the key, needed_extra, and the message."""
+    try:
+        with open(path) as fh:
+            head, extra, message = fh.read().split("\n", 2)
+        if head != _raises_head(key) or not message.endswith("\n"):
+            return None
+        return PrecisionError(message[:-1], needed_extra=int(extra))
+    except (OSError, ValueError):
+        return None
+
+
+def build_fgl_cached(p, n, cache_dir, N=16, D=8, M=33):
+    """build_fgl through the cache directory.
+
+    A law file at this key seeds the fully-capped two-variable law, and
+    only the logarithm is built: the file shows that the build succeeded
+    at this N, so the exponential is left to its first read.  A .raises
+    file at this key raises its PrecisionError again without building.
+    Otherwise the law is built and its law file written; when the build or
+    the forced two-variable law raises PrecisionError, the .raises file is
+    written instead.  A file that cannot be parsed is a miss."""
+    key = (p, n, N, D, M)
+    stem = _cache_stem(cache_dir, key)
+    A = _load_law(stem + ".txt", key)
     if A is not None:
+        fgl = _build_log(*key)
         A.ctx = fgl.ctx
         A.tcap = M
         fgl._f_cache[(M, M, M)] = A
-    else:
+        return fgl
+    err = _load_raises(stem + ".raises", key)
+    if err is not None:
+        raise err
+    try:
+        fgl = build_fgl(p, n, N=N, D=D, M=M)
         fgl_cache_save(fgl, cache_dir)
+    except PrecisionError as e:
+        _write_atomic(stem + ".raises", "%s\n%d\n%s\n" % (
+            _raises_head(key), e.needed_extra, e))
+        raise
     return fgl

@@ -207,7 +207,7 @@ class CohRing:
         return RingElem(self, {}, False)
 
     def const(self, e):
-        if not (e.t or e.trunc):
+        if not e.t:
             return RingElem(self, {}, False)
         return RingElem(self, {(0,) * len(self.wdegs): e}, False)
 
@@ -232,7 +232,7 @@ class CohRing:
                         cur = new.get(b)
                         if cur is None:
                             prod = ctx.mul(c, rc)
-                            if prod.t or prod.trunc:
+                            if prod.t:
                                 new[b] = prod
                             continue
                         # cur is a coefficient of prev, shifted up: the sum
@@ -240,14 +240,14 @@ class CohRing:
                         t = dict(cur.t)
                         s = CoeffElem(ctx, t, ctx.addmul_into(t, c, rc)
                                       or cur.trunc)
-                        if s.t or s.trunc:
+                        if s.t:
                             new[b] = s
                         else:
                             del new[b]
                 else:
                     cur = new.get(a + 1)
                     s = c if cur is None else ctx.add(cur, c)
-                    if s.t or s.trunc:
+                    if s.t:
                         new[a + 1] = s
                     elif cur is not None:
                         del new[a + 1]
@@ -267,7 +267,7 @@ def _reduction(g, d):
     red = {}
     for a in range(d):
         c = g.c[a]
-        if c.t or c.trunc:
+        if c.t:
             red[a] = ctx.neg(c)
     return red
 
@@ -373,7 +373,9 @@ def sound_depth(p, n, exps, D, caps):
 
 
 class RingElem:
-    """Normal-form element: coordinates over the monomial basis."""
+    """Normal-form element: coordinates over the monomial basis.  Only
+    nonempty coefficients are kept, so an empty one's trunc flag goes with
+    it; reports read the ring's flag, not those of coordinates."""
 
     __slots__ = ("ring", "coord", "trunc")
 
@@ -403,7 +405,7 @@ def elem_add(a, b):
     for k, c in b.coord.items():
         cur = coord.get(k)
         s = c if cur is None else ctx.add(cur, c)
-        if s.t or s.trunc:
+        if s.t:
             coord[k] = s
         elif cur is not None:
             del coord[k]
@@ -415,7 +417,7 @@ def elem_scale(e, a):
     coord = {}
     for k, c in a.coord.items():
         prod = ctx.mul(e, c)
-        if prod.t or prod.trunc:
+        if prod.t:
             coord[k] = prod
     return RingElem(a.ring, coord, a.trunc)
 
@@ -436,11 +438,11 @@ def _nf_accumulate(ring, out, exps, c):
         cur = out.get(exps)
         if cur is not None:
             s = ctx.add(cur, c)
-            if s.t or s.trunc:
+            if s.t:
                 out[exps] = s
             else:
                 del out[exps]
-        elif c.t or c.trunc:
+        elif c.t:
             # a copy: later sums are written into it in place
             out[exps] = CoeffElem(ctx, dict(c.t), c.trunc)
         return
@@ -455,7 +457,7 @@ def _nf_accumulate(ring, out, exps, c):
         for key, val in parts:
             for a, t in row:
                 prod = ctx.mul(val, t)
-                if prod.t or prod.trunc:
+                if prod.t:
                     nxt.append((key + (a,), prod))
         parts = nxt
     row = sorted(ring.table_row(last, exps[last]).items())
@@ -467,7 +469,7 @@ def _nf_accumulate(ring, out, exps, c):
         try:
             if cur is None:
                 prod = ctx.mul(val, t)
-                if prod.t or prod.trunc:
+                if prod.t:
                     out[key] = prod
                 continue
             if ctx.addmul_into(cur.t, val, t):
@@ -476,7 +478,7 @@ def _nf_accumulate(ring, out, exps, c):
             for _, val, t in pairs[i:]:
                 ctx.mul(val, t)
             raise
-        if not (cur.t or cur.trunc):
+        if not cur.t:
             del out[key]
 
 
@@ -517,12 +519,12 @@ def elem_mul(a, b):
             cur = raw.get(key)
             if cur is None:
                 c = ctx.mul(ca, cb)
-                if c.t or c.trunc:
+                if c.t:
                     raw[key] = c
                 continue
             if ctx.addmul_into(cur.t, ca, cb):
                 cur.trunc = True
-            if not (cur.t or cur.trunc):
+            if not cur.t:
                 del raw[key]
     out = {}
     for key in sorted(raw):
@@ -627,7 +629,7 @@ def series_in_elem(ring, s, x):
         raise ValueError("element of a different ring")
     k = math.isqrt(s.M + 1)
     xpow = elem_powers(x)
-    terms = {(d % k, d // k): c for d, c in enumerate(s.c) if c.t or c.trunc}
+    terms = {(d % k, d // k): c for d, c in enumerate(s.c) if c.t}
     return elem_poly(ring, terms, [xpow, elem_powers(xpow(k))], s.trunc)
 
 

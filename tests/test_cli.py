@@ -11,13 +11,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from morava import cli, euler, groupcoh
+from morava import cli, euler, fgl, groupcoh
 from morava.euler import total_euler
-from morava.fgl import FormalGroupLaw, build_fgl
+from morava.fgl import FormalGroupLaw, build_fgl, build_fgl_cached
 from morava.groupcoh import AbelianPGroup, build_cohring
 from morava.padic import PrecisionError
 from morava.report import make_check
-from morava.series import golden_load
+from morava.series import golden_dump, golden_load
 
 
 @pytest.fixture(autouse=True)
@@ -762,3 +762,126 @@ def test_damaged_cache_file_is_rebuilt(tmp_path, edit):
     path.write_text("\n".join(lines))
     assert _lemma_2_4_checks(cache, tmp_path / "again.json") == fresh
     assert path.read_text() == good
+
+
+# A key whose law build raised PrecisionError gets a .raises file, which
+# the next attempt at that key replays without building; a law file lets
+# the exponential wait for its first read.
+
+P33 = ["verify", "prop-3.3", "--p", "2", "--n", "1"]
+
+
+def _count_law_work(monkeypatch):
+    """Wrap the law builders: counts of build_fgl and fgl_cache_save
+    calls, the PrecisionErrors that _build_log raises, and those that
+    build_fgl_cached raises."""
+    seen = {"build_fgl": 0, "fgl_cache_save": 0, "_build_log raised": 0,
+            "cached raised": 0}
+
+    def wrap(name, count, raised):
+        orig = getattr(fgl, name)
+
+        def wrapper(*args, **kwargs):
+            if count:
+                seen[count] += 1
+            try:
+                return orig(*args, **kwargs)
+            except PrecisionError:
+                if raised:
+                    seen[raised] += 1
+                raise
+        monkeypatch.setattr(fgl, name, wrapper)
+        return wrapper
+
+    wrap("build_fgl", "build_fgl", None)
+    wrap("fgl_cache_save", "fgl_cache_save", None)
+    wrap("_build_log", None, "_build_log raised")
+    monkeypatch.setattr(cli, "build_fgl_cached",
+                        wrap("build_fgl_cached", None, "cached raised"))
+    return seen
+
+
+def test_warm_rerun_builds_no_law(tmp_path, monkeypatch):
+    # the warm pass replays each recorded PrecisionError and reads each
+    # law file: no law is built, no law build raises, nothing is written
+    cache = tmp_path / "cache"
+    args = P33 + ["--cache", str(cache)]
+    assert run_cli(args + ["--report", str(tmp_path / "cold.json")]) == 0
+    raises = sorted(cache.glob("*.raises"))
+    assert len(raises) == 2 and len(list(cache.glob("*.txt"))) == 2
+    seen = _count_law_work(monkeypatch)
+    assert run_cli(args + ["--report", str(tmp_path / "warm.json")]) == 0
+    assert seen == {"build_fgl": 0, "fgl_cache_save": 0,
+                    "_build_log raised": 0, "cached raised": len(raises)}
+    assert (tmp_path / "warm.json").read_bytes() == \
+        (tmp_path / "cold.json").read_bytes()
+
+
+def test_warm_rerun_rewrites_no_cache_file(tmp_path):
+    cache = tmp_path / "cache"
+    args = P33 + ["--cache", str(cache)]
+    assert run_cli(args) == 0
+    files = sorted(cache.iterdir())
+    assert any(f.suffix == ".raises" for f in files)
+    # each write lands a new inode, and mtimes can be too coarse to move
+    stamps = [(f.stat().st_ino, f.stat().st_mtime_ns) for f in files]
+    assert run_cli(args) == 0
+    assert sorted(cache.iterdir()) == files
+    assert [(f.stat().st_ino, f.stat().st_mtime_ns) for f in files] == stamps
+
+
+@pytest.mark.parametrize("edit", ["garbage", "header", "empty"])
+def test_damaged_raises_file_is_rebuilt(tmp_path, monkeypatch, edit):
+    # a .raises file that cannot be parsed, or names another key, is a
+    # miss: the law is built again, raises again, and the file is
+    # rewritten; the report is that of a fresh cache
+    cache = tmp_path / "cache"
+    fresh = _lemma_2_4_checks(cache, tmp_path / "fresh.json")
+    path = cache / "fgl-p3-n1-N16-D1-M15.raises"
+    good = path.read_text()
+    head, extra, message = good.split("\n", 2)
+    assert head == "PrecisionError p=3 n=1 N=16 D=1 M=15"
+    assert int(extra) > 0 and message.count("\n") == 1
+    path.write_text({"garbage": "not\nan\nerror",
+                     "header": good.replace("N=16", "N=17"),
+                     "empty": ""}[edit])
+    seen = _count_law_work(monkeypatch)
+    assert _lemma_2_4_checks(cache, tmp_path / "again.json") == fresh
+    assert path.read_text() == good
+    assert seen["build_fgl"] == 1
+
+
+@pytest.mark.parametrize("N", [3, 16])
+def test_recorded_precision_error_is_replayed(tmp_path, monkeypatch, N):
+    # at N=3 the build refuses the logarithm, at N=16 the forced
+    # two-variable law falls short of the floor; either error comes back
+    # from the file with its message and needed_extra
+    with pytest.raises(PrecisionError) as built:
+        build_fgl(2, 1, N=N, D=1, M=8).F
+    seen = None
+    for _ in range(2):
+        with pytest.raises(PrecisionError) as got:
+            build_fgl_cached(2, 1, str(tmp_path), N=N, D=1, M=8)
+        assert str(got.value) == str(built.value)
+        assert got.value.needed_extra == built.value.needed_extra > 0
+        seen = seen or _count_law_work(monkeypatch)
+    assert seen["build_fgl"] == seen["fgl_cache_save"] == 0
+    assert seen["_build_log raised"] == 0
+    assert [f.name for f in tmp_path.iterdir()] == [
+        "fgl-p2-n1-N%d-D1-M8.raises" % N]
+
+
+def test_cache_hit_solves_exp_on_demand(tmp_path):
+    # a hit builds only the logarithm; the exponential and the
+    # two-variable laws at other caps, solved from it later, are those of
+    # a fresh build
+    fresh = build_fgl(2, 2, N=24, D=4, M=9)
+    build_fgl_cached(2, 2, str(tmp_path), N=24, D=4, M=9)
+    hit = build_fgl_cached(2, 2, str(tmp_path), N=24, D=4, M=9)
+    assert hit._exp is None
+    assert golden_dump(hit.F) == golden_dump(fresh.F)
+    assert hit._exp is None
+    for caps in [(5, 4, None), (2, 7, None), (9, 9, 6), (3, 3, 5)]:
+        assert golden_dump(hit.two_var(*caps)) == \
+            golden_dump(fresh.two_var(*caps)), caps
+    assert golden_dump(hit.exp) == golden_dump(fresh.exp)
