@@ -148,8 +148,8 @@ class RunConfig:
         self.T = getattr(args, "t", None)
         self.r = getattr(args, "r", None)
         self.large = getattr(args, "large", False)
-        self.cache_dir = args.cache or os.environ.get("MORAVA_CACHE_DIR",
-                                                      ".cache")
+        self.cache_dir = (args.cache if args.cache is not None else
+                          os.environ.get("MORAVA_CACHE_DIR", ".cache"))
         if self.p is not None and (self.p < 2
                                    or infer_p((self.p,)) != self.p):
             raise ConfigError("p must be prime, got %r" % (self.p,))
@@ -256,7 +256,7 @@ def coeff_text(ctx, e, digits, weight, depth=None):
     each scalar is read modulo p^depth instead of to ``digits`` digits.
     Terms that read 0 are left out."""
     parts = []
-    for vc, c in ctx.iter_terms_sorted(e):
+    for vc, c in sorted(e.t.items()):
         s = scalar_text(ctx, c, digits if depth is None else depth - c[0])
         if s == "0":
             continue
@@ -532,7 +532,7 @@ def congruence_check(k, f):
     verdict = "PASS" if ok and intact else "FAIL"
     return make_check("pk-series-congruence", "sec-2.1",
                       {"p": f.p, "n": f.n, "k": k}, verdict, wit,
-                      precision_note(f.ctx, caps=[f.M], truncated=True))
+                      precision_note(f.ctx, caps=[f.M]))
 
 
 def integrity_check(acap, f):
@@ -548,7 +548,7 @@ def integrity_check(acap, f):
         wit["first_failure"] = uw if not u_ok else (cw if not c_ok else aw)
     return make_check("fgl-integrity", "sec-2.1", {"p": f.p, "n": f.n},
                       verdict, wit,
-                      precision_note(f.ctx, caps=[f.M], truncated=True))
+                      precision_note(f.ctx, caps=[f.M]))
 
 
 # (k, large) of the [p^k]-series congruence checks per (p, n), k = 1 alone

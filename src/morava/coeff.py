@@ -20,13 +20,6 @@ a fixed pad) are dropped: nothing representable at working precision can see
 them.  Approximate-zero markers shallower than the horizon are kept, since
 their absence would silently upgrade a bounded-depth zero to an exact one.
 
-The ``trunc`` flag records that some product formed on the way to a value
-fell off the v-degree cap, and it is sticky under arithmetic.  A product
-left unformed sets no flag, even where its terms would have fallen off the
-cap: Weierstrass preparation lifts along the v-degree and never forms the
-products past it (``series._prepare``), so a prepared relation carries only
-the flags of the series it was prepared from.
-
 Stored scalars keep the invariant of ``padic.py`` (0 <= prec <= N, a
 nonzero unit prime to p and below p**prec, a zero with unit 0 and prec 0).
 ``mul``, ``addmul_into``, ``_merge_into`` (behind ``add``, ``add_raw``,
@@ -48,9 +41,8 @@ give.
 Sums of products go through ``addmul_into(t, A, B)``, which leaves a dict
 ``t`` that the caller owns exactly as ``t = add(CoeffElem(t), mul(A, B)).t``
 would: the same stored scalars, the same key insertion order, the same
-PrecisionError text and ``needed_extra``.  It returns the product's
-``trunc``, which the caller ors into its own flag.  An empty operand
-returns at once.  When the shorter operand has one term, the product's keys
+PrecisionError text and ``needed_extra``.  An empty operand returns at
+once.  When the shorter operand has one term, the product's keys
 are distinct, so each product term goes straight into ``t`` in ``mul``'s
 order, and a term past the prune horizon is skipped as ``mul`` skips it.
 Otherwise two pairs can land on one key of the product, and their sum must
@@ -74,12 +66,11 @@ def _floor_error(prec, floor):
 
 
 class CoeffElem:
-    __slots__ = ("ctx", "t", "trunc")
+    __slots__ = ("ctx", "t")
 
-    def __init__(self, ctx, t, trunc=False):
+    def __init__(self, ctx, t):
         self.ctx = ctx
         self.t = t
-        self.trunc = trunc
 
     def is_zero(self):
         return not self.t
@@ -87,10 +78,7 @@ class CoeffElem:
     def __eq__(self, other):
         if not isinstance(other, CoeffElem):
             return NotImplemented
-        return self.t == other.t and self.trunc == other.trunc
-
-    def __hash__(self):
-        return hash((frozenset(self.t.items()), self.trunc))
+        return self.t == other.t
 
     def __repr__(self):
         if not self.t:
@@ -98,8 +86,7 @@ class CoeffElem:
         bits = []
         for vc, c in sorted(self.t.items()):
             bits.append("v~%d: %s" % (vc, scalar_repr(c)))
-        tag = " trunc" if self.trunc else ""
-        return "CoeffElem{%s%s}" % ("; ".join(bits), tag)
+        return "CoeffElem{%s}" % "; ".join(bits)
 
 
 class CoeffContext:
@@ -176,7 +163,7 @@ class CoeffContext:
         if not 1 <= i <= self.n - 1:
             raise ValueError("v_%d does not exist at height %d" % (i, self.n))
         if self.D < 1:
-            return CoeffElem(self, {}, trunc=True)
+            return self.zero()
         return CoeffElem(self, {(self.D + 1) ** (i - 1): self.padic.one()})
 
     # helpers
@@ -187,9 +174,6 @@ class CoeffContext:
         for k in drop:
             del t[k]
         return t
-
-    def iter_terms_sorted(self, A):
-        return sorted(A.t.items())
 
     # ring operations
 
@@ -271,7 +255,7 @@ class CoeffContext:
     def _merge(self, A, B, raw):
         t = dict(A.t)
         self._merge_into(t, B.t, raw)
-        return CoeffElem(self, t, A.trunc or B.trunc)
+        return CoeffElem(self, t)
 
     def add(self, A, B):
         return self._merge(A, B, False)
@@ -281,7 +265,7 @@ class CoeffContext:
 
     def neg(self, A):
         pneg = self.padic.neg
-        return CoeffElem(self, {k: pneg(c) for k, c in A.t.items()}, A.trunc)
+        return CoeffElem(self, {k: pneg(c) for k, c in A.t.items()})
 
     def sub(self, A, B):
         return self._merge(A, self.neg(B), False)
@@ -292,10 +276,9 @@ class CoeffContext:
     def mul(self, A, B):
         ta, tb = A.t, B.t
         if not ta or not tb:
-            return CoeffElem(self, {}, A.trunc or B.trunc)
+            return CoeffElem(self, {})
         if len(ta) > len(tb):
             ta, tb = tb, ta
-        trunc = A.trunc or B.trunc
         acc = {}
         get = acc.get
         vtot = self.vtotal
@@ -309,7 +292,6 @@ class CoeffContext:
                 padic.ppow(ap)
             for vb, cb in tb.items():
                 if vtot[vb] > room:
-                    trunc = True
                     continue
                 k = va + vb
                 # PadicContext.mul, with the power table read directly
@@ -333,22 +315,20 @@ class CoeffContext:
                     del acc[k]
                 else:
                     acc[k] = s
-        return CoeffElem(self, acc, trunc)
+        return CoeffElem(self, acc)
 
     def addmul_into(self, t, A, B):
         """Add A*B into t, a dict the caller owns, leaving it as
-        ``add(CoeffElem(t), mul(A, B)).t`` would; returns the product's
-        trunc flag.  The module docstring states the contract."""
+        ``add(CoeffElem(t), mul(A, B)).t`` would.  The module docstring
+        states the contract."""
         ta, tb = A.t, B.t
-        trunc = A.trunc or B.trunc
         if not ta or not tb:
-            return trunc
+            return
         if len(ta) > len(tb):
             ta, tb = tb, ta
         if len(ta) > 1:
-            P = self.mul(A, B)
-            self._merge_into(t, P.t, False)
-            return P.trunc
+            self._merge_into(t, self.mul(A, B).t, False)
+            return
         (va, ca), = ta.items()
         get = t.get
         vtot = self.vtotal
@@ -361,7 +341,6 @@ class CoeffContext:
             padic.ppow(ap)
         for vb, cb in tb.items():
             if vtot[vb] > room:
-                trunc = True
                 continue
             # mul's product term, which mul keeps exactly when it lies
             # inside the prune horizon: one term on the short side makes
@@ -386,12 +365,11 @@ class CoeffContext:
                 del t[k]
             else:
                 t[k] = s
-        return trunc
 
     def scalar_mul(self, c, A):
         cv, cu, cp = c
         if cu == 0 and cv >= EXACT:
-            return CoeffElem(self, {}, A.trunc)
+            return CoeffElem(self, {})
         padic = self.padic
         pows = padic._pows
         if cp >= len(pows):
@@ -408,7 +386,7 @@ class CoeffContext:
                 t[k] = (v, cu * au % pows[kk], kk)
             else:
                 t[k] = (v, 0, 0)
-        return CoeffElem(self, t, A.trunc)
+        return CoeffElem(self, t)
 
     def int_mul(self, m, A):
         return self.scalar_mul(self.padic.from_int(m), A)

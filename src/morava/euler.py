@@ -183,7 +183,6 @@ def verify_restriction_vanishing(ring, ring_factory=None, probe_depth=4):
 
     subgroups = []
     failed = None
-    trunc = ring.trunc
     control_applies = fgl.n >= ring.group.rank
     total = total_euler(ring)
     control_nonzero = (not elem_is_zero_to(total, probe_depth)
@@ -191,7 +190,6 @@ def verify_restriction_vanishing(ring, ring_factory=None, probe_depth=4):
     for rep in orbit_representatives(ring.group):
         sub, inc = subgroup_of_character(rep)
         sub_ring = ring_factory(sub)
-        trunc = trunc or sub_ring.trunc
         rtotal, rred = restricted_euler_products(ring, sub_ring, inc)
         entry = {
             "kernel_of": list(rep.values),
@@ -213,7 +211,7 @@ def verify_restriction_vanishing(ring, ring_factory=None, probe_depth=4):
     verdict = "PASS" if failed is None and control_ok else "FAIL"
     return make_check(
         "restriction-vanishing", "lemma-2.6", params, verdict, witness,
-        precision_note(fgl.ctx, caps=ring.caps, truncated=trunc,
+        precision_note(fgl.ctx, caps=ring.caps,
                        extra={"probe_depth": probe_depth}))
 
 
@@ -252,5 +250,5 @@ def verify_unit_divisibility(ring, m, depth=4):
     verdict = "PASS" if series_ok and undo_ok and divide_ok else "FAIL"
     return make_check(
         "unit-divisibility", "lemma-2.6", params, verdict, witness,
-        precision_note(fgl.ctx, caps=ring.caps, truncated=ring.trunc,
+        precision_note(fgl.ctx, caps=ring.caps,
                        extra={"depth": depth}))

@@ -24,10 +24,7 @@ character classes of groupcoh.point_class (through groupcoh.elem_poly, on
 ring elements: one ring product per power of the first argument).  It is
 formed only under its caps: row j of the expansion to x-degree
 min(Mx, teff - j) and each of its coefficients of x^dx against y-degrees
-j..min(My, teff - dx), teff the effective total cap.  Its trunc flag is
-set when the logarithm's or exponential's is, or when some term past the
-caps would be nonzero, which a few products past the total cap usually
-settle (_build_two_var).
+j..min(My, teff - dx), teff the effective total cap (_build_two_var).
 
 Scalars of valuation -k appear in the l_k; the builder refuses to run when
 the working precision cannot absorb the worst of them.
@@ -147,7 +144,7 @@ def _build_log(p, n, N, D, M):
     ctx = CoeffContext(p, n, N=N, D=D)
     ls = _log_elems(ctx, K)
     _check_log_recursion(ctx, ls)
-    log = ser_new(ctx, M, any(l.trunc for l in ls))
+    log = ser_new(ctx, M)
     for k, l in enumerate(ls):
         if p ** k <= M:
             log.c[p ** k] = l
@@ -184,7 +181,7 @@ def _log_elems(ctx, K):
         acc = ctx.zero()
         for i in range(k):
             v = _v_elem(ctx, k - i)
-            if v.is_zero() and not v.trunc:
+            if v.is_zero():
                 continue
             acc = ctx.add(acc, ctx.mul(ls[i], _iterated_p_power(ctx, v, i)))
         scale = ctx.padic.from_fraction(1, p - p ** (p ** k))
@@ -201,7 +198,7 @@ def _check_log_recursion(ctx, ls):
         rhs = ctx.zero()
         for i in range(k + 1):
             v = _v_elem(ctx, k - i)
-            if v.is_zero() and not v.trunc:
+            if v.is_zero():
                 continue
             rhs = ctx.add(rhs, ctx.mul(ls[i], _iterated_p_power(ctx, v, i)))
         diff = ctx.sub_raw(lhs, rhs)
@@ -233,7 +230,6 @@ def solve_log(ctx, log_elems, S):
     for q in needed:
         _chain_power(ctx, M, by_power, chains, q)
     emul, addmul = ctx.mul, ctx.addmul_into
-    trunc = S.trunc or any(l.trunc for l in log_elems)
     for m in range(1, M + 1):
         for A, nzA, B, minB, out, nz in chains:
             hi = m - minB
@@ -246,8 +242,8 @@ def solve_log(ctx, log_elems, S):
                     continue
                 if acc is None:
                     acc = emul(A[a], eb)
-                elif addmul(acc.t, A[a], eb):
-                    acc.trunc = True
+                else:
+                    addmul(acc.t, A[a], eb)
             if acc is not None:
                 out[m] = acc
                 if not acc.is_zero():
@@ -266,7 +262,7 @@ def solve_log(ctx, log_elems, S):
         T[m] = acc
         if not acc.is_zero():
             T_nz.append(m)
-    return YSeries(ctx, T, trunc)
+    return YSeries(ctx, T)
 
 
 def _chain_power(ctx, M, by_power, chains, e):
@@ -322,17 +318,9 @@ def _build_two_var(fgl, Mx, My, tcap=None):
     ms_mul.  Terms and degrees come in ascending order, so every
     coefficient is the sum, in the same order, that forming every term and
     dropping those past the caps gives, and F's keys come in that order.
-
-    Trunc rule: F.trunc is set when the logarithm or the exponential is,
-    or when some term past the caps would be nonzero.  While it is unset,
-    each row's formed coefficients are multiplied by the (log y)^j
-    coefficients they meet past the total cap; after the last row, if no
-    such product had a term, the rows' coefficients past teff - j are
-    formed and tested the same way (_meets_past_cap).  So a product or
-    coefficient past the caps is formed, and can raise PrecisionError,
-    only while no dropped term has set the flag.  A row forms its products
-    and sums degree by degree, so when two of them fall short of the
-    floor, the one raised can differ from forming each term's products
+    No product or coefficient past the caps is formed.  A row forms its
+    products and sums degree by degree, so when two of them fall short of
+    the floor, the one raised can differ from forming each term's products
     before its sums.
 
     The exponential only enters through degrees up to the effective total
@@ -344,20 +332,18 @@ def _build_two_var(fgl, Mx, My, tcap=None):
             "two-variable caps reach total degree %d; the law was built to "
             "degree %d" % (teff, fgl.M))
     e = fgl.exp.c
-    logx = YSeries(ctx, list(fgl.log.c[: Mx + 1]), fgl.log.trunc)
+    logx = YSeries(ctx, list(fgl.log.c[: Mx + 1]))
     xpow = {0: ser_from_terms(ctx, Mx, {0: ctx.one()})}
     if My == Mx:
         # log y is log x: one cache forms each power once
         logy, ypow = logx, xpow
     else:
-        logy = YSeries(ctx, list(fgl.log.c[: My + 1]), fgl.log.trunc)
+        logy = YSeries(ctx, list(fgl.log.c[: My + 1]))
         ypow = {0: ser_from_terms(ctx, My, {0: ctx.one()})}
     F = ms_new(ctx, 2, (Mx, My), tcap=tcap)
-    F.trunc = fgl.log.trunc or fgl.exp.trunc
     t = F.t
     emul, addmul = ctx.mul, ctx.addmul_into
     xpower = functools.partial(_series_power, xpow, logx)
-    pending = []
     for j in range(min(My, teff) + 1):
         terms = []
         for i in range(j, min(teff, Mx + j) + 1):
@@ -367,8 +353,7 @@ def _build_two_var(fgl, Mx, My, tcap=None):
                     terms.append((c, i - j))
         if not terms:
             continue
-        hx = min(Mx, teff - j)
-        G = _row(ctx, terms, xpower, 0, hx)
+        G = _row(ctx, terms, xpower, min(Mx, teff - j))
         P = _series_power(ypow, logy, j).c if j else None
         for dx, cx in enumerate(G):
             if cx is None or not cx.t:
@@ -387,67 +372,33 @@ def _build_two_var(fgl, Mx, My, tcap=None):
                     if cur.t:
                         t[k] = cur
                     continue
-                if addmul(cur.t, cx, cy):
-                    cur.trunc = True
+                addmul(cur.t, cx, cy)
                 if not cur.t:
                     del t[k]
-        if not F.trunc:
-            if j:
-                F.trunc = _meets_past_cap(ctx, enumerate(G), P, j, teff, My)
-            if hx < Mx:
-                pending.append((j, terms, hx, P))
-    for j, terms, hx, P in pending:
-        if F.trunc:
-            break
-        G = _row(ctx, terms, xpower, hx + 1, Mx)
-        F.trunc = _meets_past_cap(ctx, enumerate(G, hx + 1), P, j, teff, My)
     return F
 
 
-def _row(ctx, terms, power, lo, hi):
-    """Entries lo..hi of the row sum of c * power(k) over terms (c, k),
+def _row(ctx, terms, power, hi):
+    """Entries 0..hi of the row sum of c * power(k) over terms (c, k),
     None where no term lands.  An entry is formed by ctx.mul and kept even
-    when it empties, each later product going in by ctx.addmul_into, so its
-    trunc flag gathers every term's, as a sum of dense series does.  A
-    coefficient of power(k) with no terms and no flag is skipped; a flagged
-    c still flags every formed entry, as its product with such a
-    coefficient would.  Each power is formed when its term comes up, as
-    the sum of dense series forms it."""
+    when it empties, each later product going in by ctx.addmul_into, as a
+    sum of dense series keeps it.  A coefficient of power(k) with no terms
+    is skipped.  Each power is formed when its term comes up, as the sum
+    of dense series forms it."""
     emul, addmul = ctx.mul, ctx.addmul_into
-    row = [None] * (hi - lo + 1)
-    flagged = False
+    row = [None] * (hi + 1)
     for c, k in terms:
-        flagged = flagged or c.trunc
         pw = power(k).c
-        for dx in range(lo, hi + 1):
+        for dx in range(hi + 1):
             a = pw[dx]
-            if not (a.t or a.trunc):
+            if not a.t:
                 continue
-            g = row[dx - lo]
+            g = row[dx]
             if g is None:
-                row[dx - lo] = emul(c, a)
-            elif addmul(g.t, c, a):
-                g.trunc = True
-    if flagged:
-        for g in row:
-            if g is not None:
-                g.trunc = True
+                row[dx] = emul(c, a)
+            else:
+                addmul(g.t, c, a)
     return row
-
-
-def _meets_past_cap(ctx, entries, P, j, teff, My):
-    """Whether a row coefficient (dx, cx) in entries has a term past the
-    total cap: itself when j = 0, else a product with a (log y)^j
-    coefficient P[dy], dy > teff - dx, that has a term."""
-    for dx, cx in entries:
-        if cx is None or not cx.t:
-            continue
-        if not j:
-            return True
-        for dy in range(max(j, teff - dx + 1), My + 1):
-            if P[dy].t and ctx.mul(cx, P[dy]).t:
-                return True
-    return False
 
 
 def formal_sum(fgl, terms):

@@ -179,9 +179,9 @@ class CohRing:
     """
 
     __slots__ = ("group", "fgl", "ctx", "caps", "wdegs", "relred", "tables",
-                 "trunc", "_classes")
+                 "_classes")
 
-    def __init__(self, group, fgl, caps, wdegs, relred, trunc):
+    def __init__(self, group, fgl, caps, wdegs, relred):
         ctx = fgl.ctx
         self.group = group
         self.fgl = fgl
@@ -190,7 +190,6 @@ class CohRing:
         self.wdegs = wdegs
         self.relred = relred
         self.tables = [[{a: ctx.one()} for a in range(d)] for d in wdegs]
-        self.trunc = trunc
         self._classes = {}
 
     @property
@@ -204,12 +203,12 @@ class CohRing:
         return itertools.product(*[range(d) for d in self.wdegs])
 
     def zero(self):
-        return RingElem(self, {}, False)
+        return RingElem(self, {})
 
     def const(self, e):
         if not e.t:
-            return RingElem(self, {}, False)
-        return RingElem(self, {(0,) * len(self.wdegs): e}, False)
+            return RingElem(self, {})
+        return RingElem(self, {(0,) * len(self.wdegs): e})
 
     def one(self):
         return self.const(self.ctx.one())
@@ -238,10 +237,9 @@ class CohRing:
                         # cur is a coefficient of prev, shifted up: the sum
                         # goes into a copy
                         t = dict(cur.t)
-                        s = CoeffElem(ctx, t, ctx.addmul_into(t, c, rc)
-                                      or cur.trunc)
-                        if s.t:
-                            new[b] = s
+                        ctx.addmul_into(t, c, rc)
+                        if t:
+                            new[b] = CoeffElem(ctx, t)
                         else:
                             del new[b]
                 else:
@@ -274,9 +272,8 @@ def _reduction(g, d):
 
 def _relation(fgl, k, cap):
     """Prepared relation of a C_{p^k} factor at y-degree cap, memoized on
-    the law: (red, trunc), where red maps a < p^{nk} to the coefficient of
-    y^a in the reduction of y^{p^{nk}}.  Nothing is stored when the build
-    raises."""
+    the law: a map from a < p^{nk} to the coefficient of y^a in the
+    reduction of y^{p^{nk}}.  Nothing is stored when the build raises."""
     key = (k, cap)
     got = fgl._r_cache.get(key)
     if got is not None:
@@ -290,8 +287,7 @@ def _relation(fgl, k, cap):
         raise ArithmeticError(
             "relation of the order-%d factor has degree %d, expected %d"
             % (fgl.p ** k, wd, d))
-    g = weierstrass_prepare(s, d)
-    got = (_reduction(g, d), s.trunc or g.trunc)
+    got = _reduction(weierstrass_prepare(s, d), d)
     fgl._r_cache[key] = got
     return got
 
@@ -316,7 +312,6 @@ def build_cohring(group, fgl, caps=None):
         if len(caps) != group.rank:
             raise ValueError("need one cap per factor")
     relred = []
-    trunc = False
     for i, k in enumerate(group.exps):
         d = wdegs[i]
         if caps[i] < d:
@@ -326,10 +321,8 @@ def build_cohring(group, fgl, caps=None):
             raise ValueError(
                 "cap %d exceeds the law's truncation order %d"
                 % (caps[i], fgl.M))
-        red, rtrunc = _relation(fgl, k, caps[i])
-        relred.append(red)
-        trunc = trunc or rtrunc
-    return CohRing(group, fgl, caps, wdegs, relred, trunc)
+        relred.append(_relation(fgl, k, caps[i]))
+    return CohRing(group, fgl, caps, wdegs, relred)
 
 
 def cohring_from_relation(fgl, g, d):
@@ -345,7 +338,7 @@ def cohring_from_relation(fgl, g, d):
     for i in range(d + 1, g.M + 1):
         if g.c[i].t and not ctx.is_zero_to(g.c[i], 1):
             raise ValueError("nonzero coefficient above the degree")
-    return CohRing(None, fgl, (g.M,), (d,), [_reduction(g, d)], g.trunc)
+    return CohRing(None, fgl, (g.M,), (d,), [_reduction(g, d)])
 
 
 def sound_basis_cap(p, n, k, D, depth):
@@ -374,23 +367,20 @@ def sound_depth(p, n, exps, D, caps):
 
 class RingElem:
     """Normal-form element: coordinates over the monomial basis.  Only
-    nonempty coefficients are kept, so an empty one's trunc flag goes with
-    it; reports read the ring's flag, not those of coordinates."""
+    nonempty coefficients are kept."""
 
-    __slots__ = ("ring", "coord", "trunc")
+    __slots__ = ("ring", "coord")
 
-    def __init__(self, ring, coord, trunc=False):
+    def __init__(self, ring, coord):
         self.ring = ring
         self.coord = coord
-        self.trunc = trunc
 
     def __eq__(self, other):
         return (isinstance(other, RingElem) and self.ring is other.ring
-                and self.coord == other.coord and self.trunc == other.trunc)
+                and self.coord == other.coord)
 
     def __repr__(self):
-        return "RingElem(%d terms%s)" % (
-            len(self.coord), ", trunc" if self.trunc else "")
+        return "RingElem(%d terms)" % len(self.coord)
 
 
 def _check_ring(a, b):
@@ -409,7 +399,7 @@ def elem_add(a, b):
             coord[k] = s
         elif cur is not None:
             del coord[k]
-    return RingElem(a.ring, coord, a.trunc or b.trunc)
+    return RingElem(a.ring, coord)
 
 
 def elem_scale(e, a):
@@ -419,7 +409,7 @@ def elem_scale(e, a):
         prod = ctx.mul(e, c)
         if prod.t:
             coord[k] = prod
-    return RingElem(a.ring, coord, a.trunc)
+    return RingElem(a.ring, coord)
 
 
 def _nf_accumulate(ring, out, exps, c):
@@ -444,7 +434,7 @@ def _nf_accumulate(ring, out, exps, c):
                 del out[exps]
         elif c.t:
             # a copy: later sums are written into it in place
-            out[exps] = CoeffElem(ctx, dict(c.t), c.trunc)
+            out[exps] = CoeffElem(ctx, dict(c.t))
         return
     parts = [((), c)]
     for i in range(last):
@@ -472,8 +462,7 @@ def _nf_accumulate(ring, out, exps, c):
                 if prod.t:
                     out[key] = prod
                 continue
-            if ctx.addmul_into(cur.t, val, t):
-                cur.trunc = True
+            ctx.addmul_into(cur.t, val, t)
         except PrecisionError:
             for _, val, t in pairs[i:]:
                 ctx.mul(val, t)
@@ -494,8 +483,7 @@ def normal_form(ring, s, var):
         if not c.is_zero():
             exps[var] = d
             _nf_accumulate(ring, out, tuple(exps), c)
-    trunc = s.trunc or any(not c.is_zero() for c in s.c[cap + 1:])
-    return RingElem(ring, out, trunc)
+    return RingElem(ring, out)
 
 
 def elem_mul(a, b):
@@ -522,14 +510,13 @@ def elem_mul(a, b):
                 if c.t:
                     raw[key] = c
                 continue
-            if ctx.addmul_into(cur.t, ca, cb):
-                cur.trunc = True
+            ctx.addmul_into(cur.t, ca, cb)
             if not cur.t:
                 del raw[key]
     out = {}
     for key in sorted(raw):
         _nf_accumulate(ring, out, key, raw[key])
-    return RingElem(ring, out, a.trunc or b.trunc)
+    return RingElem(ring, out)
 
 
 def elem_is_zero_to(a, depth):
@@ -581,9 +568,9 @@ def elem_powers(x):
     return power
 
 
-def elem_poly(ring, terms, pows, trunc):
+def elem_poly(ring, terms, pows):
     """The sum of c * prod_i pows[i](e_i) over a map terms: exps -> c, each
-    pows[i] an elem_powers ladder; trunc marks the result truncated.
+    pows[i] an elem_powers ladder.
 
     Terms are grouped by their last exponent e.  Each term is c times the
     power of its first nonzero exponent (elem_scale), or the constant c,
@@ -613,8 +600,6 @@ def elem_poly(ring, terms, pows, trunc):
         if e:
             part = elem_mul(part, pows[last](e))
         out = elem_add(out, part)
-    if trunc and not out.trunc:
-        out = RingElem(ring, out.coord, True)
     return out
 
 
@@ -630,7 +615,7 @@ def series_in_elem(ring, s, x):
     k = math.isqrt(s.M + 1)
     xpow = elem_powers(x)
     terms = {(d % k, d // k): c for d, c in enumerate(s.c) if c.t}
-    return elem_poly(ring, terms, [xpow, elem_powers(xpow(k))], s.trunc)
+    return elem_poly(ring, terms, [xpow, elem_powers(xpow(k))])
 
 
 def point_class(ring, tvals):
@@ -664,7 +649,7 @@ def point_class(ring, tvals):
         F = fgl.F
         terms = {(j, i): c for (i, j), c in F.t.items()
                  if i <= acap and j <= xcap}
-        acc = elem_poly(ring, terms, [xpow, apow], F.trunc)
+        acc = elem_poly(ring, terms, [xpow, apow])
         apow = elem_powers(acc)
         acap += xcap
     return acc
@@ -702,7 +687,7 @@ class RingMap:
         the ladders of the generator images."""
         if x.ring is not self.dom:
             raise ValueError("element not in the map's domain ring")
-        return elem_poly(self.cod, x.coord, self._pows, x.trunc)
+        return elem_poly(self.cod, x.coord, self._pows)
 
 
 def pullback(hom, dom_ring, cod_ring):
@@ -788,7 +773,7 @@ def _factor_block_unit(fgl, k, l, entry):
 
 def _mono(ring, b):
     exps = (b,)
-    return RingElem(ring, {exps: ring.ctx.one()}, False)
+    return RingElem(ring, {exps: ring.ctx.one()})
 
 
 def verify_free_over_subring(hom, big_ring, small_ring):
@@ -834,8 +819,7 @@ def verify_free_over_subring(hom, big_ring, small_ring):
     verdict = "PASS" if ok and rank == kernel ** n else "FAIL"
     return make_check(
         "free-over-subring", "lemma-2.4", params, verdict, witness,
-        precision_note(fgl.ctx, caps=big_ring.caps,
-                       truncated=big_ring.trunc or small_ring.trunc))
+        precision_note(fgl.ctx, caps=big_ring.caps))
 
 
 def verify_rank(ring):
@@ -846,4 +830,4 @@ def verify_rank(ring):
         {"p": ring.fgl.p, "n": ring.fgl.n,
          "group": ring.group.descriptor()},
         verdict, {"rank": ring.rank, "expected": expected},
-        precision_note(ring.ctx, caps=ring.caps, truncated=ring.trunc))
+        precision_note(ring.ctx, caps=ring.caps))

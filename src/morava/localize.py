@@ -126,7 +126,7 @@ def verify_mutual_euler_divisibility(ring, depth=4):
     return make_check(
         "mutual-euler-divisibility", "lemma-2.6", params,
         "PASS" if ok else "FAIL", witness,
-        precision_note(fgl.ctx, caps=ring.caps, truncated=ring.trunc,
+        precision_note(fgl.ctx, caps=ring.caps,
                        extra={"depth": depth}))
 
 
@@ -196,7 +196,7 @@ def verify_height_drop_unit(fgl, ring=None, T=None, sat_depth=1):
         verdict = "FAIL"
     return make_check(
         "height-drop-unit", "prop-3.2", params, verdict, witness,
-        precision_note(ctx, caps=ring.caps, truncated=ring.trunc,
+        precision_note(ctx, caps=ring.caps,
                        extra={"caps_sound": caps_sound}))
 
 
@@ -295,7 +295,7 @@ def verify_localized_nonvanishing(ring, T=8, depth=2):
         verdict = "PASS" if least_zero is not None else "FAIL"
     return make_check(
         "localized-nonvanishing", "prop-3.3", params, verdict, witness,
-        precision_note(fgl.ctx, caps=ring.caps, truncated=ring.trunc,
+        precision_note(fgl.ctx, caps=ring.caps,
                        extra={"depth": depth}))
 
 
@@ -340,5 +340,5 @@ def verify_elementary_quotient_transfer(group, fgl, caps=None,
     verdict = "PASS" if checks else "FAIL"
     return make_check(
         "elementary-quotient-transfer", "cor-3.4", params, verdict, witness,
-        precision_note(fgl.ctx, caps=ring.caps, truncated=ring.trunc,
+        precision_note(fgl.ctx, caps=ring.caps,
                        extra={"depth": depth}))

@@ -58,11 +58,12 @@ def render_json(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def precision_note(ctx, caps=None, truncated=False, extra=None):
-    """Uniform precision_loss payload: the working parameters plus whether
-    any truncation flag fired on the way to the verdict."""
+def precision_note(ctx, caps=None, extra=None):
+    """Uniform precision_loss payload: the working parameters, and the caps
+    when the check ran cut at y-degree caps, which is what ``truncated``
+    states."""
     note = {"N": ctx.N, "D": ctx.D, "floor": ctx.padic.floor,
-            "truncated": bool(truncated)}
+            "truncated": caps is not None}
     if caps is not None:
         note["caps"] = list(caps)
     if extra:

@@ -3,9 +3,8 @@
 One-variable series are dense lists indexed by y-degree 0..M; trailing zeros
 are stored so the cap stays visible.  Multivariable series are sparse maps
 from exponent tuples with a per-variable cap each (and an optional total
-cap).  Dropping a term at a cap sets the sticky ``trunc`` flag, never an
-error: the algebra downstream reasons explicitly about what lives beyond the
-caps.
+cap).  A term past a cap is dropped, never an error: the algebra
+downstream reasons explicitly about what lives beyond the caps.
 
 No stored term passes a cap, and the multiseries product relies on it: it
 packs exponents into ints with a guard bit per variable and, under a total
@@ -30,19 +29,18 @@ with no v-terms, as at height one, goes through the
 successive-approximation division alone.
 """
 
-from operator import add, gt, or_
+from operator import add, gt
 
 from .coeff import CoeffContext, CoeffElem, _floor_error
 from .padic import EXACT, PrecisionError
 
 
 class YSeries:
-    __slots__ = ("ctx", "c", "trunc")
+    __slots__ = ("ctx", "c")
 
-    def __init__(self, ctx, c, trunc=False):
+    def __init__(self, ctx, c):
         self.ctx = ctx
         self.c = c
-        self.trunc = trunc
 
     @property
     def M(self):
@@ -57,41 +55,36 @@ class YSeries:
     def __eq__(self, other):
         if not isinstance(other, YSeries):
             return NotImplemented
-        return self.c == other.c and self.trunc == other.trunc
+        return self.c == other.c
 
     def __repr__(self):
         terms = ["y^%d*%r" % (d, e) for d, e in enumerate(self.c) if not e.is_zero()]
-        return "YSeries(M=%d%s: %s)" % (
-            self.M, ", trunc" if self.trunc else "", " + ".join(terms) or "0")
+        return "YSeries(M=%d: %s)" % (self.M, " + ".join(terms) or "0")
 
 
-def ser_new(ctx, M, trunc=False):
-    return YSeries(ctx, [ctx.zero() for _ in range(M + 1)], trunc)
+def ser_new(ctx, M):
+    return YSeries(ctx, [ctx.zero() for _ in range(M + 1)])
 
 
-def ser_from_terms(ctx, M, terms, trunc=False):
-    s = ser_new(ctx, M, trunc)
+def ser_from_terms(ctx, M, terms):
+    s = ser_new(ctx, M)
     for d, e in terms.items():
         if d <= M:
             s.c[d] = e
-        elif not e.is_zero():
-            s.trunc = True
     return s
 
 
 def ser_truncate(f, M2):
-    """Copy at the lower cap M2, honest about nonzero data dropped."""
+    """Copy at the lower cap M2."""
     if M2 >= f.M:
         raise ValueError("truncate only lowers the cap")
-    dropped = any(not c.is_zero() for c in f.c[M2 + 1:])
-    return YSeries(f.ctx, list(f.c[: M2 + 1]), f.trunc or dropped)
+    return YSeries(f.ctx, list(f.c[: M2 + 1]))
 
 
 def ser_monomial(ctx, M, d, e=None):
     s = ser_new(ctx, M)
-    if d > M:
-        return YSeries(ctx, s.c, True)
-    s.c[d] = e if e is not None else ctx.one()
+    if d <= M:
+        s.c[d] = e if e is not None else ctx.one()
     return s
 
 
@@ -103,12 +96,11 @@ def _check_match(f, g):
 
 
 def _zip_with(op, f, g):
-    """Coefficientwise op.  A pair of zeros gives back, without a call, the
-    one that op would return: no terms, truncated if either is."""
+    """Coefficientwise op.  A pair of zeros gives back the first, without a
+    call: no terms, as op would return."""
     _check_match(f, g)
-    return YSeries(f.ctx, [op(a, b) if a.t or b.t else (b if b.trunc else a)
-                           for a, b in zip(f.c, g.c)],
-                   f.trunc or g.trunc)
+    return YSeries(f.ctx, [op(a, b) if a.t or b.t else a
+                           for a, b in zip(f.c, g.c)])
 
 
 def ser_add(f, g):
@@ -121,7 +113,7 @@ def ser_sub(f, g):
 
 def ser_scale(e, f):
     ctx = f.ctx
-    return YSeries(ctx, [ctx.mul(e, a) for a in f.c], f.trunc)
+    return YSeries(ctx, [ctx.mul(e, a) for a in f.c])
 
 
 def ser_mul(f, g):
@@ -129,7 +121,6 @@ def ser_mul(f, g):
     ctx = f.ctx
     M = f.M
     out = [ctx.zero() for _ in range(M + 1)]
-    trunc = f.trunc or g.trunc
     addmul = ctx.addmul_into
     fa = [(i, a) for i, a in enumerate(f.c) if not a.is_zero()]
     gb = [(j, b) for j, b in enumerate(g.c) if not b.is_zero()]
@@ -137,12 +128,9 @@ def ser_mul(f, g):
         for j, b in gb:
             d = i + j
             if d > M:
-                trunc = True
                 break
-            e = out[d]
-            if addmul(e.t, a, b):
-                e.trunc = True
-    return YSeries(ctx, out, trunc)
+            addmul(out[d].t, a, b)
+    return YSeries(ctx, out)
 
 
 def ser_rshift(f, d):
@@ -153,7 +141,7 @@ def ser_rshift(f, d):
     for i in range(min(d, len(f.c))):
         if not f.c[i].is_zero():
             raise ValueError("series is not divisible by y^%d as stored" % d)
-    return YSeries(f.ctx, list(f.c[d:]), f.trunc)
+    return YSeries(f.ctx, list(f.c[d:]))
 
 
 def ser_compose(f, g):
@@ -163,7 +151,7 @@ def ser_compose(f, g):
         raise ValueError("composition needs a zero constant term")
     ctx = f.ctx
     M = f.M
-    out = ser_new(ctx, M, f.trunc or g.trunc)
+    out = ser_new(ctx, M)
     out.c[0] = f.c[0]
     power = None
     lo = 0
@@ -175,7 +163,6 @@ def ser_compose(f, g):
             power = g
         else:
             power = ser_mul(power, g)
-            out.trunc = out.trunc or power.trunc
         if a.is_zero():
             continue
         term = ser_scale(a, power)
@@ -198,10 +185,9 @@ def ser_invert_unit(f):
         for i in range(1, m + 1):
             if f.c[i].is_zero():
                 continue
-            if ctx.addmul_into(acc.t, f.c[i], out[m - i]):
-                acc.trunc = True
+            ctx.addmul_into(acc.t, f.c[i], out[m - i])
         out[m] = ctx.neg(ctx.mul(c0i, acc))
-    return YSeries(ctx, out, f.trunc)
+    return YSeries(ctx, out)
 
 
 # Weierstrass theory
@@ -226,34 +212,24 @@ def weierstrass_degree(f):
 
 
 # Preparation over Z_p.  A series over Z_p, one v-part of a series over
-# E_0, is the triple (c, tr, trunc): c[i] the scalar of y^i, None where
-# that coefficient is empty, tr[i] its trunc flag and trunc the series
-# flag.  Each function leaves the scalars, flags and PrecisionError that
-# its YSeries namesake leaves on coefficients keyed 0 alone.  The scalars
-# must keep the invariant of padic.py: products index the power table by
+# E_0, is the list c: c[i] the scalar of y^i, None where that coefficient
+# is empty.  Each function leaves the scalars and PrecisionError that its
+# YSeries namesake leaves on coefficients keyed 0 alone.  The scalars must
+# keep the invariant of padic.py: products index the power table by
 # precision.
-
-
-def _zp_new(M, trunc=False):
-    return [None] * (M + 1), [False] * (M + 1), trunc
 
 
 def _split(S, d):
     """(low, high) with S = low + y^d * high, both at S's cap."""
-    c, tr, trunc = S
-    n = len(c) - d
-    return ((c[:d] + [None] * n, tr[:d] + [False] * n, trunc),
-            (c[d:] + [None] * d, tr[d:] + [False] * d, trunc))
+    return S[:d] + [None] * (len(S) - d), S[d:] + [None] * d
 
 
 def _zp_add(ctx, F, G, neg=False, raw=False):
     """F + G, or F - G with ``neg``, as ser_add or ser_sub; with ``raw``
     the sums are unchecked (add_raw)."""
-    fc, ftr, ftrunc = F
-    gc, gtr, gtrunc = G
-    out = list(fc)
+    out = list(F)
     horizon, pneg, _sum = ctx.prune_horizon, ctx.padic.neg, ctx._sum
-    for i, b in enumerate(gc):
+    for i, b in enumerate(G):
         if b is None:
             continue
         if neg:
@@ -263,7 +239,7 @@ def _zp_add(ctx, F, G, neg=False, raw=False):
             out[i] = _sum(a, *b, raw)
         elif b[0] < horizon:
             out[i] = b
-    return out, list(map(or_, ftr, gtr)), ftrunc or gtrunc
+    return out
 
 
 def _zp_mul(ctx, F, G, raw=False):
@@ -271,55 +247,43 @@ def _zp_mul(ctx, F, G, raw=False):
     PadicContext.mul kept inside the prune horizon, as mul keeps it, and
     summed as CoeffContext.addmul_into sums it; with ``raw`` the sums are
     unchecked (add_raw)."""
-    fc, ftr, ftrunc = F
-    gc, gtr, gtrunc = G
-    M = len(fc) - 1
-    out, otr, trunc = _zp_new(M, ftrunc or gtrunc)
+    M = len(F) - 1
+    out = [None] * (M + 1)
     horizon, mul, _sum = ctx.prune_horizon, ctx.padic.mul, ctx._sum
-    gb = [(j, b, gtr[j]) for j, b in enumerate(gc) if b is not None]
-    for i, a in enumerate(fc):
+    gb = [(j, b) for j, b in enumerate(G) if b is not None]
+    for i, a in enumerate(F):
         if a is None:
             continue
-        ta = ftr[i]
-        for j, b, tb in gb:
+        for j, b in gb:
             d = i + j
             if d > M:
-                trunc = True
                 break
-            if ta or tb:
-                otr[d] = True
             c = mul(a, b)
             if c[0] < horizon:
                 cur = out[d]
                 out[d] = c if cur is None else _sum(cur, *c, raw)
-    return out, otr, trunc
+    return out
 
 
 def _zp_invert(ctx, H):
     """ser_invert_unit: the inverse of a series with unit constant term,
     degree by degree."""
-    hc, htr, trunc = H
-    c0 = CoeffElem(ctx, {} if hc[0] is None else {0: hc[0]}, htr[0])
+    c0 = CoeffElem(ctx, {} if H[0] is None else {0: H[0]})
     if not ctx.is_unit(c0):
         raise ValueError("constant term is not a unit")
-    c0 = ctx.invert(c0)
-    out, otr = [c0.t[0]], [c0.trunc]
+    out = [ctx.invert(c0).t[0]]
     horizon, mul, _sum = ctx.prune_horizon, ctx.padic.mul, ctx._sum
-    for m in range(1, len(hc)):
+    for m in range(1, len(H)):
         # f * out must vanish in degree m
-        acc, flag = None, c0.trunc
+        acc = None
         for i in range(1, m + 1):
-            if hc[i] is None:
-                continue
-            flag = flag or htr[i] or otr[m - i]
-            if out[m - i] is not None:
-                c = mul(hc[i], out[m - i])
+            if H[i] is not None and out[m - i] is not None:
+                c = mul(H[i], out[m - i])
                 if c[0] < horizon:
                     acc = c if acc is None else _sum(acc, *c, False)
         c = acc and mul(out[0], acc)
         out.append(ctx.padic.neg(c) if c and c[0] < horizon else None)
-        otr.append(flag)
-    return out, otr, trunc
+    return out
 
 
 def _divide(ctx, F, A, d, want_q):
@@ -333,11 +297,11 @@ def _divide(ctx, F, A, d, want_q):
     low, high = _split(A, d)
     hinv = _zp_invert(ctx, high)
     rem = F
-    q = _zp_new(len(F[0]) - 1, F[2] or A[2]) if want_q else None
+    q = [None] * len(F) if want_q else None
     for _ in range(ctx.N + ctx.prune_horizon + ctx.D + 4):
         lowpart, hi = _split(rem, d)
         # settled: nothing left above y^d but bounded-depth zero markers
-        if not any(c and c[1] for c in hi[0]):
+        if not any(c and c[1] for c in hi):
             return q, lowpart
         # new remainder: rem - qi*(low + y^d high) = low part - qi*low
         qi = _zp_mul(ctx, hi, hinv, want_q)
@@ -349,55 +313,49 @@ def _divide(ctx, F, A, d, want_q):
 
 
 def _v_parts(f):
-    """{b: f_b} with f = sum of v^b * f_b over the v-codes b of f's terms:
-    each f_b a series over Z_p carrying the trunc flags of f's
-    coefficients."""
+    """{b: f_b} with f = sum of v^b * f_b over the v-codes b of f's terms,
+    each f_b a series over Z_p."""
     M = f.M
     parts = {}
     for i, e in enumerate(f.c):
         for vc, c in e.t.items():
             part = parts.get(vc)
             if part is None:
-                part = parts[vc] = _zp_new(M, f.trunc)
-            part[0][i] = c
-            part[1][i] = e.trunc
+                part = parts[vc] = [None] * (M + 1)
+            part[i] = c
     return parts
 
 
 def _v_join(ctx, M, parts):
     """sum of v^b * parts[b] as a YSeries, the inverse of _v_parts: each
-    coefficient keys its terms in the order of parts and is flagged when a
-    part's is."""
+    coefficient keys its terms in the order of parts."""
     ps = list(parts.items())
     return YSeries(ctx, [
-        CoeffElem(ctx, {b: c[i] for b, (c, _, _) in ps if c[i] is not None},
-                  any(tr[i] for _, (_, tr, _) in ps))
-        for i in range(M + 1)], any(trunc for _, (_, _, trunc) in ps))
+        CoeffElem(ctx, {b: c[i] for b, c in ps if c[i] is not None})
+        for i in range(M + 1)])
 
 
 def _long_divide(ctx, S, r0, d):
     """(Q, r) with S = Q*(y^d - r0) + r and r of degree below d, r0 being of
     degree below d: long division by a monic divisor, from the top degree
     down, with unchecked sums (add_raw)."""
-    c, tr, trunc = S
-    M = len(c) - 1
-    rem, rtr = list(c), list(tr)
-    Q, Qtr, _ = _zp_new(M)
-    low = [(i, e, r0[1][i]) for i, e in enumerate(r0[0][:d]) if e is not None]
+    M = len(S) - 1
+    rem = list(S)
+    Q = [None] * (M + 1)
+    low = [(i, e) for i, e in enumerate(r0[:d]) if e is not None]
     horizon, mul, _sum = ctx.prune_horizon, ctx.padic.mul, ctx._sum
     for j in range(M, d - 1, -1):
         a = rem[j]
         if a is None:
             continue
-        Q[j - d], Qtr[j - d] = a, rtr[j]
+        Q[j - d] = a
         # subtract a*y^(j-d)*(y^d - r0): add a*r0 below y^j
-        for i, e, te in low:
+        for i, e in low:
             k = j - d + i
-            rtr[k] = rtr[k] or rtr[j] or te
             p = mul(a, e)
             if p[0] < horizon:
                 rem[k] = p if rem[k] is None else _sum(rem[k], *p, True)
-    return (Q, Qtr, trunc), _split((rem, rtr, trunc), d)[0]
+    return Q, _split(rem, d)[0]
 
 
 def _prepare(f, d, full_q=False):
@@ -419,20 +377,19 @@ def _prepare(f, d, full_q=False):
     when a later b reads it (or full_q asks), and q_0 only when f has
     v-terms or full_q asks.
 
-    Every series in between is a list of scalars (the triples above):
+    Every series in between is a list of scalars (the lists above):
     only the joins of the r_b, and of the q_b when full_q, are CoeffElem
     series.  The quotient's sums and the long division's are unchecked;
     RHS_b is summed with checks, as products are.  When f has v-terms,
     each stored scalar of r is checked against the floor once, by y-degree
     and then by code, a shortfall raising PrecisionError with
-    needed_extra = floor - prec.  r's coefficients carry the trunc flags
-    of the coefficients of f they are built from; pairs past the v-degree
-    cap are not formed."""
+    needed_extra = floor - prec.  Pairs past the v-degree cap are not
+    formed."""
     ctx, M = f.ctx, f.M
     parts = _v_parts(f)
     f0 = parts.pop(0)
-    yd = _zp_new(M)
-    yd[0][d] = ctx.padic.one()
+    yd = [None] * (M + 1)
+    yd[d] = ctx.padic.one()
     q0, r0 = _divide(ctx, yd, f0, d, full_q or bool(parts))
     vtot, D = ctx.vtotal, ctx.D
     lowest = min((vtot[b] for b in parts), default=0)
@@ -448,8 +405,8 @@ def _prepare(f, d, full_q=False):
             # c + e = b digit by digit: the packed subtraction never borrows
             if fe is None or vtot[e] != vtot[b] - vtot[c]:
                 continue
-            rhs = _zp_add(ctx, rhs or _zp_new(M), _zp_mul(ctx, qc, fe),
-                          neg=True)
+            rhs = _zp_add(ctx, rhs or [None] * (M + 1),
+                          _zp_mul(ctx, qc, fe), neg=True)
         if rhs is None:
             continue
         Qb, rs[b] = _long_divide(ctx, rhs, r0, d)
@@ -458,7 +415,7 @@ def _prepare(f, d, full_q=False):
     if parts:
         floor = ctx.padic.floor
         for i in range(d):
-            for c, _, _ in rs.values():
+            for c in rs.values():
                 if c[i] and c[i][1] and c[i][2] < floor:
                     raise _floor_error(c[i][2], floor)
     return (_v_join(ctx, M, q) if full_q else None,
@@ -480,9 +437,9 @@ def weierstrass_prepare(f, d=None):
 
 
 class MultiSeries:
-    __slots__ = ("ctx", "r", "caps", "tcap", "t", "trunc")
+    __slots__ = ("ctx", "r", "caps", "tcap", "t")
 
-    def __init__(self, ctx, r, caps, t=None, trunc=False, tcap=None):
+    def __init__(self, ctx, r, caps, t=None, tcap=None):
         if len(caps) != r:
             raise ValueError("need one cap per variable")
         self.ctx = ctx
@@ -490,7 +447,6 @@ class MultiSeries:
         self.caps = tuple(caps)
         self.tcap = tcap
         self.t = t if t is not None else {}
-        self.trunc = trunc
 
     def coeff(self, exps):
         return self.t.get(tuple(exps)) or self.ctx.zero()
@@ -501,16 +457,15 @@ class MultiSeries:
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        return (self.caps == other.caps and self.t == other.t
-                and self.trunc == other.trunc)
+        return self.caps == other.caps and self.t == other.t
 
     def __repr__(self):
-        return "MultiSeries(r=%d, caps=%s, %d terms%s)" % (
-            self.r, self.caps, len(self.t), ", trunc" if self.trunc else "")
+        return "MultiSeries(r=%d, caps=%s, %d terms)" % (
+            self.r, self.caps, len(self.t))
 
 
 def ms_new(ctx, r, caps, tcap=None):
-    return MultiSeries(ctx, r, caps, {}, False, tcap)
+    return MultiSeries(ctx, r, caps, {}, tcap)
 
 
 def _ms_check(A, B):
@@ -524,8 +479,6 @@ def ms_set(A, exps, e):
     exps = tuple(exps)
     if any(x > c for x, c in zip(exps, A.caps)) or (
             A.tcap is not None and sum(exps) > A.tcap):
-        if not e.is_zero():
-            A.trunc = True
         return
     if e.is_zero():
         A.t.pop(exps, None)
@@ -547,17 +500,14 @@ def ms_mul(A, B):
     Surviving pairs come in A's stored order, then B's, as in a loop over
     all pairs, so every key accumulates the same products in the same
     sequence and the result keeps the same insertion order.  A key whose
-    sum empties is deleted, its coefficient's trunc flag with it, and a
-    later pair re-inserts it at the end.  ``trunc`` is set exactly when
-    some pair is dropped."""
+    sum empties is deleted, and a later pair re-inserts it at the end."""
     _ms_check(A, B)
     ctx = A.ctx
     caps = A.caps
     tcap = A.tcap
     t = {}
-    trunc = A.trunc or B.trunc
     if not A.t or not B.t:
-        return MultiSeries(ctx, A.r, caps, t, trunc, tcap)
+        return MultiSeries(ctx, A.r, caps, t, tcap)
     # Field i holds 2**w > cap_i below its guard bit.  Stored exponents
     # never pass their caps, so a biased sum stays below 2**(w+1) and never
     # carries into the next field.
@@ -581,7 +531,6 @@ def ms_mul(A, B):
         if tcap is not None:
             bound = tcap - sum(ka)
             if bound < top:
-                trunc = True
                 row = rows.get(bound)
                 if row is None:
                     row = rows[bound] = [
@@ -589,7 +538,6 @@ def ms_mul(A, B):
         pa = bias + sum(x << s for x, s in zip(ka, shifts))
         for pb, kb, eb in row:
             if (pa + pb) & guard:
-                trunc = True
                 continue
             k = tuple(map(add, ka, kb))
             cur = t.get(k)
@@ -598,11 +546,10 @@ def ms_mul(A, B):
                 if cur.t:
                     t[k] = cur
                 continue
-            if addmul(cur.t, ea, eb):
-                cur.trunc = True
+            addmul(cur.t, ea, eb)
             if not cur.t:
                 del t[k]
-    return MultiSeries(ctx, A.r, caps, t, trunc, tcap)
+    return MultiSeries(ctx, A.r, caps, t, tcap)
 
 
 def ms_one(ctx, r, caps, tcap=None):
@@ -650,7 +597,7 @@ def ms_permuted(A, perm):
     if sorted(perm) != list(range(A.r)) or caps != A.caps:
         raise ValueError("renaming must permute variables of equal caps")
     t = {tuple(k[i] for i in perm): e for k, e in A.t.items()}
-    return MultiSeries(A.ctx, A.r, A.caps, t, A.trunc, A.tcap)
+    return MultiSeries(A.ctx, A.r, A.caps, t, A.tcap)
 
 
 def ms_eval(F, args):
@@ -665,10 +612,10 @@ def ms_eval(F, args):
 
 def _unit_monomial(A, one):
     """The key of A's one term when A is x^k with coefficient one (``one``
-    the dict of ctx.one(), trunc unset), else None."""
+    the dict of ctx.one()), else None."""
     if len(A.t) == 1:
         (k, e), = A.t.items()
-        if e.t == one and not e.trunc:
+        if e.t == one:
             return k
     return None
 
@@ -678,20 +625,20 @@ def _ms_times(A, B, one):
     coefficient one."""
     s = _unit_monomial(B, one)
     if s is not None:
-        return _ms_shift(A, s, B.trunc)
+        return _ms_shift(A, s)
     s = _unit_monomial(A, one)
     if s is not None:
-        return _ms_shift(B, s, A.trunc)
+        return _ms_shift(B, s)
     return ms_mul(A, B)
 
 
-def _ms_shift(A, s, trunc):
-    """ms_mul of A and x^s with coefficient one, whose trunc flag is
-    ``trunc``: A's keys moved by s, in A's stored order, with A's own
-    coefficients, shared read-only.  Each product of a coefficient by one
-    is that coefficient (no stored scalar lies past the prune horizon), so
-    only the keys change.  A key moved past a per-variable cap or past the
-    total cap is dropped and sets trunc, as ms_mul drops its pair."""
+def _ms_shift(A, s):
+    """ms_mul of A and x^s with coefficient one: A's keys moved by s, in
+    A's stored order, with A's own coefficients, shared read-only.  Each
+    product of a coefficient by one is that coefficient (no stored scalar
+    lies past the prune horizon), so only the keys change.  A key moved
+    past a per-variable cap or past the total cap is dropped, as ms_mul
+    drops its pair."""
     room = lims = None
     if A.tcap is not None:
         room = A.tcap - sum(s)
@@ -699,14 +646,11 @@ def _ms_shift(A, s, trunc):
         # otherwise a key under the total cap is under every cap
         lims = tuple(c - x for c, x in zip(A.caps, s))
     t = {}
-    trunc = trunc or A.trunc
     for k, e in A.t.items():
-        if (room is not None and sum(k) > room or
+        if not (room is not None and sum(k) > room or
                 lims is not None and any(map(gt, k, lims))):
-            trunc = True
-        else:
             t[tuple(map(add, k, s))] = e
-    return MultiSeries(A.ctx, A.r, A.caps, t, trunc, A.tcap)
+    return MultiSeries(A.ctx, A.r, A.caps, t, A.tcap)
 
 
 def ms_eval_powers(F, powers):
@@ -721,10 +665,10 @@ def ms_eval_powers(F, powers):
     coefficient straight into the sum, in sorted order of F's terms and
     each term's stored order: ctx.mul for a new key, ctx.addmul_into for
     a stored one, whose coefficient ctx.mul made in this call and nothing
-    else holds.  Scalars, key order and trunc flags are those of scaling
-    each term into a series of its own and merging that into the sum (the
-    reference route in tests/helpers.py): a product with no terms leaves
-    its key alone, trunc flag included.  Only the choice of error differs:
+    else holds.  Scalars and key order are those of scaling each term into
+    a series of its own and merging that into the sum (the reference route
+    in tests/helpers.py): a product with no terms leaves its key alone.
+    Only the choice of error differs:
     a term's products are no longer all formed before its sums, so when a
     product and an earlier sum of one term both fail the floor, the sum's
     PrecisionError is the one raised.
@@ -746,7 +690,6 @@ def ms_eval_powers(F, powers):
     one = ctx.one().t
     emul, addmul = ctx.mul, ctx.addmul_into
     t = {}
-    trunc = F.trunc or any(A.trunc for A in args)
     for exps in sorted(F.t):
         term = None
         for i, x in enumerate(exps):
@@ -756,7 +699,6 @@ def ms_eval_powers(F, powers):
             term = px if term is None else _ms_times(term, px, one)
         if term is None:
             term = ms_one(ctx, shape.r, shape.caps, shape.tcap)
-        trunc = trunc or term.trunc
         c = F.t[exps]
         for k, e in term.t.items():
             cur = t.get(k)
@@ -764,15 +706,11 @@ def ms_eval_powers(F, powers):
                 cur = emul(c, e)
                 if cur.t:
                     t[k] = cur
-            elif addmul(cur.t, c, e):
-                if not cur.t:
-                    del t[k]
-                elif not cur.trunc and emul(c, e).t:
-                    # only a product with terms brings its flag along
-                    cur.trunc = True
-            elif not cur.t:
+                continue
+            addmul(cur.t, c, e)
+            if not cur.t:
                 del t[k]
-    return MultiSeries(ctx, shape.r, shape.caps, t, trunc, shape.tcap)
+    return MultiSeries(ctx, shape.r, shape.caps, t, shape.tcap)
 
 
 # golden-vector text format
@@ -801,7 +739,7 @@ def golden_dump(f):
         entries = ((",".join(map(str, k)), sum(k), f.t[k])
                    for k in sorted(f.t))
     for ytag, d, e in entries:
-        for vc, c in ctx.iter_terms_sorted(e):
+        for vc, c in sorted(e.t.items()):
             vexps = ctx.vexps(vc)
             vtag = ",".join(map(str, vexps)) if vexps else "-"
             lines.append("%s|%d|%s|%s" % (ytag, ctx.u_exponent(d - 1, vc),
@@ -827,9 +765,8 @@ def _checked_scalar(ctx, val, unit, prec):
 
 def golden_load(text):
     """Parse the line format back into a YSeries (single y-exponent field)
-    or MultiSeries (comma-separated exponents).  The result is marked
-    truncated: caps were applied when the file was written.  A term whose
-    u-exponent breaks the grading raises ValueError."""
+    or MultiSeries (comma-separated exponents).  A term whose u-exponent
+    breaks the grading raises ValueError."""
     lines = [ln for ln in text.strip().split("\n") if ln]
     head = lines[0].split()
     if head[0] != "FGLV1":
@@ -856,9 +793,8 @@ def golden_load(text):
         A = ms_new(ctx, r, (M,) * r)
         for k, e in terms.items():
             ms_set(A, k, e)
-        A.trunc = True
         return A
-    f = ser_new(ctx, M, True)
+    f = ser_new(ctx, M)
     for d, e in terms.items():
         f.c[d] = e
     return f

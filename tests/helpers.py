@@ -70,24 +70,23 @@ def oc_series_to_yseries(ctx, ser, M=None):
 
 
 def ms_content(A):
-    """Everything stored in a multiseries, orders included: its shape, its
-    trunc flag, and per key in stored order the coefficient's terms in
-    stored order, with each scalar's fields, and its trunc flag."""
-    return (A.caps, A.tcap, A.trunc,
-            [(k, [(ck, v, u, k) for ck, (v, u, k) in e.t.items()],
-              e.trunc) for k, e in A.t.items()])
+    """Everything stored in a multiseries, orders included: its shape and,
+    per key in stored order, the coefficient's terms in stored order, with
+    each scalar's fields."""
+    return (A.caps, A.tcap,
+            [(k, [(ck, v, u, k) for ck, (v, u, k) in e.t.items()])
+             for k, e in A.t.items()])
 
 
 def ms_from_yseries(f, r, caps, var):
     """Embed a one-variable series as a multiseries in variable ``var``;
-    terms past the caps set the trunc flag."""
+    terms past the caps are dropped."""
     A = ms_new(f.ctx, r, caps)
     for d, e in enumerate(f.c):
         if not e.is_zero():
             exps = [0] * r
             exps[var] = d
             ms_set(A, exps, e)
-    A.trunc = A.trunc or f.trunc
     return A
 
 
@@ -106,20 +105,18 @@ def ms_add_into(A, B):
             t.pop(k, None)
         else:
             t[k] = s
-    A.trunc = A.trunc or B.trunc
     return A
 
 
 def ms_scale(e, A):
-    """e times A in a new series; a product with no terms is dropped, its
-    trunc flag with it."""
+    """e times A in a new series; a product with no terms is dropped."""
     ctx = A.ctx
     t = {}
     for k, a in A.t.items():
         s = ctx.mul(e, a)
         if not s.is_zero():
             t[k] = s
-    return MultiSeries(ctx, A.r, A.caps, t, A.trunc, A.tcap)
+    return MultiSeries(ctx, A.r, A.caps, t, A.tcap)
 
 
 def ms_eval_by_products(F, powers):
@@ -130,7 +127,6 @@ def ms_eval_by_products(F, powers):
     shape = args[0]
     ctx = F.ctx
     out = ms_new(ctx, shape.r, shape.caps, shape.tcap)
-    out.trunc = F.trunc or any(A.trunc for A in args)
     for exps in sorted(F.t):
         term = None
         for i, x in enumerate(exps):
@@ -147,7 +143,7 @@ def two_var_reference(fgl, Mx, My, tcap=None):
     """fgl._build_two_var as it was before the cap rule: every row G_j to
     x-degree Mx and every pair G_j[dx] * (log y)^j[dy] formed, through a
     fresh ser_scale, ser_add and ctx.add each, with ms_set dropping each
-    term past the total cap (and setting trunc when it is nonempty)."""
+    term past the total cap."""
     ctx = fgl.ctx
     teff = Mx + My if tcap is None else min(tcap, Mx + My)
     if teff > fgl.M:
@@ -155,10 +151,9 @@ def two_var_reference(fgl, Mx, My, tcap=None):
             "two-variable caps reach total degree %d; the law was built to "
             "degree %d" % (teff, fgl.M))
     e = fgl.exp.c
-    logx = YSeries(ctx, list(fgl.log.c[: Mx + 1]), fgl.log.trunc)
-    logy = YSeries(ctx, list(fgl.log.c[: My + 1]), fgl.log.trunc)
+    logx = YSeries(ctx, list(fgl.log.c[: Mx + 1]))
+    logy = YSeries(ctx, list(fgl.log.c[: My + 1]))
     F = ms_new(ctx, 2, (Mx, My), tcap=tcap)
-    F.trunc = fgl.log.trunc or fgl.exp.trunc
     xpow = {0: ser_from_terms(ctx, Mx, {0: ctx.one()})}
     ypow = {0: ser_from_terms(ctx, My, {0: ctx.one()})}
 
@@ -206,10 +201,10 @@ def weierstrass_divide_reference(f, a, form_q=True):
     _check_match(f, a)
     d = weierstrass_degree(a)
     M = f.M
-    high = YSeries(ctx, list(a.c[d:]) + [ctx.zero() for _ in range(d)], a.trunc)
+    high = YSeries(ctx, list(a.c[d:]) + [ctx.zero() for _ in range(d)])
     hinv = ser_invert_unit(high)
-    low = YSeries(ctx, list(a.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)], a.trunc)
-    q = ser_new(ctx, M, f.trunc or a.trunc) if form_q else None
+    low = YSeries(ctx, list(a.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)])
+    q = ser_new(ctx, M) if form_q else None
     rem = f
     maxit = ctx.N + ctx.prune_horizon + ctx.D + 4
 
@@ -219,18 +214,17 @@ def weierstrass_divide_reference(f, a, form_q=True):
     for _ in range(maxit):
         if all(settled(e) for e in rem.c[d:]):
             break
-        hi = YSeries(ctx, list(rem.c[d:]) + [ctx.zero() for _ in range(d)], rem.trunc)
+        hi = YSeries(ctx, list(rem.c[d:]) + [ctx.zero() for _ in range(d)])
         qi = ser_mul(hi, hinv)
         if form_q:
             q = ser_add(q, qi)
-        lowpart = YSeries(ctx, list(rem.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)],
-                          rem.trunc)
+        lowpart = YSeries(ctx, list(rem.c[:d])
+                          + [ctx.zero() for _ in range(M + 1 - d)])
         rem = ser_sub(lowpart, ser_mul(qi, low))
     else:
         raise PrecisionError("Weierstrass division did not settle within the "
                              "iteration budget")
-    r = YSeries(ctx, list(rem.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)],
-                rem.trunc)
+    r = YSeries(ctx, list(rem.c[:d]) + [ctx.zero() for _ in range(M + 1 - d)])
     return q, r
 
 
@@ -251,17 +245,15 @@ def ser_mul_raw(f, g):
     _check_match(f, g)
     ctx, M = f.ctx, f.M
     out = [ctx.zero() for _ in range(M + 1)]
-    trunc = f.trunc or g.trunc
     gb = [(j, b) for j, b in enumerate(g.c) if not b.is_zero()]
     for i, a in enumerate(f.c):
         if a.is_zero():
             continue
         for j, b in gb:
             if i + j > M:
-                trunc = True
                 break
             out[i + j] = ctx.add_raw(out[i + j], ctx.mul(a, b))
-    return YSeries(ctx, out, trunc)
+    return YSeries(ctx, out)
 
 
 def long_divide_reference(s, r0, d):
@@ -280,6 +272,5 @@ def long_divide_reference(s, r0, d):
         for i, e in low:
             k = j - d + i
             rem[k] = ctx.add_raw(rem[k], ctx.mul(c, e))
-    return (YSeries(ctx, Q, s.trunc),
-            YSeries(ctx, rem[:d] + [ctx.zero() for _ in range(M + 1 - d)],
-                    s.trunc))
+    return (YSeries(ctx, Q),
+            YSeries(ctx, rem[:d] + [ctx.zero() for _ in range(M + 1 - d)]))

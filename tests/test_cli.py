@@ -486,6 +486,22 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path, capsys):
     assert files[0].read_text() != ""
 
 
+def test_empty_cache_flag_turns_the_cache_off(tmp_path, monkeypatch,
+                                              capsys):
+    # `--cache ""` turns the cache off, as an empty $MORAVA_CACHE_DIR does,
+    # rather than falling through to $MORAVA_CACHE_DIR or .cache
+    env = tmp_path / "env-cache"
+    monkeypatch.setenv("MORAVA_CACHE_DIR", str(env))
+    assert _verify_cfg("cor-3.4", "--cache", "").cache_dir == ""
+    args = ["pseries", "--p", "2", "--k", "1", "--ydeg", "6"]
+    assert run_cli(args + ["--cache", ""]) == 0
+    off = capsys.readouterr().out
+    assert not env.exists() and not (tmp_path / ".cache").exists()
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out == off
+    assert list(env.glob("fgl-p2-n1-*.txt"))
+
+
 def test_cache_file_off_the_grading_is_rebuilt(tmp_path, capsys):
     # a law file whose term carries a u-exponent the grading does not give
     # is refused, rebuilt in place, and the report is the clean one

@@ -71,20 +71,9 @@ def test_mul_respects_vcap():
     v = ctx.v_gen(1)
     v2 = ctx.mul(v, v)
     v4 = ctx.mul(v2, v2)
-    assert v4.is_zero() and v4.trunc
+    assert v4.is_zero()
     v3 = ctx.mul(v2, v)
-    assert not v3.trunc
     assert ctx.vexps(next(iter(v3.t))) == (3,)
-
-
-def test_trunc_flag_sticky():
-    ctx = CoeffContext(2, 2, N=8, D=2)
-    v = ctx.v_gen(1)
-    deep = ctx.mul(ctx.mul(v, v), v)  # falls off the cap
-    assert deep.trunc
-    y = ctx.add(deep, ctx.one())
-    assert y.trunc
-    assert ctx.mul(y, ctx.one()).trunc
 
 
 def test_distributivity_randomized():
@@ -215,50 +204,47 @@ def _ref_store(ctx, t, k, c, raw):
 
 def _ref_mul(ctx, A, B):
     ta, tb = A.t, B.t
-    trunc = A.trunc or B.trunc
     if not ta or not tb:
-        return CoeffElem(ctx, {}, trunc)
+        return CoeffElem(ctx, {})
     if len(ta) > len(tb):
         ta, tb = tb, ta
     acc = {}
     for va, ca in ta.items():
         for vb, cb in tb.items():
             if ctx.vtotal[va] + ctx.vtotal[vb] > ctx.D:
-                trunc = True
                 continue
             _ref_store(ctx, acc, va + vb, ctx.padic.mul(ca, cb), False)
-    return CoeffElem(ctx, acc, trunc)
+    return CoeffElem(ctx, acc)
 
 
 def _ref_merge(ctx, A, B, raw):
     t = dict(A.t)
     for k, c in B.t.items():
         _ref_store(ctx, t, k, c, raw)
-    return CoeffElem(ctx, t, A.trunc or B.trunc)
+    return CoeffElem(ctx, t)
 
 
 def _ref_scalar_mul(ctx, c, A):
     if c[1] == 0 and c[0] >= EXACT:
-        return CoeffElem(ctx, {}, A.trunc)
+        return CoeffElem(ctx, {})
     t = {}
     for k, a in A.t.items():
         s = ctx.padic.mul(c, a)
         if s[0] < ctx.prune_horizon:
             t[k] = s
-    return CoeffElem(ctx, t, A.trunc)
+    return CoeffElem(ctx, t)
 
 
 def _addmul_into(ctx, T, A, B):
-    """addmul_into on a copy of T's dict, with the product's trunc."""
+    """addmul_into on a copy of T's dict."""
     t = dict(T.t)
-    return CoeffElem(ctx, t, ctx.addmul_into(t, A, B))
+    ctx.addmul_into(t, A, B)
+    return CoeffElem(ctx, t)
 
 
 def _add_of_mul(ctx, T, A, B):
-    """What addmul_into must leave: add(T, mul(A, B)), with the product's
-    trunc."""
-    P = ctx.mul(A, B)
-    return CoeffElem(ctx, ctx.add(T, P).t, P.trunc)
+    """What addmul_into must leave: add(T, mul(A, B))."""
+    return ctx.add(T, ctx.mul(A, B))
 
 
 def _addmul_cases(ctx, T, A, B):
@@ -283,7 +269,7 @@ def _outcome(fn, *args):
         R = fn(*args)
     except PrecisionError as e:
         return ("error", str(e), e.needed_extra)
-    return ("ok", list(R.t.items()), R.trunc)
+    return ("ok", list(R.t.items()))
 
 
 def _rand_scalar(rng, ctx):
@@ -332,7 +318,7 @@ def _rand_elem(rng, ctx, like=None):
         for b in reversed(exps):
             code = code * base + b
         t[code] = _rand_scalar(rng, ctx)
-    return CoeffElem(ctx, t, rng.random() < 0.1)
+    return CoeffElem(ctx, t)
 
 
 KERNEL_CONTEXTS = [
@@ -580,7 +566,7 @@ def _elems(draw, ctx, min_size=0, max_size=6):
     codes = [k for k in range(ctx.ncodes) if ctx.vtotal[k] <= ctx.D]
     t = draw(st.dictionaries(st.sampled_from(codes), _scalars(ctx),
                              min_size=min_size, max_size=max_size))
-    return CoeffElem(ctx, t, draw(st.booleans()))
+    return CoeffElem(ctx, t)
 
 
 @st.composite
@@ -594,7 +580,7 @@ def _near(draw, ctx, A):
         if draw(st.booleans()):
             j = draw(st.integers(1, ctx.N))
             t[k] = (v, (u + p ** j) % p ** kk if j < kk else u, kk)
-    return CoeffElem(ctx, t, draw(st.booleans()))
+    return CoeffElem(ctx, t)
 
 
 def _assert_agrees(ctx, t, want):
@@ -623,11 +609,6 @@ def _assert_agrees(ctx, t, want):
         assert w is None or w >= bound, (k, c, exact)
 
 
-def _product_trunc(ctx, A, B):
-    return A.trunc or B.trunc or any(
-        ctx.vtotal[a] + ctx.vtotal[b] > ctx.D for a in A.t for b in B.t)
-
-
 @pytest.mark.parametrize("p,n,N,D", ORACLE_CONTEXTS)
 @pytest.mark.parametrize("short", ["one term", "several terms"])
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -648,9 +629,8 @@ def test_tuple_kernel_matches_rational_oracle(p, n, N, D, short, data):
 
     P = ctx.mul(A, B)
     _assert_agrees(ctx, P.t, ab)
-    assert P.trunc == _product_trunc(ctx, A, B)
     t = dict(T.t)
-    assert ctx.addmul_into(t, A, B) == P.trunc
+    ctx.addmul_into(t, A, B)
     _assert_agrees(ctx, t, oracles.qc_add(qt, ab))
     _assert_agrees(ctx, ctx.add(A, B).t, oracles.qc_add(qa, qb))
     _assert_agrees(ctx, ctx.sub(A, B).t,

@@ -160,8 +160,7 @@ def test_inner_law_renamed_equals_direct(p, n, D, cap, N):
 def test_eval_powers_matches_product_route(monkeypatch, p, n, D, cap, N):
     # the three fgl-axioms shapes, and p=3, n=2, D=1, where more products
     # vanish under the v-degree cap: key shifts and the fused sum leave
-    # every key, key order, scalar and trunc flag of ms_mul + ms_scale +
-    # ms_add_into.  Every shape meets products with no terms (under D or
+    # every key, key order and scalar of ms_mul + ms_scale + ms_add_into.  Every shape meets products with no terms (under D or
     # past the prune horizon) and keys shifted past the total cap.
     law = build_fgl(p, n, N=N, D=D, M=cap)
     F = law.two_var(cap, cap, tcap=cap)
@@ -184,7 +183,7 @@ def test_eval_powers_matches_product_route(monkeypatch, p, n, D, cap, N):
     monkeypatch.setattr(CoeffContext, "mul", watched)
     for powers in ([gpow, ms_powers(z)], [ms_powers(x), hpow]):
         got = ms_eval_powers(F, powers)
-        assert got.t and got.trunc
+        assert got.t
         assert ms_content(got) == ms_content(ms_eval_by_products(F, powers))
     assert vanished
 
@@ -236,9 +235,7 @@ TWO_VAR_LAWS = [(2, 1, 24, 1, 10), (2, 2, 33, 6, 16), (3, 1, 24, 1, 15),
 
 def _two_var_caps(M):
     # the full law; two caps summing to M with no total cap, and two
-    # smaller ones; a total cap under both caps, and under it a y-cap of 1,
-    # where no probe of a formed coefficient meets a term past the total
-    # cap and the trunc flag comes from the j = 0 row formed past it
+    # smaller ones; a total cap under both caps, and under it a y-cap of 1
     return [(M, M, M), (M // 2, M - M // 2, None), (M // 2, M // 3, None),
             (M, M, M // 2), (M, 1, M // 2)]
 
@@ -253,49 +250,73 @@ def _outcome(build, law, caps):
 @pytest.mark.parametrize("p,n,N,D,M", TWO_VAR_LAWS)
 def test_two_var_matches_full_build(p, n, N, D, M):
     # the law formed under its caps is the law formed in full with the
-    # excess dropped: keys in order, scalars and every trunc flag, F.trunc
-    # included
+    # excess dropped: keys in order and scalars
     law = build_fgl(p, n, N=N, D=D, M=M)
     for caps in _two_var_caps(M):
         F = _build_two_var(law, *caps)
         assert ms_content(F) == ms_content(two_var_reference(law, *caps))
-        assert F.t and F.trunc == (n > 1 or caps[2] is not None), caps
+        assert F.t, caps
 
 
 @pytest.mark.parametrize("p,n,N,D,M,caps", [
-    (2, 1, 13, 1, 10, [(10, 10, 10), (5, 5, None), (5, 3, None),
-                       (10, 1, 5)]),
-    (2, 3, 14, 4, 9, _two_var_caps(9))])
+    (2, 1, 13, 1, 10, list(zip([(10, 10, 10), (5, 5, None), (5, 3, None),
+                                (10, 1, 5)], ["raises"] * 3 + ["deeper"]))),
+    (2, 3, 14, 4, 9, list(zip(_two_var_caps(9), ["raises"] * 4 + ["same"])))])
 def test_two_var_shortfall_matches_full_build(p, n, N, D, M, caps):
-    # a coefficient under the caps falls short of the floor (the last
-    # (2, 3) cap excepted): both builds raise the same text and
-    # needed_extra, so the retry that follows is the same.  At (10, 10, 10)
-    # the (2, 1) law raises only if each power of log x is formed when its
-    # term comes up, as the full build forms it.
+    # where the build under the caps falls short of the floor, it raises
+    # the full build's text and needed_extra, so the retry that follows is
+    # the same.  At (10, 10, 10) the (2, 1) law raises only if each power
+    # of log x is formed when its term comes up, as the full build forms
+    # it.  Where it succeeds, it is the full build under the caps: at this
+    # N when that build succeeds too ("same"), else at N + 4 ("deeper"),
+    # the same keys in the same order and every scalar agreeing to the
+    # lesser of the two tops (val + prec).  Under (10, 1, 5) the (2, 1)
+    # full build falls short past the total cap only, where the build
+    # under the caps forms nothing.
     law = build_fgl(p, n, N=N, D=D, M=M)
-    outcomes = [_outcome(_build_two_var, law, c) for c in caps]
-    assert outcomes == [_outcome(two_var_reference, law, c) for c in caps]
-    assert all(isinstance(o[0], str) for o in outcomes[:-1])
+    got = []
+    for c, _ in caps:
+        want = _outcome(two_var_reference, law, c)
+        try:
+            F = _build_two_var(law, *c)
+        except PrecisionError as e:
+            assert (str(e), e.needed_extra) == want, c
+            got.append("raises")
+            continue
+        if not isinstance(want[0], str):
+            assert ms_content(F) == want, c
+            got.append("same")
+            continue
+        ref = two_var_reference(build_fgl(p, n, N=N + 4, D=D, M=M), *c)
+        assert list(F.t) == list(ref.t), c
+        for k, e in F.t.items():
+            assert list(e.t) == list(ref.t[k].t), (c, k)
+            for vc, a in e.t.items():
+                b = ref.t[k].t[vc]
+                assert _agree_below(p, a, b, min(a[0] + a[2], b[0] + b[2])), \
+                    (c, k, vc)
+        got.append("deeper")
+    assert got == [kind for _, kind in caps]
 
 
-def test_two_var_forms_past_cap_rows_only_when_probes_miss(monkeypatch):
-    # at height 1 the law and exponential carry no trunc flag, so F.trunc
-    # comes from the terms past the total cap.  Under caps (10, 10, 5) a
-    # product of a formed row-1 coefficient past the cap sets it, and no
-    # row is formed past teff - j.  Under (10, 1, 5) no such product
-    # exists, and only row 0 is formed past the cap, from x-degree 6.
+def test_two_var_forms_rows_from_x_degree_0_under_the_caps(monkeypatch):
+    # row G_j is formed once, from x-degree 0 to min(Mx, teff - j), and
+    # never past the caps: under (10, 10, 5) rows 0..5 reach x-degrees
+    # 5..0; under (10, 1, 5) rows 0 and 1 reach 5 and 4, and row 0 is not
+    # formed again past the total cap
     law = build_fgl(2, 1, N=24, D=1, M=10)
-    starts = []
+    rows = []
 
-    def watched(ctx, terms, power, lo, hi):
-        starts.append(lo)
-        return _row(ctx, terms, power, lo, hi)
+    def watched(ctx, terms, power, hi):
+        row = _row(ctx, terms, power, hi)
+        rows.append(len(row) - 1)
+        return row
     monkeypatch.setattr("morava.fgl._row", watched)
-    assert law.two_var(10, 10, 5).trunc
-    assert starts == [0] * 6
-    del starts[:]
-    assert law.two_var(10, 1, 5).trunc
-    assert starts == [0, 0, 6]
+    assert law.two_var(10, 10, 5).t
+    assert rows == [5, 4, 3, 2, 1, 0]
+    del rows[:]
+    assert law.two_var(10, 1, 5).t
+    assert rows == [5, 4]
 
 
 def test_two_var_past_cap_shortfall_not_raised():
@@ -308,7 +329,7 @@ def test_two_var_past_cap_shortfall_not_raised():
     assert e.value.needed_extra == 1
     assert "7 trusted digits (floor 8)" in str(e.value)
     F = law.F
-    assert F.trunc and F.t
+    assert F.t
     for caps in _two_var_caps(9)[1:]:
         assert _outcome(_build_two_var, law, caps) == \
             _outcome(two_var_reference, law, caps), caps
@@ -547,7 +568,7 @@ def solve_log_every_index(ctx, log_elems, S, split=p_split):
             if q <= m and not log_elems[k].is_zero() and not b.is_zero():
                 acc = ctx.sub(acc, ctx.mul(log_elems[k], b))
         T[m] = acc
-    return YSeries(ctx, T, S.trunc or any(l.trunc for l in log_elems))
+    return YSeries(ctx, T)
 
 
 def test_solve_log_matches_every_index_walk(f21, f31, f22):
@@ -592,9 +613,8 @@ def _agree_below(p, a, b, top):
 
 def test_base_p_chains_against_halving_chains():
     """Where both chains solve without a PrecisionError, the base-p chains
-    store the same keys, in the same order, with the same trunc flags, and
-    every scalar agrees with the halving chains' modulo p to the least of
-    the two tops (val + prec) and horizon - K, keeping at least as many
+    store the same keys, in the same order, and every scalar agrees with
+    the halving chains' modulo p to the least of the two tops (val + prec) and horizon - K, keeping at least as many
     digits below the prune horizon (a top past it counts nothing: at
     (3, 2, 20, 1, 81) the base-p chains' [81](y) has tops 48 where the
     halving ones have 50, horizon 32).  K = log_depth(p, M) bounds the
@@ -621,9 +641,8 @@ def test_base_p_chains_against_halving_chains():
             except PrecisionError:
                 continue
             compared += 1
-            assert new.trunc == old.trunc
             for a, b in zip(new.c, old.c):
-                assert list(a.t) == list(b.t) and a.trunc == b.trunc
+                assert list(a.t) == list(b.t)
                 for key, c in a.t.items():
                     d = b.t[key]
                     moved += c != d

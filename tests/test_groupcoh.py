@@ -199,7 +199,7 @@ def ms_normal_form(ring, A):
     out = {}
     for exps in sorted(A.t):
         groupcoh._nf_accumulate(ring, out, exps, A.t[exps])
-    return RingElem(ring, out, A.trunc)
+    return RingElem(ring, out)
 
 
 def test_normal_form_idempotent_and_multiplicative(ring4):
@@ -224,13 +224,13 @@ def test_normal_form_idempotent_and_multiplicative(ring4):
 
 
 def test_normal_form_cuts_at_the_ring_cap(fgl21):
-    # the m-series past the cap is dropped and flagged, as a multiseries
-    # at the ring's caps would drop it
+    # the m-series past the cap is dropped, as a multiseries at the ring's
+    # caps would drop it
     ring = build_cohring(AbelianPGroup(2, (2,)), fgl21, caps=(9,))
     s = fgl21.m_series(3)
     nf = normal_form(ring, s, 0)
     assert nf == ms_normal_form(ring, ms_from_yseries(s, 1, ring.caps, 0))
-    assert nf.trunc and not s.trunc
+    assert any(c.t for c in s.c[ring.caps[0] + 1:])
 
 
 def test_pullback_frozen_maps(fgl21, ring2, ring4):
@@ -331,11 +331,11 @@ def per_pair_mul(a, b):
     for A in sorted(a.coord):
         for B in sorted(b.coord):
             c = ctx.mul(a.coord[A], b.coord[B])
-            if not (c.t or c.trunc):
+            if not c.t:
                 continue
             groupcoh._nf_accumulate(
                 ring, out, tuple(x + y for x, y in zip(A, B)), c)
-    return RingElem(ring, out, a.trunc or b.trunc)
+    return RingElem(ring, out)
 
 
 def per_coordinate_apply(rmap, x):
@@ -357,8 +357,6 @@ def per_coordinate_apply(rmap, x):
             if e:
                 term = per_pair_mul(term, power(i, e))
         out = elem_add(out, term)
-    if x.trunc and not out.trunc:
-        out = RingElem(cod, out.coord, True)
     return out
 
 
@@ -376,15 +374,15 @@ def rand_nf(rng, ring, size):
             m = rng.randrange(1, 10 ** 6) * ctx.p ** rng.randrange(3)
             c = ctx.add(c, ctx.from_scalar(ctx.padic.from_int(m), vc))
         coord[exps] = c
-    return RingElem(ring, coord, rng.random() < 0.2)
+    return RingElem(ring, coord)
 
 
 def assert_coeff_same_as_reference(gc, rc, key):
-    """Same terms, valuations and truncation flag; every unit agrees with
+    """Same terms and valuations; every unit agrees with
     the reference to the reference's trusted digits and keeps at least as
     many, and every zero marker is at least as deep."""
     padic = rc.ctx.padic
-    assert gc.trunc == rc.trunc and set(gc.t) == set(rc.t), key
+    assert set(gc.t) == set(rc.t), key
     for term, r in rc.t.items():
         gv, gu, gk = gc.t[term]
         rv, ru, rk = r
@@ -396,12 +394,11 @@ def assert_coeff_same_as_reference(gc, rc, key):
 
 
 def assert_same_as_reference(got, ref):
-    """Same coordinates and truncation flag, each coordinate as in
+    """Same coordinates, each coordinate as in
     assert_coeff_same_as_reference.  Summing before multiplying can only
     keep more digits: a product's relative precision is the lesser of its
     factors', and the sum of two scalars is pinned to the lesser absolute
     one."""
-    assert got.trunc == ref.trunc
     assert set(got.coord) == set(ref.coord)
     for key, rc in ref.coord.items():
         assert_coeff_same_as_reference(got.coord[key], rc, key)
@@ -410,12 +407,9 @@ def assert_same_as_reference(got, ref):
 def products_first_accumulate(ring, out, exps, c):
     """The reduction of one monomial with every product formed before the
     first sum: the order whose results and errors _nf_accumulate keeps.
-    Coordinates keep only nonempty coefficients.  An empty product of a
-    reduced factor before the last is dropped, flag and all; every product
-    of the last one is summed, so its flag goes into the sum."""
+    Coordinates keep only nonempty coefficients, and an empty product is
+    dropped."""
     ctx = ring.ctx
-    last = max((i for i, e in enumerate(exps) if e >= ring.wdegs[i]),
-               default=-1)
     parts = [((), c)]
     for i, e in enumerate(exps):
         if e < ring.wdegs[i]:
@@ -426,7 +420,7 @@ def products_first_accumulate(ring, out, exps, c):
         for key, val in parts:
             for a, t in row:
                 prod = ctx.mul(val, t)
-                if prod.t or i == last:
+                if prod.t:
                     nxt.append((key + (a,), prod))
         parts = nxt
     for key, val in parts:
@@ -449,7 +443,7 @@ def rand_short_coeff(rng, ctx):
         while unit % ctx.p == 0:
             unit = rng.randrange(1, ctx.p ** prec)
         t[rng.randrange(ctx.ncodes)] = (rng.randint(0, 2), unit, prec)
-    return CoeffElem(ctx, t, rng.random() < 0.1)
+    return CoeffElem(ctx, t)
 
 
 def test_nf_accumulate_matches_products_first_order():
@@ -467,7 +461,7 @@ def test_nf_accumulate_matches_products_first_order():
             relred = [{b: rand_short_coeff(rng, ctx) for b in range(d)}
                       for d in wdegs]
             ring = CohRing(None, SimpleNamespace(ctx=ctx), (9, 9), wdegs,
-                           relred, False)
+                           relred)
             outs = [{}, {}]
             inputs = []
             for _ in range(4):
@@ -482,7 +476,7 @@ def test_nf_accumulate_matches_products_first_order():
                     except PrecisionError as e:
                         res.append(("error", str(e), e.needed_extra))
                     else:
-                        res.append(("ok", [(k, list(v.t.items()), v.trunc)
+                        res.append(("ok", [(k, list(v.t.items()))
                                            for k, v in out.items()]))
                 assert res[0] == res[1]
                 outcomes[res[0][0]] += 1
@@ -554,7 +548,7 @@ def test_ring_map_apply_matches_per_coordinate_loop(corpus_rings,
             del products[:]
             got = pg.apply(x)
             monkeypatch.undo()
-            assert got.coord == ref.coord and got.trunc == ref.trunc
+            assert got.coord == ref.coord
             # one product per distinct nonzero last exponent, plus one per
             # further nonzero exponent past the first among the others
             lasts = {exps[last] for exps in x.coord} - {0}
@@ -753,13 +747,13 @@ def test_total_euler_coefficient_work_pinned(monkeypatch):
     ring = build_cohring(group, law)
     assert ring.caps == (33, 9) and law.ctx.N == 33
     total, calls = count_coeff_muls(monkeypatch, total_euler, ring)
-    assert len(total.coord) == 45 and total.trunc
+    assert len(total.coord) == 45
     assert calls == 23655
     ref = ring.one()
     for ch in all_nontrivial_characters(group):
         cls = point_class(ring, ch.as_hom().char_exponents(0))
         ref = per_pair_mul(ref, cls)
-    assert total.coord == ref.coord and total.trunc == ref.trunc
+    assert total.coord == ref.coord
 
 
 def test_aligned_shape_detection():
@@ -857,7 +851,6 @@ def test_relation_prepared_once_per_law_and_cap(prepares):
     assert len(prepares) == 4
     for ring in (first, again):
         assert ring.relred == fresh.relred
-        assert ring.trunc == fresh.trunc
 
 
 def test_relation_prepared_again_for_new_cap_or_law(prepares):
@@ -937,4 +930,4 @@ def test_cached_relation_gives_same_classes():
                  (reduced_euler(cached)[0], reduced_euler(plain)[0]),
                  (ms_normal_form(cached, monomials(cached)),
                   ms_normal_form(plain, monomials(plain)))):
-        assert a.coord and a.coord == b.coord and a.trunc == b.trunc
+        assert a.coord and a.coord == b.coord

@@ -52,25 +52,23 @@ def test_mul_by_zero(ctx):
 
 
 def test_add_sub_match_coefficientwise(ctx):
-    # zeros with and without trunc on either side take the shortcut; the
-    # result must be what the coefficient op gives, trunc flag included
-    tz = CoeffElem(ctx, {}, True)
-    a = [ctx.zero(), tz, ctx.zero(), tz, ctx.one(), tz, ctx.from_int(5)]
-    b = [ctx.zero(), ctx.zero(), tz, tz, tz, ctx.from_int(3), ctx.zero()]
-    f, g = YSeries(ctx, a), YSeries(ctx, b, True)
+    # a pair of zeros takes the shortcut; the result must be what the
+    # coefficient op gives
+    a = [ctx.zero(), ctx.zero(), ctx.one(), ctx.zero(), ctx.from_int(5)]
+    b = [ctx.zero(), ctx.from_int(3), ctx.zero(), ctx.zero(), ctx.zero()]
+    f, g = YSeries(ctx, a), YSeries(ctx, b)
     for op, eop in ((ser_add, ctx.add), (ser_sub, ctx.sub)):
         for x, y in ((f, g), (g, f)):
             got = op(x, y)
             assert got.c == [eop(s, t) for s, t in zip(x.c, y.c)]
-            assert got.trunc
 
 
-def test_cap_overflow_sets_trunc(ctx):
+def test_cap_overflow_drops_terms(ctx):
     M = 4
     ym = ser_monomial(ctx, M, M)
     y = ser_monomial(ctx, M, 1)
     prod = ser_mul(ym, y)
-    assert prod.is_zero() and prod.trunc
+    assert prod.is_zero() and prod.M == M
 
 
 def test_compose_identity(ctx):
@@ -250,8 +248,7 @@ def test_weierstrass_remainder_matches_quotient_forming_reference():
     """The division over Z_p, forming only the remainder, against the
     reference loop that also sums the quotient: directly at height one,
     and on the v-free part f_0 of [p^k](y) at height two.  Wherever the
-    reference does not raise, the remainders are equal, trunc flags
-    included.  At (3, 2, N=16, D=1) the reference's unread quotient sum
+    reference does not raise, the remainders are equal.  At (3, 2, N=16, D=1) the reference's unread quotient sum
     over the whole coefficient ring falls short of the floor on [3](y) at
     cap 26, while the remainder alone agrees with the one at N=24, and so
     does the remainder of f_0 over Z_p."""
@@ -302,7 +299,7 @@ def prepare_or_error(prepare, f):
 
 def test_lifted_prepare_is_the_loop_at_height_one():
     """At n=1 f has no v-terms, and the route is the reference loop's:
-    equal relations, trunc flags included, and the same PrecisionError
+    equal relations, and the same PrecisionError
     with the same needed_extra wherever either one raises."""
     raised = compared = 0
     for p, N, M in [(2, 16, 6), (2, 24, 6), (2, 16, 9), (2, 25, 12),
@@ -372,7 +369,6 @@ def test_lifted_prepare_agrees_with_loop_to_sound_depth(p, n, N, D, M):
         depth = sound_depth(p, n, (k,), D, (M,))
         assert all(ctx.eq_to(a, b, depth) for a, b in zip(g.c, ref.c))
         assert g.c[d] == ctx.one() and all(e.is_zero() for e in g.c[d + 1:])
-        assert g.trunc == ref.trunc
 
 
 def test_lifted_prepare_against_a_high_cap_relation():
@@ -415,25 +411,25 @@ def test_lifted_prepare_solves_the_truncated_system_at_height_three():
 
 # Preparation runs over Z_p on lists of scalars (series._zp_*), each
 # function leaving what its YSeries namesake leaves on coefficients keyed 0
-# alone: the same scalars, trunc flags, PrecisionError and needed_extra.
+# alone: the same scalars, PrecisionError and needed_extra.
 
 ZP_CONTEXTS = [(2, 1, 6, 1, 3), (3, 2, 4, 2, 2), (5, 1, 3, 0, None)]
 
 
 def zp_join(ctx, S):
     """A Z_p list as the YSeries of one-key coefficients it stands for."""
-    return _v_join(ctx, len(S[0]) - 1, {0: S})
+    return _v_join(ctx, len(S) - 1, {0: S})
 
 
 def ys_outcome(fn, *args):
-    """Every stored scalar and flag of the YSeries fn returns (or of each
-    one in the tuple it returns), or the text and needed_extra of its
+    """Every stored scalar of the YSeries fn returns (or of each one in the
+    tuple it returns), or the text and needed_extra of its
     PrecisionError."""
     try:
         out = fn(*args)
     except PrecisionError as e:
         return ("error", str(e), e.needed_extra)
-    return [([(list(e.t.items()), e.trunc) for e in f.c], f.trunc)
+    return [[list(e.t.items()) for e in f.c]
             for f in (out if isinstance(out, tuple) else (out,))]
 
 
@@ -453,11 +449,10 @@ def zp_scalars(draw, ctx):
 
 @st.composite
 def zp_series(draw, ctx, M, below=None):
-    """(c, tr, trunc) with entries only below y^below, when given."""
+    """A Z_p list with entries only below y^below, when given."""
     top = M + 1 if below is None else below
     c = [draw(st.one_of(st.none(), zp_scalars(ctx))) for _ in range(top)]
-    tr = draw(st.lists(st.booleans(), min_size=M + 1, max_size=M + 1))
-    return c + [None] * (M + 1 - top), tr, draw(st.booleans())
+    return c + [None] * (M + 1 - top)
 
 
 @pytest.mark.parametrize("p,n,N,D,floor", ZP_CONTEXTS)
@@ -481,7 +476,7 @@ def test_zp_lists_match_one_key_series(p, n, N, D, floor, data):
                                     _long_divide(ctx, F, R, d))) == \
         ys_outcome(long_divide_reference, f, zp_join(ctx, R), d)
     u = data.draw(st.integers(1, p ** N - 1).filter(lambda x: x % p))
-    H = ([(0, u, N)] + F[0][1:], F[1], F[2])
+    H = [(0, u, N)] + F[1:]
     assert ys_outcome(lambda: zp_join(ctx, _zp_invert(ctx, H))) == \
         ys_outcome(ser_invert_unit, zp_join(ctx, H))
 
@@ -499,12 +494,11 @@ def test_zp_lists_reach_markers_pruning_and_the_floor():
     }
     got = {}
     for name, (fc, gc) in cases.items():
-        F, G = (fc, [False, False], False), (gc, [False, False], False)
-        out = ys_outcome(lambda: zp_join(ctx, _zp_mul(ctx, F, G)))
-        assert out == ys_outcome(ser_mul, zp_join(ctx, F), zp_join(ctx, G))
+        out = ys_outcome(lambda: zp_join(ctx, _zp_mul(ctx, fc, gc)))
+        assert out == ys_outcome(ser_mul, zp_join(ctx, fc), zp_join(ctx, gc))
         got[name] = out
-    assert got["marker"][0][0][0] == ([(0, (2, 0, 0))], False)
-    assert got["pruned"][0][0][0] == ([], False)
+    assert got["marker"][0][0] == [(0, (2, 0, 0))]
+    assert got["pruned"][0][0] == []
     assert got["floor"] == ("error", "stored coefficient would keep only 2 "
                             "trusted digits (floor 3)", 1)
 
@@ -529,9 +523,9 @@ def test_zp_product_matches_rational_oracle(p, N, data):
     F, G = data.draw(zp_series(ctx, M)), data.draw(zp_series(ctx, M))
     lifts = st.integers(-p * p, p * p)
     qf, qg = ([O.qc_const(_lift(p, c, data.draw(lifts)), 1) if c else {}
-               for c in S[0]] for S in (F, G))
+               for c in S] for S in (F, G))
     want = O.ser_mul(qf, qg)
-    for c, q in zip(_zp_mul(ctx, F, G)[0], want):
+    for c, q in zip(_zp_mul(ctx, F, G), want):
         exact = q.get((0, ()), Fraction(0))
         bound, stored = horizon, Fraction(0)
         if c is not None:
@@ -568,11 +562,9 @@ def test_multiseries_caps_and_trunc(ctx):
     ms_set(A, (1, 0), ctx.one())
     ms_set(A, (0, 1), ctx.one())
     B = ms_mul(A, A)
-    assert not B.trunc
-    C = ms_mul(B, B)  # degree-4 terms fall off the caps
-    assert C.trunc
-    assert all(sum(k) <= 4 for k in C.t)
-    assert C.coeff((2, 2)) is not None
+    assert set(B.t) == {(2, 0), (1, 1), (0, 2)}
+    C = ms_mul(B, B)  # x^4, x^3*y, x*y^3 and y^4 fall off the caps
+    assert set(C.t) == {(2, 2)}
 
 
 def test_multiseries_total_cap(ctx):
@@ -580,9 +572,9 @@ def test_multiseries_total_cap(ctx):
     ms_set(A, (1, 0), ctx.one())
     ms_set(A, (0, 1), ctx.one())
     B = ms_mul(ms_mul(A, A), A)
-    assert not B.trunc
+    assert set(B.t) == {(3, 0), (2, 1), (1, 2), (0, 3)}
     D = ms_mul(B, A)
-    assert D.trunc and not D.t
+    assert not D.t
 
 
 def all_pairs_product(A, B):
@@ -590,13 +582,11 @@ def all_pairs_product(A, B):
     against the caps: the reference for ms_mul."""
     ctx = A.ctx
     t = {}
-    trunc = A.trunc or B.trunc
     for ka, ea in A.t.items():
         for kb, eb in B.t.items():
             k = tuple(x + y for x, y in zip(ka, kb))
             if any(x > c for x, c in zip(k, A.caps)) or (
                     A.tcap is not None and sum(k) > A.tcap):
-                trunc = True
                 continue
             prod = ctx.mul(ea, eb)
             s = prod if k not in t else ctx.add(t[k], prod)
@@ -604,7 +594,7 @@ def all_pairs_product(A, B):
                 t.pop(k, None)
             else:
                 t[k] = s
-    return MultiSeries(ctx, A.r, A.caps, t, trunc, A.tcap)
+    return MultiSeries(ctx, A.r, A.caps, t, A.tcap)
 
 
 def assert_same_product(A, B):
@@ -612,8 +602,6 @@ def assert_same_product(A, B):
     assert list(got.t) == list(want.t)
     for k, e in want.t.items():
         assert list(got.t[k].t.items()) == list(e.t.items())
-        assert got.t[k].trunc == e.trunc
-    assert got.trunc == want.trunc
     return got
 
 
@@ -651,7 +639,6 @@ def test_ms_mul_matches_all_pairs(caps, tcap, seed):
     ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
     A = random_ms(rng, ctx, caps, tcap, rng.randint(5, 40))
     B = random_ms(rng, ctx, caps, tcap, rng.randint(5, 40))
-    B.trunc = seed == 3
     assert_same_product(A, B)
     assert_same_product(B, A)
     assert_same_product(A, A)
@@ -662,9 +649,8 @@ def test_ms_mul_empty_operand(ctx):
     ms_set(A, (1, 2), ctx.one())
     Z = ms_new(ctx, 2, (3, 3), tcap=4)
     for P in (ms_mul(A, Z), ms_mul(Z, A), ms_mul(Z, Z)):
-        assert not P.t and not P.trunc
-    Z.trunc = True
-    assert assert_same_product(A, Z).trunc
+        assert not P.t
+    assert not assert_same_product(A, Z).t
 
 
 def ms_terms(ctx, caps, tcap, keys):
@@ -678,17 +664,18 @@ def test_ms_mul_only_variable_cap_drops(ctx):
     A = ms_terms(ctx, (2, 5), None, [(2, 0), (0, 1)])
     B = ms_terms(ctx, (2, 5), None, [(1, 0), (0, 1)])
     P = assert_same_product(A, B)  # x^2 * x passes the cap of x
-    assert P.trunc and set(P.t) == {(2, 1), (1, 1), (0, 2)}
-    assert not assert_same_product(B, B).trunc
+    assert set(P.t) == {(2, 1), (1, 1), (0, 2)}
+    assert set(assert_same_product(B, B).t) == {(2, 0), (1, 1), (0, 2)}
 
 
 def test_ms_mul_only_total_cap_drops(ctx):
     A = ms_terms(ctx, (4, 4), 4, [(2, 1)])
     B = ms_terms(ctx, (4, 4), 4, [(1, 0), (0, 2)])
     P = assert_same_product(A, B)  # x^2 y * y^2 has total degree 5
-    assert P.trunc and list(P.t) == [(3, 1)]
+    assert list(P.t) == [(3, 1)]
     C = ms_terms(ctx, (4, 4), 4, [(1, 0), (0, 1)])
-    assert not assert_same_product(C, B).trunc
+    assert set(assert_same_product(C, B).t) == {(2, 0), (1, 2), (1, 1),
+                                                (0, 3)}
 
 
 def ms_add(A, B):
@@ -702,26 +689,24 @@ def ms_add(A, B):
             t.pop(k, None)
         else:
             t[k] = s
-    return MultiSeries(ctx, A.r, A.caps, t, A.trunc or B.trunc, A.tcap)
+    return MultiSeries(ctx, A.r, A.caps, t, A.tcap)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_ms_add_into_matches_ms_add(seed):
     # keys that cancel, keys shared, keys new; in place, same order and
-    # values as the copying sum, and B's truncation flag carried over
+    # values as the copying sum
     rng = random.Random(seed)
     ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
     A = random_ms(rng, ctx, (5, 3), None, 12)
     B = random_ms(rng, ctx, (5, 3), None, 12)
     for k in list(A.t)[:3]:
         ms_set(B, k, ctx.neg(A.t[k]))
-    B.trunc = seed == 1
     want = ms_add(A, B)
     t = A.t
     got = ms_add_into(A, B)
     assert got is A and A.t is t
     assert list(got.t.items()) == list(want.t.items())
-    assert got.trunc == want.trunc
 
 
 def ms_powers_per_square(A):
@@ -752,7 +737,7 @@ def with_zero_markers(rng, A):
             t = dict(e.t)
             t.setdefault(ctx.vcode((rng.randint(0, ctx.D),)),
                          (rng.randint(1, 6), 0, 0))
-            A.t[k] = CoeffElem(ctx, t, e.trunc)
+            A.t[k] = CoeffElem(ctx, t)
     k = (1,) + (0,) * (A.r - 1)
     A.t[k] = CoeffElem(ctx, {0: (3, 0, 0)})
     return A
@@ -777,7 +762,6 @@ def test_ms_powers_matches_per_square_reference(caps, tcap, seed):
         A.t[zero] = ctx.from_int(rng.randint(1, 4) * 3 + 1)
     else:
         A.t.pop(zero, None)
-        A.trunc = True
     want = ms_powers_per_square(A)
     exps = list(range(21))
     shuffled = exps[:]
@@ -829,7 +813,7 @@ def test_ms_permuted_renames_and_checks_caps(ctx):
     R = ms_permuted(A, (2, 0, 1))
     assert list(R.t) == [(0, 1, 2), (1, 0, 0), (0, 3, 0)]
     assert list(R.t.values()) == list(A.t.values())
-    assert (R.caps, R.tcap, R.trunc) == (A.caps, A.tcap, A.trunc)
+    assert (R.caps, R.tcap) == (A.caps, A.tcap)
     B = ms_new(ctx, 3, (3, 3, 2))
     ms_permuted(B, (1, 0, 2))  # swaps the two variables of cap 3
     for perm in ((2, 0, 1), (0, 2, 1)):
@@ -854,15 +838,12 @@ def test_ms_eval_substitution(ctx):
     assert len(out.t) == 3
 
 
-def _unit_gen(ctx, caps, tcap, i, trunc=False, one_trunc=False):
-    """Variable i, with the series' and its coefficient's trunc flags."""
+def _unit_gen(ctx, caps, tcap, i):
+    """Variable i."""
     g = ms_new(ctx, len(caps), caps, tcap)
     e = [0] * len(caps)
     e[i] = 1
-    one = ctx.one()
-    one.trunc = one_trunc
-    ms_set(g, e, one)
-    g.trunc = trunc
+    ms_set(g, e, ctx.one())
     return g
 
 
@@ -871,9 +852,8 @@ def _unit_gen(ctx, caps, tcap, i, trunc=False, one_trunc=False):
 @pytest.mark.parametrize("seed", range(2))
 def test_ms_eval_matches_product_route(caps, tcap, kinds, seed):
     # arguments are random series (s) or variables (v) with coefficient
-    # one, whose powers become key shifts unless that coefficient is
-    # flagged trunc; F's terms then meet per-variable caps, the total cap
-    # and products that vanish under D
+    # one, whose powers become key shifts; F's terms then meet
+    # per-variable caps, the total cap and products that vanish under D
     rng = random.Random(seed)
     ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
     r = len(caps)
@@ -882,8 +862,7 @@ def test_ms_eval_matches_product_route(caps, tcap, kinds, seed):
     args = []
     for kind in kinds:
         if kind == "v":
-            args.append(_unit_gen(ctx, caps, tcap, rng.randrange(r),
-                                  rng.random() < 0.3, rng.random() < 0.2))
+            args.append(_unit_gen(ctx, caps, tcap, rng.randrange(r)))
         else:
             A = random_ms(rng, ctx, caps, tcap, 5)
             ms_set(A, (0,) * r, ctx.zero())
@@ -892,26 +871,25 @@ def test_ms_eval_matches_product_route(caps, tcap, kinds, seed):
     assert ms_content(ms_eval(F, args)) == ms_content(want)
 
 
-def test_ms_eval_empty_product_keeps_flag():
+def test_ms_eval_empty_product_leaves_key():
     # F = v_1*X + Y on (v_1*x, x) at D=1: Y puts 1 on x, then the product
-    # v_1*v_1 vanishes under the cap and leaves that key alone, trunc
-    # flag included; with (1 + v_1)*x for X's argument it lands, flag set
+    # v_1*v_1 vanishes under the cap and leaves that key alone; with
+    # (1 + v_1)*x for X's argument it lands
     ctx = CoeffContext(3, 2, N=12, D=1)
     v = ctx.v_gen(1)
     F = ms_new(ctx, 2, (2, 2))
     ms_set(F, (1, 0), v)
     ms_set(F, (0, 1), ctx.one())
     x = _unit_gen(ctx, (3,), None, 0)
-    for c, terms, trunc in ((v, {0: ctx.padic.one()}, False),
-                            (ctx.add(ctx.one(), v),
-                             {0: ctx.padic.one(), 1: ctx.padic.one()}, True)):
+    for c, terms in ((v, {0: ctx.padic.one()}),
+                     (ctx.add(ctx.one(), v),
+                      {0: ctx.padic.one(), 1: ctx.padic.one()})):
         A = ms_new(ctx, 1, (3,))
         ms_set(A, (1,), c)
         out = ms_eval(F, [A, x])
         assert ms_content(out) == ms_content(
             ms_eval_by_products(F, [ms_powers(A), ms_powers(x)]))
         assert list(out.t) == [(1,)] and out.t[(1,)].t == terms
-        assert out.t[(1,)].trunc == trunc and not out.trunc
 
 
 def test_golden_roundtrip():
