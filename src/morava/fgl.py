@@ -342,6 +342,9 @@ def _build_two_var(fgl, Mx, My, tcap=None):
         ypow = {0: ser_from_terms(ctx, My, {0: ctx.one()})}
     F = ms_new(ctx, 2, (Mx, My), tcap=tcap)
     t = F.t
+    # the packed key of x^dx y^dy is dx * xunit + dy * yunit (ms_layout)
+    xunit, yunit = F.layout.units
+    ykeys = [dy * yunit for dy in range(My + 1)]
     emul, addmul = ctx.mul, ctx.addmul_into
     xpower = functools.partial(_series_power, xpow, logx)
     for j in range(min(My, teff) + 1):
@@ -358,14 +361,15 @@ def _build_two_var(fgl, Mx, My, tcap=None):
         for dx, cx in enumerate(G):
             if cx is None or not cx.t:
                 continue
+            kx = dx * xunit
             if not j:
-                t[(dx, 0)] = cx
+                t[kx] = cx
                 continue
             for dy in range(j, min(My, teff - dx) + 1):
                 cy = P[dy]
                 if not cy.t:
                     continue
-                k = (dx, dy)
+                k = kx + ykeys[dy]
                 cur = t.get(k)
                 if cur is None:
                     cur = emul(cx, cy)
@@ -509,9 +513,12 @@ def check_associativity(fgl, cap=None, depth=8):
     left = ms_eval_powers(F, [gpow, ms_powers(z)])
     right = ms_eval_powers(F, [ms_powers(x), hpow])
     keys = set(left.t) | set(right.t)
-    for key in sorted(keys):
-        if not ctx.eq_to(left.coeff(key), right.coeff(key), depth):
-            return False, {"exponents": key}
+    zero = ctx.zero()
+    bad = [k for k in keys
+           if not ctx.eq_to(left.t.get(k, zero), right.t.get(k, zero), depth)]
+    if bad:
+        # the first failure in the order of exponent tuples
+        return False, {"exponents": min(map(left.exps, bad))}
     return True, {"cap": cap, "depth": depth, "terms": len(keys)}
 
 
@@ -595,7 +602,6 @@ def build_fgl_cached(p, n, cache_dir, N=16, D=8, M=33):
     if A is not None:
         fgl = _build_log(*key)
         A.ctx = fgl.ctx
-        A.tcap = M
         fgl._f_cache[(M, M, M)] = A
         return fgl
     err = _load_raises(stem + ".raises", key)

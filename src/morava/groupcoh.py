@@ -647,8 +647,12 @@ def point_class(ring, tvals):
     acap, acc, apow = xs[0]
     for xcap, x, xpow in xs[1:]:
         F = fgl.F
-        terms = {(j, i): c for (i, j), c in F.t.items()
-                 if i <= acap and j <= xcap}
+        (si, mi), (sj, mj) = F.layout.fields
+        terms = {}
+        for k, c in F.t.items():
+            i, j = (k >> si) & mi, (k >> sj) & mj
+            if i <= acap and j <= xcap:
+                terms[(j, i)] = c
         acc = elem_poly(ring, terms, [xpow, apow])
         apow = elem_powers(acc)
         acap += xcap

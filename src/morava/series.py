@@ -1,15 +1,22 @@
 """Truncated power series over the coefficient ring.
 
 One-variable series are dense lists indexed by y-degree 0..M; trailing zeros
-are stored so the cap stays visible.  Multivariable series are sparse maps
-from exponent tuples with a per-variable cap each (and an optional total
-cap).  A term past a cap is dropped, never an error: the algebra
-downstream reasons explicitly about what lives beyond the caps.
+are stored so the cap stays visible.  A multivariable series is a sparse
+map from packed exponent vectors, with a per-variable cap each (and an
+optional total cap).  A term past a cap is dropped, never an error: the
+algebra downstream reasons explicitly about what lives beyond the caps.
 
-No stored term passes a cap, and the multiseries product relies on it: it
-packs exponents into ints with a guard bit per variable and, under a total
-cap, pairs each term only with the terms of low enough degree.  The pairs
-it keeps are visited in the order a loop over all pairs would visit them,
+A packed key is one int per exponent vector (ms_layout, after Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007): one field per variable with a guard bit
+above each, topped by the total degree.  The product of two monomials is
+the sum of their keys, and one mask test of that sum plus a bias tells
+whether it passes any cap.  No stored key passes a cap, and the kernels
+rely on it: a field that passed its cap could carry into the next one.
+Int order is not tuple order (the degree is on top), so every ordered walk
+sorts by the exponent tuple.  The multiseries product, under a total cap,
+pairs each term only with the terms of low enough degree.  The pairs it
+keeps are visited in the order a loop over all pairs would visit them,
 so coefficients accumulate in the same sequence, with the same p-adic
 precision, as in that loop.
 
@@ -29,7 +36,9 @@ with no v-terms, as at height one, goes through the
 successive-approximation division alone.
 """
 
-from operator import add, gt
+import collections
+import functools
+from operator import gt, itemgetter, mul
 
 from .coeff import CoeffContext, CoeffElem, _floor_error
 from .padic import EXACT, PrecisionError
@@ -436,8 +445,52 @@ def weierstrass_prepare(f, d=None):
 # Multivariable series
 
 
+_Layout = collections.namedtuple(
+    "_Layout", ("fields", "units", "dshift", "top", "bias", "guard"))
+
+
+@functools.lru_cache(maxsize=None)
+def ms_layout(caps, tcap):
+    """The packed-key layout of a multiseries with per-variable caps
+    ``caps`` (a tuple) and total cap ``tcap`` (None: none).
+
+    Variable i has the field fields[i] = (shift, mask), w bits wide with
+    2**w > caps[i].  The total degree sits above them all, from bit
+    dshift, so key >> dshift is a key's degree.  A guard bit sits above
+    every field.  The key of an exponent vector under the caps is its dot
+    product with ``units`` (unit i the key of variable i, its degree
+    included), so the key of a product of monomials is the sum of theirs.
+
+    ``bias`` holds 2**w - 1 - cap in each field, with ``top``, the total
+    cap in effect (at most the sum of the caps), as the degree field's
+    cap.  For two stored keys a and b, a field of a + b is at most twice
+    its cap, so a + b + bias stays below 2**(w+1) in it, never carries
+    into the next field, and sets its guard bit exactly when the field
+    passes its cap: (a + b + bias) & guard is nonzero exactly when a + b
+    passes a variable's cap or the total cap.  Keys depend on the caps
+    alone; bias, guard and top also on tcap."""
+    top = sum(caps) if tcap is None else min(tcap, sum(caps))
+    fields = []
+    bias = guard = off = 0
+    for c in caps + (top,):
+        width = c.bit_length()
+        fields.append((off, (1 << width) - 1))
+        bias |= ((1 << width) - 1 - c) << off
+        guard |= 1 << (off + width)
+        off += width + 1
+    dshift = fields.pop()[0]
+    units = tuple((1 << s) + (1 << dshift) for s, _ in fields)
+    return _Layout(tuple(fields), units, dshift, top, bias, guard)
+
+
 class MultiSeries:
-    __slots__ = ("ctx", "r", "caps", "tcap", "t")
+    """A series in r variables under a cap per variable and an optional
+    total cap.  t maps the packed key of each stored exponent vector
+    (ms_layout) to its nonzero coefficient.  key, exps and items convert
+    between keys and exponent tuples; coeff reads a coefficient by
+    tuple."""
+
+    __slots__ = ("ctx", "r", "caps", "tcap", "layout", "t")
 
     def __init__(self, ctx, r, caps, t=None, tcap=None):
         if len(caps) != r:
@@ -446,10 +499,34 @@ class MultiSeries:
         self.r = r
         self.caps = tuple(caps)
         self.tcap = tcap
+        self.layout = ms_layout(self.caps, tcap)
         self.t = t if t is not None else {}
 
+    def key(self, exps):
+        """The packed key of an exponent vector, or None when it passes a
+        cap or has a negative exponent: such a vector is absent, and it is
+        never packed, since its field would carry into the next one."""
+        exps = tuple(exps)
+        if len(exps) != self.r:
+            raise ValueError("need one exponent per variable")
+        if min(exps, default=0) < 0 or any(map(gt, exps, self.caps)) or \
+                sum(exps) > self.layout.top:
+            return None
+        return sum(map(mul, exps, self.layout.units))
+
+    def exps(self, k):
+        """The exponent vector of a packed key."""
+        return tuple((k >> s) & m for s, m in self.layout.fields)
+
+    def items(self):
+        """(exponent vector, coefficient) of each term, in stored order."""
+        exps = self.exps
+        return ((exps(k), e) for k, e in self.t.items())
+
     def coeff(self, exps):
-        return self.t.get(tuple(exps)) or self.ctx.zero()
+        k = self.key(exps)
+        e = None if k is None else self.t.get(k)
+        return e or self.ctx.zero()
 
     def is_zero(self):
         return not self.t
@@ -476,26 +553,28 @@ def _ms_check(A, B):
 
 
 def ms_set(A, exps, e):
-    exps = tuple(exps)
-    if any(x > c for x, c in zip(exps, A.caps)) or (
-            A.tcap is not None and sum(exps) > A.tcap):
+    """Store e as the coefficient of the exponent vector exps, deleting the
+    term when e is zero.  A vector past a cap is absent (MultiSeries.key):
+    nothing is stored."""
+    k = A.key(exps)
+    if k is None:
         return
     if e.is_zero():
-        A.t.pop(exps, None)
+        A.t.pop(k, None)
     else:
-        A.t[exps] = e
+        A.t[k] = e
 
 
 def ms_mul(A, B):
     """Product of two series of one shape, visiting only the pairs of terms
     whose product fits under the caps.
 
-    Each B term is packed once: its exponents go into one int with a field
-    per variable, topped by a guard bit.  A's exponents are packed with a
-    bias of guard - 1 - cap per field, so the sum of two packed ints sets a
-    guard bit exactly when that variable's exponent passes its cap.  Under
-    a total cap, an A term of degree d sees only the B terms of degree at
-    most tcap - d; that row is filtered once per distinct bound.
+    The key of a pair's product is the sum of their keys, and one guard
+    test of that sum plus the layout's bias drops the pair when it passes
+    a per-variable cap or the total cap (ms_layout).  Under a total cap,
+    an A term of degree d sees only the B terms of degree at most
+    tcap - d, each degree read from its key's top field; that row is
+    filtered once per distinct bound.
 
     Surviving pairs come in A's stored order, then B's, as in a loop over
     all pairs, so every key accumulates the same products in the same
@@ -503,43 +582,30 @@ def ms_mul(A, B):
     sum empties is deleted, and a later pair re-inserts it at the end."""
     _ms_check(A, B)
     ctx = A.ctx
-    caps = A.caps
     tcap = A.tcap
     t = {}
     if not A.t or not B.t:
-        return MultiSeries(ctx, A.r, caps, t, tcap)
-    # Field i holds 2**w > cap_i below its guard bit.  Stored exponents
-    # never pass their caps, so a biased sum stays below 2**(w+1) and never
-    # carries into the next field.
-    shifts, bias, guard, off = [], 0, 0, 0
-    for c in caps:
-        width = c.bit_length()
-        shifts.append(off)
-        bias |= ((1 << width) - 1 - c) << off
-        guard |= 1 << (off + width)
-        off += width + 1
-    full = []
-    degs = []
-    for kb, eb in B.t.items():
-        full.append((sum(x << s for x, s in zip(kb, shifts)), kb, eb))
-        degs.append(sum(kb))
-    top = max(degs)
+        return MultiSeries(ctx, A.r, A.caps, t, tcap)
+    lay = A.layout
+    dshift, bias, guard = lay.dshift, lay.bias, lay.guard
+    full = list(B.t.items())
+    top = max(B.t) >> dshift
     rows = {}
     emul, addmul = ctx.mul, ctx.addmul_into
     for ka, ea in A.t.items():
         row = full
         if tcap is not None:
-            bound = tcap - sum(ka)
+            bound = tcap - (ka >> dshift)
             if bound < top:
                 row = rows.get(bound)
                 if row is None:
                     row = rows[bound] = [
-                        b for b, d in zip(full, degs) if d <= bound]
-        pa = bias + sum(x << s for x, s in zip(ka, shifts))
-        for pb, kb, eb in row:
-            if (pa + pb) & guard:
+                        b for b in full if b[0] >> dshift <= bound]
+        pa = ka + bias
+        for kb, eb in row:
+            if (pa + kb) & guard:
                 continue
-            k = tuple(map(add, ka, kb))
+            k = ka + kb
             cur = t.get(k)
             if cur is None:
                 cur = emul(ea, eb)
@@ -549,12 +615,12 @@ def ms_mul(A, B):
             addmul(cur.t, ea, eb)
             if not cur.t:
                 del t[k]
-    return MultiSeries(ctx, A.r, caps, t, tcap)
+    return MultiSeries(ctx, A.r, A.caps, t, tcap)
 
 
 def ms_one(ctx, r, caps, tcap=None):
     A = ms_new(ctx, r, caps, tcap)
-    A.t[(0,) * r] = ctx.one()
+    A.t[0] = ctx.one()
     return A
 
 
@@ -585,8 +651,8 @@ def ms_powers(A):
 
 def ms_permuted(A, perm):
     """A with its variables renamed: variable j of the result is variable
-    perm[j] of A.  Keys keep A's order and the coefficients are A's own,
-    shared read-only.
+    perm[j] of A.  Keys keep A's order, each repacked, and the
+    coefficients are A's own, shared read-only.
 
     The renamed caps must equal A's, and then ms_mul and ms_eval commute
     with the renaming: the guard bits of equal caps agree, the total cap
@@ -596,7 +662,15 @@ def ms_permuted(A, perm):
     caps = tuple(A.caps[i] for i in perm)
     if sorted(perm) != list(range(A.r)) or caps != A.caps:
         raise ValueError("renaming must permute variables of equal caps")
-    t = {tuple(k[i] for i in perm): e for k, e in A.t.items()}
+    fields, dshift = A.layout.fields, A.layout.dshift
+    # (from, mask, to): field perm[j] of a key goes to field j
+    moves = [(fields[i][0], m, s) for i, (s, m) in zip(perm, fields)]
+    t = {}
+    for k, e in A.t.items():
+        nk = k >> dshift << dshift
+        for src, m, dst in moves:
+            nk |= (k >> src & m) << dst
+        t[nk] = e
     return MultiSeries(A.ctx, A.r, A.caps, t, A.tcap)
 
 
@@ -611,8 +685,8 @@ def ms_eval(F, args):
 
 
 def _unit_monomial(A, one):
-    """The key of A's one term when A is x^k with coefficient one (``one``
-    the dict of ctx.one()), else None."""
+    """The key of A's one term when A is a monomial with coefficient one
+    (``one`` the dict of ctx.one()), else None."""
     if len(A.t) == 1:
         (k, e), = A.t.items()
         if e.t == one:
@@ -621,7 +695,7 @@ def _unit_monomial(A, one):
 
 
 def _ms_times(A, B, one):
-    """ms_mul(A, B), by a key shift when either factor is x^s with
+    """ms_mul(A, B), by a key shift when either factor is a monomial with
     coefficient one."""
     s = _unit_monomial(B, one)
     if s is not None:
@@ -633,23 +707,16 @@ def _ms_times(A, B, one):
 
 
 def _ms_shift(A, s):
-    """ms_mul of A and x^s with coefficient one: A's keys moved by s, in
-    A's stored order, with A's own coefficients, shared read-only.  Each
-    product of a coefficient by one is that coefficient (no stored scalar
-    lies past the prune horizon), so only the keys change.  A key moved
-    past a per-variable cap or past the total cap is dropped, as ms_mul
-    drops its pair."""
-    room = lims = None
-    if A.tcap is not None:
-        room = A.tcap - sum(s)
-    if A.tcap is None or A.tcap > min(A.caps):
-        # otherwise a key under the total cap is under every cap
-        lims = tuple(c - x for c, x in zip(A.caps, s))
-    t = {}
-    for k, e in A.t.items():
-        if not (room is not None and sum(k) > room or
-                lims is not None and any(map(gt, k, lims))):
-            t[tuple(map(add, k, s))] = e
+    """ms_mul of A and the monomial of key s with coefficient one: A's keys
+    moved by s, in A's stored order, with A's own coefficients, shared
+    read-only.  Each product of a coefficient by one is that coefficient
+    (no stored scalar lies past the prune horizon), so only the keys
+    change.  A moved key k + s that passes a per-variable cap or the total
+    cap fails ms_mul's guard test and is dropped, as ms_mul drops its
+    pair."""
+    lay = A.layout
+    sb, guard = s + lay.bias, lay.guard
+    t = {k + s: e for k, e in A.t.items() if not (k + sb) & guard}
     return MultiSeries(A.ctx, A.r, A.caps, t, A.tcap)
 
 
@@ -662,13 +729,13 @@ def ms_eval_powers(F, powers):
     factor that is one term with coefficient one (x^j, or x^i·y^j when
     the arguments are variables) shifts the other factor's keys instead
     of multiplying (_ms_times).  The term is then scaled by F's
-    coefficient straight into the sum, in sorted order of F's terms and
-    each term's stored order: ctx.mul for a new key, ctx.addmul_into for
-    a stored one, whose coefficient ctx.mul made in this call and nothing
-    else holds.  Scalars and key order are those of scaling each term into
-    a series of its own and merging that into the sum (the reference route
-    in tests/helpers.py): a product with no terms leaves its key alone.
-    Only the choice of error differs:
+    coefficient straight into the sum, in the order of F's exponent
+    tuples and each term's stored order: ctx.mul for a new key,
+    ctx.addmul_into for a stored one, whose coefficient ctx.mul made in
+    this call and nothing else holds.  Scalars and key order are those of
+    scaling each term into a series of its own and merging that into the
+    sum (the reference route in tests/helpers.py): a product with no terms
+    leaves its key alone.  Only the choice of error differs:
     a term's products are no longer all formed before its sums, so when a
     product and an earlier sum of one term both fail the floor, the sum's
     PrecisionError is the one raised.
@@ -684,13 +751,13 @@ def ms_eval_powers(F, powers):
     for A in args[1:]:
         _ms_check(shape, A)
     for A in args:
-        if (0,) * A.r in A.t:
+        if 0 in A.t:
             raise ValueError("substitution needs zero constant terms")
     ctx = F.ctx
     one = ctx.one().t
     emul, addmul = ctx.mul, ctx.addmul_into
     t = {}
-    for exps in sorted(F.t):
+    for exps, c in sorted(F.items(), key=itemgetter(0)):
         term = None
         for i, x in enumerate(exps):
             if x == 0:
@@ -699,7 +766,6 @@ def ms_eval_powers(F, powers):
             term = px if term is None else _ms_times(term, px, one)
         if term is None:
             term = ms_one(ctx, shape.r, shape.caps, shape.tcap)
-        c = F.t[exps]
         for k, e in term.t.items():
             cur = t.get(k)
             if cur is None:
@@ -736,8 +802,8 @@ def golden_dump(f):
         entries = ((str(d), d, e) for d, e in enumerate(f.c)
                    if not e.is_zero())
     else:
-        entries = ((",".join(map(str, k)), sum(k), f.t[k])
-                   for k in sorted(f.t))
+        entries = ((",".join(map(str, k)), sum(k), e)
+                   for k, e in sorted(f.items(), key=itemgetter(0)))
     for ytag, d, e in entries:
         for vc, c in sorted(e.t.items()):
             vexps = ctx.vexps(vc)
@@ -765,8 +831,10 @@ def _checked_scalar(ctx, val, unit, prec):
 
 def golden_load(text):
     """Parse the line format back into a YSeries (single y-exponent field)
-    or MultiSeries (comma-separated exponents).  A term whose u-exponent
-    breaks the grading raises ValueError."""
+    or MultiSeries (comma-separated exponents).  A multiseries comes back
+    in the shape of a law file: every cap and the total cap M.  Each
+    key is packed as it is read, and a term past a cap is dropped.  A term
+    whose u-exponent breaks the grading raises ValueError."""
     lines = [ln for ln in text.strip().split("\n") if ln]
     head = lines[0].split()
     if head[0] != "FGLV1":
@@ -774,26 +842,43 @@ def golden_load(text):
     kv = dict(tok.split("=") for tok in head[1:])
     p, n, N, D, M = (int(kv[k]) for k in ("p", "n", "N", "D", "M"))
     ctx = CoeffContext(p, n, N=N, D=D)
-    multi = any("," in ln.split("|")[0] for ln in lines[1:])
+    multi = any("," in ln.split("|", 1)[0] for ln in lines[1:])
+    if multi:
+        r = lines[1].split("|", 1)[0].count(",") + 1
+        units = ms_layout((M,) * r, M).units
+    packed = {}
     terms = {}
     for ln in lines[1:]:
         ytag, ue, vtag, val, unit, prec = ln.split("|")
-        key = tuple(int(x) for x in ytag.split(",")) if multi else int(ytag)
+        # a key has one line per v-code: parse and pack its tag once
+        got = packed.get(ytag)
+        if got is None:
+            exps = tuple(int(x) for x in ytag.split(","))
+            d = sum(exps)
+            if not multi:
+                key = d
+            elif len(exps) != r or min(exps) < 0:
+                raise ValueError("term %s: not %d exponents under the caps"
+                                 % (ytag, r))
+            else:
+                # past the total cap: absent, and never packed
+                key = sum(map(mul, exps, units)) if d <= M else None
+            got = packed[ytag] = (key, d)
+        key, d = got
         vexps = () if vtag == "-" else tuple(int(x) for x in vtag.split(","))
         vc = ctx.vcode(vexps) if vexps else 0
-        want = ctx.u_exponent((sum(key) if multi else key) - 1, vc)
+        want = ctx.u_exponent(d - 1, vc)
         if int(ue) != want:
             raise ValueError("term %s|%s|%s: the grading gives u-exponent "
                              "%d" % (ytag, ue, vtag, want))
         c = _checked_scalar(ctx, int(val), int(unit), int(prec))
+        if key is None:
+            continue
         cur = terms.setdefault(key, ctx.zero())
         terms[key] = ctx.add(cur, ctx.from_scalar(c, vc))
     if multi:
-        r = len(next(iter(terms))) if terms else 2
-        A = ms_new(ctx, r, (M,) * r)
-        for k, e in terms.items():
-            ms_set(A, k, e)
-        return A
+        return MultiSeries(ctx, r, (M,) * r,
+                           {k: e for k, e in terms.items() if e.t}, M)
     f = ser_new(ctx, M)
     for d, e in terms.items():
         f.c[d] = e

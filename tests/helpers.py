@@ -71,11 +71,11 @@ def oc_series_to_yseries(ctx, ser, M=None):
 
 def ms_content(A):
     """Everything stored in a multiseries, orders included: its shape and,
-    per key in stored order, the coefficient's terms in stored order, with
-    each scalar's fields."""
+    per exponent vector in stored order, the coefficient's terms in stored
+    order, with each scalar's fields."""
     return (A.caps, A.tcap,
-            [(k, [(ck, v, u, k) for ck, (v, u, k) in e.t.items()])
-             for k, e in A.t.items()])
+            [(x, [(ck, v, u, k) for ck, (v, u, k) in e.t.items()])
+             for x, e in A.items()])
 
 
 def ms_from_yseries(f, r, caps, var):
@@ -127,7 +127,7 @@ def ms_eval_by_products(F, powers):
     shape = args[0]
     ctx = F.ctx
     out = ms_new(ctx, shape.r, shape.caps, shape.tcap)
-    for exps in sorted(F.t):
+    for exps, c in sorted(F.items(), key=lambda term: term[0]):
         term = None
         for i, x in enumerate(exps):
             if x:
@@ -135,7 +135,7 @@ def ms_eval_by_products(F, powers):
                 term = px if term is None else ms_mul(term, px)
         if term is None:
             term = ms_one(ctx, shape.r, shape.caps, shape.tcap)
-        ms_add_into(out, ms_scale(F.t[exps], term))
+        ms_add_into(out, ms_scale(c, term))
     return out
 
 

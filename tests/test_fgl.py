@@ -125,8 +125,9 @@ def _assoc_check(fgl, cap, depth):
     x, y, z = _gens(ctx, cap)
     left = ms_eval(F, [ms_eval(F, [x, y]), z])
     right = ms_eval(F, [x, ms_eval(F, [y, z])])
-    for key in set(left.t) | set(right.t):
-        assert ctx.eq_to(left.coeff(key), right.coeff(key), depth), key
+    keys = {v for v, _ in left.items()} | {v for v, _ in right.items()}
+    for exps in keys:
+        assert ctx.eq_to(left.coeff(exps), right.coeff(exps), depth), exps
 
 
 def test_f_associative_height_one(f21, f31):
@@ -136,6 +137,25 @@ def test_f_associative_height_one(f21, f31):
 
 def test_f_associative_height_two(f22):
     _assoc_check(f22, 5, 8)
+
+
+@pytest.mark.parametrize("bad", [(2, 1), (1, 3), (4, 0)])
+def test_associativity_witness_is_the_first_failure_in_tuple_order(bad):
+    # a law with one coefficient changed fails at several exponent
+    # vectors; the witness is the least of them as a tuple
+    law = build_fgl(2, 1, N=24, D=1, M=8)
+    ctx, cap = law.ctx, 6
+    F = law.two_var(cap, cap, tcap=cap)
+    ms_set(F, bad, ctx.add(F.coeff(bad), ctx.from_int(4)))
+    x, y, z = _gens(ctx, cap)
+    left = ms_eval(F, [ms_eval(F, [x, y]), z])
+    right = ms_eval(F, [x, ms_eval(F, [y, z])])
+    keys = {v for v, _ in left.items()} | {v for v, _ in right.items()}
+    failing = sorted(e for e in keys
+                     if not ctx.eq_to(left.coeff(e), right.coeff(e), 8))
+    assert len(failing) > 1
+    ok, witness = check_associativity(law, cap=cap)
+    assert not ok and witness == {"exponents": failing[0]}
 
 
 @pytest.mark.parametrize("p,n,D,cap,N", [

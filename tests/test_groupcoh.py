@@ -197,8 +197,8 @@ def ms_normal_form(ring, A):
     """Normal form of a multiseries, term by term in sorted order: the
     reduction normal_form applies to one-variable series."""
     out = {}
-    for exps in sorted(A.t):
-        groupcoh._nf_accumulate(ring, out, exps, A.t[exps])
+    for exps, c in sorted(A.items(), key=lambda term: term[0]):
+        groupcoh._nf_accumulate(ring, out, exps, c)
     return RingElem(ring, out)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -557,14 +558,19 @@ def test_shift_and_rshift(ctx):
         ser_rshift(f, 1)
 
 
+def exps_of(A):
+    """The exponent vectors of A's terms."""
+    return {x for x, _ in A.items()}
+
+
 def test_multiseries_caps_and_trunc(ctx):
     A = ms_new(ctx, 2, (2, 2))
     ms_set(A, (1, 0), ctx.one())
     ms_set(A, (0, 1), ctx.one())
     B = ms_mul(A, A)
-    assert set(B.t) == {(2, 0), (1, 1), (0, 2)}
+    assert exps_of(B) == {(2, 0), (1, 1), (0, 2)}
     C = ms_mul(B, B)  # x^4, x^3*y, x*y^3 and y^4 fall off the caps
-    assert set(C.t) == {(2, 2)}
+    assert exps_of(C) == {(2, 2)}
 
 
 def test_multiseries_total_cap(ctx):
@@ -572,7 +578,7 @@ def test_multiseries_total_cap(ctx):
     ms_set(A, (1, 0), ctx.one())
     ms_set(A, (0, 1), ctx.one())
     B = ms_mul(ms_mul(A, A), A)
-    assert set(B.t) == {(3, 0), (2, 1), (1, 2), (0, 3)}
+    assert exps_of(B) == {(3, 0), (2, 1), (1, 2), (0, 3)}
     D = ms_mul(B, A)
     assert not D.t
 
@@ -582,8 +588,8 @@ def all_pairs_product(A, B):
     against the caps: the reference for ms_mul."""
     ctx = A.ctx
     t = {}
-    for ka, ea in A.t.items():
-        for kb, eb in B.t.items():
+    for ka, ea in A.items():
+        for kb, eb in B.items():
             k = tuple(x + y for x, y in zip(ka, kb))
             if any(x > c for x, c in zip(k, A.caps)) or (
                     A.tcap is not None and sum(k) > A.tcap):
@@ -594,14 +600,13 @@ def all_pairs_product(A, B):
                 t.pop(k, None)
             else:
                 t[k] = s
-    return MultiSeries(ctx, A.r, A.caps, t, A.tcap)
+    return MultiSeries(ctx, A.r, A.caps,
+                       {A.key(k): e for k, e in t.items()}, A.tcap)
 
 
 def assert_same_product(A, B):
-    got, want = ms_mul(A, B), all_pairs_product(A, B)
-    assert list(got.t) == list(want.t)
-    for k, e in want.t.items():
-        assert list(got.t[k].t.items()) == list(e.t.items())
+    got = ms_mul(A, B)
+    assert ms_content(got) == ms_content(all_pairs_product(A, B))
     return got
 
 
@@ -664,18 +669,18 @@ def test_ms_mul_only_variable_cap_drops(ctx):
     A = ms_terms(ctx, (2, 5), None, [(2, 0), (0, 1)])
     B = ms_terms(ctx, (2, 5), None, [(1, 0), (0, 1)])
     P = assert_same_product(A, B)  # x^2 * x passes the cap of x
-    assert set(P.t) == {(2, 1), (1, 1), (0, 2)}
-    assert set(assert_same_product(B, B).t) == {(2, 0), (1, 1), (0, 2)}
+    assert exps_of(P) == {(2, 1), (1, 1), (0, 2)}
+    assert exps_of(assert_same_product(B, B)) == {(2, 0), (1, 1), (0, 2)}
 
 
 def test_ms_mul_only_total_cap_drops(ctx):
     A = ms_terms(ctx, (4, 4), 4, [(2, 1)])
     B = ms_terms(ctx, (4, 4), 4, [(1, 0), (0, 2)])
     P = assert_same_product(A, B)  # x^2 y * y^2 has total degree 5
-    assert list(P.t) == [(3, 1)]
+    assert [x for x, _ in P.items()] == [(3, 1)]
     C = ms_terms(ctx, (4, 4), 4, [(1, 0), (0, 1)])
-    assert set(assert_same_product(C, B).t) == {(2, 0), (1, 2), (1, 1),
-                                                (0, 3)}
+    assert exps_of(assert_same_product(C, B)) == {(2, 0), (1, 2), (1, 1),
+                                                  (0, 3)}
 
 
 def ms_add(A, B):
@@ -700,13 +705,13 @@ def test_ms_add_into_matches_ms_add(seed):
     ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
     A = random_ms(rng, ctx, (5, 3), None, 12)
     B = random_ms(rng, ctx, (5, 3), None, 12)
-    for k in list(A.t)[:3]:
-        ms_set(B, k, ctx.neg(A.t[k]))
+    for k, e in list(A.items())[:3]:
+        ms_set(B, k, ctx.neg(e))
     want = ms_add(A, B)
     t = A.t
     got = ms_add_into(A, B)
     assert got is A and A.t is t
-    assert list(got.t.items()) == list(want.t.items())
+    assert list(got.items()) == list(want.items())
 
 
 def ms_powers_per_square(A):
@@ -738,8 +743,7 @@ def with_zero_markers(rng, A):
             t.setdefault(ctx.vcode((rng.randint(0, ctx.D),)),
                          (rng.randint(1, 6), 0, 0))
             A.t[k] = CoeffElem(ctx, t)
-    k = (1,) + (0,) * (A.r - 1)
-    A.t[k] = CoeffElem(ctx, {0: (3, 0, 0)})
+    A.t[A.key((1,) + (0,) * (A.r - 1))] = CoeffElem(ctx, {0: (3, 0, 0)})
     return A
 
 
@@ -757,7 +761,7 @@ def test_ms_powers_matches_per_square_reference(caps, tcap, seed):
     A = with_zero_markers(rng, random_ms(rng, ctx, caps, tcap,
                                          rng.randint(4, 8)))
     # with a unit constant term no power dies out below e = 20
-    zero = (0,) * len(caps)
+    zero = A.key((0,) * len(caps))
     if seed == 0:
         A.t[zero] = ctx.from_int(rng.randint(1, 4) * 3 + 1)
     else:
@@ -778,7 +782,7 @@ def test_ms_powers_odd_power_reuses_even_square(monkeypatch):
     rng = random.Random(5)
     ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
     A = random_ms(rng, ctx, (4, 4, 4), 4, 6)
-    A.t[(0, 0, 0)] = ctx.from_int(7)
+    A.t[A.key((0, 0, 0))] = ctx.from_int(7)
     muls = []
     real_mul = morava.series.ms_mul
 
@@ -811,7 +815,7 @@ def test_ms_permuted_renames_and_checks_caps(ctx):
     for k in [(1, 2, 0), (0, 0, 1), (3, 0, 0)]:
         ms_set(A, k, ctx.from_int(sum(k) + 1))
     R = ms_permuted(A, (2, 0, 1))
-    assert list(R.t) == [(0, 1, 2), (1, 0, 0), (0, 3, 0)]
+    assert [x for x, _ in R.items()] == [(0, 1, 2), (1, 0, 0), (0, 3, 0)]
     assert list(R.t.values()) == list(A.t.values())
     assert (R.caps, R.tcap) == (A.caps, A.tcap)
     B = ms_new(ctx, 3, (3, 3, 2))
@@ -889,7 +893,126 @@ def test_ms_eval_empty_product_leaves_key():
         out = ms_eval(F, [A, x])
         assert ms_content(out) == ms_content(
             ms_eval_by_products(F, [ms_powers(A), ms_powers(x)]))
-        assert list(out.t) == [(1,)] and out.t[(1,)].t == terms
+        assert [(x, e.t) for x, e in out.items()] == [((1,), terms)]
+
+
+# Packed keys: the layout of each shape against exponent tuples
+
+
+@st.composite
+def ms_shapes(draw, max_cap=40):
+    """(caps, tcap): one to four caps, and no total cap or one below,
+    at or above the sum of the caps."""
+    caps = tuple(draw(st.lists(st.integers(0, max_cap), min_size=1,
+                               max_size=4)))
+    tcap = draw(st.none() | st.integers(0, sum(caps) + 3))
+    return caps, tcap
+
+
+def under(caps, tcap):
+    """Exponent vectors under the caps."""
+    return st.tuples(*(st.integers(0, c) for c in caps)).filter(
+        lambda x: tcap is None or sum(x) <= tcap)
+
+
+def passes(x, caps, tcap):
+    return any(a > c for a, c in zip(x, caps)) or (
+        tcap is not None and sum(x) > tcap)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_key_exps_round_trip(data):
+    caps, tcap = data.draw(ms_shapes())
+    A = ms_new(CoeffContext(2, 1, N=8, D=1), len(caps), caps, tcap)
+    x = data.draw(under(caps, tcap))
+    k = A.key(x)
+    assert k is not None and A.exps(k) == x
+    assert k >> A.layout.dshift == sum(x)
+    assert A.key(list(x)) == k
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_guard_fires_exactly_past_a_cap(data):
+    caps, tcap = data.draw(ms_shapes())
+    A = ms_new(CoeffContext(2, 1, N=8, D=1), len(caps), caps, tcap)
+    a, b = data.draw(under(caps, tcap)), data.draw(under(caps, tcap))
+    ka, kb = A.key(a), A.key(b)
+    s = tuple(x + y for x, y in zip(a, b))
+    lay = A.layout
+    assert bool((ka + kb + lay.bias) & lay.guard) == passes(s, caps, tcap)
+    if not passes(s, caps, tcap):
+        assert ka + kb == A.key(s)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_past_a_cap_reads_and_stores_nothing(data):
+    # every vector under the caps holds its own coefficient; a vector past
+    # a cap, or with a negative exponent, reads zero and stores nothing
+    caps, tcap = data.draw(ms_shapes(max_cap=5))
+    ctx = CoeffContext(2, 1, N=16, D=1)
+    A = ms_new(ctx, len(caps), caps, tcap)
+    every = [x for x in itertools.product(*(range(c + 1) for c in caps))
+             if not passes(x, caps, tcap)]
+    for m, x in enumerate(every, 1):
+        ms_set(A, x, ctx.from_int(m))
+    before = list(A.items())
+    x = data.draw(st.tuples(*(st.integers(-2, c + 6) for c in caps)).filter(
+        lambda x: min(x) < 0 or passes(x, caps, tcap)))
+    assert A.key(x) is None and A.coeff(x).is_zero()
+    ms_set(A, x, ctx.from_int(len(every) + 1))
+    ms_set(A, x, ctx.zero())
+    assert list(A.items()) == before
+    assert [A.coeff(x) for x in every] == [
+        ctx.from_int(m) for m in range(1, len(every) + 1)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sorting_by_exps_is_tuple_order(data):
+    caps, tcap = data.draw(ms_shapes())
+    A = ms_new(CoeffContext(2, 1, N=8, D=1), len(caps), caps, tcap)
+    xs = data.draw(st.lists(under(caps, tcap), max_size=30, unique=True))
+    keys = [A.key(x) for x in xs]
+    assert [A.exps(k) for k in sorted(keys, key=A.exps)] == sorted(xs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_golden_round_trip_of_a_multiseries(data):
+    # a series in the shape of a law file comes back equal, keyed in the
+    # order of its exponent tuples, the order the file lists them in; a
+    # second round trip keeps that order and the text
+    ctx = CoeffContext(3, 2, N=12, D=3)
+    r, M = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 8))
+    F = ms_new(ctx, r, (M,) * r, tcap=M)
+    # with no term, the file would read back as a one-variable series
+    for x in data.draw(st.lists(under((M,) * r, M), min_size=1,
+                                max_size=25)):
+        e = ctx.zero()
+        for b in data.draw(st.lists(st.integers(0, 3), min_size=1,
+                                    max_size=3)):
+            e = ctx.add(e, ctx.from_scalar(
+                ctx.padic.from_int(data.draw(st.integers(1, 3 ** 6))),
+                ctx.vcode((b,))))
+        ms_set(F, x, e)
+    text = golden_dump(F)
+    G = golden_load(text)
+    assert (G.r, G.caps, G.tcap) == (F.r, F.caps, F.tcap)
+    assert G == F
+    assert [x for x, _ in G.items()] == sorted(x for x, _ in F.items())
+    H = golden_load(golden_dump(G))
+    assert ms_content(H) == ms_content(G) and golden_dump(H) == text
+
+
+@pytest.mark.parametrize("p,n,N,D,M", [(2, 1, 24, 1, 12), (3, 2, 16, 2, 9)])
+def test_golden_round_trip_of_a_law(p, n, N, D, M):
+    F = build_fgl(p, n, N=N, D=D, M=M).F
+    G = golden_load(golden_dump(F))
+    assert (G.caps, G.tcap) == (F.caps, F.tcap) and G == F
+    assert ms_content(golden_load(golden_dump(G))) == ms_content(G)
 
 
 def test_golden_roundtrip():
