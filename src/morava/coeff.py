@@ -22,10 +22,11 @@ their absence would silently upgrade a bounded-depth zero to an exact one.
 
 Stored scalars keep the invariant of ``padic.py`` (0 <= prec <= N, a
 nonzero unit prime to p and below p**prec, a zero with unit 0 and prec 0).
-``mul``, ``addmul_into``, ``_merge_into`` (behind ``add``, ``add_raw``,
-``sub`` and ``sub_raw``) and ``scalar_mul`` unpack each scalar tuple into
-locals, form products from the context's power table, as PadicContext.mul
-would, and build each result as a tuple literal.  When a term lands on a
+``mul``, ``addmul_into``, ``addmul_row``, ``_merge_into`` (behind
+``add``, ``add_raw``, ``sub`` and ``sub_raw``) and ``scalar_mul`` unpack
+each scalar tuple into locals, form products from the context's power
+table, as PadicContext.mul would, and build each result as a tuple
+literal.  When a term lands on a
 stored key, ``_sum``, the one definition of the sum, adds the two scalars
 by PadicContext._add's rule, inline, whether they are two nonzero units, a
 unit and a zero marker, or two zero markers, then applies the prune
@@ -50,6 +51,24 @@ be rounded (and floor-checked) before it meets the accumulator, so the
 product is formed in full by ``mul`` first and then merged.  ``t`` must
 never be the dict of a coefficient someone else holds: callers copy a
 shared coefficient before their first in-place write.
+
+Products come in two shapes, and each has its kernel.  A row, one
+coefficient A against each coefficient B of an existing list of
+(key, B), as in the multiseries product, the evaluation of a multiseries
+and the two-variable law, goes through ``addmul_row(T, k0, A, row, bias,
+guard)``: one call per row, adding each A*B into T[k0 + key] of a map T
+of coefficients.  A new key is stored when its product has terms, as
+``mul`` makes it; a stored key takes the product in place, as
+``addmul_into`` would, and is deleted when it empties; a pair whose
+``(k0 + bias + key) & guard`` is nonzero (a packed key past a cap, see
+``series.ms_layout``) is skipped.  A one-term side, A or B, is multiplied
+inline, with no call per pair; two several-term sides go through ``mul``
+and ``_merge_into``.  A convolution with no fixed operand (solve_log's
+power chains, ``ser_mul``, ``ser_invert_unit``, the ring products of
+``groupcoh``) meets a new A at every pair, so it stays on ``addmul_into``:
+one-pair rows for solve_log's chains cost more than they saved, and a
+single kernel fed (key, A, B) triples by every caller spent the saving on
+building the triples.  So the one-term loop lives in both kernels.
 """
 
 from .padic import EXACT, PadicContext, PrecisionError, scalar_repr
@@ -365,6 +384,91 @@ class CoeffContext:
                 del t[k]
             else:
                 t[k] = s
+
+    def addmul_row(self, T, k0, A, row, bias=None, guard=0):
+        """For each (kb, B) of row, in order, add A*B into the coefficient
+        T[k0 + kb] of the map T, skipping a pair whose (k0 + bias + kb) &
+        guard is nonzero.  A new key is stored when the product has terms;
+        a stored key takes the product in place, as addmul_into, and is
+        deleted when it empties.  The module docstring states the
+        contract."""
+        ta = A.t
+        if not ta:
+            return
+        sb = k0 + bias if guard else 0
+        get = T.get
+        vtot = self.vtotal
+        D = self.D
+        padic = self.padic
+        pows = padic._pows
+        horizon = self.prune_horizon
+        _sum = self._sum
+        one = len(ta) == 1
+        if one:
+            (va, (av, au, ap)), = ta.items()
+            if ap >= len(pows):
+                padic.ppow(ap)
+            room = D - vtot[va]
+        for kb, B in row:
+            if guard and (sb + kb) & guard:
+                continue
+            tb = B.t
+            if not tb:
+                continue
+            k = k0 + kb
+            cur = get(k)
+            if one:
+                many = tb
+            elif len(tb) == 1:
+                many = ta
+                (va, (av, au, ap)), = tb.items()
+                if ap >= len(pows):
+                    padic.ppow(ap)
+                room = D - vtot[va]
+            else:
+                # two pairs can land on one key of the product: form it in
+                # full, as addmul_into does
+                P = self.mul(A, B)
+                if cur is None:
+                    if P.t:
+                        T[k] = P
+                    continue
+                t = cur.t
+                self._merge_into(t, P.t, False)
+                if not t:
+                    del T[k]
+                continue
+            # one term on the short side: every product key is distinct,
+            # and each term goes straight into t in mul's order
+            t = {} if cur is None else cur.t
+            tget = t.get
+            for vb, (bv, bu, pk) in many.items():
+                if vtot[vb] > room:
+                    continue
+                pv = av + bv
+                if pv >= horizon:
+                    continue
+                if au and bu:
+                    if ap < pk:
+                        pk = ap
+                    pu = au * bu % pows[pk]
+                else:
+                    pu = pk = 0
+                kv = va + vb
+                c = tget(kv)
+                if c is None:
+                    t[kv] = (pv, pu, pk)
+                    continue
+                s = _sum(c, pv, pu, pk, False)
+                if s is None:
+                    del t[kv]
+                else:
+                    t[kv] = s
+            if cur is None:
+                if t:
+                    T[k] = CoeffElem(self, t)
+            elif not t:
+                del T[k]
 
     def scalar_mul(self, c, A):
         cv, cu, cp = c

@@ -24,12 +24,14 @@ character classes of groupcoh.point_class (through groupcoh.elem_poly, on
 ring elements: one ring product per power of the first argument).  It is
 formed only under its caps: row j of the expansion to x-degree
 min(Mx, teff - j) and each of its coefficients of x^dx against y-degrees
-j..min(My, teff - dx), teff the effective total cap (_build_two_var).
+j..min(My, teff - dx), teff the effective total cap, one
+CoeffContext.addmul_row call per row of products (_build_two_var).
 
 Scalars of valuation -k appear in the l_k; the builder refuses to run when
 the working precision cannot absorb the worst of them.
 """
 
+import bisect
 import functools
 import math
 import os
@@ -312,16 +314,18 @@ def _build_two_var(fgl, Mx, My, tcap=None):
     Cap rule: with teff the effective total cap (tcap, at most Mx + My),
     row G_j is formed to x-degree min(Mx, teff - j) (_row), and its
     coefficient of x^dx meets (log y)^j only at y-degrees
-    j..min(My, teff - dx); every other term lies past a cap.  A key of F
-    takes ctx.mul when new and is kept if nonempty, and takes
-    ctx.addmul_into when stored and is deleted when it empties, as in
-    ms_mul.  Terms and degrees come in ascending order, so every
-    coefficient is the sum, in the same order, that forming every term and
-    dropping those past the caps gives, and F's keys come in that order.
-    No product or coefficient past the caps is formed.  A row forms its
-    products and sums degree by degree, so when two of them fall short of
-    the floor, the one raised can differ from forming each term's products
-    before its sums.
+    j..min(My, teff - dx); every other term lies past a cap.  That row
+    of (log y)^j, its nonempty coefficients keyed for F, is a slice of one
+    list per j, and the coefficient of x^dx meets it in one
+    ctx.addmul_row call: a new key of F is stored when its product has
+    terms, and a stored one takes the product in place and is deleted
+    when it empties, as in ms_mul.  Terms and degrees come in ascending
+    order, so every coefficient is the sum, in the same order, that
+    forming every term and dropping those past the caps gives, and F's
+    keys come in that order.  No product or coefficient past the caps is
+    formed.  A row forms its products and sums degree by degree, so when
+    two of them fall short of the floor, the one raised can differ from
+    forming each term's products before its sums.
 
     The exponential only enters through degrees up to the effective total
     cap, so the law must have been built at least that deep."""
@@ -344,9 +348,16 @@ def _build_two_var(fgl, Mx, My, tcap=None):
     t = F.t
     # the packed key of x^dx y^dy is dx * xunit + dy * yunit (ms_layout)
     xunit, yunit = F.layout.units
-    ykeys = [dy * yunit for dy in range(My + 1)]
-    emul, addmul = ctx.mul, ctx.addmul_into
     xpower = functools.partial(_series_power, xpow, logx)
+    xrows = {}
+
+    def xrow(k):
+        # (degrees, row): the nonempty coefficients of (log x)^k as
+        # (x-degree, coefficient), ascending, each power formed once
+        got = xrows.get(k)
+        if got is None:
+            got = xrows[k] = _nonempty(xpower(k).c, 1)
+        return got
     for j in range(min(My, teff) + 1):
         terms = []
         for i in range(j, min(teff, Mx + j) + 1):
@@ -356,53 +367,39 @@ def _build_two_var(fgl, Mx, My, tcap=None):
                     terms.append((c, i - j))
         if not terms:
             continue
-        G = _row(ctx, terms, xpower, min(Mx, teff - j))
-        P = _series_power(ypow, logy, j).c if j else None
+        G = _row(ctx, terms, xrow, min(Mx, teff - j))
+        if not j:
+            for dx, cx in enumerate(G):
+                if cx is not None:
+                    t[dx * xunit] = cx
+            continue
+        dys, prow = _nonempty(_series_power(ypow, logy, j).c, yunit)
         for dx, cx in enumerate(G):
-            if cx is None or not cx.t:
-                continue
-            kx = dx * xunit
-            if not j:
-                t[kx] = cx
-                continue
-            for dy in range(j, min(My, teff - dx) + 1):
-                cy = P[dy]
-                if not cy.t:
-                    continue
-                k = kx + ykeys[dy]
-                cur = t.get(k)
-                if cur is None:
-                    cur = emul(cx, cy)
-                    if cur.t:
-                        t[k] = cur
-                    continue
-                addmul(cur.t, cx, cy)
-                if not cur.t:
-                    del t[k]
+            if cx is not None:
+                ctx.addmul_row(t, dx * xunit, cx,
+                               prow[:bisect.bisect_right(dys, teff - dx)])
     return F
 
 
+def _nonempty(c, unit):
+    """(degrees, row) of a dense coefficient list c: the degrees d of its
+    nonempty coefficients, ascending, and the pairs (d * unit, c[d])."""
+    ds = [d for d, a in enumerate(c) if a.t]
+    return ds, [(d * unit, c[d]) for d in ds]
+
+
 def _row(ctx, terms, power, hi):
-    """Entries 0..hi of the row sum of c * power(k) over terms (c, k),
-    None where no term lands.  An entry is formed by ctx.mul and kept even
-    when it empties, each later product going in by ctx.addmul_into, as a
-    sum of dense series keeps it.  A coefficient of power(k) with no terms
-    is skipped.  Each power is formed when its term comes up, as the sum
-    of dense series forms it."""
-    emul, addmul = ctx.mul, ctx.addmul_into
-    row = [None] * (hi + 1)
+    """Entries 0..hi of the row sum of c * (log x)^k over terms (c, k),
+    None where no term lands or the terms cancel.  power(k) gives the
+    nonempty coefficients of (log x)^k as _nonempty does, and each term
+    adds its row up to x-degree hi in one ctx.addmul_row call on a map
+    keyed by x-degree.  Each power is formed when its term comes up, as
+    the sum of dense series forms it."""
+    G = {}
     for c, k in terms:
-        pw = power(k).c
-        for dx in range(hi + 1):
-            a = pw[dx]
-            if not a.t:
-                continue
-            g = row[dx]
-            if g is None:
-                row[dx] = emul(c, a)
-            else:
-                addmul(g.t, c, a)
-    return row
+        ds, row = power(k)
+        ctx.addmul_row(G, 0, c, row[:bisect.bisect_right(ds, hi)])
+    return [G.get(dx) for dx in range(hi + 1)]
 
 
 def formal_sum(fgl, terms):
@@ -485,11 +482,13 @@ def check_associativity(fgl, cap=None, depth=8):
     F(y, z) and each of its powers are F(x, y) and its power renamed
     x->y->z (ms_permuted: the three caps are equal), so only the powers of
     F(x, y) are multiplied out.  At p=2, n=1, N=59 the products then meet
-    300,200 pairs of terms at cap 16 (7,911,348 at cap 32), of which
-    14.5 % (12.5 %) fit under the cap; ms_mul visits only those.  The
+    269,480 pairs of terms at cap 16 (7,447,092 at cap 32), of which
+    11.6 % (10.8 %) fit under the cap; ms_mul multiplies only those.  The
     terms G^i·z^j and x^i·H^j of the two sides, like x^i·y^j inside
-    F(x, y), multiply by nothing: ms_eval_powers shifts the keys of G^i or
-    H^j and scales them by F's coefficient straight into the sum."""
+    F(x, y), multiply by nothing: ms_eval_powers scales G^i or H^j by F's
+    coefficient straight into the sum, the keys shifted in the same
+    ctx.addmul_row call.  On the three fgl-axioms shapes, ms_mul and
+    ms_eval_powers make 5,900 such calls for 107,983 products."""
     ctx = fgl.ctx
     cap = fgl.M if cap is None else cap
     F = fgl.two_var(cap, cap, tcap=cap)

@@ -18,7 +18,9 @@ sorts by the exponent tuple.  The multiseries product, under a total cap,
 pairs each term only with the terms of low enough degree.  The pairs it
 keeps are visited in the order a loop over all pairs would visit them,
 so coefficients accumulate in the same sequence, with the same p-adic
-precision, as in that loop.
+precision, as in that loop.  Each term meets its row of the other factor
+in one CoeffContext.addmul_row call, which makes the guard test; so does
+each term of a series evaluated on others (ms_eval_powers).
 
 Weierstrass preparation lifts along the v-adic filtration of E_0/(v^{D+1})
 (Lang, Algebra, IV 9; von zur Gathen and Gerhard, Modern Computer Algebra,
@@ -574,7 +576,8 @@ def ms_mul(A, B):
     a per-variable cap or the total cap (ms_layout).  Under a total cap,
     an A term of degree d sees only the B terms of degree at most
     tcap - d, each degree read from its key's top field; that row is
-    filtered once per distinct bound.
+    filtered once per distinct bound.  Each A term takes its row in one
+    ctx.addmul_row call, with the layout's bias and guard.
 
     Surviving pairs come in A's stored order, then B's, as in a loop over
     all pairs, so every key accumulates the same products in the same
@@ -591,7 +594,7 @@ def ms_mul(A, B):
     full = list(B.t.items())
     top = max(B.t) >> dshift
     rows = {}
-    emul, addmul = ctx.mul, ctx.addmul_into
+    addmul_row = ctx.addmul_row
     for ka, ea in A.t.items():
         row = full
         if tcap is not None:
@@ -601,20 +604,7 @@ def ms_mul(A, B):
                 if row is None:
                     row = rows[bound] = [
                         b for b in full if b[0] >> dshift <= bound]
-        pa = ka + bias
-        for kb, eb in row:
-            if (pa + kb) & guard:
-                continue
-            k = ka + kb
-            cur = t.get(k)
-            if cur is None:
-                cur = emul(ea, eb)
-                if cur.t:
-                    t[k] = cur
-                continue
-            addmul(cur.t, ea, eb)
-            if not cur.t:
-                del t[k]
+        addmul_row(t, ka, ea, row, bias, guard)
     return MultiSeries(ctx, A.r, A.caps, t, tcap)
 
 
@@ -694,16 +684,17 @@ def _unit_monomial(A, one):
     return None
 
 
-def _ms_times(A, B, one):
-    """ms_mul(A, B), by a key shift when either factor is a monomial with
-    coefficient one."""
+def _ms_factor(A, B, one):
+    """(S, s) with A*B the series S moved by the key s: when either
+    factor is a monomial with coefficient one, S is the other factor and
+    s that monomial's key; otherwise S is ms_mul(A, B) and s is 0."""
     s = _unit_monomial(B, one)
     if s is not None:
-        return _ms_shift(A, s)
+        return A, s
     s = _unit_monomial(A, one)
     if s is not None:
-        return _ms_shift(B, s)
-    return ms_mul(A, B)
+        return B, s
+    return ms_mul(A, B), 0
 
 
 def _ms_shift(A, s):
@@ -728,11 +719,13 @@ def ms_eval_powers(F, powers):
     Each term of F is one product of argument powers, left to right.  A
     factor that is one term with coefficient one (x^j, or x^i·y^j when
     the arguments are variables) shifts the other factor's keys instead
-    of multiplying (_ms_times).  The term is then scaled by F's
+    of multiplying (_ms_factor).  The term is then scaled by F's
     coefficient straight into the sum, in the order of F's exponent
-    tuples and each term's stored order: ctx.mul for a new key,
-    ctx.addmul_into for a stored one, whose coefficient ctx.mul made in
-    this call and nothing else holds.  Scalars and key order are those of
+    tuples and each term's stored order, by one ctx.addmul_row call; a
+    last shift goes in as the call's k0 with the layout's guard, so the
+    shifted series is never built.  A new key takes a fresh product, and
+    a stored one, whose coefficient was made in this call and nothing else
+    holds, takes the product in place.  Scalars and key order are those of
     scaling each term into a series of its own and merging that into the
     sum (the reference route in tests/helpers.py): a product with no terms
     leaves its key alone.  Only the choice of error differs:
@@ -755,27 +748,25 @@ def ms_eval_powers(F, powers):
             raise ValueError("substitution needs zero constant terms")
     ctx = F.ctx
     one = ctx.one().t
-    emul, addmul = ctx.mul, ctx.addmul_into
+    bias, guard = shape.layout.bias, shape.layout.guard
+    addmul_row = ctx.addmul_row
     t = {}
     for exps, c in sorted(F.items(), key=itemgetter(0)):
-        term = None
+        term, shift = None, 0
         for i, x in enumerate(exps):
             if x == 0:
                 continue
             px = powers[i](x)
-            term = px if term is None else _ms_times(term, px, one)
+            if term is None:
+                term = px
+                continue
+            if shift:
+                term = _ms_shift(term, shift)
+            term, shift = _ms_factor(term, px, one)
         if term is None:
             term = ms_one(ctx, shape.r, shape.caps, shape.tcap)
-        for k, e in term.t.items():
-            cur = t.get(k)
-            if cur is None:
-                cur = emul(c, e)
-                if cur.t:
-                    t[k] = cur
-                continue
-            addmul(cur.t, c, e)
-            if not cur.t:
-                del t[k]
+        # unshifted, the term's keys are stored ones: none passes a cap
+        addmul_row(t, shift, c, term.t.items(), bias, guard if shift else 0)
     return MultiSeries(ctx, shape.r, shape.caps, t, shape.tcap)
 
 
@@ -792,8 +783,12 @@ def golden_dump(f):
     coefficient-ring term: y-exponents, u-exponent, v-multidegree, then the
     scalar's valuation, unit, and precision.  The u-exponent is restored
     from the grading: the coefficient of a monomial of total y-degree d
-    has weight d - 1."""
+    has weight d - 1.  A multiseries with no terms raises ValueError: its
+    text would be the header alone, which reads back as a one-variable
+    series."""
     ctx = f.ctx
+    if isinstance(f, MultiSeries) and not f.t:
+        raise ValueError("a multiseries with no terms has no golden text")
     head = "FGLV1 p=%d n=%d N=%d D=%d M=%d" % (
         ctx.p, ctx.n, ctx.N, ctx.D,
         f.M if isinstance(f, YSeries) else max(f.caps))

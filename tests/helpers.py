@@ -1,8 +1,9 @@
 """Glue between the exact-rational reference and the engine's types, a
-counter of coefficient products, a one-variable embedding, an exact view
-of a multiseries, the scale-then-merge route of ms_eval_powers that its
-fused sum must reproduce, and the two-variable law formed in full that
-fgl._build_two_var must reproduce under its caps, the Weierstrass
+counter of coefficient products, the per-pair route that
+CoeffContext.addmul_row must reproduce, a one-variable embedding, an
+exact view of a multiseries, the scale-then-merge route of ms_eval_powers
+that its fused sum must reproduce, and the two-variable law formed in full
+that fgl._build_two_var must reproduce under its caps, the Weierstrass
 division and preparation by successive approximation over the whole
 coefficient ring, which series.weierstrass_prepare's lift along the
 v-degree is checked against, and the product with unchecked sums and the
@@ -33,12 +34,20 @@ def oc_to_elem(ctx, oc, weight=None):
     return out
 
 
+# The methods of CoeffContext that multiply two coefficients, each wrapped
+# by count_coeff_products.
+PRODUCT_METHODS = ("mul", "addmul_into", "addmul_row")
+
+
 def count_coeff_products(monkeypatch):
-    """Count coefficient products through both entry points of the kernel,
-    CoeffContext.mul and addmul_into; the mul that addmul_into makes for a
-    product of several terms is that same product and is not counted
-    again.  Returns the list that gets one entry per product."""
+    """Count coefficient products through every entry point of the
+    kernel: one per call of CoeffContext.mul and addmul_into, and one per
+    pair of addmul_row whose operands both have terms and which the guard
+    keeps.  The mul that addmul_into or addmul_row makes for a product of
+    several terms is that same product and is not counted again.  Returns
+    the list that gets one entry per product."""
     mul, addmul = CoeffContext.mul, CoeffContext.addmul_into
+    addmul_row = CoeffContext.addmul_row
     calls = []
     inside = []
 
@@ -55,9 +64,40 @@ def count_coeff_products(monkeypatch):
         finally:
             inside.pop()
 
+    def counted_addmul_row(self, T, k0, A, row, bias=None, guard=0):
+        row = list(row)
+        if A.t:
+            calls.extend(None for kb, B in row if B.t and not (
+                guard and (k0 + bias + kb) & guard))
+        inside.append(None)
+        try:
+            return addmul_row(self, T, k0, A, row, bias, guard)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(CoeffContext, "mul", counted_mul)
     monkeypatch.setattr(CoeffContext, "addmul_into", counted_addmul)
+    monkeypatch.setattr(CoeffContext, "addmul_row", counted_addmul_row)
     return calls
+
+
+def addmul_row_reference(ctx, T, k0, A, row, bias=None, guard=0):
+    """CoeffContext.addmul_row pair by pair: skip a pair the guard drops;
+    for a new key, ctx.mul, stored only when it has terms; for a stored
+    key, ctx.addmul_into, and delete the key when it empties."""
+    for kb, B in row:
+        if guard and (k0 + bias + kb) & guard:
+            continue
+        k = k0 + kb
+        cur = T.get(k)
+        if cur is None:
+            P = ctx.mul(A, B)
+            if P.t:
+                T[k] = P
+            continue
+        ctx.addmul_into(cur.t, A, B)
+        if not cur.t:
+            del T[k]
 
 
 def oc_series_to_yseries(ctx, ser, M=None):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import oc_to_elem
+from helpers import PRODUCT_METHODS, addmul_row_reference, oc_to_elem
 from morava.coeff import CoeffContext, CoeffElem
 from morava.padic import EXACT, PrecisionError
+from morava.series import ms_layout
 
 
 @pytest.fixture
@@ -637,3 +638,150 @@ def test_tuple_kernel_matches_rational_oracle(p, n, N, D, short, data):
                    oracles.qc_add(qa, oracles.qc_scale(-1, qb)))
     _assert_agrees(ctx, ctx.scalar_mul(c, A).t,
                    oracles.qc_scale(qc, qa))
+
+
+# addmul_row against the per-pair route it replaces (helpers), on drawn
+# maps and rows: one to three calls on one map, with keys of the packed
+# layout ms_layout((2, 1), 2) so that the guard drops some pairs, rows
+# that repeat a key, and stored coefficients that a product empties.
+
+ROW_CONTEXTS = [(2, 2, 8, 6, 6), (3, 3, 4, 2, 3)]
+ROW_CASES = {"one term, several", "several, one term", "several, several",
+             "zero marker", "pruned", "empty operand", "guard drop",
+             "emptied", "re-inserted"}
+
+
+class _Watched(dict):
+    """A map that notes in ``seen`` each key deleted, and each key stored
+    again after its delete."""
+
+    def __init__(self, items, seen):
+        super().__init__(items)
+        self.seen = seen
+        self.gone = set()
+
+    def __delitem__(self, k):
+        super().__delitem__(k)
+        self.gone.add(k)
+        self.seen.add("emptied")
+
+    def __setitem__(self, k, v):
+        if k in self.gone:
+            self.seen.add("re-inserted")
+        super().__setitem__(k, v)
+
+
+@st.composite
+def _vanishing(draw, ctx):
+    """One or two unit terms settled to the prune horizon, so that their
+    negatives cancel them out of the map."""
+    horizon, N = ctx.prune_horizon, ctx.N
+    t = {}
+    for k in draw(st.lists(st.sampled_from([0, 1]), min_size=1,
+                           max_size=2, unique=True)):
+        v, u, _ = draw(_unit(ctx, st.integers(horizon - N, horizon - 1)))
+        t[k] = (v, u, N)
+    return CoeffElem(ctx, t)
+
+
+def _row_cases(ctx, k0, A, row, bias, guard):
+    """What one call meets, from its operands."""
+    horizon, vtot, D = ctx.prune_horizon, ctx.vtotal, ctx.D
+    cases = set()
+    for kb, B in row:
+        if guard and (k0 + bias + kb) & guard:
+            cases.add("guard drop")
+            continue
+        if not A.t or not B.t:
+            cases.add("empty operand")
+            continue
+        cases.add("%s, %s" % tuple("one term" if len(E.t) == 1 else "several"
+                                   for E in (A, B)))
+        if any(c[1] == 0 for E in (A, B) for c in E.t.values()):
+            cases.add("zero marker")
+        if any(a[0] + b[0] >= horizon for va, a in A.t.items()
+               for vb, b in B.t.items() if vtot[va] + vtot[vb] <= D):
+            cases.add("pruned")
+    return cases
+
+
+def _map_content(T):
+    return [(k, list(e.t.items())) for k, e in T.items()]
+
+
+def _run_rows(fn, ctx, T, calls):
+    try:
+        for call in calls:
+            fn(ctx, T, *call)
+    except PrecisionError as e:
+        return ("error", str(e), e.needed_extra)
+    return ("ok", _map_content(T))
+
+
+@pytest.mark.parametrize("p,n,N,D,floor", ROW_CONTEXTS)
+def test_addmul_row_matches_per_pair_reference(p, n, N, D, floor):
+    ctx = CoeffContext(p, n, N=N, D=D, floor=floor)
+    lay = ms_layout((2, 1), 2)
+    keys = [a * lay.units[0] + b * lay.units[1]
+            for a in range(3) for b in range(2) if a + b <= 2]
+    sums = sorted({a + b for a in keys for b in keys})
+    one = ctx.one()
+    seen = set()
+    results = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        T0 = data.draw(st.dictionaries(
+            st.sampled_from(sums),
+            st.one_of(_elems(ctx, 1, 3), _vanishing(ctx)), max_size=6))
+        bias, guard = ((lay.bias, lay.guard) if data.draw(st.booleans())
+                       else (None, 0))
+        calls = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            k0 = data.draw(st.sampled_from(keys))
+            row = []
+            if data.draw(st.booleans()):
+                # one times a stored coefficient's negative empties its
+                # key, unless an earlier call wrote there, and a second
+                # pair on that key stores it again
+                A = one
+                T0[k0] = X = data.draw(_vanishing(ctx))
+                row += [(0, ctx.neg(X)), (0, data.draw(_elems(ctx, 1, 3)))]
+            else:
+                A = data.draw(_elems(ctx, 0, 3))
+            for _ in range(data.draw(st.integers(0, 4))):
+                kb = data.draw(st.sampled_from(keys))
+                cur = T0.get(k0 + kb)
+                row.append((kb, data.draw(st.one_of(
+                    _elems(ctx, 0, 3),
+                    st.just(ctx.neg(cur) if cur else ctx.zero())))))
+            calls.append((k0, A, row, bias, guard))
+        before = [(dict(A.t), [dict(B.t) for _, B in row])
+                  for _, A, row, _, _ in calls]
+        for call in calls:
+            seen.update(_row_cases(ctx, *call))
+        want = _run_rows(
+            addmul_row_reference, ctx,
+            _Watched(((k, CoeffElem(ctx, dict(e.t))) for k, e in T0.items()),
+                     seen), calls)
+        got = _run_rows(
+            lambda ctx, T, *call: ctx.addmul_row(T, *call), ctx,
+            {k: CoeffElem(ctx, dict(e.t)) for k, e in T0.items()}, calls)
+        assert got == want
+        # the operands are read, never written
+        assert [(A.t, [B.t for _, B in row])
+                for _, A, row, _, _ in calls] == before
+        results.add(got[0])
+    check()
+    assert ROW_CASES <= seen, ROW_CASES - seen
+    assert results == {"ok", "error"}
+
+
+def test_product_counter_wraps_every_product_method():
+    # helpers.count_coeff_products pins the coefficient work of whole
+    # checks: a product method of the kernel that it does not wrap would
+    # let those pins miss products
+    methods = {name for name, f in vars(CoeffContext).items()
+               if callable(f) and name.startswith(("mul", "addmul"))}
+    assert methods == set(PRODUCT_METHODS)

@@ -4,6 +4,7 @@ Fixed-value cases pin down hand-derived coefficients; the series-level
 cross-checks compare against the exact-rational reference in oracles.py.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,36 @@ def test_associativity_coefficient_work_pinned(monkeypatch):
     assert ok and wit["terms"] == 285
     assert len(calls) == 7188
     assert not raw
+
+
+@pytest.mark.parametrize("p,n,D,cap,N,digest", [
+    (2, 1, 1, 16, 59,
+     "88cc275792a1e8bcf3df045c21f98dcdef153cfd1ffe1e62be52fef90dc00f7e"),
+    (2, 2, 6, 16, 33,
+     "293c38a3a6399f6969f1e4c14a1c80733536776cadfc75e5d0aee247ceb77c69"),
+    (2, 3, 4, 12, 24,
+     "236d67f60214b21f44e36709925bd151d5a259952367c4ecaa5470e99d165b02")])
+def test_associativity_internals_pinned(monkeypatch, p, n, D, cap, N, digest):
+    # the three fgl-axioms shapes: a sha256 over the stored order and the
+    # scalars of G^1..G^cap, G = F(x, y), and of both sums of the check.
+    # The verdict and the term count alone would not see a kernel change
+    # that moves one scalar of the check
+    law = build_fgl(p, n, N=N, D=D, M=cap)
+    sums = []
+    eval_powers = ms_eval_powers
+
+    def watched(F, powers):
+        S = eval_powers(F, powers)
+        sums.append((powers, S))
+        return S
+    monkeypatch.setattr("morava.fgl.ms_eval_powers", watched)
+    ok, _ = check_associativity(law, cap=cap)
+    assert ok and len(sums) == 2
+    gpow = sums[0][0][0]
+    h = hashlib.sha256()
+    for S in [gpow(e) for e in range(1, cap + 1)] + [S for _, S in sums]:
+        h.update(repr(ms_content(S)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_solve_log_coefficient_work_pinned(monkeypatch):
