@@ -66,9 +66,9 @@ LARGE_RANK = 16
 
 # A basis-walking check on a rank >= 2 group needs the two-variable law up
 # to the largest per-factor cap, and its classes fill a basis of rank p^{nk}
-# per factor.  Past a cap of ~150 a record costs many seconds: the
-# restriction record of C9 x C3 at p=3, n=2, caps (242, 26), 15-17 s of
-# CPU on a 2-core Xeon VM.  Only the measured case ships, as a large row;
+# per factor.  Past a cap of ~150 a record costs seconds: the restriction
+# record of C9 x C3 at p=3, n=2, caps (242, 26), 3.7 s of CPU with the law
+# cache off on a 2-core VM.  Only the measured case ships, as a large row;
 # anything else in that regime has no row.
 HEAVY_ENUM_OK = {(3, 2, (2, 1))}
 
@@ -442,9 +442,9 @@ def euler_vanishing_rows(cfg, p, n):
         if max(dcaps) > 150:
             # The certificate search walks every character orbit and
             # evaluates a degree max(dcaps) - 1 series on each class.  At
-            # p=3, n=2 the C9 record takes 1.5-2.1 s of CPU (N=48) and the
-            # C9 x C3 record 98 s (N=81, 75 s of it with the law given) on
-            # a 2-core VM, and the restriction record above already covers
+            # p=3, n=2 the C9 record takes about 0.5 s of CPU (N=49) and the
+            # C9 x C3 record about 19 s (N=81) with the law cache off on a
+            # 2-core VM, and the restriction record above already covers
             # the vanishing claim.
             continue
         rows.append(Row(ip, im, exps, D, max(dcaps),
@@ -676,7 +676,7 @@ def cmd_pseries(cfg, args):
     D = cfg.D if cfg.D is not None else rich_vdeg(n)
 
     def compute(f):
-        s = f.pk_series(0) if k == 0 else f.m_series(p ** k)
+        s = f.m_series(p ** k)
         checked = (True, None) if k == 0 else check_pk_congruence(f, s, k)
         return s, checked, series_lines(s, cfg.N_req)
 

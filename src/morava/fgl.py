@@ -12,7 +12,10 @@ sum of one-variable series solve
 
 degree by degree for the appropriate right side (S = m log y for [m](y),
 S = sum_i log f_i for a formal sum), which keeps each coefficient a single
-short linear combination instead of a tower of compositions.  Each power
+short linear combination instead of a tower of compositions.  Each degree
+reads only lower ones, so an m-series is solved only to the y-degree its
+reader asks for (the ring caps of groupcoh), and its coefficients are the
+full solve's; [0](y) and [1](y) are taken exactly, with no solve.  Each power
 T^e of T comes from T^h * T^(e-h), h = floor(e / 2q) * q for q the largest
 power of p dividing e below e; at p = 2, h = e / 2: squares only.  The
 two-variable group law, assembled from the binomial expansion of
@@ -41,7 +44,8 @@ from .padic import PrecisionError
 from .series import (YSeries, golden_dump, golden_load, ms_eval,
                      ms_eval_powers, ms_new, ms_permuted, ms_powers,
                      ms_set, ser_add, ser_compose, ser_from_terms,
-                     ser_monomial, ser_mul, ser_new, ser_scale)
+                     ser_monomial, ser_mul, ser_new, ser_scale,
+                     ser_truncate)
 
 
 def log_depth(p, M):
@@ -55,11 +59,12 @@ def log_depth(p, M):
 class FormalGroupLaw:
     """The truncated law with its derived series memoized.
 
-    The exponential is solved on first read of exp.  _m_cache holds
-    m-series by m, _f_cache two-variable laws by their caps, _r_cache the
-    prepared cyclic relations by (k, cap) and _b_cache the unit-determinant
-    verdicts of freeness blocks by (k, l, entry); groupcoh fills the last
-    two.  Every cached value is shared read-only.
+    The exponential is solved on first read of exp.  _m_cache holds, for
+    each m, the deepest m-series solved so far (m_series), _f_cache
+    two-variable laws by their caps, _r_cache the prepared cyclic
+    relations by (k, cap) and _b_cache the unit-determinant verdicts of
+    freeness blocks by (k, l, entry); groupcoh fills the last two.  Every
+    cached value is shared read-only.
     """
 
     __slots__ = ("p", "n", "M", "ctx", "log_elems", "log", "_exp",
@@ -101,21 +106,34 @@ class FormalGroupLaw:
     def F(self):
         return self.two_var(tcap=self.M)
 
-    def m_series(self, m):
+    def _cap(self, cap):
+        if cap is None:
+            return self.M
+        if not 1 <= cap <= self.M:
+            raise ValueError("series cap %d outside 1..%d" % (cap, self.M))
+        return cap
+
+    def m_series(self, m, cap=None):
+        """[m](y) solved to y-degree cap (default M), or deeper: the memo
+        keeps the deepest series solved for each m and returns it for any
+        cap at or below its own, so a reader cuts it at its cap.  A deeper
+        request solves again and replaces the entry.  A cap below 1 or
+        above M raises ValueError."""
+        cap = self._cap(cap)
         got = self._m_cache.get(m)
-        if got is None:
-            got = _m_series(self, m)
-            self._m_cache[m] = got
+        if got is None or got.M < cap:
+            got = self._m_cache[m] = _m_series(self, m, cap)
         return got
 
-    def pk_series(self, k):
-        if k == 0:
-            return ser_monomial(self.ctx, self.M, 1)
-        if self.p ** (self.n * k) > self.M:
+    def pk_series(self, k, cap=None):
+        """[p^k](y) as m_series gives it, checked against its defining
+        congruence; the cap must reach the leading degree p^{nk}."""
+        cap = self._cap(cap)
+        if self.p ** (self.n * k) > cap:
             raise ValueError(
                 "truncation order %d cannot exhibit the p^%d-series leading "
-                "term at degree %d" % (self.M, k, self.p ** (self.n * k)))
-        s = self.m_series(self.p ** k)
+                "term at degree %d" % (cap, k, self.p ** (self.n * k)))
+        s = self.m_series(self.p ** k, cap)
         ok, _ = check_pk_congruence(self, s, k)
         if not ok:
             raise ArithmeticError("p^%d-series fails its defining congruence" % k)
@@ -288,12 +306,18 @@ def _chain_power(ctx, M, by_power, chains, e):
     return by_power[e]
 
 
-def _m_series(fgl, m):
+def _m_series(fgl, m, cap):
+    """[m](y) to y-degree cap: solve_log of m log y cut at the cap.  Each
+    degree of the solve reads only lower ones, so the cut series is the
+    full one's first cap + 1 coefficients, scalar for scalar.  [0](y) is
+    zero and [1](y) is y, exactly, with no solve."""
     ctx = fgl.ctx
     if m == 0:
-        return ser_new(ctx, fgl.M)
-    S = ser_scale(ctx.from_int(m), fgl.log)
-    return solve_log(ctx, fgl.log_elems, S)
+        return ser_new(ctx, cap)
+    if m == 1:
+        return ser_monomial(ctx, cap, 1)
+    log = fgl.log if cap == fgl.M else ser_truncate(fgl.log, cap)
+    return solve_log(ctx, fgl.log_elems, ser_scale(ctx.from_int(m), log))
 
 
 def _series_power(cache, base, e):

@@ -271,16 +271,17 @@ def _reduction(g, d):
 
 
 def _relation(fgl, k, cap):
-    """Prepared relation of a C_{p^k} factor at y-degree cap, memoized on
-    the law: a map from a < p^{nk} to the coefficient of y^a in the
-    reduction of y^{p^{nk}}.  Nothing is stored when the build raises."""
+    """Prepared relation of a C_{p^k} factor at y-degree cap, from the
+    p^k-series solved to that cap, memoized on the law: a map from
+    a < p^{nk} to the coefficient of y^a in the reduction of y^{p^{nk}}.
+    Nothing is stored when the build raises."""
     key = (k, cap)
     got = fgl._r_cache.get(key)
     if got is not None:
         return got
     d = fgl.p ** (fgl.n * k)
-    s = fgl.pk_series(k)
-    if cap < fgl.M:
+    s = fgl.pk_series(k, cap)
+    if cap < s.M:
         s = ser_truncate(s, cap)
     wd = weierstrass_degree(s)
     if wd != d:
@@ -660,12 +661,13 @@ def point_class(ring, tvals):
 
 
 def _factor_class(ring, t, j):
-    """(x, elem_powers(x)) for x = [t](y_j) in normal form, memoized on the
-    ring by (t, j), so the characters of one ring share each factor class
-    and the powers of it that any of them formed."""
+    """(x, elem_powers(x)) for x = [t](y_j) in normal form, the series
+    solved only to the ring's cap of y_j, memoized on the ring by (t, j),
+    so the characters of one ring share each factor class and the powers
+    of it that any of them formed."""
     got = ring._classes.get((t, j))
     if got is None:
-        x = normal_form(ring, ring.fgl.m_series(t), j)
+        x = normal_form(ring, ring.fgl.m_series(t, ring.caps[j]), j)
         got = ring._classes[(t, j)] = (x, elem_powers(x))
     return got
 

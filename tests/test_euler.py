@@ -14,8 +14,9 @@ from morava.euler import (Character, all_nontrivial_characters, euler_of_char,
                           verify_restriction_vanishing,
                           verify_unit_divisibility)
 from morava.fgl import build_fgl
-from morava.groupcoh import (AbelianPGroup, build_cohring, elem_eq_to,
-                             elem_is_zero_to, elem_mul, series_in_elem)
+from morava.groupcoh import (AbelianPGroup, build_cohring, caps_for,
+                             elem_eq_to, elem_is_zero_to, elem_mul,
+                             series_in_elem, sound_depth)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +181,34 @@ def test_total_euler_one_normal_form_per_factor_class(fgl31, monkeypatch):
         ring._classes.clear()
         ref = elem_mul(ref, euler_of_char(ring, ch))
     assert ref == total and total.coord
+
+
+@pytest.mark.parametrize("p, n, D, exps, t, sound", [
+    (3, 2, 1, (1,), 1, 2),
+    (2, 2, 6, (1, 1), 1, 7),
+    (2, 1, 1, (2,), 2, 2),
+    (3, 1, 1, (1, 1), 1, 1),
+])
+def test_total_class_at_sound_caps_agrees_with_deeper_caps(p, n, D, exps, t,
+                                                           sound):
+    # the junk budget every cap rests on: the total class at caps_for(t)
+    # agrees, coordinate by coordinate, with the class at caps_for(t + 8)
+    # to sound_depth of the smaller caps.  These are the tightest shapes
+    # measured (C3 at p=3, n=2 and C2 x C2 at p=2, n=2, D=6 agree to one
+    # digit more); their m-series are cut at the caps, as every ring reads
+    # them
+    caps = caps_for(p, n, exps, D, t)
+    deep = caps_for(p, n, exps, D, t + 8)
+    assert sound_depth(p, n, exps, D, caps) == sound
+    law = build_fgl(p, n, N=32, D=D, M=max(deep))
+    group = AbelianPGroup(p, exps)
+    a = total_euler(build_cohring(group, law, caps=caps))
+    b = total_euler(build_cohring(group, law, caps=deep))
+    ctx = law.ctx
+    for k in set(a.coord) | set(b.coord):
+        ca, cb = a.coord.get(k), b.coord.get(k)
+        diff = cb if ca is None else ca if cb is None else ctx.sub_raw(ca, cb)
+        assert ctx.is_zero_to(diff, sound), k
 
 
 def test_orbit_relation(ring3, fgl31):

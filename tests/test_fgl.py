@@ -713,3 +713,79 @@ def test_m_series_reference(f31, f22):
         for m in ms:
             ref = oc_series_to_yseries(ctx, oracles.m_series(fgl.p, fgl.n, m, fgl.M))
             assert first_mismatch(ctx, fgl.m_series(m), ref, 10) is None, m
+
+
+CUT_LAWS = [(p, n, D) for p in (2, 3) for n in (1, 2) for D in (1, 6)]
+
+
+def _stored(s):
+    return [list(c.t.items()) for c in s.c]
+
+
+@pytest.mark.parametrize("p, n, D", CUT_LAWS)
+def test_cut_m_series_is_a_prefix_of_the_full_solve(p, n, D):
+    # each degree of solve_log reads only lower ones, so a series solved to
+    # a cap is the full solve's first cap + 1 coefficients, scalar for
+    # scalar and in stored order, whichever depth the memo met first
+    M = 12
+    full = build_fgl(p, n, N=40, D=D, M=M)
+    for m in sorted({-1, 2, 3, p, p * p}):
+        deep = _stored(full.m_series(m))
+        for cap in (1, p + 1, M - 1):
+            shallow_first = build_fgl(p, n, N=40, D=D, M=M)
+            s = shallow_first.m_series(m, cap)
+            assert s.M == cap and _stored(s) == deep[:cap + 1], (m, cap)
+            # a deeper request solves again and replaces the entry
+            t = shallow_first.m_series(m)
+            assert t.M == M and _stored(t) == deep, (m, cap)
+            assert shallow_first.m_series(m, cap) is t
+            deep_first = build_fgl(p, n, N=40, D=D, M=M)
+            t = deep_first.m_series(m)
+            assert deep_first.m_series(m, cap) is t and _stored(t) == deep
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 2)])
+def test_one_and_zero_series_are_exact_at_every_cap(p, n):
+    M = 9
+    fgl = build_fgl(p, n, N=40, D=1, M=M)
+    ctx = fgl.ctx
+    for cap in (1, 4, M):
+        y = fgl.m_series(1, cap)
+        assert _stored(y) == _stored(ser_monomial(ctx, cap, 1))
+        zero = fgl.m_series(0, cap)
+        assert zero.M >= cap and not any(c.t for c in zero.c)
+        for m, s in ((1, y), (0, zero)):
+            ref = oc_series_to_yseries(ctx, oracles.m_series(p, n, m, cap))
+            assert first_mismatch(ctx, s, ref, 16) is None, (m, cap)
+    # the p^0-series is [1](y), y with no solve
+    assert fgl.pk_series(0, 4) is y
+
+
+def test_series_caps_out_of_range_raise(f21, f22):
+    for cap in (0, -1, f21.M + 1):
+        with pytest.raises(ValueError):
+            f21.m_series(2, cap)
+        with pytest.raises(ValueError):
+            f21.pk_series(1, cap)
+        with pytest.raises(ValueError):
+            f21.pk_series(0, cap)
+    # the p^k-series needs its leading degree p^{nk} under the cap
+    with pytest.raises(ValueError):
+        f21.pk_series(2, 3)
+    with pytest.raises(ValueError):
+        f22.pk_series(1, 3)
+    assert f21.pk_series(2, 4).M >= 4 and f22.pk_series(1, 4).M >= 4
+
+
+def test_cut_solve_stops_short_of_a_precision_loss_past_its_cap():
+    # at (p, n, N, D, M) = (3, 1, 16, 1, 23) the full [2](y) falls short
+    # of the floor past degree 7, the C3 subring cap of the C9
+    # elementary-quotient-transfer record, so that record now settles at
+    # N=16 where the full solve took N=25
+    law = build_fgl(3, 1, N=16, D=1, M=23)
+    s = law.m_series(2, 7)
+    assert s.M == 7
+    with pytest.raises(PrecisionError) as e:
+        law.m_series(2)
+    assert e.value.needed_extra == 2
+    assert law.m_series(2, 7) is s

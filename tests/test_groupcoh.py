@@ -717,7 +717,10 @@ def test_point_class_coefficient_work_pinned(monkeypatch):
     # factors and the sum are counted, against the per-term chain.  The
     # caps are junk-sound to no digit under D=12, yet the two agree to 26
     # of the 35 digits.  Ring coordinates that kept empty, flagged
-    # coefficients took 2817 products.
+    # coefficients took 2817 products.  [1](y) is y exactly, so both factor
+    # classes are the generators: the per-term chain multiplies monomials
+    # (155883 products when [1](y) was solved and carried zero markers),
+    # and point_class reduces the powers of y_1 (2799 then)
     law = build_fgl(2, 2, N=35, D=12, M=28)
     law.F, law.m_series(1)
     ring = build_cohring(AbelianPGroup(2, (1, 1)), law, caps=(28, 28))
@@ -726,7 +729,7 @@ def test_point_class_coefficient_work_pinned(monkeypatch):
     ref, ref_calls = count_coeff_muls(monkeypatch, per_term_class, ring,
                                       (1, 1))
     assert elem_eq_to(got, ms_normal_form(ring, ref), 26)
-    assert (calls, ref_calls) == (2799, 155883)
+    assert (calls, ref_calls) == (1656, 488)
 
 
 def test_total_euler_coefficient_work_pinned(monkeypatch):
@@ -734,8 +737,10 @@ def test_total_euler_coefficient_work_pinned(monkeypatch):
     # law the retry loop settles at (N=33); reducing per pair took 121000
     # coefficient products, summing each class per term of F 68350, and
     # reducing [2](y_1) and [1](y_2) again for the character (1, 1), not
-    # taking them from the ring's memo, 24519, and keeping empty, flagged
-    # coefficients in ring coordinates 24231, for the same coordinates
+    # taking them from the ring's memo, 24519, keeping empty, flagged
+    # coefficients in ring coordinates 24231, and solving [1](y), which
+    # carried zero markers, in place of taking y exactly 23655, for the same
+    # coordinates
     group = AbelianPGroup(2, (2, 1))
 
     def settle(f):
@@ -748,7 +753,7 @@ def test_total_euler_coefficient_work_pinned(monkeypatch):
     assert ring.caps == (33, 9) and law.ctx.N == 33
     total, calls = count_coeff_muls(monkeypatch, total_euler, ring)
     assert len(total.coord) == 45
-    assert calls == 23655
+    assert calls == 19996
     ref = ring.one()
     for ch in all_nontrivial_characters(group):
         cls = point_class(ring, ch.as_hom().char_exponents(0))
