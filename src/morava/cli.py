@@ -182,6 +182,12 @@ class Builder:
         self._memo = {}
 
     def fgl(self, p, n, D, M, N=None):
+        """The law at (p, n, D, M), built at N (default the requested
+        precision) or, while the build raises PrecisionError, at the
+        precisions the climb goes on to; memoized by the N asked for.
+        With a cache directory every build goes through build_fgl_cached,
+        whose entry, written on a cold cache, replays the outcome at that
+        precision on a warm one."""
         want = self.N_req if N is None else N
         key = (p, n, D, M, want)
         got = self._memo.get(key)
@@ -190,9 +196,7 @@ class Builder:
         cur = want
         while True:
             try:
-                # Caching forces the full two-variable law; skip it for the
-                # big caps only ever used one variable at a time.
-                if M <= 64 and self.cache_dir:
+                if self.cache_dir:
                     f = build_fgl_cached(p, n, N=cur, D=D, M=M,
                                          cache_dir=self.cache_dir)
                 else:

@@ -41,11 +41,11 @@ import os
 
 from .coeff import CoeffContext
 from .padic import PrecisionError
-from .series import (YSeries, golden_dump, golden_load, ms_eval,
-                     ms_eval_powers, ms_new, ms_permuted, ms_powers,
-                     ms_set, ser_add, ser_compose, ser_from_terms,
-                     ser_monomial, ser_mul, ser_new, ser_scale,
-                     ser_truncate)
+from .series import (MultiSeries, YSeries, golden_dump, golden_load,
+                     ms_eval, ms_eval_powers, ms_new, ms_permuted,
+                     ms_powers, ms_set, ser_add, ser_compose,
+                     ser_from_terms, ser_monomial, ser_mul, ser_new,
+                     ser_scale, ser_truncate)
 
 
 def log_depth(p, M):
@@ -545,15 +545,24 @@ def check_associativity(fgl, cap=None, depth=8):
     return True, {"cap": cap, "depth": depth, "terms": len(keys)}
 
 
-# Read-through cache for built laws.  Only the two-variable series is
-# stored (the dominant rebuild cost); the logarithm data is cheap enough
-# to recompute and fixes the value of every derived series.  A key whose
-# build raised PrecisionError gets a .raises file instead, which replays
-# the error without building.
+# Read-through cache for built laws.  A law of y-degree cap up to
+# LAW_FILE_CAP stores its fully-capped two-variable series (the dominant
+# rebuild cost); the logarithm data is cheap enough to recompute and fixes
+# the value of every derived series.  Past that cap a .built file records
+# only that the build succeeded: no reader takes the full two-variable law
+# there (its rings read it at their own caps, or one variable at a time),
+# and forced it can fall short of the floor where every reader's law
+# builds, as both such laws of paper-suite do (p=3, n=2: M=66 at N=25,
+# M=242 at N=24), so storing it would move the law to a higher N.  A key
+# whose build raised PrecisionError gets a .raises file instead, which
+# replays the error without building.
+LAW_FILE_CAP = 64
+
 
 def _cache_stem(cache_dir, key):
     """The path of the key's cache files but for their suffix: .txt for
-    a law file, .raises for a recorded PrecisionError."""
+    a law file, .built for a law past LAW_FILE_CAP that built, .raises
+    for a recorded PrecisionError."""
     return os.path.join(cache_dir, "fgl-p%d-n%d-N%d-D%d-M%d" % key)
 
 
@@ -568,11 +577,16 @@ def _write_atomic(path, text):
 
 
 def fgl_cache_save(fgl, cache_dir):
-    """Write the fully-capped two-variable law in the golden-vector
-    format; returns the path written."""
+    """Write the law's cache entry: up to LAW_FILE_CAP the fully-capped
+    two-variable law in the golden-vector format, past it the .built
+    file, a single line naming the key; returns the path written."""
     ctx = fgl.ctx
-    path = _cache_stem(cache_dir, (ctx.p, ctx.n, ctx.N, ctx.D, fgl.M)) \
-        + ".txt"
+    key = (ctx.p, ctx.n, ctx.N, ctx.D, fgl.M)
+    if fgl.M > LAW_FILE_CAP:
+        path = _cache_stem(cache_dir, key) + ".built"
+        _write_atomic(path, _built_head(key) + "\n")
+        return path
+    path = _cache_stem(cache_dir, key) + ".txt"
     # Forcing the law can raise; render before touching the file.
     _write_atomic(path, golden_dump(fgl.F))
     return path
@@ -580,15 +594,31 @@ def fgl_cache_save(fgl, cache_dir):
 
 def _load_law(path, key):
     """The cached two-variable law at path, or None when the file is
-    missing, cannot be parsed or names other parameters (stale)."""
+    missing, cannot be parsed, holds no two-variable law (a header alone,
+    or one-variable exponents) or names other parameters (stale)."""
     try:
         with open(path) as fh:
             A = golden_load(fh.read())
     except (OSError, IndexError, KeyError, ValueError):
         return None
-    if (A.ctx.p, A.ctx.n, A.ctx.N, A.ctx.D, max(A.caps)) != key:
+    if not isinstance(A, MultiSeries) or (
+            A.ctx.p, A.ctx.n, A.ctx.N, A.ctx.D, max(A.caps)) != key:
         return None
     return A
+
+
+def _built_head(key):
+    return "built p=%d n=%d N=%d D=%d M=%d" % key
+
+
+def _load_built(path, key):
+    """Whether the .built file at path records this key: False when the
+    file is missing or holds anything but the key's line."""
+    try:
+        with open(path) as fh:
+            return fh.read() == _built_head(key) + "\n"
+    except (OSError, ValueError):
+        return False
 
 
 def _raises_head(key):
@@ -613,20 +643,26 @@ def build_fgl_cached(p, n, cache_dir, N=16, D=8, M=33):
     """build_fgl through the cache directory.
 
     A law file at this key seeds the fully-capped two-variable law, and
-    only the logarithm is built: the file shows that the build succeeded
-    at this N, so the exponential is left to its first read.  A .raises
-    file at this key raises its PrecisionError again without building.
-    Otherwise the law is built and its law file written; when the build or
-    the forced two-variable law raises PrecisionError, the .raises file is
-    written instead.  A file that cannot be parsed is a miss."""
+    only the logarithm is built; a .built file, for a law past
+    LAW_FILE_CAP, builds only the logarithm too.  Either file shows that
+    the build succeeded at this N, so the exponential is left to its first
+    read.  A .raises file at this key raises its PrecisionError again
+    without building.  Otherwise the law is built and its entry written
+    (fgl_cache_save); when the build or the forced two-variable law raises
+    PrecisionError, the .raises file is written instead.  A file that
+    cannot be parsed is a miss."""
     key = (p, n, N, D, M)
     stem = _cache_stem(cache_dir, key)
-    A = _load_law(stem + ".txt", key)
-    if A is not None:
-        fgl = _build_log(*key)
-        A.ctx = fgl.ctx
-        fgl._f_cache[(M, M, M)] = A
-        return fgl
+    if M > LAW_FILE_CAP:
+        if _load_built(stem + ".built", key):
+            return _build_log(*key)
+    else:
+        A = _load_law(stem + ".txt", key)
+        if A is not None:
+            fgl = _build_log(*key)
+            A.ctx = fgl.ctx
+            fgl._f_cache[(M, M, M)] = A
+            return fgl
     err = _load_raises(stem + ".raises", key)
     if err is not None:
         raise err

@@ -828,8 +828,12 @@ def golden_load(text):
     """Parse the line format back into a YSeries (single y-exponent field)
     or MultiSeries (comma-separated exponents).  A multiseries comes back
     in the shape of a law file: every cap and the total cap M.  Each
-    key is packed as it is read, and a term past a cap is dropped.  A term
-    whose u-exponent breaks the grading raises ValueError."""
+    key is packed as it is read, and a term past a cap is dropped.  Each
+    line fills its coefficient's dict in line order, and terms settled
+    past the prune horizon are dropped at the end, as summing them into
+    zero would drop them.  A repeated (y-exponents, v-multidegree) line,
+    which golden_dump never writes, or a term whose u-exponent breaks the
+    grading raises ValueError."""
     lines = [ln for ln in text.strip().split("\n") if ln]
     head = lines[0].split()
     if head[0] != "FGLV1":
@@ -842,7 +846,10 @@ def golden_load(text):
         r = lines[1].split("|", 1)[0].count(",") + 1
         units = ms_layout((M,) * r, M).units
     packed = {}
+    # the coefficient dicts by packed key, and by exponents past the
+    # total cap, where they are read only to find repeats
     terms = {}
+    past = {}
     for ln in lines[1:]:
         ytag, ue, vtag, val, unit, prec = ln.split("|")
         # a key has one line per v-code: parse and pack its tag once
@@ -851,30 +858,32 @@ def golden_load(text):
             exps = tuple(int(x) for x in ytag.split(","))
             d = sum(exps)
             if not multi:
-                key = d
+                t = terms.setdefault(d, {})
             elif len(exps) != r or min(exps) < 0:
                 raise ValueError("term %s: not %d exponents under the caps"
                                  % (ytag, r))
+            elif d <= M:
+                t = terms.setdefault(sum(map(mul, exps, units)), {})
             else:
-                # past the total cap: absent, and never packed
-                key = sum(map(mul, exps, units)) if d <= M else None
-            got = packed[ytag] = (key, d)
-        key, d = got
+                t = past.setdefault(exps, {})
+            got = packed[ytag] = (d, t)
+        d, t = got
         vexps = () if vtag == "-" else tuple(int(x) for x in vtag.split(","))
         vc = ctx.vcode(vexps) if vexps else 0
+        if vc in t:
+            raise ValueError("term %s|%s: repeated line" % (ytag, vtag))
         want = ctx.u_exponent(d - 1, vc)
         if int(ue) != want:
             raise ValueError("term %s|%s|%s: the grading gives u-exponent "
                              "%d" % (ytag, ue, vtag, want))
-        c = _checked_scalar(ctx, int(val), int(unit), int(prec))
-        if key is None:
-            continue
-        cur = terms.setdefault(key, ctx.zero())
-        terms[key] = ctx.add(cur, ctx.from_scalar(c, vc))
+        t[vc] = _checked_scalar(ctx, int(val), int(unit), int(prec))
+    for t in terms.values():
+        ctx.prune(t)
     if multi:
         return MultiSeries(ctx, r, (M,) * r,
-                           {k: e for k, e in terms.items() if e.t}, M)
+                           {k: CoeffElem(ctx, t) for k, t in terms.items()
+                            if t}, M)
     f = ser_new(ctx, M)
-    for d, e in terms.items():
-        f.c[d] = e
+    for d, t in terms.items():
+        f.c[d] = CoeffElem(ctx, t)
     return f

@@ -4,6 +4,7 @@ Everything here uses a per-test working directory so default report and
 cache paths never leak between tests.
 """
 
+import collections
 import hashlib
 import json
 import os
@@ -758,11 +759,14 @@ def _lemma_2_4_checks(cache, report):
     return json.loads(report.read_text())["checks"]
 
 
-@pytest.mark.parametrize("edit", ["header", "scalar"])
+@pytest.mark.parametrize("edit", ["header", "scalar", "repeat", "head-only",
+                                  "one-variable"])
 def test_damaged_cache_file_is_rebuilt(tmp_path, edit):
-    # a cache file naming other parameters, or holding a scalar outside the
-    # scalar invariants (here prec = N + 40), is a miss: the run
-    # rebuilds and rewrites it and gives the checks of a fresh cache
+    # a cache file naming other parameters, holding a scalar outside the
+    # scalar invariants (here prec = N + 40), repeating a line (here one
+    # whose scalar cancels the first, 1 + 59048 = 3^10), or holding no
+    # two-variable law, is a miss: the run rebuilds and rewrites it and
+    # gives the checks of a fresh cache
     cache = tmp_path / "cache"
     fresh = _lemma_2_4_checks(cache, tmp_path / "fresh.json")
     path = cache / "fgl-p3-n1-N16-D1-M5.txt"
@@ -770,11 +774,18 @@ def test_damaged_cache_file_is_rebuilt(tmp_path, edit):
     lines = good.split("\n")
     if edit == "header":
         lines[0] = lines[0].replace("N=16", "N=17")
-    else:
+    elif edit == "scalar":
         fields = lines[1].split("|")
         assert fields[-1] == "16"
         fields[-1] = "56"
         lines[1] = "|".join(fields)
+    elif edit == "repeat":
+        assert "0,1|0|-|0|1|16" in lines
+        lines[-1:] = ["0,1|0|-|0|59048|16", ""]
+    elif edit == "head-only":
+        lines[1:] = [""]
+    else:
+        lines[1:] = ["1|0|-|0|1|16", ""]
     path.write_text("\n".join(lines))
     assert _lemma_2_4_checks(cache, tmp_path / "again.json") == fresh
     assert path.read_text() == good
@@ -817,33 +828,50 @@ def _count_law_work(monkeypatch):
     return seen
 
 
+# the law of y-degree cap 66, past the law-file cap: its build at N=16
+# raises and its build at N=25 succeeds, recorded by a .built file
+P32 = ["verify", "prop-3.2", "--p", "3", "--n", "2"]
+
+# each command with the entries its cold run leaves, by suffix
+WARM_CASES = [(P33, {".raises": 2, ".txt": 2}),
+              (P32, {".raises": 1, ".built": 1})]
+
+
 def test_warm_rerun_builds_no_law(tmp_path, monkeypatch):
     # the warm pass replays each recorded PrecisionError and reads each
-    # law file: no law is built, no law build raises, nothing is written
-    cache = tmp_path / "cache"
-    args = P33 + ["--cache", str(cache)]
-    assert run_cli(args + ["--report", str(tmp_path / "cold.json")]) == 0
-    raises = sorted(cache.glob("*.raises"))
-    assert len(raises) == 2 and len(list(cache.glob("*.txt"))) == 2
+    # law file or .built file: no law is built, no law build raises,
+    # nothing is written
     seen = _count_law_work(monkeypatch)
-    assert run_cli(args + ["--report", str(tmp_path / "warm.json")]) == 0
-    assert seen == {"build_fgl": 0, "fgl_cache_save": 0,
-                    "_build_log raised": 0, "cached raised": len(raises)}
-    assert (tmp_path / "warm.json").read_bytes() == \
-        (tmp_path / "cold.json").read_bytes()
+    for i, (args, files) in enumerate(WARM_CASES):
+        cache = tmp_path / ("cache%d" % i)
+        cold = tmp_path / ("cold%d.json" % i)
+        warm = tmp_path / ("warm%d.json" % i)
+        args = args + ["--cache", str(cache)]
+        seen.update(dict.fromkeys(seen, 0))
+        assert run_cli(args + ["--report", str(cold)]) == 0
+        assert seen["build_fgl"] == sum(files.values())
+        assert collections.Counter(f.suffix for f in cache.iterdir()) == files
+        seen.update(dict.fromkeys(seen, 0))
+        assert run_cli(args + ["--report", str(warm)]) == 0
+        assert seen == {"build_fgl": 0, "fgl_cache_save": 0,
+                        "_build_log raised": 0,
+                        "cached raised": files[".raises"]}
+        assert warm.read_bytes() == cold.read_bytes()
 
 
 def test_warm_rerun_rewrites_no_cache_file(tmp_path):
-    cache = tmp_path / "cache"
-    args = P33 + ["--cache", str(cache)]
-    assert run_cli(args) == 0
-    files = sorted(cache.iterdir())
-    assert any(f.suffix == ".raises" for f in files)
-    # each write lands a new inode, and mtimes can be too coarse to move
-    stamps = [(f.stat().st_ino, f.stat().st_mtime_ns) for f in files]
-    assert run_cli(args) == 0
-    assert sorted(cache.iterdir()) == files
-    assert [(f.stat().st_ino, f.stat().st_mtime_ns) for f in files] == stamps
+    for i, (args, _) in enumerate(WARM_CASES):
+        cache = tmp_path / ("cache%d" % i)
+        args = args + ["--cache", str(cache)]
+        assert run_cli(args) == 0
+        files = sorted(cache.iterdir())
+        assert any(f.suffix == ".raises" for f in files)
+        # each write lands a new inode, and mtimes can be too coarse to move
+        stamps = [(f.stat().st_ino, f.stat().st_mtime_ns) for f in files]
+        assert run_cli(args) == 0
+        assert sorted(cache.iterdir()) == files
+        assert [(f.stat().st_ino, f.stat().st_mtime_ns)
+                for f in files] == stamps
 
 
 @pytest.mark.parametrize("edit", ["garbage", "header", "empty"])
@@ -865,6 +893,40 @@ def test_damaged_raises_file_is_rebuilt(tmp_path, monkeypatch, edit):
     assert _lemma_2_4_checks(cache, tmp_path / "again.json") == fresh
     assert path.read_text() == good
     assert seen["build_fgl"] == 1
+
+
+# a small law past the law-file cap, whose build at N=16 succeeds
+BUILT = (3, 1, 16, 1, fgl.LAW_FILE_CAP + 1)
+
+
+@pytest.mark.parametrize("edit", ["garbage", "header", "empty"])
+def test_damaged_built_file_is_rebuilt(tmp_path, monkeypatch, edit):
+    # a .built file holding anything but its key's line is a miss: the law
+    # is built again and the file rewritten
+    p, n, N, D, M = BUILT
+    build_fgl_cached(p, n, str(tmp_path), N=N, D=D, M=M)
+    path = tmp_path / ("fgl-p%d-n%d-N%d-D%d-M%d.built" % BUILT)
+    good = path.read_text()
+    assert good == "built p=%d n=%d N=%d D=%d M=%d\n" % BUILT
+    path.write_text({"garbage": "not\na key",
+                     "header": good.replace("N=16", "N=17"),
+                     "empty": ""}[edit])
+    seen = _count_law_work(monkeypatch)
+    build_fgl_cached(p, n, str(tmp_path), N=N, D=D, M=M)
+    assert path.read_text() == good
+    assert seen["build_fgl"] == seen["fgl_cache_save"] == 1
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
+
+def test_built_hit_solves_exp_on_demand(tmp_path):
+    # a .built hit builds only the logarithm; the exponential, solved on
+    # its first read, is that of a fresh build
+    p, n, N, D, M = BUILT
+    fresh = build_fgl(p, n, N=N, D=D, M=M)
+    build_fgl_cached(p, n, str(tmp_path), N=N, D=D, M=M)
+    hit = build_fgl_cached(p, n, str(tmp_path), N=N, D=D, M=M)
+    assert hit._exp is None
+    assert golden_dump(hit.exp) == golden_dump(fresh.exp)
 
 
 @pytest.mark.parametrize("N", [3, 16])

@@ -1050,6 +1050,20 @@ def test_golden_load_rejects_scalars_outside_invariants(fields):
         golden_load(head + "\n1|0|-|%s\n" % fields)
 
 
+@pytest.mark.parametrize("lines", [
+    ["1|0|-|0|1|10", "1|0|-|0|2|10"],        # one variable
+    ["0,1|0|-|0|1|10", "0,1|0|-|0|4|10"],    # under the caps
+    ["2,2|3|-|0|1|10", "2,2|3|-|0|1|10"],    # past the total cap M=3
+])
+def test_golden_load_rejects_repeated_line(lines):
+    # golden_dump writes one line per (y-exponents, v-multidegree); a
+    # repeat is a damaged file, whatever its scalars would sum to
+    head = "FGLV1 p=5 n=1 N=10 D=2 M=3"
+    golden_load("\n".join([head] + lines[:1]))
+    with pytest.raises(ValueError, match="repeated"):
+        golden_load("\n".join([head] + lines))
+
+
 def _port(ctx, e):
     out = ctx.zero()
     for vc, c in e.t.items():
