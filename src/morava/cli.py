@@ -45,9 +45,9 @@ from functools import partial
 from . import __version__
 from .euler import (reduced_euler, total_euler, verify_restriction_vanishing,
                     verify_unit_divisibility)
-from .fgl import (build_fgl, build_fgl_cached, check_associativity,
-                  check_commutativity, check_integrality, check_pk_congruence,
-                  check_unitality)
+from .fgl import (CacheError, build_fgl, build_fgl_cached,
+                  check_associativity, check_commutativity, check_integrality,
+                  check_pk_congruence, check_unitality)
 from .groupcoh import (AbelianPGroup, build_cohring, caps_for, sound_depth,
                        verify_free_over_subring, verify_rank)
 from .localize import (verify_elementary_quotient_transfer,
@@ -811,7 +811,7 @@ def main(argv=None):
         if args.verb == "euler":
             return cmd_euler(cfg, args)
         return cmd_verify(cfg, args)
-    except ConfigError as e:
+    except (ConfigError, CacheError) as e:
         _log("error: %s" % e)
         return 2
     except PrecisionError as e:

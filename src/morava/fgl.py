@@ -35,6 +35,7 @@ the working precision cannot absorb the worst of them.
 """
 
 import bisect
+import contextlib
 import functools
 import math
 import os
@@ -64,11 +65,14 @@ class FormalGroupLaw:
     two-variable laws by their caps, _r_cache the prepared cyclic
     relations by (k, cap) and _b_cache the unit-determinant verdicts of
     freeness blocks by (k, l, entry); groupcoh fills the last two.  Every
-    cached value is shared read-only.
+    cached value is shared read-only.  A law that came through
+    build_fgl_cached carries the stem of its cache entries, and _r_cache
+    reads through to the law cache (load_relation, save_relation); with
+    the cache off the stem is None and nothing is read or written.
     """
 
     __slots__ = ("p", "n", "M", "ctx", "log_elems", "log", "_exp",
-                 "_m_cache", "_f_cache", "_r_cache", "_b_cache")
+                 "_m_cache", "_f_cache", "_r_cache", "_b_cache", "stem")
 
     def __init__(self, p, n, M, ctx, log_elems, log):
         self.p = p
@@ -82,6 +86,7 @@ class FormalGroupLaw:
         self._f_cache = {}
         self._r_cache = {}
         self._b_cache = {}
+        self.stem = None
 
     @property
     def exp(self):
@@ -555,25 +560,40 @@ def check_associativity(fgl, cap=None, depth=8):
 # builds, as both such laws of paper-suite do (p=3, n=2: M=66 at N=25,
 # M=242 at N=24), so storing it would move the law to a higher N.  A key
 # whose build raised PrecisionError gets a .raises file instead, which
-# replays the error without building.
+# replays the error without building.  Beside a law's entry, a .rel file
+# per prepared relation (k, cap) holds the g = y^d - r that
+# weierstrass_prepare gave, so a warm run solves no p^k-series for it and
+# prepares nothing (load_relation, save_relation).
 LAW_FILE_CAP = 64
+
+
+class CacheError(Exception):
+    """A cache entry could not be written; the message names its path."""
 
 
 def _cache_stem(cache_dir, key):
     """The path of the key's cache files but for their suffix: .txt for
     a law file, .built for a law past LAW_FILE_CAP that built, .raises
-    for a recorded PrecisionError."""
+    for a recorded PrecisionError, -k<k>-c<cap>.rel for a prepared
+    relation of the law."""
     return os.path.join(cache_dir, "fgl-p%d-n%d-N%d-D%d-M%d" % key)
 
 
 def _write_atomic(path, text):
     """Land text at path with a rename, so no reader sees a partial
-    write."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    write.  An OSError becomes a CacheError naming the path, and the
+    temporary file goes."""
     tmp = path + ".tmp.%d" % os.getpid()
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise CacheError("cannot write the cache entry %s: %s"
+                         % (path, e.strerror or e)) from e
 
 
 def fgl_cache_save(fgl, cache_dir):
@@ -639,6 +659,54 @@ def _load_raises(path, key):
         return None
 
 
+def _relation_path(fgl, k, cap):
+    return "%s-k%d-c%d.rel" % (fgl.stem, k, cap)
+
+
+def _relation_head(fgl, k, cap):
+    ctx = fgl.ctx
+    return "relation p=%d n=%d N=%d D=%d M=%d k=%d cap=%d" % (
+        ctx.p, ctx.n, ctx.N, ctx.D, fgl.M, k, cap)
+
+
+def load_relation(fgl, k, cap):
+    """The prepared relation of a C_{p^k} factor at y-degree cap from the
+    law's cache: g = y^d - r, d = p^{nk}, as weierstrass_prepare gave it,
+    over the law's context.  None with the cache off, and on a miss: the
+    file is missing or cannot be parsed, names another key, context or
+    cap, or g is not exactly one at y^d with nothing above, or a lower
+    coefficient is a unit."""
+    if fgl.stem is None:
+        return None
+    ctx = fgl.ctx
+    d = fgl.p ** (fgl.n * k)
+    try:
+        with open(_relation_path(fgl, k, cap)) as fh:
+            head, text = fh.read().split("\n", 1)
+        if head != _relation_head(fgl, k, cap):
+            return None
+        g = golden_load(text)
+        if not isinstance(g, YSeries) or (
+                g.ctx.p, g.ctx.n, g.ctx.N, g.ctx.D, g.M) != (
+                ctx.p, ctx.n, ctx.N, ctx.D, cap):
+            return None
+        c = g.c
+        if (c[d].t != ctx.one().t or any(e.t for e in c[d + 1:])
+                or any(ctx.is_unit(e) for e in c[:d])):
+            return None
+    except (OSError, IndexError, KeyError, ValueError):
+        return None
+    return YSeries(ctx, c)
+
+
+def save_relation(fgl, k, cap, g):
+    """Write the prepared relation g of a C_{p^k} factor at y-degree cap
+    to the law's cache; nothing with the cache off."""
+    if fgl.stem is not None:
+        _write_atomic(_relation_path(fgl, k, cap),
+                      _relation_head(fgl, k, cap) + "\n" + golden_dump(g))
+
+
 def build_fgl_cached(p, n, cache_dir, N=16, D=8, M=33):
     """build_fgl through the cache directory.
 
@@ -650,19 +718,23 @@ def build_fgl_cached(p, n, cache_dir, N=16, D=8, M=33):
     without building.  Otherwise the law is built and its entry written
     (fgl_cache_save); when the build or the forced two-variable law raises
     PrecisionError, the .raises file is written instead.  A file that
-    cannot be parsed is a miss."""
+    cannot be parsed is a miss.  The law carries the stem of its entries,
+    under which groupcoh reads and writes its prepared relations."""
     key = (p, n, N, D, M)
     stem = _cache_stem(cache_dir, key)
+    fgl = None
     if M > LAW_FILE_CAP:
         if _load_built(stem + ".built", key):
-            return _build_log(*key)
+            fgl = _build_log(*key)
     else:
         A = _load_law(stem + ".txt", key)
         if A is not None:
             fgl = _build_log(*key)
             A.ctx = fgl.ctx
             fgl._f_cache[(M, M, M)] = A
-            return fgl
+    if fgl is not None:
+        fgl.stem = stem
+        return fgl
     err = _load_raises(stem + ".raises", key)
     if err is not None:
         raise err
@@ -673,4 +745,5 @@ def build_fgl_cached(p, n, cache_dir, N=16, D=8, M=33):
         _write_atomic(stem + ".raises", "%s\n%d\n%s\n" % (
             _raises_head(key), e.needed_extra, e))
         raise
+    fgl.stem = stem
     return fgl

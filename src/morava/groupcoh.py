@@ -26,6 +26,7 @@ import math
 from operator import add
 
 from .coeff import CoeffElem
+from .fgl import load_relation, save_relation
 from .padic import PrecisionError
 from .report import make_check, precision_note
 from .series import (ser_monomial, ser_truncate, weierstrass_degree,
@@ -274,22 +275,27 @@ def _relation(fgl, k, cap):
     """Prepared relation of a C_{p^k} factor at y-degree cap, from the
     p^k-series solved to that cap, memoized on the law: a map from
     a < p^{nk} to the coefficient of y^a in the reduction of y^{p^{nk}}.
+    The prepared series is read from the law cache when it holds it, and
+    written there once prepared (fgl.load_relation, save_relation).
     Nothing is stored when the build raises."""
     key = (k, cap)
     got = fgl._r_cache.get(key)
     if got is not None:
         return got
     d = fgl.p ** (fgl.n * k)
-    s = fgl.pk_series(k, cap)
-    if cap < s.M:
-        s = ser_truncate(s, cap)
-    wd = weierstrass_degree(s)
-    if wd != d:
-        raise ArithmeticError(
-            "relation of the order-%d factor has degree %d, expected %d"
-            % (fgl.p ** k, wd, d))
-    got = _reduction(weierstrass_prepare(s, d), d)
-    fgl._r_cache[key] = got
+    g = load_relation(fgl, k, cap)
+    if g is None:
+        s = fgl.pk_series(k, cap)
+        if cap < s.M:
+            s = ser_truncate(s, cap)
+        wd = weierstrass_degree(s)
+        if wd != d:
+            raise ArithmeticError(
+                "relation of the order-%d factor has degree %d, expected %d"
+                % (fgl.p ** k, wd, d))
+        g = weierstrass_prepare(s, d)
+        save_relation(fgl, k, cap, g)
+    got = fgl._r_cache[key] = _reduction(g, d)
     return got
 
 

@@ -832,8 +832,8 @@ def golden_load(text):
     line fills its coefficient's dict in line order, and terms settled
     past the prune horizon are dropped at the end, as summing them into
     zero would drop them.  A repeated (y-exponents, v-multidegree) line,
-    which golden_dump never writes, or a term whose u-exponent breaks the
-    grading raises ValueError."""
+    which golden_dump never writes, a one-variable exponent outside 0..M
+    or a term whose u-exponent breaks the grading raises ValueError."""
     lines = [ln for ln in text.strip().split("\n") if ln]
     head = lines[0].split()
     if head[0] != "FGLV1":
@@ -858,6 +858,9 @@ def golden_load(text):
             exps = tuple(int(x) for x in ytag.split(","))
             d = sum(exps)
             if not multi:
+                if not 0 <= d <= M:
+                    raise ValueError("term %s: exponent outside 0..%d"
+                                     % (ytag, M))
                 t = terms.setdefault(d, {})
             elif len(exps) != r or min(exps) < 0:
                 raise ValueError("term %s: not %d exponents under the caps"

@@ -832,30 +832,48 @@ def _count_law_work(monkeypatch):
 # raises and its build at N=25 succeeds, recorded by a .built file
 P32 = ["verify", "prop-3.2", "--p", "3", "--n", "2"]
 
-# each command with the entries its cold run leaves, by suffix
-WARM_CASES = [(P33, {".raises": 2, ".txt": 2}),
-              (P32, {".raises": 1, ".built": 1})]
+# each command with the entries its cold run leaves, by suffix: one per
+# law build, and a .rel file per prepared relation
+WARM_CASES = [(P33, {".raises": 2, ".txt": 2, ".rel": 2}),
+              (P32, {".raises": 1, ".built": 1, ".rel": 1})]
+
+
+def _count_prepares(monkeypatch):
+    """Wrap groupcoh's weierstrass_prepare; the list of its calls."""
+    calls = []
+    orig = groupcoh.weierstrass_prepare
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(groupcoh, "weierstrass_prepare", wrapper)
+    return calls
 
 
 def test_warm_rerun_builds_no_law(tmp_path, monkeypatch):
     # the warm pass replays each recorded PrecisionError and reads each
-    # law file or .built file: no law is built, no law build raises,
-    # nothing is written
+    # law file, .built file and .rel file: no law is built, no law build
+    # raises, no relation is prepared, nothing is written
     seen = _count_law_work(monkeypatch)
+    prepared = _count_prepares(monkeypatch)
     for i, (args, files) in enumerate(WARM_CASES):
         cache = tmp_path / ("cache%d" % i)
         cold = tmp_path / ("cold%d.json" % i)
         warm = tmp_path / ("warm%d.json" % i)
         args = args + ["--cache", str(cache)]
         seen.update(dict.fromkeys(seen, 0))
+        prepared.clear()
         assert run_cli(args + ["--report", str(cold)]) == 0
-        assert seen["build_fgl"] == sum(files.values())
+        assert seen["build_fgl"] == sum(files.values()) - files[".rel"]
+        assert len(prepared) == files[".rel"]
         assert collections.Counter(f.suffix for f in cache.iterdir()) == files
         seen.update(dict.fromkeys(seen, 0))
+        prepared.clear()
         assert run_cli(args + ["--report", str(warm)]) == 0
         assert seen == {"build_fgl": 0, "fgl_cache_save": 0,
                         "_build_log raised": 0,
                         "cached raised": files[".raises"]}
+        assert prepared == []
         assert warm.read_bytes() == cold.read_bytes()
 
 
@@ -893,6 +911,122 @@ def test_damaged_raises_file_is_rebuilt(tmp_path, monkeypatch, edit):
     assert _lemma_2_4_checks(cache, tmp_path / "again.json") == fresh
     assert path.read_text() == good
     assert seen["build_fgl"] == 1
+
+
+REL = "fgl-p3-n1-N24-D1-M15-k1-c7.rel"
+
+
+def _damage_relation(text, edit):
+    """The .rel text of REL (d = 3) with one edit: garbage, empty, the
+    header of another key, a unit at y^1, or 2 at y^3, not monic."""
+    lines = text.split("\n")
+    assert lines[:4] == ["relation p=3 n=1 N=24 D=1 M=15 k=1 cap=7",
+                         "FGLV1 p=3 n=1 N=24 D=1 M=7",
+                         "1|0|-|1|246761531137|24", "3|2|-|0|1|24"]
+    if edit == "garbage":
+        return "not\na relation"
+    if edit == "empty":
+        return ""
+    if edit == "header":
+        lines[0] = lines[0].replace("N=24", "N=25")
+    elif edit == "unit":
+        lines[2] = "1|0|-|0|246761531137|24"
+    else:
+        lines[3] = "3|2|-|0|2|24"
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("edit", ["garbage", "empty", "header", "unit",
+                                  "non-monic"])
+def test_damaged_relation_file_is_prepared_again(tmp_path, monkeypatch,
+                                                 edit):
+    # a .rel file that cannot be parsed, names another key, or holds no
+    # prepared relation is a miss: the relation is prepared again and the
+    # file rewritten, and the checks are those of a fresh cache
+    cache = tmp_path / "cache"
+    fresh = _lemma_2_4_checks(cache, tmp_path / "fresh.json")
+    path = cache / REL
+    good = path.read_text()
+    path.write_text(_damage_relation(good, edit))
+    prepared = _count_prepares(monkeypatch)
+    assert _lemma_2_4_checks(cache, tmp_path / "again.json") == fresh
+    assert path.read_text() == good
+    assert len(prepared) == 1
+
+
+def test_cache_off_writes_no_relation_file(tmp_path):
+    assert run_cli(["verify", "lemma-2.4", "--p", "3", "--n", "1",
+                    "--cache", "", "--report", str(tmp_path / "r.json")]) == 0
+    assert [f.name for f in tmp_path.rglob("*")] == ["r.json"]
+    law = build_fgl(3, 1, N=24, D=1, M=15)
+    assert law.stem is None and fgl.load_relation(law, 1, 7) is None
+    groupcoh._relation(law, 1, 7)
+    assert [f.name for f in tmp_path.rglob("*")] == ["r.json"]
+
+
+def _relation_pair(tmp_path, prepared, p, n, D, k):
+    """The relation table of C_{p^k} at cap 2d + 1 as prepared on a cold
+    cache, and as read back from its .rel file by a fresh law at that key,
+    at the first N of 16, 24, ... where the law and the relation build;
+    the read prepares nothing (prepared lists the preparations)."""
+    cap = 2 * p ** (n * k) + 1
+    for N in range(16, 65, 8):
+        cache = str(tmp_path / ("N%d" % N))
+        try:
+            law = build_fgl_cached(p, n, cache, N=N, D=D, M=cap)
+            computed = groupcoh._relation(law, k, cap)
+        except PrecisionError:
+            continue
+        again = build_fgl_cached(p, n, cache, N=N, D=D, M=cap)
+        g = fgl.load_relation(again, k, cap)
+        assert g is not None and g.ctx is again.ctx
+        before = len(prepared)
+        read = groupcoh._relation(again, k, cap)
+        assert len(prepared) == before
+        return computed, read
+    raise AssertionError("no N up to 64 builds the relation")
+
+
+@pytest.mark.parametrize("p,n,D,k", [
+    (p, n, D, k) for p in (2, 3) for n in (1, 2) for D in (1, 6)
+    for k in (1, 2)])
+def test_relation_read_back_equals_computed(tmp_path, monkeypatch, p, n, D,
+                                            k):
+    # a warm read rebuilds the table from the stored g: the same keys in
+    # the same order, each coefficient the same scalars in the same order
+    prepared = _count_prepares(monkeypatch)
+    computed, read = _relation_pair(tmp_path, prepared, p, n, D, k)
+    assert list(read) == list(computed)
+    for a in computed:
+        assert list(read[a].t.items()) == list(computed[a].t.items())
+
+
+def test_unwritable_law_cache_is_a_configuration_error(tmp_path, capsys):
+    # exit 1 means a check failed; a cache that cannot be written is a
+    # configuration error, exit 2, with one line naming the path
+    bad = tmp_path / "notadir"
+    bad.write_text("")
+    assert run_cli(P33 + ["--cache", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(bad) in err[0]
+
+
+def test_unwritable_relation_entry_is_a_configuration_error(tmp_path,
+                                                            capsys):
+    # a warm cache whose relation entry is a directory: the read is a miss,
+    # and the write that follows exits 2 naming the entry, leaving no
+    # temporary file
+    cache = tmp_path / "cache"
+    _lemma_2_4_checks(cache, tmp_path / "fresh.json")
+    path = cache / REL
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert run_cli(["verify", "lemma-2.4", "--p", "3", "--n", "1",
+                    "--cache", str(cache)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ") and str(path) in err[-1]
+    assert not [f for f in cache.iterdir() if ".tmp." in f.name]
 
 
 # a small law past the law-file cap, whose build at N=16 succeeds

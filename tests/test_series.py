@@ -1064,6 +1064,19 @@ def test_golden_load_rejects_repeated_line(lines):
         golden_load("\n".join([head] + lines))
 
 
+@pytest.mark.parametrize("line", [
+    "-1|-2|-|0|1|10",    # f.c[-1] would be the coefficient of y^3
+    "5|4|-|0|1|10",      # past the cap: f.c[5] would raise IndexError
+])
+def test_golden_load_rejects_one_variable_exponent_outside_the_cap(line):
+    # each line keeps the grading (u-exponent d - 1), so only the bound on
+    # the exponent can refuse it
+    head = "FGLV1 p=5 n=1 N=10 D=2 M=3"
+    golden_load(head + "\n3|2|-|0|1|10\n")
+    with pytest.raises(ValueError, match="outside 0..3"):
+        golden_load(head + "\n" + line + "\n")
+
+
 def _port(ctx, e):
     out = ctx.zero()
     for vc, c in e.t.items():
