@@ -42,8 +42,8 @@ import os
 
 from .coeff import CoeffContext
 from .padic import PrecisionError
-from .series import (MultiSeries, YSeries, golden_dump, golden_load,
-                     ms_eval, ms_eval_powers, ms_new, ms_permuted,
+from .series import (GOLDEN_HEAD, MultiSeries, YSeries, golden_dump,
+                     golden_load, ms_eval, ms_eval_powers, ms_new, ms_permuted,
                      ms_powers, ms_set, ser_add, ser_compose,
                      ser_from_terms, ser_monomial, ser_mul, ser_new,
                      ser_scale, ser_truncate)
@@ -67,8 +67,8 @@ class FormalGroupLaw:
     freeness blocks by (k, l, entry); groupcoh fills the last two.  Every
     cached value is shared read-only.  A law that came through
     build_fgl_cached carries the stem of its cache entries, and _r_cache
-    reads through to the law cache (load_relation, save_relation); with
-    the cache off the stem is None and nothing is read or written.
+    reads through to the law cache (cached_relation); with the cache off
+    the stem is None and nothing is read or written.
     """
 
     __slots__ = ("p", "n", "M", "ctx", "log_elems", "log", "_exp",
@@ -550,44 +550,40 @@ def check_associativity(fgl, cap=None, depth=8):
     return True, {"cap": cap, "depth": depth, "terms": len(keys)}
 
 
-# Read-through cache for built laws.  A law of y-degree cap up to
-# LAW_FILE_CAP stores its fully-capped two-variable series (the dominant
-# rebuild cost); the logarithm data is cheap enough to recompute and fixes
-# the value of every derived series.  Past that cap a .built file records
-# only that the build succeeded: no reader takes the full two-variable law
-# there (its rings read it at their own caps, or one variable at a time),
-# and forced it can fall short of the floor where every reader's law
-# builds, as both such laws of paper-suite do (p=3, n=2: M=66 at N=25,
-# M=242 at N=24), so storing it would move the law to a higher N.  A key
-# whose build raised PrecisionError gets a .raises file instead, which
-# replays the error without building.  Beside a law's entry, a .rel file
-# per prepared relation (k, cap) holds the g = y^d - r that
-# weierstrass_prepare gave, so a warm run solves no p^k-series for it and
-# prepares nothing (load_relation, save_relation).
+# Read-through cache, one file per entry: a first line naming the key, then a
+# body holding the outcome, a stored value or a recorded PrecisionError
+# (_read_through).  A law's entry <stem>.law stores, up to LAW_FILE_CAP, the
+# fully-capped two-variable series (the dominant rebuild cost); the logarithm
+# data is cheap enough to recompute and fixes the value of every derived
+# series.  Past that cap the body is empty, a record that the build
+# succeeded: no reader takes the full two-variable law there (its rings read
+# it at their own caps, or one variable at a time), and forced it can fall
+# short of the floor where every reader's law builds, as both such laws of
+# paper-suite do (p=3, n=2: M=66 at N=25, M=242 at N=24), so storing it would
+# move the law to a higher N.  Beside it, <stem>-k<k>-c<cap>.rel holds the
+# g = y^d - r that weierstrass_prepare gave for the relation (k, cap), so a
+# warm run solves no p^k-series for it and prepares nothing
+# (cached_relation).
 LAW_FILE_CAP = 64
+
+_LAW = "law p=%d n=%d N=%d D=%d M=%d"
+_RELATION = "relation p=%d n=%d N=%d D=%d M=%d k=%d cap=%d"
+_RAISED = "PrecisionError needed_extra=%d\n%s\n"
 
 
 class CacheError(Exception):
     """A cache entry could not be written; the message names its path."""
 
 
-def _cache_stem(cache_dir, key):
-    """The path of the key's cache files but for their suffix: .txt for
-    a law file, .built for a law past LAW_FILE_CAP that built, .raises
-    for a recorded PrecisionError, -k<k>-c<cap>.rel for a prepared
-    relation of the law."""
-    return os.path.join(cache_dir, "fgl-p%d-n%d-N%d-D%d-M%d" % key)
-
-
-def _write_atomic(path, text):
-    """Land text at path with a rename, so no reader sees a partial
-    write.  An OSError becomes a CacheError naming the path, and the
-    temporary file goes."""
+def _write_entry(path, head, body):
+    """Land the entry, the line head and then body, at path with a
+    rename, so no reader sees a partial write.  An OSError becomes a
+    CacheError naming the path, and the temporary file goes."""
     tmp = path + ".tmp.%d" % os.getpid()
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.write(head + "\n" + body)
         os.replace(tmp, path)
     except OSError as e:
         with contextlib.suppress(OSError):
@@ -596,154 +592,126 @@ def _write_atomic(path, text):
                          % (path, e.strerror or e)) from e
 
 
-def fgl_cache_save(fgl, cache_dir):
-    """Write the law's cache entry: up to LAW_FILE_CAP the fully-capped
-    two-variable law in the golden-vector format, past it the .built
-    file, a single line naming the key; returns the path written."""
+def _read_through(path, head, compute, parse):
+    """The outcome in the cache entry at path whose first line is head: a
+    recorded PrecisionError is raised again, a stored value comes back as
+    parse(body).  Anything else is a miss: the file is missing or
+    unreadable, its first line is not head, its recorded error is not in
+    the form written, or parse refuses the body (returns None, or raises
+    ValueError, IndexError or KeyError).  A miss runs compute(), which
+    writes the entry of the value it returns; a PrecisionError it raises
+    is recorded at path and raised."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, ValueError):
+        text = ""
+    if text.startswith(head + "\n"):
+        body = text[len(head) + 1:]
+        try:
+            if body.startswith("PrecisionError "):
+                first, message = body.split("\n", 1)
+                err = PrecisionError(message[:-1], int(first.split("=")[1]))
+                if _RAISED % (err.needed_extra, err) == body:
+                    raise err
+            else:
+                got = parse(body)
+                if got is not None:
+                    return got
+        except (IndexError, KeyError, ValueError):
+            pass
+    try:
+        return compute()
+    except PrecisionError as e:
+        _write_entry(path, head, _RAISED % (e.needed_extra, e))
+        raise
+
+
+def fgl_cache_save(fgl):
+    """Write the entry of a law that carries its stem: up to LAW_FILE_CAP
+    the fully-capped two-variable law in the golden-vector format, past it
+    an empty body; returns the path written."""
     ctx = fgl.ctx
-    key = (ctx.p, ctx.n, ctx.N, ctx.D, fgl.M)
-    if fgl.M > LAW_FILE_CAP:
-        path = _cache_stem(cache_dir, key) + ".built"
-        _write_atomic(path, _built_head(key) + "\n")
-        return path
-    path = _cache_stem(cache_dir, key) + ".txt"
     # Forcing the law can raise; render before touching the file.
-    _write_atomic(path, golden_dump(fgl.F))
+    body = golden_dump(fgl.F) if fgl.M <= LAW_FILE_CAP else ""
+    path = fgl.stem + ".law"
+    _write_entry(path, _LAW % (ctx.p, ctx.n, ctx.N, ctx.D, fgl.M), body)
     return path
 
 
-def _load_law(path, key):
-    """The cached two-variable law at path, or None when the file is
-    missing, cannot be parsed, holds no two-variable law (a header alone,
-    or one-variable exponents) or names other parameters (stale)."""
-    try:
-        with open(path) as fh:
-            A = golden_load(fh.read())
-    except (OSError, IndexError, KeyError, ValueError):
-        return None
-    if not isinstance(A, MultiSeries) or (
-            A.ctx.p, A.ctx.n, A.ctx.N, A.ctx.D, max(A.caps)) != key:
-        return None
-    return A
+def build_fgl_cached(p, n, cache_dir, N=16, D=8, M=33):
+    """build_fgl through the law's cache entry.
 
+    A stored body shows that the build succeeded at this N: only the
+    logarithm is built, and the exponential is left to its first read.  Up
+    to LAW_FILE_CAP the body is the two-variable law under the key's
+    golden-vector header, which seeds the law; past it the body is empty.
+    Any other body is a miss, and the header is compared before anything
+    is parsed.  On a miss the law is built and its entry written
+    (fgl_cache_save); a PrecisionError from the build or from the forced
+    two-variable law is recorded instead.  The law carries the stem of its
+    entries, beside which its prepared relations are kept
+    (cached_relation)."""
+    key = (p, n, N, D, M)
+    stem = os.path.join(cache_dir, "fgl-p%d-n%d-N%d-D%d-M%d" % key)
 
-def _built_head(key):
-    return "built p=%d n=%d N=%d D=%d M=%d" % key
+    def compute():
+        fgl = build_fgl(p, n, N=N, D=D, M=M)
+        fgl.stem = stem
+        fgl_cache_save(fgl)
+        return fgl
 
-
-def _load_built(path, key):
-    """Whether the .built file at path records this key: False when the
-    file is missing or holds anything but the key's line."""
-    try:
-        with open(path) as fh:
-            return fh.read() == _built_head(key) + "\n"
-    except (OSError, ValueError):
-        return False
-
-
-def _raises_head(key):
-    return "PrecisionError p=%d n=%d N=%d D=%d M=%d" % key
-
-
-def _load_raises(path, key):
-    """The PrecisionError recorded at path, or None when the file is
-    missing, cannot be parsed or names other parameters.  The file holds
-    a header naming the key, needed_extra, and the message."""
-    try:
-        with open(path) as fh:
-            head, extra, message = fh.read().split("\n", 2)
-        if head != _raises_head(key) or not message.endswith("\n"):
+    def parse(body):
+        A = None
+        if M <= LAW_FILE_CAP:
+            if not body.startswith(GOLDEN_HEAD % key + "\n"):
+                return None
+            A = golden_load(body)
+            if not isinstance(A, MultiSeries) or A.r != 2:
+                return None
+        elif body:
             return None
-        return PrecisionError(message[:-1], needed_extra=int(extra))
-    except (OSError, ValueError):
-        return None
+        fgl = _build_log(*key)
+        fgl.stem = stem
+        if A is not None:
+            A.ctx = fgl.ctx
+            fgl._f_cache[(M, M, M)] = A
+        return fgl
+
+    return _read_through(stem + ".law", _LAW % key, compute, parse)
 
 
-def _relation_path(fgl, k, cap):
-    return "%s-k%d-c%d.rel" % (fgl.stem, k, cap)
-
-
-def _relation_head(fgl, k, cap):
-    ctx = fgl.ctx
-    return "relation p=%d n=%d N=%d D=%d M=%d k=%d cap=%d" % (
-        ctx.p, ctx.n, ctx.N, ctx.D, fgl.M, k, cap)
-
-
-def load_relation(fgl, k, cap):
-    """The prepared relation of a C_{p^k} factor at y-degree cap from the
-    law's cache: g = y^d - r, d = p^{nk}, as weierstrass_prepare gave it,
-    over the law's context.  None with the cache off, and on a miss: the
-    file is missing or cannot be parsed, names another key, context or
-    cap, or g is not exactly one at y^d with nothing above, or a lower
-    coefficient is a unit."""
+def cached_relation(fgl, k, cap, prepare):
+    """prepare(), the prepared relation g = y^d - r, d = p^{nk}, of a
+    C_{p^k} factor at y-degree cap, read through the law's entry for
+    (k, cap); with the cache off (no stem) prepare() just runs.  A stored
+    g comes back over the law's context.  The body is refused unless it
+    is a one-variable series under the golden-vector header of the law's
+    context at the cap, exactly one at y^d with nothing above and no unit
+    below; the header is compared before anything is parsed."""
     if fgl.stem is None:
-        return None
+        return prepare()
     ctx = fgl.ctx
     d = fgl.p ** (fgl.n * k)
-    try:
-        with open(_relation_path(fgl, k, cap)) as fh:
-            head, text = fh.read().split("\n", 1)
-        if head != _relation_head(fgl, k, cap):
+    path = "%s-k%d-c%d.rel" % (fgl.stem, k, cap)
+    head = _RELATION % (ctx.p, ctx.n, ctx.N, ctx.D, fgl.M, k, cap)
+    golden = GOLDEN_HEAD % (ctx.p, ctx.n, ctx.N, ctx.D, cap) + "\n"
+
+    def compute():
+        g = prepare()
+        _write_entry(path, head, golden_dump(g))
+        return g
+
+    def parse(body):
+        if not body.startswith(golden):
             return None
-        g = golden_load(text)
-        if not isinstance(g, YSeries) or (
-                g.ctx.p, g.ctx.n, g.ctx.N, g.ctx.D, g.M) != (
-                ctx.p, ctx.n, ctx.N, ctx.D, cap):
+        g = golden_load(body)
+        if not isinstance(g, YSeries):
             return None
         c = g.c
         if (c[d].t != ctx.one().t or any(e.t for e in c[d + 1:])
                 or any(ctx.is_unit(e) for e in c[:d])):
             return None
-    except (OSError, IndexError, KeyError, ValueError):
-        return None
-    return YSeries(ctx, c)
+        return YSeries(ctx, c)
 
-
-def save_relation(fgl, k, cap, g):
-    """Write the prepared relation g of a C_{p^k} factor at y-degree cap
-    to the law's cache; nothing with the cache off."""
-    if fgl.stem is not None:
-        _write_atomic(_relation_path(fgl, k, cap),
-                      _relation_head(fgl, k, cap) + "\n" + golden_dump(g))
-
-
-def build_fgl_cached(p, n, cache_dir, N=16, D=8, M=33):
-    """build_fgl through the cache directory.
-
-    A law file at this key seeds the fully-capped two-variable law, and
-    only the logarithm is built; a .built file, for a law past
-    LAW_FILE_CAP, builds only the logarithm too.  Either file shows that
-    the build succeeded at this N, so the exponential is left to its first
-    read.  A .raises file at this key raises its PrecisionError again
-    without building.  Otherwise the law is built and its entry written
-    (fgl_cache_save); when the build or the forced two-variable law raises
-    PrecisionError, the .raises file is written instead.  A file that
-    cannot be parsed is a miss.  The law carries the stem of its entries,
-    under which groupcoh reads and writes its prepared relations."""
-    key = (p, n, N, D, M)
-    stem = _cache_stem(cache_dir, key)
-    fgl = None
-    if M > LAW_FILE_CAP:
-        if _load_built(stem + ".built", key):
-            fgl = _build_log(*key)
-    else:
-        A = _load_law(stem + ".txt", key)
-        if A is not None:
-            fgl = _build_log(*key)
-            A.ctx = fgl.ctx
-            fgl._f_cache[(M, M, M)] = A
-    if fgl is not None:
-        fgl.stem = stem
-        return fgl
-    err = _load_raises(stem + ".raises", key)
-    if err is not None:
-        raise err
-    try:
-        fgl = build_fgl(p, n, N=N, D=D, M=M)
-        fgl_cache_save(fgl, cache_dir)
-    except PrecisionError as e:
-        _write_atomic(stem + ".raises", "%s\n%d\n%s\n" % (
-            _raises_head(key), e.needed_extra, e))
-        raise
-    fgl.stem = stem
-    return fgl
+    return _read_through(path, head, compute, parse)

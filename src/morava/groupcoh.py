@@ -26,7 +26,7 @@ import math
 from operator import add
 
 from .coeff import CoeffElem
-from .fgl import load_relation, save_relation
+from .fgl import cached_relation
 from .padic import PrecisionError
 from .report import make_check, precision_note
 from .series import (ser_monomial, ser_truncate, weierstrass_degree,
@@ -275,16 +275,16 @@ def _relation(fgl, k, cap):
     """Prepared relation of a C_{p^k} factor at y-degree cap, from the
     p^k-series solved to that cap, memoized on the law: a map from
     a < p^{nk} to the coefficient of y^a in the reduction of y^{p^{nk}}.
-    The prepared series is read from the law cache when it holds it, and
-    written there once prepared (fgl.load_relation, save_relation).
-    Nothing is stored when the build raises."""
+    The preparation reads through the law cache (fgl.cached_relation),
+    which also replays a PrecisionError recorded there.  Nothing is
+    memoized when the build raises."""
     key = (k, cap)
     got = fgl._r_cache.get(key)
     if got is not None:
         return got
     d = fgl.p ** (fgl.n * k)
-    g = load_relation(fgl, k, cap)
-    if g is None:
+
+    def prepare():
         s = fgl.pk_series(k, cap)
         if cap < s.M:
             s = ser_truncate(s, cap)
@@ -293,9 +293,10 @@ def _relation(fgl, k, cap):
             raise ArithmeticError(
                 "relation of the order-%d factor has degree %d, expected %d"
                 % (fgl.p ** k, wd, d))
-        g = weierstrass_prepare(s, d)
-        save_relation(fgl, k, cap, g)
-    got = fgl._r_cache[key] = _reduction(g, d)
+        return weierstrass_prepare(s, d)
+
+    got = fgl._r_cache[key] = _reduction(
+        cached_relation(fgl, k, cap, prepare), d)
     return got
 
 

@@ -80,9 +80,6 @@ class PadicContext:
     def zero(self):
         return (EXACT, 0, 0)
 
-    def zero_known_to(self, absprec):
-        return (min(absprec, EXACT), 0, 0)
-
     def one(self):
         return (0, 1, self.N)
 

@@ -778,6 +778,10 @@ def _fmt_scalar_fields(c):
     return "%d|%d|%d" % (v if v < EXACT else EXACT, u, k)
 
 
+# The first line of a golden-vector text: its context and y-degree cap.
+GOLDEN_HEAD = "FGLV1 p=%d n=%d N=%d D=%d M=%d"
+
+
 def golden_dump(f):
     """Render a series in the versioned line format.  One line per stored
     coefficient-ring term: y-exponents, u-exponent, v-multidegree, then the
@@ -789,7 +793,7 @@ def golden_dump(f):
     ctx = f.ctx
     if isinstance(f, MultiSeries) and not f.t:
         raise ValueError("a multiseries with no terms has no golden text")
-    head = "FGLV1 p=%d n=%d N=%d D=%d M=%d" % (
+    head = GOLDEN_HEAD % (
         ctx.p, ctx.n, ctx.N, ctx.D,
         f.M if isinstance(f, YSeries) else max(f.caps))
     lines = [head]
@@ -827,7 +831,7 @@ def _checked_scalar(ctx, val, unit, prec):
 def golden_load(text):
     """Parse the line format back into a YSeries (single y-exponent field)
     or MultiSeries (comma-separated exponents).  A multiseries comes back
-    in the shape of a law file: every cap and the total cap M.  Each
+    in the shape of a stored law: every cap and the total cap M.  Each
     key is packed as it is read, and a term past a cap is dropped.  Each
     line fills its coefficient's dict in line order, and terms settled
     past the prune horizon are dropped at the end, as summing them into

@@ -465,7 +465,7 @@ def test_cache_file_created_and_reused(tmp_path, capsys):
             "--cache", str(cache)]
     assert run_cli(args) == 0
     first = capsys.readouterr().out
-    files = list(cache.glob("fgl-p2-n1-*.txt"))
+    files = list(cache.glob("fgl-p2-n1-*.law"))
     assert files
     stamp = files[0].stat().st_mtime_ns
     assert run_cli(args) == 0
@@ -479,7 +479,7 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path, capsys):
             "--cache", str(cache)]
     assert run_cli(args) == 0
     good = capsys.readouterr().out
-    files = list(cache.glob("fgl-p2-n1-*.txt"))
+    files = list(cache.glob("fgl-p2-n1-*.law"))
     assert files
     files[0].write_text("")
     assert run_cli(args) == 0
@@ -500,7 +500,7 @@ def test_empty_cache_flag_turns_the_cache_off(tmp_path, monkeypatch,
     assert not env.exists() and not (tmp_path / ".cache").exists()
     assert run_cli(args) == 0
     assert capsys.readouterr().out == off
-    assert list(env.glob("fgl-p2-n1-*.txt"))
+    assert list(env.glob("fgl-p2-n1-*.law"))
 
 
 def test_cache_file_off_the_grading_is_rebuilt(tmp_path, capsys):
@@ -511,14 +511,15 @@ def test_cache_file_off_the_grading_is_rebuilt(tmp_path, capsys):
     args = ["verify", "prop-3.3", "--p", "2", "--n", "1", "--cache",
             str(cache)]
     assert run_cli(args + ["--report", str(clean)]) == 0
-    files = sorted(cache.glob("fgl-*.txt"))
+    files = [f for f in sorted(cache.glob("fgl-*.law"))
+             if "\nFGLV1 " in f.read_text()]
     assert files
     good = [f.read_text() for f in files]
     for f, text in zip(files, good):
-        head, first, rest = text.split("\n", 2)
+        key, head, first, rest = text.split("\n", 3)
         y, ue, tail = first.split("|", 2)
         assert (y, ue) == ("0,1", "0")
-        f.write_text("\n".join([head, "|".join([y, "1", tail]), rest]))
+        f.write_text("\n".join([key, head, "|".join([y, "1", tail]), rest]))
     assert run_cli(args + ["--report", str(again)]) == 0
     assert again.read_bytes() == clean.read_bytes()
     assert [f.read_text() for f in files] == good
@@ -744,7 +745,7 @@ def test_law_cache_changes_no_verdict_or_witness(tmp_path, monkeypatch):
                         "--report", str(report)]) == 0
         docs.append(json.loads(report.read_text()))
     cached, uncached = docs
-    assert list((tmp_path / "cache").glob("fgl-p3-n1-*.txt"))
+    assert list((tmp_path / "cache").glob("fgl-p3-n1-*.law"))
     assert cached["summary"] == uncached["summary"]
     assert len(cached["checks"]) == len(uncached["checks"]) == 6
     for a, b in zip(cached["checks"], uncached["checks"]):
@@ -759,41 +760,9 @@ def _lemma_2_4_checks(cache, report):
     return json.loads(report.read_text())["checks"]
 
 
-@pytest.mark.parametrize("edit", ["header", "scalar", "repeat", "head-only",
-                                  "one-variable"])
-def test_damaged_cache_file_is_rebuilt(tmp_path, edit):
-    # a cache file naming other parameters, holding a scalar outside the
-    # scalar invariants (here prec = N + 40), repeating a line (here one
-    # whose scalar cancels the first, 1 + 59048 = 3^10), or holding no
-    # two-variable law, is a miss: the run rebuilds and rewrites it and
-    # gives the checks of a fresh cache
-    cache = tmp_path / "cache"
-    fresh = _lemma_2_4_checks(cache, tmp_path / "fresh.json")
-    path = cache / "fgl-p3-n1-N16-D1-M5.txt"
-    good = path.read_text()
-    lines = good.split("\n")
-    if edit == "header":
-        lines[0] = lines[0].replace("N=16", "N=17")
-    elif edit == "scalar":
-        fields = lines[1].split("|")
-        assert fields[-1] == "16"
-        fields[-1] = "56"
-        lines[1] = "|".join(fields)
-    elif edit == "repeat":
-        assert "0,1|0|-|0|1|16" in lines
-        lines[-1:] = ["0,1|0|-|0|59048|16", ""]
-    elif edit == "head-only":
-        lines[1:] = [""]
-    else:
-        lines[1:] = ["1|0|-|0|1|16", ""]
-    path.write_text("\n".join(lines))
-    assert _lemma_2_4_checks(cache, tmp_path / "again.json") == fresh
-    assert path.read_text() == good
-
-
-# A key whose law build raised PrecisionError gets a .raises file, which
-# the next attempt at that key replays without building; a law file lets
-# the exponential wait for its first read.
+# A key whose computation raised PrecisionError records the error in its
+# entry, which the next attempt at that key replays without building or
+# preparing; a stored law lets the exponential wait for its first read.
 
 P33 = ["verify", "prop-3.3", "--p", "2", "--n", "1"]
 
@@ -829,13 +798,27 @@ def _count_law_work(monkeypatch):
 
 
 # the law of y-degree cap 66, past the law-file cap: its build at N=16
-# raises and its build at N=25 succeeds, recorded by a .built file
+# raises and its build at N=25 succeeds, recorded by an empty body
 P32 = ["verify", "prop-3.2", "--p", "3", "--n", "2"]
 
-# each command with the entries its cold run leaves, by suffix: one per
-# law build, and a .rel file per prepared relation
-WARM_CASES = [(P33, {".raises": 2, ".txt": 2, ".rel": 2}),
-              (P32, {".raises": 1, ".built": 1, ".rel": 1})]
+# its cold run records two failed preparations, of the relations at N=16,
+# M=3 and M=6
+L24 = ["verify", "lemma-2.4", "--p", "2", "--n", "1"]
+
+
+def _entry_kinds(cache):
+    """The entries in cache counted by suffix, those that record an error
+    apart."""
+    return collections.Counter(
+        f.suffix + (" raised" if "\nPrecisionError " in f.read_text()
+                    else "") for f in cache.iterdir())
+
+
+# each command with the entries its cold run leaves (_entry_kinds): one
+# per law build, and one per relation prepared
+WARM_CASES = [(P33, {".law raised": 2, ".law": 2, ".rel": 2}),
+              (P32, {".law raised": 1, ".law": 1, ".rel": 1}),
+              (L24, {".law": 4, ".rel": 4, ".rel raised": 2})]
 
 
 def _count_prepares(monkeypatch):
@@ -852,8 +835,8 @@ def _count_prepares(monkeypatch):
 
 def test_warm_rerun_builds_no_law(tmp_path, monkeypatch):
     # the warm pass replays each recorded PrecisionError and reads each
-    # law file, .built file and .rel file: no law is built, no law build
-    # raises, no relation is prepared, nothing is written
+    # stored law and relation: no law is built, no law build raises, no
+    # relation is prepared, nothing is written
     seen = _count_law_work(monkeypatch)
     prepared = _count_prepares(monkeypatch)
     for i, (args, files) in enumerate(WARM_CASES):
@@ -861,18 +844,19 @@ def test_warm_rerun_builds_no_law(tmp_path, monkeypatch):
         cold = tmp_path / ("cold%d.json" % i)
         warm = tmp_path / ("warm%d.json" % i)
         args = args + ["--cache", str(cache)]
+        files = collections.Counter(files)
         seen.update(dict.fromkeys(seen, 0))
         prepared.clear()
         assert run_cli(args + ["--report", str(cold)]) == 0
-        assert seen["build_fgl"] == sum(files.values()) - files[".rel"]
-        assert len(prepared) == files[".rel"]
-        assert collections.Counter(f.suffix for f in cache.iterdir()) == files
+        assert _entry_kinds(cache) == files
+        assert seen["build_fgl"] == files[".law"] + files[".law raised"]
+        assert len(prepared) == files[".rel"] + files[".rel raised"]
         seen.update(dict.fromkeys(seen, 0))
         prepared.clear()
         assert run_cli(args + ["--report", str(warm)]) == 0
         assert seen == {"build_fgl": 0, "fgl_cache_save": 0,
                         "_build_log raised": 0,
-                        "cached raised": files[".raises"]}
+                        "cached raised": files[".law raised"]}
         assert prepared == []
         assert warm.read_bytes() == cold.read_bytes()
 
@@ -883,7 +867,7 @@ def test_warm_rerun_rewrites_no_cache_file(tmp_path):
         args = args + ["--cache", str(cache)]
         assert run_cli(args) == 0
         files = sorted(cache.iterdir())
-        assert any(f.suffix == ".raises" for f in files)
+        assert any(k.endswith(" raised") for k in _entry_kinds(cache))
         # each write lands a new inode, and mtimes can be too coarse to move
         stamps = [(f.stat().st_ino, f.stat().st_mtime_ns) for f in files]
         assert run_cli(args) == 0
@@ -892,66 +876,135 @@ def test_warm_rerun_rewrites_no_cache_file(tmp_path):
                 for f in files] == stamps
 
 
-@pytest.mark.parametrize("edit", ["garbage", "header", "empty"])
-def test_damaged_raises_file_is_rebuilt(tmp_path, monkeypatch, edit):
-    # a .raises file that cannot be parsed, or names another key, is a
-    # miss: the law is built again, raises again, and the file is
-    # rewritten; the report is that of a fresh cache
-    cache = tmp_path / "cache"
-    fresh = _lemma_2_4_checks(cache, tmp_path / "fresh.json")
-    path = cache / "fgl-p3-n1-N16-D1-M15.raises"
-    good = path.read_text()
-    head, extra, message = good.split("\n", 2)
-    assert head == "PrecisionError p=3 n=1 N=16 D=1 M=15"
-    assert int(extra) > 0 and message.count("\n") == 1
-    path.write_text({"garbage": "not\nan\nerror",
-                     "header": good.replace("N=16", "N=17"),
-                     "empty": ""}[edit])
-    seen = _count_law_work(monkeypatch)
-    assert _lemma_2_4_checks(cache, tmp_path / "again.json") == fresh
-    assert path.read_text() == good
-    assert seen["build_fgl"] == 1
-
-
 REL = "fgl-p3-n1-N24-D1-M15-k1-c7.rel"
 
+# a small law past the law-file cap, whose build at N=16 succeeds
+BUILT = (3, 1, 16, 1, fgl.LAW_FILE_CAP + 1)
 
-def _damage_relation(text, edit):
-    """The .rel text of REL (d = 3) with one edit: garbage, empty, the
-    header of another key, a unit at y^1, or 2 at y^3, not monic."""
+# The entries that test_damaged_entry_is_rewritten edits, each with its
+# first lines: a stored law, a law whose build raised and a prepared
+# relation (d = 3) of `verify lemma-2.4 --p 3 --n 1`, and BUILT.
+ENTRIES = {
+    "law": ("fgl-p3-n1-N16-D1-M5.law",
+            ["law p=3 n=1 N=16 D=1 M=5", "FGLV1 p=3 n=1 N=16 D=1 M=5"]),
+    "raised": ("fgl-p3-n1-N16-D1-M15.law",
+               ["law p=3 n=1 N=16 D=1 M=15",
+                "PrecisionError needed_extra=1"]),
+    "relation": (REL, ["relation p=3 n=1 N=24 D=1 M=15 k=1 cap=7",
+                       "FGLV1 p=3 n=1 N=24 D=1 M=7",
+                       "1|0|-|1|246761531137|24", "3|2|-|0|1|24"]),
+    "past-cap": ("fgl-p%d-n%d-N%d-D%d-M%d.law" % BUILT,
+                 ["law p=%d n=%d N=%d D=%d M=%d" % BUILT, ""]),
+}
+
+
+def _damage(text, edit):
+    """An entry's text with one edit: garbage, empty, its last newline
+    cut, a first line or golden-vector header naming another N, a scalar
+    outside the scalar invariants (prec = N + 40), a repeated line (one
+    whose scalar cancels the first, 1 + 59048 = 3^10), the golden header
+    alone, a one-variable term, an empty body, a needed_extra that is no
+    int, a unit at y^1, 2 at y^3 (not monic), relation terms in two
+    variables, or a body past the law-file cap."""
     lines = text.split("\n")
-    assert lines[:4] == ["relation p=3 n=1 N=24 D=1 M=15 k=1 cap=7",
-                         "FGLV1 p=3 n=1 N=24 D=1 M=7",
-                         "1|0|-|1|246761531137|24", "3|2|-|0|1|24"]
     if edit == "garbage":
-        return "not\na relation"
+        return "not\nan entry"
     if edit == "empty":
         return ""
-    if edit == "header":
-        lines[0] = lines[0].replace("N=24", "N=25")
+    if edit == "cut":
+        return text[:-1]
+    if edit in ("key", "header"):
+        i = edit == "header"
+        lines[i] = lines[i].replace(" N=", " N=1")
+    elif edit == "scalar":
+        fields = lines[2].split("|")
+        assert fields[-1] == "16"
+        fields[-1] = "56"
+        lines[2] = "|".join(fields)
+    elif edit == "repeat":
+        assert "0,1|0|-|0|1|16" in lines
+        lines[-1:] = ["0,1|0|-|0|59048|16", ""]
+    elif edit == "head-only":
+        lines[2:] = [""]
+    elif edit == "one-variable":
+        lines[2:] = ["1|0|-|0|1|16", ""]
+    elif edit == "empty-body":
+        lines[1:] = [""]
+    elif edit == "extra":
+        lines[1] = "PrecisionError needed_extra=one"
     elif edit == "unit":
         lines[2] = "1|0|-|0|246761531137|24"
-    else:
+    elif edit == "non-monic":
         lines[3] = "3|2|-|0|2|24"
+    elif edit == "two-variable":
+        lines[2:4] = ["1,0|0|-|1|246761531137|24", "3,0|2|-|0|1|24"]
+    else:
+        assert edit == "body"
+        lines[1:] = ["1|0|-|0|1|16", ""]
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("edit", ["garbage", "empty", "header", "unit",
-                                  "non-monic"])
-def test_damaged_relation_file_is_prepared_again(tmp_path, monkeypatch,
-                                                 edit):
-    # a .rel file that cannot be parsed, names another key, or holds no
-    # prepared relation is a miss: the relation is prepared again and the
-    # file rewritten, and the checks are those of a fresh cache
+DAMAGES = (
+    [("law", e) for e in ("key", "header", "scalar", "repeat", "head-only",
+                          "one-variable", "garbage", "empty", "empty-body")]
+    + [("raised", e) for e in ("key", "garbage", "empty", "extra", "cut")]
+    + [("relation", e) for e in ("key", "header", "garbage", "empty", "unit",
+                                 "non-monic", "two-variable")]
+    + [("past-cap", e) for e in ("key", "garbage", "empty", "body")])
+
+
+def _fill_entry(kind, cache, report):
+    """Write the entry of kind: run the lemma-2.4 checks at p=3, n=1 and
+    return them, or build BUILT alone."""
+    if kind != "past-cap":
+        return _lemma_2_4_checks(cache, report)
+    p, n, N, D, M = BUILT
+    build_fgl_cached(p, n, str(cache), N=N, D=D, M=M)
+    return None
+
+
+@pytest.mark.parametrize("kind,edit", DAMAGES)
+def test_damaged_entry_is_rewritten(tmp_path, monkeypatch, kind, edit):
+    # an entry that cannot be parsed, names another key, context or cap,
+    # or holds no value of its kind is a miss: its law is built again or
+    # its relation prepared again (a recorded error raised again), the
+    # entry is rewritten, and the checks are those of a fresh cache
     cache = tmp_path / "cache"
-    fresh = _lemma_2_4_checks(cache, tmp_path / "fresh.json")
-    path = cache / REL
+    name, first = ENTRIES[kind]
+    fresh = _fill_entry(kind, cache, tmp_path / "fresh.json")
+    path = cache / name
     good = path.read_text()
-    path.write_text(_damage_relation(good, edit))
+    assert good.split("\n")[:len(first)] == first
+    path.write_text(_damage(good, edit))
+    seen = _count_law_work(monkeypatch)
     prepared = _count_prepares(monkeypatch)
+    assert _fill_entry(kind, cache, tmp_path / "again.json") == fresh
+    assert path.read_text() == good
+    assert (seen["build_fgl"], len(prepared)) == (
+        (0, 1) if kind == "relation" else (1, 0))
+
+
+@pytest.mark.parametrize("kind", ["law", "relation"])
+def test_body_of_another_cap_is_refused_unparsed(tmp_path, monkeypatch,
+                                                 kind):
+    # a body whose golden-vector header names another cap is refused on
+    # that line, before golden_load would build its context and series
+    # (M=200000 here), and the entry is rewritten
+    cache = tmp_path / "cache"
+    name, first = ENTRIES[kind]
+    fresh = _lemma_2_4_checks(cache, tmp_path / "fresh.json")
+    path = cache / name
+    good = path.read_text()
+    huge = first[1].rsplit(" M=", 1)[0] + " M=200000"
+    path.write_text(good.replace(first[1], huge, 1))
+    load = fgl.golden_load
+
+    def guarded(text):
+        assert not text.startswith(huge), "golden_load read a refused body"
+        return load(text)
+    monkeypatch.setattr(fgl, "golden_load", guarded)
     assert _lemma_2_4_checks(cache, tmp_path / "again.json") == fresh
     assert path.read_text() == good
-    assert len(prepared) == 1
 
 
 def test_cache_off_writes_no_relation_file(tmp_path):
@@ -959,16 +1012,17 @@ def test_cache_off_writes_no_relation_file(tmp_path):
                     "--cache", "", "--report", str(tmp_path / "r.json")]) == 0
     assert [f.name for f in tmp_path.rglob("*")] == ["r.json"]
     law = build_fgl(3, 1, N=24, D=1, M=15)
-    assert law.stem is None and fgl.load_relation(law, 1, 7) is None
+    assert law.stem is None
+    assert fgl.cached_relation(law, 1, 7, lambda: "prepared") == "prepared"
     groupcoh._relation(law, 1, 7)
     assert [f.name for f in tmp_path.rglob("*")] == ["r.json"]
 
 
 def _relation_pair(tmp_path, prepared, p, n, D, k):
     """The relation table of C_{p^k} at cap 2d + 1 as prepared on a cold
-    cache, and as read back from its .rel file by a fresh law at that key,
-    at the first N of 16, 24, ... where the law and the relation build;
-    the read prepares nothing (prepared lists the preparations)."""
+    cache, and as read back from its entry by a fresh law at that key, at
+    the first N of 16, 24, ... where the law and the relation build; the
+    read prepares nothing (prepared lists the preparations)."""
     cap = 2 * p ** (n * k) + 1
     for N in range(16, 65, 8):
         cache = str(tmp_path / ("N%d" % N))
@@ -978,8 +1032,9 @@ def _relation_pair(tmp_path, prepared, p, n, D, k):
         except PrecisionError:
             continue
         again = build_fgl_cached(p, n, cache, N=N, D=D, M=cap)
-        g = fgl.load_relation(again, k, cap)
-        assert g is not None and g.ctx is again.ctx
+        # a hit never prepares: None would raise TypeError if called
+        g = fgl.cached_relation(again, k, cap, None)
+        assert g.ctx is again.ctx
         before = len(prepared)
         read = groupcoh._relation(again, k, cap)
         assert len(prepared) == before
@@ -1029,31 +1084,8 @@ def test_unwritable_relation_entry_is_a_configuration_error(tmp_path,
     assert not [f for f in cache.iterdir() if ".tmp." in f.name]
 
 
-# a small law past the law-file cap, whose build at N=16 succeeds
-BUILT = (3, 1, 16, 1, fgl.LAW_FILE_CAP + 1)
-
-
-@pytest.mark.parametrize("edit", ["garbage", "header", "empty"])
-def test_damaged_built_file_is_rebuilt(tmp_path, monkeypatch, edit):
-    # a .built file holding anything but its key's line is a miss: the law
-    # is built again and the file rewritten
-    p, n, N, D, M = BUILT
-    build_fgl_cached(p, n, str(tmp_path), N=N, D=D, M=M)
-    path = tmp_path / ("fgl-p%d-n%d-N%d-D%d-M%d.built" % BUILT)
-    good = path.read_text()
-    assert good == "built p=%d n=%d N=%d D=%d M=%d\n" % BUILT
-    path.write_text({"garbage": "not\na key",
-                     "header": good.replace("N=16", "N=17"),
-                     "empty": ""}[edit])
-    seen = _count_law_work(monkeypatch)
-    build_fgl_cached(p, n, str(tmp_path), N=N, D=D, M=M)
-    assert path.read_text() == good
-    assert seen["build_fgl"] == seen["fgl_cache_save"] == 1
-    assert [f.name for f in tmp_path.iterdir()] == [path.name]
-
-
 def test_built_hit_solves_exp_on_demand(tmp_path):
-    # a .built hit builds only the logarithm; the exponential, solved on
+    # a hit past the law-file cap builds only the logarithm; the exponential, solved on
     # its first read, is that of a fresh build
     p, n, N, D, M = BUILT
     fresh = build_fgl(p, n, N=N, D=D, M=M)
@@ -1080,7 +1112,7 @@ def test_recorded_precision_error_is_replayed(tmp_path, monkeypatch, N):
     assert seen["build_fgl"] == seen["fgl_cache_save"] == 0
     assert seen["_build_log raised"] == 0
     assert [f.name for f in tmp_path.iterdir()] == [
-        "fgl-p2-n1-N%d-D1-M8.raises" % N]
+        "fgl-p2-n1-N%d-D1-M8.law" % N]
 
 
 def test_cache_hit_solves_exp_on_demand(tmp_path):

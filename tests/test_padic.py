@@ -62,12 +62,12 @@ def test_invert_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ctx.invert(ctx.zero())
     with pytest.raises(PrecisionError):
-        ctx.invert(ctx.zero_known_to(4))
+        ctx.invert((4, 0, 0))
 
 
 def test_is_zero_to_approximate_zero():
     ctx = PadicContext(2, N=8)
-    z = ctx.zero_known_to(5)
+    z = (5, 0, 0)
     assert ctx.is_zero_to(z, 5)
     with pytest.raises(PrecisionError) as ei:
         ctx.is_zero_to(z, 9)
