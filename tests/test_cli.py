@@ -881,8 +881,8 @@ REL = "fgl-p3-n1-N24-D1-M15-k1-c7.rel"
 # a small law past the law-file cap, whose build at N=16 succeeds
 BUILT = (3, 1, 16, 1, fgl.LAW_FILE_CAP + 1)
 
-# The entries that test_damaged_entry_is_rewritten edits, each with its
-# first lines: a stored law, a law whose build raised and a prepared
+# The entries that the damaged-entry tests edit, each with its first
+# lines: a stored law, a law whose build raised and a prepared
 # relation (d = 3) of `verify lemma-2.4 --p 3 --n 1`, and BUILT.
 ENTRIES = {
     "law": ("fgl-p3-n1-N16-D1-M5.law",
@@ -900,7 +900,8 @@ ENTRIES = {
 
 def _damage(text, edit):
     """An entry's text with one edit: garbage, empty, its last newline
-    cut, a first line or golden-vector header naming another N, a scalar
+    cut, a first line naming another N, a golden-vector header naming
+    another N (the first line of a body without one), a scalar
     outside the scalar invariants (prec = N + 40), a repeated line (one
     whose scalar cancels the first, 1 + 59048 = 3^10), the golden header
     alone, a one-variable term, an empty body, a needed_extra that is no
@@ -914,7 +915,7 @@ def _damage(text, edit):
     if edit == "cut":
         return text[:-1]
     if edit in ("key", "header"):
-        i = edit == "header"
+        i = edit == "header" and lines[1].startswith("FGLV1")
         lines[i] = lines[i].replace(" N=", " N=1")
     elif edit == "scalar":
         fields = lines[2].split("|")
@@ -944,15 +945,6 @@ def _damage(text, edit):
     return "\n".join(lines)
 
 
-DAMAGES = (
-    [("law", e) for e in ("key", "header", "scalar", "repeat", "head-only",
-                          "one-variable", "garbage", "empty", "empty-body")]
-    + [("raised", e) for e in ("key", "garbage", "empty", "extra", "cut")]
-    + [("relation", e) for e in ("key", "header", "garbage", "empty", "unit",
-                                 "non-monic", "two-variable")]
-    + [("past-cap", e) for e in ("key", "garbage", "empty", "body")])
-
-
 def _fill_entry(kind, cache, report):
     """Write the entry of kind: run the lemma-2.4 checks at p=3, n=1 and
     return them, or build BUILT alone."""
@@ -963,8 +955,7 @@ def _fill_entry(kind, cache, report):
     return None
 
 
-@pytest.mark.parametrize("kind,edit", DAMAGES)
-def test_damaged_entry_is_rewritten(tmp_path, monkeypatch, kind, edit):
+def _check_damaged_entry(tmp_path, monkeypatch, kind, edit):
     # an entry that cannot be parsed, names another key, context or cap,
     # or holds no value of its kind is a miss: its law is built again or
     # its relation prepared again (a recorded error raised again), the
@@ -982,6 +973,31 @@ def test_damaged_entry_is_rewritten(tmp_path, monkeypatch, kind, edit):
     assert path.read_text() == good
     assert (seen["build_fgl"], len(prepared)) == (
         (0, 1) if kind == "relation" else (1, 0))
+
+
+@pytest.mark.parametrize("edit", ["key", "header", "scalar", "repeat",
+                                  "head-only", "one-variable", "garbage",
+                                  "empty", "empty-body"])
+def test_damaged_cache_file_is_rebuilt(tmp_path, monkeypatch, edit):
+    _check_damaged_entry(tmp_path, monkeypatch, "law", edit)
+
+
+@pytest.mark.parametrize("edit", ["header", "garbage", "empty", "extra",
+                                  "cut"])
+def test_damaged_raises_file_is_rebuilt(tmp_path, monkeypatch, edit):
+    _check_damaged_entry(tmp_path, monkeypatch, "raised", edit)
+
+
+@pytest.mark.parametrize("edit", ["key", "header", "garbage", "empty", "unit",
+                                  "non-monic", "two-variable"])
+def test_damaged_relation_file_is_prepared_again(tmp_path, monkeypatch,
+                                                 edit):
+    _check_damaged_entry(tmp_path, monkeypatch, "relation", edit)
+
+
+@pytest.mark.parametrize("edit", ["header", "garbage", "empty", "body"])
+def test_damaged_built_file_is_rebuilt(tmp_path, monkeypatch, edit):
+    _check_damaged_entry(tmp_path, monkeypatch, "past-cap", edit)
 
 
 @pytest.mark.parametrize("kind", ["law", "relation"])
