@@ -902,11 +902,10 @@ def _damage(text, edit):
     """An entry's text with one edit: garbage, empty, its last newline
     cut, a key line naming another N, a golden-vector header naming
     another N, a scalar outside the scalar invariants (prec = N + 40),
-    a repeated line (one
-    whose scalar cancels the first, 1 + 59048 = 3^10), the golden header
-    alone, a one-variable term, an empty body, a needed_extra that is no
-    int, a unit at y^1, 2 at y^3 (not monic), relation terms in two
-    variables, or a body past the law-file cap."""
+    a repeated line (one whose scalar cancels the first, 1 + 59048 =
+    3^10), the golden header alone, a one-variable term, an empty body, a
+    needed_extra that is no int, a unit at y^1, 2 at y^3 (not monic),
+    relation terms in two variables, or a body past the law-file cap."""
     lines = text.split("\n")
     if edit == "garbage":
         return "not\nan entry"
