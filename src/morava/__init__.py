@@ -7,7 +7,8 @@ __version__ = "0.1.0"
 from .padic import PadicContext, PrecisionError, EXACT
 from .coeff import CoeffContext, CoeffElem
 from .series import (YSeries, MultiSeries, ser_new, ser_from_terms,
-                     ser_monomial, ms_new, ms_eval, golden_dump, golden_load)
+                     ser_monomial, ms_new, ms_flat, ms_eval, golden_dump,
+                     golden_load)
 from .fgl import (FormalGroupLaw, build_fgl, build_fgl_cached, formal_sum,
                   check_pk_congruence, check_integrality, check_unitality,
                   check_commutativity, check_associativity)
@@ -34,6 +35,7 @@ __all__ = [
     "ser_from_terms",
     "ser_monomial",
     "ms_new",
+    "ms_flat",
     "ms_eval",
     "golden_dump",
     "golden_load",

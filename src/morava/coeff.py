@@ -54,21 +54,20 @@ shared coefficient before their first in-place write.
 
 Products come in two shapes, and each has its kernel.  A row, one
 coefficient A against each coefficient B of an existing list of
-(key, B), as in the multiseries product, the evaluation of a multiseries
-and the two-variable law, goes through ``addmul_row(T, k0, A, row, bias,
-guard)``: one call per row, adding each A*B into T[k0 + key] of a map T
-of coefficients.  A new key is stored when its product has terms, as
-``mul`` makes it; a stored key takes the product in place, as
-``addmul_into`` would, and is deleted when it empties; a pair whose
-``(k0 + bias + key) & guard`` is nonzero (a packed key past a cap, see
-``series.ms_layout``) is skipped.  A one-term side, A or B, is multiplied
-inline, with no call per pair; two several-term sides go through ``mul``
-and ``_merge_into``.  A convolution with no fixed operand (solve_log's
-power chains, ``ser_mul``, ``ser_invert_unit``, the ring products of
-``groupcoh``) meets a new A at every pair, so it stays on ``addmul_into``:
-one-pair rows for solve_log's chains cost more than they saved, and a
-single kernel fed (key, A, B) triples by every caller spent the saving on
-building the triples.  So the one-term loop lives in both kernels.
+(key, B), as in the two-variable law, goes through
+``addmul_row(T, k0, A, row)``: one call per row, adding each A*B into
+T[k0 + key] of a map T of coefficients.  A new key is stored when its
+product has terms, as ``mul`` makes it; a stored key takes the product in
+place, as ``addmul_into`` would, and is deleted when it empties.  A
+one-term side, A or B, is multiplied inline, with no call per pair; two
+several-term sides go through ``mul`` and ``_merge_into``.  A convolution
+with no fixed operand (solve_log's power chains, ``ser_mul``,
+``ser_invert_unit``, the ring products of ``groupcoh``) meets a new A at
+every pair, so it stays on ``addmul_into``: one-pair rows for solve_log's
+chains cost more than they saved, and a single kernel fed (key, A, B)
+triples by every caller spent the saving on building the triples.  So the
+one-term loop lives in both kernels.  Multiseries products do not come
+here: they run on the flat kernel of ``series.py``, over ints mod p^A.
 """
 
 from .padic import EXACT, PadicContext, PrecisionError, scalar_repr
@@ -385,17 +384,15 @@ class CoeffContext:
             else:
                 t[k] = s
 
-    def addmul_row(self, T, k0, A, row, bias=None, guard=0):
+    def addmul_row(self, T, k0, A, row):
         """For each (kb, B) of row, in order, add A*B into the coefficient
-        T[k0 + kb] of the map T, skipping a pair whose (k0 + bias + kb) &
-        guard is nonzero.  A new key is stored when the product has terms;
-        a stored key takes the product in place, as addmul_into, and is
-        deleted when it empties.  The module docstring states the
+        T[k0 + kb] of the map T.  A new key is stored when the product has
+        terms; a stored key takes the product in place, as addmul_into,
+        and is deleted when it empties.  The module docstring states the
         contract."""
         ta = A.t
         if not ta:
             return
-        sb = k0 + bias if guard else 0
         get = T.get
         vtot = self.vtotal
         D = self.D
@@ -410,8 +407,6 @@ class CoeffContext:
                 padic.ppow(ap)
             room = D - vtot[va]
         for kb, B in row:
-            if guard and (sb + kb) & guard:
-                continue
             tb = B.t
             if not tb:
                 continue

@@ -20,11 +20,11 @@ T^e of T comes from T^h * T^(e-h), h = floor(e / 2q) * q for q the largest
 power of p dividing e below e; at p = 2, h = e / 2: squares only.  The
 two-variable group law, assembled from the binomial expansion of
 exp(log x + log y) at independent degree caps in x and y, serves the axiom
-checks (through ms_eval, one product per term, where a power of a variable
-only shifts keys, with F(y, z) and its powers in the associativity check
-renamed from those of F(x, y)) and the
-character classes of groupcoh.point_class (through groupcoh.elem_poly, on
-ring elements: one ring product per power of the first argument).  It is
+checks (the associativity check converts it once to the flat kernel of
+series.py, over the ints mod p^A, and substitutes it there, with F(y, z)
+and its powers renamed from those of F(x, y)) and the character classes
+of groupcoh.point_class (through groupcoh.elem_poly, on ring elements: one
+ring product per power of the first argument).  It is
 formed only under its caps: row j of the expansion to x-degree
 min(Mx, teff - j) and each of its coefficients of x^dx against y-degrees
 j..min(My, teff - dx), teff the effective total cap, one
@@ -39,14 +39,15 @@ import contextlib
 import functools
 import math
 import os
+from operator import itemgetter
 
 from .coeff import CoeffContext
 from .padic import PrecisionError
-from .series import (GOLDEN_HEAD, MultiSeries, YSeries, golden_dump,
-                     golden_load, ms_eval, ms_eval_powers, ms_new, ms_permuted,
-                     ms_powers, ms_set, ser_add, ser_compose,
-                     ser_from_terms, ser_monomial, ser_mul, ser_new,
-                     ser_scale, ser_truncate)
+from .series import (GOLDEN_HEAD, MultiSeries, YSeries, flat_layout,
+                     golden_dump, golden_load, ms_eval, ms_eval_powers,
+                     ms_flat, ms_new, ms_permuted, ms_powers, ms_vars,
+                     ser_add, ser_compose, ser_from_terms, ser_monomial,
+                     ser_mul, ser_new, ser_scale, ser_truncate)
 
 
 def log_depth(p, M):
@@ -506,48 +507,53 @@ def check_commutativity(fgl, cap=None, depth=8):
 
 def check_associativity(fgl, cap=None, depth=8):
     """F(F(x, y), z) = F(x, F(y, z)) on three formal variables, total degree
-    capped.  The dominant cost of the integrity battery.
+    capped, compared mod p^depth.  The dominant cost of the integrity
+    battery.
 
-    F(y, z) and each of its powers are F(x, y) and its power renamed
-    x->y->z (ms_permuted: the three caps are equal), so only the powers of
-    F(x, y) are multiplied out.  At p=2, n=1, N=59 the products then meet
-    269,480 pairs of terms at cap 16 (7,447,092 at cap 32), of which
-    11.6 % (10.8 %) fit under the cap; ms_mul multiplies only those.  The
-    terms G^i·z^j and x^i·H^j of the two sides, like x^i·y^j inside
-    F(x, y), multiply by nothing: ms_eval_powers scales G^i or H^j by F's
-    coefficient straight into the sum, the keys shifted in the same
-    ctx.addmul_row call.  On the three fgl-axioms shapes, ms_mul and
-    ms_eval_powers make 5,900 such calls for 107,983 products."""
+    The capped law F is converted once (ms_flat) to the flat kernel of
+    series.py over Z/p^A, A the least absolute precision of its scalars
+    (val + prec for a unit, the depth for a zero marker), and every
+    product, power, renaming and substitution runs there on plain ints.
+    The result is exact, not tracked: F is integral, and reduction mod
+    p^A, mod v-degree above D and mod total y-degree above the cap are
+    ring maps, so each side is the image of the true one.  A below depth
+    raises PrecisionError with needed_extra = depth - A; a scalar of
+    negative valuation (F not integral) fails, with its term as witness.
+
+    F(y, z) and its powers are F(x, y) and its powers renamed x->y->z
+    (ms_permuted: the three caps are equal).  On the three fgl-axioms
+    shapes the check makes 180,799 products of ints."""
     ctx = fgl.ctx
     cap = fgl.M if cap is None else cap
     F = fgl.two_var(cap, cap, tcap=cap)
-    gens = []
-    for i in range(3):
-        g = ms_new(ctx, 3, (cap,) * 3, tcap=cap)
-        e = [0, 0, 0]
-        e[i] = 1
-        ms_set(g, tuple(e), ctx.one())
-        gens.append(g)
-    x, y, z = gens
+    for exps, e in sorted(F.items(), key=itemgetter(0)):
+        for v, u, _ in e.t.values():
+            if u and v < 0:
+                return False, {"negative_valuation": exps, "valuation": v}
+    A = min(v + k if u else v for e in F.t.values()
+            for v, u, k in e.t.values())
+    if A < depth:
+        raise PrecisionError(
+            "the law is pinned only modulo p^%d; associativity is checked "
+            "modulo p^%d" % (A, depth), needed_extra=depth - A)
+    F = ms_flat(F, A)
+    lay = flat_layout((cap,) * 3, cap, ctx.n, ctx.D)
+    x, y, z = ms_vars(lay, F.q)
     gpow = ms_powers(ms_eval(F, [x, y]))
-    hcache = {}
 
     def hpow(e):
-        h = hcache.get(e)
-        if h is None:
-            h = hcache[e] = ms_permuted(gpow(e), (2, 0, 1))
-        return h
+        return ms_permuted(gpow(e), (2, 0, 1))
 
     left = ms_eval_powers(F, [gpow, ms_powers(z)])
     right = ms_eval_powers(F, [ms_powers(x), hpow])
-    keys = set(left.t) | set(right.t)
-    zero = ctx.zero()
-    bad = [k for k in keys
-           if not ctx.eq_to(left.t.get(k, zero), right.t.get(k, zero), depth)]
+    keys = left.t.keys() | right.t.keys()
+    pd = ctx.p ** depth
+    bad = [k for k in keys if (left.t.get(k, 0) - right.t.get(k, 0)) % pd]
     if bad:
         # the first failure in the order of exponent tuples
         return False, {"exponents": min(map(left.exps, bad))}
-    return True, {"cap": cap, "depth": depth, "terms": len(keys)}
+    return True, {"cap": cap, "depth": depth,
+                  "terms": len({k >> lay.off for k in keys})}
 
 
 # Read-through cache, one file per entry: a first line naming the key, then a

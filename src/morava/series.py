@@ -14,13 +14,14 @@ the sum of their keys, and one mask test of that sum plus a bias tells
 whether it passes any cap.  No stored key passes a cap, and the kernels
 rely on it: a field that passed its cap could carry into the next one.
 Int order is not tuple order (the degree is on top), so every ordered walk
-sorts by the exponent tuple.  The multiseries product, under a total cap,
-pairs each term only with the terms of low enough degree.  The pairs it
-keeps are visited in the order a loop over all pairs would visit them,
-so coefficients accumulate in the same sequence, with the same p-adic
-precision, as in that loop.  Each term meets its row of the other factor
-in one CoeffContext.addmul_row call, which makes the guard test; so does
-each term of a series evaluated on others (ms_eval_powers).
+sorts by the exponent tuple.
+
+A MultiSeries maps packed keys to coefficients; the two-variable law is
+one.  Products and substitutions of multiseries run on the flat kernel, in
+the fixed-modulus model of Caruso ("Computations with p-adic numbers",
+arXiv:1701.06794): a FlatSeries maps the key of a whole term v^b x^e
+(flat_layout) to an int mod p^A, and ms_mul is one loop over pairs of
+terms, with one guard test per pair and one % p^A per output key.
 
 Weierstrass preparation lifts along the v-adic filtration of E_0/(v^{D+1})
 (Lang, Algebra, IV 9; von zur Gathen and Gerhard, Modern Computer Algebra,
@@ -38,6 +39,7 @@ with no v-terms, as at height one, goes through the
 successive-approximation division alone.
 """
 
+import bisect
 import collections
 import functools
 from operator import gt, itemgetter, mul
@@ -547,71 +549,116 @@ def ms_new(ctx, r, caps, tcap=None):
     return MultiSeries(ctx, r, caps, {}, tcap)
 
 
-def _ms_check(A, B):
-    if A.ctx is not B.ctx:
-        raise ValueError("series built over different coefficient contexts")
-    if A.caps != B.caps or A.r != B.r or A.tcap != B.tcap:
-        raise ValueError("multiseries shape mismatch")
+# Flat multiseries over Z/p^A
 
 
-def ms_set(A, exps, e):
-    """Store e as the coefficient of the exponent vector exps, deleting the
-    term when e is zero.  A vector past a cap is absent (MultiSeries.key):
-    nothing is stored."""
-    k = A.key(exps)
-    if k is None:
-        return
-    if e.is_zero():
-        A.t.pop(k, None)
-    else:
-        A.t[k] = e
+_Flat = collections.namedtuple(
+    "_Flat", ("caps", "tcap", "y", "v", "off", "dshift", "bias", "guard"))
+
+
+@functools.lru_cache(maxsize=None)
+def flat_layout(caps, tcap, n, D):
+    """The key layout of a flat multiseries over E_0 cut at v-degree D: the
+    key of a term v^b x^e holds b in its low ``off`` bits, as ``v`` =
+    ms_layout((D,) * (n - 1), D) packs it, and e above them, as ``y`` =
+    ms_layout(caps, tcap) packs it.  A product's key is the sum of the
+    keys, key >> dshift is the y-degree, and (a + b + bias) & guard is
+    nonzero exactly when a pair passes a cap, the total cap or D."""
+    y = ms_layout(caps, tcap)
+    v = ms_layout((D,) * (n - 1), D)
+    off = v.guard.bit_length()
+    return _Flat(caps, tcap, y, v, off, y.dshift + off,
+                 v.bias | y.bias << off, v.guard | y.guard << off)
+
+
+class FlatSeries:
+    """A multiseries over Z/q, q = p^A: t maps the flat_layout key of each
+    stored term to an int in [0, q), which may be 0 (a product keeps every
+    key that its pairs reach)."""
+
+    __slots__ = ("lay", "q", "t")
+
+    def __init__(self, lay, q, t):
+        self.lay = lay
+        self.q = q
+        self.t = t
+
+    def exps(self, k):
+        """The exponent vector e of the key of v^b x^e."""
+        k >>= self.lay.off
+        return tuple((k >> s) & m for s, m in self.lay.y.fields)
+
+
+def ms_flat(A, prec):
+    """The multiseries A mod p^prec as a FlatSeries of its shape: the
+    scalar at v-code b of the coefficient of x^e goes to the key of
+    v^b x^e, a zero marker to 0.  The image is exact when every scalar is
+    integral and pinned mod p^prec; the caller checks that."""
+    ctx = A.ctx
+    lay = flat_layout(A.caps, A.tcap, ctx.n, ctx.D)
+    q = ctx.p ** prec
+    vkeys = {}
+    t = {}
+    for k, e in A.t.items():
+        k <<= lay.off
+        for vc, (v, u, _) in e.t.items():
+            b = vkeys.get(vc)
+            if b is None:
+                b = vkeys[vc] = sum(map(mul, ctx.vexps(vc), lay.v.units))
+            t[k + b] = u * pow(ctx.p, v, q) % q if u else 0
+    return FlatSeries(lay, q, t)
+
+
+def ms_vars(lay, q):
+    """The variables of a flat layout over Z/q."""
+    return [FlatSeries(lay, q, {u << lay.off: 1 % q}) for u in lay.y.units]
+
+
+def _flat_check(A, B):
+    if A.lay != B.lay or A.q != B.q:
+        raise ValueError("flat series of different shapes or moduli")
+
+
+def _reduced(A, t):
+    """t, reduced by one % q per key, as a series of A's shape."""
+    q = A.q
+    return FlatSeries(A.lay, q, {k: c % q for k, c in t.items()})
+
+
+def _mul_into(t, A, B):
+    """Add a * b into t[ka + kb], unreduced, for every pair of terms
+    ka: a of A and kb: b of B that fits under the caps.  Each term of the
+    longer factor meets the other's terms sorted by key, so by y-degree,
+    up to the degree the total cap leaves it; one guard test per pair
+    drops the rest past a cap."""
+    lay = A.lay
+    if len(A.t) < len(B.t):
+        A, B = B, A
+    row = sorted(B.t.items())
+    keys = [k for k, _ in row]
+    bias, guard, dshift, top = lay.bias, lay.guard, lay.dshift, lay.y.top
+    rows = {}
+    get = t.get
+    for ka, a in A.t.items():
+        room = top - (ka >> dshift)
+        r = rows.get(room)
+        if r is None:
+            r = rows[room] = row[:bisect.bisect_left(keys,
+                                                     (room + 1) << dshift)]
+        sa = ka + bias
+        for kb, b in r:
+            if (sa + kb) & guard:
+                continue
+            k = ka + kb
+            t[k] = get(k, 0) + a * b
 
 
 def ms_mul(A, B):
-    """Product of two series of one shape, visiting only the pairs of terms
-    whose product fits under the caps.
-
-    The key of a pair's product is the sum of their keys, and one guard
-    test of that sum plus the layout's bias drops the pair when it passes
-    a per-variable cap or the total cap (ms_layout).  Under a total cap,
-    an A term of degree d sees only the B terms of degree at most
-    tcap - d, each degree read from its key's top field; that row is
-    filtered once per distinct bound.  Each A term takes its row in one
-    ctx.addmul_row call, with the layout's bias and guard.
-
-    Surviving pairs come in A's stored order, then B's, as in a loop over
-    all pairs, so every key accumulates the same products in the same
-    sequence and the result keeps the same insertion order.  A key whose
-    sum empties is deleted, and a later pair re-inserts it at the end."""
-    _ms_check(A, B)
-    ctx = A.ctx
-    tcap = A.tcap
+    """The product of two flat series of one shape and modulus."""
+    _flat_check(A, B)
     t = {}
-    if not A.t or not B.t:
-        return MultiSeries(ctx, A.r, A.caps, t, tcap)
-    lay = A.layout
-    dshift, bias, guard = lay.dshift, lay.bias, lay.guard
-    full = list(B.t.items())
-    top = max(B.t) >> dshift
-    rows = {}
-    addmul_row = ctx.addmul_row
-    for ka, ea in A.t.items():
-        row = full
-        if tcap is not None:
-            bound = tcap - (ka >> dshift)
-            if bound < top:
-                row = rows.get(bound)
-                if row is None:
-                    row = rows[bound] = [
-                        b for b in full if b[0] >> dshift <= bound]
-        addmul_row(t, ka, ea, row, bias, guard)
-    return MultiSeries(ctx, A.r, A.caps, t, tcap)
-
-
-def ms_one(ctx, r, caps, tcap=None):
-    A = ms_new(ctx, r, caps, tcap)
-    A.t[0] = ctx.one()
-    return A
+    _mul_into(t, A, B)
+    return _reduced(A, t)
 
 
 def ms_powers(A):
@@ -621,7 +668,7 @@ def ms_powers(A):
     the cache when there and stored when not.  The chain of halvings is
     walked without recursion, so the powers are freed with the returned
     function, not left to the cycle collector."""
-    cache = {0: ms_one(A.ctx, A.r, A.caps, A.tcap), 1: A}
+    cache = {0: FlatSeries(A.lay, A.q, {0: 1 % A.q}), 1: A}
 
     def power(e):
         chain = []
@@ -641,74 +688,32 @@ def ms_powers(A):
 
 def ms_permuted(A, perm):
     """A with its variables renamed: variable j of the result is variable
-    perm[j] of A.  Keys keep A's order, each repacked, and the
-    coefficients are A's own, shared read-only.
-
-    The renamed caps must equal A's, and then ms_mul and ms_eval commute
-    with the renaming: the guard bits of equal caps agree, the total cap
-    sees the same degrees, and pairs are visited in the same order.  So
-    the renamed product or power is the one computed on renamed inputs,
-    key order and coefficients included."""
-    caps = tuple(A.caps[i] for i in perm)
-    if sorted(perm) != list(range(A.r)) or caps != A.caps:
+    perm[j] of A, each key's exponent fields repacked, its v-multidegree
+    and degree kept.  The renamed caps must equal A's; then products and
+    powers commute with the renaming."""
+    lay = A.lay
+    caps = tuple(lay.caps[i] for i in perm)
+    if sorted(perm) != list(range(len(caps))) or caps != lay.caps:
         raise ValueError("renaming must permute variables of equal caps")
-    fields, dshift = A.layout.fields, A.layout.dshift
+    off, fields = lay.off, lay.y.fields
     # (from, mask, to): field perm[j] of a key goes to field j
-    moves = [(fields[i][0], m, s) for i, (s, m) in zip(perm, fields)]
+    moves = [(fields[i][0] + off, m, s + off)
+             for i, (s, m) in zip(perm, fields)]
+    keep = -1 << lay.dshift | (1 << off) - 1
     t = {}
-    for k, e in A.t.items():
-        nk = k >> dshift << dshift
+    for k, c in A.t.items():
+        nk = k & keep
         for src, m, dst in moves:
             nk |= (k >> src & m) << dst
-        t[nk] = e
-    return MultiSeries(A.ctx, A.r, A.caps, t, A.tcap)
+        t[nk] = c
+    return FlatSeries(lay, A.q, t)
 
 
 def ms_eval(F, args):
-    """Substitute multiseries (zero constant term) for the variables of F.
-
-    All args must share one shape; the result has that shape.  The powers
-    of each argument come from ms_powers, and ms_eval_powers sums the
-    terms.  Renaming variables of equal caps in every argument renames
-    them in the result, nothing else changing (see ms_permuted)."""
+    """Substitute flat series of one shape, with zero constant terms, for
+    the variables of the flat series F, over F's modulus and v-degree cap;
+    the result has the arguments' shape.  See ms_eval_powers."""
     return ms_eval_powers(F, [ms_powers(A) for A in args])
-
-
-def _unit_monomial(A, one):
-    """The key of A's one term when A is a monomial with coefficient one
-    (``one`` the dict of ctx.one()), else None."""
-    if len(A.t) == 1:
-        (k, e), = A.t.items()
-        if e.t == one:
-            return k
-    return None
-
-
-def _ms_factor(A, B, one):
-    """(S, s) with A*B the series S moved by the key s: when either
-    factor is a monomial with coefficient one, S is the other factor and
-    s that monomial's key; otherwise S is ms_mul(A, B) and s is 0."""
-    s = _unit_monomial(B, one)
-    if s is not None:
-        return A, s
-    s = _unit_monomial(A, one)
-    if s is not None:
-        return B, s
-    return ms_mul(A, B), 0
-
-
-def _ms_shift(A, s):
-    """ms_mul of A and the monomial of key s with coefficient one: A's keys
-    moved by s, in A's stored order, with A's own coefficients, shared
-    read-only.  Each product of a coefficient by one is that coefficient
-    (no stored scalar lies past the prune horizon), so only the keys
-    change.  A moved key k + s that passes a per-variable cap or the total
-    cap fails ms_mul's guard test and is dropped, as ms_mul drops its
-    pair."""
-    lay = A.layout
-    sb, guard = s + lay.bias, lay.guard
-    t = {k + s: e for k, e in A.t.items() if not (k + sb) & guard}
-    return MultiSeries(A.ctx, A.r, A.caps, t, A.tcap)
 
 
 def ms_eval_powers(F, powers):
@@ -716,58 +721,44 @@ def ms_eval_powers(F, powers):
     functions e -> A_i^e, so that a caller holding powers already (renamed
     ones, say: fgl.check_associativity) passes them in.
 
-    Each term of F is one product of argument powers, left to right.  A
-    factor that is one term with coefficient one (x^j, or x^i·y^j when
-    the arguments are variables) shifts the other factor's keys instead
-    of multiplying (_ms_factor).  The term is then scaled by F's
-    coefficient straight into the sum, in the order of F's exponent
-    tuples and each term's stored order, by one ctx.addmul_row call; a
-    last shift goes in as the call's k0 with the layout's guard, so the
-    shifted series is never built.  A new key takes a fresh product, and
-    a stored one, whose coefficient was made in this call and nothing else
-    holds, takes the product in place.  Scalars and key order are those of
-    scaling each term into a series of its own and merging that into the
-    sum (the reference route in tests/helpers.py): a product with no terms
-    leaves its key alone.  Only the choice of error differs:
-    a term's products are no longer all formed before its sums, so when a
-    product and an earlier sum of one term both fail the floor, the sum's
-    PrecisionError is the one raised.
-
-    Grouping the terms by rows of F first, one product per power of the
-    first argument, reorders the sums: at p=2, n=3, D=4, cap 12, N=24 (an
-    axiom-battery shape) check_associativity then raises PrecisionError, 7
-    trusted digits against the floor of 8."""
-    if len(powers) != F.r:
+    The argument j of fewest terms is summed first: F is the sum, over the
+    exponents e' of the other variables, of the product X_e' of their
+    powers times R_e' = the sum of c * A_j^(e_j) over F's terms c x^e at
+    e'.  So F(G, z) and F(x, H) cost one product G^i * R_i or H^j * R_j
+    per power, with the monomials z^j or x^i inside the small R; exact
+    arithmetic mod q leaves no trace of the grouping in the result."""
+    r = len(F.lay.caps)
+    if len(powers) != r:
         raise ValueError("wrong argument count")
     args = [pw(1) for pw in powers]
     shape = args[0]
-    for A in args[1:]:
-        _ms_check(shape, A)
+    lay, q = shape.lay, shape.q
     for A in args:
-        if 0 in A.t:
+        _flat_check(shape, A)
+        if any(not k >> lay.off for k in A.t):
             raise ValueError("substitution needs zero constant terms")
-    ctx = F.ctx
-    one = ctx.one().t
-    bias, guard = shape.layout.bias, shape.layout.guard
-    addmul_row = ctx.addmul_row
+    if F.q != q or F.lay.v != lay.v:
+        raise ValueError("law and arguments over different coefficients")
+    j = min(range(r), key=lambda i: len(args[i].t))
+    vmask = (1 << lay.off) - 1
+    groups = {}
+    for k, c in F.t.items():
+        e = F.exps(k)
+        inner = groups.setdefault(e[:j] + e[j + 1:], {})
+        inner.setdefault(e[j], {})[k & vmask] = c
+    others = [i for i in range(r) if i != j]
     t = {}
-    for exps, c in sorted(F.items(), key=itemgetter(0)):
-        term, shift = None, 0
-        for i, x in enumerate(exps):
-            if x == 0:
-                continue
-            px = powers[i](x)
-            if term is None:
-                term = px
-                continue
-            if shift:
-                term = _ms_shift(term, shift)
-            term, shift = _ms_factor(term, px, one)
-        if term is None:
-            term = ms_one(ctx, shape.r, shape.caps, shape.tcap)
-        # unshifted, the term's keys are stored ones: none passes a cap
-        addmul_row(t, shift, c, term.t.items(), bias, guard if shift else 0)
-    return MultiSeries(ctx, shape.r, shape.caps, t, shape.tcap)
+    for rest, inner in groups.items():
+        R = {}
+        for e, cs in inner.items():
+            _mul_into(R, FlatSeries(lay, q, cs), powers[j](e))
+        R = _reduced(shape, R)
+        X = None
+        for i, e in zip(others, rest):
+            if e:
+                X = powers[i](e) if X is None else ms_mul(X, powers[i](e))
+        _mul_into(t, X or FlatSeries(lay, q, {0: 1 % q}), R)
+    return _reduced(shape, t)
 
 
 # golden-vector text format

@@ -1,24 +1,43 @@
 """Glue between the exact-rational reference and the engine's types, a
-counter of coefficient products, the per-pair route that
-CoeffContext.addmul_row must reproduce, a one-variable embedding, an
-exact view of a multiseries, the scale-then-merge route of ms_eval_powers
-that its fused sum must reproduce, and the two-variable law formed in full
-that fgl._build_two_var must reproduce under its caps, the Weierstrass
-division and preparation by successive approximation over the whole
-coefficient ring, which series.weierstrass_prepare's lift along the
-v-degree is checked against, and the product with unchecked sums and the
-long division on YSeries that the lift's lists over Z_p must reproduce."""
+setter of multiseries terms, a counter of coefficient products, the
+per-pair route that CoeffContext.addmul_row must reproduce, a one-variable
+embedding, an exact view of a multiseries, a product and a substitution of
+coefficient multiseries pair by pair and term by term (the reference route
+for the law's own substitutions), the flat kernel's references (a key
+packer, the product over every pair tested as exponent tuples, the
+term-by-term substitution, a counter of flat products), and the
+two-variable law formed in full that fgl._build_two_var must reproduce
+under its caps, the Weierstrass division and preparation by successive
+approximation over the whole coefficient ring, which
+series.weierstrass_prepare's lift along the v-degree is checked against,
+and the product with unchecked sums and the long division on YSeries that
+the lift's lists over Z_p must reproduce."""
 
 import math
+from operator import add, mul
 
+import morava.series
 from oracles import qc_project
 from morava.coeff import CoeffContext
 from morava.fgl import _series_power
 from morava.padic import PrecisionError
-from morava.series import (MultiSeries, YSeries, _check_match, ms_mul,
-                           ms_new, ms_one, ms_set, ser_add, ser_from_terms,
+from morava.series import (FlatSeries, MultiSeries, YSeries, _check_match,
+                           ms_new, ser_add, ser_from_terms,
                            ser_invert_unit, ser_monomial, ser_mul, ser_new,
                            ser_scale, ser_sub, weierstrass_degree)
+
+
+def ms_set(A, exps, e):
+    """Store e as the coefficient of the exponent vector exps of the
+    multiseries A, deleting the term when e is zero.  A vector past a cap
+    is absent (MultiSeries.key): nothing is stored."""
+    k = A.key(exps)
+    if k is None:
+        return
+    if e.is_zero():
+        A.t.pop(k, None)
+    else:
+        A.t[k] = e
 
 
 def oc_to_elem(ctx, oc, weight=None):
@@ -42,10 +61,10 @@ PRODUCT_METHODS = ("mul", "addmul_into", "addmul_row")
 def count_coeff_products(monkeypatch):
     """Count coefficient products through every entry point of the
     kernel: one per call of CoeffContext.mul and addmul_into, and one per
-    pair of addmul_row whose operands both have terms and which the guard
-    keeps.  The mul that addmul_into or addmul_row makes for a product of
-    several terms is that same product and is not counted again.  Returns
-    the list that gets one entry per product."""
+    pair of addmul_row whose operands both have terms.  The mul that
+    addmul_into or addmul_row makes for a product of several terms is that
+    same product and is not counted again.  Returns the list that gets one
+    entry per product."""
     mul, addmul = CoeffContext.mul, CoeffContext.addmul_into
     addmul_row = CoeffContext.addmul_row
     calls = []
@@ -64,14 +83,13 @@ def count_coeff_products(monkeypatch):
         finally:
             inside.pop()
 
-    def counted_addmul_row(self, T, k0, A, row, bias=None, guard=0):
+    def counted_addmul_row(self, T, k0, A, row):
         row = list(row)
         if A.t:
-            calls.extend(None for kb, B in row if B.t and not (
-                guard and (k0 + bias + kb) & guard))
+            calls.extend(None for kb, B in row if B.t)
         inside.append(None)
         try:
-            return addmul_row(self, T, k0, A, row, bias, guard)
+            return addmul_row(self, T, k0, A, row)
         finally:
             inside.pop()
 
@@ -81,13 +99,11 @@ def count_coeff_products(monkeypatch):
     return calls
 
 
-def addmul_row_reference(ctx, T, k0, A, row, bias=None, guard=0):
-    """CoeffContext.addmul_row pair by pair: skip a pair the guard drops;
-    for a new key, ctx.mul, stored only when it has terms; for a stored
-    key, ctx.addmul_into, and delete the key when it empties."""
+def addmul_row_reference(ctx, T, k0, A, row):
+    """CoeffContext.addmul_row pair by pair: for a new key, ctx.mul, stored
+    only when it has terms; for a stored key, ctx.addmul_into, and delete
+    the key when it empties."""
     for kb, B in row:
-        if guard and (k0 + bias + kb) & guard:
-            continue
         k = k0 + kb
         cur = T.get(k)
         if cur is None:
@@ -159,24 +175,124 @@ def ms_scale(e, A):
     return MultiSeries(ctx, A.r, A.caps, t, A.tcap)
 
 
-def ms_eval_by_products(F, powers):
-    """ms_eval_powers as it was before key shifts and the fused sum: each
-    term of F, in sorted order, is the ms_mul of its argument powers, left
-    to right, scaled into a new series and merged into the sum."""
-    args = [pw(1) for pw in powers]
+def ms_mul_reference(A, B):
+    """The product of two multiseries of one shape, pair by pair in A's
+    stored order, then B's: a pair whose key passes a cap (the guard test
+    of ms_layout) is skipped, the others are ctx.mul, summed by ctx.add,
+    and a key whose sum has no terms is deleted."""
+    ctx, lay = A.ctx, A.layout
+    out = ms_new(ctx, A.r, A.caps, A.tcap)
+    t = out.t
+    for ka, a in A.t.items():
+        for kb, b in B.t.items():
+            if (ka + kb + lay.bias) & lay.guard:
+                continue
+            k = ka + kb
+            P = ctx.mul(a, b)
+            s = ctx.add(t[k], P) if k in t else P
+            if s.t:
+                t[k] = s
+            else:
+                t.pop(k, None)
+    return out
+
+
+def ms_eval_reference(F, args):
+    """F with the multiseries args (zero constant terms, one shape)
+    substituted, over the coefficient ring: each term of F, in sorted
+    order, is the product of its arguments' powers, left to right, each
+    power A^e = A^(e-1) * A made once, scaled into a new series and merged
+    into the sum; all products are ms_mul_reference."""
     shape = args[0]
     ctx = F.ctx
+    powers = [{1: A} for A in args]
+
+    def power(i, e):
+        got = powers[i].get(e)
+        if got is None:
+            got = powers[i][e] = ms_mul_reference(power(i, e - 1), args[i])
+        return got
     out = ms_new(ctx, shape.r, shape.caps, shape.tcap)
     for exps, c in sorted(F.items(), key=lambda term: term[0]):
         term = None
         for i, x in enumerate(exps):
             if x:
-                px = powers[i](x)
-                term = px if term is None else ms_mul(term, px)
+                px = power(i, x)
+                term = px if term is None else ms_mul_reference(term, px)
         if term is None:
-            term = ms_one(ctx, shape.r, shape.caps, shape.tcap)
+            term = ms_new(ctx, shape.r, shape.caps, shape.tcap)
+            term.t[0] = ctx.one()
         ms_add_into(out, ms_scale(c, term))
     return out
+
+
+def flat_key(lay, exps, vexps=()):
+    """The key of the term v^vexps x^exps in the flat layout lay."""
+    return ((sum(map(mul, exps, lay.y.units)) << lay.off)
+            + sum(map(mul, vexps, lay.v.units)))
+
+
+def flat_terms(A):
+    """{(exps, vexps): coefficient} of a flat series."""
+    vfields = A.lay.v.fields
+    return {(A.exps(k), tuple((k >> s) & m for s, m in vfields)): c
+            for k, c in A.t.items()}
+
+
+def flat_mul_reference(A, B):
+    """The terms of A*B, a flat series over Z/q, over every pair of terms:
+    each sum of exponent vectors and of v-multidegrees is tested against
+    the caps, the total cap and the v-degree cap as tuples, and every sum
+    under them is kept, zero or not."""
+    lay, q = A.lay, A.q
+    t = {}
+    for (ea, va), a in flat_terms(A).items():
+        for (eb, vb), b in flat_terms(B).items():
+            e, v = tuple(map(add, ea, eb)), tuple(map(add, va, vb))
+            if (any(map(int.__gt__, e, lay.caps)) or sum(e) > lay.y.top
+                    or sum(v) > lay.v.top):
+                continue
+            t[e, v] = (t.get((e, v), 0) + a * b) % q
+    return t
+
+
+def flat_eval_by_products(F, powers):
+    """series.ms_eval_powers term by term: each term c v^b x^e of the flat
+    series F is the series.ms_mul of its arguments' powers, left to right,
+    times c v^b, added into the sum mod q."""
+    ms_mul = morava.series.ms_mul
+    shape = powers[0](1)
+    lay, q = shape.lay, shape.q
+    t = {}
+    for k, c in F.t.items():
+        term = None
+        for i, x in enumerate(F.exps(k)):
+            if x:
+                term = powers[i](x) if term is None else \
+                    ms_mul(term, powers[i](x))
+        if term is None:
+            term = FlatSeries(lay, q, {0: 1})
+        coeff = FlatSeries(lay, q, {k & (1 << lay.off) - 1: c})
+        for kb, b in ms_mul(coeff, term).t.items():
+            t[kb] = (t.get(kb, 0) + b) % q
+    return FlatSeries(lay, q, t)
+
+
+def count_flat_products(monkeypatch):
+    """Count the products of the flat kernel: one per pair of terms, one
+    from each factor of a series._mul_into call, whose product fits under
+    the caps (the guard test of flat_layout).  Returns the list that gets
+    one entry per call, its number of products."""
+    mul_into = morava.series._mul_into
+    calls = []
+
+    def counted(t, A, B):
+        bias, guard = A.lay.bias, A.lay.guard
+        calls.append(sum(1 for ka in A.t for kb in B.t
+                         if not (ka + kb + bias) & guard))
+        return mul_into(t, A, B)
+    monkeypatch.setattr(morava.series, "_mul_into", counted)
+    return calls
 
 
 def two_var_reference(fgl, Mx, My, tcap=None):

@@ -642,13 +642,13 @@ def test_tuple_kernel_matches_rational_oracle(p, n, N, D, short, data):
 
 # addmul_row against the per-pair route it replaces (helpers), on drawn
 # maps and rows: one to three calls on one map, with keys of the packed
-# layout ms_layout((2, 1), 2) so that the guard drops some pairs, rows
-# that repeat a key, and stored coefficients that a product empties.
+# layout ms_layout((2, 1), 2), rows that repeat a key, and stored
+# coefficients that a product empties.
 
 ROW_CONTEXTS = [(2, 2, 8, 6, 6), (3, 3, 4, 2, 3)]
 ROW_CASES = {"one term, several", "several, one term", "several, several",
-             "zero marker", "pruned", "empty operand", "guard drop",
-             "emptied", "re-inserted"}
+             "zero marker", "pruned", "empty operand", "emptied",
+             "re-inserted"}
 
 
 class _Watched(dict):
@@ -684,14 +684,11 @@ def _vanishing(draw, ctx):
     return CoeffElem(ctx, t)
 
 
-def _row_cases(ctx, k0, A, row, bias, guard):
+def _row_cases(ctx, k0, A, row):
     """What one call meets, from its operands."""
     horizon, vtot, D = ctx.prune_horizon, ctx.vtotal, ctx.D
     cases = set()
     for kb, B in row:
-        if guard and (k0 + bias + kb) & guard:
-            cases.add("guard drop")
-            continue
         if not A.t or not B.t:
             cases.add("empty operand")
             continue
@@ -723,7 +720,7 @@ def _check_rows(ctx, T0, calls, seen):
     its own copy of T0; assert they agree and leave the operands as they
     were.  The cases met go into ``seen``; returns "ok" or "error"."""
     before = [(dict(A.t), [dict(B.t) for _, B in row])
-              for _, A, row, _, _ in calls]
+              for _, A, row in calls]
     for call in calls:
         seen.update(_row_cases(ctx, *call))
     want = _run_rows(
@@ -736,7 +733,7 @@ def _check_rows(ctx, T0, calls, seen):
     assert got == want
     # the operands are read, never written
     assert [(A.t, [B.t for _, B in row])
-            for _, A, row, _, _ in calls] == before
+            for _, A, row in calls] == before
     return got[0]
 
 
@@ -744,10 +741,7 @@ def _fixed_row_cases(ctx):
     """One (T0, calls) per kind of case, built to reach it: the kinds of
     ROW_CASES and "error" (a sum short of the floor)."""
     p, N, horizon = ctx.p, ctx.N, ctx.prune_horizon
-    lay = ms_layout((2, 1), 2)
-    x, y = lay.units
-    # x^2 times x passes the x-cap 2: the guard drops the pair
-    assert (2 * x + lay.bias + x) & lay.guard
+    x, y = ms_layout((2, 1), 2).units
 
     def elem(*terms):
         return CoeffElem(ctx, dict(enumerate(terms)))
@@ -755,23 +749,21 @@ def _fixed_row_cases(ctx):
     two = elem((0, 1, N), (1, 1, N))
     # a unit settled at the horizon, so that its negative cancels it out
     settled = elem((horizon - N, 1, N))
-    gone = ({y: settled}, [(y, one, [(0, ctx.neg(settled))], None, 0)])
+    gone = ({y: settled}, [(y, one, [(0, ctx.neg(settled))])])
     short = (p ** N - 1 + p ** (N - ctx.padic.floor + 1)) % p ** N
     return {
-        "one term, several": ({}, [(0, one, [(x, two)], None, 0)]),
-        "several, one term": ({}, [(0, two, [(x, one)], None, 0)]),
-        "several, several": ({}, [(0, two, [(x, two), (y, two)], None, 0)]),
-        "zero marker": ({}, [(0, elem((2, 0, 0)), [(x, one)], None, 0)]),
-        "pruned": ({}, [(0, elem((horizon - 1, 1, N)), [(x, elem((1, 1, N)))],
-                         None, 0)]),
-        "empty operand": ({}, [(0, elem(), [(x, one)], None, 0),
-                               (x, one, [(0, elem())], None, 0)]),
-        "guard drop": ({}, [(2 * x, two, [(0, one), (x, one)],
-                             lay.bias, lay.guard)]),
+        "one term, several": ({}, [(0, one, [(x, two)])]),
+        "several, one term": ({}, [(0, two, [(x, one)])]),
+        "several, several": ({}, [(0, two, [(x, two), (y, two)])]),
+        "zero marker": ({}, [(0, elem((2, 0, 0)), [(x, one)])]),
+        "pruned": ({}, [(0, elem((horizon - 1, 1, N)),
+                         [(x, elem((1, 1, N)))])]),
+        "empty operand": ({}, [(0, elem(), [(x, one)]),
+                               (x, one, [(0, elem())])]),
         "emptied": gone,
-        "re-inserted": (gone[0], [(y, one, [(0, ctx.neg(settled)), (0, two)],
-                                   None, 0)]),
-        "error": ({x: one}, [(0, one, [(x, elem((0, short, N)))], None, 0)]),
+        "re-inserted": (gone[0], [(y, one, [(0, ctx.neg(settled)),
+                                             (0, two)])]),
+        "error": ({x: one}, [(0, one, [(x, elem((0, short, N)))])]),
     }
 
 
@@ -808,8 +800,6 @@ def test_addmul_row_matches_per_pair_reference(p, n, N, D, floor):
         T0 = data.draw(st.dictionaries(
             st.sampled_from(sums),
             st.one_of(_elems(ctx, 1, 3), _vanishing(ctx)), max_size=6))
-        bias, guard = ((lay.bias, lay.guard) if data.draw(st.booleans())
-                       else (None, 0))
         calls = []
         for _ in range(data.draw(st.integers(1, 3))):
             k0 = data.draw(st.sampled_from(keys))
@@ -829,7 +819,7 @@ def test_addmul_row_matches_per_pair_reference(p, n, N, D, floor):
                 row.append((kb, data.draw(st.one_of(
                     _elems(ctx, 0, 3),
                     st.just(ctx.neg(cur) if cur else ctx.zero())))))
-            calls.append((k0, A, row, bias, guard))
+            calls.append((k0, A, row))
         results.add(_check_rows(ctx, T0, calls, seen))
     check()
     assert ROW_CASES <= seen, ROW_CASES - seen

@@ -10,17 +10,19 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from helpers import (count_coeff_products, ms_content, ms_eval_by_products,
-                     ms_from_yseries, oc_series_to_yseries, oc_to_elem,
-                     two_var_reference)
+from helpers import (count_coeff_products, count_flat_products,
+                     flat_eval_by_products, flat_key, flat_terms,
+                     ms_content, ms_eval_reference, ms_from_yseries, ms_set,
+                     oc_series_to_yseries, oc_to_elem, two_var_reference)
 from morava.coeff import CoeffContext
 from morava.fgl import (_build_two_var, _chain_power, _row, build_fgl,
                         check_associativity, check_integrality,
                         check_pk_congruence, formal_sum, log_depth, solve_log)
 from morava.padic import PadicContext, PrecisionError
-from morava.series import (YSeries, ms_eval, ms_eval_powers, ms_new,
-                           ms_permuted, ms_powers, ms_set, ser_compose,
-                           ser_from_terms, ser_monomial, ser_new, ser_scale)
+from morava.series import (FlatSeries, YSeries, flat_layout, ms_eval,
+                           ms_eval_powers, ms_flat, ms_new, ms_permuted,
+                           ms_powers, ms_vars, ser_compose, ser_from_terms,
+                           ser_monomial, ser_new, ser_scale)
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +122,17 @@ def _gens(ctx, cap):
     return gens
 
 
+def _tuple_sides(F, cap):
+    """F(F(x, y), z) and F(x, F(y, z)) over the coefficient ring, on the
+    reference route of helpers."""
+    x, y, z = _gens(F.ctx, cap)
+    return (ms_eval_reference(F, [ms_eval_reference(F, [x, y]), z]),
+            ms_eval_reference(F, [x, ms_eval_reference(F, [y, z])]))
+
+
 def _assoc_check(fgl, cap, depth):
     ctx = fgl.ctx
-    F = fgl.two_var(cap, cap, tcap=cap)
-    x, y, z = _gens(ctx, cap)
-    left = ms_eval(F, [ms_eval(F, [x, y]), z])
-    right = ms_eval(F, [x, ms_eval(F, [y, z])])
+    left, right = _tuple_sides(fgl.two_var(cap, cap, tcap=cap), cap)
     keys = {v for v, _ in left.items()} | {v for v, _ in right.items()}
     for exps in keys:
         assert ctx.eq_to(left.coeff(exps), right.coeff(exps), depth), exps
@@ -143,14 +150,13 @@ def test_f_associative_height_two(f22):
 @pytest.mark.parametrize("bad", [(2, 1), (1, 3), (4, 0)])
 def test_associativity_witness_is_the_first_failure_in_tuple_order(bad):
     # a law with one coefficient changed fails at several exponent
-    # vectors; the witness is the least of them as a tuple
+    # vectors; the witness is the least of them as a tuple, the failures
+    # found on the reference route over the coefficient ring
     law = build_fgl(2, 1, N=24, D=1, M=8)
     ctx, cap = law.ctx, 6
     F = law.two_var(cap, cap, tcap=cap)
     ms_set(F, bad, ctx.add(F.coeff(bad), ctx.from_int(4)))
-    x, y, z = _gens(ctx, cap)
-    left = ms_eval(F, [ms_eval(F, [x, y]), z])
-    right = ms_eval(F, [x, ms_eval(F, [y, z])])
+    left, right = _tuple_sides(F, cap)
     keys = {v for v, _ in left.items()} | {v for v, _ in right.items()}
     failing = sorted(e for e in keys
                      if not ctx.eq_to(left.coeff(e), right.coeff(e), 8))
@@ -159,73 +165,66 @@ def test_associativity_witness_is_the_first_failure_in_tuple_order(bad):
     assert not ok and witness == {"exponents": failing[0]}
 
 
+def _flat_parts(law, cap):
+    """The capped law over Z/p^A, A the least absolute precision of its
+    scalars, and x, y, z of the check's shape: what check_associativity
+    converts and substitutes."""
+    F = law.two_var(cap, cap, tcap=cap)
+    F = ms_flat(F, _law_precision(F))
+    return (F,) + tuple(ms_vars(flat_layout((cap,) * 3, cap, law.n,
+                                            law.ctx.D), F.q))
+
+
 @pytest.mark.parametrize("p,n,D,cap,N", [
     (2, 1, 1, 16, 59), (2, 2, 6, 16, 33), (2, 3, 4, 12, 24), (3, 1, 1, 12, 24)])
 def test_inner_law_renamed_equals_direct(p, n, D, cap, N):
     # check_associativity takes F(y, z) and its powers from F(x, y) by
-    # renaming x->y->z: exact, stored order and scalars included, because
-    # the three variables share one cap
+    # renaming x->y->z: exact, every key and coefficient, because the three
+    # variables share one cap
     law = build_fgl(p, n, N=N, D=D, M=cap)
-    F = law.two_var(cap, cap, tcap=cap)
-    x, y, z = _gens(law.ctx, cap)
+    F, x, y, z = _flat_parts(law, cap)
     gpow = ms_powers(ms_eval(F, [x, y]))
     hpow = ms_powers(ms_eval(F, [y, z]))
     for e in range(1, cap + 1):
-        assert ms_content(ms_permuted(gpow(e), (2, 0, 1))) == \
-            ms_content(hpow(e)), e
+        assert ms_permuted(gpow(e), (2, 0, 1)).t == hpow(e).t, e
     assert hpow(1).t and hpow(cap).t
 
 
 @pytest.mark.parametrize("p,n,D,cap,N", [
     (2, 1, 1, 16, 59), (2, 2, 6, 16, 33), (2, 3, 4, 12, 24), (3, 2, 1, 12, 24)])
-def test_eval_powers_matches_product_route(monkeypatch, p, n, D, cap, N):
-    # the three fgl-axioms shapes, and p=3, n=2, D=1, where more products
-    # vanish under the v-degree cap: key shifts and the fused sum leave
-    # every key, key order and scalar of ms_mul + ms_scale + ms_add_into.  Every shape meets products with no terms (under D or
-    # past the prune horizon) and keys shifted past the total cap.
+def test_eval_powers_matches_product_route(p, n, D, cap, N):
+    # the three fgl-axioms shapes, and p=3, n=2, D=1, where more pairs pass
+    # the v-degree cap: summing the argument of fewest terms first, then
+    # one product per power of the other, leaves every key and coefficient
+    # of the term-by-term route.  Every shape meets pairs past the total
+    # cap, and at n > 1 pairs past the v-degree cap.
     law = build_fgl(p, n, N=N, D=D, M=cap)
-    F = law.two_var(cap, cap, tcap=cap)
-    x, y, z = _gens(law.ctx, cap)
+    F, x, y, z = _flat_parts(law, cap)
     inner = ms_eval(F, [x, y])
-    assert ms_content(inner) == ms_content(
-        ms_eval_by_products(F, [ms_powers(x), ms_powers(y)]))
+    assert inner.t == flat_eval_by_products(
+        F, [ms_powers(x), ms_powers(y)]).t
     gpow = ms_powers(inner)
 
     def hpow(e):
         return ms_permuted(gpow(e), (2, 0, 1))
-    vanished = []
-    mul = CoeffContext.mul
-
-    def watched(self, A, B):
-        P = mul(self, A, B)
-        if A.t and B.t and not P.t:
-            vanished.append(None)
-        return P
-    monkeypatch.setattr(CoeffContext, "mul", watched)
     for powers in ([gpow, ms_powers(z)], [ms_powers(x), hpow]):
         got = ms_eval_powers(F, powers)
         assert got.t
-        assert ms_content(got) == ms_content(ms_eval_by_products(F, powers))
-    assert vanished
+        assert got.t == flat_eval_by_products(F, powers).t
 
 
 def test_associativity_coefficient_work_pinned(monkeypatch):
-    # ms_mul skips only the pairs of terms that fall off the caps, which
-    # never reach the coefficient ring, so every product counted here is one
-    # a loop over every pair makes too.  F(y, z) and its powers are renamed,
-    # not recomputed, an odd power reuses its even square, and a factor
-    # x^i or z^j with coefficient one moves keys instead of multiplying,
-    # and the law F(x, y) is formed only under its caps, with each power
-    # of log y, which is log x at equal caps, formed once: 7188 products,
-    # where forming those powers for x and y apart took 7283, forming the
-    # whole law 8111 (828 more inside _build_two_var: 389 with an empty
-    # factor, 439 past the total cap), multiplying by those factors 10136
-    # and forming both inner laws and all their powers 18278, with the
-    # same 285 terms compared.  Every collision of stored
-    # scalars, zero markers included, stays in the coefficient kernel: no
-    # PadicContext.add_raw.
+    # the check's three-variable algebra is flat: of the coefficient ring
+    # it makes only the law F(x, y), under its caps, in 485 coefficient
+    # products, with every collision of stored scalars, zero markers
+    # included, in the coefficient kernel (no PadicContext.add_raw).  The
+    # flat kernel then makes 14,238 products of ints, one per pair of terms
+    # under the caps and the v-degree cap, for the same 285 terms compared.
+    # The tuple route it replaced made 7188 coefficient products, the
+    # law's included.
     law = build_fgl(2, 2, N=33, D=6, M=10)
     calls = count_coeff_products(monkeypatch)
+    pairs = count_flat_products(monkeypatch)
     raw = []
     add_raw = PadicContext.add_raw
 
@@ -235,22 +234,28 @@ def test_associativity_coefficient_work_pinned(monkeypatch):
     monkeypatch.setattr(PadicContext, "add_raw", counted_add_raw)
     ok, wit = check_associativity(law, cap=10)
     assert ok and wit["terms"] == 285
-    assert len(calls) == 7188
+    assert (len(calls), sum(pairs)) == (485, 14238)
     assert not raw
 
 
+# the digests of test_associativity_internals_pinned, by (p, n, D, cap, N)
+INTERNALS_PINS = [
+    ((2, 1, 1, 16, 59),
+     "c6fd7fca92387b75a094f8c5a5c63053326fc511bb40023fe55d72f33ce55fcf"),
+    ((2, 2, 6, 16, 33),
+     "1d42d13ef068a2de4ddceaeb55c0baf87a6fbe00894723b5256ef31eb3b84e88"),
+    ((2, 3, 4, 12, 24),
+     "9cfb0c776c7f94b0e8ff9678adb25841f16c478949ab187e893527687e48b618")]
+
+
 @pytest.mark.parametrize("p,n,D,cap,N,digest", [
-    (2, 1, 1, 16, 59,
-     "88cc275792a1e8bcf3df045c21f98dcdef153cfd1ffe1e62be52fef90dc00f7e"),
-    (2, 2, 6, 16, 33,
-     "293c38a3a6399f6969f1e4c14a1c80733536776cadfc75e5d0aee247ceb77c69"),
-    (2, 3, 4, 12, 24,
-     "236d67f60214b21f44e36709925bd151d5a259952367c4ecaa5470e99d165b02")])
+    pytest.param(*shape, digest, id="-".join(map(str, shape)))
+    for shape, digest in INTERNALS_PINS])
 def test_associativity_internals_pinned(monkeypatch, p, n, D, cap, N, digest):
-    # the three fgl-axioms shapes: a sha256 over the stored order and the
-    # scalars of G^1..G^cap, G = F(x, y), and of both sums of the check.
-    # The verdict and the term count alone would not see a kernel change
-    # that moves one scalar of the check
+    # the three fgl-axioms shapes: a sha256 over the modulus and the sorted
+    # keys and coefficients of G^1..G^cap, G = F(x, y), and of both sums of
+    # the check.  The verdict and the term count alone would not see a
+    # kernel change that moves one coefficient of the check
     law = build_fgl(p, n, N=N, D=D, M=cap)
     sums = []
     eval_powers = ms_eval_powers
@@ -263,10 +268,175 @@ def test_associativity_internals_pinned(monkeypatch, p, n, D, cap, N, digest):
     ok, _ = check_associativity(law, cap=cap)
     assert ok and len(sums) == 2
     gpow = sums[0][0][0]
-    h = hashlib.sha256()
+    h = hashlib.sha256(str(gpow(1).q).encode())
     for S in [gpow(e) for e in range(1, cap + 1)] + [S for _, S in sums]:
-        h.update(repr(ms_content(S)).encode())
+        h.update(repr(sorted(S.t.items())).encode())
     assert h.hexdigest() == digest
+
+
+# The flat kernel against the exact-rational law of oracles.py, each
+# coefficient reduced mod p^A: the law itself, F(F(x, y), z),
+# F(x, F(y, z)) and F(f, g), computed here over {(exps, vexps): int} with
+# every term past the total cap or the v-degree cap dropped, as reduction
+# drops it.
+
+ORACLE_LAWS = [(2, 1, 1, 6, 24), (3, 1, 1, 6, 24), (2, 2, 2, 5, 24),
+               (3, 2, 2, 4, 24)]
+
+
+def _oracle_law(p, n, D, cap, q):
+    """{((i, j), vexps): int mod q} of the exact law under the caps."""
+    ref = oracles.fgl_2var(p, n, cap, cap)
+    out = {}
+    for i in range(cap + 1):
+        for j in range(cap + 1 - i):
+            for vt, c in oracles.qc_project(p, ref[i][j], i + j - 1).items():
+                if sum(vt) <= D:
+                    out[(i, j), vt] = \
+                        c.numerator * pow(c.denominator, -1, q) % q
+    return out
+
+
+def _poly_mul(P, Q, cap, D, q):
+    out = {}
+    for (ea, va), a in P.items():
+        for (eb, vb), b in Q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            v = tuple(x + y for x, y in zip(va, vb))
+            if sum(e) <= cap and sum(v) <= D:
+                out[e, v] = (out.get((e, v), 0) + a * b) % q
+    return out
+
+
+def _poly_eval(law, args, cap, D, q):
+    """The two-variable law {((i, j), vexps): c} on two polynomials
+    {(exps, vexps): int mod q} with no constant term."""
+    r = len(next(iter(args[0]))[0])
+    v0 = (0,) * len(next(iter(law))[1])
+    one = {((0,) * r, v0): 1}
+    pows = [[one], [one]]
+    out = {}
+    for ((i, j), vt), c in law.items():
+        for pw, e, A in zip(pows, (i, j), args):
+            while len(pw) <= e:
+                pw.append(_poly_mul(pw[-1], A, cap, D, q))
+        term = _poly_mul(_poly_mul(pows[0][i], pows[1][j], cap, D, q),
+                         {((0,) * r, vt): c}, cap, D, q)
+        for k, a in term.items():
+            out[k] = (out.get(k, 0) + a) % q
+    return out
+
+
+def _nonzero(terms):
+    return {k: c for k, c in terms.items() if c}
+
+
+def _law_precision(F):
+    """The least absolute precision of the law's scalars, as
+    check_associativity reads it."""
+    return min(v + k if u else v for e in F.t.values()
+               for v, u, k in e.t.values())
+
+
+def _oracle_sides(law, cap, D, q):
+    v0 = (0,) * len(next(iter(law))[1])
+    x, y, z = ({(e, v0): 1} for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    G = _poly_eval(law, [x, y], cap, D, q)
+    H = _poly_eval(law, [y, z], cap, D, q)
+    return (_poly_eval(law, [G, z], cap, D, q),
+            _poly_eval(law, [x, H], cap, D, q))
+
+
+@pytest.mark.parametrize("p,n,D,cap,N", ORACLE_LAWS)
+def test_flat_sides_match_rational_oracle(p, n, D, cap, N):
+    law = build_fgl(p, n, N=N, D=D, M=cap)
+    F, x, y, z = _flat_parts(law, cap)
+    A = _law_precision(law.two_var(cap, cap, tcap=cap))
+    assert A >= 8 and F.q == p ** A
+    ref = _oracle_law(p, n, D, cap, F.q)
+    assert _nonzero(flat_terms(F)) == _nonzero(ref)
+    left = ms_eval(F, [ms_eval(F, [x, y]), z])
+    right = ms_eval(F, [x, ms_eval(F, [y, z])])
+    want_left, want_right = _oracle_sides(ref, cap, D, F.q)
+    assert _nonzero(want_left) == _nonzero(want_right)
+    assert _nonzero(flat_terms(left)) == _nonzero(want_left)
+    assert _nonzero(flat_terms(right)) == _nonzero(want_right)
+
+
+@pytest.mark.parametrize("p,n,D,cap,N", ORACLE_LAWS)
+def test_flat_formal_sum_matches_rational_oracle(p, n, D, cap, N):
+    # F(f, g) on one-variable series, f = 2y + u^2 y^3 and g = c y^p with
+    # c = u^(p-1), plus v_1 where the height allows
+    law = build_fgl(p, n, N=N, D=D, M=cap)
+    F = _flat_parts(law, cap)[0]
+    v0 = (0,) * (n - 1)
+    c = {(p - 1, v0): Fraction(1)}
+    if n > 1:
+        c = oracles.qc_add(c, oracles.v_generator(p, n, 1))
+    f = oracles.ser_zero(cap)
+    f[1], f[3] = {(0, v0): Fraction(2)}, {(2, v0): Fraction(1)}
+    g = oracles.ser_zero(cap)
+    g[p] = c
+    lay = flat_layout((cap,), None, n, D)
+
+    def flat(ser):
+        t = {}
+        for d, oc in enumerate(ser):
+            for vt, a in oracles.qc_project(p, oc, d - 1).items():
+                if sum(vt) <= D:
+                    t[flat_key(lay, (d,), vt)] = \
+                        a.numerator * pow(a.denominator, -1, F.q) % F.q
+        return FlatSeries(lay, F.q, t)
+    got = ms_eval(F, [flat(f), flat(g)])
+    want = flat(oracles.formal_sum(p, n, f, g, cap))
+    assert got.t and _nonzero(got.t) == _nonzero(want.t)
+
+
+@pytest.mark.parametrize("p,n,D,cap,N,bad", [
+    (2, 1, 1, 6, 24, (2, 1)), (3, 1, 1, 6, 24, (1, 3)),
+    (2, 2, 2, 5, 24, (2, 2)), (3, 2, 2, 4, 24, (1, 1))])
+def test_perturbed_law_fails_where_the_oracle_shows(p, n, D, cap, N, bad):
+    # p added to one coefficient of the law, and of the oracle's: the
+    # check fails, and its witness is the least exponent tuple at which
+    # the oracle's two sides differ mod p^8
+    law = build_fgl(p, n, N=N, D=D, M=cap)
+    ctx = law.ctx
+    F = law.two_var(cap, cap, tcap=cap)
+    ms_set(F, bad, ctx.add(F.coeff(bad), ctx.from_int(p)))
+    q = p ** 8
+    ref = _oracle_law(p, n, D, cap, q)
+    v0 = (0,) * (n - 1)
+    ref[bad, v0] = (ref.get((bad, v0), 0) + p) % q
+    left, right = _oracle_sides(ref, cap, D, q)
+    failing = sorted(e for e, v in left.keys() | right.keys()
+                     if left.get((e, v), 0) != right.get((e, v), 0))
+    assert failing
+    assert check_associativity(law, cap=cap) == \
+        (False, {"exponents": failing[0]})
+
+
+def test_flat_check_raises_below_the_depth():
+    # a law pinned mod p^A cannot show associativity mod p^(A + 3): the
+    # check asks for 3 more digits, so that Builder.run climbs
+    law = build_fgl(2, 2, N=24, D=2, M=6)
+    A = _law_precision(law.two_var(6, 6, tcap=6))
+    with pytest.raises(PrecisionError) as e:
+        check_associativity(law, cap=6, depth=A + 3)
+    assert e.value.needed_extra == 3
+    assert check_associativity(law, cap=6, depth=A)[0]
+
+
+def test_flat_check_refuses_a_negative_valuation():
+    # the flat kernel holds integral coefficients only; a law with a
+    # scalar of negative valuation fails, the first such term in tuple
+    # order as the witness
+    law = build_fgl(2, 1, N=24, D=1, M=6)
+    ctx = law.ctx
+    F = law.two_var(6, 6, tcap=6)
+    ms_set(F, (2, 3), ctx.from_scalar((-1, 1, ctx.N)))
+    ms_set(F, (1, 4), ctx.from_scalar((-2, 1, ctx.N)))
+    assert check_associativity(law, cap=6) == \
+        (False, {"negative_valuation": (1, 4), "valuation": -2})
 
 
 def test_solve_log_coefficient_work_pinned(monkeypatch):
@@ -448,7 +618,7 @@ def eval_law(fgl, f, g):
     the two-variable law itself (not through the logarithm)."""
     def one_var(s):
         return ms_from_yseries(s, 1, (fgl.M,), 0)
-    out = ms_eval(fgl.F, [one_var(f), one_var(g)])
+    out = ms_eval_reference(fgl.F, [one_var(f), one_var(g)])
     return YSeries(fgl.ctx, [out.coeff((d,)) for d in range(fgl.M + 1)])
 
 

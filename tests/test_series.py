@@ -6,22 +6,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as O
-from helpers import (count_coeff_products, long_divide_reference,
-                     ms_add_into, ms_content, ms_eval_by_products,
-                     ms_from_yseries, oc_series_to_yseries, ser_mul_raw,
+from helpers import (count_flat_products, flat_eval_by_products, flat_key,
+                     flat_mul_reference, flat_terms, long_divide_reference,
+                     ms_add_into, ms_content, ms_set, oc_series_to_yseries,
+                     ser_mul_raw,
                      weierstrass_divide_reference,
                      weierstrass_prepare_reference)
 
 import morava.series
-from morava.coeff import CoeffContext, CoeffElem
+from morava.coeff import CoeffContext
 from morava.fgl import build_fgl
 from morava.groupcoh import sound_depth
 from morava.padic import EXACT, PrecisionError
-from morava.series import (MultiSeries, YSeries, _divide, _long_divide,
-                           _prepare, _v_join, _v_parts, _zip_with, _zp_add,
-                           _zp_invert, _zp_mul, golden_dump, golden_load,
-                           ms_eval, ms_mul, ms_new, ms_one,
-                           ms_permuted, ms_powers, ms_set, ser_add, ser_compose, ser_from_terms,
+from morava.series import (FlatSeries, MultiSeries, YSeries, _divide,
+                           _long_divide, _prepare, _v_join, _v_parts,
+                           _zip_with, _zp_add, _zp_invert, _zp_mul,
+                           flat_layout, golden_dump, golden_load, ms_eval,
+                           ms_flat, ms_mul, ms_new, ms_permuted, ms_powers,
+                           ms_vars, ser_add, ser_compose, ser_from_terms,
                            ser_invert_unit, ser_monomial, ser_mul, ser_new,
                            ser_rshift, ser_scale, ser_sub, ser_truncate,
                            weierstrass_degree, weierstrass_prepare)
@@ -558,55 +560,49 @@ def test_shift_and_rshift(ctx):
         ser_rshift(f, 1)
 
 
-def exps_of(A):
-    """The exponent vectors of A's terms."""
-    return {x for x, _ in A.items()}
+def flat_shape(caps, tcap, p=3, n=2, N=20, D=3):
+    """(layout, modulus) of a flat series at the caps, over Z/p^N at
+    v-degree cap D."""
+    return flat_layout(tuple(caps), tcap, n, D), p ** N
 
 
-def test_multiseries_caps_and_trunc(ctx):
-    A = ms_new(ctx, 2, (2, 2))
-    ms_set(A, (1, 0), ctx.one())
-    ms_set(A, (0, 1), ctx.one())
-    B = ms_mul(A, A)
-    assert exps_of(B) == {(2, 0), (1, 1), (0, 2)}
-    C = ms_mul(B, B)  # x^4, x^3*y, x*y^3 and y^4 fall off the caps
-    assert exps_of(C) == {(2, 2)}
-
-
-def test_multiseries_total_cap(ctx):
-    A = ms_new(ctx, 2, (4, 4), tcap=3)
-    ms_set(A, (1, 0), ctx.one())
-    ms_set(A, (0, 1), ctx.one())
-    B = ms_mul(ms_mul(A, A), A)
-    assert exps_of(B) == {(3, 0), (2, 1), (1, 2), (0, 3)}
-    D = ms_mul(B, A)
-    assert not D.t
-
-
-def all_pairs_product(A, B):
-    """The product as a loop over every pair of terms, testing each sum
-    against the caps: the reference for ms_mul."""
-    ctx = A.ctx
+def flat_of(shape, terms):
+    """The flat series of {exps: c} or {(exps, vexps): c} in a shape."""
+    lay, q = shape
     t = {}
-    for ka, ea in A.items():
-        for kb, eb in B.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            if any(x > c for x, c in zip(k, A.caps)) or (
-                    A.tcap is not None and sum(k) > A.tcap):
-                continue
-            prod = ctx.mul(ea, eb)
-            s = prod if k not in t else ctx.add(t[k], prod)
-            if s.is_zero():
-                t.pop(k, None)
-            else:
-                t[k] = s
-    return MultiSeries(ctx, A.r, A.caps,
-                       {A.key(k): e for k, e in t.items()}, A.tcap)
+    for x, c in terms.items():
+        e, v = x if isinstance(x[0], tuple) else (x, ())
+        t[flat_key(lay, e, v)] = c % q
+    return FlatSeries(lay, q, t)
+
+
+def flat_exps(A):
+    """The exponent vectors of A's terms."""
+    return {A.exps(k) for k in A.t}
+
+
+def test_multiseries_caps_and_trunc():
+    shape = flat_shape((2, 2), None, 2, 1, 16, 4)
+    A = flat_of(shape, {(1, 0): 1, (0, 1): 1})
+    B = ms_mul(A, A)
+    assert flat_terms(B) == {((2, 0), ()): 1, ((1, 1), ()): 2,
+                             ((0, 2), ()): 1}
+    C = ms_mul(B, B)  # x^4, x^3*y, x*y^3 and y^4 fall off the caps
+    assert flat_terms(C) == {((2, 2), ()): 6}
+
+
+def test_multiseries_total_cap():
+    shape = flat_shape((4, 4), 3, 2, 1, 16, 4)
+    A = flat_of(shape, {(1, 0): 1, (0, 1): 1})
+    B = ms_mul(ms_mul(A, A), A)
+    assert flat_exps(B) == {(3, 0), (2, 1), (1, 2), (0, 3)}
+    assert not ms_mul(B, A).t
 
 
 def assert_same_product(A, B):
     got = ms_mul(A, B)
-    assert ms_content(got) == ms_content(all_pairs_product(A, B))
+    assert (got.lay, got.q) == (A.lay, A.q)
+    assert flat_terms(got) == flat_mul_reference(A, B)
     return got
 
 
@@ -632,6 +628,13 @@ def random_ms(rng, ctx, caps, tcap, nterms):
     return A
 
 
+def random_flat(rng, caps, tcap, nterms):
+    """A flat series over Z/3^20 at v-degree cap 3 whose terms are those of
+    random_ms at the caps, each coefficient a few v-monomials."""
+    ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
+    return ms_flat(random_ms(rng, ctx, caps, tcap, nterms), 20)
+
+
 # (caps, tcap) in the shapes that get multiplied: the associativity check,
 # two_var(Mx, My, tcap), and the per-term class reference of the ring tests
 MS_SHAPES = [((6, 6, 6), 6), ((7, 4), 8), ((9, 5), None), ((5, 3, 4), None)]
@@ -640,47 +643,56 @@ MS_SHAPES = [((6, 6, 6), 6), ((7, 4), 8), ((9, 5), None), ((5, 3, 4), None)]
 @pytest.mark.parametrize("caps,tcap", MS_SHAPES)
 @pytest.mark.parametrize("seed", range(4))
 def test_ms_mul_matches_all_pairs(caps, tcap, seed):
+    # the v-degree cap 3 drops pairs as the y-caps do
     rng = random.Random(seed)
-    ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
-    A = random_ms(rng, ctx, caps, tcap, rng.randint(5, 40))
-    B = random_ms(rng, ctx, caps, tcap, rng.randint(5, 40))
+    A = random_flat(rng, caps, tcap, rng.randint(5, 40))
+    B = random_flat(rng, caps, tcap, rng.randint(5, 40))
     assert_same_product(A, B)
     assert_same_product(B, A)
     assert_same_product(A, A)
 
 
-def test_ms_mul_empty_operand(ctx):
-    A = ms_new(ctx, 2, (3, 3), tcap=4)
-    ms_set(A, (1, 2), ctx.one())
-    Z = ms_new(ctx, 2, (3, 3), tcap=4)
+def test_ms_mul_empty_operand():
+    shape = flat_shape((3, 3), 4)
+    A = flat_of(shape, {(1, 2): 1})
+    Z = flat_of(shape, {})
     for P in (ms_mul(A, Z), ms_mul(Z, A), ms_mul(Z, Z)):
         assert not P.t
     assert not assert_same_product(A, Z).t
+    with pytest.raises(ValueError):
+        ms_mul(A, flat_of(flat_shape((3, 3), None), {(1, 2): 1}))
+    with pytest.raises(ValueError):
+        ms_mul(A, flat_of(flat_shape((3, 3), 4, N=19), {(1, 2): 1}))
 
 
-def ms_terms(ctx, caps, tcap, keys):
-    A = ms_new(ctx, len(caps), caps, tcap)
-    for k in keys:
-        ms_set(A, k, ctx.one())
-    return A
+def ms_terms(caps, tcap, keys):
+    return flat_of(flat_shape(caps, tcap, 2, 1, 16, 4),
+                   {k: 1 for k in keys})
 
 
-def test_ms_mul_only_variable_cap_drops(ctx):
-    A = ms_terms(ctx, (2, 5), None, [(2, 0), (0, 1)])
-    B = ms_terms(ctx, (2, 5), None, [(1, 0), (0, 1)])
+def test_ms_mul_only_variable_cap_drops():
+    A = ms_terms((2, 5), None, [(2, 0), (0, 1)])
+    B = ms_terms((2, 5), None, [(1, 0), (0, 1)])
     P = assert_same_product(A, B)  # x^2 * x passes the cap of x
-    assert exps_of(P) == {(2, 1), (1, 1), (0, 2)}
-    assert exps_of(assert_same_product(B, B)) == {(2, 0), (1, 1), (0, 2)}
+    assert flat_exps(P) == {(2, 1), (1, 1), (0, 2)}
+    assert flat_exps(assert_same_product(B, B)) == {(2, 0), (1, 1), (0, 2)}
 
 
-def test_ms_mul_only_total_cap_drops(ctx):
-    A = ms_terms(ctx, (4, 4), 4, [(2, 1)])
-    B = ms_terms(ctx, (4, 4), 4, [(1, 0), (0, 2)])
+def test_ms_mul_only_total_cap_drops():
+    A = ms_terms((4, 4), 4, [(2, 1)])
+    B = ms_terms((4, 4), 4, [(1, 0), (0, 2)])
     P = assert_same_product(A, B)  # x^2 y * y^2 has total degree 5
-    assert [x for x, _ in P.items()] == [(3, 1)]
-    C = ms_terms(ctx, (4, 4), 4, [(1, 0), (0, 1)])
-    assert exps_of(assert_same_product(C, B)) == {(2, 0), (1, 2), (1, 1),
-                                                  (0, 3)}
+    assert flat_exps(P) == {(3, 1)}
+    C = ms_terms((4, 4), 4, [(1, 0), (0, 1)])
+    assert flat_exps(assert_same_product(C, B)) == {(2, 0), (1, 2), (1, 1),
+                                                     (0, 3)}
+
+
+def test_ms_mul_v_degree_cap_drops():
+    # v_1^2 * v_1^2 passes the v-degree cap 3; v_1 * v_1^2 does not
+    A = flat_of(flat_shape((4,), None), {((1,), (2,)): 5, ((0,), (1,)): 2})
+    P = assert_same_product(A, A)
+    assert flat_terms(P) == {((1,), (3,)): 20, ((0,), (2,)): 4}
 
 
 def ms_add(A, B):
@@ -718,7 +730,7 @@ def ms_powers_per_square(A):
     """ms_powers as it was before odd powers reused the even square: an odd
     e squares A^(e//2) again and multiplies by A.  The reference the
     current ms_powers must agree with."""
-    cache = {0: ms_one(A.ctx, A.r, A.caps, A.tcap), 1: A}
+    cache = {0: FlatSeries(A.lay, A.q, {0: 1}), 1: A}
 
     def power(e):
         chain = []
@@ -733,17 +745,13 @@ def ms_powers_per_square(A):
     return power
 
 
-def with_zero_markers(rng, A):
-    """A with a shallow zero marker added to about a third of its
-    coefficients, and one coefficient that is nothing but a marker."""
-    ctx = A.ctx
-    for k, e in list(A.t.items()):
+def with_zeros(rng, A):
+    """A with about a third of its stored coefficients set to 0, and a
+    stored 0 at x, as products leave them."""
+    for k in list(A.t):
         if rng.random() < 0.35:
-            t = dict(e.t)
-            t.setdefault(ctx.vcode((rng.randint(0, ctx.D),)),
-                         (rng.randint(1, 6), 0, 0))
-            A.t[k] = CoeffElem(ctx, t)
-    A.t[A.key((1,) + (0,) * (A.r - 1))] = CoeffElem(ctx, {0: (3, 0, 0)})
+            A.t[k] = 0
+    A.t[flat_key(A.lay, (1,) + (0,) * (len(A.lay.caps) - 1))] = 0
     return A
 
 
@@ -757,15 +765,12 @@ def test_ms_powers_matches_per_square_reference(caps, tcap, seed):
     # every power, asked for in ascending, descending and shuffled order,
     # so odd exponents meet A^(e-1) both cached and not yet made
     rng = random.Random(seed)
-    ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
-    A = with_zero_markers(rng, random_ms(rng, ctx, caps, tcap,
-                                         rng.randint(4, 8)))
+    A = with_zeros(rng, random_flat(rng, caps, tcap, rng.randint(4, 8)))
     # with a unit constant term no power dies out below e = 20
-    zero = A.key((0,) * len(caps))
     if seed == 0:
-        A.t[zero] = ctx.from_int(rng.randint(1, 4) * 3 + 1)
+        A.t[0] = rng.randint(1, 4) * 3 + 1
     else:
-        A.t.pop(zero, None)
+        A.t.pop(0, None)
     want = ms_powers_per_square(A)
     exps = list(range(21))
     shuffled = exps[:]
@@ -773,16 +778,15 @@ def test_ms_powers_matches_per_square_reference(caps, tcap, seed):
     for order in (exps, exps[::-1], shuffled):
         power = ms_powers(A)
         for e in order:
-            assert ms_content(power(e)) == ms_content(want(e)), e
+            assert power(e).t == want(e).t, e
     assert power(1) is A
     assert bool(power(20).t) == (seed == 0)
 
 
 def test_ms_powers_odd_power_reuses_even_square(monkeypatch):
     rng = random.Random(5)
-    ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
-    A = random_ms(rng, ctx, (4, 4, 4), 4, 6)
-    A.t[A.key((0, 0, 0))] = ctx.from_int(7)
+    A = random_flat(rng, (4, 4, 4), 4, 6)
+    A.t[0] = 7
     muls = []
     real_mul = morava.series.ms_mul
 
@@ -794,14 +798,14 @@ def test_ms_powers_odd_power_reuses_even_square(monkeypatch):
     power = ms_powers(A)
     A6 = power(6)
     del muls[:]
-    products = count_coeff_products(monkeypatch)
+    products = count_flat_products(monkeypatch)
     A7 = power(7)
-    # one ms_mul, A^6 * A, with the coefficient products of that one call
+    # one ms_mul, A^6 * A, with the flat products of that one call
     assert len(muls) == 1 and muls[0][0] is A6 and muls[0][1] is A
-    spent = len(products)
+    spent = sum(products)
     assert spent > 0 and A7.t
-    assert ms_content(real_mul(A6, A)) == ms_content(A7)
-    assert len(products) == 2 * spent
+    assert real_mul(A6, A).t == A7.t
+    assert sum(products) == 2 * spent
     # asked first, an odd power leaves the square it made for the next call
     power = ms_powers(A)
     power(5)
@@ -810,15 +814,14 @@ def test_ms_powers_odd_power_reuses_even_square(monkeypatch):
     assert not muls
 
 
-def test_ms_permuted_renames_and_checks_caps(ctx):
-    A = ms_new(ctx, 3, (3, 3, 3), tcap=4)
-    for k in [(1, 2, 0), (0, 0, 1), (3, 0, 0)]:
-        ms_set(A, k, ctx.from_int(sum(k) + 1))
+def test_ms_permuted_renames_and_checks_caps():
+    A = flat_of(flat_shape((3, 3, 3), 4),
+                {((1, 2, 0), (1,)): 2, (0, 0, 1): 3, ((3, 0, 0), (3,)): 4})
     R = ms_permuted(A, (2, 0, 1))
-    assert [x for x, _ in R.items()] == [(0, 1, 2), (1, 0, 0), (0, 3, 0)]
-    assert list(R.t.values()) == list(A.t.values())
-    assert (R.caps, R.tcap) == (A.caps, A.tcap)
-    B = ms_new(ctx, 3, (3, 3, 2))
+    assert flat_terms(R) == {((0, 1, 2), (1,)): 2, ((1, 0, 0), (0,)): 3,
+                             ((0, 3, 0), (3,)): 4}
+    assert (R.lay, R.q) == (A.lay, A.q)
+    B = flat_of(flat_shape((3, 3, 2), None), {})
     ms_permuted(B, (1, 0, 2))  # swaps the two variables of cap 3
     for perm in ((2, 0, 1), (0, 2, 1)):
         with pytest.raises(ValueError):
@@ -827,28 +830,23 @@ def test_ms_permuted_renames_and_checks_caps(ctx):
         ms_permuted(A, (0, 0, 1))
 
 
-def test_ms_eval_substitution(ctx):
+def test_ms_eval_substitution():
     # F(x, y) = x + y + x*y evaluated at (t^2, t^3)
-    F = ms_new(ctx, 2, (3, 3))
-    ms_set(F, (1, 0), ctx.one())
-    ms_set(F, (0, 1), ctx.one())
-    ms_set(F, (1, 1), ctx.one())
-    t2 = ms_from_yseries(ser_monomial(ctx, 8, 2), 1, (8,), 0)
-    t3 = ms_from_yseries(ser_monomial(ctx, 8, 3), 1, (8,), 0)
-    out = ms_eval(F, [t2, t3])
-    assert ctx.eq_to(out.coeff((2,)), ctx.one(), 16)
-    assert ctx.eq_to(out.coeff((3,)), ctx.one(), 16)
-    assert ctx.eq_to(out.coeff((5,)), ctx.one(), 16)
-    assert len(out.t) == 3
+    F = flat_of(flat_shape((3, 3), None, 2, 1, 16, 4),
+                {(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    shape = flat_shape((8,), None, 2, 1, 16, 4)
+    out = ms_eval(F, [flat_of(shape, {(2,): 1}), flat_of(shape, {(3,): 1})])
+    assert flat_terms(out) == {((2,), ()): 1, ((3,), ()): 1, ((5,), ()): 1}
+    with pytest.raises(ValueError):
+        ms_eval(F, [flat_of(shape, {(0,): 1, (2,): 1}),
+                    flat_of(shape, {(3,): 1})])
+    with pytest.raises(ValueError):
+        ms_eval(F, [flat_of(flat_shape((8,), None), {(2,): 1})] * 2)
 
 
-def _unit_gen(ctx, caps, tcap, i):
+def _unit_gen(caps, tcap, i):
     """Variable i."""
-    g = ms_new(ctx, len(caps), caps, tcap)
-    e = [0] * len(caps)
-    e[i] = 1
-    ms_set(g, e, ctx.one())
-    return g
+    return ms_vars(*flat_shape(caps, tcap))[i]
 
 
 @pytest.mark.parametrize("caps,tcap", MS_SHAPES)
@@ -856,44 +854,40 @@ def _unit_gen(ctx, caps, tcap, i):
 @pytest.mark.parametrize("seed", range(2))
 def test_ms_eval_matches_product_route(caps, tcap, kinds, seed):
     # arguments are random series (s) or variables (v) with coefficient
-    # one, whose powers become key shifts; F's terms then meet
-    # per-variable caps, the total cap and products that vanish under D
+    # one; F's terms then meet per-variable caps, the total cap and pairs
+    # past the v-degree cap.  ms_eval sums the argument of fewest terms
+    # first; summing term by term must give the same series
     rng = random.Random(seed)
-    ctx = CoeffContext(3, 2, N=20, D=3, floor=1)
     r = len(caps)
-    F = random_ms(rng, ctx, (4, 4), None, 10)
-    ms_set(F, (0, 0), ctx.zero())
+    F = random_flat(rng, (4, 4), None, 10)
+    F.t = {k: c for k, c in F.t.items() if F.exps(k) != (0, 0)}
     args = []
     for kind in kinds:
         if kind == "v":
-            args.append(_unit_gen(ctx, caps, tcap, rng.randrange(r)))
+            args.append(_unit_gen(caps, tcap, rng.randrange(r)))
         else:
-            A = random_ms(rng, ctx, caps, tcap, 5)
-            ms_set(A, (0,) * r, ctx.zero())
+            A = random_flat(rng, caps, tcap, 5)
+            A.t = {k: c for k, c in A.t.items() if any(A.exps(k))}
             args.append(A)
-    want = ms_eval_by_products(F, [ms_powers(A) for A in args])
-    assert ms_content(ms_eval(F, args)) == ms_content(want)
+    want = flat_eval_by_products(F, [ms_powers(A) for A in args])
+    assert ms_eval(F, args).t == want.t
 
 
 def test_ms_eval_empty_product_leaves_key():
-    # F = v_1*X + Y on (v_1*x, x) at D=1: Y puts 1 on x, then the product
-    # v_1*v_1 vanishes under the cap and leaves that key alone; with
-    # (1 + v_1)*x for X's argument it lands
-    ctx = CoeffContext(3, 2, N=12, D=1)
-    v = ctx.v_gen(1)
-    F = ms_new(ctx, 2, (2, 2))
-    ms_set(F, (1, 0), v)
-    ms_set(F, (0, 1), ctx.one())
-    x = _unit_gen(ctx, (3,), None, 0)
-    for c, terms in ((v, {0: ctx.padic.one()}),
-                     (ctx.add(ctx.one(), v),
-                      {0: ctx.padic.one(), 1: ctx.padic.one()})):
-        A = ms_new(ctx, 1, (3,))
-        ms_set(A, (1,), c)
+    # F = v_1*X + Y on (v_1*x, x) at D=1: Y puts 1 on x, and the pair
+    # v_1 * v_1 passes the v-degree cap, so it forms no key; with
+    # (1 + v_1)*x for X's argument v_1 * 1 lands on v_1*x
+    shape = flat_shape((2, 2), None, 3, 2, 12, 1)
+    F = flat_of(shape, {((1, 0), (1,)): 1, (0, 1): 1})
+    x = ms_vars(*flat_shape((3,), None, 3, 2, 12, 1))[0]
+    for c, terms in (({(1,): 1}, {((1,), (0,)): 1}),
+                     ({(0,): 1, (1,): 1},
+                      {((1,), (0,)): 1, ((1,), (1,)): 1})):
+        A = flat_of((x.lay, x.q), {((1,), v): a for v, a in c.items()})
         out = ms_eval(F, [A, x])
-        assert ms_content(out) == ms_content(
-            ms_eval_by_products(F, [ms_powers(A), ms_powers(x)]))
-        assert [(x, e.t) for x, e in out.items()] == [((1,), terms)]
+        assert out.t == flat_eval_by_products(
+            F, [ms_powers(A), ms_powers(x)]).t
+        assert flat_terms(out) == terms
 
 
 # Packed keys: the layout of each shape against exponent tuples
